@@ -17,7 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use traj_query::{
-    range_workload, EngineConfig, QueryDistribution, QueryEngine, RangeWorkloadSpec,
+    range_workload, EngineConfig, QueryDistribution, QueryEngine, QueryExecutor, RangeWorkloadSpec,
     ShardedQueryEngine,
 };
 use trajectory::gen::{generate, DatasetSpec, Scale};

@@ -49,6 +49,7 @@ use trajectory::{AsColumns, Cube, KeptBitmap, PointStore, Simplification, TrajId
 use crate::engine::{BackendKind, EngineConfig, MaintainedWorkload, QueryEngine, QueryScratch};
 use crate::knn::KnnQuery;
 use crate::parallel::{par_map, par_map_with};
+use crate::segment::ShardResult;
 use crate::sharded::ShardedQueryEngine;
 use crate::similarity::SimilarityQuery;
 use crate::workload::{range_workload_store, RangeWorkloadSpec};
@@ -358,6 +359,33 @@ pub trait QueryExecutor: Sync {
     /// this executor, running result sets from `simp` (global ids).
     fn maintained_workload(&self, queries: Vec<Cube>, simp: &Simplification) -> MaintainedWorkload;
 
+    /// This executor's contribution to a *distributed* kNN: its finite
+    /// candidates sorted by `(distance, id)`, truncated to `q.k`,
+    /// `-0.0`-normalized. Merging these lists across executors with
+    /// [`merge_knn_candidates`](crate::merge_knn_candidates) and
+    /// [`knn_take_fill`](crate::knn_take_fill) reproduces
+    /// [`QueryExecutor::knn`] over the union byte-for-byte.
+    fn knn_candidates(&self, q: &KnnQuery) -> Vec<(f64, TrajId)>;
+
+    /// Smallest cube covering every served point, as the executor
+    /// decodes them (for quantized snapshots: the decoded coordinates).
+    /// A serving process reports this in its placement handshake so a
+    /// distributed coordinator can route with
+    /// [`query_touches_bounds`](crate::query_touches_bounds).
+    fn bounding_cube(&self) -> Cube;
+
+    /// Answers `q` as one *segment* of a larger database: raw merge
+    /// material in this executor's own ids — no kNN infinite-fill — for
+    /// [`merge`](crate::merge) to combine with other segments'.
+    fn shard_result(&self, q: &Query) -> ShardResult {
+        match q {
+            Query::Range(c) => ShardResult::Ids(self.range(c)),
+            Query::Knn(k) => ShardResult::Candidates(self.knn_candidates(k)),
+            Query::Similarity(s) => ShardResult::Ids(self.similarity(s)),
+            Query::RangeKept(c) => ShardResult::Kept(self.range_kept(c)),
+        }
+    }
+
     /// Executes one typed query **in the calling thread**, with
     /// sequential inner loops — the unit of work
     /// [`QueryExecutor::execute_batch`] parallelizes over. Identical
@@ -442,6 +470,14 @@ impl QueryExecutor for QueryEngine<'_> {
         QueryEngine::maintained_workload(self, queries, simp)
     }
 
+    fn knn_candidates(&self, q: &KnnQuery) -> Vec<(f64, TrajId)> {
+        QueryEngine::knn_candidates(self, q)
+    }
+
+    fn bounding_cube(&self) -> Cube {
+        self.store().bounding_cube()
+    }
+
     fn execute_one(&self, q: &Query) -> QueryResult {
         match q {
             Query::Range(c) => QueryResult::Range(self.range(c)),
@@ -462,73 +498,6 @@ impl QueryExecutor for QueryEngine<'_> {
             Query::Similarity(s) => QueryResult::Similarity(self.similarity_seq(s)),
             Query::RangeKept(c) => QueryResult::RangeKept(self.range_kept_scratch(c, scratch)),
         })
-    }
-}
-
-impl QueryExecutor for ShardedQueryEngine<'_> {
-    fn len(&self) -> usize {
-        ShardedQueryEngine::len(self)
-    }
-
-    fn total_points(&self) -> usize {
-        ShardedQueryEngine::total_points(self)
-    }
-
-    fn trajectory(&self, id: TrajId) -> trajectory::Trajectory {
-        ShardedQueryEngine::trajectory(self, id)
-    }
-
-    fn range(&self, q: &Cube) -> Vec<TrajId> {
-        ShardedQueryEngine::range(self, q)
-    }
-
-    fn range_batch(&self, queries: &[Cube]) -> Vec<Vec<TrajId>> {
-        ShardedQueryEngine::range_batch(self, queries)
-    }
-
-    fn knn(&self, q: &KnnQuery) -> Vec<TrajId> {
-        ShardedQueryEngine::knn(self, q)
-    }
-
-    fn knn_batch(&self, queries: &[KnnQuery]) -> Vec<Vec<TrajId>> {
-        ShardedQueryEngine::knn_batch(self, queries)
-    }
-
-    fn similarity(&self, q: &SimilarityQuery) -> Vec<TrajId> {
-        ShardedQueryEngine::similarity(self, q)
-    }
-
-    fn similarity_batch(&self, queries: &[SimilarityQuery]) -> Vec<Vec<TrajId>> {
-        ShardedQueryEngine::similarity_batch(self, queries)
-    }
-
-    fn has_kept_bitmap(&self) -> bool {
-        self.has_kept_bitmaps()
-    }
-
-    fn range_kept(&self, q: &Cube) -> Option<Vec<TrajId>> {
-        ShardedQueryEngine::range_kept(self, q)
-    }
-
-    fn range_simplified(&self, simp: &Simplification, q: &Cube) -> Vec<TrajId> {
-        ShardedQueryEngine::range_simplified(self, simp, q)
-    }
-
-    fn range_simplified_batch(&self, simp: &Simplification, queries: &[Cube]) -> Vec<Vec<TrajId>> {
-        ShardedQueryEngine::range_simplified_batch(self, simp, queries)
-    }
-
-    fn maintained_workload(&self, queries: Vec<Cube>, simp: &Simplification) -> MaintainedWorkload {
-        ShardedQueryEngine::maintained_workload(self, queries, simp)
-    }
-
-    fn execute_one(&self, q: &Query) -> QueryResult {
-        match q {
-            Query::Range(c) => QueryResult::Range(self.range_seq(c)),
-            Query::Knn(k) => QueryResult::Knn(self.knn_seq(k)),
-            Query::Similarity(s) => QueryResult::Similarity(self.similarity_seq(s)),
-            Query::RangeKept(c) => QueryResult::RangeKept(self.range_kept_seq(c)),
-        }
     }
 }
 
@@ -865,40 +834,6 @@ impl TrajDb {
         }
     }
 
-    /// This database's contribution to a *distributed* kNN: its finite
-    /// candidates sorted by `(distance, id)`, truncated to `q.k`,
-    /// `-0.0`-normalized. A coordinator that merges these lists across
-    /// shard processes with
-    /// [`merge_knn_candidates`](crate::merge_knn_candidates) and
-    /// [`knn_take_fill`](crate::knn_take_fill) reproduces the
-    /// in-process [`QueryExecutor::knn`] answer byte-for-byte.
-    #[must_use]
-    pub fn knn_candidates(&self, q: &KnnQuery) -> Vec<(f64, TrajId)> {
-        match &self.inner {
-            Inner::Single(e) => e.knn_candidates(q),
-            Inner::Sharded(e) => e.knn_candidates(q),
-        }
-    }
-
-    /// Smallest cube covering every served point, as the open database
-    /// decodes them (for quantized snapshots: the decoded coordinates).
-    /// A serving process reports this in its placement handshake so a
-    /// distributed coordinator can route with
-    /// [`query_touches_bounds`](crate::query_touches_bounds).
-    #[must_use]
-    pub fn bounding_cube(&self) -> Cube {
-        match &self.inner {
-            Inner::Single(e) => e.store().bounding_cube(),
-            Inner::Sharded(e) => {
-                let mut all = Cube::empty();
-                for b in e.shard_bounds() {
-                    all.union_with(&b);
-                }
-                all
-            }
-        }
-    }
-
     /// The sharded engine behind the façade, when the database is
     /// sharded.
     #[must_use]
@@ -1020,7 +955,7 @@ impl QueryExecutor for TrajDb {
     fn has_kept_bitmap(&self) -> bool {
         match &self.inner {
             Inner::Single(e) => e.has_kept_bitmap(),
-            Inner::Sharded(e) => e.has_kept_bitmaps(),
+            Inner::Sharded(e) => e.has_kept_bitmap(),
         }
     }
 
@@ -1049,6 +984,20 @@ impl QueryExecutor for TrajDb {
         match &self.inner {
             Inner::Single(e) => e.maintained_workload(queries, simp),
             Inner::Sharded(e) => e.maintained_workload(queries, simp),
+        }
+    }
+
+    fn knn_candidates(&self, q: &KnnQuery) -> Vec<(f64, TrajId)> {
+        match &self.inner {
+            Inner::Single(e) => e.knn_candidates(q),
+            Inner::Sharded(e) => e.knn_candidates(q),
+        }
+    }
+
+    fn bounding_cube(&self) -> Cube {
+        match &self.inner {
+            Inner::Single(e) => e.store().bounding_cube(),
+            Inner::Sharded(e) => e.bounding_cube(),
         }
     }
 

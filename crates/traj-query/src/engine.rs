@@ -27,10 +27,12 @@ use trajectory::{
     TrajectoryDb,
 };
 
+use crate::db::Query;
 use crate::knn::KnnQuery;
 use crate::metrics::{f1_sets, F1Score};
 use crate::parallel::{par_map, par_map_with};
 use crate::range::range_query_store;
+use crate::segment::{IdMap, ShardResult};
 use crate::similarity::SimilarityQuery;
 
 /// Reusable per-worker scratch for batch execution: the hit-flag buffer
@@ -438,19 +440,35 @@ impl<'a> QueryEngine<'a> {
     /// bitmap once.
     #[must_use]
     pub fn range_simplified(&self, simp: &Simplification, q: &Cube) -> Vec<TrajId> {
+        self.range_simplified_view(self.own_view(simp), q)
+    }
+
+    /// `simp` read with this engine's local ids as its trajectory ids.
+    fn own_view<'s>(&self, simp: &'s Simplification) -> KeptView<'s> {
+        let ids = IdMap::Offset {
+            first: 0,
+            len: self.store.len(),
+        };
+        KeptView::new(simp, ids)
+    }
+
+    /// [`QueryEngine::range_simplified`] against a simplification in
+    /// *global* trajectory ids, read through a segment's id map; hits
+    /// come back in this engine's local ids.
+    pub(crate) fn range_simplified_view(&self, kept: KeptView<'_>, q: &Cube) -> Vec<TrajId> {
         match &self.backend {
-            IndexBackend::Scan => self.range_simplified_scan(simp, q),
-            IndexBackend::Octree(t) => self.range_marked_simplified(t, simp, q),
-            IndexBackend::MedianKd(t) => self.range_marked_simplified(t, simp, q),
+            IndexBackend::Scan => self.range_simplified_scan(kept, q),
+            IndexBackend::Octree(t) => self.range_marked_simplified(t, kept, q),
+            IndexBackend::MedianKd(t) => self.range_marked_simplified(t, kept, q),
         }
     }
 
     /// Kept-list scan: output-sensitive in the number of *kept* points.
-    fn range_simplified_scan(&self, simp: &Simplification, q: &Cube) -> Vec<TrajId> {
+    fn range_simplified_scan(&self, kept: KeptView<'_>, q: &Cube) -> Vec<TrajId> {
         self.store
             .iter()
             .filter(|(id, v)| {
-                simp.kept(*id).iter().any(|&idx| {
+                kept.kept(*id).iter().any(|&idx| {
                     let i = idx as usize;
                     q.contains_xyz(v.xs[i], v.ys[i], v.ts[i])
                 })
@@ -464,19 +482,19 @@ impl<'a> QueryEngine<'a> {
     fn range_marked_simplified<I: SpatioTemporalIndex>(
         &self,
         index: &I,
-        simp: &Simplification,
+        kept: KeptView<'_>,
         q: &Cube,
     ) -> Vec<TrajId> {
         let mut hit = vec![false; self.store.len()];
-        range_mark_simplified(index, simp, self.store.offsets(), index.root(), q, &mut hit);
+        range_mark_simplified(index, kept, self.store.offsets(), index.root(), q, &mut hit);
         collect_hits(&hit)
     }
 
     /// Executes a range query against the engine's *own* kept bitmap (a
     /// persisted or attached simplified database) — `None` when the engine
     /// carries none. Same signature and `Option` semantics as
-    /// [`ShardedQueryEngine::range_kept`](crate::ShardedQueryEngine::range_kept),
-    /// so both executors present one `D'`-serving surface.
+    /// [`QueryExecutor::range_kept`](crate::QueryExecutor::range_kept),
+    /// so every executor presents one `D'`-serving surface.
     #[must_use]
     pub fn range_kept(&self, q: &Cube) -> Option<Vec<TrajId>> {
         self.kept
@@ -562,7 +580,7 @@ impl<'a> QueryEngine<'a> {
         queries: &[Cube],
     ) -> Vec<Vec<TrajId>> {
         match &self.backend {
-            IndexBackend::Scan => par_map(queries, |q| self.range_simplified_scan(simp, q)),
+            IndexBackend::Scan => par_map(queries, |q| self.range_simplified(simp, q)),
             _ => {
                 let bitmap = simp.to_bitmap(&self.store);
                 par_map_with(queries, QueryScratch::new, |scratch, q| {
@@ -582,7 +600,7 @@ impl<'a> QueryEngine<'a> {
     /// candidate distances are computed in parallel.
     #[must_use]
     pub fn knn(&self, q: &KnnQuery) -> Vec<TrajId> {
-        self.knn_from_finite(q.k, self.knn_finite_scored(q))
+        self.knn_from_finite(q.k, self.knn_finite_scored(q, true))
     }
 
     /// [`QueryEngine::knn`] with candidate scoring run sequentially in the
@@ -590,7 +608,7 @@ impl<'a> QueryEngine<'a> {
     /// schedules without nesting thread pools (`cores` workers, not
     /// `cores²`). Identical results to [`QueryEngine::knn`].
     pub(crate) fn knn_seq(&self, q: &KnnQuery) -> Vec<TrajId> {
-        self.knn_from_finite(q.k, self.knn_finite_scored_impl(q, false))
+        self.knn_from_finite(q.k, self.knn_finite_scored(q, false))
     }
 
     /// The take-`k` / infinite-fill policy shared by the parallel and
@@ -616,17 +634,6 @@ impl<'a> QueryEngine<'a> {
         ids
     }
 
-    /// The finite-distance half of a kNN execution: every trajectory whose
-    /// windowed distance to the query is finite, as `(distance, id)` pairs
-    /// sorted ascending by `(distance, id)`. [`QueryEngine::knn`] is this
-    /// plus the take-`k` / infinite-fill policy; the sharded engine merges
-    /// these lists across shards (mapping ids to global ones) and applies
-    /// the same policy once, globally — which is what makes fan-out kNN
-    /// byte-identical to the single-store execution.
-    pub(crate) fn knn_finite_scored(&self, q: &KnnQuery) -> Vec<(f64, TrajId)> {
-        self.knn_finite_scored_impl(q, true)
-    }
-
     /// This store's contribution to a distributed kNN: its
     /// finite-distance candidates sorted by `(distance, id)`, truncated
     /// to the query's `k`, with `-0.0` distances normalized to `+0.0`
@@ -637,22 +644,50 @@ impl<'a> QueryEngine<'a> {
     /// [`QueryEngine::knn`] byte-for-byte.
     #[must_use]
     pub fn knn_candidates(&self, q: &KnnQuery) -> Vec<(f64, TrajId)> {
-        let mut scored = self.knn_finite_scored(q);
+        self.knn_candidates_impl(q, true)
+    }
+
+    /// [`QueryEngine::knn_candidates`] with parallel or sequential
+    /// candidate scoring. Only a store's best `k` can reach a global
+    /// top `k`, so the list is truncated; the merge's infinite-fill is
+    /// unaffected (it only triggers when the global finite count is
+    /// below `k`, in which case nothing was truncated).
+    fn knn_candidates_impl(&self, q: &KnnQuery, parallel: bool) -> Vec<(f64, TrajId)> {
+        let mut scored = self.knn_finite_scored(q, parallel);
         scored.truncate(q.k);
         for entry in &mut scored {
-            entry.0 += 0.0;
+            entry.0 += 0.0; // normalize -0.0 so total_cmp == partial_cmp
         }
         scored
     }
 
-    /// [`QueryEngine::knn_finite_scored`] with the candidate scoring loop
-    /// either parallel (`par_map`) or sequential — results are identical
-    /// (both preserve candidate order before the final sort).
-    pub(crate) fn knn_finite_scored_impl(
-        &self,
-        q: &KnnQuery,
-        parallel: bool,
-    ) -> Vec<(f64, TrajId)> {
+    /// This engine's merge material for `q`, in its local ids — what
+    /// [`Segment::answer`](crate::Segment::answer) returns once the
+    /// bounds prune passed. `parallel` selects the parallel or the
+    /// sequential inner loops; the material is identical.
+    pub(crate) fn material(&self, q: &Query, parallel: bool) -> ShardResult {
+        match q {
+            Query::Range(c) => ShardResult::Ids(self.range(c)),
+            Query::Knn(k) => ShardResult::Candidates(self.knn_candidates_impl(k, parallel)),
+            Query::Similarity(s) => ShardResult::Ids(if parallel {
+                self.similarity(s)
+            } else {
+                self.similarity_seq(s)
+            }),
+            Query::RangeKept(c) => ShardResult::Kept(self.range_kept(c)),
+        }
+    }
+
+    /// The finite-distance half of a kNN execution: every trajectory whose
+    /// windowed distance to the query is finite, as `(distance, id)` pairs
+    /// sorted ascending by `(distance, id)`. [`QueryEngine::knn`] is this
+    /// plus the take-`k` / infinite-fill policy; a multi-segment executor
+    /// merges these lists across segments (mapping ids to global ones) and
+    /// applies the same policy once, globally — which is what makes fan-out
+    /// kNN byte-identical to the single-store execution. The scoring loop
+    /// is parallel (`par_map`) or sequential — results are identical (both
+    /// preserve candidate order before the final sort).
+    fn knn_finite_scored(&self, q: &KnnQuery, parallel: bool) -> Vec<(f64, TrajId)> {
         let q_window = q.query_window();
         let candidates: Vec<TrajId> = match (self.spatial_index(), q_window.is_empty()) {
             // No index, or a degenerate window (where even trajectories
@@ -911,7 +946,7 @@ impl Iterator for OwnerRuns<'_> {
 /// index from the offset table) — the bitmap-free single-query path.
 fn range_mark_simplified<I: SpatioTemporalIndex + ?Sized>(
     index: &I,
-    simp: &Simplification,
+    kept: KeptView<'_>,
     offsets: &[u32],
     id: NodeId,
     q: &Cube,
@@ -924,7 +959,7 @@ fn range_mark_simplified<I: SpatioTemporalIndex + ?Sized>(
     match index.children(id) {
         Some(children) => {
             for c in children {
-                range_mark_simplified(index, simp, offsets, c, q, hit);
+                range_mark_simplified(index, kept, offsets, c, q, hit);
             }
         }
         None => {
@@ -932,7 +967,7 @@ fn range_mark_simplified<I: SpatioTemporalIndex + ?Sized>(
             let slab = index.leaf_slab(id);
             for i in 0..slab.len() {
                 let traj = slab.owners[i] as usize;
-                if hit[traj] || !simp.contains(traj, slab.gids[i] - offsets[traj]) {
+                if hit[traj] || !kept.contains(traj, slab.gids[i] - offsets[traj]) {
                     continue;
                 }
                 if contained || q.contains_xyz(slab.xs[i], slab.ys[i], slab.ts[i]) {
@@ -1009,6 +1044,67 @@ fn mark_trajectories_in<I: SpatioTemporalIndex + ?Sized>(
     }
 }
 
+/// A [`Simplification`] in *global* trajectory ids, read through the
+/// [`IdMap`] of the segment whose columns are being scanned — no
+/// per-segment copy of the kept lists. A trajectory the simplification
+/// does not cover (ingested after it was computed) keeps nothing.
+#[derive(Clone, Copy)]
+pub(crate) struct KeptView<'a> {
+    simp: &'a Simplification,
+    ids: IdMap<'a>,
+}
+
+impl<'a> KeptView<'a> {
+    pub(crate) fn new(simp: &'a Simplification, ids: IdMap<'a>) -> Self {
+        Self { simp, ids }
+    }
+
+    /// Global id of the segment's trajectory `local`.
+    pub(crate) fn global(&self, local: TrajId) -> TrajId {
+        self.ids.global(local).expect("local id within the segment")
+    }
+
+    /// Kept point indices of the segment's trajectory `local`.
+    fn kept(&self, local: TrajId) -> &'a [u32] {
+        let global = self.global(local);
+        if global < self.simp.len() {
+            self.simp.kept(global)
+        } else {
+            &[]
+        }
+    }
+
+    /// True when point `idx` of the segment's trajectory `local` is kept.
+    fn contains(&self, local: TrajId, idx: u32) -> bool {
+        self.kept(local).binary_search(&idx).is_ok()
+    }
+}
+
+/// **The** kept-point counting routine: adds to `counts`, keyed by
+/// global id, how many kept points of each trajectory of `store` lie
+/// inside `q` (trajectories with none get no entry) — the initial state
+/// of a [`MaintainedWorkload`], over one store or one segment of many.
+pub(crate) fn count_kept_hits<S: AsColumns + ?Sized>(
+    store: &S,
+    kept: KeptView<'_>,
+    q: &Cube,
+    counts: &mut HashMap<TrajId, u32>,
+) {
+    for (local, v) in store.iter() {
+        let n = kept
+            .kept(local)
+            .iter()
+            .filter(|&&idx| {
+                let i = idx as usize;
+                q.contains_xyz(v.xs[i], v.ys[i], v.ts[i])
+            })
+            .count() as u32;
+        if n > 0 {
+            counts.insert(kept.global(local), n);
+        }
+    }
+}
+
 /// A range-query workload whose results over a growing [`Simplification`]
 /// are maintained incrementally.
 ///
@@ -1037,31 +1133,19 @@ impl MaintainedWorkload {
     #[must_use]
     pub fn new(engine: &QueryEngine<'_>, queries: Vec<Cube>, simp: &Simplification) -> Self {
         let truth = engine.range_batch(&queries);
-        let store = engine.store();
+        let kept = engine.own_view(simp);
         let initial: Vec<HashMap<TrajId, u32>> = par_map(&queries, |q| {
-            let mut counts: HashMap<TrajId, u32> = HashMap::new();
-            for (id, v) in store.iter() {
-                let n = simp
-                    .kept(id)
-                    .iter()
-                    .filter(|&&idx| {
-                        let i = idx as usize;
-                        q.contains_xyz(v.xs[i], v.ys[i], v.ts[i])
-                    })
-                    .count() as u32;
-                if n > 0 {
-                    counts.insert(id, n);
-                }
-            }
+            let mut counts = HashMap::new();
+            count_kept_hits(engine.store(), kept, q, &mut counts);
             counts
         });
         Self::from_parts(queries, truth, initial)
     }
 
     /// Assembles the workload state from already-computed ground truth and
-    /// kept-point hit counts — the seam the sharded engine uses: truth and
-    /// counts come from a fan-out over shards (with ids mapped back to
-    /// global), the derived `|Rs|` / `|Ro ∩ Rs|` bookkeeping is shared.
+    /// kept-point hit counts — the seam multi-segment executors use: truth
+    /// and counts come from a fan-out over segments (in global ids), the
+    /// derived `|Rs|` / `|Ro ∩ Rs|` bookkeeping is shared.
     pub(crate) fn from_parts(
         queries: Vec<Cube>,
         truth: Vec<Vec<TrajId>>,

@@ -10,7 +10,7 @@
 //!   served by an ordinary [`QueryEngine`] (owned or mmap-backed per
 //!   [`DbOptions`]);
 //! - the **active delta** is a WAL-guarded
-//!   [`DeltaStore`](trajectory::DeltaStore): appends are simplified
+//!   [`DeltaStore`]: appends are simplified
 //!   online at admission, logged, and acknowledged only after an
 //!   `fsync` — a crash replays exactly the acked trajectories;
 //! - **sealed** deltas are frozen in-memory segments awaiting
@@ -20,16 +20,16 @@
 //!   `gens.manifest` — serving never stops, and a crash on either side
 //!   of the rename recovers a consistent database.
 //!
-//! Queries see one logical database: trajectory ids are assigned in
-//! ingest order (`base` first, then sealed segments, then the active
-//! delta), and every operator answers **identically to a from-scratch
-//! rebuild** over the same trajectories — the merge reuses the
-//! distributed kNN kernels ([`merge_knn_candidates`],
-//! [`knn_take_fill`]) that already reproduce single-store answers
-//! byte-for-byte, and the delta side is pruned per trajectory through
-//! cached bounding cubes. Compaction preserves ids: folding appends
-//! sealed trajectories to the base columns in segment order, exactly
-//! where the merged view already placed them.
+//! Queries see one logical database, and it is an ordered list of
+//! [`Segment`]s: the indexed base, then each sealed delta, then the
+//! active delta — the deltas as zero-cost scan-backend engines borrowed
+//! over their columns under the read lock. Trajectory ids are assigned
+//! in that (ingest) order, every query is the shared
+//! [`fan_out`](crate::fan_out), and so every operator answers
+//! **identically to a from-scratch rebuild** over the same
+//! trajectories. Compaction preserves ids: folding appends sealed
+//! trajectories to the base columns in segment order, exactly where the
+//! merged view already placed them.
 //!
 //! # Directory layout
 //!
@@ -75,7 +75,6 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Write};
@@ -86,16 +85,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use trajectory::delta::{replay_wal, BoxedSimplifier, DeltaError, DeltaStore};
-use trajectory::parallel::par_map;
-use trajectory::simd::any_in_cube;
 use trajectory::snapshot::{read_snapshot, write_snapshot, MappedStore, SnapshotError};
-use trajectory::{AsColumns, Cube, PointStore, Simplification, TrajId, TrajView, Trajectory};
+use trajectory::{AsColumns, Cube, PointStore, TrajId, Trajectory};
 
-use crate::db::{DbOptions, OpenMode, Query, QueryBatch, QueryExecutor, QueryResult};
-use crate::engine::{MaintainedWorkload, QueryEngine};
-use crate::knn::KnnQuery;
-use crate::sharded::{knn_take_fill, merge_knn_candidates};
-use crate::similarity::SimilarityQuery;
+use crate::db::{DbOptions, OpenMode};
+use crate::engine::{EngineConfig, QueryEngine};
+use crate::segment::{IdMap, Segment, Segmented};
 
 /// File name of the generation manifest inside a live-db directory.
 pub const GENS_MANIFEST: &str = "gens.manifest";
@@ -271,49 +266,33 @@ fn store_manifest(dir: &Path, m: &Manifest) -> Result<(), GenError> {
 // The merged view.
 // ---------------------------------------------------------------------
 
-/// A sealed delta: frozen columns plus per-trajectory bounding cubes,
-/// queued for the next compaction. Its WAL stays on disk until the
-/// manifest commits a generation that contains it.
-struct Segment {
+/// A sealed delta: frozen columns plus their bounding cube, queued for
+/// the next compaction. Its WAL stays on disk until the manifest
+/// commits a generation that contains it.
+struct Sealed {
     seq: u64,
     store: PointStore,
-    bounds: Vec<Cube>,
-}
-
-impl Segment {
-    fn new(seq: u64, store: PointStore) -> Self {
-        let bounds = store.views().map(|v| v.bounding_cube()).collect();
-        Self { seq, store, bounds }
-    }
+    bounds: Cube,
 }
 
 struct Inner {
     generation: u64,
     base: Arc<QueryEngine<'static>>,
-    base_len: usize,
-    sealed: Vec<Arc<Segment>>,
+    base_bounds: Cube,
+    sealed: Vec<Arc<Sealed>>,
     active: DeltaStore,
-    active_bounds: Vec<Cube>,
+    /// Running bounding cube of the active delta, unioned on ingest.
+    active_bounds: Cube,
     active_seq: u64,
 }
 
 impl Inner {
-    fn sealed_trajs(&self) -> usize {
-        self.sealed.iter().map(|s| s.store.len()).sum()
+    fn base_len(&self) -> usize {
+        self.base.store().len()
     }
 
-    fn total_len(&self) -> usize {
-        self.base_len + self.sealed_trajs() + self.active.len()
-    }
-
-    fn total_points(&self) -> usize {
-        self.base.store().total_points()
-            + self
-                .sealed
-                .iter()
-                .map(|s| s.store.total_points())
-                .sum::<usize>()
-            + self.active.total_points()
+    fn delta_trajs(&self) -> usize {
+        self.sealed.iter().map(|s| s.store.len()).sum::<usize>() + self.active.len()
     }
 
     fn delta_points(&self) -> usize {
@@ -324,180 +303,37 @@ impl Inner {
             + self.active.total_points()
     }
 
-    /// Visits every delta trajectory (sealed segments in seal order,
-    /// then the active store) with its global id, cached bounding cube,
-    /// and column view — the id order a from-scratch rebuild would
-    /// assign after the base.
-    fn for_each_delta<F: FnMut(TrajId, &Cube, TrajView<'_>)>(&self, mut f: F) {
-        let mut next = self.base_len;
-        for seg in &self.sealed {
-            for (local, v) in seg.store.iter() {
-                f(next + local, &seg.bounds[local], v);
-            }
-            next += seg.store.len();
-        }
-        for (local, v) in self.active.store().iter() {
-            f(next + local, &self.active_bounds[local], v);
-        }
+    /// Scan engines over the delta columns in id order (sealed in seal
+    /// order, then the active one), each with its bounding cube. O(1)
+    /// each: the scan backend builds nothing over the columns.
+    fn delta_engines(&self) -> Vec<(QueryEngine<'_>, Cube)> {
+        self.sealed
+            .iter()
+            .map(|s| (&s.store, s.bounds))
+            .chain([(self.active.store(), self.active_bounds)])
+            .map(|(store, bounds)| (QueryEngine::over_store(store, EngineConfig::scan()), bounds))
+            .collect()
     }
 
-    fn trajectory(&self, id: TrajId) -> Trajectory {
-        if id < self.base_len {
-            return self.base.trajectory(id);
-        }
-        let mut next = self.base_len;
-        for seg in &self.sealed {
-            if id < next + seg.store.len() {
-                return seg.store.view(id - next).to_trajectory();
-            }
-            next += seg.store.len();
-        }
-        self.active.store().view(id - next).to_trajectory()
-    }
-
-    fn range(&self, q: &Cube) -> Vec<TrajId> {
-        let mut ids = self.base.range(q);
-        self.for_each_delta(|global, bounds, v| {
-            if bounds.intersects(q) && any_in_cube(v.xs, v.ys, v.ts, q) {
-                ids.push(global);
-            }
-        });
-        ids
-    }
-
-    /// The delta side's contribution to a distributed kNN, in the same
-    /// shape [`QueryEngine::knn_candidates`] produces: finite-distance
-    /// candidates sorted by `(distance, id)`, truncated to `k`, with
-    /// `-0.0` normalized to `+0.0` for the `total_cmp` merge.
-    fn delta_knn_candidates(&self, q: &KnnQuery) -> Vec<(f64, TrajId)> {
-        let q_window = q.query_window();
-        let mut finite: Vec<(f64, TrajId)> = Vec::new();
-        self.for_each_delta(|global, bounds, v| {
-            // With an empty query window every trajectory scores 0.0, so
-            // the time prune is only sound when the window is non-empty
-            // (time-disjoint trajectories then score infinity anyway).
-            if !q_window.is_empty() && (bounds.t_max < q.ts || bounds.t_min > q.te) {
-                return;
-            }
-            let d = q.windowed_distance_view(q_window, v);
-            if d.is_finite() {
-                finite.push((d, global));
-            }
-        });
-        finite.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-        finite.truncate(q.k);
-        for entry in &mut finite {
-            entry.0 += 0.0;
-        }
-        finite
-    }
-
-    fn knn_streams(&self, q: &KnnQuery, parallel: bool) -> [Vec<(f64, TrajId)>; 2] {
-        let mut base = self.base.knn_finite_scored_impl(q, parallel);
-        base.truncate(q.k);
-        for entry in &mut base {
-            entry.0 += 0.0;
-        }
-        [base, self.delta_knn_candidates(q)]
-    }
-
-    fn knn_candidates(&self, q: &KnnQuery, parallel: bool) -> Vec<(f64, TrajId)> {
-        merge_knn_candidates(q.k, &self.knn_streams(q, parallel))
-    }
-
-    fn knn(&self, q: &KnnQuery, parallel: bool) -> Vec<TrajId> {
-        let merged = self.knn_candidates(q, parallel);
-        knn_take_fill(q.k, &merged, 0..self.total_len())
-    }
-
-    fn similarity(&self, q: &SimilarityQuery, parallel: bool) -> Vec<TrajId> {
-        let mut ids = if parallel {
-            self.base.similarity(q)
-        } else {
-            self.base.similarity_seq(q)
-        };
-        self.for_each_delta(|global, bounds, v| {
-            // Conservative prune: `matches_seq` always rejects
-            // trajectories entirely outside the query's time window.
-            if bounds.t_max < q.ts || bounds.t_min > q.te {
-                return;
-            }
-            if q.matches_seq(&v) {
-                ids.push(global);
-            }
-        });
-        ids
-    }
-
-    fn kept_of(simp: &Simplification, id: TrajId) -> &[u32] {
-        if id < simp.len() {
-            simp.kept(id)
-        } else {
-            &[]
-        }
-    }
-
-    fn range_simplified(&self, simp: &Simplification, q: &Cube) -> Vec<TrajId> {
-        let mut ids = self.base.range_simplified(simp, q);
-        self.for_each_delta(|global, bounds, v| {
-            if !bounds.intersects(q) {
-                return;
-            }
-            let hit = Self::kept_of(simp, global).iter().any(|&idx| {
-                let i = idx as usize;
-                q.contains_xyz(v.xs[i], v.ys[i], v.ts[i])
-            });
-            if hit {
-                ids.push(global);
-            }
-        });
-        ids
-    }
-
-    fn maintained_workload(&self, queries: Vec<Cube>, simp: &Simplification) -> MaintainedWorkload {
-        let truth = par_map(&queries, |q| self.range(q));
-        let counts = par_map(&queries, |q| {
-            let mut counts = HashMap::new();
-            let mut tally = |id: TrajId, v: TrajView<'_>| {
-                let n = Self::kept_of(simp, id)
-                    .iter()
-                    .filter(|&&idx| {
-                        let i = idx as usize;
-                        q.contains_xyz(v.xs[i], v.ys[i], v.ts[i])
-                    })
-                    .count() as u32;
-                if n > 0 {
-                    counts.insert(id, n);
+    /// The database as the shared fan-out sees it: the base, then every
+    /// delta of [`Inner::delta_engines`], with contiguous ids in the
+    /// order a from-scratch rebuild would assign them.
+    fn segments<'s>(&'s self, deltas: &'s [(QueryEngine<'s>, Cube)]) -> Vec<Segment<'s>> {
+        let base: (&QueryEngine<'s>, Cube) = (&self.base, self.base_bounds);
+        let mut first = 0;
+        std::iter::once(base)
+            .chain(deltas.iter().map(|(engine, bounds)| (engine, *bounds)))
+            .map(|(engine, bounds)| {
+                let len = engine.store().len();
+                let ids = IdMap::Offset { first, len };
+                first += len;
+                Segment {
+                    engine,
+                    ids,
+                    bounds,
                 }
-            };
-            for (id, v) in self.base.store().iter() {
-                tally(id, v);
-            }
-            self.for_each_delta(|global, bounds, v| {
-                if bounds.intersects(q) {
-                    tally(global, v);
-                }
-            });
-            counts
-        });
-        MaintainedWorkload::from_parts(queries, truth, counts)
-    }
-
-    /// One typed query with sequential inner loops — the unit
-    /// [`QueryExecutor::execute_batch`] parallelizes over.
-    fn execute_one(&self, q: &Query) -> QueryResult {
-        match q {
-            Query::Range(c) => QueryResult::Range(self.range(c)),
-            Query::Knn(k) => QueryResult::Knn(self.knn(k, false)),
-            Query::Similarity(s) => QueryResult::Similarity(self.similarity(s, false)),
-            Query::RangeKept(_) => QueryResult::RangeKept(None),
-        }
-    }
-
-    fn bounding_cube(&self) -> Cube {
-        let mut cube = self.base.store().bounding_cube();
-        self.for_each_delta(|_, bounds, _| cube.union_with(bounds));
-        cube
+            })
+            .collect()
     }
 }
 
@@ -574,7 +410,7 @@ impl fmt::Debug for GenerationalDb {
         f.debug_struct("GenerationalDb")
             .field("dir", &self.dir)
             .field("generation", &inner.generation)
-            .field("base_len", &inner.base_len)
+            .field("base_len", &inner.base_len())
             .field("sealed", &inner.sealed.len())
             .field("active_len", &inner.active.len())
             .finish()
@@ -627,7 +463,7 @@ impl GenerationalDb {
                 QueryEngine::from_mapped(MappedStore::open(&snap_path)?, cfg)
             }
         };
-        let base_len = base.store().len();
+        let base_bounds = base.store().bounding_cube();
 
         let mut seqs: Vec<u64> = Vec::new();
         for entry in fs::read_dir(&dir)? {
@@ -644,17 +480,18 @@ impl GenerationalDb {
             let mut simp = simp_factory();
             let store = replay_wal(dir.join(wal_name(seq)), simp.as_mut())?;
             if !store.is_empty() {
-                sealed.push(Arc::new(Segment::new(seq, store)));
+                let bounds = store.bounding_cube();
+                sealed.push(Arc::new(Sealed { seq, store, bounds }));
             }
         }
         let active = DeltaStore::open(dir.join(wal_name(active_seq)), simp_factory())?;
-        let active_bounds = active.store().views().map(|v| v.bounding_cube()).collect();
+        let active_bounds = active.store().bounding_cube();
 
         Ok(Self {
             inner: RwLock::new(Inner {
                 generation: manifest.generation,
                 base: Arc::new(base),
-                base_len,
+                base_bounds,
                 sealed,
                 active,
                 active_bounds,
@@ -687,7 +524,7 @@ impl GenerationalDb {
         let (report, wal) = {
             let mut guard = self.inner.write().unwrap();
             let inner = &mut *guard;
-            let first_global = inner.base_len + inner.sealed_trajs() + inner.active.len();
+            let first_global = inner.base_len() + inner.delta_trajs();
             let mut accepted = 0u32;
             let mut rejected = 0u32;
             let mut first_id = None;
@@ -695,7 +532,7 @@ impl GenerationalDb {
                 match inner.active.push_traj(t.points())? {
                     Some(local) => {
                         let bounds = inner.active.store().view(local).bounding_cube();
-                        inner.active_bounds.push(bounds);
+                        inner.active_bounds.union_with(&bounds);
                         if first_id.is_none() {
                             first_id = Some(first_global + accepted as usize);
                         }
@@ -709,8 +546,8 @@ impl GenerationalDb {
                 accepted,
                 rejected,
                 first_id,
-                total_trajs: inner.total_len() as u64,
-                total_points: inner.total_points() as u64,
+                total_trajs: (inner.base_len() + inner.delta_trajs()) as u64,
+                total_points: (inner.base.store().total_points() + inner.delta_points()) as u64,
             };
             (report, wal)
         };
@@ -743,18 +580,18 @@ impl GenerationalDb {
                     generation: inner.generation,
                     folded_trajs: 0,
                     folded_points: 0,
-                    base_trajs: inner.base_len,
+                    base_trajs: inner.base_len(),
                 });
             }
             let new_seq = inner.active_seq + 1;
             let fresh =
                 DeltaStore::create(self.dir.join(wal_name(new_seq)), (self.simp_factory)())?;
             let old = std::mem::replace(&mut inner.active, fresh);
-            let old_bounds = std::mem::take(&mut inner.active_bounds);
+            let old_bounds = std::mem::replace(&mut inner.active_bounds, Cube::empty());
             let old_seq = inner.active_seq;
             inner.active_seq = new_seq;
             if !old.is_empty() {
-                inner.sealed.push(Arc::new(Segment {
+                inner.sealed.push(Arc::new(Sealed {
                     seq: old_seq,
                     store: old.into_store(),
                     bounds: old_bounds,
@@ -801,10 +638,11 @@ impl GenerationalDb {
         )?;
 
         // Phase 4 (write lock): swap serving onto the new generation.
+        let base_bounds = engine.store().bounding_cube();
         {
             let mut inner = self.inner.write().unwrap();
+            inner.base_bounds = base_bounds;
             inner.base = Arc::new(engine);
-            inner.base_len = new_base_len;
             inner.generation = next_gen;
             inner.sealed.retain(|s| s.seq >= new_wal_start);
         }
@@ -851,102 +689,26 @@ impl GenerationalDb {
 
     /// Trajectories currently living in the delta (sealed + active).
     pub fn delta_trajs(&self) -> usize {
-        let inner = self.inner.read().unwrap();
-        inner.sealed_trajs() + inner.active.len()
+        self.inner.read().unwrap().delta_trajs()
     }
 
     /// The directory this database lives in.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
-
-    /// Bounding cube of every point served (base and delta).
-    pub fn bounding_cube(&self) -> Cube {
-        self.inner.read().unwrap().bounding_cube()
-    }
-
-    /// This database's contribution to a distributed kNN — merged
-    /// base + delta candidates in the shape
-    /// [`QueryEngine::knn_candidates`] produces, so a coordinator can
-    /// merge live shards and static shards identically.
-    pub fn knn_candidates(&self, q: &KnnQuery) -> Vec<(f64, TrajId)> {
-        self.inner.read().unwrap().knn_candidates(q, true)
-    }
 }
 
-impl QueryExecutor for GenerationalDb {
-    fn len(&self) -> usize {
-        self.inner.read().unwrap().total_len()
-    }
-
-    fn total_points(&self) -> usize {
-        self.inner.read().unwrap().total_points()
-    }
-
-    fn trajectory(&self, id: TrajId) -> Trajectory {
-        self.inner.read().unwrap().trajectory(id)
-    }
-
-    fn range(&self, q: &Cube) -> Vec<TrajId> {
-        self.inner.read().unwrap().range(q)
-    }
-
-    fn range_batch(&self, queries: &[Cube]) -> Vec<Vec<TrajId>> {
+/// `[base, sealed…, active]`; the whole [`QueryExecutor`](crate::QueryExecutor)
+/// surface follows from the shared fan-out. `RangeKept` falls out of
+/// the merge rule: the active delta never carries a kept bitmap, so a
+/// live database answers `None`.
+impl Segmented for GenerationalDb {
+    /// Takes the read lock once: `f` sees a consistent generation +
+    /// delta snapshot.
+    fn with_segments<R>(&self, f: impl FnOnce(&[Segment<'_>]) -> R) -> R {
         let inner = self.inner.read().unwrap();
-        par_map(queries, |q| inner.range(q))
-    }
-
-    fn knn(&self, q: &KnnQuery) -> Vec<TrajId> {
-        self.inner.read().unwrap().knn(q, true)
-    }
-
-    fn knn_batch(&self, queries: &[KnnQuery]) -> Vec<Vec<TrajId>> {
-        let inner = self.inner.read().unwrap();
-        par_map(queries, |q| inner.knn(q, false))
-    }
-
-    fn similarity(&self, q: &SimilarityQuery) -> Vec<TrajId> {
-        self.inner.read().unwrap().similarity(q, true)
-    }
-
-    fn similarity_batch(&self, queries: &[SimilarityQuery]) -> Vec<Vec<TrajId>> {
-        let inner = self.inner.read().unwrap();
-        par_map(queries, |q| inner.similarity(q, false))
-    }
-
-    fn has_kept_bitmap(&self) -> bool {
-        false
-    }
-
-    fn range_kept(&self, _q: &Cube) -> Option<Vec<TrajId>> {
-        None
-    }
-
-    fn range_simplified(&self, simp: &Simplification, q: &Cube) -> Vec<TrajId> {
-        self.inner.read().unwrap().range_simplified(simp, q)
-    }
-
-    fn range_simplified_batch(&self, simp: &Simplification, queries: &[Cube]) -> Vec<Vec<TrajId>> {
-        let inner = self.inner.read().unwrap();
-        par_map(queries, |q| inner.range_simplified(simp, q))
-    }
-
-    fn maintained_workload(&self, queries: Vec<Cube>, simp: &Simplification) -> MaintainedWorkload {
-        self.inner
-            .read()
-            .unwrap()
-            .maintained_workload(queries, simp)
-    }
-
-    fn execute_one(&self, q: &Query) -> QueryResult {
-        self.inner.read().unwrap().execute_one(q)
-    }
-
-    /// One read-lock acquisition for the whole batch: every query of
-    /// the plan sees the same consistent generation + delta snapshot.
-    fn execute_batch(&self, batch: &QueryBatch) -> Vec<QueryResult> {
-        let inner = self.inner.read().unwrap();
-        par_map(batch.queries(), |q| inner.execute_one(q))
+        let deltas = inner.delta_engines();
+        f(&inner.segments(&deltas))
     }
 }
 
@@ -1015,6 +777,7 @@ pub fn spawn_compactor(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QueryExecutor;
     use trajectory::{KeepAll, Point};
 
     fn keep_all_factory() -> SimpFactory {

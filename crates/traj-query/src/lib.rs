@@ -28,12 +28,15 @@
 //! ([`trajectory::MappedStore`]) through identical code paths — see
 //! [`QueryEngine::over_mapped`] and `docs/ARCHITECTURE.md`.
 //!
-//! Sharded databases (`trajectory::shard`) are served by a
-//! [`ShardedQueryEngine`]: per-shard indexes built in parallel, queries
-//! routed to the shards whose bounds can contribute, results merged to
-//! match the single-store engine byte-for-byte (see [`sharded`]).
+//! A database served from more than one set of columns is an ordered
+//! list of [`Segment`]s, answered by the one fan-out and the one
+//! [`merge`] of [`segment`]: a [`ShardedQueryEngine`] (one segment per
+//! shard, indexes built in parallel, see [`sharded`]), a live
+//! [`GenerationalDb`] (`[base, sealed deltas…, active delta]`, see
+//! [`generational`]), and — over the wire — the coordinator in
+//! `traj-serve`.
 //!
-//! Both engines sit behind the public façade in [`db`]: the
+//! All executors sit behind the public façade in [`db`]: the
 //! [`QueryExecutor`] trait (one signature set over every layout), typed
 //! [`Query`]/[`QueryResult`] pairs with heterogeneous [`QueryBatch`]
 //! plans executed in a single data-parallel pass, and [`TrajDb`] —
@@ -71,6 +74,7 @@ pub mod join;
 pub mod knn;
 pub mod metrics;
 pub mod range;
+pub mod segment;
 pub mod sharded;
 pub mod similarity;
 pub mod t2vec;
@@ -90,10 +94,11 @@ pub use join::{similarity_join, JoinParams};
 pub use knn::{Dissimilarity, KnnQuery};
 pub use metrics::{f1_pairs, f1_sets, mean_f1, query_diff, F1Score};
 pub use range::{range_query, range_query_batch, range_query_store};
-pub use sharded::{
-    knn_take_fill, merge_global_ids, merge_knn_candidates, query_touches_bounds,
-    ShardedQueryEngine, ShardedSimplification,
+pub use segment::{
+    fan_out, knn_take_fill, merge, merge_knn_candidates, query_touches_bounds, Answer, IdMap,
+    MergeError, Segment, Segmented, ShardResult,
 };
+pub use sharded::ShardedQueryEngine;
 pub use similarity::SimilarityQuery;
 pub use t2vec::T2vecEmbedder;
 pub use traclus::{traclus, TraclusParams, TraclusResult};

@@ -3,38 +3,22 @@
 //! A [`ShardedQueryEngine`] holds one [`QueryEngine`] per shard (each over
 //! its own columns — heap-owned or mmap-backed — with its own index, all
 //! built **in parallel** via [`par_map`]) plus the shard-local → global
-//! trajectory id maps and per-shard bounding cubes. Queries are routed to
-//! the shards that can contribute and the per-shard results merged so
-//! that every query returns **byte-identical answers** to a single-store
-//! [`QueryEngine`] over the unsharded database:
-//!
-//! - **range**: only shards whose bounds intersect the query cube execute
-//!   it (shard-bound pruning); local hits map to global ids and merge
-//!   sorted.
-//! - **kNN**: each contributing shard produces its finite-distance
-//!   candidates best-first; a global k-heap merges the per-shard streams
-//!   by `(distance, global id)` and the single-store infinite-fill policy
-//!   is applied once, globally.
-//! - **similarity** and [`MaintainedWorkload`]: per-shard candidate
-//!   generation (interpolation makes spatial pruning unsound, exactly as
-//!   in the single-store engine), then a global merge.
+//! trajectory id tables and per-shard bounding cubes — that is, a list of
+//! [`Segment`]s. Every query is the shared fan-out of
+//! [`segment`](crate::segment): each shard whose bounds can contribute
+//! answers, the one [`merge`](crate::merge) combines, and the result is
+//! **byte-identical** to a single-store [`QueryEngine`] over the
+//! unsharded database.
 //!
 //! The equality is property-tested in `tests/sharded_props.rs` across all
 //! partitioners and index backends, including mmap-backed shards.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet};
-
 use trajectory::shard::{partition, OpenShard, PartitionStrategy, Shard};
-use trajectory::{
-    AsColumns, Cube, KeptBitmap, MappedStore, PointStore, Simplification, StoreRef, TrajId,
-};
+use trajectory::{AsColumns, Cube, KeptBitmap, MappedStore, PointStore, StoreRef, TrajId};
 
-use crate::db::Query;
-use crate::engine::{build_backend, EngineConfig, MaintainedWorkload, QueryEngine};
-use crate::knn::KnnQuery;
-use crate::parallel::{par_map, par_map_indexed};
-use crate::similarity::SimilarityQuery;
+use crate::engine::{build_backend, EngineConfig, QueryEngine};
+use crate::parallel::par_map;
+use crate::segment::{IdMap, Segment, Segmented};
 
 /// One shard as the router sees it: its engine (which carries the shard
 /// snapshot's kept bitmap, when one was persisted), its id translation,
@@ -55,7 +39,6 @@ struct ShardHandle<'a> {
 /// exactly. See the [module docs](self) for the routing/merge rules.
 pub struct ShardedQueryEngine<'a> {
     shards: Vec<ShardHandle<'a>>,
-    total_trajs: usize,
     config: EngineConfig,
 }
 
@@ -91,7 +74,7 @@ impl ShardedQueryEngine<'static> {
     /// Builds the fan-out engine over shards reopened from a
     /// [`ShardSet`](trajectory::ShardSet) as owned stores
     /// (`open_owned`). Kept bitmaps carried by the shard snapshots are
-    /// retained for [`ShardedQueryEngine::range_kept`].
+    /// retained for [`QueryExecutor::range_kept`](crate::QueryExecutor::range_kept).
     #[must_use]
     pub fn from_open_shards(shards: Vec<OpenShard<PointStore>>, config: EngineConfig) -> Self {
         Self::build(
@@ -144,7 +127,7 @@ impl<'a> ShardedQueryEngine<'a> {
         config: EngineConfig,
     ) -> Self {
         let backends = par_map(&shards, |(store, _, _)| build_backend(store, config));
-        let handles = shards
+        let shards: Vec<ShardHandle<'a>> = shards
             .into_iter()
             .zip(backends)
             .map(|((store, global_ids, kept), backend)| {
@@ -158,10 +141,6 @@ impl<'a> ShardedQueryEngine<'a> {
                 }
             })
             .collect();
-        Self::from_handles(handles, config)
-    }
-
-    fn from_handles(shards: Vec<ShardHandle<'a>>, config: EngineConfig) -> Self {
         let total_trajs = shards.iter().map(|sh| sh.global_ids.len()).sum();
         debug_assert!(
             {
@@ -173,11 +152,7 @@ impl<'a> ShardedQueryEngine<'a> {
             },
             "shard global ids must partition 0..total"
         );
-        Self {
-            shards,
-            total_trajs,
-            config,
-        }
+        Self { shards, config }
     }
 
     /// Number of shards.
@@ -186,577 +161,49 @@ impl<'a> ShardedQueryEngine<'a> {
         self.shards.len()
     }
 
-    /// Total trajectories across all shards.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.total_trajs
-    }
-
-    /// True when the engine serves no trajectories.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.total_trajs == 0
-    }
-
-    /// Total points across all shards.
-    #[must_use]
-    pub fn total_points(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|sh| sh.engine.store().total_points())
-            .sum()
-    }
-
     /// The per-shard build configuration.
     #[must_use]
     pub fn config(&self) -> EngineConfig {
         self.config
     }
 
-    /// Per-shard bounding cubes (the router's pruning bounds).
-    pub fn shard_bounds(&self) -> impl Iterator<Item = Cube> + '_ {
-        self.shards.iter().map(|sh| sh.bounds)
-    }
-
-    /// True when every shard carries a persisted kept bitmap — i.e. the
-    /// set was written as a simplified database and
-    /// [`ShardedQueryEngine::range_kept`] can serve `D'`.
-    #[must_use]
-    pub fn has_kept_bitmaps(&self) -> bool {
-        !self.shards.is_empty() && self.shards.iter().all(|sh| sh.engine.has_kept_bitmap())
-    }
-
     /// Per-shard store handles, in shard order (owned, borrowed, or
     /// mapped). The accessor workload generators and statistics use; query
-    /// execution itself goes through the fan-out methods.
+    /// execution itself goes through [`QueryExecutor`](crate::QueryExecutor).
     pub fn shard_stores(&self) -> impl Iterator<Item = &StoreRef<'a>> {
         self.shards.iter().map(|sh| sh.engine.store())
     }
+}
 
-    /// Materializes the trajectory with *global* id `id` (a binary search
-    /// for the owning shard, then a column gather).
-    ///
-    /// # Panics
-    /// Panics when `id >= self.len()`.
-    #[must_use]
-    pub fn trajectory(&self, id: TrajId) -> trajectory::Trajectory {
-        assert!(id < self.total_trajs, "trajectory id out of range");
-        for sh in &self.shards {
-            if let Ok(local) = sh.global_ids.binary_search(&id) {
-                return sh.engine.trajectory(local);
-            }
-        }
-        unreachable!("shard global ids partition 0..total")
-    }
-
-    /// Maps per-shard local result lists to global ids and merges them
-    /// ascending.
-    fn merge_local(&self, per_shard: Vec<Vec<TrajId>>) -> Vec<TrajId> {
-        let mut out = Vec::with_capacity(per_shard.iter().map(Vec::len).sum());
-        for (sh, ids) in self.shards.iter().zip(per_shard) {
-            out.extend(ids.into_iter().map(|local| sh.global_ids[local]));
-        }
-        out.sort_unstable();
-        out
-    }
-
-    // ------------------------------------------------------------------
-    // Range queries.
-    // ------------------------------------------------------------------
-
-    /// Executes a range query, fanning out across shards in parallel.
-    /// Shards whose bounds miss `q` are pruned without touching their
-    /// index. Identical results to [`QueryEngine::range`] over the
-    /// unsharded store.
-    #[must_use]
-    pub fn range(&self, q: &Cube) -> Vec<TrajId> {
-        self.merge_local(par_map(&self.shards, |sh| shard_range(sh, q)))
-    }
-
-    /// Executes a whole batch of range queries, parallel across queries
-    /// (each query walks its shards sequentially — one level of
-    /// parallelism, not `cores²` threads).
-    #[must_use]
-    pub fn range_batch(&self, queries: &[Cube]) -> Vec<Vec<TrajId>> {
-        par_map(queries, |q| self.range_seq(q))
-    }
-
-    /// [`ShardedQueryEngine::range`] walking the shards sequentially —
-    /// the per-query unit batch passes parallelize over.
-    pub(crate) fn range_seq(&self, q: &Cube) -> Vec<TrajId> {
-        self.merge_local(self.shards.iter().map(|sh| shard_range(sh, q)).collect())
-    }
-
-    /// Executes a range query against the *persisted* per-shard kept
-    /// bitmaps (a simplified shard set) — `None` when the shards carry no
-    /// bitmaps. Identical results to [`QueryEngine::range_kept`] with the
-    /// equivalent global bitmap.
-    #[must_use]
-    pub fn range_kept(&self, q: &Cube) -> Option<Vec<TrajId>> {
-        if !self.has_kept_bitmaps() {
-            return None;
-        }
-        Some(self.merge_local(par_map(&self.shards, |sh| shard_range_kept(sh, q))))
-    }
-
-    /// [`ShardedQueryEngine::range_kept`] walking the shards sequentially
-    /// — the per-query unit batch passes parallelize over.
-    pub(crate) fn range_kept_seq(&self, q: &Cube) -> Option<Vec<TrajId>> {
-        if !self.has_kept_bitmaps() {
-            return None;
-        }
-        Some(
-            self.merge_local(
-                self.shards
-                    .iter()
-                    .map(|sh| shard_range_kept(sh, q))
-                    .collect(),
-            ),
-        )
-    }
-
-    // ------------------------------------------------------------------
-    // kNN queries.
-    // ------------------------------------------------------------------
-
-    /// Executes a kNN query: contributing shards produce their
-    /// finite-distance candidates best-first (shards temporally disjoint
-    /// from the window are pruned), a global k-heap merges the streams by
-    /// `(distance, global id)`, and the infinite tail fills in ascending
-    /// global id order — the exact single-store policy, applied once
-    /// globally. Identical results to [`QueryEngine::knn`].
-    #[must_use]
-    pub fn knn(&self, q: &KnnQuery) -> Vec<TrajId> {
-        let per_shard = par_map(&self.shards, |sh| shard_knn_candidates(sh, q, true));
-        self.knn_merge(q.k, per_shard)
-    }
-
-    /// [`ShardedQueryEngine::knn`] walking the shards sequentially with
-    /// sequential per-shard scoring — the per-query unit batch passes
-    /// parallelize over. Identical results to [`ShardedQueryEngine::knn`].
-    pub(crate) fn knn_seq(&self, q: &KnnQuery) -> Vec<TrajId> {
-        let per_shard = self
+/// One segment per shard; the whole [`QueryExecutor`](crate::QueryExecutor)
+/// surface follows from the shared fan-out. Shards whose bounds cannot
+/// contribute are pruned without touching their index; answers are
+/// identical to a [`QueryEngine`] over the unsharded store.
+impl Segmented for ShardedQueryEngine<'_> {
+    fn with_segments<R>(&self, f: impl FnOnce(&[Segment<'_>]) -> R) -> R {
+        let segments: Vec<Segment<'_>> = self
             .shards
             .iter()
-            .map(|sh| shard_knn_candidates(sh, q, false))
-            .collect();
-        self.knn_merge(q.k, per_shard)
-    }
-
-    /// The global merge half of a kNN fan-out (see
-    /// [`ShardedQueryEngine::knn`]).
-    fn knn_merge(&self, k: usize, per_shard: Vec<Vec<(f64, TrajId)>>) -> Vec<TrajId> {
-        knn_take_fill(k, &merge_knn_candidates(k, &per_shard), 0..self.total_trajs)
-    }
-
-    /// This engine's contribution to a distributed kNN: the global best
-    /// `k` finite-distance candidates, sorted by `(distance, global
-    /// id)`, `-0.0`-normalized — the sharded twin of
-    /// [`QueryEngine::knn_candidates`]. A remote coordinator merges
-    /// these lists across shard processes with [`merge_knn_candidates`]
-    /// and [`knn_take_fill`] and reproduces
-    /// [`ShardedQueryEngine::knn`] byte-for-byte.
-    #[must_use]
-    pub fn knn_candidates(&self, q: &KnnQuery) -> Vec<(f64, TrajId)> {
-        let per_shard = par_map(&self.shards, |sh| shard_knn_candidates(sh, q, true));
-        merge_knn_candidates(q.k, &per_shard)
-    }
-
-    /// Executes a batch of kNN queries (parallelism lives inside each
-    /// query's shard fan-out).
-    #[must_use]
-    pub fn knn_batch(&self, queries: &[KnnQuery]) -> Vec<Vec<TrajId>> {
-        queries.iter().map(|q| self.knn(q)).collect()
-    }
-
-    // ------------------------------------------------------------------
-    // Similarity queries.
-    // ------------------------------------------------------------------
-
-    /// Executes a similarity query: per-shard candidate generation in
-    /// parallel, global merge. Spatial pruning stays unsound here (a
-    /// trajectory can match through interpolation with no sampled point
-    /// near the window), but a shard temporally disjoint from the window
-    /// cannot match. Identical results to [`QueryEngine::similarity`].
-    #[must_use]
-    pub fn similarity(&self, q: &SimilarityQuery) -> Vec<TrajId> {
-        self.merge_local(par_map(&self.shards, |sh| shard_similarity(sh, q)))
-    }
-
-    /// Executes a batch of similarity queries, parallel across queries.
-    #[must_use]
-    pub fn similarity_batch(&self, queries: &[SimilarityQuery]) -> Vec<Vec<TrajId>> {
-        par_map(queries, |q| self.similarity_seq(q))
-    }
-
-    /// [`ShardedQueryEngine::similarity`] walking the shards sequentially
-    /// — the per-query unit batch passes parallelize over.
-    pub(crate) fn similarity_seq(&self, q: &SimilarityQuery) -> Vec<TrajId> {
-        self.merge_local(
-            self.shards
-                .iter()
-                .map(|sh| shard_similarity(sh, q))
-                .collect(),
-        )
-    }
-
-    // ------------------------------------------------------------------
-    // Simplified-database execution.
-    // ------------------------------------------------------------------
-
-    /// Executes a range query against a global [`Simplification`] without
-    /// materializing `D'` — the per-shard split happens internally.
-    /// Identical results to [`QueryEngine::range_simplified`]; batches
-    /// should prefer [`ShardedQueryEngine::range_simplified_batch`] (or a
-    /// pre-split [`ShardedQueryEngine::range_simplified_local`]), which
-    /// splits once.
-    #[must_use]
-    pub fn range_simplified(&self, simp: &Simplification, q: &Cube) -> Vec<TrajId> {
-        self.range_simplified_local(&self.shard_simplification(simp), q)
-    }
-
-    /// Batch variant of [`ShardedQueryEngine::range_simplified`]: the
-    /// global simplification splits into shard-local ones once for the
-    /// whole batch.
-    #[must_use]
-    pub fn range_simplified_batch(
-        &self,
-        simp: &Simplification,
-        queries: &[Cube],
-    ) -> Vec<Vec<TrajId>> {
-        self.range_simplified_local_batch(&self.shard_simplification(simp), queries)
-    }
-
-    /// Splits a global [`Simplification`] into per-shard local ones —
-    /// compute once, then serve
-    /// [`ShardedQueryEngine::range_simplified_local`] /
-    /// [`ShardedQueryEngine::range_simplified_local_batch`] against it.
-    #[must_use]
-    pub fn shard_simplification(&self, simp: &Simplification) -> ShardedSimplification {
-        let locals = self
-            .shards
-            .iter()
-            .map(|sh| {
-                let kept: Vec<Vec<u32>> = sh
-                    .global_ids
-                    .iter()
-                    .map(|&g| simp.kept(g).to_vec())
-                    .collect();
-                Simplification::from_kept_store(sh.engine.store(), kept)
+            .map(|sh| Segment {
+                engine: &sh.engine,
+                ids: IdMap::Table(&sh.global_ids),
+                bounds: sh.bounds,
             })
             .collect();
-        ShardedSimplification { locals }
-    }
-
-    /// Executes a range query against a pre-split sharded simplification
-    /// without materializing `D'`. Identical results to
-    /// [`QueryEngine::range_simplified`] with the corresponding global
-    /// simplification.
-    #[must_use]
-    pub fn range_simplified_local(&self, simp: &ShardedSimplification, q: &Cube) -> Vec<TrajId> {
-        assert_eq!(simp.locals.len(), self.shards.len(), "shard count mismatch");
-        self.merge_local(par_map_indexed(&self.shards, |i, sh| {
-            if !sh.bounds.intersects(q) {
-                return Vec::new();
-            }
-            sh.engine.range_simplified(&simp.locals[i], q)
-        }))
-    }
-
-    /// Batch variant of [`ShardedQueryEngine::range_simplified_local`],
-    /// parallel across queries.
-    #[must_use]
-    pub fn range_simplified_local_batch(
-        &self,
-        simp: &ShardedSimplification,
-        queries: &[Cube],
-    ) -> Vec<Vec<TrajId>> {
-        assert_eq!(simp.locals.len(), self.shards.len(), "shard count mismatch");
-        par_map(queries, |q| {
-            self.merge_local(
-                self.shards
-                    .iter()
-                    .enumerate()
-                    .map(|(i, sh)| {
-                        if !sh.bounds.intersects(q) {
-                            return Vec::new();
-                        }
-                        sh.engine.range_simplified(&simp.locals[i], q)
-                    })
-                    .collect(),
-            )
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Workload maintenance.
-    // ------------------------------------------------------------------
-
-    /// Builds a [`MaintainedWorkload`] over `queries` with ground truth
-    /// from this sharded engine and running result sets from `simp`
-    /// (global trajectory ids throughout): per-shard candidate
-    /// generation, global merge. The returned workload is
-    /// indistinguishable from one built by the single-store engine —
-    /// every subsequent `insert`/`remove`/`diff` is pure bookkeeping on
-    /// global ids.
-    #[must_use]
-    pub fn maintained_workload(
-        &self,
-        queries: Vec<Cube>,
-        simp: &Simplification,
-    ) -> MaintainedWorkload {
-        let truth = self.range_batch(&queries);
-        let counts: Vec<HashMap<TrajId, u32>> = par_map(&queries, |q| {
-            let mut counts: HashMap<TrajId, u32> = HashMap::new();
-            for sh in &self.shards {
-                // Kept points inside q lie inside the shard's bounds.
-                if !sh.bounds.intersects(q) {
-                    continue;
-                }
-                for (local, v) in sh.engine.store().iter() {
-                    let global = sh.global_ids[local];
-                    let n = simp
-                        .kept(global)
-                        .iter()
-                        .filter(|&&idx| {
-                            let i = idx as usize;
-                            q.contains_xyz(v.xs[i], v.ys[i], v.ts[i])
-                        })
-                        .count() as u32;
-                    if n > 0 {
-                        counts.insert(global, n);
-                    }
-                }
-            }
-            counts
-        });
-        MaintainedWorkload::from_parts(queries, truth, counts)
-    }
-}
-
-/// A global [`Simplification`] split into per-shard local ones (see
-/// [`ShardedQueryEngine::shard_simplification`]).
-#[derive(Debug, Clone)]
-pub struct ShardedSimplification {
-    /// `locals[shard]` = the simplification restricted to that shard, in
-    /// shard-local trajectory ids.
-    locals: Vec<Simplification>,
-}
-
-impl ShardedSimplification {
-    /// Total number of retained points across all shards.
-    #[must_use]
-    pub fn total_points(&self) -> usize {
-        self.locals.iter().map(Simplification::total_points).sum()
-    }
-}
-
-/// True when `q` can contribute results from a shard whose points all
-/// lie inside `bounds` — the single definition of the router's pruning
-/// rules, shared by the in-process fan-out below and by a distributed
-/// coordinator deciding which shard *processes* to send a query to at
-/// all:
-///
-/// - **range / range-kept**: the query cube must intersect the bounds
-///   (a hit is a sampled point inside both).
-/// - **kNN**: a shard temporally disjoint from a *non-empty* query
-///   window cannot score finite. With an empty window every trajectory
-///   scores finite (the both-empty convention), so nothing prunes.
-/// - **similarity**: only the time axis prunes — interpolation makes
-///   spatial pruning unsound, but a candidate in a shard disjoint from
-///   `[ts, te]` always fails the matcher's window-overlap test.
-///
-/// A `false` here guarantees the shard's contribution is empty, so
-/// skipping it cannot change the merged answer.
-#[must_use]
-pub fn query_touches_bounds(q: &Query, bounds: &Cube) -> bool {
-    match q {
-        Query::Range(c) | Query::RangeKept(c) => bounds.intersects(c),
-        Query::Knn(k) => {
-            k.query_window().is_empty() || !(bounds.t_max < k.ts || bounds.t_min > k.te)
-        }
-        Query::Similarity(s) => !(bounds.t_max < s.ts || bounds.t_min > s.te),
-    }
-}
-
-/// One shard's share of a range query (shard-local ids).
-fn shard_range(sh: &ShardHandle<'_>, q: &Cube) -> Vec<TrajId> {
-    if !sh.bounds.intersects(q) {
-        return Vec::new();
-    }
-    sh.engine.range(q)
-}
-
-/// One shard's share of a kept-bitmap range query (shard-local ids). The
-/// caller guarantees every shard engine carries a bitmap.
-fn shard_range_kept(sh: &ShardHandle<'_>, q: &Cube) -> Vec<TrajId> {
-    if !sh.bounds.intersects(q) {
-        return Vec::new();
-    }
-    sh.engine
-        .range_kept(q)
-        .expect("checked by has_kept_bitmaps")
-}
-
-/// One shard's finite-distance kNN candidates, mapped to global ids and
-/// truncated to the query's `k` (only a shard's best `k` can reach the
-/// global top `k`; anything past that is dead weight in the merge — the
-/// infinite-fill path is unaffected, since it only triggers when the
-/// global finite count is below `k`, in which case no shard was
-/// truncated). Pruning is [`query_touches_bounds`]' kNN rule.
-fn shard_knn_candidates(sh: &ShardHandle<'_>, q: &KnnQuery, parallel: bool) -> Vec<(f64, TrajId)> {
-    let window_empty = q.query_window().is_empty();
-    if !window_empty && (sh.bounds.t_max < q.ts || sh.bounds.t_min > q.te) {
-        return Vec::new();
-    }
-    let mut scored = sh.engine.knn_finite_scored_impl(q, parallel);
-    scored.truncate(q.k);
-    for entry in &mut scored {
-        entry.1 = sh.global_ids[entry.1];
-        entry.0 += 0.0; // normalize -0.0 so total_cmp == partial_cmp
-    }
-    scored
-}
-
-/// One shard's share of a similarity query (shard-local ids). Only the
-/// time axis prunes (see [`query_touches_bounds`]).
-fn shard_similarity(sh: &ShardHandle<'_>, q: &SimilarityQuery) -> Vec<TrajId> {
-    if sh.bounds.t_max < q.ts || sh.bounds.t_min > q.te {
-        return Vec::new();
-    }
-    q.execute_store(sh.engine.store())
-}
-
-/// Merges per-stream kNN candidate lists into the global best `k`,
-/// still sorted ascending by `(distance, id)`. Each input stream must
-/// be sorted ascending by `(distance, id)` with finite,
-/// `-0.0`-normalized distances and globally unique ids — the shape
-/// [`QueryEngine::knn_candidates`] returns. This is the exact k-heap
-/// [`ShardedQueryEngine::knn`] runs in-process, exposed so a
-/// coordinator merging candidates from shard *processes* reproduces it
-/// byte-for-byte.
-#[must_use]
-pub fn merge_knn_candidates(k: usize, per_stream: &[Vec<(f64, TrajId)>]) -> Vec<(f64, TrajId)> {
-    // Global k-heap: a best-first k-way merge over the sorted
-    // per-stream lists. Ties on distance break by id, exactly like the
-    // single-store sort.
-    let mut heap: BinaryHeap<std::cmp::Reverse<KnnHeapEntry>> = BinaryHeap::new();
-    for (shard, list) in per_stream.iter().enumerate() {
-        if let Some(&(d, id)) = list.first() {
-            heap.push(std::cmp::Reverse(KnnHeapEntry {
-                d,
-                id,
-                shard,
-                pos: 0,
-            }));
-        }
-    }
-    let mut merged: Vec<(f64, TrajId)> = Vec::with_capacity(k);
-    while merged.len() < k {
-        let Some(std::cmp::Reverse(e)) = heap.pop() else {
-            break;
-        };
-        merged.push((e.d, e.id));
-        if let Some(&(d, id)) = per_stream[e.shard].get(e.pos + 1) {
-            heap.push(std::cmp::Reverse(KnnHeapEntry {
-                d,
-                id,
-                shard: e.shard,
-                pos: e.pos + 1,
-            }));
-        }
-    }
-    merged
-}
-
-/// Applies the single-store take-`k` / infinite-fill policy to a
-/// [`merge_knn_candidates`] result: take the candidate ids and, when
-/// fewer than `k` trajectories scored finite, fill with ids from
-/// `universe` not already present, then sort ascending. `universe`
-/// must yield the servable trajectory ids in ascending order —
-/// `0..total` for a complete database, the surviving shards' global
-/// ids for a degraded one.
-///
-/// When `merged.len() < k` the k-heap above exhausted every stream, so
-/// `merged` alone lists *all* finite-distance ids and the fill can
-/// skip exactly those.
-#[must_use]
-pub fn knn_take_fill(
-    k: usize,
-    merged: &[(f64, TrajId)],
-    universe: impl IntoIterator<Item = TrajId>,
-) -> Vec<TrajId> {
-    let mut ids: Vec<TrajId> = merged.iter().map(|&(_, id)| id).collect();
-    if ids.len() < k {
-        let finite: HashSet<TrajId> = ids.iter().copied().collect();
-        for id in universe {
-            if finite.contains(&id) {
-                continue;
-            }
-            ids.push(id);
-            if ids.len() == k {
-                break;
-            }
-        }
-    }
-    ids.sort_unstable();
-    ids
-}
-
-/// Concatenates per-stream *global*-id result lists and sorts them
-/// ascending — the coordinator-side twin of the in-process
-/// remap-and-merge for range/similarity fan-out (each shard's local
-/// hits are already remapped to global ids by the time they cross the
-/// wire).
-#[must_use]
-pub fn merge_global_ids(per_stream: Vec<Vec<TrajId>>) -> Vec<TrajId> {
-    let mut out: Vec<TrajId> = per_stream.into_iter().flatten().collect();
-    out.sort_unstable();
-    out
-}
-
-/// Heap entry of the global kNN merge: ordered by `(distance, global
-/// id)`; `shard`/`pos` locate the successor in that shard's stream.
-/// Distances are finite and `-0.0`-normalized, so `total_cmp` agrees with
-/// the single-store sort's `partial_cmp`.
-struct KnnHeapEntry {
-    d: f64,
-    id: TrajId,
-    shard: usize,
-    pos: usize,
-}
-
-impl PartialEq for KnnHeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for KnnHeapEntry {}
-
-impl PartialOrd for KnnHeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for KnnHeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.d
-            .total_cmp(&other.d)
-            .then(self.id.cmp(&other.id))
-            .then(self.shard.cmp(&other.shard))
+        f(&segments)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knn::Dissimilarity;
+    use crate::knn::{Dissimilarity, KnnQuery};
     use crate::workload::{range_workload_store, QueryDistribution, RangeWorkloadSpec};
+    use crate::{QueryExecutor, SimilarityQuery};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use trajectory::gen::{generate, DatasetSpec, Scale};
+    use trajectory::Simplification;
 
     fn sample_store() -> PointStore {
         generate(&DatasetSpec::geolife(Scale::Smoke), 4242).to_store()
@@ -863,13 +310,7 @@ mod tests {
             &PartitionStrategy::Grid { nx: 2, ny: 2 },
             EngineConfig::octree(),
         );
-        let local = sharded.shard_simplification(&simp);
-        assert_eq!(local.total_points(), simp.total_points());
         for q in &queries {
-            assert_eq!(
-                sharded.range_simplified_local(&local, q),
-                single.range_simplified(&simp, q)
-            );
             assert_eq!(
                 sharded.range_simplified(&simp, q),
                 single.range_simplified(&simp, q)
@@ -921,7 +362,7 @@ mod tests {
         assert!(sharded
             .range(&Cube::new(0.0, 1.0, 0.0, 1.0, 0.0, 1.0))
             .is_empty());
-        assert!(!sharded.has_kept_bitmaps());
+        assert!(!sharded.has_kept_bitmap());
         assert!(sharded
             .range_kept(&Cube::new(0.0, 1.0, 0.0, 1.0, 0.0, 1.0))
             .is_none());

@@ -18,7 +18,7 @@ use traj_query::{
     DbOptions, EngineConfig, GenerationalDb, QueryBatch, QueryEngine, QueryExecutor,
     SimilarityQuery,
 };
-use trajectory::snapshot::fnv1a64;
+use trajectory::snapshot::{fnv1a64, read_snapshot, write_snapshot_quantized};
 use trajectory::{Cube, KeepAll, Point, PointStore, Simplification, Trajectory, TrajectoryDb};
 
 fn keep_all() -> traj_query::SimpFactory {
@@ -269,6 +269,43 @@ proptest! {
                 assert_equals_rebuild(&reopened, &full, &db, cfg, &queries, k, "reopened")?;
                 std::fs::remove_dir_all(&dir).ok();
             }
+        }
+    }
+
+    /// The live × quantized crossing: generation 0 swapped for a
+    /// *quantized* write of the same store. Opening decodes it, so the
+    /// oracle is a rebuild over the decoded base plus the raw delta —
+    /// in the delta, after a fold, for both open modes.
+    #[test]
+    fn quantized_base_serves_like_its_decoded_store(
+        (db, queries, split, k) in arb_db().prop_flat_map(|db| {
+            let n = db.len();
+            let q = prop::collection::vec(arb_query(&db), 2..4);
+            (Just(db), q, 1..=n, 1usize..6)
+        })
+    ) {
+        let trajs: Vec<Trajectory> = db.iter().map(|(_, t)| t.clone()).collect();
+        let base = store_of(&trajs[..split]);
+        let cfg = EngineConfig::octree().with_tree_shape(6, 8);
+        for opts in open_modes(cfg) {
+            let dir = unique_dir();
+            drop(GenerationalDb::create(&dir, &base, opts, keep_all()).unwrap());
+            let gen0 = dir.join("gen-000000.snap");
+            write_snapshot_quantized(&base, None, 0.5, &gen0).unwrap();
+            let mut full = read_snapshot(&gen0).unwrap().store;
+            prop_assert_ne!(&full, &base, "the codec must actually have rounded something");
+            for t in &trajs[split..] {
+                full.push_points(t.points()).unwrap();
+            }
+
+            let live = GenerationalDb::open(&dir, opts, keep_all()).unwrap();
+            if split < trajs.len() {
+                live.ingest(&trajs[split..]).unwrap();
+            }
+            assert_equals_rebuild(&live, &full, &db, cfg, &queries, k, "quantized base + delta")?;
+            live.compact().unwrap();
+            assert_equals_rebuild(&live, &full, &db, cfg, &queries, k, "quantized base, folded")?;
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 

@@ -1,0 +1,277 @@
+//! The merge itself, as one table: a random store is cut into `k`
+//! segments — contiguous id ranges ([`IdMap::Offset`]) and interleaved
+//! id tables ([`IdMap::Table`]), mixed index backends, a random subset
+//! allowed to prune by its bounds, a random subset carrying kept
+//! bitmaps, a random subset degraded away (the coordinator's case) —
+//! and the shared [`merge`] must answer every query kind exactly like
+//! the linear-scan oracle over the surviving trajectories, including
+//! the kNN infinite-fill and the `RangeKept` all-or-`None` rule.
+
+use proptest::prelude::*;
+use traj_query::knn::{Dissimilarity, KnnQuery};
+use traj_query::{
+    fan_out, merge, range_query, Answer, EngineConfig, IdMap, Query, QueryEngine, QueryResult,
+    Segment, SimilarityQuery,
+};
+use trajectory::{
+    AsColumns, Cube, KeptBitmap, Point, PointStore, TrajId, Trajectory, TrajectoryDb,
+};
+
+/// Strategy: 2..10 trajectories of 2..24 points, each starting at its
+/// own time offset so segments differ in their time bounds and narrow
+/// windows actually prune some of them.
+fn arb_db() -> impl Strategy<Value = TrajectoryDb> {
+    prop::collection::vec(
+        (
+            0.0..2_000.0f64,
+            prop::collection::vec((-1e4..1e4f64, -1e4..1e4f64, 0.1..60.0f64), 2..24),
+        ),
+        2..10,
+    )
+    .prop_map(|trajs| {
+        trajs
+            .into_iter()
+            .map(|(start, steps)| {
+                let mut t = start;
+                let pts = steps
+                    .into_iter()
+                    .map(|(x, y, dt)| {
+                        t += dt;
+                        Point::new(x, y, t)
+                    })
+                    .collect();
+                Trajectory::new(pts).unwrap()
+            })
+            .collect()
+    })
+}
+
+/// One table row: how the store is cut and what happens to each part.
+#[derive(Debug, Clone)]
+struct Cut {
+    /// `owner[traj]` = the segment holding it (interleaved form); the
+    /// contiguous form sorts this, so segment sizes stay the same.
+    owner: Vec<usize>,
+    /// Per segment: tight bounds (may prune) or unbounded (never prunes).
+    tight: Vec<bool>,
+    /// Per segment: carries a kept bitmap (every even point index).
+    kept: Vec<bool>,
+    /// Per segment: degraded away.
+    missing: Vec<bool>,
+}
+
+fn arb_cut(trajs: usize) -> impl Strategy<Value = Cut> {
+    (1usize..5).prop_flat_map(move |k| {
+        (
+            prop::collection::vec(0..k, trajs),
+            prop::collection::vec((0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64), k),
+        )
+            .prop_map(|(owner, coins)| Cut {
+                owner,
+                tight: coins.iter().map(|c| c.0 < 0.5).collect(),
+                kept: coins.iter().map(|c| c.1 < 0.7).collect(),
+                missing: coins.iter().map(|c| c.2 < 0.25).collect(),
+            })
+    })
+}
+
+fn backends() -> [EngineConfig; 3] {
+    [
+        EngineConfig::scan(),
+        EngineConfig::octree().with_tree_shape(6, 8),
+        EngineConfig::median_kd().with_tree_shape(6, 8),
+    ]
+}
+
+const EVERYWHERE: Cube = Cube {
+    x_min: f64::NEG_INFINITY,
+    x_max: f64::INFINITY,
+    y_min: f64::NEG_INFINITY,
+    y_max: f64::INFINITY,
+    t_min: f64::NEG_INFINITY,
+    t_max: f64::INFINITY,
+};
+
+/// The bitmap keeping every point whose index *within its trajectory*
+/// is even — a selection that does not depend on how the store is cut.
+fn even_points(store: &PointStore) -> KeptBitmap {
+    let mut bitmap = KeptBitmap::zeros(store.total_points());
+    for (id, v) in store.iter() {
+        for idx in (0..v.len() as u32).step_by(2) {
+            bitmap.insert(store.offsets()[id] + idx);
+        }
+    }
+    bitmap
+}
+
+/// The oracle: linear scans over the surviving trajectories alone,
+/// positions mapped back to their global ids.
+fn oracle(db: &TrajectoryDb, survivors: &[TrajId], all_kept: bool, q: &Query) -> QueryResult {
+    let sub: TrajectoryDb = survivors.iter().map(|&g| db.get(g).clone()).collect();
+    let global =
+        |ids: Vec<TrajId>| -> Vec<TrajId> { ids.into_iter().map(|i| survivors[i]).collect() };
+    match q {
+        Query::Range(c) => QueryResult::Range(global(range_query(&sub, c))),
+        Query::Knn(k) => QueryResult::Knn(global(k.execute(&sub))),
+        Query::Similarity(s) => QueryResult::Similarity(global(s.execute(&sub))),
+        Query::RangeKept(c) => QueryResult::RangeKept(all_kept.then(|| {
+            let hits = sub
+                .iter()
+                .filter(|(_, t)| t.points().iter().step_by(2).any(|p| c.contains(p)))
+                .map(|(i, _)| i)
+                .collect();
+            global(hits)
+        })),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn merge_over_any_cut_equals_the_scan_oracle(
+        (db, cut, (frac, half), k, delta, rotate) in arb_db().prop_flat_map(|db| {
+            let cut = arb_cut(db.len());
+            let n = db.len();
+            (
+                Just(db),
+                cut,
+                (
+                    (0.0..1.0f64, 0.0..1.0f64, -0.1..1.1f64),
+                    (0.05..0.8f64, 0.05..0.8f64, 0.01..0.6f64),
+                ),
+                1..n + 3,
+                10.0..5e3f64,
+                0usize..3,
+            )
+        })
+    ) {
+        let store = db.to_store();
+        let bc = db.bounding_cube();
+        let (ex, ey, et) = bc.extents();
+        let cube = Cube::centered(
+            bc.x_min + frac.0 * ex,
+            bc.y_min + frac.1 * ey,
+            bc.t_min + frac.2 * et,
+            (half.0 * ex).max(1e-6),
+            (half.1 * ey).max(1e-6),
+            (half.2 * et).max(1e-6),
+        );
+        // Windows may overshoot the data's time span, so the kNN
+        // infinite-fill (fewer than k finite scores) is exercised.
+        let (ts, te) = (cube.t_min, cube.t_max);
+        let queries = [
+            Query::Range(cube),
+            Query::RangeKept(cube),
+            Query::Knn(KnnQuery {
+                query: db.get(0).clone(),
+                ts,
+                te,
+                k,
+                measure: Dissimilarity::Edr { eps: 1_000.0 },
+            }),
+            Query::Similarity(SimilarityQuery {
+                query: db.get(0).clone(),
+                ts,
+                te,
+                delta,
+                step: 5.0,
+            }),
+        ];
+
+        let mut sorted_owner = cut.owner.clone();
+        sorted_owner.sort_unstable();
+        for (form, owner) in [("interleaved", &cut.owner), ("contiguous", &sorted_owner)] {
+            let k_segments = cut.tight.len();
+            let tables: Vec<Vec<TrajId>> = (0..k_segments)
+                .map(|s| (0..db.len()).filter(|&t| owner[t] == s).collect())
+                .collect();
+            let engines: Vec<QueryEngine<'static>> = tables
+                .iter()
+                .enumerate()
+                .map(|(s, ids)| {
+                    let part = store.gather_trajs(ids);
+                    let bitmap = cut.kept[s].then(|| even_points(&part));
+                    let mut engine = QueryEngine::from_store(part, backends()[(s + rotate) % 3]);
+                    engine.set_kept_bitmap(bitmap);
+                    engine
+                })
+                .collect();
+            let segments: Vec<Segment<'_>> = engines
+                .iter()
+                .zip(&tables)
+                .enumerate()
+                .map(|(s, (engine, ids))| Segment {
+                    engine,
+                    ids: match ids.first() {
+                        Some(&first) if form == "contiguous" => IdMap::Offset { first, len: ids.len() },
+                        _ => IdMap::Table(ids),
+                    },
+                    bounds: if cut.tight[s] { engine.store().bounding_cube() } else { EVERYWHERE },
+                })
+                .collect();
+
+            for q in &queries {
+                // In process: nothing is missing; both fan-out modes.
+                let everyone: Vec<TrajId> = (0..db.len()).collect();
+                let all_kept = cut.kept.iter().all(|&kept| kept);
+                let expected = oracle(&db, &everyone, all_kept, q);
+                for parallel in [false, true] {
+                    prop_assert_eq!(
+                        &fan_out(&segments, q, parallel),
+                        &expected,
+                        "{} fan_out(parallel={}) of {:?}",
+                        form, parallel, q.kind()
+                    );
+                }
+
+                // The coordinator's case: some segments degraded away.
+                let parts: Vec<(IdMap<'_>, Answer)> = segments
+                    .iter()
+                    .enumerate()
+                    .map(|(s, seg)| {
+                        let answer = if cut.missing[s] { Answer::Missing } else { seg.answer(q, false) };
+                        (seg.ids, answer)
+                    })
+                    .collect();
+                let survivors: Vec<TrajId> =
+                    (0..db.len()).filter(|&t| !cut.missing[owner[t]]).collect();
+                let surviving = (0..k_segments).filter(|&s| !cut.missing[s]);
+                let all_kept = surviving.clone().count() > 0 && surviving.clone().all(|s| cut.kept[s]);
+                prop_assert_eq!(
+                    merge(q, parts).expect("well-formed material"),
+                    oracle(&db, &survivors, all_kept, q),
+                    "{} degraded merge of {:?} (missing {:?})",
+                    form, q.kind(), &cut.missing
+                );
+            }
+        }
+    }
+}
+
+/// Material the merge cannot use is a typed error naming the segment —
+/// what the coordinator turns into a `Protocol` error.
+#[test]
+fn malformed_material_is_a_typed_merge_error() {
+    use traj_query::ShardResult;
+    let ids = [3usize, 7];
+    let q = Query::Range(Cube::new(0.0, 1.0, 0.0, 1.0, 0.0, 1.0));
+    let ok = (
+        IdMap::Table(&ids),
+        Answer::Material(ShardResult::Ids(vec![1])),
+    );
+    let wrong_kind = (
+        IdMap::Table(&ids),
+        Answer::Material(ShardResult::Kept(None)),
+    );
+    let out_of_range = (
+        IdMap::Table(&ids),
+        Answer::Material(ShardResult::Ids(vec![2])),
+    );
+    assert_eq!(merge(&q, vec![ok.clone()]), Ok(QueryResult::Range(vec![7])));
+    assert_eq!(
+        merge(&q, vec![ok.clone(), wrong_kind]).unwrap_err().segment,
+        1
+    );
+    assert_eq!(merge(&q, vec![out_of_range, ok]).unwrap_err().segment, 0);
+}

@@ -8,7 +8,9 @@
 
 use proptest::prelude::*;
 use traj_query::knn::{Dissimilarity, KnnQuery};
-use traj_query::{range_query, EngineConfig, QueryEngine, ShardedQueryEngine, SimilarityQuery};
+use traj_query::{
+    range_query, EngineConfig, QueryEngine, QueryExecutor, ShardedQueryEngine, SimilarityQuery,
+};
 use trajectory::shard::{partition, PartitionStrategy, ShardSet};
 use trajectory::{Cube, Point, Simplification, Trajectory, TrajectoryDb};
 
@@ -200,18 +202,17 @@ proptest! {
             let expected = QueryEngine::over_store(&store, cfg).range_simplified(&simp, &qf);
             for strategy in partition_strategies() {
                 let sharded = ShardedQueryEngine::from_partition(&store, &strategy, cfg);
-                let local = sharded.shard_simplification(&simp);
-                prop_assert_eq!(
-                    sharded.range_simplified_local(&local, &qf),
-                    expected.clone(),
-                    "range_simplified_local: {:?} over {:?}",
-                    strategy,
-                    cfg.backend
-                );
                 prop_assert_eq!(
                     sharded.range_simplified(&simp, &qf),
                     expected.clone(),
                     "range_simplified: {:?} over {:?}",
+                    strategy,
+                    cfg.backend
+                );
+                prop_assert_eq!(
+                    sharded.range_simplified_batch(&simp, std::slice::from_ref(&qf)).remove(0),
+                    expected.clone(),
+                    "range_simplified_batch: {:?} over {:?}",
                     strategy,
                     cfg.backend
                 );
@@ -351,7 +352,7 @@ proptest! {
             traj_simp::write_simplified_shard_set(&dir, &shards, &locals).unwrap();
             let mapped = ShardSet::load(&dir).unwrap().open_mapped().unwrap();
             let served = ShardedQueryEngine::from_mapped_shards(mapped, EngineConfig::octree());
-            prop_assert!(served.has_kept_bitmaps());
+            prop_assert!(served.has_kept_bitmap());
             prop_assert_eq!(
                 served.range_kept(&qf).unwrap(),
                 expected.clone(),

@@ -19,7 +19,7 @@
 //!
 //! ```text
 //! shardd --snap shard-000.qdts [--addr 127.0.0.1:0] [--backend octree|kd|scan]
-//!        [--mode auto|owned|mapped] [--per-request]
+//!        [--mode auto|owned|mapped]
 //! shardd --live state-dir [--sed-eps 25.0] [--compact-points 500000] [...]
 //! ```
 
@@ -44,7 +44,7 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
 fn usage() -> ! {
     eprintln!(
         "usage: shardd --snap <store> | --live <dir> [--addr host:port] \
-         [--backend octree|kd|scan] [--mode auto|owned|mapped] [--per-request] \
+         [--backend octree|kd|scan] [--mode auto|owned|mapped] \
          [--sed-eps <eps>] [--compact-points <n>]"
     );
     exit(2);
@@ -79,11 +79,7 @@ fn main() {
             exit(2);
         }
     }
-    let serve_opts = if args.iter().any(|a| a == "--per-request") {
-        ServeOptions::per_request()
-    } else {
-        ServeOptions::batched()
-    };
+    let serve_opts = ServeOptions::batched();
 
     // Kept alive for the whole serving run; dropping it (at exit)
     // signals the background compaction thread to stop and joins it.

@@ -1,11 +1,9 @@
 //! Load generator for the wire-format query server: N concurrent
-//! simulated clients driving a mixed range/kNN/similarity workload
-//! against each [`ExecutionMode`], reporting throughput and
-//! p50/p95/p99 latency so "batched admission vs per-request
-//! execution" is a measured number, not a claim.
+//! simulated clients driving a mixed range/kNN/similarity workload,
+//! reporting throughput and p50/p95/p99 latency.
 //!
 //! ```text
-//! traj_bench_client [--clients 64] [--requests 50] [--mode both]
+//! traj_bench_client [--clients 64] [--requests 50]
 //!                   [--seed 7] [--trajectories 1000]
 //!                   [--max-batch 256] [--linger-us 100]
 //!                   [--cluster 0] [--writers 0]
@@ -20,10 +18,9 @@
 //! measured p99 ratio, not a claim.
 //!
 //! Each request carries one query (80% range, 10% kNN/EDR, 10%
-//! similarity — the paper's §III-B mix). Per-request mode answers it
-//! with a freshly spawned engine pass; batched mode coalesces requests
-//! arriving concurrently across all connections into shared
-//! heterogeneous engine passes.
+//! similarity — the paper's §III-B mix); the server's admission queue
+//! coalesces requests arriving concurrently across all connections
+//! into shared heterogeneous engine passes.
 //!
 //! `--cluster N` additionally benchmarks the distributed path: the
 //! dataset is time-partitioned into N shards each served by a spawned
@@ -46,8 +43,8 @@ use traj_query::{
     QueryBatch, QueryDistribution, RangeWorkloadSpec, SimilarityQuery, TrajDb,
 };
 use traj_serve::{
-    BatchConfig, Client, Coordinator, CoordinatorOptions, CoordinatorStats, ExecutionMode,
-    Placement, ResponseStatus, ServeOptions, Server, SharedCoordinator,
+    BatchConfig, Client, Coordinator, CoordinatorOptions, CoordinatorStats, Placement,
+    ResponseStatus, ServeOptions, Server, SharedCoordinator,
 };
 use trajectory::gen::{generate, DatasetSpec, Scale};
 use trajectory::shard::{partition, PartitionStrategy, ShardSet};
@@ -148,16 +145,14 @@ fn percentile(sorted_us: &[f64], p: f64) -> f64 {
     sorted_us[idx]
 }
 
-/// Runs one mode: fresh server on a loopback port, `clients` threads
-/// each issuing its share of `workload` as single-query requests.
-fn run_mode(
-    db: TrajDb,
-    mode: ExecutionMode,
-    label: &'static str,
-    workload: &[Query],
-    clients: usize,
-) -> ModeReport {
-    let opts = ServeOptions { mode, executors: 1 };
+/// Runs the single-server leg: fresh server on a loopback port,
+/// `clients` threads each issuing its share of `workload` as
+/// single-query requests.
+fn run_mode(db: TrajDb, batch: BatchConfig, workload: &[Query], clients: usize) -> ModeReport {
+    let opts = ServeOptions {
+        batch,
+        executors: 1,
+    };
     let server = Server::start(db, "127.0.0.1:0", opts).expect("bind loopback");
     let addr = server.local_addr();
     let barrier = Barrier::new(clients + 1);
@@ -207,7 +202,7 @@ fn run_mode(
     let requests = latencies_us.len();
     let elapsed_s = elapsed.as_secs_f64();
     ModeReport {
-        label,
+        label: "batched",
         requests,
         elapsed_s,
         throughput_rps: requests as f64 / elapsed_s,
@@ -267,7 +262,7 @@ fn run_live(
     // than an ever-growing unfolded tail.
     let compactor = spawn_compactor(Arc::clone(&gdb), 50_000, Duration::from_millis(100));
     let opts = ServeOptions {
-        mode: ExecutionMode::Batched(batch_cfg),
+        batch: batch_cfg,
         executors: 1,
     };
     let server = Server::start(Arc::clone(&gdb), "127.0.0.1:0", opts).expect("bind loopback");
@@ -641,7 +636,6 @@ fn main() {
     let linger_us: u64 = flag_parse(&args, "--linger-us", 100);
     let cluster: usize = flag_parse(&args, "--cluster", 0);
     let writers: usize = flag_parse(&args, "--writers", 0);
-    let mode = flag_value(&args, "--mode").unwrap_or("both").to_owned();
     let out = flag_value(&args, "--out")
         .unwrap_or("BENCH_serve.json")
         .to_owned();
@@ -664,30 +658,9 @@ fn main() {
         linger: std::time::Duration::from_micros(linger_us),
     };
     let mut reports: Vec<ModeReport> = Vec::new();
-    if mode == "both" || mode == "per-request" {
+    {
         let served = TrajDb::from_db(&db, DbOptions::new());
-        let r = run_mode(
-            served,
-            ExecutionMode::PerRequest,
-            "per_request",
-            &workload,
-            clients,
-        );
-        eprintln!(
-            "per-request: {:.0} req/s, p50 {:.0}us p95 {:.0}us p99 {:.0}us",
-            r.throughput_rps, r.p50_us, r.p95_us, r.p99_us
-        );
-        reports.push(r);
-    }
-    if mode == "both" || mode == "batched" {
-        let served = TrajDb::from_db(&db, DbOptions::new());
-        let r = run_mode(
-            served,
-            ExecutionMode::Batched(batch_cfg),
-            "batched",
-            &workload,
-            clients,
-        );
+        let r = run_mode(served, batch_cfg, &workload, clients);
         eprintln!(
             "batched:     {:.0} req/s, p50 {:.0}us p95 {:.0}us p99 {:.0}us, mean batch {:.1}",
             r.throughput_rps, r.p50_us, r.p95_us, r.p99_us, r.mean_batch
@@ -728,17 +701,6 @@ fn main() {
         reports.push(mixed);
     }
 
-    let speedup = match (
-        reports.iter().find(|r| r.label == "batched"),
-        reports.iter().find(|r| r.label == "per_request"),
-    ) {
-        (Some(b), Some(p)) if p.throughput_rps > 0.0 => {
-            let s = b.throughput_rps / p.throughput_rps;
-            eprintln!("throughput: batched / per-request = {s:.2}x");
-            Some(s)
-        }
-        _ => None,
-    };
     let ingest_p99_ratio = match (
         reports.iter().find(|r| r.label == "live_ingest"),
         reports.iter().find(|r| r.label == "live_read_only"),
@@ -753,9 +715,7 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str(
-        "  \"title\": \"Wire-format query serving: batched admission vs per-request execution\",\n",
-    );
+    json.push_str("  \"title\": \"Wire-format query serving: batched admission\",\n");
     json.push_str(&format!("  \"date\": \"{date}\",\n"));
     json.push_str(
         "  \"source\": \"crates/traj-serve/src/bin/traj_bench_client.rs (release profile)\",\n",
@@ -766,7 +726,6 @@ fn main() {
             "    \"clients\": {},\n",
             "    \"requests_per_client\": {},\n",
             "    \"workload\": \"1 query/request: 80% range (paper-default 2km x 7d, data-anchored), 10% knn (EDR, k=3, 1h window), 10% similarity (5km, 10min step, 1h window)\",\n",
-            "    \"per_request_mode\": \"each request runs its own engine pass on a freshly spawned thread (thread-per-request baseline)\",\n",
             "    \"batched_mode\": \"admission queue + persistent executor coalescing concurrent requests into shared heterogeneous engine passes\",\n",
             "    \"max_batch_queries\": {},\n",
             "    \"linger_us\": {},\n",
@@ -795,12 +754,6 @@ fn main() {
     let mode_blocks: Vec<String> = reports.iter().map(mode_json).collect();
     json.push_str(&mode_blocks.join(",\n"));
     json.push_str("\n  },\n");
-    match speedup {
-        Some(s) => json.push_str(&format!(
-            "  \"batched_over_per_request_throughput\": {s:.2},\n"
-        )),
-        None => json.push_str("  \"batched_over_per_request_throughput\": null,\n"),
-    }
     match ingest_p99_ratio {
         Some(s) => json.push_str(&format!(
             "  \"read_p99_under_ingest_over_read_only\": {s:.2}\n"

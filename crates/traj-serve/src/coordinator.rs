@@ -1,7 +1,8 @@
 //! The distributed query coordinator: routes a [`QueryBatch`] to the
 //! shard *processes* whose bounds can contribute, fans the sub-batches
-//! out over the wire, and merges the raw per-shard answers exactly as
-//! `ShardedQueryEngine` merges in-process shards.
+//! out over the wire, and hands the raw per-shard answers to the same
+//! [`merge`] every in-process executor uses — each shard process is one
+//! remote segment of the database.
 //!
 //! The shard manifest doubles as the placement map: each
 //! [`ShardEntry`](trajectory::shard::ShardEntry) carries an optional
@@ -9,7 +10,7 @@
 //! snapshot, and a `bounds=` token with the shard's bounding cube.
 //! [`Placement::from_manifest`] reads both, [`Coordinator::connect`]
 //! dials every shard *in parallel* (with a bounded connect timeout)
-//! and cross-checks each one's [`ShardInfo`](crate::wire::ShardInfo)
+//! and cross-checks each one's [`ShardInfo`]
 //! handshake against the placement map — trajectory count *and*
 //! bounding cube must agree — and [`Coordinator::execute_batch`] runs
 //! the fan-out:
@@ -25,18 +26,14 @@
 //!   small per-shard connection pool, so several coalesced rounds stay
 //!   in flight concurrently while every reply is still paired with its
 //!   request by the echoed id;
-//! - range/similarity hits come back shard-local, are remapped through
-//!   the placement map's `global_ids`, and merge by concatenation +
-//!   sort ([`merge_global_ids`]);
-//! - kNN candidates come back scored; after the same remap they feed
-//!   the global k-heap ([`merge_knn_candidates`]) and the single-store
-//!   infinite-fill policy ([`knn_take_fill`]) — byte-identical to the
-//!   in-process merge. Pruned (but healthy) shards stay in the fill
-//!   universe: pruning is result-neutral, only *failures* shrink it;
-//! - kept-bitmap range results are `Some` only when every non-failed
-//!   shard has its kept bitmap — answering shards report it in-band,
-//!   pruned shards are covered by the `has_kept` they declared at
-//!   handshake — mirroring `ShardedQueryEngine::has_kept_bitmaps`.
+//! - every query's per-shard [`Answer`]s — the decoded material of the
+//!   shards that answered, [`Answer::Pruned`] (with the `has_kept` the
+//!   shard declared at handshake) for shards the query was routed away
+//!   from, [`Answer::Missing`] for shards degraded away — go through
+//!   [`merge`] with the placement map's id tables, so the result is
+//!   byte-identical to the in-process fan-out. Pruned (but healthy)
+//!   shards stay in the kNN fill universe: pruning is result-neutral,
+//!   only *failures* shrink it.
 //!
 //! Failures are first-class: per-shard connect/request timeouts,
 //! bounded retries with linear backoff and reconnection, and a
@@ -49,8 +46,8 @@
 //! silently wrong one). Pooled connections are reused across rounds
 //! and re-dialed transparently after a failure.
 //!
-//! [`SharedCoordinator`] adds the same admission/linger layer the
-//! in-process [`Server`](crate::Server) uses in front of the fan-out:
+//! [`SharedCoordinator`] puts the admission queue the in-process
+//! [`Server`](crate::Server) uses in front of the fan-out:
 //! many connections (or threads) submit batches concurrently, a small
 //! pool of executor threads coalesces everything that arrived together
 //! into one wire round per shard, and each submitter gets its slice of
@@ -58,23 +55,18 @@
 //! that works: coalesced rounds, queries per round, and frames
 //! sent vs pruned per shard.
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use traj_query::{
-    knn_take_fill, merge_global_ids, merge_knn_candidates, query_touches_bounds, Query, QueryBatch,
-    QueryResult,
-};
+use traj_query::{merge, query_touches_bounds, Answer, IdMap, QueryBatch, QueryResult};
 use trajectory::shard::ShardSet;
 use trajectory::{Cube, TrajId};
 
+use crate::admission::{split, Admission, BatchConfig};
 use crate::client::{Client, ClientConfig};
-use crate::server::BatchConfig;
 use crate::wire::{ShardInfo, ShardResult, WireError};
 
 /// Idle connections kept per shard. Concurrency beyond the cap still
@@ -405,6 +397,17 @@ impl ShardConn {
     }
 }
 
+/// How one shard's part of a fan-out round went.
+enum Round {
+    /// Its answers, in route order.
+    Answered(std::vec::IntoIter<ShardResult>),
+    /// Never contacted, so it can neither answer nor fail — its (empty)
+    /// contribution is known from bounds.
+    Pruned,
+    /// Failed after retries and was degraded away.
+    Failed,
+}
+
 /// A connected distributed database: a connection pool per shard plus
 /// the placement map. Shared by reference — every method takes `&self`,
 /// so one coordinator serves any number of concurrent callers (see
@@ -585,15 +588,12 @@ impl Coordinator {
                     .collect()
             });
 
-        let mut per_shard: Vec<Option<Vec<ShardResult>>> = Vec::with_capacity(outcomes.len());
-        let mut failed = vec![false; self.shards.len()];
+        let mut shard_rounds: Vec<Round> = Vec::with_capacity(outcomes.len());
         let mut failures: Vec<(usize, WireError)> = Vec::new();
         for (i, outcome) in outcomes.into_iter().enumerate() {
             match outcome {
-                // Pruned: never contacted, so it can neither answer nor
-                // fail — its (empty) contribution is known from bounds.
-                None => per_shard.push(None),
-                Some(Ok(results)) => per_shard.push(Some(results)),
+                None => shard_rounds.push(Round::Pruned),
+                Some(Ok(results)) => shard_rounds.push(Round::Answered(results.into_iter())),
                 Some(Err(source)) => match policy {
                     FailurePolicy::FailFast => {
                         return Err(CoordinatorError::ShardFailed {
@@ -603,9 +603,8 @@ impl Coordinator {
                         })
                     }
                     FailurePolicy::Degrade => {
-                        failed[i] = true;
                         failures.push((i, source));
-                        per_shard.push(None);
+                        shard_rounds.push(Round::Failed);
                     }
                 },
             }
@@ -613,7 +612,7 @@ impl Coordinator {
         // Degrading to an empty shard set would answer every query with
         // nothing — that is an outage, not a degraded answer. (Pruned
         // shards count as survivors: their contribution is known.)
-        if !self.shards.is_empty() && failed.iter().all(|&f| f) {
+        if !self.shards.is_empty() && failures.len() == self.shards.len() {
             let (shard, source) = failures.swap_remove(0);
             return Err(CoordinatorError::ShardFailed {
                 shard,
@@ -622,7 +621,41 @@ impl Coordinator {
             });
         }
 
-        let results = self.merge(batch, &per_shard, &routes, &failed)?;
+        // Merge: each shard is one remote segment. Routes are ascending
+        // batch indexes, so walking the batch in order consumes every
+        // shard's answers in the order it sent them.
+        let mut routes: Vec<_> = routes.iter().map(|r| r.iter().peekable()).collect();
+        let mut results = Vec::with_capacity(batch.len());
+        for (qi, q) in batch.queries().iter().enumerate() {
+            let parts = self
+                .shards
+                .iter()
+                .enumerate()
+                .map(|(s, conn)| {
+                    let routed_here = routes[s].next_if_eq(&&qi).is_some();
+                    let answer = match &mut shard_rounds[s] {
+                        Round::Failed => Answer::Missing,
+                        Round::Answered(sent) if routed_here => {
+                            // The client checked one result per routed query.
+                            Answer::Material(sent.next().expect("one answer per routed query"))
+                        }
+                        // Routed away — this query, or the whole round.
+                        _ => Answer::Pruned {
+                            has_kept: conn.has_kept,
+                        },
+                    };
+                    (IdMap::Table(&conn.global_ids), answer)
+                })
+                .collect();
+            // A wrong variant or an out-of-range local id is a shard
+            // breaking protocol, never a panic or a silently wrong merge.
+            results.push(merge(q, parts).map_err(|e| CoordinatorError::Protocol {
+                shard: e.segment,
+                addr: self.shards[e.segment].addr.clone(),
+                reason: e.reason,
+            })?);
+        }
+
         let missing_shards: Vec<usize> = failures.iter().map(|&(i, _)| i).collect();
         let status = if missing_shards.is_empty() {
             ResponseStatus::Complete
@@ -635,157 +668,6 @@ impl Coordinator {
             failures,
         })
     }
-
-    /// Merges per-shard raw results into final answers — the remote
-    /// twin of `ShardedQueryEngine`'s in-process merge. `per_shard[s]`
-    /// is `None` for shards that were pruned or degraded away
-    /// (`failed` distinguishes the two); `routes[s]` maps each shard's
-    /// sub-batch positions back to batch indexes.
-    fn merge(
-        &self,
-        batch: &QueryBatch,
-        per_shard: &[Option<Vec<ShardResult>>],
-        routes: &[Vec<usize>],
-        failed: &[bool],
-    ) -> Result<Vec<QueryResult>, CoordinatorError> {
-        let answered: Vec<usize> = per_shard
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_ref().map(|_| i))
-            .collect();
-        // The ascending id universe the kNN infinite-fill draws from:
-        // the union of every non-*failed* shard's global ids — equal
-        // to `0..total` when no shard failed (preserving byte-identity
-        // with in-process execution; pruned shards' data is still part
-        // of the database being answered over), the reachable subset
-        // when degraded.
-        let mut universe: Vec<TrajId> = (0..self.shards.len())
-            .filter(|&s| !failed[s])
-            .flat_map(|s| self.shards[s].global_ids.iter().copied())
-            .collect();
-        universe.sort_unstable();
-
-        // pos[s][qi] = position of batch query `qi` in shard `s`'s
-        // sub-batch, or `usize::MAX` when routed away from it.
-        let pos: Vec<Vec<usize>> = routes
-            .iter()
-            .map(|route| {
-                let mut p = vec![usize::MAX; batch.len()];
-                for (j, &qi) in route.iter().enumerate() {
-                    p[qi] = j;
-                }
-                p
-            })
-            .collect();
-
-        let mut out = Vec::with_capacity(batch.len());
-        for (qi, q) in batch.queries().iter().enumerate() {
-            let result = match q {
-                Query::Range(_) => {
-                    QueryResult::Range(self.merge_ids(qi, &answered, per_shard, &pos)?)
-                }
-                Query::Similarity(_) => {
-                    QueryResult::Similarity(self.merge_ids(qi, &answered, per_shard, &pos)?)
-                }
-                Query::Knn(k) => {
-                    let mut streams = Vec::with_capacity(answered.len());
-                    for &s in &answered {
-                        let j = pos[s][qi];
-                        if j == usize::MAX {
-                            continue; // routed away: contributes no candidates
-                        }
-                        let ShardResult::Candidates(cands) = &shard_results(per_shard, s)[j] else {
-                            return Err(self.protocol(s, "expected knn candidates"));
-                        };
-                        let mut remapped = Vec::with_capacity(cands.len());
-                        for &(d, local) in cands {
-                            remapped.push((d, self.remap_one(s, local)?));
-                        }
-                        streams.push(remapped);
-                    }
-                    let merged = merge_knn_candidates(k.k, &streams);
-                    QueryResult::Knn(knn_take_fill(k.k, &merged, universe.iter().copied()))
-                }
-                Query::RangeKept(_) => {
-                    // `Some` only when at least one shard survives and
-                    // every surviving shard has its kept bitmap —
-                    // answering shards say so in-band, shards this
-                    // query was routed away from said so at handshake —
-                    // mirroring `ShardedQueryEngine::has_kept_bitmaps`.
-                    let mut lists = Vec::with_capacity(answered.len());
-                    let mut all_kept = failed.iter().any(|&f| !f);
-                    for s in 0..self.shards.len() {
-                        if failed[s] {
-                            continue;
-                        }
-                        match per_shard[s].as_ref().map(|r| (r, pos[s][qi])) {
-                            Some((results, j)) if j != usize::MAX => match &results[j] {
-                                ShardResult::Kept(Some(ids)) => {
-                                    lists.push(self.remap(s, ids)?);
-                                }
-                                ShardResult::Kept(None) => all_kept = false,
-                                _ => return Err(self.protocol(s, "expected kept hits")),
-                            },
-                            // Pruned — whole round or just this query.
-                            _ => {
-                                if !self.shards[s].has_kept {
-                                    all_kept = false;
-                                }
-                            }
-                        }
-                    }
-                    QueryResult::RangeKept(all_kept.then(|| merge_global_ids(lists)))
-                }
-            };
-            out.push(result);
-        }
-        Ok(out)
-    }
-
-    fn merge_ids(
-        &self,
-        qi: usize,
-        answered: &[usize],
-        per_shard: &[Option<Vec<ShardResult>>],
-        pos: &[Vec<usize>],
-    ) -> Result<Vec<TrajId>, CoordinatorError> {
-        let mut lists = Vec::with_capacity(answered.len());
-        for &s in answered {
-            let j = pos[s][qi];
-            if j == usize::MAX {
-                continue; // routed away: contributes no hits
-            }
-            let ShardResult::Ids(ids) = &shard_results(per_shard, s)[j] else {
-                return Err(self.protocol(s, "expected id hits"));
-            };
-            lists.push(self.remap(s, ids)?);
-        }
-        Ok(merge_global_ids(lists))
-    }
-
-    fn remap_one(&self, shard: usize, local: TrajId) -> Result<TrajId, CoordinatorError> {
-        self.shards[shard]
-            .global_ids
-            .get(local)
-            .copied()
-            .ok_or_else(|| self.protocol(shard, "shard-local id out of placement range"))
-    }
-
-    fn remap(&self, shard: usize, local: &[TrajId]) -> Result<Vec<TrajId>, CoordinatorError> {
-        local.iter().map(|&l| self.remap_one(shard, l)).collect()
-    }
-
-    fn protocol(&self, shard: usize, reason: &'static str) -> CoordinatorError {
-        CoordinatorError::Protocol {
-            shard,
-            addr: self.shards[shard].addr.clone(),
-            reason,
-        }
-    }
-}
-
-fn shard_results(per_shard: &[Option<Vec<ShardResult>>], s: usize) -> &[ShardResult] {
-    per_shard[s].as_deref().expect("shard listed as answered")
 }
 
 /// Dials one shard and runs the handshake, verifying the shard serves
@@ -859,28 +741,14 @@ fn shard_round(
     }
 }
 
-/// One queued submission waiting for a coalesced fan-out round.
-struct SharedJob {
-    queries: Vec<Query>,
-    reply: SyncSender<Result<DistributedResponse, CoordinatorError>>,
-}
-
-#[derive(Default)]
-struct SharedQueue {
-    jobs: VecDeque<SharedJob>,
-    queued_queries: usize,
-}
-
 struct SharedState {
     coordinator: Coordinator,
-    queue: Mutex<SharedQueue>,
-    available: Condvar,
-    shutting_down: AtomicBool,
+    admission: Admission<Result<DistributedResponse, CoordinatorError>>,
 }
 
-/// The coalescing front of a [`Coordinator`]: the same admission/linger
-/// layer the single-process [`Server`](crate::Server) batches with, put
-/// in front of the distributed fan-out. N concurrent callers submit
+/// The coalescing front of a [`Coordinator`]: the admission queue the
+/// single-process [`Server`](crate::Server) batches with, put in front
+/// of the distributed fan-out. N concurrent callers submit
 /// batches; a small pool of executor threads coalesces everything that
 /// arrived together into *one* wire round per shard (amortizing
 /// framing, syscalls, and shard-side engine passes) and routes each
@@ -900,7 +768,7 @@ impl SharedCoordinator {
     /// Wraps a connected coordinator in an admission queue drained by
     /// `executors` coalescing threads (at least one). `cfg` bounds the
     /// coalesced batch size and the linger window exactly as it does
-    /// for [`Server`](crate::Server) batched mode.
+    /// for [`Server`](crate::Server).
     #[must_use]
     pub fn start(
         coordinator: Coordinator,
@@ -909,9 +777,7 @@ impl SharedCoordinator {
     ) -> SharedCoordinator {
         let shared = Arc::new(SharedState {
             coordinator,
-            queue: Mutex::new(SharedQueue::default()),
-            available: Condvar::new(),
-            shutting_down: AtomicBool::new(false),
+            admission: Admission::new(),
         });
         let executors = (0..executors.max(1))
             .map(|_| {
@@ -933,17 +799,10 @@ impl SharedCoordinator {
         &self,
         batch: &QueryBatch,
     ) -> Result<DistributedResponse, CoordinatorError> {
-        let (tx, rx) = sync_channel(1);
-        {
-            let mut q = self.shared.queue.lock().expect("queue lock");
-            q.queued_queries += batch.len();
-            q.jobs.push_back(SharedJob {
-                queries: batch.queries().to_vec(),
-                reply: tx,
-            });
-        }
-        self.shared.available.notify_one();
-        rx.recv().map_err(|_| CoordinatorError::Closed)?
+        self.shared
+            .admission
+            .submit(batch.queries().to_vec())
+            .unwrap_or(Err(CoordinatorError::Closed))
     }
 
     /// The wrapped coordinator (for stats and placement introspection).
@@ -958,9 +817,9 @@ impl SharedCoordinator {
         self.shared.coordinator.stats()
     }
 
-    /// Stops the executors and joins them. Queued or in-flight batches
-    /// fail with [`CoordinatorError::Closed`]. Idempotent; also runs on
-    /// drop.
+    /// Stops the executors once they have served what is already
+    /// queued, and joins them. Later submissions fail with
+    /// [`CoordinatorError::Closed`]. Idempotent; also runs on drop.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -970,8 +829,7 @@ impl SharedCoordinator {
             return;
         }
         self.done = true;
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        self.shared.available.notify_all();
+        self.shared.admission.close();
         for h in self.executors.drain(..) {
             let _ = h.join();
         }
@@ -984,81 +842,23 @@ impl Drop for SharedCoordinator {
     }
 }
 
-/// The admission drain — the distributed twin of the server's executor
-/// loop: wait for the first submission, linger briefly so concurrent
-/// arrivals coalesce, run everything taken as one fan-out round, and
-/// route the slices back.
+/// The admission drain: one fan-out round per coalesced batch, each
+/// rider replied its slice of the merged results under the round's
+/// status (a degraded round degrades every rider).
 fn shared_executor_loop(state: &Arc<SharedState>, cfg: BatchConfig) {
-    let max_queries = cfg.max_queries.max(1);
-    loop {
-        let jobs = {
-            let mut q = state.queue.lock().expect("queue lock");
-            while q.jobs.is_empty() {
-                if state.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                q = state.available.wait(q).expect("queue lock");
-            }
-            if !cfg.linger.is_zero() {
-                let deadline = Instant::now() + cfg.linger;
-                while q.queued_queries < max_queries {
-                    let now = Instant::now();
-                    if now >= deadline || state.shutting_down.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let (guard, _timeout) = state
-                        .available
-                        .wait_timeout(q, deadline - now)
-                        .expect("queue lock");
-                    q = guard;
-                }
-            }
-            // Take whole jobs up to the batch bound (always at least
-            // one, so an oversized submission still rides — alone).
-            let mut jobs: Vec<SharedJob> = Vec::new();
-            let mut taken = 0usize;
-            while let Some(job) = q.jobs.front() {
-                if !jobs.is_empty() && taken + job.queries.len() > max_queries {
-                    break;
-                }
-                taken += job.queries.len();
-                let job = q.jobs.pop_front().expect("front checked");
-                jobs.push(job);
-            }
-            q.queued_queries -= taken;
-            jobs
-        };
-        if jobs.is_empty() {
-            continue;
-        }
-
-        // One coalesced fan-out round over everything admitted.
-        let lens: Vec<usize> = jobs.iter().map(|j| j.queries.len()).collect();
-        let mut combined: Vec<Query> = Vec::with_capacity(lens.iter().sum());
-        let mut replies = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            combined.extend(job.queries);
-            replies.push(job.reply);
-        }
-        let batch = QueryBatch::from_queries(combined);
-        match state.coordinator.execute_batch(&batch) {
-            Ok(resp) => {
-                let mut results = resp.results.into_iter();
-                for (len, reply) in lens.into_iter().zip(replies) {
-                    let slice: Vec<QueryResult> = results.by_ref().take(len).collect();
-                    // A receiver that gave up is fine.
-                    let _ = reply.send(Ok(DistributedResponse {
-                        results: slice,
+    state.admission.run(cfg, |batch, lens| {
+        match state.coordinator.execute_batch(batch) {
+            Ok(resp) => split(resp.results, lens)
+                .into_iter()
+                .map(|results| {
+                    Ok(DistributedResponse {
+                        results,
                         status: resp.status.clone(),
                         failures: resp.failures.clone(),
-                    }));
-                }
-            }
-            Err(e) => {
-                for reply in replies {
-                    let _ = reply.send(Err(e.clone()));
-                }
-            }
+                    })
+                })
+                .collect(),
+            Err(e) => lens.iter().map(|_| Err(e.clone())).collect(),
         }
-    }
+    });
 }

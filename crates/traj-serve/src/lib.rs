@@ -2,34 +2,35 @@
 //! boundary the typed `Query`/`QueryResult`/`QueryBatch` plans were
 //! designed for.
 //!
-//! Three layers:
+//! The layers:
 //!
 //! - [`wire`] — a versioned, length-prefixed, checksummed little-endian
 //!   frame format carrying whole batch plans and their results, with a
 //!   typed [`WireError`] for every corruption class (mirroring the
 //!   snapshot codec's discipline, and reusing its encode primitives);
-//! - [`server`] — a multi-threaded TCP server sharing one immutable
-//!   [`TrajDb`](traj_query::TrajDb) across all connections, whose
-//!   **admission/batching layer** coalesces queries arriving
-//!   concurrently on many connections into single heterogeneous
-//!   work-stealing engine passes (vs. the naive one-engine-pass-per-
-//!   request mode it is benchmarked against);
+//! - [`server`] — a multi-threaded TCP server sharing one database
+//!   (an immutable [`TrajDb`](traj_query::TrajDb) or a live
+//!   [`GenerationalDb`](traj_query::GenerationalDb)) across all
+//!   connections, whose **admission queue** ([`BatchConfig`]) coalesces
+//!   queries arriving concurrently on many connections into single
+//!   heterogeneous work-stealing engine passes;
 //! - [`client`] — a blocking client speaking the same frames (with
 //!   optional connect/read/write deadlines), plus the
 //!   `traj_bench_client` load generator that measures throughput and
-//!   p50/p95/p99 latency for both execution modes;
+//!   p50/p95/p99 latency;
 //! - [`coordinator`] — the distributed layer: a fleet of `shardd`
 //!   processes each serving one shard's snapshot, a [`Placement`] map
 //!   read from the shard manifest's `addr=`/`bounds=` assignments, and
 //!   a [`Coordinator`] that routes each batch to only the shards whose
 //!   bounds can contribute (a fully-pruned shard gets no frame at
 //!   all), fans the sub-batches out in parallel over pooled id-tagged
-//!   connections, and merges per-shard answers byte-identically to the
-//!   in-process sharded engine — with timeouts, bounded retries, and a
-//!   per-request [`FailurePolicy`] for typed degraded answers. A
-//!   [`SharedCoordinator`] puts the server's admission/linger layer in
-//!   front so concurrent submissions coalesce into one wire round per
-//!   shard;
+//!   connections, and hands the per-shard material to the one
+//!   [`merge`](traj_query::merge) every in-process executor uses — each
+//!   shard process is a remote segment — with timeouts, bounded
+//!   retries, and a per-request [`FailurePolicy`] for typed degraded
+//!   answers. A [`SharedCoordinator`] puts the server's admission queue
+//!   in front so concurrent submissions coalesce into one wire round
+//!   per shard;
 //! - [`fault`] — a byte-level fault-injecting TCP proxy ([`FaultProxy`])
 //!   used by the test suites to prove every injected failure surfaces
 //!   as a typed error or a correct degraded answer, never a wrong one.
@@ -51,6 +52,7 @@
 
 #![warn(missing_docs)]
 
+mod admission;
 pub mod client;
 pub mod coordinator;
 pub mod fault;
@@ -64,8 +66,7 @@ pub use coordinator::{
 };
 pub use fault::{Fault, FaultDirection, FaultProxy};
 pub use server::{
-    execute_shard_batch, BatchConfig, ExecutionMode, ServeDb, ServeOptions, Server, ServerStats,
-    ERR_INGEST_FAILED, ERR_READ_ONLY,
+    BatchConfig, ServeDb, ServeOptions, Server, ServerStats, ERR_INGEST_FAILED, ERR_READ_ONLY,
 };
 pub use wire::{
     decode_message, encode_message, read_message, write_message, IngestAck, Message, ShardInfo,

@@ -1,48 +1,41 @@
-//! Multi-threaded TCP server fronting one shared [`TrajDb`].
+//! Multi-threaded TCP server fronting one shared database.
 //!
 //! One listener thread accepts connections; each connection gets a
 //! handler thread that reads framed requests and writes framed
 //! responses. What happens *between* read and write is the point of
-//! this module — the [`ExecutionMode`]:
+//! this module — the admission/batching layer: handler threads enqueue
+//! their queries into a shared admission queue and
+//! a small pool of persistent executor threads coalesces everything
+//! that arrived concurrently — across *all* connections — into one
+//! heterogeneous [`QueryBatch`] executed in a single work-stealing
+//! `execute_batch` pass. A bounded batch size and a microsecond-scale
+//! linger window ([`BatchConfig`]) trade a little queueing delay for
+//! much better per-query overhead; results are routed back to each
+//! waiting connection in submission order.
 //!
-//! - [`ExecutionMode::PerRequest`] is the naive architecture: every
-//!   request runs its own engine pass on a freshly spawned thread
-//!   (thread-per-request). Request count × (spawn + schedule + join)
-//!   overhead, and no work sharing between concurrent requests.
-//! - [`ExecutionMode::Batched`] is the admission/batching layer:
-//!   handler threads enqueue their queries into a shared admission
-//!   queue and a small pool of persistent executor threads coalesces
-//!   everything that arrived concurrently — across *all* connections —
-//!   into one heterogeneous [`QueryBatch`] executed in a single
-//!   work-stealing `execute_batch` pass. A bounded batch size and a
-//!   microsecond-scale linger window trade a little queueing delay for
-//!   much better per-query overhead; results are routed back to each
-//!   waiting connection in submission order.
-//!
-//! The database is opened once and shared immutably (`TrajDb` is
-//! `Send + Sync`; the static assertion below keeps that honest), so
-//! every layout the façade auto-detects — CSV, snapshot, quantized
-//! snapshot, shard directory — serves over the wire unchanged.
+//! The database is opened once and shared (`TrajDb` is `Send + Sync`;
+//! the static assertion below keeps that honest), so every layout the
+//! façade auto-detects — CSV, snapshot, quantized snapshot, shard
+//! directory — serves over the wire unchanged, as does a live
+//! [`GenerationalDb`].
 
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use traj_query::{
-    DbOptions, GenerationalDb, IngestReport, Query, QueryBatch, QueryExecutor, QueryResult, TrajDb,
+    DbOptions, GenerationalDb, IngestReport, QueryBatch, QueryExecutor, QueryResult, TrajDb,
     TrajDbError,
 };
 use trajectory::Trajectory;
 
-use crate::wire::{
-    read_message, write_message, IngestAck, Message, ShardInfo, ShardResult, WireError,
-};
+pub use crate::admission::BatchConfig;
+use crate::admission::{split, Admission};
+use crate::wire::{read_message, write_message, IngestAck, Message, ShardInfo, WireError};
 
 // The database must stay shareable across connection handler threads;
 // if a future backend loses Send/Sync this fails to compile right here
@@ -107,14 +100,6 @@ impl ServeDb {
         }
     }
 
-    /// Smallest cube covering every served point (for the handshake).
-    fn bounding_cube(&self) -> trajectory::Cube {
-        match self {
-            ServeDb::Static(db) => db.bounding_cube(),
-            ServeDb::Live(db) => db.bounding_cube(),
-        }
-    }
-
     /// Appends a batch: `None` when this database is read-only,
     /// otherwise the delta store's report (or the I/O error).
     fn ingest(&self, trajs: &[Trajectory]) -> Option<std::io::Result<IngestReport>> {
@@ -125,54 +110,21 @@ impl ServeDb {
     }
 }
 
-/// Tuning for [`ExecutionMode::Batched`].
-#[derive(Debug, Clone, Copy)]
-pub struct BatchConfig {
-    /// Maximum queries coalesced into one engine pass. Whole requests
-    /// are never split, so one oversized request still executes alone.
-    pub max_queries: usize,
-    /// How long an executor waits for more queries to arrive after the
-    /// first one. Microsecond-scale: bounds added latency while letting
-    /// genuinely concurrent arrivals coalesce.
-    pub linger: Duration,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            max_queries: 256,
-            linger: Duration::from_micros(100),
-        }
-    }
-}
-
-/// How the server turns admitted requests into engine passes.
-#[derive(Debug, Clone, Copy)]
-pub enum ExecutionMode {
-    /// One freshly spawned engine pass per request (the naive
-    /// thread-per-request baseline the batched mode is measured
-    /// against).
-    PerRequest,
-    /// Admission queue + persistent executors coalescing concurrent
-    /// requests into shared engine passes.
-    Batched(BatchConfig),
-}
-
 /// Server configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// Execution mode (default: batched with [`BatchConfig::default`]).
-    pub mode: ExecutionMode,
-    /// Executor threads draining the admission queue in batched mode
-    /// (ignored in per-request mode). Usually 1: each pass is already
-    /// internally parallel via the engine's work-stealing `par_map`.
+    /// Admission tuning: coalesced batch bound and linger window.
+    pub batch: BatchConfig,
+    /// Executor threads draining the admission queue. Usually 1: each
+    /// pass is already internally parallel via the engine's
+    /// work-stealing `par_map`.
     pub executors: usize,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
-            mode: ExecutionMode::Batched(BatchConfig::default()),
+            batch: BatchConfig::default(),
             executors: 1,
         }
     }
@@ -184,23 +136,14 @@ impl ServeOptions {
     pub fn batched() -> Self {
         ServeOptions::default()
     }
-
-    /// The naive per-request baseline.
-    #[must_use]
-    pub fn per_request() -> Self {
-        ServeOptions {
-            mode: ExecutionMode::PerRequest,
-            ..ServeOptions::default()
-        }
-    }
 }
 
 /// A point-in-time snapshot of the server's counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServerStats {
-    /// Requests answered (any mode).
+    /// Requests answered.
     pub requests: u64,
-    /// Queries executed (any mode).
+    /// Queries executed.
     pub queries: u64,
     /// Engine passes run by batched executors.
     pub batches: u64,
@@ -224,24 +167,9 @@ impl ServerStats {
     }
 }
 
-/// One admitted request waiting for an engine pass: its queries and
-/// the channel that routes results back to the connection handler.
-struct Job {
-    queries: Vec<Query>,
-    reply: SyncSender<Vec<QueryResult>>,
-}
-
-#[derive(Default)]
-struct QueueState {
-    jobs: VecDeque<Job>,
-    queued_queries: usize,
-}
-
 struct Shared {
     db: ServeDb,
-    mode: ExecutionMode,
-    queue: Mutex<QueueState>,
-    available: Condvar,
+    admission: Admission<Vec<QueryResult>>,
     shutting_down: AtomicBool,
     requests: AtomicU64,
     queries: AtomicU64,
@@ -249,7 +177,12 @@ struct Shared {
     batched_queries: AtomicU64,
     ingests: AtomicU64,
     ingested_trajs: AtomicU64,
-    conns: Mutex<Vec<TcpStream>>,
+    /// A duplicate handle on every *live* connection's socket, keyed by
+    /// connection number, so shutdown can unblock handlers parked in a
+    /// read. A handler removes its own entry when it returns.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Handler threads not yet joined; finished ones are reaped on the
+    /// next accept, the rest at shutdown.
     handlers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -289,9 +222,7 @@ impl Server {
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
             db: db.into(),
-            mode: opts.mode,
-            queue: Mutex::new(QueueState::default()),
-            available: Condvar::new(),
+            admission: Admission::new(),
             shutting_down: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             queries: AtomicU64::new(0),
@@ -299,17 +230,16 @@ impl Server {
             batched_queries: AtomicU64::new(0),
             ingests: AtomicU64::new(0),
             ingested_trajs: AtomicU64::new(0),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             handlers: Mutex::new(Vec::new()),
         });
 
-        let mut executors = Vec::new();
-        if let ExecutionMode::Batched(cfg) = opts.mode {
-            for _ in 0..opts.executors.max(1) {
+        let executors = (0..opts.executors.max(1))
+            .map(|_| {
                 let shared = Arc::clone(&shared);
-                executors.push(std::thread::spawn(move || executor_loop(&shared, cfg)));
-            }
-        }
+                std::thread::spawn(move || executor_loop(&shared, opts.batch))
+            })
+            .collect();
 
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::spawn(move || accept_loop(&listener, &accept_shared));
@@ -354,10 +284,10 @@ impl Server {
         }
         self.done = true;
         self.shared.shutting_down.store(true, Ordering::SeqCst);
-        // Wake executors blocked on the admission queue.
-        self.shared.available.notify_all();
+        // Let the executors drain what is queued and exit.
+        self.shared.admission.close();
         // Unblock handler threads blocked in read_message.
-        for conn in self.shared.conns.lock().expect("conns lock").iter() {
+        for conn in self.shared.conns.lock().expect("conns lock").values() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         // Unblock the accept loop with a throwaway connection.
@@ -382,7 +312,7 @@ impl Drop for Server {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
+    for conn_id in 0u64.. {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(_) => {
@@ -397,19 +327,35 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         }
         let _ = stream.set_nodelay(true);
         if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().expect("conns lock").push(clone);
+            shared
+                .conns
+                .lock()
+                .expect("conns lock")
+                .insert(conn_id, clone);
         }
         let handler_shared = Arc::clone(shared);
-        let handle = std::thread::spawn(move || handle_connection(stream, &handler_shared));
-        shared.handlers.lock().expect("handlers lock").push(handle);
+        let handle =
+            std::thread::spawn(move || handle_connection(stream, conn_id, &handler_shared));
+        let mut handlers = shared.handlers.lock().expect("handlers lock");
+        // Reap the handlers of connections that have closed since, so a
+        // long-lived server holds handles only for live connections.
+        let (finished, live): (Vec<_>, Vec<_>) =
+            handlers.drain(..).partition(JoinHandle::is_finished);
+        *handlers = live;
+        handlers.push(handle);
+        drop(handlers);
+        for h in finished {
+            let _ = h.join();
+        }
     }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+fn handle_connection(mut stream: TcpStream, conn_id: u64, shared: &Arc<Shared>) {
     serve_connection(&mut stream, shared);
-    // The conns registry holds a duplicate fd for this socket, so merely
-    // dropping our handle would not send FIN; shut the socket itself
-    // down so the peer sees end-of-stream.
+    // Drop the registry's duplicate fd with the connection, then shut
+    // the socket down so the peer sees end-of-stream even if shutdown
+    // raced us and still holds a clone.
+    shared.conns.lock().expect("conns lock").remove(&conn_id);
     let _ = stream.shutdown(Shutdown::Both);
 }
 
@@ -420,19 +366,25 @@ fn serve_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
         }
         let reply = match read_message(stream) {
             Ok(Some(Message::Request(batch))) => {
-                let results = execute(shared, batch);
-                Message::Response(results)
+                shared
+                    .queries
+                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                match shared.admission.submit(batch.into_queries()) {
+                    Some(results) => Message::Response(results),
+                    // The queue closed under us: the server is going down.
+                    None => return,
+                }
             }
             // Distributed-serving frames bypass the admission queue:
             // the coordinator already batches per shard, and shard
             // results (scored kNN candidates, raw local hits) are not
-            // expressible as the `Job` results the executors route.
+            // the `QueryResult`s the executors route.
             Ok(Some(Message::Hello)) => {
                 // Bounds come from the decoded store, so for quantized
                 // snapshots they match the manifest's `bounds=` lines
                 // bitwise (both are computed post-decode).
                 let db = shared.db.executor();
-                let bounds = (db.total_points() > 0).then(|| shared.db.bounding_cube());
+                let bounds = (db.total_points() > 0).then(|| db.bounding_cube());
                 Message::ShardInfo(ShardInfo {
                     trajs: db.len() as u64,
                     points: db.total_points() as u64,
@@ -444,9 +396,12 @@ fn serve_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
                 shared
                     .queries
                     .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                // This whole database answers as one segment of the
+                // coordinator's: raw material in its own ids, merged there.
+                let db = shared.db.executor();
                 Message::ShardResponse {
                     id,
-                    results: serve_shard_batch(&shared.db, &batch),
+                    results: batch.queries().iter().map(|q| db.shard_result(q)).collect(),
                 }
             }
             // Writes bypass the admission queue: the delta store already
@@ -510,146 +465,15 @@ fn serve_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Executes a batch as one *shard* of a distributed database: raw
-/// shard-local results — no global-id remap, no kNN infinite-fill —
-/// exactly the per-shard material `ShardedQueryEngine` produces before
-/// its in-process merge. The coordinator applies the placement map's
-/// remap and the global merge; the equivalence suite pins the two paths
-/// byte-identical.
-#[must_use]
-pub fn execute_shard_batch(db: &TrajDb, batch: &QueryBatch) -> Vec<ShardResult> {
-    batch
-        .queries()
-        .iter()
-        .map(|q| match q {
-            Query::Range(c) => ShardResult::Ids(db.range(c)),
-            Query::Knn(k) => ShardResult::Candidates(db.knn_candidates(k)),
-            Query::Similarity(s) => ShardResult::Ids(db.similarity(s)),
-            Query::RangeKept(c) => ShardResult::Kept(db.range_kept(c)),
-        })
-        .collect()
-}
-
-/// [`execute_shard_batch`] over either serving layout. A live database
-/// produces the same per-shard material — its merged `knn_candidates`
-/// already have the canonical candidate shape (finite, `(d, id)`
-/// ascending, truncated to `k`, `-0.0`-normalized).
-fn serve_shard_batch(db: &ServeDb, batch: &QueryBatch) -> Vec<ShardResult> {
-    match db {
-        ServeDb::Static(db) => execute_shard_batch(db, batch),
-        ServeDb::Live(db) => batch
-            .queries()
-            .iter()
-            .map(|q| match q {
-                Query::Range(c) => ShardResult::Ids(db.range(c)),
-                Query::Knn(k) => ShardResult::Candidates(db.knn_candidates(k)),
-                Query::Similarity(s) => ShardResult::Ids(db.similarity(s)),
-                Query::RangeKept(c) => ShardResult::Kept(db.range_kept(c)),
-            })
-            .collect(),
-    }
-}
-
-fn execute(shared: &Arc<Shared>, batch: QueryBatch) -> Vec<QueryResult> {
-    shared
-        .queries
-        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-    match shared.mode {
-        ExecutionMode::PerRequest => {
-            // The naive baseline: a dedicated engine pass on its own
-            // freshly spawned thread, per request.
-            let db = Arc::clone(shared);
-            std::thread::spawn(move || db.db.executor().execute_batch(&batch))
-                .join()
-                .expect("per-request engine pass panicked")
-        }
-        ExecutionMode::Batched(_) => {
-            let (tx, rx) = sync_channel(1);
-            let n = batch.len();
-            {
-                let mut q = shared.queue.lock().expect("queue lock");
-                q.queued_queries += n;
-                q.jobs.push_back(Job {
-                    queries: batch.into_queries(),
-                    reply: tx,
-                });
-            }
-            shared.available.notify_one();
-            rx.recv().expect("executor dropped reply channel")
-        }
-    }
-}
-
-/// The admission drain: waits for work, lingers briefly to let
-/// concurrent arrivals coalesce, then runs everything it took in one
-/// heterogeneous engine pass and routes the slices back.
+/// The admission drain: one heterogeneous engine pass per coalesced
+/// batch, each rider replied its slice of the results.
 fn executor_loop(shared: &Arc<Shared>, cfg: BatchConfig) {
-    let max_queries = cfg.max_queries.max(1);
-    loop {
-        let jobs = {
-            let mut q = shared.queue.lock().expect("queue lock");
-            // Wait for the first job (or shutdown).
-            while q.jobs.is_empty() {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                q = shared.available.wait(q).expect("queue lock");
-            }
-            // Linger: give concurrently arriving requests a short,
-            // bounded window to join this pass.
-            if !cfg.linger.is_zero() {
-                let deadline = Instant::now() + cfg.linger;
-                while q.queued_queries < max_queries {
-                    let now = Instant::now();
-                    if now >= deadline || shared.shutting_down.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let (guard, _timeout) = shared
-                        .available
-                        .wait_timeout(q, deadline - now)
-                        .expect("queue lock");
-                    q = guard;
-                }
-            }
-            // Take whole jobs up to the batch bound (always at least
-            // one, so an oversized request still executes — alone).
-            let mut jobs: Vec<Job> = Vec::new();
-            let mut taken = 0usize;
-            while let Some(job) = q.jobs.front() {
-                if !jobs.is_empty() && taken + job.queries.len() > max_queries {
-                    break;
-                }
-                taken += job.queries.len();
-                let job = q.jobs.pop_front().expect("front checked");
-                jobs.push(job);
-            }
-            q.queued_queries -= taken;
-            jobs
-        };
-        if jobs.is_empty() {
-            continue;
-        }
-
-        // One heterogeneous pass over everything admitted.
-        let lens: Vec<usize> = jobs.iter().map(|j| j.queries.len()).collect();
-        let mut combined: Vec<Query> = Vec::with_capacity(lens.iter().sum());
-        let mut replies = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            combined.extend(job.queries);
-            replies.push(job.reply);
-        }
-        let batch = QueryBatch::from_queries(combined);
-        let mut results = shared.db.executor().execute_batch(&batch).into_iter();
+    shared.admission.run(cfg, |batch: &QueryBatch, lens| {
+        let results = shared.db.executor().execute_batch(batch);
         shared.batches.fetch_add(1, Ordering::Relaxed);
         shared
             .batched_queries
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-
-        // Route each job's slice of the results back, in order.
-        for (len, reply) in lens.into_iter().zip(replies) {
-            let slice: Vec<QueryResult> = results.by_ref().take(len).collect();
-            // A receiver that gave up (connection died) is fine.
-            let _ = reply.send(slice);
-        }
-    }
+        split(results, lens)
+    });
 }

@@ -241,23 +241,12 @@ pub struct ShardInfo {
     pub bounds: Option<Cube>,
 }
 
-/// One query's *shard-local* answer inside a [`Message::ShardResponse`]
-/// — the raw per-shard material the coordinator merges exactly as
-/// `ShardedQueryEngine` merges in-process shards. Ids are already
-/// global when the shard serves a whole shard snapshot (its engine maps
+/// One shard's raw answer to one query — re-exported from
+/// `traj-query`, where [`merge`](traj_query::merge) consumes it. A
+/// shard process answers in its own trajectory ids (mapping
 /// local→global is the coordinator's job via the placement map — see
 /// `traj_serve::coordinator`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ShardResult {
-    /// Range/similarity hits, shard-local ids ascending.
-    Ids(Vec<TrajId>),
-    /// Kept-bitmap range hits; `None` when the shard has no bitmap.
-    Kept(Option<Vec<TrajId>>),
-    /// kNN candidates: finite `(distance, shard-local id)` pairs sorted
-    /// ascending by `(distance, id)`, truncated to the query's `k`,
-    /// `-0.0`-normalized — the shape `knn_candidates` produces.
-    Candidates(Vec<(f64, TrajId)>),
-}
+pub use traj_query::ShardResult;
 
 /// What a live server reports back for one [`Message::Ingest`] frame,
 /// sent only after the delta store's WAL has been synced — an ack means

@@ -13,8 +13,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use traj_query::{
-    knn_take_fill, merge_global_ids, merge_knn_candidates, DbOptions, Dissimilarity, KnnQuery,
-    Query, QueryBatch, QueryExecutor, QueryResult, SimilarityQuery, TrajDb,
+    knn_take_fill, merge_knn_candidates, DbOptions, Dissimilarity, KnnQuery, Query, QueryBatch,
+    QueryExecutor, QueryResult, SimilarityQuery, TrajDb,
 };
 use traj_serve::wire::{encode_message, Message};
 use traj_serve::{
@@ -265,9 +265,16 @@ fn distributed_matches_in_process_across_the_matrix() {
     }
 }
 
+/// Concatenates per-shard global-id lists and sorts them ascending.
+fn merge_global_ids(per_shard: Vec<Vec<TrajId>>) -> Vec<TrajId> {
+    let mut out: Vec<TrajId> = per_shard.into_iter().flatten().collect();
+    out.sort_unstable();
+    out
+}
+
 /// Computes the expected degraded answer by opening each *surviving*
-/// shard file as its own single-store database and merging through the
-/// same public merge functions the sharded engine uses.
+/// shard file as its own single-store database and merging by hand —
+/// an independent reference for the shared merge.
 fn expected_degraded(
     dir: &Path,
     set: &ShardSet,

@@ -17,8 +17,8 @@ use traj_query::{
 };
 use traj_serve::wire::{encode_message, Message};
 use traj_serve::{
-    execute_shard_batch, Client, ClientConfig, Fault, FaultDirection, FaultProxy, ServeOptions,
-    Server, ShardInfo, ShardResult, WireError,
+    Client, ClientConfig, Fault, FaultDirection, FaultProxy, ServeOptions, Server, ShardInfo,
+    ShardResult, WireError,
 };
 use trajectory::gen::{generate, DatasetSpec, Scale};
 use trajectory::TrajectoryDb;
@@ -77,7 +77,11 @@ fn fixture() -> &'static Fixture {
         let truth = TrajDb::from_store(db.to_store(), DbOptions::new());
         let batch = mixed_batch(&db);
         let results = truth.execute_batch(&batch);
-        let shard_results = execute_shard_batch(&truth, &batch);
+        let shard_results = batch
+            .queries()
+            .iter()
+            .map(|q| truth.shard_result(q))
+            .collect();
         let info = ShardInfo {
             trajs: truth.len() as u64,
             points: truth.total_points() as u64,

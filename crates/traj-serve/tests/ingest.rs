@@ -113,6 +113,68 @@ fn live_server_ingests_and_serves_immediately() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A live server is as good a shard as a static one: it answers the
+/// coordinator's handshake and `ShardRequest` frames byte-identically
+/// to a static server over the same trajectories — while the data
+/// still sits in the delta, and again after a compaction folded it.
+#[test]
+fn live_shard_frames_match_a_static_server_across_compaction() {
+    let base = dataset(7, 10);
+    let extra = dataset(29, 6);
+    let combined: TrajectoryDb = trajs_of(&base)
+        .into_iter()
+        .chain(trajs_of(&extra))
+        .collect();
+    let batch = mixed_batch(&combined);
+
+    let static_server = Server::start(
+        TrajDb::from_db(&combined, DbOptions::new()),
+        "127.0.0.1:0",
+        ServeOptions::batched(),
+    )
+    .expect("static server");
+    let mut static_client = Client::connect(static_server.local_addr()).expect("connect");
+    let want_info = static_client.hello().expect("static hello");
+    let want = static_client
+        .execute_shard_batch(&batch, 1)
+        .expect("static shard batch");
+
+    let dir = unique_dir("live_shard");
+    let db = Arc::new(
+        GenerationalDb::create(&dir, &base.to_store(), DbOptions::new(), keep_all())
+            .expect("create"),
+    );
+    let live_server = Server::start(Arc::clone(&db), "127.0.0.1:0", ServeOptions::batched())
+        .expect("live server");
+    let mut live_client = Client::connect(live_server.local_addr()).expect("connect");
+    live_client.ingest(&trajs_of(&extra)).expect("ingest acked");
+
+    for phase in ["delta", "compacted"] {
+        assert_eq!(
+            live_client.hello().expect("live hello"),
+            want_info,
+            "{phase}"
+        );
+        assert_eq!(
+            live_client
+                .execute_shard_batch(&batch, 2)
+                .expect("live shard batch"),
+            want,
+            "{phase}: live shard material diverges from the static server's"
+        );
+        assert_eq!(
+            db.compact().expect("compact").generation,
+            1,
+            "one fold, then a no-op"
+        );
+    }
+    assert_eq!(db.delta_points(), 0);
+
+    static_server.shutdown();
+    live_server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn ingested_data_survives_a_server_restart() {
     let base = dataset(5, 8);

@@ -1,9 +1,9 @@
 //! Integration tests: a server over loopback answers byte-identically
 //! to in-process `TrajDb` execution — for a mixed heterogeneous batch,
 //! across every storage layout the façade auto-detects (owned
-//! snapshot, mmap snapshot, shard directory, quantized snapshot), in
-//! both execution modes — and the admission layer routes coalesced
-//! results back to the right connection.
+//! snapshot, mmap snapshot, shard directory, quantized snapshot) — and
+//! the admission layer routes coalesced results back to the right
+//! connection.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,7 +14,7 @@ use traj_query::{
     SimilarityQuery, TrajDb,
 };
 use traj_serve::wire::{encode_message, Message};
-use traj_serve::{BatchConfig, Client, ExecutionMode, ServeOptions, Server};
+use traj_serve::{BatchConfig, Client, ServeOptions, Server};
 use trajectory::gen::{generate, DatasetSpec, Scale};
 use trajectory::shard::{partition, PartitionStrategy, ShardSet};
 use trajectory::snapshot::{write_snapshot_quantized, write_snapshot_with};
@@ -109,42 +109,28 @@ fn layouts(db: &TrajectoryDb) -> Vec<(&'static str, PathBuf, DbOptions)> {
 }
 
 #[test]
-fn loopback_matches_in_process_on_every_layout_and_mode() {
+fn loopback_matches_in_process_on_every_layout() {
     let db = dataset();
     let batch = mixed_batch(&db);
-    let modes: [(&str, ExecutionMode); 2] = [
-        ("per-request", ExecutionMode::PerRequest),
-        ("batched", ExecutionMode::Batched(BatchConfig::default())),
-    ];
     let layouts = layouts(&db);
     for (label, path, opts) in &layouts {
         let (path, opts) = (path.clone(), *opts);
         let expected = TrajDb::open(&path, opts)
             .expect("open for in-process baseline")
             .execute_batch(&batch);
-        for (mode_label, mode) in modes {
-            let server = Server::open(
-                &path,
-                opts,
-                "127.0.0.1:0",
-                ServeOptions { mode, executors: 1 },
-            )
+        let server = Server::open(&path, opts, "127.0.0.1:0", ServeOptions::batched())
             .expect("open + serve");
-            let mut client = Client::connect(server.local_addr()).expect("connect");
-            let got = client.execute_batch(&batch).expect("remote batch");
-            assert_eq!(
-                got, expected,
-                "layout `{label}`, mode `{mode_label}`: wire results diverge"
-            );
-            // Byte-identical on the wire, not merely equal in memory:
-            // re-encoding both sides gives the same frame.
-            assert_eq!(
-                encode_message(&Message::Response(got)),
-                encode_message(&Message::Response(expected.clone())),
-                "layout `{label}`, mode `{mode_label}`: encodings diverge"
-            );
-            server.shutdown();
-        }
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let got = client.execute_batch(&batch).expect("remote batch");
+        assert_eq!(got, expected, "layout `{label}`: wire results diverge");
+        // Byte-identical on the wire, not merely equal in memory:
+        // re-encoding both sides gives the same frame.
+        assert_eq!(
+            encode_message(&Message::Response(got)),
+            encode_message(&Message::Response(expected)),
+            "layout `{label}`: encodings diverge"
+        );
+        server.shutdown();
     }
     // The owned- and mmap-snapshot layouts share one file, so clean up
     // only after every layout has been exercised.
@@ -192,10 +178,10 @@ fn batched_admission_routes_results_to_the_right_connection() {
         served,
         "127.0.0.1:0",
         ServeOptions {
-            mode: ExecutionMode::Batched(BatchConfig {
+            batch: BatchConfig {
                 max_queries: 64,
                 linger: std::time::Duration::from_millis(2),
-            }),
+            },
             executors: 2,
         },
     )

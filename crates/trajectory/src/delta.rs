@@ -1,7 +1,7 @@
 //! Mutable delta store with a checksummed write-ahead log.
 //!
 //! Everything else in this crate is build-once-serve-forever: a
-//! [`PointStore`](crate::PointStore) is parsed or mapped once and never
+//! [`PointStore`] is parsed or mapped once and never
 //! mutated. This module adds the write side of the system — the small,
 //! bounded, *mutable* tier that live ingestion appends to while the big
 //! immutable base snapshot keeps serving reads:

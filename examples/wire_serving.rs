@@ -39,10 +39,10 @@ fn main() {
         DbOptions::new(),
         "127.0.0.1:0",
         ServeOptions {
-            mode: qdts::serve::ExecutionMode::Batched(BatchConfig {
+            batch: BatchConfig {
                 max_queries: 128,
                 linger: std::time::Duration::from_millis(1),
-            }),
+            },
             executors: 1,
         },
     )
