@@ -283,6 +283,15 @@ impl FromIterator<Query> for QueryBatch {
     }
 }
 
+impl<'a> IntoIterator for &'a QueryBatch {
+    type Item = &'a Query;
+    type IntoIter = std::slice::Iter<'a, Query>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.queries.iter()
+    }
+}
+
 impl Extend<Query> for QueryBatch {
     fn extend<I: IntoIterator<Item = Query>>(&mut self, iter: I) {
         self.queries.extend(iter);
@@ -376,7 +385,9 @@ pub trait QueryExecutor: Sync {
 
     /// Answers `q` as one *segment* of a larger database: raw merge
     /// material in this executor's own ids — no kNN infinite-fill — for
-    /// [`merge`](crate::merge) to combine with other segments'.
+    /// [`merge`](crate::merge) to combine with other segments'. The
+    /// one-query form, with the executor's full internal parallelism;
+    /// frames of queries go through [`QueryExecutor::shard_batch`].
     fn shard_result(&self, q: &Query) -> ShardResult {
         match q {
             Query::Range(c) => ShardResult::Ids(self.range(c)),
@@ -385,6 +396,16 @@ pub trait QueryExecutor: Sync {
             Query::RangeKept(c) => ShardResult::Kept(self.range_kept(c)),
         }
     }
+
+    /// Answers a whole frame of queries as one *segment* of a larger
+    /// database — the material twin of
+    /// [`QueryExecutor::execute_batch`], and what a shard server runs
+    /// for a coordinator's frame: **one** data-parallel pass over the
+    /// queries, each with sequential inner loops (`cores` threads, not
+    /// a spawn-and-join per query), over one consistent view of the
+    /// data. Element `i` equals [`QueryExecutor::shard_result`] of
+    /// query `i`.
+    fn shard_batch(&self, batch: &QueryBatch) -> Vec<ShardResult>;
 
     /// Executes one typed query **in the calling thread**, with
     /// sequential inner loops — the unit of work
@@ -497,6 +518,14 @@ impl QueryExecutor for QueryEngine<'_> {
             Query::Knn(k) => QueryResult::Knn(self.knn_seq(k)),
             Query::Similarity(s) => QueryResult::Similarity(self.similarity_seq(s)),
             Query::RangeKept(c) => QueryResult::RangeKept(self.range_kept_scratch(c, scratch)),
+        })
+    }
+
+    /// The same pass as [`QueryExecutor::execute_batch`] — per-worker
+    /// scratch, sequential inner loops — producing merge material.
+    fn shard_batch(&self, batch: &QueryBatch) -> Vec<ShardResult> {
+        par_map_with(batch.queries(), QueryScratch::new, |scratch, q| {
+            self.material_scratch(q, false, scratch)
         })
     }
 }
@@ -1012,6 +1041,13 @@ impl QueryExecutor for TrajDb {
         match &self.inner {
             Inner::Single(e) => e.as_ref().execute_batch(batch),
             Inner::Sharded(e) => e.execute_batch(batch),
+        }
+    }
+
+    fn shard_batch(&self, batch: &QueryBatch) -> Vec<ShardResult> {
+        match &self.inner {
+            Inner::Single(e) => e.shard_batch(batch),
+            Inner::Sharded(e) => e.shard_batch(batch),
         }
     }
 }

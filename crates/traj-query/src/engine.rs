@@ -666,15 +666,27 @@ impl<'a> QueryEngine<'a> {
     /// bounds prune passed. `parallel` selects the parallel or the
     /// sequential inner loops; the material is identical.
     pub(crate) fn material(&self, q: &Query, parallel: bool) -> ShardResult {
+        self.material_scratch(q, parallel, &mut QueryScratch::new())
+    }
+
+    /// [`QueryEngine::material`] reusing a worker's scratch buffers —
+    /// the per-query unit of a shard frame's batch pass
+    /// ([`QueryExecutor::shard_batch`](crate::QueryExecutor::shard_batch)).
+    pub(crate) fn material_scratch(
+        &self,
+        q: &Query,
+        parallel: bool,
+        scratch: &mut QueryScratch,
+    ) -> ShardResult {
         match q {
-            Query::Range(c) => ShardResult::Ids(self.range(c)),
+            Query::Range(c) => ShardResult::Ids(self.range_scratch(c, scratch)),
             Query::Knn(k) => ShardResult::Candidates(self.knn_candidates_impl(k, parallel)),
             Query::Similarity(s) => ShardResult::Ids(if parallel {
                 self.similarity(s)
             } else {
                 self.similarity_seq(s)
             }),
-            Query::RangeKept(c) => ShardResult::Kept(self.range_kept(c)),
+            Query::RangeKept(c) => ShardResult::Kept(self.range_kept_scratch(c, scratch)),
         }
     }
 
@@ -731,11 +743,12 @@ impl<'a> QueryEngine<'a> {
         finite
     }
 
-    /// Executes a batch of kNN queries (parallelism lives inside each
-    /// query's candidate scoring).
+    /// Executes a batch of kNN queries, parallel across queries. Each
+    /// query's candidate scoring runs sequentially inside its worker —
+    /// one level of parallelism, not `cores²` threads.
     #[must_use]
     pub fn knn_batch(&self, queries: &[KnnQuery]) -> Vec<Vec<TrajId>> {
-        queries.iter().map(|q| self.knn(q)).collect()
+        par_map(queries, |q| self.knn_seq(q))
     }
 
     // ------------------------------------------------------------------

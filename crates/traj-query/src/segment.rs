@@ -356,6 +356,22 @@ fn fan_out_ids(segments: &[Segment<'_>], q: &Query, parallel: bool) -> Vec<TrajI
         .expect("range, kNN and similarity results carry ids")
 }
 
+/// The whole segment list answering `q` as *one* segment of a larger
+/// database: merged material in global ids, no kNN fill — what
+/// [`QueryExecutor::shard_result`] returns for it.
+fn material(segments: &[Segment<'_>], q: &Query, parallel: bool) -> ShardResult {
+    match q {
+        Query::Range(_) | Query::Similarity(_) => {
+            ShardResult::Ids(fan_out_ids(segments, q, parallel))
+        }
+        Query::Knn(k) => {
+            let parts = answers(segments, q, parallel);
+            ShardResult::Candidates(merge_candidates(k.k, parts).expect(WELL_FORMED))
+        }
+        Query::RangeKept(_) => ShardResult::Kept(fan_out(segments, q, parallel).into_ids()),
+    }
+}
+
 /// Range query against a global [`Simplification`], read through each
 /// segment's id map (no per-segment copy of the kept lists).
 fn range_simplified(
@@ -522,6 +538,14 @@ impl<T: Segmented> QueryExecutor for T {
     /// sees the same consistent snapshot.
     fn execute_batch(&self, batch: &QueryBatch) -> Vec<QueryResult> {
         self.with_segments(|segments| par_map(batch.queries(), |q| fan_out(segments, q, false)))
+    }
+
+    /// One segment list for the whole frame, as for
+    /// [`QueryExecutor::execute_batch`]: a live shard answers a
+    /// coordinator's frame from one state, never straddling an ingest
+    /// or a fold.
+    fn shard_batch(&self, batch: &QueryBatch) -> Vec<ShardResult> {
+        self.with_segments(|segments| par_map(batch.queries(), |q| material(segments, q, false)))
     }
 }
 

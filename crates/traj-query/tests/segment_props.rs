@@ -6,15 +6,25 @@
 //! and the shared [`merge`] must answer every query kind exactly like
 //! the linear-scan oracle over the surviving trajectories, including
 //! the kNN infinite-fill and the `RangeKept` all-or-`None` rule.
+//!
+//! Beside it, the shard frame: on every executor a shard server can
+//! front, `shard_batch` — one pass over a frame — must produce exactly
+//! the material `shard_result` produces one query at a time.
+
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use traj_query::knn::{Dissimilarity, KnnQuery};
 use traj_query::{
-    fan_out, merge, range_query, Answer, EngineConfig, IdMap, Query, QueryEngine, QueryResult,
-    Segment, SimilarityQuery,
+    fan_out, merge, range_query, Answer, DbOptions, EngineConfig, GenerationalDb, IdMap, Query,
+    QueryBatch, QueryEngine, QueryExecutor, QueryResult, Segment, ShardResult, ShardedQueryEngine,
+    SimilarityQuery, TrajDb,
 };
+use trajectory::snapshot::write_snapshot_quantized;
 use trajectory::{
-    AsColumns, Cube, KeptBitmap, Point, PointStore, TrajId, Trajectory, TrajectoryDb,
+    partition, AsColumns, Cube, DeltaStore, KeepAll, KeptBitmap, OpenShard, PartitionStrategy,
+    Point, PointStore, TrajId, Trajectory, TrajectoryDb,
 };
 
 /// Strategy: 2..10 trajectories of 2..24 points, each starting at its
@@ -125,59 +135,77 @@ fn oracle(db: &TrajectoryDb, survivors: &[TrajId], all_kept: bool, q: &Query) ->
     }
 }
 
+type Fractions = (f64, f64, f64);
+
+/// Strategy: where a probe cube sits in the database's bounding cube
+/// (centre, half-extents as fractions of it), the kNN `k` for a
+/// database of `trajs` trajectories, and the similarity `delta`.
+fn arb_probe(trajs: usize) -> impl Strategy<Value = ((Fractions, Fractions), usize, f64)> {
+    (
+        (
+            (0.0..1.0f64, 0.0..1.0f64, -0.1..1.1f64),
+            (0.05..0.8f64, 0.05..0.8f64, 0.01..0.6f64),
+        ),
+        1..trajs + 3,
+        10.0..5e3f64,
+    )
+}
+
+/// One query of each kind around the same probe cube (see
+/// [`arb_probe`]).
+fn one_of_each_kind(
+    db: &TrajectoryDb,
+    frac: Fractions,
+    half: Fractions,
+    k: usize,
+    delta: f64,
+) -> [Query; 4] {
+    let bc = db.bounding_cube();
+    let (ex, ey, et) = bc.extents();
+    let cube = Cube::centered(
+        bc.x_min + frac.0 * ex,
+        bc.y_min + frac.1 * ey,
+        bc.t_min + frac.2 * et,
+        (half.0 * ex).max(1e-6),
+        (half.1 * ey).max(1e-6),
+        (half.2 * et).max(1e-6),
+    );
+    // Windows may overshoot the data's time span, so the kNN
+    // infinite-fill (fewer than k finite scores) is exercised.
+    let (ts, te) = (cube.t_min, cube.t_max);
+    [
+        Query::Range(cube),
+        Query::RangeKept(cube),
+        Query::Knn(KnnQuery {
+            query: db.get(0).clone(),
+            ts,
+            te,
+            k,
+            measure: Dissimilarity::Edr { eps: 1_000.0 },
+        }),
+        Query::Similarity(SimilarityQuery {
+            query: db.get(0).clone(),
+            ts,
+            te,
+            delta,
+            step: 5.0,
+        }),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn merge_over_any_cut_equals_the_scan_oracle(
-        (db, cut, (frac, half), k, delta, rotate) in arb_db().prop_flat_map(|db| {
+        (db, cut, ((frac, half), k, delta), rotate) in arb_db().prop_flat_map(|db| {
             let cut = arb_cut(db.len());
-            let n = db.len();
-            (
-                Just(db),
-                cut,
-                (
-                    (0.0..1.0f64, 0.0..1.0f64, -0.1..1.1f64),
-                    (0.05..0.8f64, 0.05..0.8f64, 0.01..0.6f64),
-                ),
-                1..n + 3,
-                10.0..5e3f64,
-                0usize..3,
-            )
+            let probe = arb_probe(db.len());
+            (Just(db), cut, probe, 0usize..3)
         })
     ) {
         let store = db.to_store();
-        let bc = db.bounding_cube();
-        let (ex, ey, et) = bc.extents();
-        let cube = Cube::centered(
-            bc.x_min + frac.0 * ex,
-            bc.y_min + frac.1 * ey,
-            bc.t_min + frac.2 * et,
-            (half.0 * ex).max(1e-6),
-            (half.1 * ey).max(1e-6),
-            (half.2 * et).max(1e-6),
-        );
-        // Windows may overshoot the data's time span, so the kNN
-        // infinite-fill (fewer than k finite scores) is exercised.
-        let (ts, te) = (cube.t_min, cube.t_max);
-        let queries = [
-            Query::Range(cube),
-            Query::RangeKept(cube),
-            Query::Knn(KnnQuery {
-                query: db.get(0).clone(),
-                ts,
-                te,
-                k,
-                measure: Dissimilarity::Edr { eps: 1_000.0 },
-            }),
-            Query::Similarity(SimilarityQuery {
-                query: db.get(0).clone(),
-                ts,
-                te,
-                delta,
-                step: 5.0,
-            }),
-        ];
+        let queries = one_of_each_kind(&db, frac, half, k, delta);
 
         let mut sorted_owner = cut.owner.clone();
         sorted_owner.sort_unstable();
@@ -249,11 +277,115 @@ proptest! {
     }
 }
 
+/// A unique temp dir per case so parallel test binaries never collide.
+fn unique_dir() -> PathBuf {
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir()
+        .join("qdts_segment_props")
+        .join(format!(
+            "case_{}_{}",
+            std::process::id(),
+            COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+fn store_of(trajs: &[Trajectory]) -> PointStore {
+    let mut store = PointStore::new();
+    for t in trajs {
+        store.push_points(t.points()).unwrap();
+    }
+    store
+}
+
+/// A live database serving `[base, sealed, active]`: `trajs[..a]` in
+/// generation 0 (quantized on disk when `quantize`), `trajs[a..b]` in a
+/// WAL sealed by a compaction that died before its commit, `trajs[b..]`
+/// in the active delta.
+fn live_with_every_segment(
+    trajs: &[Trajectory],
+    (a, b): (usize, usize),
+    quantize: bool,
+    opts: DbOptions,
+) -> (PathBuf, GenerationalDb) {
+    let keep_all = || -> traj_query::SimpFactory { Box::new(|| Box::new(KeepAll)) };
+    let dir = unique_dir();
+    let base = store_of(&trajs[..a]);
+    let live = GenerationalDb::create(&dir, &base, opts, keep_all()).unwrap();
+    live.ingest(&trajs[a..b]).unwrap();
+    drop(live);
+    if quantize {
+        write_snapshot_quantized(&base, None, 0.5, dir.join("gen-000000.snap")).unwrap();
+    }
+    DeltaStore::create(dir.join("wal-000001.log"), Box::new(KeepAll)).unwrap();
+    let live = GenerationalDb::open(&dir, opts, keep_all()).unwrap();
+    live.ingest(&trajs[b..]).unwrap();
+    (dir, live)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `shard_batch` is `shard_result` per query, on every executor a
+    /// shard server can front: frames of any mix of the four kinds,
+    /// repeats, the empty frame and the one-query frame included.
+    #[test]
+    fn a_shard_frame_in_one_pass_equals_its_queries_one_by_one(
+        (db, ((frac, half), k, delta), picks, parts, (s0, s1)) in arb_db().prop_flat_map(|db| {
+            let n = db.len();
+            let probe = arb_probe(n);
+            let picks = prop::collection::vec(0usize..4, 0..9);
+            (Just(db), probe, picks, 1usize..4, (0..=n, 0..=n))
+        })
+    ) {
+        let kinds = one_of_each_kind(&db, frac, half, k, delta);
+        let batch: QueryBatch = picks.iter().map(|&i| kinds[i].clone()).collect();
+        let check = |exec: &dyn QueryExecutor, what: &str| -> Result<(), TestCaseError> {
+            let one_by_one: Vec<ShardResult> =
+                batch.queries().iter().map(|q| exec.shard_result(q)).collect();
+            prop_assert_eq!(exec.shard_batch(&batch), one_by_one, "{}", what);
+            Ok(())
+        };
+
+        let store = db.to_store();
+        for cfg in backends() {
+            let engine = QueryEngine::over_store(&store, cfg).with_kept_bitmap(even_points(&store));
+            check(&engine, cfg.backend.label())?;
+        }
+
+        let strategy = PartitionStrategy::Hash { parts };
+        let shards = partition(&store, &strategy)
+            .into_iter()
+            .map(|sh| OpenShard {
+                kept: Some(even_points(&sh.store)),
+                store: sh.store,
+                global_ids: sh.global_ids,
+            })
+            .collect();
+        check(&ShardedQueryEngine::from_open_shards(shards, backends()[1]), "sharded")?;
+        // The façade forwards to whichever it holds.
+        check(&TrajDb::from_store(store.clone(), DbOptions::new()), "TrajDb, single")?;
+        let opts = DbOptions::new().partition(strategy);
+        check(&TrajDb::from_store(store, opts), "TrajDb, sharded")?;
+
+        let trajs: Vec<Trajectory> = db.iter().map(|(_, t)| t.clone()).collect();
+        let cut = (s0.min(s1), s0.max(s1));
+        let opts = DbOptions::new().engine(backends()[1]);
+        for quantize in [false, true] {
+            let (dir, live) = live_with_every_segment(&trajs, cut, quantize, opts);
+            prop_assert_eq!(live.len(), trajs.len());
+            check(&live, if quantize { "live, quantized base" } else { "live" })?;
+            drop(live);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+}
+
 /// Material the merge cannot use is a typed error naming the segment —
 /// what the coordinator turns into a `Protocol` error.
 #[test]
 fn malformed_material_is_a_typed_merge_error() {
-    use traj_query::ShardResult;
     let ids = [3usize, 7];
     let q = Query::Range(Cube::new(0.0, 1.0, 0.0, 1.0, 0.0, 1.0));
     let ok = (

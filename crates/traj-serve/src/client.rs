@@ -3,7 +3,7 @@
 //! so a dead or stalled peer surfaces as a typed
 //! [`WireError::Timeout`] instead of blocking forever.
 
-use std::io;
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -11,7 +11,8 @@ use traj_query::{Query, QueryBatch, QueryResult};
 use trajectory::Trajectory;
 
 use crate::wire::{
-    read_message, write_message, IngestAck, Message, ShardInfo, ShardResult, WireError,
+    encode_ingest, encode_message, encode_request, encode_shard_request, read_message, IngestAck,
+    Message, ShardInfo, ShardResult, WireError,
 };
 
 /// Socket deadlines for a [`Client`]. `None` everywhere (the default)
@@ -121,10 +122,24 @@ impl Client {
     /// submission order — the wire twin of
     /// [`QueryExecutor::execute_batch`](traj_query::QueryExecutor::execute_batch).
     pub fn execute_batch(&mut self, batch: &QueryBatch) -> Result<Vec<QueryResult>, WireError> {
-        self.send(&Message::Request(batch.clone()))?;
+        self.request(batch.queries())
+    }
+
+    /// Executes one query remotely.
+    pub fn execute(&mut self, query: &Query) -> Result<QueryResult, WireError> {
+        let mut results = self.request(std::slice::from_ref(query))?;
+        results.pop().ok_or(WireError::Malformed {
+            reason: "empty response to a single-query request",
+        })
+    }
+
+    /// One request/response exchange over the caller's queries, encoded
+    /// where they lie.
+    fn request(&mut self, queries: &[Query]) -> Result<Vec<QueryResult>, WireError> {
+        self.send(&encode_request(queries))?;
         match self.receive()? {
             Message::Response(results) => {
-                if results.len() != batch.len() {
+                if results.len() != queries.len() {
                     return Err(WireError::Malformed {
                         reason: "response count does not match request",
                     });
@@ -138,20 +153,11 @@ impl Client {
         }
     }
 
-    /// Executes one query remotely.
-    pub fn execute(&mut self, query: &Query) -> Result<QueryResult, WireError> {
-        let batch = QueryBatch::from_queries(vec![query.clone()]);
-        let mut results = self.execute_batch(&batch)?;
-        results.pop().ok_or(WireError::Malformed {
-            reason: "empty response to a single-query request",
-        })
-    }
-
     /// The coordinator handshake: asks the shard server to identify
     /// itself (trajectory/point counts, kept-bitmap presence) so the
     /// placement map can be cross-checked before queries flow.
     pub fn hello(&mut self) -> Result<ShardInfo, WireError> {
-        self.send(&Message::Hello)?;
+        self.send(&encode_message(&Message::Hello))?;
         match self.receive()? {
             Message::ShardInfo(info) => Ok(info),
             Message::Error { code, message } => Err(WireError::Remote { code, message }),
@@ -164,20 +170,26 @@ impl Client {
     /// Executes a batch as one *shard* of a distributed database: the
     /// server returns raw per-shard material ([`ShardResult`] per
     /// query — local hits, kept hits, scored kNN candidates) for the
-    /// coordinator to merge globally. The caller-chosen `id` is sent on
-    /// the request and verified against the response's echo — a
-    /// mismatched echo means the connection lost request/response
-    /// pairing and is reported as [`WireError::Malformed`] (callers
-    /// drop the connection and retry on a fresh one).
-    pub fn execute_shard_batch(
+    /// coordinator to merge globally. `queries` is a `&QueryBatch` or
+    /// any exact-size run of borrowed queries (a coordinator sends the
+    /// routed part of its caller's batch without copying it). The
+    /// caller-chosen `id` is sent on the request and verified against
+    /// the response's echo — a mismatched echo means the connection
+    /// lost request/response pairing and is reported as
+    /// [`WireError::Malformed`] (callers drop the connection and retry
+    /// on a fresh one).
+    pub fn execute_shard_batch<'a, I>(
         &mut self,
-        batch: &QueryBatch,
+        queries: I,
         id: u64,
-    ) -> Result<Vec<ShardResult>, WireError> {
-        self.send(&Message::ShardRequest {
-            id,
-            batch: batch.clone(),
-        })?;
+    ) -> Result<Vec<ShardResult>, WireError>
+    where
+        I: IntoIterator<Item = &'a Query>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let queries = queries.into_iter();
+        let sent = queries.len();
+        self.send(&encode_shard_request(id, queries))?;
         match self.receive()? {
             Message::ShardResponse {
                 id: echoed,
@@ -188,7 +200,7 @@ impl Client {
                         reason: "shard response echoes a different request id",
                     });
                 }
-                if results.len() != batch.len() {
+                if results.len() != sent {
                     return Err(WireError::Malformed {
                         reason: "shard response count does not match request",
                     });
@@ -209,7 +221,7 @@ impl Client {
     /// snapshot answers with a typed [`WireError::Remote`] carrying
     /// [`ERR_READ_ONLY`](crate::server::ERR_READ_ONLY).
     pub fn ingest(&mut self, trajs: &[Trajectory]) -> Result<IngestAck, WireError> {
-        self.send(&Message::Ingest(trajs.to_vec()))?;
+        self.send(&encode_ingest(trajs))?;
         match self.receive()? {
             Message::IngestAck(ack) => Ok(ack),
             Message::Error { code, message } => Err(WireError::Remote { code, message }),
@@ -219,8 +231,9 @@ impl Client {
         }
     }
 
-    fn send(&mut self, msg: &Message) -> Result<(), WireError> {
-        map_timeout("write", write_message(&mut self.stream, msg))
+    /// Writes one encoded frame (one `write_all` call).
+    fn send(&mut self, frame: &[u8]) -> Result<(), WireError> {
+        self.stream.write_all(frame).map_err(|e| map_io("write", e))
     }
 
     fn receive(&mut self) -> Result<Message, WireError> {

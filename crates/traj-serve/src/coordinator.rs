@@ -61,7 +61,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use traj_query::{merge, query_touches_bounds, Answer, IdMap, QueryBatch, QueryResult};
+use traj_query::{merge, query_touches_bounds, Answer, IdMap, Query, QueryBatch, QueryResult};
 use trajectory::shard::ShardSet;
 use trajectory::{Cube, TrajId};
 
@@ -525,9 +525,11 @@ impl Coordinator {
     /// Executes a batch under an explicit per-request failure policy:
     /// each shard receives — in parallel, on a pooled connection — a
     /// sub-batch of only the queries its bounds can answer (none ⇒ no
-    /// frame at all), each shard retries independently (with backoff +
-    /// reconnect), and the per-shard answers merge exactly as the
-    /// in-process fan-out does.
+    /// frame at all), encoded straight from `batch`; the calling
+    /// thread runs one routed shard's exchange itself and spawns a
+    /// thread for each of the others. Each shard retries independently
+    /// (with backoff + reconnect), and the per-shard answers merge
+    /// exactly as the in-process fan-out does.
     pub fn execute_batch_with(
         &self,
         batch: &QueryBatch,
@@ -556,37 +558,38 @@ impl Coordinator {
             })
             .collect();
 
-        let opts = self.opts;
         // `None` = pruned (no frame sent); `Some(outcome)` = contacted.
-        let outcomes: Vec<Option<Result<Vec<ShardResult>, WireError>>> =
+        let mut outcomes: Vec<Option<Result<Vec<ShardResult>, WireError>>> =
+            vec![None; self.shards.len()];
+        let mut routed = Vec::with_capacity(self.shards.len());
+        for (s, (conn, route)) in self.shards.iter().zip(&routes).enumerate() {
+            if route.is_empty() {
+                conn.frames_pruned.fetch_add(1, Ordering::Relaxed);
+            } else {
+                conn.frames_sent.fetch_add(1, Ordering::Relaxed);
+                routed.push(s);
+            }
+        }
+        // This thread would only wait for the round, so it runs one
+        // routed shard's share itself; threads are spawned for the
+        // others alone — none when routing leaves a single shard.
+        if let Some((&own, others)) = routed.split_last() {
+            let round = |s: usize| {
+                let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+                shard_round(&self.shards[s], batch.queries(), &routes[s], &self.opts, id)
+            };
             std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
+                let round = &round;
+                let handles: Vec<_> = others
                     .iter()
-                    .zip(&routes)
-                    .map(|(conn, route)| {
-                        scope.spawn(move || {
-                            if route.is_empty() {
-                                conn.frames_pruned.fetch_add(1, Ordering::Relaxed);
-                                return None;
-                            }
-                            conn.frames_sent.fetch_add(1, Ordering::Relaxed);
-                            let sub = QueryBatch::from_queries(
-                                route
-                                    .iter()
-                                    .map(|&qi| batch.queries()[qi].clone())
-                                    .collect(),
-                            );
-                            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                            Some(shard_round(conn, &sub, &opts, id))
-                        })
-                    })
+                    .map(|&s| (s, scope.spawn(move || round(s))))
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard fan-out thread panicked"))
-                    .collect()
+                outcomes[own] = Some(round(own));
+                for (s, h) in handles {
+                    outcomes[s] = Some(h.join().expect("shard fan-out thread panicked"));
+                }
             });
+        }
 
         let mut shard_rounds: Vec<Round> = Vec::with_capacity(outcomes.len());
         let mut failures: Vec<(usize, WireError)> = Vec::new();
@@ -703,28 +706,34 @@ fn dial_shard(
 
 /// One shard's share of a round: check a connection out of the pool
 /// (or dial a fresh one, re-verifying the handshake), send the
-/// id-tagged sub-batch, and on failure retry with linear backoff on a
-/// fresh connection (the old one is presumed poisoned — half-written
-/// frames desynchronize the stream). A healthy connection goes back
-/// into the pool for the next round.
+/// id-tagged sub-batch — the queries of the caller's batch at the
+/// `route` indexes, encoded from where they lie — and on failure retry
+/// with linear backoff on a fresh connection (the old one is presumed
+/// poisoned — half-written frames desynchronize the stream). A healthy
+/// connection goes back into the pool for the next round.
 fn shard_round(
     conn: &ShardConn,
-    batch: &QueryBatch,
+    queries: &[Query],
+    route: &[usize],
     opts: &CoordinatorOptions,
     id: u64,
 ) -> Result<Vec<ShardResult>, WireError> {
     let mut attempt = 0u32;
     loop {
-        let result = match conn.checkout() {
-            Some(mut client) => client.execute_shard_batch(batch, id).map(|r| (client, r)),
+        let client = match conn.checkout() {
+            Some(client) => Ok(client),
             None => dial_shard(
                 &conn.addr,
                 conn.global_ids.len(),
                 conn.bounds.as_ref(),
                 opts,
             )
-            .and_then(|(mut client, _)| client.execute_shard_batch(batch, id).map(|r| (client, r))),
+            .map(|(client, _)| client),
         };
+        let result = client.and_then(|mut client| {
+            let sub = route.iter().map(|&qi| &queries[qi]);
+            client.execute_shard_batch(sub, id).map(|r| (client, r))
+        });
         match result {
             Ok((client, results)) => {
                 conn.checkin(client);

@@ -13,7 +13,11 @@
 //!   [`GenerationalDb`](traj_query::GenerationalDb)) across all
 //!   connections, whose **admission queue** ([`BatchConfig`]) coalesces
 //!   queries arriving concurrently on many connections into single
-//!   heterogeneous work-stealing engine passes;
+//!   heterogeneous work-stealing engine passes. A coordinator's shard
+//!   frame bypasses the queue and is one such pass by itself
+//!   ([`QueryExecutor::shard_batch`](traj_query::QueryExecutor::shard_batch)):
+//!   parallel across the frame's queries with sequential inner loops,
+//!   over one segment list;
 //! - [`client`] — a blocking client speaking the same frames (with
 //!   optional connect/read/write deadlines), plus the
 //!   `traj_bench_client` load generator that measures throughput and
@@ -24,9 +28,11 @@
 //!   a [`Coordinator`] that routes each batch to only the shards whose
 //!   bounds can contribute (a fully-pruned shard gets no frame at
 //!   all), fans the sub-batches out in parallel over pooled id-tagged
-//!   connections, and hands the per-shard material to the one
-//!   [`merge`](traj_query::merge) every in-process executor uses — each
-//!   shard process is a remote segment — with timeouts, bounded
+//!   connections (frames encoded from borrows of the caller's batch,
+//!   one routed shard's exchange on the calling thread and a scoped
+//!   thread for each of the others), and hands the per-shard material
+//!   to the one [`merge`](traj_query::merge) every in-process executor
+//!   uses — each shard process is a remote segment — with timeouts, bounded
 //!   retries, and a per-request [`FailurePolicy`] for typed degraded
 //!   answers. A [`SharedCoordinator`] puts the server's admission queue
 //!   in front so concurrent submissions coalesce into one wire round

@@ -145,9 +145,10 @@ pub struct ServerStats {
     pub requests: u64,
     /// Queries executed.
     pub queries: u64,
-    /// Engine passes run by batched executors.
+    /// Engine passes run: coalesced admission batches plus shard
+    /// frames (each frame is one pass).
     pub batches: u64,
-    /// Queries that went through batched passes.
+    /// Queries that went through those passes.
     pub batched_queries: u64,
     /// Ingest frames answered with an ack (live servers only).
     pub ingests: u64,
@@ -184,6 +185,16 @@ struct Shared {
     /// Handler threads not yet joined; finished ones are reaped on the
     /// next accept, the rest at shutdown.
     handlers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Shared {
+    /// Counts one engine pass over `queries` queries — a coalesced
+    /// admission batch or a coordinator's shard frame.
+    fn count_pass(&self, queries: usize) {
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.batched_queries
+            .fetch_add(queries as u64, Ordering::Relaxed);
+    }
 }
 
 /// A running wire-format query server. Dropping it shuts it down.
@@ -375,8 +386,9 @@ fn serve_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
                     None => return,
                 }
             }
-            // Distributed-serving frames bypass the admission queue:
-            // the coordinator already batches per shard, and shard
+            // Distributed-serving frames bypass the admission queue and
+            // run on the connection thread: the coordinator already
+            // coalesced its callers into one frame per shard, and shard
             // results (scored kNN candidates, raw local hits) are not
             // the `QueryResult`s the executors route.
             Ok(Some(Message::Hello)) => {
@@ -397,12 +409,14 @@ fn serve_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
                     .queries
                     .fetch_add(batch.len() as u64, Ordering::Relaxed);
                 // This whole database answers as one segment of the
-                // coordinator's: raw material in its own ids, merged there.
-                let db = shared.db.executor();
-                Message::ShardResponse {
-                    id,
-                    results: batch.queries().iter().map(|q| db.shard_result(q)).collect(),
-                }
+                // coordinator's: raw material in its own ids, merged
+                // there. A frame is one engine pass, like a coalesced
+                // batch: parallel across its queries with sequential
+                // inner loops, over one segment list (a live shard
+                // answers it from one state).
+                let results = shared.db.executor().shard_batch(&batch);
+                shared.count_pass(batch.len());
+                Message::ShardResponse { id, results }
             }
             // Writes bypass the admission queue: the delta store already
             // coalesces a whole frame into one WAL sync, and an ack must
@@ -470,10 +484,7 @@ fn serve_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
 fn executor_loop(shared: &Arc<Shared>, cfg: BatchConfig) {
     shared.admission.run(cfg, |batch: &QueryBatch, lens| {
         let results = shared.db.executor().execute_batch(batch);
-        shared.batches.fetch_add(1, Ordering::Relaxed);
-        shared
-            .batched_queries
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        shared.count_pass(batch.len());
         split(results, lens)
     });
 }

@@ -486,6 +486,14 @@ fn encode_trajectory(out: &mut Vec<u8>, t: &Trajectory) {
     }
 }
 
+/// A counted run of trajectories — the body of an ingest frame.
+fn encode_trajectories(out: &mut Vec<u8>, trajs: &[Trajectory]) {
+    put_u32_vec(out, trajs.len() as u32);
+    for t in trajs {
+        encode_trajectory(out, t);
+    }
+}
+
 fn decode_trajectory(r: &mut Reader<'_>) -> Result<Trajectory, WireError> {
     let n = r.count(24)?;
     let mut pts = Vec::with_capacity(n);
@@ -537,6 +545,15 @@ pub fn encode_query(out: &mut Vec<u8>, q: &Query) {
             out.push(TAG_RANGE_KEPT);
             encode_cube(out, c);
         }
+    }
+}
+
+/// A counted run of queries — the body of a request frame — from
+/// wherever the sender holds them.
+fn encode_queries<'a>(out: &mut Vec<u8>, queries: impl ExactSizeIterator<Item = &'a Query>) {
+    put_u32_vec(out, queries.len() as u32);
+    for q in queries {
+        encode_query(out, q);
     }
 }
 
@@ -747,71 +764,57 @@ fn decode_shard_result(r: &mut Reader<'_>) -> Result<ShardResult, WireError> {
 // Whole-message framing.
 // ---------------------------------------------------------------------
 
-fn encode_payload(msg: &Message) -> Vec<u8> {
-    let mut out = Vec::new();
+/// Appends `msg`'s payload to `out`.
+fn encode_payload(out: &mut Vec<u8>, msg: &Message) {
     match msg {
-        Message::Request(batch) => {
-            put_u32_vec(&mut out, batch.len() as u32);
-            for q in batch.queries() {
-                encode_query(&mut out, q);
-            }
-        }
+        Message::Request(batch) => encode_queries(out, batch.queries().iter()),
         Message::Response(results) => {
-            put_u32_vec(&mut out, results.len() as u32);
+            put_u32_vec(out, results.len() as u32);
             for r in results {
-                encode_result(&mut out, r);
+                encode_result(out, r);
             }
         }
         Message::Error { code, message } => {
             out.extend_from_slice(&code.to_le_bytes());
-            put_u32_vec(&mut out, message.len() as u32);
+            put_u32_vec(out, message.len() as u32);
             out.extend_from_slice(message.as_bytes());
         }
         Message::Hello => {}
         Message::ShardInfo(info) => {
             out.extend_from_slice(&SHARD_INFO_VERSION.to_le_bytes());
-            put_u64_vec(&mut out, info.trajs);
-            put_u64_vec(&mut out, info.points);
+            put_u64_vec(out, info.trajs);
+            put_u64_vec(out, info.points);
             out.push(u8::from(info.has_kept));
             match &info.bounds {
                 Some(b) => {
                     out.push(1);
-                    encode_cube(&mut out, b);
+                    encode_cube(out, b);
                 }
                 None => out.push(0),
             }
         }
         Message::ShardRequest { id, batch } => {
-            put_u64_vec(&mut out, *id);
-            put_u32_vec(&mut out, batch.len() as u32);
-            for q in batch.queries() {
-                encode_query(&mut out, q);
-            }
+            put_u64_vec(out, *id);
+            encode_queries(out, batch.queries().iter());
         }
         Message::ShardResponse { id, results } => {
-            put_u64_vec(&mut out, *id);
-            put_u32_vec(&mut out, results.len() as u32);
+            put_u64_vec(out, *id);
+            put_u32_vec(out, results.len() as u32);
             for r in results {
-                encode_shard_result(&mut out, r);
+                encode_shard_result(out, r);
             }
         }
-        Message::Ingest(trajs) => {
-            put_u32_vec(&mut out, trajs.len() as u32);
-            for t in trajs {
-                encode_trajectory(&mut out, t);
-            }
-        }
+        Message::Ingest(trajs) => encode_trajectories(out, trajs),
         Message::IngestAck(ack) => {
-            put_u32_vec(&mut out, ack.accepted);
-            put_u32_vec(&mut out, ack.rejected);
+            put_u32_vec(out, ack.accepted);
+            put_u32_vec(out, ack.rejected);
             // `u64::MAX` is the "nothing accepted" sentinel: a real
             // first id can never reach it (ids count trajectories).
-            put_u64_vec(&mut out, ack.first_id.map_or(u64::MAX, |id| id as u64));
-            put_u64_vec(&mut out, ack.total_trajs);
-            put_u64_vec(&mut out, ack.total_points);
+            put_u64_vec(out, ack.first_id.map_or(u64::MAX, |id| id as u64));
+            put_u64_vec(out, ack.total_trajs);
+            put_u64_vec(out, ack.total_points);
         }
     }
-    out
 }
 
 fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
@@ -949,22 +952,57 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
     Ok(msg)
 }
 
-/// Encodes `msg` into one complete frame (header + payload + checksum).
-#[must_use]
-pub fn encode_message(msg: &Message) -> Vec<u8> {
-    let payload = encode_payload(msg);
+/// One complete frame of `kind` (header + payload + checksum) in one
+/// buffer: the header is reserved first and `payload` writes straight
+/// behind it, so no byte is laid down twice; the payload length is
+/// patched in and the checksum appended once the payload is known.
+fn encode_frame(kind: u8, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut frame = vec![0u8; HEADER_LEN];
     frame[0..4].copy_from_slice(&MAGIC);
     frame[4..6].copy_from_slice(&VERSION.to_le_bytes());
-    frame[6] = msg.kind();
+    frame[6] = kind;
     frame[7] = 0; // reserved
-    put_u32(&mut frame, 8, payload.len() as u32);
-    frame.extend_from_slice(&payload);
+    payload(&mut frame);
+    let len = frame.len() - HEADER_LEN;
+    put_u32(&mut frame, 8, len as u32);
     let checksum = fnv1a64(&frame);
     let mut tail = [0u8; CHECKSUM_LEN];
     put_u64(&mut tail, 0, checksum);
     frame.extend_from_slice(&tail);
     frame
+}
+
+/// Encodes `msg` into one complete frame (header + payload + checksum).
+#[must_use]
+pub fn encode_message(msg: &Message) -> Vec<u8> {
+    encode_frame(msg.kind(), |out| encode_payload(out, msg))
+}
+
+// The request-side frames a [`Client`](crate::Client) sends, encoded
+// from what the caller already holds — a [`Message`] owns its contents,
+// so building one just to encode it would deep-copy every query
+// trajectory of the request. Same bytes as `encode_message` of the
+// owned twin.
+
+/// The [`Message::Request`] frame over `queries`.
+pub(crate) fn encode_request(queries: &[Query]) -> Vec<u8> {
+    encode_frame(KIND_REQUEST, |out| encode_queries(out, queries.iter()))
+}
+
+/// The [`Message::ShardRequest`] frame over `queries`.
+pub(crate) fn encode_shard_request<'a>(
+    id: u64,
+    queries: impl ExactSizeIterator<Item = &'a Query>,
+) -> Vec<u8> {
+    encode_frame(KIND_SHARD_REQUEST, |out| {
+        put_u64_vec(out, id);
+        encode_queries(out, queries);
+    })
+}
+
+/// The [`Message::Ingest`] frame over `trajs`.
+pub(crate) fn encode_ingest(trajs: &[Trajectory]) -> Vec<u8> {
+    encode_frame(KIND_INGEST, |out| encode_trajectories(out, trajs))
 }
 
 /// Validates the 12-byte header, returning `(kind, payload_len)`.
@@ -1069,4 +1107,63 @@ pub fn read_message(r: &mut impl Read) -> Result<Option<Message>, WireError> {
         return Err(WireError::ChecksumMismatch { stored, computed });
     }
     decode_payload(kind, &rest[..len]).map(Some)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The borrowed request encoders write byte for byte the frames
+    /// `encode_message` writes for the owned message.
+    #[test]
+    fn borrowed_encoders_write_the_owned_messages_frames() {
+        let traj = Trajectory::new(vec![Point::new(1.0, 2.0, 3.0), Point::new(4.0, 5.0, 6.0)])
+            .expect("valid trajectory");
+        let queries = [
+            Query::Range(Cube::new(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)),
+            Query::Knn(KnnQuery {
+                query: traj.clone(),
+                ts: 0.0,
+                te: 9.0,
+                k: 3,
+                measure: Dissimilarity::Edr { eps: 10.0 },
+            }),
+            Query::Similarity(SimilarityQuery {
+                query: traj.clone(),
+                ts: 0.0,
+                te: 9.0,
+                delta: 5.0,
+                step: 1.0,
+            }),
+            Query::RangeKept(Cube::new(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)),
+        ];
+        for n in [0, 1, queries.len()] {
+            let batch = QueryBatch::from_queries(queries[..n].to_vec());
+            assert_eq!(
+                encode_request(batch.queries()),
+                encode_message(&Message::Request(batch.clone()))
+            );
+            assert_eq!(
+                encode_shard_request(7, batch.queries().iter()),
+                encode_message(&Message::ShardRequest { id: 7, batch })
+            );
+        }
+        // A routed sub-batch: every other query, borrowed in place.
+        let routed = [0usize, 2];
+        let sub = QueryBatch::from_queries(routed.iter().map(|&i| queries[i].clone()).collect());
+        assert_eq!(
+            encode_shard_request(u64::MAX, routed.iter().map(|&i| &queries[i])),
+            encode_message(&Message::ShardRequest {
+                id: u64::MAX,
+                batch: sub
+            })
+        );
+        let trajs = [traj.clone(), traj];
+        for n in 0..=trajs.len() {
+            assert_eq!(
+                encode_ingest(&trajs[..n]),
+                encode_message(&Message::Ingest(trajs[..n].to_vec()))
+            );
+        }
+    }
 }

@@ -5,14 +5,15 @@
 //! fronting an immutable snapshot rejects writes with a typed error.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 use traj_query::{
-    DbOptions, Dissimilarity, GenerationalDb, KnnQuery, Query, QueryBatch, QueryExecutor,
-    SimilarityQuery, SimpFactory, TrajDb,
+    spawn_compactor, DbOptions, Dissimilarity, GenerationalDb, KnnQuery, Query, QueryBatch,
+    QueryExecutor, SimilarityQuery, SimpFactory, TrajDb,
 };
-use traj_serve::{Client, ServeOptions, Server, WireError, ERR_READ_ONLY};
+use traj_serve::{Client, ServeOptions, Server, ShardResult, WireError, ERR_READ_ONLY};
 use trajectory::gen::{generate, DatasetSpec, Scale};
 use trajectory::snapshot::write_snapshot;
 use trajectory::{KeepAll, Trajectory, TrajectoryDb};
@@ -172,6 +173,104 @@ fn live_shard_frames_match_a_static_server_across_compaction() {
 
     static_server.shutdown();
     live_server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One segment list per frame: while a writer appends and the stock
+/// compactor folds, every repeat of a query inside one `ShardRequest`
+/// frame gets the same answer — the frame is answered from one state
+/// of the database, never straddling an ingest or a fold.
+#[test]
+fn a_live_shard_answers_each_frame_from_one_state() {
+    let base = dataset(13, 10);
+    let pool = trajs_of(&dataset(41, 40));
+    let dir = unique_dir("live_frames");
+    let db = Arc::new(
+        GenerationalDb::create(&dir, &base.to_store(), DbOptions::new(), keep_all())
+            .expect("create"),
+    );
+    // A fold every few appended trajectories.
+    let compactor = spawn_compactor(Arc::clone(&db), 200, Duration::from_millis(1));
+    let server = Server::start(Arc::clone(&db), "127.0.0.1:0", ServeOptions::batched())
+        .expect("server start");
+    let addr = server.local_addr();
+
+    // Both queries see every trajectory ever appended: the cube covers
+    // the generator's whole domain, the kNN wants more neighbours than
+    // exist. Any append between two repeats would show.
+    let everywhere = trajectory::Cube::new(-1e12, 1e12, -1e12, 1e12, -1e12, 1e12);
+    let knn = Query::Knn(KnnQuery {
+        query: Trajectory::new(base.get(0).points()[..2].to_vec()).expect("two points"),
+        ts: everywhere.t_min,
+        te: everywhere.t_max,
+        k: 1_000_000,
+        measure: Dissimilarity::Edr { eps: 2_000.0 },
+    });
+    const REPEATS: usize = 4;
+    let frame: QueryBatch = (0..REPEATS)
+        .flat_map(|_| [Query::Range(everywhere), knn.clone()])
+        .collect();
+
+    let stop = AtomicBool::new(false);
+    let start = Barrier::new(2);
+    let (mut sizes_seen, appended) = std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            let mut client = Client::connect(addr).expect("writer connect");
+            start.wait();
+            let mut appended = 0usize;
+            for t in pool.iter().cycle() {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                client
+                    .ingest(std::slice::from_ref(t))
+                    .expect("ingest acked");
+                appended += 1;
+            }
+            appended
+        });
+        // Stops the writer when the reader is done — or fails.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let stop_writer = StopOnDrop(&stop);
+        let mut client = Client::connect(addr).expect("reader connect");
+        start.wait();
+        let mut sizes_seen = Vec::new();
+        for id in 0..300 {
+            let material = client
+                .execute_shard_batch(&frame, id)
+                .expect("frame answered");
+            for repeat in material.chunks(2).skip(1) {
+                assert_eq!(
+                    repeat,
+                    &material[..2],
+                    "frame {id}: repeats of one query disagree inside one frame"
+                );
+            }
+            match &material[0] {
+                ShardResult::Ids(ids) => sizes_seen.push(ids.len()),
+                other => panic!("range answered with {other:?}"),
+            }
+        }
+        drop(stop_writer);
+        (sizes_seen, writer.join().expect("writer"))
+    });
+
+    // The frames did run beside the writer, not before or after it.
+    assert!(sizes_seen.windows(2).all(|w| w[0] <= w[1]));
+    sizes_seen.dedup();
+    assert!(
+        sizes_seen.len() > 10,
+        "only {} database states over 300 frames ({appended} appends)",
+        sizes_seen.len()
+    );
+    compactor.shutdown();
+    assert!(db.generation() > 0, "the compactor never folded");
+    server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -215,6 +215,37 @@ fn batched_admission_routes_results_to_the_right_connection() {
     server.shutdown();
 }
 
+/// A shard frame is one engine pass, counted like a coalesced batch: a
+/// server that answered only `Request` and `ShardRequest` frames has
+/// put every query it counted through a counted pass.
+#[test]
+fn shard_frames_count_as_engine_passes() {
+    let db = dataset();
+    let batch = mixed_batch(&db);
+    let server = Server::start(
+        TrajDb::from_db(&db, DbOptions::new()),
+        "127.0.0.1:0",
+        ServeOptions::batched(),
+    )
+    .expect("start server");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    for id in 0..3 {
+        let material = client.execute_shard_batch(&batch, id).expect("shard frame");
+        assert_eq!(material.len(), batch.len());
+    }
+    let stats = server.stats();
+    assert_eq!(stats.batches, 3, "each shard frame is one pass");
+    assert_eq!(stats.mean_batch_size(), batch.len() as f64);
+
+    client.execute_batch(&batch).expect("request frame");
+    let stats = server.stats();
+    assert_eq!(stats.requests, 4);
+    assert_eq!(stats.queries, 4 * batch.len() as u64);
+    assert_eq!(stats.batched_queries, stats.queries);
+    server.shutdown();
+}
+
 /// Corrupt frames get a typed error frame back; the protocol never
 /// hangs the connection.
 #[test]

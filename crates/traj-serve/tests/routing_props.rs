@@ -5,6 +5,8 @@
 //! database, across every partitioner × index backend combination.
 //! Pruning is an invisible optimization: whichever shards it routes
 //! away from, the merged answer (and its wire encoding) never changes.
+//! Beside it, the rounds the calling thread runs alone: routing that
+//! leaves exactly one shard, and a placement of one shard.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -180,4 +182,150 @@ proptest! {
             );
         }
     }
+}
+
+/// In-process shard servers over the shard directory `dir` and a
+/// coordinator connected to them through the manifest.
+fn cluster_over(dir: &std::path::Path) -> (Vec<Server>, Coordinator) {
+    let mut set = ShardSet::load(dir).expect("load manifest");
+    let servers: Vec<Server> = set
+        .entries()
+        .iter()
+        .map(|e| {
+            let shard_db = TrajDb::open(dir.join(&e.file), DbOptions::new()).expect("open shard");
+            Server::start(shard_db, "127.0.0.1:0", ServeOptions::batched()).expect("start shard")
+        })
+        .collect();
+    let addrs: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
+    set.set_addrs(&addrs).expect("assign addrs");
+    let placement = Placement::from_manifest(&set).expect("placement");
+    let coordinator =
+        Coordinator::connect(placement, CoordinatorOptions::default()).expect("connect");
+    (servers, coordinator)
+}
+
+/// One query of each kind confined to `cube` (its time span is the
+/// kNN and similarity window), probing with `probe`.
+fn one_of_each_kind(cube: Cube, probe: &trajectory::Trajectory) -> QueryBatch {
+    QueryBatch::from_queries(vec![
+        Query::Range(cube),
+        Query::Knn(KnnQuery {
+            query: probe.clone(),
+            ts: cube.t_min,
+            te: cube.t_max,
+            k: 4,
+            measure: Dissimilarity::Edr { eps: 2_000.0 },
+        }),
+        Query::Similarity(SimilarityQuery {
+            query: probe.clone(),
+            ts: cube.t_min,
+            te: cube.t_max,
+            delta: 5_000.0,
+            step: 600.0,
+        }),
+        Query::RangeKept(cube),
+    ])
+}
+
+/// The rounds the calling thread runs alone — routing leaves exactly
+/// one shard of three, or the placement has one shard — answer
+/// byte-identically to the in-process engine, and every round still
+/// accounts for every shard: sent or pruned.
+#[test]
+fn rounds_that_reach_one_shard_answer_like_the_full_database() {
+    let db = generate(&DatasetSpec::tdrive(Scale::Smoke).with_trajectories(24), 3);
+    let everywhere = db.bounding_cube();
+    let frames =
+        |c: &Coordinator| -> Vec<u64> { c.stats().shards.iter().map(|s| s.frames_sent).collect() };
+    let answers_like = |truth: &TrajDb, c: &Coordinator, batch: &QueryBatch, what: &str| {
+        let expected = truth.execute_batch(batch);
+        let resp = c.execute_batch(batch).expect("distributed batch");
+        assert_eq!(resp.status, ResponseStatus::Complete, "{what}");
+        assert_eq!(
+            encode_message(&Message::Response(resp.results)),
+            encode_message(&Message::Response(expected)),
+            "{what}: encodings diverge"
+        );
+    };
+
+    // Three shards by time: a window that ends before the second
+    // shard's data starts reaches the earliest shard alone.
+    let dir = write_shard_dir(&db, &PartitionStrategy::Time { parts: 3 });
+    let truth = TrajDb::open(&dir, DbOptions::new()).expect("open shard dir in-process");
+    let (servers, coordinator) = cluster_over(&dir);
+    let mut starts: Vec<f64> = coordinator
+        .shard_bounds()
+        .iter()
+        .map(|b| b.expect("shard bounds").t_min)
+        .collect();
+    starts.sort_by(f64::total_cmp);
+    assert!(
+        starts[0] + 1.0 < starts[1],
+        "time partitioning must separate shard start times"
+    );
+    let early = Cube {
+        t_max: starts[1] - 1.0,
+        ..everywhere
+    };
+    // The trajectory the data starts with: its window is not empty, so
+    // the kNN routes by time like everything else.
+    let (_, first) = db
+        .iter()
+        .min_by(|a, b| a.1.time_span().0.total_cmp(&b.1.time_span().0))
+        .expect("non-empty database");
+    let before = frames(&coordinator);
+    answers_like(
+        &truth,
+        &coordinator,
+        &one_of_each_kind(early, first),
+        "one shard of three",
+    );
+    let sent: u64 = frames(&coordinator).iter().sum::<u64>() - before.iter().sum::<u64>();
+    assert_eq!(sent, 1, "the early window must reach exactly one shard");
+    // And a round nothing prunes, on the same connections.
+    answers_like(
+        &truth,
+        &coordinator,
+        &one_of_each_kind(everywhere, first),
+        "all three",
+    );
+    let stats = coordinator.stats();
+    assert_eq!(stats.rounds, 2);
+    assert_eq!(stats.frames_sent(), 1 + 3);
+    assert_eq!(
+        stats.frames_sent() + stats.frames_pruned(),
+        stats.rounds * 3
+    );
+    drop(coordinator);
+    servers.into_iter().for_each(Server::shutdown);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // A placement of one shard: every round is the caller's own.
+    let dir = write_shard_dir(&db, &PartitionStrategy::Hash { parts: 1 });
+    let truth = TrajDb::open(&dir, DbOptions::new()).expect("open shard dir in-process");
+    let (servers, coordinator) = cluster_over(&dir);
+    assert_eq!(coordinator.shard_count(), 1);
+    answers_like(
+        &truth,
+        &coordinator,
+        &one_of_each_kind(everywhere, first),
+        "one-shard placement",
+    );
+    let nowhere = Cube {
+        t_min: everywhere.t_max + 1.0,
+        t_max: everywhere.t_max + 2.0,
+        ..everywhere
+    };
+    answers_like(
+        &truth,
+        &coordinator,
+        &QueryBatch::from_queries(vec![Query::Range(nowhere), Query::RangeKept(nowhere)]),
+        "one-shard placement, pruned away",
+    );
+    let stats = coordinator.stats();
+    assert_eq!((stats.frames_sent(), stats.frames_pruned()), (1, 1));
+    assert_eq!(stats.frames_sent() + stats.frames_pruned(), stats.rounds);
+    drop(coordinator);
+    servers.into_iter().for_each(Server::shutdown);
+    std::fs::remove_dir_all(&dir).ok();
 }

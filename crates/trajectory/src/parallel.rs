@@ -11,12 +11,19 @@
 //! share it; `traj_query::parallel` re-exports it.)
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Number of worker threads used for a batch of `len` items.
 fn worker_count(len: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
+    // std re-derives the count from the affinity mask and the cgroup
+    // quota files on every call (microseconds each), and every batch
+    // pass asks; the answer is read once per process.
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    });
     cores.min(len).max(1)
 }
 
