@@ -16,7 +16,8 @@ fn bench_ablation(c: &mut Criterion) {
     );
     let train_db = generate(&DatasetSpec::geolife(Scale::Smoke), 32);
     let model = train_rl4qdts(&train_db, QueryDistribution::Data, 8, 33);
-    let budget = ((db.total_points() as f64 * 0.05) as usize).max(traj_simp::min_points(&db));
+    let budget = ((db.total_points() as f64 * 0.05) as usize)
+        .max(traj_simp::min_points_store(&db.to_store()));
 
     let mut group = c.benchmark_group("table2_variant_time");
     group.sample_size(10);

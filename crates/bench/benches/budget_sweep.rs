@@ -20,7 +20,8 @@ fn bench_budget_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig8b_time_vs_budget");
     group.sample_size(10);
     for ratio in [0.05f64, 0.15, 0.4] {
-        let budget = ((db.total_points() as f64 * ratio) as usize).max(traj_simp::min_points(&db));
+        let budget = ((db.total_points() as f64 * ratio) as usize)
+            .max(traj_simp::min_points_store(&db.to_store()));
         let label = format!("{:.0}%", ratio * 100.0);
 
         let td = TopDown::new(ErrorMeasure::Ped, Adaptation::Each);

@@ -17,7 +17,7 @@ fn bench_error_measures(c: &mut Criterion) {
             b.iter(|| {
                 let mut acc = 0.0;
                 for i in 1..n - 1 {
-                    acc += m.point_error(std::hint::black_box(&traj), 0, n - 1, i);
+                    acc += m.point_error_seq(std::hint::black_box(&traj), 0, n - 1, i);
                 }
                 acc
             })

@@ -12,20 +12,21 @@ use traj_query::similarity::SimilarityQuery;
 use traj_query::t2vec::T2vecEmbedder;
 use traj_query::traclus::{traclus, TraclusParams};
 use traj_query::{
-    edr, range_workload, range_workload_store, BackendKind, DbOptions, EngineConfig, QueryBatch,
-    QueryDistribution, QueryEngine, QueryExecutor, RangeWorkloadSpec, TrajDb,
+    edr, range_workload_store, BackendKind, DbOptions, EngineConfig, QueryBatch, QueryDistribution,
+    QueryEngine, QueryExecutor, RangeWorkloadSpec, TrajDb,
 };
 use trajectory::gen::{generate, DatasetSpec, Scale};
 use trajectory::shard::PartitionStrategy;
 
 fn bench_queries(c: &mut Criterion) {
     let db = generate(&DatasetSpec::geolife(Scale::Smoke).with_trajectories(16), 1);
+    let store = db.to_store();
     let spec = RangeWorkloadSpec::paper_default(20, QueryDistribution::Data);
     let mut rng = StdRng::seed_from_u64(1);
-    let queries = range_workload(&db, &spec, &mut rng);
+    let queries = range_workload_store(&store, &spec, &mut rng);
 
     c.bench_function("range_query_batch_20", |b| {
-        b.iter(|| traj_query::range_query_batch(std::hint::black_box(&db), &queries))
+        b.iter(|| traj_query::range_query_batch(std::hint::black_box(&store), &queries))
     });
 
     let a = db.get(0);
@@ -48,7 +49,7 @@ fn bench_queries(c: &mut Criterion) {
         measure: Dissimilarity::Edr { eps: 2_000.0 },
     };
     c.bench_function("knn_edr_whole_db", |b| {
-        b.iter(|| knn.execute(std::hint::black_box(&db)))
+        b.iter(|| knn.execute_store(std::hint::black_box(&store)))
     });
 
     let sim = SimilarityQuery {
@@ -59,10 +60,10 @@ fn bench_queries(c: &mut Criterion) {
         step: 600.0,
     };
     c.bench_function("similarity_whole_db", |b| {
-        b.iter(|| sim.execute(std::hint::black_box(&db)))
+        b.iter(|| sim.execute_store(std::hint::black_box(&store)))
     });
 
-    let small: trajectory::TrajectoryDb = db.trajectories().iter().take(8).cloned().collect();
+    let small = store.gather_trajs(&(0..8).collect::<Vec<_>>());
     let mut group = c.benchmark_group("traclus");
     group.sample_size(10);
     group.bench_function("traclus_8_trajectories", |b| {
@@ -73,13 +74,14 @@ fn bench_queries(c: &mut Criterion) {
 
 /// The tentpole number: one batch range workload (paper query shape,
 /// 2 km × 2 km × 7 days, data-distributed) over a T-Drive-shaped database,
-/// executed by the naive per-query linear scan versus the `QueryEngine`
-/// with each index backend. The acceptance bar is octree ≥ 5× over scan.
+/// executed by the naive per-query linear scan (the scalar column
+/// reference, `range_query_store`) versus the `QueryEngine` with each index
+/// backend. The acceptance bar is octree ≥ 5× over scan.
 fn bench_batch_workload_indexed_vs_scan(c: &mut Criterion) {
-    let db = generate(&DatasetSpec::tdrive(Scale::Small).with_trajectories(400), 7);
+    let db = generate(&DatasetSpec::tdrive(Scale::Small).with_trajectories(400), 7).to_store();
     let spec = RangeWorkloadSpec::paper_default(100, QueryDistribution::Data);
     let mut rng = StdRng::seed_from_u64(11);
-    let queries = range_workload(&db, &spec, &mut rng);
+    let queries = range_workload_store(&db, &spec, &mut rng);
 
     let mut group = c.benchmark_group("batch_range_workload");
     group.sample_size(10);
@@ -91,14 +93,14 @@ fn bench_batch_workload_indexed_vs_scan(c: &mut Criterion) {
         BackendKind::Octree,
         BackendKind::MedianKd,
     ] {
-        let engine = QueryEngine::over(&db, EngineConfig::default().with_backend(backend));
+        let engine = QueryEngine::over_store(&db, EngineConfig::default().with_backend(backend));
         group.bench_function(BenchmarkId::new(backend.label(), db.total_points()), |b| {
             b.iter(|| std::hint::black_box(&engine).range_batch(&queries))
         });
     }
     // Index construction cost, for the amortization story.
     group.bench_function(BenchmarkId::new("octree_build", db.total_points()), |b| {
-        b.iter(|| QueryEngine::over(std::hint::black_box(&db), EngineConfig::octree()))
+        b.iter(|| QueryEngine::over_store(std::hint::black_box(&db), EngineConfig::octree()))
     });
     group.finish();
 }
@@ -111,14 +113,13 @@ fn bench_batch_workload_indexed_vs_scan(c: &mut Criterion) {
 /// the single-store and the sharded executor.
 fn bench_heterogeneous_batch(c: &mut Criterion) {
     let store = generate(&DatasetSpec::tdrive(Scale::Small).with_trajectories(200), 7).to_store();
-    let db_aos = store.to_db();
     let mut rng = StdRng::seed_from_u64(23);
     let spec = RangeWorkloadSpec::paper_default(60, QueryDistribution::Data);
     let cubes = range_workload_store(&store, &spec, &mut rng);
     let (t0, t1) = store.time_span();
     let knns: Vec<KnnQuery> = (0..12)
         .map(|i| KnnQuery {
-            query: db_aos.get(i * db_aos.len() / 12).clone(),
+            query: store.view(i * store.len() / 12).to_trajectory(),
             ts: t0,
             te: t1,
             k: 3,
@@ -127,7 +128,7 @@ fn bench_heterogeneous_batch(c: &mut Criterion) {
         .collect();
     let sims: Vec<SimilarityQuery> = (0..12)
         .map(|i| {
-            let q = db_aos.get(i * db_aos.len() / 12).clone();
+            let q = store.view(i * store.len() / 12).to_trajectory();
             let (ts, te) = q.time_span();
             SimilarityQuery {
                 query: q,

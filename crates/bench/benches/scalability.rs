@@ -20,7 +20,8 @@ fn bench_scalability(c: &mut Criterion) {
     group.sample_size(10);
     for m in [4usize, 8, 16] {
         let db = generate(&spec.clone().with_trajectories(m), 12);
-        let budget = ((db.total_points() as f64 * 0.05) as usize).max(traj_simp::min_points(&db));
+        let budget = ((db.total_points() as f64 * 0.05) as usize)
+            .max(traj_simp::min_points_store(&db.to_store()));
         let n = db.total_points();
 
         let td = TopDown::new(ErrorMeasure::Ped, Adaptation::Each);

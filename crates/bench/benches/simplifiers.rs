@@ -8,7 +8,7 @@ use trajectory::gen::{generate, DatasetSpec, Scale};
 use trajectory::ErrorMeasure;
 
 fn bench_simplifiers(c: &mut Criterion) {
-    let db = generate(&DatasetSpec::geolife(Scale::Smoke).with_trajectories(12), 1);
+    let db = generate(&DatasetSpec::geolife(Scale::Smoke).with_trajectories(12), 1).to_store();
     let budget = db.total_points() / 10;
     let rlts = RltsPlus::train(
         ErrorMeasure::Sed,
@@ -36,7 +36,7 @@ fn bench_simplifiers(c: &mut Criterion) {
     group.sample_size(10);
     for m in &methods {
         group.bench_with_input(BenchmarkId::from_parameter(m.name()), m, |b, m| {
-            b.iter(|| m.simplify(std::hint::black_box(&db), budget))
+            b.iter(|| m.simplify_store(std::hint::black_box(&db), budget))
         });
     }
     group.finish();

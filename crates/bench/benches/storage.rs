@@ -1,17 +1,7 @@
-//! Storage-layout benchmark: columnar SoA `PointStore` versus the
-//! pre-refactor AoS `Vec<Trajectory>` layout, on the two costs the layout
-//! decides — index construction and a 100-query batch range workload over
-//! a T-Drive-shaped database (100k+ points).
-//!
-//! The AoS baseline below is a faithful miniature of the old design: an
-//! octree whose leaves store `(TrajId, point index)` pairs and whose point
-//! tests chase `db.get(traj).point(idx)` through per-trajectory
-//! allocations. The SoA side is the production `QueryEngine` over the
-//! columnar store (bulk counting-scatter build, packed leaf slabs). The
-//! acceptance bar for the refactor is SoA ≥ ~1.5x on build + batch-query
-//! combined; on a 349k-point T-Drive-shaped database (1 core) this
-//! measures ~1.6x on both build (38 ms → 24 ms) and the 100-query batch
-//! (3.7 ms → 2.3 ms).
+//! Storage benchmarks over the columnar `PointStore`: cold load (CSV
+//! re-parse vs owned snapshot read vs zero-copy mmap), the sharded engine
+//! against a single store, the scalar-vs-SIMD kernels, and raw-vs-quantized
+//! snapshot loads — each on a T-Drive-shaped database (100k+ points).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -24,245 +14,7 @@ use trajectory::gen::{generate, DatasetSpec, Scale};
 use trajectory::io::{read_csv_store, write_csv};
 use trajectory::shard::{partition, PartitionStrategy};
 use trajectory::snapshot::{read_snapshot, write_snapshot, MappedStore};
-use trajectory::{Cube, TrajectoryDb};
-
-// ---------------------------------------------------------------------
-// AoS baseline: the old pointer-chasing octree, kept verbatim so layout
-// regressions stay measurable against the design this PR replaced.
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Copy)]
-struct AosRef {
-    traj: usize,
-    idx: u32,
-}
-
-struct AosNode {
-    cube: Cube,
-    depth: u32,
-    children: Option<[u32; 8]>,
-    points: Vec<AosRef>,
-    point_count: u32,
-    traj_count: u32,
-}
-
-struct AosOctree {
-    nodes: Vec<AosNode>,
-    max_depth: u32,
-    leaf_capacity: usize,
-}
-
-impl AosOctree {
-    fn build(db: &TrajectoryDb, max_depth: u32, leaf_capacity: usize) -> Self {
-        let cube = db.bounding_cube();
-        let mut tree = Self {
-            nodes: vec![AosNode {
-                cube,
-                depth: 1,
-                children: None,
-                points: Vec::new(),
-                point_count: 0,
-                traj_count: 0,
-            }],
-            max_depth,
-            leaf_capacity,
-        };
-        for (traj, t) in db.iter() {
-            for idx in 0..t.len() as u32 {
-                tree.insert(AosRef { traj, idx }, db);
-            }
-        }
-        // The pre-refactor build ended with the bottom-up distinct-
-        // trajectory aggregation (`M_B`); keep it so the baseline matches
-        // what engine construction actually cost before this PR.
-        tree.aggregate(0);
-        tree
-    }
-
-    /// Bottom-up `M_B` via sorted-list merging — the old design.
-    fn aggregate(&mut self, id: usize) -> Vec<usize> {
-        let ids: Vec<usize> = match self.nodes[id].children {
-            None => {
-                let mut v: Vec<usize> = self.nodes[id].points.iter().map(|r| r.traj).collect();
-                v.sort_unstable();
-                v.dedup();
-                v
-            }
-            Some(children) => {
-                let mut merged: Vec<usize> = Vec::new();
-                for c in children {
-                    let child = self.aggregate(c as usize);
-                    let mut out = Vec::with_capacity(merged.len() + child.len());
-                    let (mut i, mut j) = (0, 0);
-                    while i < merged.len() && j < child.len() {
-                        match merged[i].cmp(&child[j]) {
-                            std::cmp::Ordering::Less => {
-                                out.push(merged[i]);
-                                i += 1;
-                            }
-                            std::cmp::Ordering::Greater => {
-                                out.push(child[j]);
-                                j += 1;
-                            }
-                            std::cmp::Ordering::Equal => {
-                                out.push(merged[i]);
-                                i += 1;
-                                j += 1;
-                            }
-                        }
-                    }
-                    out.extend_from_slice(&merged[i..]);
-                    out.extend_from_slice(&child[j..]);
-                    merged = out;
-                }
-                merged
-            }
-        };
-        self.nodes[id].traj_count = ids.len() as u32;
-        ids
-    }
-
-    fn insert(&mut self, r: AosRef, db: &TrajectoryDb) {
-        let p = *db.get(r.traj).point(r.idx as usize);
-        let mut id = 0usize;
-        loop {
-            let node = &mut self.nodes[id];
-            node.point_count += 1;
-            match node.children {
-                Some(children) => {
-                    let k = node.cube.octant_of(&p);
-                    id = children[k] as usize;
-                }
-                None => {
-                    node.points.push(r);
-                    if node.points.len() > self.leaf_capacity && node.depth < self.max_depth {
-                        self.split(id, db);
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
-    fn split(&mut self, id: usize, db: &TrajectoryDb) {
-        let (cube, depth, points) = {
-            let node = &mut self.nodes[id];
-            (node.cube, node.depth, std::mem::take(&mut node.points))
-        };
-        let base = self.nodes.len() as u32;
-        for c in cube.octants() {
-            self.nodes.push(AosNode {
-                cube: c,
-                depth: depth + 1,
-                children: None,
-                points: Vec::new(),
-                point_count: 0,
-                traj_count: 0,
-            });
-        }
-        let children: [u32; 8] = std::array::from_fn(|k| base + k as u32);
-        self.nodes[id].children = Some(children);
-        for r in points {
-            let p = *db.get(r.traj).point(r.idx as usize);
-            let k = cube.octant_of(&p);
-            let child = &mut self.nodes[children[k] as usize];
-            child.points.push(r);
-            child.point_count += 1;
-        }
-        for &c in &children {
-            if self.nodes[c as usize].points.len() > self.leaf_capacity
-                && self.nodes[c as usize].depth < self.max_depth
-            {
-                self.split(c as usize, db);
-            }
-        }
-    }
-
-    fn range(&self, db: &TrajectoryDb, q: &Cube) -> Vec<usize> {
-        let mut hit = vec![false; db.len()];
-        self.mark(0, db, q, &mut hit);
-        hit.iter()
-            .enumerate()
-            .filter_map(|(id, &h)| h.then_some(id))
-            .collect()
-    }
-
-    fn mark(&self, id: usize, db: &TrajectoryDb, q: &Cube, hit: &mut [bool]) {
-        let node = &self.nodes[id];
-        if node.point_count == 0 || !node.cube.intersects(q) {
-            return;
-        }
-        match node.children {
-            Some(children) => {
-                for c in children {
-                    self.mark(c as usize, db, q, hit);
-                }
-            }
-            None => {
-                for r in &node.points {
-                    if !hit[r.traj] && q.contains(db.get(r.traj).point(r.idx as usize)) {
-                        hit[r.traj] = true;
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The benchmark.
-// ---------------------------------------------------------------------
-
-fn bench_storage_layouts(c: &mut Criterion) {
-    let db = generate(
-        &DatasetSpec::tdrive(Scale::Small).with_trajectories(1000),
-        7,
-    );
-    let store = db.to_store();
-    let n = store.total_points();
-    let spec = RangeWorkloadSpec::paper_default(100, QueryDistribution::Data);
-    let mut rng = StdRng::seed_from_u64(11);
-    let queries = range_workload(&db, &spec, &mut rng);
-
-    let mut group = c.benchmark_group("storage_layout");
-    group.sample_size(10);
-
-    // Index construction over each layout.
-    group.bench_function(BenchmarkId::new("aos_octree_build", n), |b| {
-        b.iter(|| AosOctree::build(std::hint::black_box(&db), 12, 64))
-    });
-    group.bench_function(BenchmarkId::new("soa_octree_build", n), |b| {
-        b.iter(|| QueryEngine::over_store(std::hint::black_box(&store), EngineConfig::octree()))
-    });
-
-    // 100-query batch over pre-built indexes (sequential on both sides so
-    // the comparison isolates the layout, not the thread pool).
-    let aos = AosOctree::build(&db, 12, 64);
-    let soa = QueryEngine::over_store(&store, EngineConfig::octree());
-    group.bench_function(BenchmarkId::new("aos_batch_100", n), |b| {
-        b.iter(|| {
-            queries
-                .iter()
-                .map(|q| aos.range(std::hint::black_box(&db), q))
-                .collect::<Vec<_>>()
-        })
-    });
-    group.bench_function(BenchmarkId::new("soa_batch_100", n), |b| {
-        b.iter(|| {
-            queries
-                .iter()
-                .map(|q| std::hint::black_box(&soa).range(q))
-                .collect::<Vec<_>>()
-        })
-    });
-
-    // Sanity: both layouts must return identical results before any
-    // timing claim means anything.
-    for q in &queries {
-        assert_eq!(aos.range(&db, q), soa.range(q), "layouts disagree");
-    }
-    group.finish();
-}
+use trajectory::Cube;
 
 // ---------------------------------------------------------------------
 // Cold load: CSV re-parse vs owned snapshot read vs zero-copy mmap.
@@ -596,7 +348,6 @@ fn bench_quantized_load(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_storage_layouts,
     bench_cold_load,
     bench_sharded,
     bench_kernels,

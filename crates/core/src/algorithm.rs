@@ -9,12 +9,12 @@ use rand::SeedableRng;
 use tiny_rl::Dqn;
 use traj_index::{CubeIndex, NodeId};
 use traj_query::QueryEngine;
-use trajectory::{AsColumns, Cube, Simplification, TrajectoryDb};
+use trajectory::{AsColumns, Cube, PointStore, Simplification, TrajectoryDb};
 
 /// The RL4QDTS simplifier: a trained Agent-Cube and Agent-Point pair plus
-/// their hyperparameters. Produced by [`crate::trainer::train`] (or
+/// their hyperparameters. Produced by [`crate::trainer::train_store`] (or
 /// [`Rl4Qdts::untrained`] for testing) and applied with
-/// [`Rl4Qdts::simplify`].
+/// [`Rl4Qdts::simplify_store`].
 #[derive(Debug, Clone)]
 pub struct Rl4Qdts {
     /// Hyperparameters (must match between training and inference).
@@ -64,11 +64,8 @@ impl Rl4Qdts {
         (&self.cube_agent, &self.point_agent)
     }
 
-    /// Algorithm 1 with the full method. `state_queries` is the synthetic
-    /// range-query workload that defines the octree's `Q_B` statistics and
-    /// the start-cube sampling distribution — the same role it plays during
-    /// training. `seed` drives the (paper-noted) random start-cube
-    /// sampling; the experiments average over several seeds.
+    /// Row-form forward of [`Rl4Qdts::simplify_store`] for callers that
+    /// hold a [`TrajectoryDb`] builder.
     pub fn simplify(
         &self,
         db: &TrajectoryDb,
@@ -76,22 +73,37 @@ impl Rl4Qdts {
         state_queries: &[Cube],
         seed: u64,
     ) -> Simplification {
-        self.simplify_variant(db, budget, state_queries, seed, PolicyVariant::FULL)
+        self.simplify_store(&db.to_store(), budget, state_queries, seed)
+    }
+
+    /// Algorithm 1 with the full method. `state_queries` is the synthetic
+    /// range-query workload that defines the octree's `Q_B` statistics and
+    /// the start-cube sampling distribution — the same role it plays during
+    /// training. `seed` drives the (paper-noted) random start-cube
+    /// sampling; the experiments average over several seeds.
+    pub fn simplify_store(
+        &self,
+        store: &PointStore,
+        budget: usize,
+        state_queries: &[Cube],
+        seed: u64,
+    ) -> Simplification {
+        self.simplify_variant(store, budget, state_queries, seed, PolicyVariant::FULL)
     }
 
     /// Algorithm 1 parameterized by the ablation variant (Table II).
-    /// Builds a [`QueryEngine`] with the configured index backend
-    /// ([`crate::config::IndexKind`]) and runs the insertion loop against
-    /// its shared cube hierarchy.
+    /// Builds a [`QueryEngine`] over the borrowed columns with the
+    /// configured index backend ([`crate::config::IndexKind`]) and runs
+    /// the insertion loop against its shared cube hierarchy.
     pub fn simplify_variant(
         &self,
-        db: &TrajectoryDb,
+        store: &PointStore,
         budget: usize,
         state_queries: &[Cube],
         seed: u64,
         variant: PolicyVariant,
     ) -> Simplification {
-        let mut engine = QueryEngine::over(db, self.config.engine_config());
+        let mut engine = QueryEngine::over_store(store, self.config.engine_config());
         engine.assign_queries(state_queries);
         let tree = engine
             .cube_index()
@@ -228,12 +240,12 @@ fn fill_remaining<S: AsColumns + ?Sized>(store: &S, simp: &mut Simplification, b
 mod tests {
     use super::*;
     use crate::config::IndexKind;
-    use traj_query::{range_workload, QueryDistribution, RangeWorkloadSpec};
+    use traj_query::{range_workload_store, QueryDistribution, RangeWorkloadSpec};
     use trajectory::gen::{generate, DatasetSpec, Scale};
 
-    fn setup() -> (TrajectoryDb, Vec<Cube>, Rl4QdtsConfig) {
-        let db = generate(&DatasetSpec::geolife(Scale::Smoke), 17);
-        let cfg = Rl4QdtsConfig::scaled_to(&db).with_delta(20);
+    fn setup() -> (PointStore, Vec<Cube>, Rl4QdtsConfig) {
+        let db = generate(&DatasetSpec::geolife(Scale::Smoke), 17).to_store();
+        let cfg = Rl4QdtsConfig::scaled_to_points(db.total_points()).with_delta(20);
         let spec = RangeWorkloadSpec {
             count: 20,
             spatial_extent: 3_000.0,
@@ -241,7 +253,7 @@ mod tests {
             dist: QueryDistribution::Data,
         };
         let mut rng = StdRng::seed_from_u64(5);
-        let queries = range_workload(&db, &spec, &mut rng);
+        let queries = range_workload_store(&db, &spec, &mut rng);
         (db, queries, cfg)
     }
 
@@ -250,7 +262,7 @@ mod tests {
         let (db, queries, cfg) = setup();
         let model = Rl4Qdts::untrained(cfg, 1);
         let budget = db.total_points() / 20;
-        let simp = model.simplify(&db, budget, &queries, 7);
+        let simp = model.simplify_store(&db, budget, &queries, 7);
         assert_eq!(simp.total_points(), budget.max(2 * db.len()));
     }
 
@@ -258,7 +270,7 @@ mod tests {
     fn endpoints_always_present() {
         let (db, queries, cfg) = setup();
         let model = Rl4Qdts::untrained(cfg, 2);
-        let simp = model.simplify(&db, db.total_points() / 30, &queries, 3);
+        let simp = model.simplify_store(&db, db.total_points() / 30, &queries, 3);
         for (id, t) in db.iter() {
             assert!(simp.contains(id, 0));
             assert!(simp.contains(id, t.len() as u32 - 1));
@@ -270,8 +282,8 @@ mod tests {
         let (db, queries, cfg) = setup();
         let model = Rl4Qdts::untrained(cfg, 3);
         let budget = db.total_points() / 25;
-        let a = model.simplify(&db, budget, &queries, 11);
-        let b = model.simplify(&db, budget, &queries, 11);
+        let a = model.simplify_store(&db, budget, &queries, 11);
+        let b = model.simplify_store(&db, budget, &queries, 11);
         assert_eq!(a, b);
     }
 
@@ -279,7 +291,7 @@ mod tests {
     fn budget_above_total_keeps_everything() {
         let (db, queries, cfg) = setup();
         let model = Rl4Qdts::untrained(cfg, 4);
-        let simp = model.simplify(&db, usize::MAX, &queries, 1);
+        let simp = model.simplify_store(&db, usize::MAX, &queries, 1);
         assert_eq!(simp.total_points(), db.total_points());
     }
 
@@ -306,8 +318,7 @@ mod tests {
 
     #[test]
     fn fill_remaining_completes_budgets() {
-        let (db, _, _) = setup();
-        let store = db.to_store();
+        let (store, _, _) = setup();
         let mut simp = Simplification::most_simplified_store(&store);
         let budget = simp.total_points() + 17;
         fill_remaining(&store, &mut simp, budget);
@@ -320,10 +331,10 @@ mod tests {
         let cfg = cfg.with_index(IndexKind::MedianKdTree);
         let model = Rl4Qdts::untrained(cfg, 7);
         let budget = db.total_points() / 20;
-        let simp = model.simplify(&db, budget, &queries, 3);
+        let simp = model.simplify_store(&db, budget, &queries, 3);
         assert_eq!(simp.total_points(), budget.max(2 * db.len()));
         // Determinism holds for the alternative index too.
-        assert_eq!(simp, model.simplify(&db, budget, &queries, 3));
+        assert_eq!(simp, model.simplify_store(&db, budget, &queries, 3));
     }
 
     #[test]
@@ -332,8 +343,8 @@ mod tests {
         let model_oct = Rl4Qdts::untrained(cfg, 7);
         let model_kd = Rl4Qdts::untrained(cfg.with_index(IndexKind::MedianKdTree), 7);
         let budget = db.total_points() / 20;
-        let a = model_oct.simplify(&db, budget, &queries, 3);
-        let b = model_kd.simplify(&db, budget, &queries, 3);
+        let a = model_oct.simplify_store(&db, budget, &queries, 3);
+        let b = model_kd.simplify_store(&db, budget, &queries, 3);
         assert_eq!(a.total_points(), b.total_points());
         assert_ne!(
             a, b,
@@ -346,7 +357,7 @@ mod tests {
         let (db, _, cfg) = setup();
         let model = Rl4Qdts::untrained(cfg, 6);
         let budget = db.total_points() / 25;
-        let simp = model.simplify(&db, budget, &[], 2);
+        let simp = model.simplify_store(&db, budget, &[], 2);
         assert_eq!(simp.total_points(), budget.max(2 * db.len()));
     }
 }

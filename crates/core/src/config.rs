@@ -118,14 +118,20 @@ impl Rl4QdtsConfig {
         }
     }
 
-    /// A configuration scaled to the given database: `E ≈ log₈(N)` so
-    /// leaves stay usefully small, and `S = E − 1`. The paper's S=9/E=12
-    /// gap of 3 suits databases of millions of points; at laptop scale a
-    /// gap of 1 keeps the cube agent's decision space learnable with the
-    /// few thousand transitions a quick training run produces (the
-    /// param_study binary sweeps both).
+    /// Row-form forward of [`Rl4QdtsConfig::scaled_to_points`] for callers
+    /// that hold a [`TrajectoryDb`] builder (only its point count is read).
     pub fn scaled_to(db: &TrajectoryDb) -> Self {
-        let n = db.total_points().max(1) as f64;
+        Self::scaled_to_points(db.total_points())
+    }
+
+    /// A configuration scaled to a database of `total_points` points:
+    /// `E ≈ log₈(N)` so leaves stay usefully small, and `S = E − 1`. The
+    /// paper's S=9/E=12 gap of 3 suits databases of millions of points; at
+    /// laptop scale a gap of 1 keeps the cube agent's decision space
+    /// learnable with the few thousand transitions a quick training run
+    /// produces (the param_study binary sweeps both).
+    pub fn scaled_to_points(total_points: usize) -> Self {
+        let n = total_points.max(1) as f64;
         let depth = (n.log2() / 3.0).ceil() as u32 + 1; // log8(N) + 1
         let max_depth = depth.clamp(3, 12);
         let start_level = max_depth.saturating_sub(1).max(1);

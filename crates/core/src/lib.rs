@@ -17,13 +17,13 @@
 //! Typical use:
 //!
 //! ```
-//! use rl4qdts::{train, Rl4QdtsConfig, TrainerConfig};
+//! use rl4qdts::{train_store, Rl4QdtsConfig, TrainerConfig};
 //! use trajectory::gen::{generate, DatasetSpec, Scale};
-//! use traj_query::{range_workload, QueryDistribution, RangeWorkloadSpec};
+//! use traj_query::{range_workload_store, QueryDistribution, RangeWorkloadSpec};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
-//! let pool = generate(&DatasetSpec::geolife(Scale::Smoke), 1);
-//! let config = Rl4QdtsConfig::scaled_to(&pool).with_delta(20);
+//! let pool = generate(&DatasetSpec::geolife(Scale::Smoke), 1).to_store();
+//! let config = Rl4QdtsConfig::scaled_to_points(pool.total_points()).with_delta(20);
 //! let workload = RangeWorkloadSpec {
 //!     count: 10, spatial_extent: 2_000.0, temporal_extent: 86_400.0,
 //!     dist: QueryDistribution::Data,
@@ -31,13 +31,19 @@
 //! let mut trainer = TrainerConfig::small(workload);
 //! trainer.num_dbs = 1;
 //! trainer.episodes_per_db = 1;
-//! let (model, _stats) = train(&pool, config, &trainer, 7);
+//! let (model, _stats) = train_store(&pool, config, &trainer, 7);
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
-//! let queries = range_workload(&pool, &workload, &mut rng);
-//! let simplified = model.simplify(&pool, pool.total_points() / 10, &queries, 1);
+//! let queries = range_workload_store(&pool, &workload, &mut rng);
+//! let simplified = model.simplify_store(&pool, pool.total_points() / 10, &queries, 1);
 //! assert!(simplified.total_points() <= pool.total_points() / 10);
 //! ```
+//!
+//! Everything runs over columns ([`trajectory::PointStore`]). Four entry
+//! points still accept the row-form [`trajectory::TrajectoryDb`] builder,
+//! each a one-line forward kept because the frozen benchmark calls it:
+//! [`train`], [`Rl4Qdts::simplify`], [`Rl4QdtsConfig::scaled_to`] and —
+//! in `traj-query` — `QueryEngine::over`.
 
 #![warn(missing_docs)]
 
@@ -52,4 +58,4 @@ pub mod trainer;
 pub use algorithm::Rl4Qdts;
 pub use config::{IndexKind, PolicyVariant, Rl4QdtsConfig};
 pub use reward::{range_query_simplified, RewardTracker};
-pub use trainer::{train, TrainStats, TrainerConfig};
+pub use trainer::{train, train_store, TrainStats, TrainerConfig};

@@ -14,7 +14,7 @@
 //! counter reads instead of a full workload rescan.
 
 use traj_query::QueryEngine;
-use trajectory::{Cube, Point, Simplification, TrajId, TrajectoryDb};
+use trajectory::{AsColumns, Cube, Point, Simplification, TrajId};
 
 /// Evaluates range queries against a simplification *without*
 /// materializing the simplified database: a trajectory matches when one of
@@ -24,12 +24,17 @@ use trajectory::{Cube, Point, Simplification, TrajId, TrajectoryDb};
 /// [`QueryEngine::range_simplified`] executes the same query with index
 /// pruning.
 #[must_use]
-pub fn range_query_simplified(db: &TrajectoryDb, simp: &Simplification, q: &Cube) -> Vec<TrajId> {
-    db.iter()
-        .filter(|(id, t)| {
+pub fn range_query_simplified<S: AsColumns + ?Sized>(
+    store: &S,
+    simp: &Simplification,
+    q: &Cube,
+) -> Vec<TrajId> {
+    store
+        .iter()
+        .filter(|(id, v)| {
             simp.kept(*id)
                 .iter()
-                .any(|&idx| q.contains(t.point(idx as usize)))
+                .any(|&idx| q.contains(&v.point(idx as usize)))
         })
         .map(|(id, _)| id)
         .collect()
@@ -110,10 +115,10 @@ impl RewardTracker {
 mod tests {
     use super::*;
     use traj_query::EngineConfig;
-    use trajectory::{Point, Trajectory};
+    use trajectory::{Point, PointStore, Trajectory, TrajectoryDb};
 
     /// A trajectory passing through the query box only at its midpoint.
-    fn db() -> TrajectoryDb {
+    fn db() -> PointStore {
         let t = Trajectory::new(vec![
             Point::new(0.0, 0.0, 0.0),
             Point::new(50.0, 0.0, 50.0),
@@ -125,7 +130,7 @@ mod tests {
             Point::new(1000.0, 1000.0, 100.0),
         ])
         .unwrap();
-        TrajectoryDb::new(vec![t, far])
+        TrajectoryDb::new(vec![t, far]).to_store()
     }
 
     fn mid_query() -> Cube {
@@ -135,27 +140,27 @@ mod tests {
     /// Inserts into both the simplification and the tracker.
     fn insert(
         tracker: &mut RewardTracker,
-        db: &TrajectoryDb,
+        db: &PointStore,
         simp: &mut Simplification,
         id: usize,
         idx: u32,
     ) {
         if simp.insert(id, idx) {
-            tracker.on_insert(id, db.get(id).point(idx as usize));
+            tracker.on_insert(id, &db.view(id).point(idx as usize));
         }
     }
 
     #[test]
     fn simplified_query_sees_only_kept_points() {
         let db = db();
-        let simp = Simplification::most_simplified(&db);
+        let simp = Simplification::most_simplified_store(&db);
         // Endpoints only: the midpoint hit is lost.
         assert!(range_query_simplified(&db, &simp, &mid_query()).is_empty());
         let mut richer = simp.clone();
         richer.insert(0, 1);
         assert_eq!(range_query_simplified(&db, &richer, &mid_query()), vec![0]);
         // The engine's pruned execution agrees.
-        let engine = QueryEngine::over(&db, EngineConfig::octree());
+        let engine = QueryEngine::over_store(&db, EngineConfig::octree());
         assert_eq!(engine.range_simplified(&richer, &mid_query()), vec![0]);
         assert!(engine.range_simplified(&simp, &mid_query()).is_empty());
     }
@@ -163,8 +168,8 @@ mod tests {
     #[test]
     fn reward_is_positive_when_accuracy_improves() {
         let db = db();
-        let engine = QueryEngine::over(&db, EngineConfig::octree());
-        let mut simp = Simplification::most_simplified(&db);
+        let engine = QueryEngine::over_store(&db, EngineConfig::octree());
+        let mut simp = Simplification::most_simplified_store(&db);
         let mut tracker = RewardTracker::new(&engine, vec![mid_query()], &simp);
         assert!(tracker.last_diff() > 0.99, "endpoints miss the query");
         insert(&mut tracker, &db, &mut simp, 0, 1);
@@ -176,8 +181,8 @@ mod tests {
     #[test]
     fn useless_insertions_earn_zero() {
         let db = db();
-        let engine = QueryEngine::over(&db, EngineConfig::octree());
-        let mut simp = Simplification::most_simplified(&db);
+        let engine = QueryEngine::over_store(&db, EngineConfig::octree());
+        let mut simp = Simplification::most_simplified_store(&db);
         let mut tracker = RewardTracker::new(&engine, vec![mid_query()], &simp);
         let before = tracker.last_diff();
         // Inserting a point of the far trajectory changes nothing.
@@ -191,8 +196,8 @@ mod tests {
     fn rewards_telescope_to_total_improvement() {
         // Eq. 11: the sum of window rewards equals initial minus final diff.
         let db = db();
-        let engine = QueryEngine::over(&db, EngineConfig::octree());
-        let mut simp = Simplification::most_simplified(&db);
+        let engine = QueryEngine::over_store(&db, EngineConfig::octree());
+        let mut simp = Simplification::most_simplified_store(&db);
         let mut tracker = RewardTracker::new(&engine, vec![mid_query()], &simp);
         let initial = tracker.last_diff();
         let mut total = 0.0;
@@ -207,8 +212,8 @@ mod tests {
     #[test]
     fn maintained_diff_equals_scratch_recomputation() {
         let db = db();
-        let engine = QueryEngine::over(&db, EngineConfig::octree());
-        let mut simp = Simplification::most_simplified(&db);
+        let engine = QueryEngine::over_store(&db, EngineConfig::octree());
+        let mut simp = Simplification::most_simplified_store(&db);
         let mut tracker = RewardTracker::new(&engine, vec![mid_query(), db.bounding_cube()], &simp);
         assert!((tracker.diff() - tracker.diff_of(&engine, &simp)).abs() < 1e-12);
         insert(&mut tracker, &db, &mut simp, 0, 1);
@@ -218,8 +223,8 @@ mod tests {
     #[test]
     fn empty_workload_is_neutral() {
         let db = db();
-        let engine = QueryEngine::over(&db, EngineConfig::octree());
-        let simp = Simplification::most_simplified(&db);
+        let engine = QueryEngine::over_store(&db, EngineConfig::octree());
+        let simp = Simplification::most_simplified_store(&db);
         let mut tracker = RewardTracker::new(&engine, vec![], &simp);
         assert_eq!(tracker.last_diff(), 0.0);
         assert_eq!(tracker.window_reward(), 0.0);

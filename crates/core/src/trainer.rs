@@ -112,10 +112,21 @@ impl WindowBuffer {
     }
 }
 
-/// Trains RL4QDTS on databases sampled from `pool`. Returns the trained
-/// model and training statistics. Deterministic for a given seed.
+/// Row-form forward of [`train_store`] for callers that hold a
+/// [`TrajectoryDb`] builder.
 pub fn train(
     pool: &TrajectoryDb,
+    config: Rl4QdtsConfig,
+    trainer: &TrainerConfig,
+    seed: u64,
+) -> (Rl4Qdts, TrainStats) {
+    train_store(&pool.to_store(), config, trainer, seed)
+}
+
+/// Trains RL4QDTS on databases sampled from `pool`. Returns the trained
+/// model and training statistics. Deterministic for a given seed.
+pub fn train_store(
+    pool: &PointStore,
     config: Rl4QdtsConfig,
     trainer: &TrainerConfig,
     seed: u64,
@@ -127,11 +138,9 @@ pub fn train(
     let mut reward_sum = 0.0;
     let mut windows = 0usize;
 
-    // One columnar conversion of the pool; per-round training databases
-    // are gathers over its columns, not `Vec<Point>` clones.
-    let pool_store = pool.to_store();
+    // Per-round training databases are gathers over the pool's columns.
     for db_round in 0..trainer.num_dbs {
-        let db = sample_db(&pool_store, trainer.trajs_per_db, &mut rng);
+        let db = sample_db(pool, trainer.trajs_per_db, &mut rng);
         if db.is_empty() || db.total_points() < 8 {
             continue;
         }
@@ -284,8 +293,12 @@ fn run_episode(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use traj_query::{range_workload, QueryDistribution};
+    use traj_query::QueryDistribution;
     use trajectory::gen::{generate, DatasetSpec, Scale};
+
+    fn pool(seed: u64) -> PointStore {
+        generate(&DatasetSpec::geolife(Scale::Smoke), seed).to_store()
+    }
 
     fn quick_trainer() -> TrainerConfig {
         TrainerConfig {
@@ -304,9 +317,9 @@ mod tests {
 
     #[test]
     fn training_runs_and_produces_a_usable_model() {
-        let pool = generate(&DatasetSpec::geolife(Scale::Smoke), 23);
-        let config = Rl4QdtsConfig::scaled_to(&pool).with_delta(15);
-        let (model, stats) = train(&pool, config, &quick_trainer(), 99);
+        let pool = pool(23);
+        let config = Rl4QdtsConfig::scaled_to_points(pool.total_points()).with_delta(15);
+        let (model, stats) = train_store(&pool, config, &quick_trainer(), 99);
         assert_eq!(stats.episodes, 2);
         assert!(stats.insertions > 0);
         assert!(stats.transitions > 0);
@@ -314,35 +327,35 @@ mod tests {
         // The trained model must still honor budgets.
         let mut rng = StdRng::seed_from_u64(1);
         let spec = quick_trainer().workload;
-        let queries = range_workload(&pool, &spec, &mut rng);
+        let queries = range_workload_store(&pool, &spec, &mut rng);
         let budget = pool.total_points() / 20;
-        let simp = model.simplify(&pool, budget, &queries, 4);
+        let simp = model.simplify_store(&pool, budget, &queries, 4);
         assert_eq!(simp.total_points(), budget.max(2 * pool.len()));
     }
 
     #[test]
     fn training_is_deterministic_per_seed() {
-        let pool = generate(&DatasetSpec::geolife(Scale::Smoke), 29);
-        let config = Rl4QdtsConfig::scaled_to(&pool).with_delta(10);
-        let (m1, s1) = train(&pool, config, &quick_trainer(), 7);
-        let (m2, s2) = train(&pool, config, &quick_trainer(), 7);
+        let pool = pool(29);
+        let config = Rl4QdtsConfig::scaled_to_points(pool.total_points()).with_delta(10);
+        let (m1, s1) = train_store(&pool, config, &quick_trainer(), 7);
+        let (m2, s2) = train_store(&pool, config, &quick_trainer(), 7);
         assert_eq!(s1.insertions, s2.insertions);
         assert_eq!(s1.transitions, s2.transitions);
         // Identical training ⇒ identical behaviour.
         let mut rng = StdRng::seed_from_u64(3);
-        let queries = range_workload(&pool, &quick_trainer().workload, &mut rng);
+        let queries = range_workload_store(&pool, &quick_trainer().workload, &mut rng);
         let budget = pool.total_points() / 30;
         assert_eq!(
-            m1.simplify(&pool, budget, &queries, 5),
-            m2.simplify(&pool, budget, &queries, 5)
+            m1.simplify_store(&pool, budget, &queries, 5),
+            m2.simplify_store(&pool, budget, &queries, 5)
         );
     }
 
     #[test]
     fn rewards_flow_into_replay() {
-        let pool = generate(&DatasetSpec::geolife(Scale::Smoke), 31);
-        let config = Rl4QdtsConfig::scaled_to(&pool).with_delta(10);
-        let (model, _) = train(&pool, config, &quick_trainer(), 13);
+        let pool = pool(31);
+        let config = Rl4QdtsConfig::scaled_to_points(pool.total_points()).with_delta(10);
+        let (model, _) = train_store(&pool, config, &quick_trainer(), 13);
         let (cube, point) = model.agents();
         assert!(cube.replay_len() > 0, "cube agent stored no transitions");
         assert!(point.replay_len() > 0, "point agent stored no transitions");

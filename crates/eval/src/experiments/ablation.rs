@@ -31,8 +31,8 @@ pub fn run(scale: Scale, seed: u64, runs: usize) -> Table {
     let params = TaskParams::for_scale(scale, query_count(scale));
     let tasks = build_tasks(&test_db, dist, params, &mut rng);
     let ratio = ratio_sweep(scale)[0];
-    let budget =
-        ((test_db.total_points() as f64 * ratio) as usize).max(traj_simp::min_points(&test_db));
+    let budget = ((test_db.total_points() as f64 * ratio) as usize)
+        .max(traj_simp::min_points_store(&test_db.to_store()));
 
     let variants = [
         PolicyVariant::FULL,

@@ -65,7 +65,7 @@ fn run_one(
     let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
     let params = TaskParams::for_scale(scale, query_count(scale));
     let tasks = build_tasks(test_db, dist, params, &mut rng);
-    let floor = traj_simp::min_points(test_db);
+    let floor = traj_simp::min_points_store(&test_db.to_store());
 
     // scores[task][method_row][ratio] = formatted cell
     let mut method_names: Vec<String> = baselines.iter().map(|b| b.name()).collect();

@@ -41,8 +41,7 @@ pub fn run(scale: Scale, seed: u64) -> Table {
         "step (paper)",
     ]);
     for (spec, reference) in DatasetSpec::all(scale).iter().zip(PAPER_REFERENCE) {
-        let db = generate(spec, seed);
-        let s = DatasetStats::compute(&db);
+        let s = DatasetStats::compute(&generate(spec, seed).to_store());
         table.row(vec![
             spec.name.to_string(),
             s.num_trajectories.to_string(),

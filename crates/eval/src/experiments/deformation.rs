@@ -29,9 +29,10 @@ pub fn returned_trajectory_sed(
     simp: &Simplification,
     queries: &[trajectory::Cube],
 ) -> f64 {
+    let store = db.to_store();
     let mut returned: Vec<usize> = queries
         .iter()
-        .flat_map(|q| traj_query::range_query(db, q))
+        .flat_map(|q| traj_query::range_query_store(&store, q))
         .collect();
     returned.sort_unstable();
     returned.dedup();
@@ -61,7 +62,7 @@ pub fn run_one(scale: Scale, seed: u64, dist: QueryDistribution) -> Table {
     let params = TaskParams::for_scale(scale, query_count(scale));
     let tasks = build_tasks(&test_db, dist, params, &mut rng);
     let ratios = ratio_sweep(scale);
-    let floor = traj_simp::min_points(&test_db);
+    let floor = traj_simp::min_points_store(&test_db.to_store());
 
     let mut header: Vec<String> = vec!["method".into()];
     header.extend(ratios.iter().map(|&r| crate::experiments::fmt_ratio(r)));
@@ -115,8 +116,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let params = TaskParams::paper_scaled(8);
         let tasks = build_tasks(&db, QueryDistribution::Data, params, &mut rng);
-        let endpoints = Simplification::most_simplified(&db);
-        let full = Simplification::full(&db);
+        let store = db.to_store();
+        let endpoints = Simplification::most_simplified_store(&store);
+        let full = Simplification::full_store(&store);
         let harsh = returned_trajectory_sed(&db, &endpoints, &tasks.range_queries);
         let none = returned_trajectory_sed(&db, &full, &tasks.range_queries);
         assert!(none < 1e-9);

@@ -31,7 +31,7 @@ fn timed_baselines(train_db: &TrajectoryDb, seed: u64) -> Vec<Box<dyn Simplifier
             ErrorMeasure::Sed,
             Adaptation::Each,
             3,
-            train_db,
+            &train_db.to_store(),
             &rlts_cfg,
             seed,
         )),
@@ -86,7 +86,8 @@ pub fn run_varying_size(scale: Scale, seed: u64) -> Table {
     for &m in &sizes {
         let db = generate(&spec.clone().with_trajectories(m), seed);
         let ratio = budget_sweep(scale)[0];
-        let budget = ((db.total_points() as f64 * ratio) as usize).max(traj_simp::min_points(&db));
+        let budget = ((db.total_points() as f64 * ratio) as usize)
+            .max(traj_simp::min_points_store(&db.to_store()));
         for (i, b) in baselines.iter().enumerate() {
             rows[i].push(format!("{:.3}s", time_one(b.as_ref(), &db, budget)));
         }
@@ -126,7 +127,8 @@ pub fn run_varying_budget(scale: Scale, seed: u64) -> Table {
         .chain(std::iter::once(vec!["RL4QDTS".to_string()]))
         .collect();
     for &ratio in &ratios {
-        let budget = ((db.total_points() as f64 * ratio) as usize).max(traj_simp::min_points(&db));
+        let budget = ((db.total_points() as f64 * ratio) as usize)
+            .max(traj_simp::min_points_store(&db.to_store()));
         for (i, b) in baselines.iter().enumerate() {
             rows[i].push(format!("{:.3}s", time_one(b.as_ref(), &db, budget)));
         }

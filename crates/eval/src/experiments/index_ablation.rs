@@ -44,7 +44,7 @@ pub fn run(scale: Scale, seed: u64) -> Table {
     let params = TaskParams::for_scale(scale, query_count(scale));
     let tasks = build_tasks(&test_db, DIST, params, &mut rng);
     let ratios = ratio_sweep(scale);
-    let floor = traj_simp::min_points(&test_db);
+    let floor = traj_simp::min_points_store(&test_db.to_store());
 
     let mut table = Table::new(&["index", "ratio", "Range F1", "Simplify time (s)"]);
     for kind in [IndexKind::Octree, IndexKind::MedianKdTree] {

@@ -48,8 +48,8 @@ fn score_config(
     let started = std::time::Instant::now();
     let (model, _) = train(train_db, config, &trainer_for(scale), seed);
     let ratio = ratio_sweep(scale)[0];
-    let budget =
-        ((test_db.total_points() as f64 * ratio) as usize).max(traj_simp::min_points(test_db));
+    let budget = ((test_db.total_points() as f64 * ratio) as usize)
+        .max(traj_simp::min_points_store(&test_db.to_store()));
     let rl = Rl4QdtsSimplifier {
         model,
         state_queries: state_workload(test_db, DIST, query_count(scale), seed ^ 9),
@@ -161,15 +161,18 @@ pub fn run_knn_k(scale: Scale, seed: u64) -> Table {
     };
     let model = crate::suite::train_rl4qdts(&train_db, DIST, query_count(scale), seed);
     let ratio = ratio_sweep(scale)[0];
-    let budget =
-        ((test_db.total_points() as f64 * ratio) as usize).max(traj_simp::min_points(&test_db));
+    let test_store = test_db.to_store();
+    let budget = ((test_db.total_points() as f64 * ratio) as usize)
+        .max(traj_simp::min_points_store(&test_store));
     let rl = Rl4QdtsSimplifier {
         model,
         state_queries: state_workload(&test_db, DIST, query_count(scale), seed ^ 4),
         seed,
         variant: PolicyVariant::FULL,
     };
-    let simplified = rl.simplify(&test_db, budget).materialize(&test_db);
+    let simplified = rl
+        .simplify_store(&test_store, budget)
+        .materialize_store(&test_store);
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5b);
     let params = TaskParams::for_scale(scale, query_count(scale));
@@ -195,7 +198,10 @@ pub fn run_knn_k(scale: Scale, seed: u64) -> Table {
                         k,
                         measure,
                     };
-                    f1_sets(&query.execute(&test_db), &query.execute(&simplified))
+                    f1_sets(
+                        &query.execute_store(&test_store),
+                        &query.execute_store(&simplified),
+                    )
                 })
                 .collect();
             cells.push(format!("{:.3}", mean_f1(&scores)));

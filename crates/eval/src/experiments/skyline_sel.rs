@@ -64,7 +64,7 @@ pub fn run_one(scale: Scale, seed: u64, dist: QueryDistribution) -> SkylineOutco
     let params = TaskParams::for_scale(scale, query_count(scale));
     let tasks = build_tasks(&test_db, dist, params, &mut rng);
     let budget = ((test_db.total_points() as f64 * anchor_ratio) as usize)
-        .max(traj_simp::min_points(&test_db));
+        .max(traj_simp::min_points_store(&test_db.to_store()));
 
     // The 25 baselines are independent: score them in parallel (the same
     // work-stealing helper the query engine's batch paths use).

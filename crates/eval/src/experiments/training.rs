@@ -102,8 +102,8 @@ fn held_out_f1(
     seed: u64,
 ) -> f64 {
     let ratio = ratio_sweep(scale)[0];
-    let budget =
-        ((test_db.total_points() as f64 * ratio) as usize).max(traj_simp::min_points(test_db));
+    let budget = ((test_db.total_points() as f64 * ratio) as usize)
+        .max(traj_simp::min_points_store(&test_db.to_store()));
     let rl = Rl4QdtsSimplifier {
         model: model.clone(),
         state_queries: state_workload(test_db, DIST, query_count(scale), seed ^ 21),

@@ -97,8 +97,8 @@ fn series(
     dists: &[(String, QueryDistribution)],
 ) -> TransferOutcome {
     let ratio = ratio_sweep(scale)[ratio_sweep(scale).len() / 2];
-    let budget =
-        ((test_db.total_points() as f64 * ratio) as usize).max(traj_simp::min_points(test_db));
+    let budget = ((test_db.total_points() as f64 * ratio) as usize)
+        .max(traj_simp::min_points_store(&test_db.to_store()));
     let baseline = BottomUp::new(ErrorMeasure::Sed, Adaptation::Each);
     let baseline_simp = baseline.simplify(test_db, budget).materialize(test_db);
     // One ground-truth engine (and one over the fixed baseline) for the

@@ -7,7 +7,7 @@ use rl4qdts::{PolicyVariant, Rl4Qdts, Rl4QdtsConfig, TrainerConfig};
 use traj_query::workload::{range_workload, QueryDistribution, RangeWorkloadSpec};
 use traj_simp::rlts::{RltsPlus, RltsTrainConfig};
 use traj_simp::{Adaptation, BottomUp, Simplifier, SpanSearch, TopDown};
-use trajectory::{Cube, ErrorMeasure, Simplification, TrajectoryDb};
+use trajectory::{Cube, ErrorMeasure, PointStore, Simplification, TrajectoryDb};
 
 /// Builds the paper's 25 baselines: {Top-Down, Bottom-Up, RLTS+} × {SED,
 /// PED, DAD, SAD} × {E, W} + Span-Search. RLTS+ policies are trained on
@@ -28,8 +28,9 @@ pub fn baseline_suite(train_db: &TrajectoryDb, seed: u64) -> Vec<Box<dyn Simplif
         episodes: 20,
         ..RltsTrainConfig::default()
     };
+    let train_store = train_db.to_store();
     for m in ErrorMeasure::ALL {
-        let trained = RltsPlus::train(m, Adaptation::Each, 3, train_db, &rlts_cfg, seed);
+        let trained = RltsPlus::train(m, Adaptation::Each, 3, &train_store, &rlts_cfg, seed);
         suite.push(Box::new(trained.with_adaptation(Adaptation::Whole)));
         suite.push(Box::new(trained));
     }
@@ -88,9 +89,9 @@ impl Simplifier for Rl4QdtsSimplifier {
         self.variant.label().to_string()
     }
 
-    fn simplify(&self, db: &TrajectoryDb, budget: usize) -> Simplification {
+    fn simplify_store(&self, store: &PointStore, budget: usize) -> Simplification {
         self.model
-            .simplify_variant(db, budget, &self.state_queries, self.seed, self.variant)
+            .simplify_variant(store, budget, &self.state_queries, self.seed, self.variant)
     }
 }
 
@@ -184,7 +185,7 @@ mod tests {
         let db = generate(&DatasetSpec::geolife(Scale::Smoke), 7);
         let suite = baseline_suite(&db, 3);
         let budget = db.total_points() / 10;
-        let floor = traj_simp::min_points(&db);
+        let floor = traj_simp::min_points_store(&db.to_store());
         for s in &suite {
             let simp = s.simplify(&db, budget);
             assert!(

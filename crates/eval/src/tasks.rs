@@ -13,13 +13,13 @@ use traj_query::knn::{Dissimilarity, KnnQuery};
 use traj_query::similarity::SimilarityQuery;
 use traj_query::traclus::{traclus, TraclusParams};
 use traj_query::workload::{
-    range_workload, traj_query_workload, QueryDistribution, RangeWorkloadSpec,
+    range_workload_store, traj_query_workload, QueryDistribution, RangeWorkloadSpec,
 };
 use traj_query::{
     f1_pairs, f1_sets, mean_f1, EngineConfig, F1Score, QueryBatch, QueryEngine, QueryExecutor,
     QueryResult,
 };
-use trajectory::{Cube, Trajectory, TrajectoryDb};
+use trajectory::{Cube, PointStore, Trajectory, TrajectoryDb};
 
 /// Parameters of the evaluation workloads, defaulting to the paper's
 /// setup: range 2 km × 2 km × 7 days, kNN k = 3 over 7-day windows with
@@ -140,13 +140,14 @@ pub fn build_tasks(
         temporal_extent: params.temporal_extent,
         dist,
     };
-    let range_queries = range_workload(db, &spec, rng);
-    let knn_specs = traj_query_workload(db, params.num_knn, params.window, rng);
+    let store = db.to_store();
+    let range_queries = range_workload_store(&store, &spec, rng);
+    let knn_specs = traj_query_workload(&store, params.num_knn, params.window, rng);
     let knn_queries = knn_specs
         .iter()
         .map(|s| (db.get(s.query).clone(), s.ts, s.te))
         .collect();
-    let sim_specs = traj_query_workload(db, params.num_sim, params.window, rng);
+    let sim_specs = traj_query_workload(&store, params.num_sim, params.window, rng);
     let sim_queries = sim_specs
         .iter()
         .map(|s| (db.get(s.query).clone(), s.ts, s.te))
@@ -348,11 +349,11 @@ where
     S: QueryExecutor + ?Sized,
 {
     let cap = tasks.params.cluster_cap;
-    // TRACLUS consumes AoS trajectories; materialize only the capped head.
-    let truth_head: TrajectoryDb = (0..original.len().min(cap))
+    // TRACLUS is quadratic in segments; cluster only the capped head.
+    let truth_head: PointStore = (0..original.len().min(cap))
         .map(|id| original.trajectory(id))
         .collect();
-    let result_head: TrajectoryDb = (0..simplified.len().min(cap))
+    let result_head: PointStore = (0..simplified.len().min(cap))
         .map(|id| simplified.trajectory(id))
         .collect();
     let truth = traclus(&truth_head, &tasks.params.traclus).co_clustered_pairs();
@@ -387,9 +388,10 @@ mod tests {
     #[test]
     fn harsher_simplification_scores_lower_on_range() {
         let (db, tasks) = setup();
-        let endpoints = Simplification::most_simplified(&db).materialize(&db);
+        let store = db.to_store();
+        let endpoints = Simplification::most_simplified_store(&store).materialize(&db);
         let mild = {
-            let mut s = Simplification::most_simplified(&db);
+            let mut s = Simplification::most_simplified_store(&store);
             // Keep every 4th point.
             for (id, t) in db.iter() {
                 for idx in (0..t.len() as u32).step_by(4) {

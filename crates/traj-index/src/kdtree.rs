@@ -16,7 +16,7 @@ use crate::octree::{group_by_trajectory, LeafSlab, NodeId, PackedPoints};
 use crate::traits::CubeIndex;
 use rand::rngs::StdRng;
 use rand::Rng;
-use trajectory::{AsColumns, Cube, Point, PointId, TrajId, TrajectoryDb};
+use trajectory::{AsColumns, Cube, Point, PointId, TrajId};
 
 /// One node of the median tree.
 #[derive(Debug, Clone)]
@@ -83,11 +83,6 @@ impl MedianTree {
         };
         tree.build_node(&mut entries[..], &owners, cube, 1, &config);
         tree
-    }
-
-    /// Compat constructor from an AoS database (converts to columns first).
-    pub fn build_db(db: &TrajectoryDb, config: MedianTreeConfig) -> Self {
-        Self::build(&db.to_store(), config)
     }
 
     /// Recursively builds the subtree over `entries`, returning its id.

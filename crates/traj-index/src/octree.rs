@@ -17,7 +17,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use trajectory::{AsColumns, Cube, PointId, TrajId, TrajectoryDb};
+use trajectory::{AsColumns, Cube, PointId, TrajId};
 
 /// Index of a node in the octree arena.
 pub type NodeId = u32;
@@ -344,11 +344,6 @@ impl Octree {
         id
     }
 
-    /// Compat constructor from an AoS database (converts to columns first).
-    pub fn build_db(db: &TrajectoryDb, config: OctreeConfig) -> Self {
-        Self::build(&db.to_store(), config)
-    }
-
     /// The root node id.
     pub fn root(&self) -> NodeId {
         0
@@ -591,7 +586,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use trajectory::gen::{generate, DatasetSpec, Scale};
-    use trajectory::{Point, PointStore, Trajectory};
+    use trajectory::{Point, PointStore, Trajectory, TrajectoryDb};
 
     fn small_store() -> PointStore {
         generate(&DatasetSpec::geolife(Scale::Smoke), 7).to_store()
@@ -639,18 +634,6 @@ mod tests {
                 "node {id}"
             );
         }
-    }
-
-    #[test]
-    fn build_db_matches_store_build() {
-        let db = generate(&DatasetSpec::geolife(Scale::Smoke), 7);
-        let via_db = Octree::build_db(&db, OctreeConfig::default());
-        let via_store = Octree::build(&db.to_store(), OctreeConfig::default());
-        assert_eq!(via_db.len(), via_store.len());
-        assert_eq!(
-            via_db.collect_points(0).len(),
-            via_store.collect_points(0).len()
-        );
     }
 
     #[test]

@@ -322,7 +322,7 @@ pub trait QueryExecutor: Sync {
     /// Total points served.
     fn total_points(&self) -> usize;
 
-    /// Materializes trajectory `id` as an AoS
+    /// Materializes trajectory `id` as an owned
     /// [`Trajectory`](trajectory::Trajectory) — for operators that
     /// consume whole trajectories (e.g. TRACLUS clustering).
     fn trajectory(&self, id: TrajId) -> trajectory::Trajectory;
@@ -781,7 +781,8 @@ impl TrajDb {
         Self::from_store_with_kept(store, None, opts)
     }
 
-    /// Adopts an AoS database (converted to columns once).
+    /// Row-form forward of [`TrajDb::from_store`] for callers that hold a
+    /// [`TrajectoryDb`] builder.
     #[must_use]
     pub fn from_db(db: &TrajectoryDb, opts: DbOptions) -> TrajDb {
         Self::from_store(db.to_store(), opts)
@@ -1102,7 +1103,6 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(7);
         let cubes = range_workload_store(store, &spec, &mut rng);
-        let db = store.to_db();
         let (t0, t1) = store.time_span();
         let mut batch = QueryBatch::new();
         for (i, c) in cubes.into_iter().enumerate() {
@@ -1113,14 +1113,14 @@ mod tests {
             }
         }
         batch.push_knn(KnnQuery {
-            query: db.get(0).clone(),
+            query: store.view(0).to_trajectory(),
             ts: t0,
             te: t1,
             k: 3,
             measure: Dissimilarity::Edr { eps: 1_000.0 },
         });
         batch.push_similarity(SimilarityQuery {
-            query: db.get(1).clone(),
+            query: store.view(1).to_trajectory(),
             ts: t0,
             te: t1,
             delta: 2_500.0,

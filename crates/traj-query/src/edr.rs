@@ -23,7 +23,7 @@ pub fn edr_points(a: &[Point], b: &[Point], eps: f64) -> f64 {
 }
 
 /// EDR over any pair of point sequences — the one dynamic program serving
-/// AoS slices and zero-copy column views alike.
+/// point slices and zero-copy column views alike.
 pub fn edr_seq<A: PointSeq + ?Sized, B: PointSeq + ?Sized>(a: &A, b: &B, eps: f64) -> f64 {
     let (n, m) = (a.n_points(), b.n_points());
     if n == 0 {

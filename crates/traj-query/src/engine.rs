@@ -2,12 +2,13 @@
 //! [`QueryEngine`].
 //!
 //! Every query operator in this crate has a straightforward linear-scan
-//! definition (`range_query`, [`KnnQuery::execute`],
-//! [`SimilarityQuery::execute`]); those remain the semantic reference. The
-//! engine executes the *same* queries against a spatio-temporal index
-//! (octree or median kd-tree from `traj-index`) with cube pruning, and runs
-//! batch workloads data-parallel across all cores. Property tests assert
-//! result-set equality between the engine and the scans for every backend.
+//! definition over columns ([`crate::range_query_store`],
+//! [`KnnQuery::execute_store`], [`SimilarityQuery::execute_store`]); those
+//! remain the semantic reference. The engine executes the *same* queries
+//! against a spatio-temporal index (octree or median kd-tree from
+//! `traj-index`) with cube pruning, and runs batch workloads data-parallel
+//! across all cores. Property tests assert result-set equality between the
+//! engine and the scans for every backend.
 //!
 //! Beyond one-shot execution, the engine supports the access pattern at the
 //! heart of RL4QDTS's training loop (Eq. 10): a fixed range-query workload
@@ -31,7 +32,7 @@ use crate::db::Query;
 use crate::knn::KnnQuery;
 use crate::metrics::{f1_sets, F1Score};
 use crate::parallel::{par_map, par_map_with};
-use crate::range::range_query_store;
+use crate::range::view_matches;
 use crate::segment::{IdMap, ShardResult};
 use crate::similarity::SimilarityQuery;
 
@@ -177,15 +178,9 @@ pub struct QueryEngine<'a> {
 }
 
 impl QueryEngine<'static> {
-    /// Builds an engine owning the columnar conversion of `db`.
-    #[must_use]
-    pub fn new(db: TrajectoryDb, config: EngineConfig) -> Self {
-        Self::from_store(db.to_store(), config)
-    }
-
-    /// Builds an engine from an AoS database reference (converted to
-    /// columns once; the engine owns the columns, so the returned engine
-    /// does not borrow `db`).
+    /// Row-form forward of [`QueryEngine::from_store`] for callers that
+    /// hold a [`TrajectoryDb`] builder (the engine owns the converted
+    /// columns, so it does not borrow `db`).
     #[must_use]
     pub fn over(db: &TrajectoryDb, config: EngineConfig) -> Self {
         Self::from_store(db.to_store(), config)
@@ -322,7 +317,7 @@ impl<'a> QueryEngine<'a> {
         &self.store
     }
 
-    /// Materializes trajectory `id` as an AoS
+    /// Materializes trajectory `id` as an owned
     /// [`Trajectory`](trajectory::Trajectory) (a column gather) — the
     /// executor-level accessor consumers use when an operator needs
     /// whole trajectories (e.g. TRACLUS clustering).
@@ -384,17 +379,27 @@ impl<'a> QueryEngine<'a> {
     // ------------------------------------------------------------------
 
     /// Executes a range query, returning matching trajectory ids ascending.
-    /// Identical results to [`crate::range::range_query`], via index
+    /// Identical results to [`crate::range::range_query_store`], via index
     /// pruning over the columns.
     #[must_use]
     pub fn range(&self, q: &Cube) -> Vec<TrajId> {
         // Dispatch on the concrete index type so the per-node traversal
         // (cube tests, slab scans) monomorphizes and inlines.
         match &self.backend {
-            IndexBackend::Scan => range_query_store(&self.store, q),
+            IndexBackend::Scan => self.range_scan(q),
             IndexBackend::Octree(t) => self.range_marked(t, q),
             IndexBackend::MedianKd(t) => self.range_marked(t, q),
         }
+    }
+
+    /// The `Scan` backend: every trajectory through the lane-wide
+    /// containment kernel.
+    fn range_scan(&self, q: &Cube) -> Vec<TrajId> {
+        self.store
+            .iter()
+            .filter(|(_, v)| view_matches(*v, q))
+            .map(|(id, _)| id)
+            .collect()
     }
 
     fn range_marked<I: SpatioTemporalIndex>(&self, index: &I, q: &Cube) -> Vec<TrajId> {
@@ -408,7 +413,7 @@ impl<'a> QueryEngine<'a> {
     /// allocates one buffer per worker instead of W.
     pub(crate) fn range_scratch(&self, q: &Cube, scratch: &mut QueryScratch) -> Vec<TrajId> {
         match &self.backend {
-            IndexBackend::Scan => range_query_store(&self.store, q),
+            IndexBackend::Scan => self.range_scan(q),
             IndexBackend::Octree(t) => {
                 let hit = scratch.hit(self.store.len());
                 range_mark(t, SpatioTemporalIndex::root(t), q, hit);
@@ -594,7 +599,7 @@ impl<'a> QueryEngine<'a> {
     // kNN queries.
     // ------------------------------------------------------------------
 
-    /// Executes a kNN query. Identical results to [`KnnQuery::execute`]:
+    /// Executes a kNN query. Identical results to [`KnnQuery::execute_store`]:
     /// the index narrows the candidate set to trajectories with points in
     /// the query's time window (everything else ranks at infinity), and
     /// candidate distances are computed in parallel.
@@ -756,7 +761,7 @@ impl<'a> QueryEngine<'a> {
     // ------------------------------------------------------------------
 
     /// Executes a similarity query. Identical results to
-    /// [`SimilarityQuery::execute`]; the per-trajectory "within δ at every
+    /// [`SimilarityQuery::execute_store`]; the per-trajectory "within δ at every
     /// instant" checks run in parallel over zero-copy views. (Index pruning
     /// is unsound here: a trajectory with no *sampled* point near the
     /// window can still match through interpolation, so the engine
@@ -1295,24 +1300,24 @@ impl MaintainedWorkload {
 mod tests {
     use super::*;
     use crate::knn::Dissimilarity;
-    use crate::range::range_query;
-    use crate::workload::{range_workload, QueryDistribution, RangeWorkloadSpec};
+    use crate::range::range_query_store;
+    use crate::workload::{range_workload_store, QueryDistribution, RangeWorkloadSpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use trajectory::gen::{generate, DatasetSpec, Scale};
 
-    fn small_db() -> TrajectoryDb {
-        generate(&DatasetSpec::geolife(Scale::Smoke), 4242)
+    fn small_store() -> PointStore {
+        generate(&DatasetSpec::geolife(Scale::Smoke), 4242).to_store()
     }
 
-    fn workload(db: &TrajectoryDb, n: usize, seed: u64) -> Vec<Cube> {
+    fn workload(store: &PointStore, n: usize, seed: u64) -> Vec<Cube> {
         let spec = RangeWorkloadSpec {
             count: n,
             spatial_extent: 2_000.0,
             temporal_extent: 86_400.0,
             dist: QueryDistribution::Data,
         };
-        range_workload(db, &spec, &mut StdRng::seed_from_u64(seed))
+        range_workload_store(store, &spec, &mut StdRng::seed_from_u64(seed))
     }
 
     fn all_backends() -> [EngineConfig; 3] {
@@ -1325,14 +1330,14 @@ mod tests {
 
     #[test]
     fn range_matches_linear_scan_for_every_backend() {
-        let db = small_db();
-        let queries = workload(&db, 25, 1);
+        let store = small_store();
+        let queries = workload(&store, 25, 1);
         for cfg in all_backends() {
-            let engine = QueryEngine::over(&db, cfg);
+            let engine = QueryEngine::over_store(&store, cfg);
             for q in &queries {
                 assert_eq!(
                     engine.range(q),
-                    range_query(&db, q),
+                    range_query_store(&store, q),
                     "backend {:?}",
                     cfg.backend
                 );
@@ -1342,9 +1347,9 @@ mod tests {
 
     #[test]
     fn range_batch_matches_single_queries() {
-        let db = small_db();
-        let queries = workload(&db, 40, 2);
-        let engine = QueryEngine::over(&db, EngineConfig::octree());
+        let store = small_store();
+        let queries = workload(&store, 40, 2);
+        let engine = QueryEngine::over_store(&store, EngineConfig::octree());
         let batch = engine.range_batch(&queries);
         for (i, q) in queries.iter().enumerate() {
             assert_eq!(batch[i], engine.range(q));
@@ -1353,19 +1358,24 @@ mod tests {
 
     #[test]
     fn whole_space_query_returns_everything() {
-        let db = small_db();
+        let store = small_store();
         for cfg in all_backends() {
-            let engine = QueryEngine::over(&db, cfg);
-            let all = engine.range(&db.bounding_cube());
-            assert_eq!(all, (0..db.len()).collect::<Vec<_>>(), "{:?}", cfg.backend);
+            let engine = QueryEngine::over_store(&store, cfg);
+            let all = engine.range(&store.bounding_cube());
+            assert_eq!(
+                all,
+                (0..store.len()).collect::<Vec<_>>(),
+                "{:?}",
+                cfg.backend
+            );
         }
     }
 
     #[test]
     fn empty_database_serves_empty_results() {
-        let db = TrajectoryDb::default();
+        let store = PointStore::new();
         for cfg in all_backends() {
-            let engine = QueryEngine::over(&db, cfg);
+            let engine = QueryEngine::over_store(&store, cfg);
             assert!(engine
                 .range(&Cube::new(0.0, 1.0, 0.0, 1.0, 0.0, 1.0))
                 .is_empty());
@@ -1374,57 +1384,67 @@ mod tests {
 
     #[test]
     fn knn_matches_linear_scan_for_every_backend() {
-        let db = small_db();
-        let (t0, t1) = db.time_span();
+        let store = small_store();
+        let (t0, t1) = store.time_span();
         for cfg in all_backends() {
-            let engine = QueryEngine::over(&db, cfg);
+            let engine = QueryEngine::over_store(&store, cfg);
             for (k, ts, te) in [(3, t0, t1), (1, t0, (t0 + t1) / 2.0), (100, t1, t1 + 10.0)] {
                 let q = KnnQuery {
-                    query: db.get(0).clone(),
+                    query: store.view(0).to_trajectory(),
                     ts,
                     te,
                     k,
                     measure: Dissimilarity::Edr { eps: 1_000.0 },
                 };
-                assert_eq!(engine.knn(&q), q.execute(&db), "backend {:?}", cfg.backend);
+                assert_eq!(
+                    engine.knn(&q),
+                    q.execute_store(&store),
+                    "backend {:?}",
+                    cfg.backend
+                );
             }
         }
     }
 
     #[test]
     fn similarity_matches_linear_scan() {
-        let db = small_db();
-        let (t0, t1) = db.get(0).time_span();
+        let store = small_store();
+        let (t0, t1) = store.view(0).time_span();
         let q = SimilarityQuery {
-            query: db.get(0).clone(),
+            query: store.view(0).to_trajectory(),
             ts: t0,
             te: t1,
             delta: 2_500.0,
             step: 300.0,
         };
         for cfg in all_backends() {
-            let engine = QueryEngine::over(&db, cfg);
-            assert_eq!(engine.similarity(&q), q.execute(&db), "{:?}", cfg.backend);
+            let engine = QueryEngine::over_store(&store, cfg);
+            assert_eq!(
+                engine.similarity(&q),
+                q.execute_store(&store),
+                "{:?}",
+                cfg.backend
+            );
         }
     }
 
     #[test]
     fn range_simplified_matches_materialized_database() {
-        let db = small_db();
-        let mut simp = Simplification::most_simplified(&db);
-        for (id, t) in db.iter() {
+        let store = small_store();
+        let mut simp = Simplification::most_simplified_store(&store);
+        for (id, t) in store.iter() {
             for idx in (0..t.len() as u32).step_by(5) {
                 simp.insert(id, idx);
             }
         }
-        let materialized = simp.materialize(&db);
-        let queries = workload(&db, 20, 3);
+        let materialized = simp.materialize_store(&store);
+        let queries = workload(&store, 20, 3);
         for cfg in all_backends() {
-            let engine = QueryEngine::over(&db, cfg);
+            let engine = QueryEngine::over_store(&store, cfg);
             for q in &queries {
                 assert_eq!(
                     engine.range_simplified(&simp, q),
-                    range_query(&materialized, q),
+                    range_query_store(&materialized, q),
                     "backend {:?}",
                     cfg.backend
                 );
@@ -1434,10 +1454,10 @@ mod tests {
 
     #[test]
     fn maintained_workload_tracks_insertions_exactly() {
-        let db = small_db();
-        let queries = workload(&db, 30, 4);
-        let engine = QueryEngine::over(&db, EngineConfig::octree());
-        let mut simp = Simplification::most_simplified(&db);
+        let store = small_store();
+        let queries = workload(&store, 30, 4);
+        let engine = QueryEngine::over_store(&store, EngineConfig::octree());
+        let mut simp = Simplification::most_simplified_store(&store);
         let mut maintained = engine.maintained_workload(queries.clone(), &simp);
         assert!((maintained.diff() - maintained.diff_of(&engine, &simp)).abs() < 1e-12);
 
@@ -1445,14 +1465,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         use rand::Rng;
         for _ in 0..200 {
-            let traj = rng.gen_range(0..db.len());
-            let n = db.get(traj).len() as u32;
+            let traj = rng.gen_range(0..store.len());
+            let n = store.view(traj).len() as u32;
             if n <= 2 {
                 continue;
             }
             let idx = rng.gen_range(1..n - 1);
             if simp.insert(traj, idx) {
-                maintained.insert(traj, db.get(traj).point(idx as usize));
+                maintained.insert(traj, &store.view(traj).point(idx as usize));
             }
         }
         assert!(
@@ -1466,28 +1486,28 @@ mod tests {
 
     #[test]
     fn maintained_workload_supports_removal() {
-        let db = small_db();
-        let queries = workload(&db, 10, 5);
-        let engine = QueryEngine::over(&db, EngineConfig::octree());
-        let mut simp = Simplification::most_simplified(&db);
+        let store = small_store();
+        let queries = workload(&store, 10, 5);
+        let engine = QueryEngine::over_store(&store, EngineConfig::octree());
+        let mut simp = Simplification::most_simplified_store(&store);
         let mut maintained = engine.maintained_workload(queries, &simp);
         let traj = 0;
         let idx = 1u32;
-        if db.get(traj).len() > 2 && simp.insert(traj, idx) {
-            maintained.insert(traj, db.get(traj).point(idx as usize));
+        if store.view(traj).len() > 2 && simp.insert(traj, idx) {
+            maintained.insert(traj, &store.view(traj).point(idx as usize));
             assert!((maintained.diff() - maintained.diff_of(&engine, &simp)).abs() < 1e-12);
             simp.remove(traj, idx);
-            maintained.remove(traj, db.get(traj).point(idx as usize));
+            maintained.remove(traj, &store.view(traj).point(idx as usize));
             assert!((maintained.diff() - maintained.diff_of(&engine, &simp)).abs() < 1e-12);
         }
     }
 
     #[test]
     fn full_simplification_has_zero_diff() {
-        let db = small_db();
-        let queries = workload(&db, 15, 6);
-        let engine = QueryEngine::over(&db, EngineConfig::octree());
-        let full = Simplification::full(&db);
+        let store = small_store();
+        let queries = workload(&store, 15, 6);
+        let engine = QueryEngine::over_store(&store, EngineConfig::octree());
+        let full = Simplification::full_store(&store);
         let maintained = engine.maintained_workload(queries, &full);
         assert!(
             maintained.diff().abs() < 1e-12,
@@ -1498,24 +1518,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "different point count")]
     fn attaching_a_mismatched_kept_bitmap_fails_fast() {
-        let db = small_db();
-        let mut engine = QueryEngine::over(&db, EngineConfig::octree());
-        engine.set_kept_bitmap(Some(KeptBitmap::zeros(db.total_points() + 1)));
+        let store = small_store();
+        let mut engine = QueryEngine::over_store(&store, EngineConfig::octree());
+        engine.set_kept_bitmap(Some(KeptBitmap::zeros(store.total_points() + 1)));
     }
 
     #[test]
     fn cube_index_is_shared_for_indexed_backends() {
-        let db = small_db();
-        let mut engine = QueryEngine::over(&db, EngineConfig::octree());
+        let store = small_store();
+        let mut engine = QueryEngine::over_store(&store, EngineConfig::octree());
         assert!(engine.cube_index().is_some());
-        let queries = workload(&db, 5, 7);
+        let queries = workload(&store, 5, 7);
         engine.assign_queries(&queries);
         let idx = engine.cube_index().unwrap();
         assert!(
             idx.query_count(idx.root()) > 0,
             "assigned workload must reach the index"
         );
-        assert!(QueryEngine::over(&db, EngineConfig::scan())
+        assert!(QueryEngine::over_store(&store, EngineConfig::scan())
             .cube_index()
             .is_none());
     }

@@ -8,7 +8,7 @@
 //! time. Like the similarity query, the join interpolates synchronized
 //! positions, so it runs identically on original and simplified databases.
 
-use trajectory::{TrajId, Trajectory, TrajectoryDb};
+use trajectory::{AsColumns, Cube, PointSeq, TrajId};
 
 /// Parameters of a trajectory similarity join.
 #[derive(Debug, Clone, Copy)]
@@ -34,16 +34,15 @@ impl Default for JoinParams {
 /// Self-join: all unordered pairs `(i, j)`, `i < j`, whose trajectories
 /// overlap for at least `min_overlap` seconds and stay within `delta`
 /// throughout the overlap. Pairs are returned sorted.
-pub fn similarity_join(db: &TrajectoryDb, params: &JoinParams) -> Vec<(TrajId, TrajId)> {
+pub fn similarity_join<S: AsColumns + ?Sized>(
+    store: &S,
+    params: &JoinParams,
+) -> Vec<(TrajId, TrajId)> {
     let mut out = Vec::new();
     // Precompute bounding cubes once: cheap pair pruning.
-    let cubes: Vec<trajectory::Cube> = db
-        .trajectories()
-        .iter()
-        .map(Trajectory::bounding_cube)
-        .collect();
-    for i in 0..db.len() {
-        for j in i + 1..db.len() {
+    let cubes: Vec<Cube> = store.views().map(|v| v.bounding_cube()).collect();
+    for i in 0..store.len() {
+        for j in i + 1..store.len() {
             // Spatial prune: expand one box by δ and require intersection.
             let mut grown = cubes[i];
             grown.x_min -= params.delta;
@@ -53,7 +52,7 @@ pub fn similarity_join(db: &TrajectoryDb, params: &JoinParams) -> Vec<(TrajId, T
             if !grown.intersects(&cubes[j]) {
                 continue;
             }
-            if pair_matches(db.get(i), db.get(j), params) {
+            if pair_matches(&store.view(i), &store.view(j), params) {
                 out.push((i, j));
             }
         }
@@ -62,14 +61,20 @@ pub fn similarity_join(db: &TrajectoryDb, params: &JoinParams) -> Vec<(TrajId, T
 }
 
 /// True when the pair overlaps long enough and stays within δ.
-pub fn pair_matches(a: &Trajectory, b: &Trajectory, params: &JoinParams) -> bool {
-    let (a0, a1) = a.time_span();
-    let (b0, b1) = b.time_span();
+pub fn pair_matches<A: PointSeq + ?Sized, B: PointSeq + ?Sized>(
+    a: &A,
+    b: &B,
+    params: &JoinParams,
+) -> bool {
+    let (a0, a1) = a.seq_time_span();
+    let (b0, b1) = b.seq_time_span();
     let lo = a0.max(b0);
     let hi = a1.min(b1);
     if hi - lo < params.min_overlap {
         return false;
     }
+    let close_at =
+        |t: f64| a.seq_position_at(t).spatial_distance(&b.seq_position_at(t)) <= params.delta;
     // Regular grid plus both trajectories' own samples inside the overlap.
     let step = if params.step > 0.0 {
         params.step
@@ -78,27 +83,32 @@ pub fn pair_matches(a: &Trajectory, b: &Trajectory, params: &JoinParams) -> bool
     };
     let mut t = lo;
     while t < hi {
-        if a.position_at(t).spatial_distance(&b.position_at(t)) > params.delta {
+        if !close_at(t) {
             return false;
         }
         t += step;
     }
-    for src in [a, b] {
-        if let Some((s, e)) = src.window_indices(lo, hi) {
-            for p in &src.points()[s..=e] {
-                if a.position_at(p.t).spatial_distance(&b.position_at(p.t)) > params.delta {
-                    return false;
-                }
-            }
-        }
-    }
-    a.position_at(hi).spatial_distance(&b.position_at(hi)) <= params.delta
+    sample_times(a, lo, hi)
+        .chain(sample_times(b, lo, hi))
+        .all(close_at)
+        && close_at(hi)
+}
+
+/// The sample times of `s` inside `[lo, hi]`.
+fn sample_times<S: PointSeq + ?Sized>(s: &S, lo: f64, hi: f64) -> impl Iterator<Item = f64> + '_ {
+    s.seq_window_indices(lo, hi)
+        .into_iter()
+        .flat_map(move |(i, j)| (i..=j).map(move |k| s.point_at(k).t))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trajectory::Point;
+    use trajectory::{Point, PointStore, Trajectory, TrajectoryDb};
+
+    fn store_of(trajectories: Vec<Trajectory>) -> PointStore {
+        TrajectoryDb::new(trajectories).to_store()
+    }
 
     fn line(y: f64, t0: f64, n: usize) -> Trajectory {
         Trajectory::new(
@@ -112,34 +122,34 @@ mod tests {
     #[test]
     fn parallel_companions_join() {
         // Two vehicles driving the same road 200 m apart, same schedule.
-        let db = TrajectoryDb::new(vec![line(0.0, 0.0, 20), line(200.0, 0.0, 20)]);
-        let pairs = similarity_join(&db, &JoinParams::default());
+        let store = store_of(vec![line(0.0, 0.0, 20), line(200.0, 0.0, 20)]);
+        let pairs = similarity_join(&store, &JoinParams::default());
         assert_eq!(pairs, vec![(0, 1)]);
     }
 
     #[test]
     fn distant_trajectories_do_not_join() {
-        let db = TrajectoryDb::new(vec![line(0.0, 0.0, 20), line(50_000.0, 0.0, 20)]);
-        assert!(similarity_join(&db, &JoinParams::default()).is_empty());
+        let store = store_of(vec![line(0.0, 0.0, 20), line(50_000.0, 0.0, 20)]);
+        assert!(similarity_join(&store, &JoinParams::default()).is_empty());
     }
 
     #[test]
     fn temporally_disjoint_trajectories_do_not_join() {
         // Same road, but hours apart.
-        let db = TrajectoryDb::new(vec![line(0.0, 0.0, 20), line(100.0, 1e6, 20)]);
-        assert!(similarity_join(&db, &JoinParams::default()).is_empty());
+        let store = store_of(vec![line(0.0, 0.0, 20), line(100.0, 1e6, 20)]);
+        assert!(similarity_join(&store, &JoinParams::default()).is_empty());
     }
 
     #[test]
     fn short_overlap_is_rejected() {
         let a = line(0.0, 0.0, 20); // spans [0, 1140]
         let b = line(100.0, 1100.0, 20); // overlap of only 40 s
-        let db = TrajectoryDb::new(vec![a, b]);
+        let store = store_of(vec![a, b]);
         let params = JoinParams {
             min_overlap: 300.0,
             ..JoinParams::default()
         };
-        assert!(similarity_join(&db, &params).is_empty());
+        assert!(similarity_join(&store, &params).is_empty());
     }
 
     #[test]
@@ -152,8 +162,8 @@ mod tests {
             pts.push(Point::new(i as f64 * 100.0, y, i as f64 * 60.0));
         }
         let b = Trajectory::new(pts).unwrap();
-        let db = TrajectoryDb::new(vec![a, b]);
-        assert!(similarity_join(&db, &JoinParams::default()).is_empty());
+        let store = store_of(vec![a, b]);
+        assert!(similarity_join(&store, &JoinParams::default()).is_empty());
     }
 
     #[test]
@@ -173,29 +183,29 @@ mod tests {
         }
         let a = Trajectory::new(pa).unwrap();
         let b = Trajectory::new(pb).unwrap();
-        let db = TrajectoryDb::new(vec![a.clone(), b.clone()]);
+        let store = store_of(vec![a.clone(), b.clone()]);
         let params = JoinParams {
             delta: 500.0,
             min_overlap: 300.0,
             step: 30.0,
         };
-        assert_eq!(similarity_join(&db, &params), vec![(0, 1)]);
+        assert_eq!(similarity_join(&store, &params), vec![(0, 1)]);
 
         // Simplify trajectory 1 to its endpoints: a straight line that the
         // wiggling partner departs from by ~800 m.
         let simplified_b = Trajectory::new(vec![*b.first(), *b.last()]).unwrap();
-        let db2 = TrajectoryDb::new(vec![a, simplified_b]);
-        assert!(similarity_join(&db2, &params).is_empty());
+        let simplified = store_of(vec![a, simplified_b]);
+        assert!(similarity_join(&simplified, &params).is_empty());
     }
 
     #[test]
     fn pairs_are_sorted_and_unique() {
-        let db = TrajectoryDb::new(vec![
+        let store = store_of(vec![
             line(0.0, 0.0, 20),
             line(100.0, 0.0, 20),
             line(200.0, 0.0, 20),
         ]);
-        let pairs = similarity_join(&db, &JoinParams::default());
+        let pairs = similarity_join(&store, &JoinParams::default());
         assert_eq!(pairs, vec![(0, 1), (0, 2), (1, 2)]);
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::edr::edr_seq;
 use crate::t2vec::T2vecEmbedder;
-use trajectory::{AsColumns, Point, PointSeq, TrajId, TrajView, Trajectory, TrajectoryDb};
+use trajectory::{AsColumns, Point, PointSeq, TrajId, TrajView, Trajectory};
 
 /// The dissimilarity Θ used by a kNN query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,24 +70,14 @@ pub struct KnnQuery {
 }
 
 impl KnnQuery {
-    /// Executes the query, returning the ids of the `k` nearest
-    /// trajectories in ascending id order (the F1 comparison is
-    /// set-based, and sorted output makes it deterministic).
+    /// Executes the query by linear scan over columnar storage (anything
+    /// [`AsColumns`]), returning the ids of the `k` nearest trajectories
+    /// in ascending id order (the F1 comparison is set-based, and sorted
+    /// output makes it deterministic). Candidate windows are zero-copy
+    /// column sub-views; no `Vec<Point>` is materialized.
     ///
     /// Trajectories with no points in the window rank after all others;
     /// ties break by id, so results are stable across runs.
-    pub fn execute(&self, db: &TrajectoryDb) -> Vec<TrajId> {
-        let q_window = self.query_window();
-        let scored: Vec<(f64, TrajId)> = db
-            .iter()
-            .map(|(id, t)| (self.windowed_distance(q_window, t), id))
-            .collect();
-        rank_ids(scored, self.k)
-    }
-
-    /// [`KnnQuery::execute`] over columnar storage (anything
-    /// [`AsColumns`]): candidate windows are zero-copy column sub-views,
-    /// no `Vec<Point>` is materialized.
     pub fn execute_store<S: AsColumns + ?Sized>(&self, store: &S) -> Vec<TrajId> {
         let q_window = self.query_window();
         let scored: Vec<(f64, TrajId)> = store
@@ -99,28 +89,15 @@ impl KnnQuery {
 
     /// The query trajectory's windowed restriction (empty when the window
     /// misses it entirely). Compute once per query, then feed to
-    /// [`KnnQuery::windowed_distance`] per candidate.
+    /// [`KnnQuery::windowed_distance_view`] per candidate.
     pub(crate) fn query_window(&self) -> &[Point] {
         window_points(&self.query, self.ts, self.te)
     }
 
-    /// Distance between the precomputed query window and `t`'s window.
-    /// This is the single definition of the empty-window conventions the
-    /// engine's pruned execution shares with the scan: both empty → 0,
-    /// candidate empty → ∞.
-    pub(crate) fn windowed_distance(&self, q_window: &[Point], t: &Trajectory) -> f64 {
-        let pts = window_points(t, self.ts, self.te);
-        if pts.is_empty() && q_window.is_empty() {
-            0.0
-        } else if pts.is_empty() {
-            f64::INFINITY
-        } else {
-            self.measure.distance_seq(q_window, pts)
-        }
-    }
-
-    /// [`KnnQuery::windowed_distance`] against a zero-copy column view —
-    /// the same empty-window conventions, the same kernels, no copies.
+    /// Distance between the precomputed query window and `v`'s window
+    /// (a zero-copy sub-view). This is the single definition of the
+    /// empty-window conventions the engine's pruned execution shares with
+    /// the scan: both empty → 0, candidate empty → ∞.
     pub(crate) fn windowed_distance_view(&self, q_window: &[Point], v: TrajView<'_>) -> f64 {
         match v.window(self.ts, self.te) {
             None if q_window.is_empty() => 0.0,
@@ -161,6 +138,7 @@ fn window_points(t: &Trajectory, ts: f64, te: f64) -> &[Point] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trajectory::{PointStore, TrajectoryDb};
 
     fn traj(coords: &[(f64, f64)], t0: f64) -> Trajectory {
         Trajectory::new(
@@ -173,13 +151,14 @@ mod tests {
         .unwrap()
     }
 
-    fn db() -> TrajectoryDb {
+    fn store() -> PointStore {
         TrajectoryDb::new(vec![
             traj(&[(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)], 0.0), // 0: east low
             traj(&[(0.0, 50.0), (100.0, 50.0), (200.0, 50.0)], 0.0), // 1: east mid
             traj(&[(0.0, 9e5), (100.0, 9e5), (200.0, 9e5)], 0.0), // 2: far away
             traj(&[(0.0, 0.0), (100.0, 0.0)], 1e6),               // 3: wrong time
         ])
+        .to_store()
     }
 
     #[test]
@@ -191,7 +170,7 @@ mod tests {
             k: 2,
             measure: Dissimilarity::Edr { eps: 100.0 },
         };
-        assert_eq!(q.execute(&db()), vec![0, 1]);
+        assert_eq!(q.execute_store(&store()), vec![0, 1]);
     }
 
     #[test]
@@ -203,7 +182,7 @@ mod tests {
             k: 2,
             measure: Dissimilarity::t2vec_default(),
         };
-        let r = q.execute(&db());
+        let r = q.execute_store(&store());
         assert_eq!(r.len(), 2);
         assert!(r.contains(&0) || r.contains(&1));
         assert!(!r.contains(&2), "far trajectory must not be a neighbour");
@@ -218,7 +197,7 @@ mod tests {
             k: 3,
             measure: Dissimilarity::Edr { eps: 100.0 },
         };
-        let r = q.execute(&db());
+        let r = q.execute_store(&store());
         assert!(!r.contains(&3), "trajectory outside the window: {r:?}");
     }
 
@@ -231,37 +210,17 @@ mod tests {
             k: 100,
             measure: Dissimilarity::edr_paper(),
         };
-        assert_eq!(q.execute(&db()).len(), 4);
-    }
-
-    #[test]
-    fn execute_store_matches_aos_execute() {
-        let db = db();
-        let store = db.to_store();
-        for measure in [
-            Dissimilarity::Edr { eps: 100.0 },
-            Dissimilarity::t2vec_default(),
-        ] {
-            for (ts, te, k) in [(0.0, 10.0, 2), (0.0, 1.0, 3), (5e5, 6e5, 1)] {
-                let q = KnnQuery {
-                    query: traj(&[(0.0, 10.0), (100.0, 10.0), (200.0, 10.0)], 0.0),
-                    ts,
-                    te,
-                    k,
-                    measure,
-                };
-                assert_eq!(q.execute(&db), q.execute_store(&store), "{ts}..{te} k={k}");
-            }
-        }
+        assert_eq!(q.execute_store(&store()).len(), 4);
     }
 
     #[test]
     fn results_are_deterministic_under_ties() {
-        let db = TrajectoryDb::new(vec![
+        let store = TrajectoryDb::new(vec![
             traj(&[(0.0, 0.0), (1.0, 0.0)], 0.0),
             traj(&[(0.0, 0.0), (1.0, 0.0)], 0.0),
             traj(&[(0.0, 0.0), (1.0, 0.0)], 0.0),
-        ]);
+        ])
+        .to_store();
         let q = KnnQuery {
             query: traj(&[(0.0, 0.0), (1.0, 0.0)], 0.0),
             ts: 0.0,
@@ -270,6 +229,6 @@ mod tests {
             measure: Dissimilarity::edr_paper(),
         };
         // All tie at distance 0; ids 0 and 1 win deterministically.
-        assert_eq!(q.execute(&db), vec![0, 1]);
+        assert_eq!(q.execute_store(&store), vec![0, 1]);
     }
 }

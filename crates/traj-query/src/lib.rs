@@ -9,24 +9,28 @@
 //!
 //! # The canonical execution path
 //!
-//! The per-operator functions ([`range_query`], [`KnnQuery::execute`],
-//! [`SimilarityQuery::execute`]) are O(N) linear scans over the AoS
-//! [`trajectory::TrajectoryDb`] and remain the semantic reference.
-//! Production consumers should construct a [`QueryEngine`] instead: it
-//! owns (or borrows) a columnar [`trajectory::PointStore`] together with
-//! a spatio-temporal index backend ([`BackendKind`]: octree, median
-//! kd-tree, or the naive scan), prunes query execution through the index
-//! straight over the coordinate columns, runs batch workloads
-//! data-parallel across cores, and — via [`MaintainedWorkload`] — keeps a
-//! workload's results over a growing simplification incrementally up to
-//! date instead of rescanning. Property tests guarantee engine results
-//! equal the AoS scans for every backend — the SoA/AoS equality the
-//! storage refactor is pinned to.
-//!
-//! Every store access goes through [`trajectory::AsColumns`], so the
-//! engine serves heap-owned stores and mmap-backed snapshot files
-//! ([`trajectory::MappedStore`]) through identical code paths — see
+//! Every operator is written once, over columns: a database is anything
+//! [`trajectory::AsColumns`] (a heap-owned [`trajectory::PointStore`] or
+//! an mmap-backed [`trajectory::MappedStore`]) and one trajectory is a
+//! [`trajectory::PointSeq`]. The per-operator functions
+//! ([`range_query_store`], [`KnnQuery::execute_store`],
+//! [`SimilarityQuery::execute_store`]) are O(N) linear scans and the
+//! semantic reference: plain scalar code that shares no kernel — no
+//! index, no SIMD — with the executors checked against it. Production
+//! consumers should construct a [`QueryEngine`] instead: it owns (or
+//! borrows) the columns together with a spatio-temporal index backend
+//! ([`BackendKind`]: octree, median kd-tree, or the naive scan), prunes
+//! query execution through the index, runs batch workloads data-parallel
+//! across cores, and — via [`MaintainedWorkload`] — keeps a workload's
+//! results over a growing simplification incrementally up to date
+//! instead of rescanning. Property tests guarantee engine results equal
+//! the scan reference for every backend, owned or mapped — see
 //! [`QueryEngine::over_mapped`] and `docs/ARCHITECTURE.md`.
+//!
+//! The row-form [`trajectory::TrajectoryDb`] is a builder, not a query
+//! input. Three entry points still accept one, each a one-line forward
+//! through `to_store()` kept because the frozen benchmark calls it:
+//! [`range_workload`], [`QueryEngine::over`] and [`TrajDb::from_db`].
 //!
 //! A database served from more than one set of columns is an ordered
 //! list of [`Segment`]s, answered by the one fan-out and the one
@@ -93,7 +97,7 @@ pub use generational::{
 pub use join::{similarity_join, JoinParams};
 pub use knn::{Dissimilarity, KnnQuery};
 pub use metrics::{f1_pairs, f1_sets, mean_f1, query_diff, F1Score};
-pub use range::{range_query, range_query_batch, range_query_store};
+pub use range::{range_query_batch, range_query_store};
 pub use segment::{
     fan_out, knn_take_fill, merge, merge_knn_candidates, query_touches_bounds, Answer, IdMap,
     MergeError, Segment, Segmented, ShardResult,

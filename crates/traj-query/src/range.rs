@@ -6,45 +6,43 @@
 //! result sets is the core accuracy signal of the paper (both for training
 //! rewards and for evaluation).
 
-use trajectory::{AsColumns, Cube, TrajId, TrajView, Trajectory, TrajectoryDb};
+use trajectory::{AsColumns, Cube, PointSeq, TrajId, TrajView};
 
-/// Executes a range query, returning matching trajectory ids in ascending
-/// order.
+/// Executes a range query by linear scan, returning matching trajectory
+/// ids in ascending order.
 ///
-/// This is the O(M) linear-scan reference; production code should prefer
-/// [`crate::QueryEngine::range`], which prunes through an index and returns
-/// identical results.
+/// This is the **scan reference** every executor is checked against — the
+/// engine for each index backend, the sharded, generational and remote
+/// executors, and the SIMD kernels. It is deliberately plain scalar code
+/// over [`PointSeq`] and shares no kernel with what it checks: in
+/// particular it never calls [`trajectory::simd`], which [`view_matches`]
+/// and the engine's `Scan` backend use. Production code should prefer
+/// [`crate::QueryEngine::range`], which prunes through an index and
+/// returns identical results.
 #[must_use]
-pub fn range_query(db: &TrajectoryDb, q: &Cube) -> Vec<TrajId> {
-    let mut out = Vec::new();
-    range_query_into(db, q, &mut out);
-    out
+pub fn range_query_store<S: AsColumns + ?Sized>(store: &S, q: &Cube) -> Vec<TrajId> {
+    store
+        .iter()
+        .filter(|(_, v)| trajectory_matches(v, q))
+        .map(|(id, _)| id)
+        .collect()
 }
 
-/// [`range_query`] writing into a caller-provided buffer (cleared first),
-/// so batch drivers can reuse one allocation across queries.
-pub fn range_query_into(db: &TrajectoryDb, q: &Cube, out: &mut Vec<TrajId>) {
-    out.clear();
-    out.extend(
-        db.iter()
-            .filter(|(_, t)| trajectory_matches(t, q))
-            .map(|(id, _)| id),
-    );
-}
-
-/// True when `t` has at least one point inside `q`. Uses the time dimension
-/// to narrow the scan before testing the spatial predicate.
+/// True when `t` has at least one sampled point inside `q` — the scalar
+/// reference predicate. Uses the time dimension to narrow the scan before
+/// testing the spatial predicate point by point.
 #[must_use]
-pub fn trajectory_matches(t: &Trajectory, q: &Cube) -> bool {
-    match t.window_indices(q.t_min, q.t_max) {
+pub fn trajectory_matches<S: PointSeq + ?Sized>(t: &S, q: &Cube) -> bool {
+    match t.seq_window_indices(q.t_min, q.t_max) {
         None => false,
-        Some((lo, hi)) => t.points()[lo..=hi]
-            .iter()
-            .any(|p| p.x >= q.x_min && p.x <= q.x_max && p.y >= q.y_min && p.y <= q.y_max),
+        Some((lo, hi)) => (lo..=hi).any(|i| {
+            let p = t.point_at(i);
+            p.x >= q.x_min && p.x <= q.x_max && p.y >= q.y_min && p.y <= q.y_max
+        }),
     }
 }
 
-/// [`trajectory_matches`] over a zero-copy column view: the time window is
+/// [`trajectory_matches`] as the serving path runs it: the time window is
 /// narrowed on the contiguous `ts` column, then the surviving x/y/t runs
 /// go through the lane-wide containment kernel
 /// ([`trajectory::simd::any_in_cube`]).
@@ -58,38 +56,23 @@ pub fn view_matches(v: TrajView<'_>, q: &Cube) -> bool {
     }
 }
 
-/// [`range_query`] over columnar storage — owned or mmap-backed, anything
-/// [`AsColumns`] — returning matching ids ascending.
+/// Executes a batch of range queries (the result of one workload) by
+/// linear scan — the reference for [`crate::QueryEngine::range_batch`],
+/// which spreads queries across cores and prunes each through the index.
 #[must_use]
-pub fn range_query_store<S: AsColumns + ?Sized>(store: &S, q: &Cube) -> Vec<TrajId> {
-    store
+pub fn range_query_batch<S: AsColumns + ?Sized>(store: &S, queries: &[Cube]) -> Vec<Vec<TrajId>> {
+    queries
         .iter()
-        .filter(|(_, v)| view_matches(*v, q))
-        .map(|(id, _)| id)
+        .map(|q| range_query_store(store, q))
         .collect()
-}
-
-/// Executes a batch of range queries (the result of one workload).
-///
-/// The batch path of [`crate::QueryEngine::range_batch`] additionally
-/// spreads queries across cores and prunes each through the index.
-#[must_use]
-pub fn range_query_batch(db: &TrajectoryDb, queries: &[Cube]) -> Vec<Vec<TrajId>> {
-    let mut out = Vec::with_capacity(queries.len());
-    for q in queries {
-        let mut ids = Vec::new();
-        range_query_into(db, q, &mut ids);
-        out.push(ids);
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trajectory::Point;
+    use trajectory::{Point, PointStore, Trajectory, TrajectoryDb};
 
-    fn db() -> TrajectoryDb {
+    fn store() -> PointStore {
         let east = Trajectory::new(
             (0..10)
                 .map(|i| Point::new(i as f64 * 10.0, 0.0, i as f64))
@@ -102,33 +85,32 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        TrajectoryDb::new(vec![east, north])
+        TrajectoryDb::new(vec![east, north]).to_store()
     }
 
     #[test]
     fn finds_spatially_and_temporally_matching_trajectories() {
-        let db = db();
+        let store = store();
         // Around (50, 0) at times 0..10: only the eastbound trajectory.
         let q = Cube::new(45.0, 55.0, -1.0, 1.0, 0.0, 10.0);
-        assert_eq!(range_query(&db, &q), vec![0]);
+        assert_eq!(range_query_store(&store, &q), vec![0]);
         // Around (0, 50) at times 100..110: only the northbound one.
         let q = Cube::new(-1.0, 1.0, 45.0, 55.0, 100.0, 110.0);
-        assert_eq!(range_query(&db, &q), vec![1]);
+        assert_eq!(range_query_store(&store, &q), vec![1]);
     }
 
     #[test]
     fn time_window_filters_even_when_space_matches() {
-        let db = db();
         // Space matches the eastbound path but the time window is wrong.
         let q = Cube::new(45.0, 55.0, -1.0, 1.0, 500.0, 600.0);
-        assert!(range_query(&db, &q).is_empty());
+        assert!(range_query_store(&store(), &q).is_empty());
     }
 
     #[test]
     fn whole_space_returns_everything() {
-        let db = db();
-        let q = db.bounding_cube();
-        assert_eq!(range_query(&db, &q), vec![0, 1]);
+        let store = store();
+        let q = store.bounding_cube();
+        assert_eq!(range_query_store(&store, &q), vec![0, 1]);
     }
 
     #[test]
@@ -141,34 +123,35 @@ mod tests {
             Point::new(100.0, 0.0, 10.0),
         ])
         .unwrap();
-        let db = TrajectoryDb::new(vec![t]);
         let q = Cube::new(40.0, 60.0, -1.0, 1.0, 0.0, 10.0);
-        assert!(range_query(&db, &q).is_empty());
-    }
-
-    #[test]
-    fn store_scan_matches_aos_scan() {
-        let db = db();
-        let store = db.to_store();
-        for q in [
-            Cube::new(45.0, 55.0, -1.0, 1.0, 0.0, 10.0),
-            Cube::new(-1.0, 1.0, 45.0, 55.0, 100.0, 110.0),
-            Cube::new(45.0, 55.0, -1.0, 1.0, 500.0, 600.0),
-            db.bounding_cube(),
-        ] {
-            assert_eq!(range_query(&db, &q), range_query_store(&store, &q));
-        }
+        assert!(!trajectory_matches(&t, &q));
+        assert!(range_query_store(&TrajectoryDb::new(vec![t]).to_store(), &q).is_empty());
     }
 
     #[test]
     fn batch_matches_single_queries() {
-        let db = db();
+        let store = store();
         let qs = vec![
             Cube::new(45.0, 55.0, -1.0, 1.0, 0.0, 10.0),
-            db.bounding_cube(),
+            store.bounding_cube(),
         ];
-        let batch = range_query_batch(&db, &qs);
-        assert_eq!(batch[0], range_query(&db, &qs[0]));
-        assert_eq!(batch[1], range_query(&db, &qs[1]));
+        let batch = range_query_batch(&store, &qs);
+        assert_eq!(batch[0], range_query_store(&store, &qs[0]));
+        assert_eq!(batch[1], range_query_store(&store, &qs[1]));
+    }
+
+    #[test]
+    fn simd_predicate_agrees_with_the_scalar_reference() {
+        let store = store();
+        for q in [
+            Cube::new(45.0, 55.0, -1.0, 1.0, 0.0, 10.0),
+            Cube::new(-1.0, 1.0, 45.0, 55.0, 100.0, 110.0),
+            Cube::new(45.0, 55.0, -1.0, 1.0, 500.0, 600.0),
+            store.bounding_cube(),
+        ] {
+            for v in store.views() {
+                assert_eq!(view_matches(v, &q), trajectory_matches(&v, &q));
+            }
+        }
     }
 }

@@ -574,7 +574,9 @@ pub fn merge_knn_candidates(k: usize, per_stream: &[Vec<(f64, TrajId)>]) -> Vec<
             }));
         }
     }
-    let mut merged: Vec<(f64, TrajId)> = Vec::with_capacity(k);
+    // `k` comes off the wire unchecked: size by what can be returned.
+    let available: usize = per_stream.iter().map(Vec::len).sum();
+    let mut merged: Vec<(f64, TrajId)> = Vec::with_capacity(k.min(available));
     while merged.len() < k {
         let Some(std::cmp::Reverse(e)) = heap.pop() else {
             break;

@@ -244,7 +244,6 @@ mod tests {
     #[test]
     fn sharded_knn_matches_single_store() {
         let store = sample_store();
-        let db = store.to_db();
         let (t0, t1) = store.time_span();
         let single = QueryEngine::over_store(&store, EngineConfig::octree());
         let sharded = ShardedQueryEngine::from_partition(
@@ -258,7 +257,7 @@ mod tests {
             (100, t1 + 1.0, t1 + 10.0), // empty window: degenerate scoring
         ] {
             let q = KnnQuery {
-                query: db.get(0).clone(),
+                query: store.view(0).to_trajectory(),
                 ts,
                 te,
                 k,
@@ -271,10 +270,9 @@ mod tests {
     #[test]
     fn sharded_similarity_matches_single_store() {
         let store = sample_store();
-        let db = store.to_db();
-        let (t0, t1) = db.get(0).time_span();
+        let (t0, t1) = store.view(0).time_span();
         let q = SimilarityQuery {
-            query: db.get(0).clone(),
+            query: store.view(0).to_trajectory(),
             ts: t0,
             te: t1,
             delta: 2_500.0,
@@ -296,9 +294,8 @@ mod tests {
     #[test]
     fn sharded_simplified_and_workload_match_single_store() {
         let store = sample_store();
-        let db = store.to_db();
-        let mut simp = Simplification::most_simplified(&db);
-        for (id, t) in db.iter() {
+        let mut simp = Simplification::most_simplified_store(&store);
+        for (id, t) in store.iter() {
             for idx in (0..t.len() as u32).step_by(4) {
                 simp.insert(id, idx);
             }
@@ -329,11 +326,11 @@ mod tests {
             assert_eq!(single_w.result(i), sharded_w.result(i));
         }
         // The maintained state evolves identically under insertions.
-        for id in 0..db.len().min(8) {
-            let n = db.get(id).len() as u32;
-            if n > 2 && simp.insert(id, 1) {
-                single_w.insert(id, db.get(id).point(1));
-                sharded_w.insert(id, db.get(id).point(1));
+        for id in 0..store.len().min(8) {
+            let v = store.view(id);
+            if v.len() > 2 && simp.insert(id, 1) {
+                single_w.insert(id, &v.point(1));
+                sharded_w.insert(id, &v.point(1));
             }
         }
         assert!((single_w.diff() - sharded_w.diff()).abs() < 1e-12);

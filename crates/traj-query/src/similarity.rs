@@ -7,7 +7,17 @@
 //! all times `i` in the window, so (unlike the point-based range query)
 //! this query interpolates on both databases.
 
-use trajectory::{AsColumns, PointSeq, TrajId, Trajectory, TrajectoryDb};
+use trajectory::{AsColumns, PointSeq, TrajId, Trajectory};
+
+/// Most grid instants one candidate check evaluates. A `step` finer than
+/// `window / MAX_GRID_INSTANTS` is widened to it, so a step off the wire
+/// cannot size the check. Widening cannot flip an answer (beyond
+/// rounding): between two consecutive sample times of either trajectory
+/// both positions are linear in `t`, so their distance is convex on that
+/// piece and peaks at an end — and both trajectories' sample times, `ts`
+/// and `te` are always checked. Every grid in the repository (300–600 s
+/// steps over windows of hours to a week) is far below the bound.
+const MAX_GRID_INSTANTS: usize = 4096;
 
 /// A similarity query instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,22 +32,17 @@ pub struct SimilarityQuery {
     pub delta: f64,
     /// Synchronization time step for checking the "for all i" condition
     /// (seconds). The check also evaluates both trajectories' own sample
-    /// times inside the window, so no sampled deviation is missed.
+    /// times inside the window, so no sampled deviation is missed. A
+    /// non-positive or NaN step selects a 16-instant default grid; a step
+    /// that would put more than 4096 instants in the window is widened to
+    /// exactly that many.
     pub step: f64,
 }
 
 impl SimilarityQuery {
-    /// Executes the query, returning matching ids ascending.
-    pub fn execute(&self, db: &TrajectoryDb) -> Vec<TrajId> {
-        db.iter()
-            .filter(|(_, t)| self.matches(t))
-            .map(|(id, _)| id)
-            .collect()
-    }
-
-    /// [`SimilarityQuery::execute`] over columnar storage (anything
-    /// [`AsColumns`]) — candidates are zero-copy views, the checking logic
-    /// is shared.
+    /// Executes the query by linear scan over columnar storage (anything
+    /// [`AsColumns`]), returning matching ids ascending. Candidates are
+    /// zero-copy views.
     pub fn execute_store<S: AsColumns + ?Sized>(&self, store: &S) -> Vec<TrajId> {
         store
             .iter()
@@ -46,13 +51,8 @@ impl SimilarityQuery {
             .collect()
     }
 
-    /// True when `t` stays within δ of the query over the whole window.
-    pub fn matches(&self, t: &Trajectory) -> bool {
-        self.matches_seq(t)
-    }
-
-    /// Layout-agnostic core of [`SimilarityQuery::matches`]: `t` may be an
-    /// AoS [`Trajectory`] or a zero-copy column view.
+    /// True when `t` — a column view, an owned [`Trajectory`], a point
+    /// slice — stays within δ of the query over the whole window.
     ///
     /// A trajectory that does not overlap the window temporally cannot
     /// testify about it and is rejected; the window is first clipped to the
@@ -78,9 +78,12 @@ impl SimilarityQuery {
         } else {
             (te - ts).max(1.0) / 16.0
         };
+        let step = step.max((te - ts) / MAX_GRID_INSTANTS as f64);
         let mut check_times: Vec<f64> = Vec::new();
         let mut t_cursor = ts;
-        while t_cursor < te {
+        // The length test also ends the loop when `step` is too small
+        // against `ts` for the cursor to advance at all.
+        while t_cursor < te && check_times.len() < MAX_GRID_INSTANTS {
             check_times.push(t_cursor);
             t_cursor += step;
         }
@@ -102,7 +105,11 @@ impl SimilarityQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trajectory::Point;
+    use trajectory::{Point, PointStore, TrajectoryDb};
+
+    fn store_of(trajectories: Vec<Trajectory>) -> PointStore {
+        TrajectoryDb::new(trajectories).to_store()
+    }
 
     fn line(y: f64, t0: f64, n: usize) -> Trajectory {
         Trajectory::new(
@@ -125,14 +132,14 @@ mod tests {
 
     #[test]
     fn close_parallel_trajectory_matches() {
-        let db = TrajectoryDb::new(vec![line(3.0, 0.0, 10)]);
-        assert_eq!(query(5.0).execute(&db), vec![0]);
+        let store = store_of(vec![line(3.0, 0.0, 10)]);
+        assert_eq!(query(5.0).execute_store(&store), vec![0]);
     }
 
     #[test]
     fn distant_trajectory_does_not_match() {
-        let db = TrajectoryDb::new(vec![line(100.0, 0.0, 10)]);
-        assert!(query(5.0).execute(&db).is_empty());
+        let store = store_of(vec![line(100.0, 0.0, 10)]);
+        assert!(query(5.0).execute_store(&store).is_empty());
     }
 
     #[test]
@@ -145,8 +152,8 @@ mod tests {
             Point::new(90.0, 0.0, 9.0),
         ])
         .unwrap();
-        let db = TrajectoryDb::new(vec![diverging]);
-        assert!(query(5.0).execute(&db).is_empty());
+        let store = store_of(vec![diverging]);
+        assert!(query(5.0).execute_store(&store).is_empty());
     }
 
     #[test]
@@ -159,21 +166,21 @@ mod tests {
             Point::new(90.0, 0.0, 9.0),
         ])
         .unwrap();
-        let db = TrajectoryDb::new(vec![spike]);
+        let store = store_of(vec![spike]);
         let mut q = query(50.0);
         q.step = 9.0; // coarse grid that would miss t=4.2
-        assert!(q.execute(&db).is_empty());
+        assert!(q.execute_store(&store).is_empty());
     }
 
     #[test]
     fn temporally_disjoint_trajectory_is_rejected() {
-        let db = TrajectoryDb::new(vec![line(0.0, 1_000.0, 10)]);
-        assert!(query(5.0).execute(&db).is_empty());
+        let store = store_of(vec![line(0.0, 1_000.0, 10)]);
+        assert!(query(5.0).execute_store(&store).is_empty());
     }
 
     #[test]
     fn window_outside_query_span_matches_nothing() {
-        let db = TrajectoryDb::new(vec![line(0.0, 0.0, 10)]);
+        let store = store_of(vec![line(0.0, 0.0, 10)]);
         let q = SimilarityQuery {
             query: line(0.0, 0.0, 10),
             ts: 100.0,
@@ -181,26 +188,49 @@ mod tests {
             delta: 5.0,
             step: 1.0,
         };
-        assert!(q.execute(&db).is_empty());
+        assert!(q.execute_store(&store).is_empty());
     }
 
     #[test]
     fn query_matches_itself() {
-        let db = TrajectoryDb::new(vec![line(0.0, 0.0, 10)]);
-        assert_eq!(query(0.1).execute(&db), vec![0]);
+        let store = store_of(vec![line(0.0, 0.0, 10)]);
+        assert_eq!(query(0.1).execute_store(&store), vec![0]);
     }
 
     #[test]
-    fn execute_store_matches_aos_execute() {
-        let db = TrajectoryDb::new(vec![
-            line(3.0, 0.0, 10),
-            line(100.0, 0.0, 10),
+    fn a_hostile_step_is_widened_not_obeyed() {
+        // `1e-20` never advances a cursor starting at `t = 1`, a subnormal
+        // advances nothing anywhere, and `1e-9` over this window is ten
+        // billion instants: each must answer — in bounded memory — what
+        // the default grid answers.
+        let store = store_of(vec![
+            line(3.0, 1.0, 10),
+            line(100.0, 1.0, 10),
             line(0.0, 1_000.0, 10),
         ]);
-        let store = db.to_store();
-        for delta in [0.1, 5.0, 500.0] {
-            let q = query(delta);
-            assert_eq!(q.execute(&db), q.execute_store(&store), "delta {delta}");
+        let with_step = |step: f64| SimilarityQuery {
+            query: line(0.0, 1.0, 10),
+            ts: 1.0,
+            te: 10.0,
+            delta: 5.0,
+            step,
+        };
+        let want = with_step(0.0).execute_store(&store);
+        assert_eq!(want, vec![0]);
+        for step in [1e-20, f64::from_bits(1), f64::MIN_POSITIVE, 1e-9] {
+            assert_eq!(with_step(step).execute_store(&store), want, "step {step:e}");
         }
+        // A window of a few ulps at t = 1e9: even the widened step cannot
+        // advance the cursor, so the instant count itself must be capped.
+        let late = store_of(vec![line(3.0, 1e9, 10), line(100.0, 1e9, 10)]);
+        let narrow = |step: f64| SimilarityQuery {
+            query: line(0.0, 1e9, 10),
+            ts: 1e9,
+            te: 1e9 + 1e-6,
+            delta: 5.0,
+            step,
+        };
+        assert_eq!(narrow(1e-30).execute_store(&late), vec![0]);
+        assert_eq!(narrow(0.0).execute_store(&late), vec![0]);
     }
 }

@@ -16,7 +16,7 @@ pub mod segdist;
 pub use dbscan::Label;
 pub use segdist::{segment_distance, DistanceWeights, Segment};
 
-use trajectory::{TrajId, TrajectoryDb};
+use trajectory::{AsColumns, TrajId};
 
 /// TRACLUS parameters.
 #[derive(Debug, Clone, Copy)]
@@ -84,9 +84,9 @@ impl TraclusResult {
     }
 }
 
-/// Runs TRACLUS over a database.
-pub fn traclus(db: &TrajectoryDb, params: &TraclusParams) -> TraclusResult {
-    let segments = partition::partition_database(db);
+/// Runs TRACLUS over a database (owned or mapped columns).
+pub fn traclus<S: AsColumns + ?Sized>(store: &S, params: &TraclusParams) -> TraclusResult {
+    let segments = partition::partition_database(store);
     let (labels, num_clusters) =
         dbscan::dbscan(&segments, params.eps, params.min_lns, &params.weights);
     TraclusResult {
@@ -99,7 +99,7 @@ pub fn traclus(db: &TrajectoryDb, params: &TraclusParams) -> TraclusResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trajectory::{Point, Trajectory};
+    use trajectory::{Point, PointStore, Trajectory, TrajectoryDb};
 
     fn line(y: f64, jitter: f64, id_seed: u64) -> Trajectory {
         // Slightly jittered west-east lines so MDL keeps them as ~1 segment.
@@ -111,7 +111,7 @@ mod tests {
         Trajectory::new(pts).unwrap()
     }
 
-    fn corridor_db() -> TrajectoryDb {
+    fn corridor_db() -> PointStore {
         // Corridor A: trajectories 0..3 around y=0.
         // Corridor B: trajectories 3..6 around y=50_000.
         TrajectoryDb::new(vec![
@@ -122,6 +122,7 @@ mod tests {
             line(50_040.0, 10.0, 5),
             line(50_080.0, 10.0, 6),
         ])
+        .to_store()
     }
 
     #[test]
@@ -153,7 +154,7 @@ mod tests {
 
     #[test]
     fn empty_database_clusters_to_nothing() {
-        let r = traclus(&TrajectoryDb::default(), &TraclusParams::default());
+        let r = traclus(&PointStore::new(), &TraclusParams::default());
         assert_eq!(r.num_clusters, 0);
         assert!(r.co_clustered_pairs().is_empty());
     }

@@ -7,14 +7,14 @@
 //! (perpendicular + angular distances).
 
 use super::segdist::{components, Segment};
-use trajectory::Trajectory;
+use trajectory::{AsColumns, PointSeq};
 
 /// Indices of the characteristic points of `traj` (always includes the
 /// first and last index). `partition_only` trades a little quality for
 /// robustness by clamping distances below 1 m/1 rad before taking logs
 /// (log2 of a near-zero distance would reward the hypothesis unboundedly).
-pub fn characteristic_points(traj: &Trajectory) -> Vec<usize> {
-    let n = traj.len();
+pub fn characteristic_points<S: PointSeq + ?Sized>(traj: &S) -> Vec<usize> {
+    let n = traj.n_points();
     if n <= 2 {
         return (0..n).collect();
     }
@@ -51,14 +51,14 @@ pub fn characteristic_points(traj: &Trajectory) -> Vec<usize> {
 
 /// Converts the characteristic points of every trajectory in a database
 /// into the flat segment list TRACLUS clusters.
-pub fn partition_database(db: &trajectory::TrajectoryDb) -> Vec<Segment> {
+pub fn partition_database<S: AsColumns + ?Sized>(store: &S) -> Vec<Segment> {
     let mut segments = Vec::new();
-    for (id, t) in db.iter() {
-        let cps = characteristic_points(t);
+    for (id, t) in store.iter() {
+        let cps = characteristic_points(&t);
         for w in cps.windows(2) {
             let s = Segment {
-                a: *t.point(w[0]),
-                b: *t.point(w[1]),
+                a: t.point(w[0]),
+                b: t.point(w[1]),
                 traj: id,
             };
             if !s.is_empty() {
@@ -71,18 +71,18 @@ pub fn partition_database(db: &trajectory::TrajectoryDb) -> Vec<Segment> {
 
 /// `MDL_par(i, j) = L(H) + L(D|H)`: cost of replacing `p_i..p_j` with the
 /// single segment `(p_i, p_j)`.
-fn mdl_par(traj: &Trajectory, i: usize, j: usize) -> f64 {
+fn mdl_par<S: PointSeq + ?Sized>(traj: &S, i: usize, j: usize) -> f64 {
     let hyp = Segment {
-        a: *traj.point(i),
-        b: *traj.point(j),
+        a: traj.point_at(i),
+        b: traj.point_at(j),
         traj: 0,
     };
     let lh = log2_clamped(hyp.len());
     let mut ldh = 0.0;
     for k in i..j {
         let data = Segment {
-            a: *traj.point(k),
-            b: *traj.point(k + 1),
+            a: traj.point_at(k),
+            b: traj.point_at(k + 1),
             traj: 0,
         };
         let (d_perp, _, d_angle) = components(&hyp, &data);
@@ -92,9 +92,9 @@ fn mdl_par(traj: &Trajectory, i: usize, j: usize) -> f64 {
 }
 
 /// `MDL_nopar(i, j)`: cost of keeping the original segments (`L(D|H) = 0`).
-fn mdl_nopar(traj: &Trajectory, i: usize, j: usize) -> f64 {
+fn mdl_nopar<S: PointSeq + ?Sized>(traj: &S, i: usize, j: usize) -> f64 {
     (i..j)
-        .map(|k| log2_clamped(traj.point(k).spatial_distance(traj.point(k + 1))))
+        .map(|k| log2_clamped(traj.point_at(k).spatial_distance(&traj.point_at(k + 1))))
         .sum()
 }
 
@@ -107,7 +107,7 @@ fn log2_clamped(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trajectory::{Point, TrajectoryDb};
+    use trajectory::{Point, Trajectory, TrajectoryDb};
 
     fn traj(coords: &[(f64, f64)]) -> Trajectory {
         Trajectory::new(
@@ -176,11 +176,12 @@ mod tests {
 
     #[test]
     fn partition_database_produces_traj_tagged_segments() {
-        let db = TrajectoryDb::new(vec![
+        let store = TrajectoryDb::new(vec![
             traj(&[(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)]),
             traj(&[(0.0, 50.0), (100.0, 50.0)]),
-        ]);
-        let segs = partition_database(&db);
+        ])
+        .to_store();
+        let segs = partition_database(&store);
         assert!(!segs.is_empty());
         assert!(segs.iter().any(|s| s.traj == 0));
         assert!(segs.iter().any(|s| s.traj == 1));

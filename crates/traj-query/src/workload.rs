@@ -9,7 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use trajectory::{AsColumns, Cube, PointStore, TrajId, TrajectoryDb};
+use trajectory::{AsColumns, Cube, TrajId, TrajectoryDb};
 
 /// Where query centers come from.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,51 +70,24 @@ impl RangeWorkloadSpec {
     }
 }
 
-/// Where point-anchored distributions (`Data`, `Real`) draw their anchor
-/// points from: either storage layout, borrowed with zero copies.
-/// Cube-only distributions (Gaussian, Zipf) never touch it.
-enum Anchor<'a, S: AsColumns + ?Sized> {
-    /// No point data needed.
-    None,
-    /// Columnar storage (owned or mapped): O(1) data-point sampling by
-    /// column index.
-    Store(&'a S),
-    /// AoS compat: the pre-columnar O(M) walk, but no conversion copy.
-    Db(&'a TrajectoryDb),
-}
-
-/// Generates a range-query workload over `db` (deterministic parity with
-/// [`range_workload_store`] for the same seed; no columnar conversion —
-/// the database is only borrowed for anchor sampling).
+/// Row-form forward of [`range_workload_store`] for callers that hold a
+/// [`TrajectoryDb`] builder: same cubes, same RNG draws.
 #[must_use]
 pub fn range_workload(db: &TrajectoryDb, spec: &RangeWorkloadSpec, rng: &mut StdRng) -> Vec<Cube> {
-    let anchor: Anchor<'_, PointStore> = match spec.dist {
-        QueryDistribution::Data | QueryDistribution::Real => Anchor::Db(db),
-        _ => Anchor::None,
-    };
-    workload_impl(db.bounding_cube(), anchor, spec, rng)
+    range_workload_store(&db.to_store(), spec, rng)
 }
 
-/// Generates a range-query workload over columnar storage. Data-centered
-/// queries sample their anchor point in O(1) straight from the columns
-/// (the AoS path walks the trajectory list per sample).
+/// Generates a range-query workload over columnar storage (owned or
+/// mapped). Point-anchored distributions (`Data`, `Real`) sample their
+/// anchor in O(1) straight from the columns; cube-only distributions
+/// (Gaussian, Zipf) read nothing but the bounding cube.
 #[must_use]
 pub fn range_workload_store<S: AsColumns + ?Sized>(
     store: &S,
     spec: &RangeWorkloadSpec,
     rng: &mut StdRng,
 ) -> Vec<Cube> {
-    workload_impl(store.bounding_cube(), Anchor::Store(store), spec, rng)
-}
-
-/// Shared generator core. `anchor` must carry point data for the
-/// point-anchored distributions (`Data`, `Real`).
-fn workload_impl<S: AsColumns + ?Sized>(
-    bc: Cube,
-    anchor: Anchor<'_, S>,
-    spec: &RangeWorkloadSpec,
-    rng: &mut StdRng,
-) -> Vec<Cube> {
+    let bc = store.bounding_cube();
     if bc.is_empty() {
         return Vec::new();
     }
@@ -124,7 +97,7 @@ fn workload_impl<S: AsColumns + ?Sized>(
     };
     (0..spec.count)
         .map(|_| {
-            let (cx, cy, ct) = sample_center(&anchor, &bc, spec.dist, zipf.as_ref(), rng);
+            let (cx, cy, ct) = sample_center(store, &bc, spec.dist, zipf.as_ref(), rng);
             Cube::centered(
                 cx,
                 cy,
@@ -138,7 +111,7 @@ fn workload_impl<S: AsColumns + ?Sized>(
 }
 
 fn sample_center<S: AsColumns + ?Sized>(
-    anchor: &Anchor<'_, S>,
+    store: &S,
     bc: &Cube,
     dist: QueryDistribution,
     zipf: Option<&ZipfSampler>,
@@ -146,14 +119,8 @@ fn sample_center<S: AsColumns + ?Sized>(
 ) -> (f64, f64, f64) {
     match dist {
         QueryDistribution::Data => {
-            // Uniform over points (trajectories weighted by length). Both
-            // layouts consume one identical RNG draw.
-            let k = rng.gen_range(0..anchor.total_points());
-            let p = match anchor {
-                Anchor::Store(store) => store.point(k as u32),
-                Anchor::Db(db) => *sample_nth_point(db, k),
-                Anchor::None => unreachable!("data-anchored workload without point data"),
-            };
+            // Uniform over points (trajectories weighted by length).
+            let p = store.point(rng.gen_range(0..store.total_points()) as u32);
             (p.x, p.y, p.t)
         }
         QueryDistribution::Gaussian { mu, sigma } => {
@@ -176,26 +143,11 @@ fn sample_center<S: AsColumns + ?Sized>(
             )
         }
         QueryDistribution::Real => {
-            let id = rng.gen_range(0..anchor.len());
-            let first = rng.gen_bool(0.5);
-            let p = match anchor {
-                Anchor::Store(store) => {
-                    let v = store.view(id);
-                    if first {
-                        v.first()
-                    } else {
-                        v.last()
-                    }
-                }
-                Anchor::Db(db) => {
-                    let t = db.get(id);
-                    if first {
-                        *t.first()
-                    } else {
-                        *t.last()
-                    }
-                }
-                Anchor::None => unreachable!("endpoint-anchored workload without point data"),
+            let v = store.view(rng.gen_range(0..store.len()));
+            let p = if rng.gen_bool(0.5) {
+                v.first()
+            } else {
+                v.last()
             };
             (
                 p.x + 500.0 * gaussian(rng),
@@ -204,36 +156,6 @@ fn sample_center<S: AsColumns + ?Sized>(
             )
         }
     }
-}
-
-impl<S: AsColumns + ?Sized> Anchor<'_, S> {
-    fn total_points(&self) -> usize {
-        match self {
-            Anchor::Store(store) => store.total_points(),
-            Anchor::Db(db) => db.total_points(),
-            Anchor::None => 0,
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Anchor::Store(store) => store.len(),
-            Anchor::Db(db) => db.len(),
-            Anchor::None => 0,
-        }
-    }
-}
-
-/// The `k`-th point of the database in global (trajectory-major) order —
-/// the AoS twin of `PointStore::point(k)`.
-fn sample_nth_point(db: &TrajectoryDb, mut k: usize) -> &trajectory::Point {
-    for (_, t) in db.iter() {
-        if k < t.len() {
-            return t.point(k);
-        }
-        k -= t.len();
-    }
-    unreachable!("k < total_points")
 }
 
 /// Standard normal via Box–Muller.
@@ -290,19 +212,19 @@ pub struct TrajQuerySpec {
 /// Samples `count` query-trajectory specs: a random trajectory and a window
 /// of `window_len` seconds positioned to overlap it (paper: 7 days, which
 /// typically covers whole trajectories).
-pub fn traj_query_workload(
-    db: &TrajectoryDb,
+pub fn traj_query_workload<S: AsColumns + ?Sized>(
+    store: &S,
     count: usize,
     window_len: f64,
     rng: &mut StdRng,
 ) -> Vec<TrajQuerySpec> {
-    if db.is_empty() {
+    if store.is_empty() {
         return Vec::new();
     }
     (0..count)
         .map(|_| {
-            let query = rng.gen_range(0..db.len());
-            let (t0, t1) = db.get(query).time_span();
+            let query = rng.gen_range(0..store.len());
+            let (t0, t1) = store.view(query).time_span();
             // Center the window at a random instant of the trajectory.
             let c = rng.gen_range(t0..=t1.max(t0 + f64::EPSILON));
             TrajQuerySpec {
@@ -347,6 +269,7 @@ mod tests {
     #[test]
     fn data_distribution_queries_hit_data() {
         let db = db();
+        let store = db.to_store();
         let spec = RangeWorkloadSpec::paper_default(50, QueryDistribution::Data);
         let mut rng = StdRng::seed_from_u64(2);
         let qs = range_workload(&db, &spec, &mut rng);
@@ -354,7 +277,7 @@ mod tests {
         // centered on.
         let hits = qs
             .iter()
-            .filter(|q| !crate::range::range_query(&db, q).is_empty())
+            .filter(|q| !crate::range::range_query_store(&store, q).is_empty())
             .count();
         assert_eq!(hits, qs.len());
     }
@@ -434,18 +357,31 @@ mod tests {
 
     #[test]
     fn db_and_store_workloads_are_identical() {
-        // Both anchor layouts must consume the same RNG stream and pick
-        // the same centers — the determinism the trainer relies on.
+        // The row-form forward must draw the cubes the columnar generator
+        // draws — and, for the point-anchored distributions, the cubes the
+        // row-walking generator it replaced drew (fingerprints recorded at
+        // the parent commit): the benchmark's `f1_range` depends on them.
         let db = db();
         let store = db.to_store();
-        for dist in [
-            QueryDistribution::Data,
-            QueryDistribution::Real,
-            QueryDistribution::Gaussian {
-                mu: 0.5,
-                sigma: 0.25,
-            },
-            QueryDistribution::Zipf { a: 2.0 },
+        let fingerprint = |cubes: &[Cube]| {
+            let bytes: Vec<u8> = cubes
+                .iter()
+                .flat_map(|c| [c.x_min, c.x_max, c.y_min, c.y_max, c.t_min, c.t_max])
+                .flat_map(|v| v.to_bits().to_le_bytes())
+                .collect();
+            trajectory::snapshot::fnv1a64(&bytes)
+        };
+        for (dist, recorded) in [
+            (QueryDistribution::Data, Some(0x77bf_ceaa_8ebc_9d52)),
+            (QueryDistribution::Real, Some(0x2255_4bcd_32a5_e84f)),
+            (
+                QueryDistribution::Gaussian {
+                    mu: 0.5,
+                    sigma: 0.25,
+                },
+                None,
+            ),
+            (QueryDistribution::Zipf { a: 2.0 }, None),
         ] {
             let spec = RangeWorkloadSpec {
                 count: 20,
@@ -456,6 +392,9 @@ mod tests {
             let a = range_workload(&db, &spec, &mut StdRng::seed_from_u64(17));
             let b = range_workload_store(&store, &spec, &mut StdRng::seed_from_u64(17));
             assert_eq!(a, b, "{dist}");
+            if let Some(recorded) = recorded {
+                assert_eq!(fingerprint(&a), recorded, "{dist}");
+            }
         }
     }
 
@@ -472,7 +411,7 @@ mod tests {
     fn traj_query_workload_windows_overlap_their_trajectory() {
         let db = db();
         let mut rng = StdRng::seed_from_u64(8);
-        let specs = traj_query_workload(&db, 20, 3_600.0, &mut rng);
+        let specs = traj_query_workload(&db.to_store(), 20, 3_600.0, &mut rng);
         assert_eq!(specs.len(), 20);
         for s in specs {
             let (t0, t1) = db.get(s.query).time_span();
@@ -486,6 +425,6 @@ mod tests {
         let spec = RangeWorkloadSpec::paper_default(5, QueryDistribution::Data);
         let mut rng = StdRng::seed_from_u64(9);
         assert!(range_workload(&db, &spec, &mut rng).is_empty());
-        assert!(traj_query_workload(&db, 5, 10.0, &mut rng).is_empty());
+        assert!(traj_query_workload(&db.to_store(), 5, 10.0, &mut rng).is_empty());
     }
 }

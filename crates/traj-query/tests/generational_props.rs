@@ -134,9 +134,9 @@ fn mixed_batch(db: &TrajectoryDb, queries: &[Cube], k: usize) -> QueryBatch {
     batch
 }
 
-fn every_third(db: &TrajectoryDb) -> Simplification {
-    let mut simp = Simplification::most_simplified(db);
-    for (id, t) in db.iter() {
+fn every_third(store: &PointStore) -> Simplification {
+    let mut simp = Simplification::most_simplified_store(store);
+    for (id, t) in store.iter() {
         for idx in (0..t.len() as u32).step_by(3) {
             simp.insert(id, idx);
         }
@@ -197,7 +197,7 @@ fn assert_equals_rebuild(
         label
     );
 
-    let simp = every_third(db);
+    let simp = every_third(full);
     for q in queries {
         prop_assert_eq!(
             live.range(q),

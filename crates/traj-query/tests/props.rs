@@ -6,7 +6,7 @@ use traj_query::{
     edr::edr_points,
     f1_sets,
     metrics::F1Score,
-    range_query,
+    range_query_store,
     t2vec::T2vecEmbedder,
     traclus::segdist::{components, segment_distance, DistanceWeights, Segment},
     EngineConfig, QueryEngine,
@@ -166,8 +166,8 @@ proptest! {
         let (cx, cy, ct) = c.center();
         let (ex, ey, et) = c.extents();
         let q = Cube::centered(cx, cy, ct, ex / 4.0 + 1.0, ey / 4.0 + 1.0, et / 4.0 + 1.0);
-        let r_full = range_query(&db_full, &q);
-        let r_simp = range_query(&db_simp, &q);
+        let r_full = range_query_store(&db_full.to_store(), &q);
+        let r_simp = range_query_store(&db_simp.to_store(), &q);
         for id in &r_simp {
             prop_assert!(r_full.contains(id), "simplified matched but original did not");
         }
@@ -202,7 +202,7 @@ proptest! {
             (Just(db), q)
         })
     ) {
-        let expected = range_query(&db, &qf);
+        let expected = range_query_store(&db.to_store(), &qf);
         for cfg in engine_configs() {
             let engine = QueryEngine::over(&db, cfg);
             prop_assert_eq!(
@@ -225,10 +225,11 @@ proptest! {
                 Cube::centered(cx, cy, ct, f * ex / 2.0 + 1e-6, f * ey / 2.0 + 1e-6, f * et / 2.0 + 1e-6)
             })
             .collect();
-        let engine = QueryEngine::over(&db, EngineConfig::octree().with_tree_shape(6, 8));
+        let store = db.to_store();
+        let engine = QueryEngine::over_store(&store, EngineConfig::octree().with_tree_shape(6, 8));
         let batch = engine.range_batch(&queries);
         for (i, q) in queries.iter().enumerate() {
-            prop_assert_eq!(&batch[i], &range_query(&db, q));
+            prop_assert_eq!(&batch[i], &range_query_store(&store, q));
         }
     }
 
@@ -245,7 +246,7 @@ proptest! {
             k,
             measure: Dissimilarity::Edr { eps: 1_000.0 },
         };
-        let expected = q.execute(&db);
+        let expected = q.execute_store(&db.to_store());
         for cfg in engine_configs() {
             let engine = QueryEngine::over(&db, cfg);
             prop_assert_eq!(engine.knn(&q), expected.clone(), "backend {:?}", cfg.backend);
@@ -259,10 +260,10 @@ proptest! {
             (Just(db), q, 1usize..5)
         })
     ) {
-        // The same database through both storage layouts — an engine built
-        // from the AoS `TrajectoryDb` versus one borrowing the columnar
-        // `PointStore` — must serve bit-identical range and kNN results on
-        // every index backend.
+        // The row-form forward (`over`, which converts the builder and owns
+        // the columns) against an engine borrowing the converted store:
+        // both must serve bit-identical range and kNN results on every
+        // index backend.
         let store = db.to_store();
         let (t0, t1) = db.time_span();
         let knn = KnnQuery {
@@ -297,14 +298,14 @@ proptest! {
             (Just(db), q, 2usize..7)
         })
     ) {
-        let mut simp = Simplification::most_simplified(&db);
+        let store = db.to_store();
+        let mut simp = Simplification::most_simplified_store(&store);
         for (id, t) in db.iter() {
             for idx in (0..t.len() as u32).step_by(keep_step) {
                 simp.insert(id, idx);
             }
         }
-        let materialized = simp.materialize(&db);
-        let expected = range_query(&materialized, &qf);
+        let expected = range_query_store(&simp.materialize_store(&store), &qf);
         for cfg in engine_configs() {
             let engine = QueryEngine::over(&db, cfg);
             prop_assert_eq!(
@@ -334,7 +335,7 @@ proptest! {
             })
             .collect();
         let engine = QueryEngine::over(&db, EngineConfig::octree().with_tree_shape(6, 8));
-        let mut simp = Simplification::most_simplified(&db);
+        let mut simp = Simplification::most_simplified_store(engine.store());
         let mut maintained = engine.maintained_workload(queries, &simp);
         for (traj, frac) in inserts {
             let n = db.get(traj).len() as u32;

@@ -17,9 +17,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use proptest::prelude::*;
 use traj_query::knn::{Dissimilarity, KnnQuery};
 use traj_query::{
-    fan_out, merge, range_query, Answer, DbOptions, EngineConfig, GenerationalDb, IdMap, Query,
-    QueryBatch, QueryEngine, QueryExecutor, QueryResult, Segment, ShardResult, ShardedQueryEngine,
-    SimilarityQuery, TrajDb,
+    fan_out, merge, merge_knn_candidates, range_query_store, Answer, DbOptions, EngineConfig,
+    GenerationalDb, IdMap, Query, QueryBatch, QueryEngine, QueryExecutor, QueryResult, Segment,
+    ShardResult, ShardedQueryEngine, SimilarityQuery, TrajDb,
 };
 use trajectory::snapshot::write_snapshot_quantized;
 use trajectory::{
@@ -116,18 +116,18 @@ fn even_points(store: &PointStore) -> KeptBitmap {
 
 /// The oracle: linear scans over the surviving trajectories alone,
 /// positions mapped back to their global ids.
-fn oracle(db: &TrajectoryDb, survivors: &[TrajId], all_kept: bool, q: &Query) -> QueryResult {
-    let sub: TrajectoryDb = survivors.iter().map(|&g| db.get(g).clone()).collect();
+fn oracle(store: &PointStore, survivors: &[TrajId], all_kept: bool, q: &Query) -> QueryResult {
+    let sub = store.gather_trajs(survivors);
     let global =
         |ids: Vec<TrajId>| -> Vec<TrajId> { ids.into_iter().map(|i| survivors[i]).collect() };
     match q {
-        Query::Range(c) => QueryResult::Range(global(range_query(&sub, c))),
-        Query::Knn(k) => QueryResult::Knn(global(k.execute(&sub))),
-        Query::Similarity(s) => QueryResult::Similarity(global(s.execute(&sub))),
+        Query::Range(c) => QueryResult::Range(global(range_query_store(&sub, c))),
+        Query::Knn(k) => QueryResult::Knn(global(k.execute_store(&sub))),
+        Query::Similarity(s) => QueryResult::Similarity(global(s.execute_store(&sub))),
         Query::RangeKept(c) => QueryResult::RangeKept(all_kept.then(|| {
             let hits = sub
                 .iter()
-                .filter(|(_, t)| t.points().iter().step_by(2).any(|p| c.contains(p)))
+                .filter(|(_, t)| t.points().step_by(2).any(|p| c.contains(&p)))
                 .map(|(i, _)| i)
                 .collect();
             global(hits)
@@ -243,7 +243,7 @@ proptest! {
                 // In process: nothing is missing; both fan-out modes.
                 let everyone: Vec<TrajId> = (0..db.len()).collect();
                 let all_kept = cut.kept.iter().all(|&kept| kept);
-                let expected = oracle(&db, &everyone, all_kept, q);
+                let expected = oracle(&store, &everyone, all_kept, q);
                 for parallel in [false, true] {
                     prop_assert_eq!(
                         &fan_out(&segments, q, parallel),
@@ -268,7 +268,7 @@ proptest! {
                 let all_kept = surviving.clone().count() > 0 && surviving.clone().all(|s| cut.kept[s]);
                 prop_assert_eq!(
                     merge(q, parts).expect("well-formed material"),
-                    oracle(&db, &survivors, all_kept, q),
+                    oracle(&store, &survivors, all_kept, q),
                     "{} degraded merge of {:?} (missing {:?})",
                     form, q.kind(), &cut.missing
                 );
@@ -406,4 +406,20 @@ fn malformed_material_is_a_typed_merge_error() {
         1
     );
     assert_eq!(merge(&q, vec![out_of_range, ok]).unwrap_err().segment, 0);
+}
+
+/// `k` arrives off the wire as any `u64`: the merge must size its output
+/// by the candidates it was handed, never by `k`.
+#[test]
+fn a_knn_merge_with_an_unbounded_k_returns_every_candidate() {
+    let streams = vec![
+        vec![(0.0, 4), (2.0, 1)],
+        vec![],
+        vec![(1.0, 7), (2.0, 0), (5.0, 3)],
+    ];
+    let all = vec![(0.0, 4), (1.0, 7), (2.0, 0), (2.0, 1), (5.0, 3)];
+    assert_eq!(merge_knn_candidates(usize::MAX, &streams), all);
+    assert_eq!(merge_knn_candidates(1 << 60, &streams), all);
+    assert_eq!(merge_knn_candidates(2, &streams), all[..2]);
+    assert!(merge_knn_candidates(usize::MAX, &[]).is_empty());
 }

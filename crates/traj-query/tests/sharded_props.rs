@@ -9,7 +9,8 @@
 use proptest::prelude::*;
 use traj_query::knn::{Dissimilarity, KnnQuery};
 use traj_query::{
-    range_query, EngineConfig, QueryEngine, QueryExecutor, ShardedQueryEngine, SimilarityQuery,
+    range_query_store, EngineConfig, QueryEngine, QueryExecutor, ShardedQueryEngine,
+    SimilarityQuery,
 };
 use trajectory::shard::{partition, PartitionStrategy, ShardSet};
 use trajectory::{Cube, Point, Simplification, Trajectory, TrajectoryDb};
@@ -105,7 +106,7 @@ proptest! {
         for cfg in engine_configs() {
             let single = QueryEngine::over_store(&store, cfg);
             let expected = single.range(&qf);
-            prop_assert_eq!(&expected, &range_query(&db, &qf), "engine vs scan");
+            prop_assert_eq!(&expected, &range_query_store(&store, &qf), "engine vs scan");
             for strategy in partition_strategies() {
                 let sharded = ShardedQueryEngine::from_partition(&store, &strategy, cfg);
                 prop_assert_eq!(
@@ -192,7 +193,7 @@ proptest! {
         })
     ) {
         let store = db.to_store();
-        let mut simp = Simplification::most_simplified(&db);
+        let mut simp = Simplification::most_simplified_store(&store);
         for (id, t) in db.iter() {
             for idx in (0..t.len() as u32).step_by(keep_step) {
                 simp.insert(id, idx);
@@ -234,7 +235,7 @@ proptest! {
                 Cube::centered(cx, cy, ct, f * ex / 2.0 + 1e-6, f * ey / 2.0 + 1e-6, f * et / 2.0 + 1e-6)
             })
             .collect();
-        let mut simp = Simplification::most_simplified(&db);
+        let mut simp = Simplification::most_simplified_store(&store);
         for (id, t) in db.iter() {
             for idx in (0..t.len() as u32).step_by(3) {
                 simp.insert(id, idx);
@@ -326,7 +327,7 @@ proptest! {
         // serve the same D' results as the single-store engine over the
         // equivalent global simplification.
         let store = db.to_store();
-        let mut simp = Simplification::most_simplified(&db);
+        let mut simp = Simplification::most_simplified_store(&store);
         for (id, t) in db.iter() {
             for idx in (0..t.len() as u32).step_by(keep_step) {
                 simp.insert(id, idx);

@@ -405,3 +405,45 @@ fn concurrent_writers_and_readers_stay_consistent() {
     assert_eq!(reopened.len(), base.len() + written as usize);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A kNN `k` of `usize::MAX` over a live database with a non-empty delta
+/// — base and delta candidates are merged — is answered with every id,
+/// exactly like `k = len`, and the `live-rw` server keeps serving a
+/// second client afterwards.
+#[test]
+fn an_unbounded_knn_k_is_answered_by_a_live_server_which_keeps_serving() {
+    let base = dataset(3, 12);
+    let extra = dataset(17, 5);
+    let dir = unique_dir("unbounded_k");
+    let db = Arc::new(
+        GenerationalDb::create(&dir, &base.to_store(), DbOptions::new(), keep_all())
+            .expect("create"),
+    );
+    let server = Server::start(Arc::clone(&db), "127.0.0.1:0", ServeOptions::batched())
+        .expect("server start");
+    let mut first = Client::connect(server.local_addr()).expect("connect");
+    first.ingest(&trajs_of(&extra)).expect("ingest acked");
+    let total = base.len() + extra.len();
+
+    let bounds = base.bounding_cube();
+    let knn = |k: usize| {
+        Query::Knn(KnnQuery {
+            query: base.get(0).clone(),
+            ts: bounds.t_min,
+            te: bounds.t_max,
+            k,
+            measure: Dissimilarity::Edr { eps: 2_000.0 },
+        })
+    };
+    let everyone = first.execute(&knn(total)).expect("k = len");
+    assert_eq!(everyone.ids().map(<[_]>::len), Some(total));
+    assert_eq!(first.execute(&knn(usize::MAX)).expect("k = MAX"), everyone);
+
+    let mut second = Client::connect(server.local_addr()).expect("second connect");
+    let three = second
+        .execute(&knn(3))
+        .expect("a second client is answered");
+    assert_eq!(three.ids().map(<[_]>::len), Some(3));
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}

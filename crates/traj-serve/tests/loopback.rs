@@ -275,3 +275,77 @@ fn corrupt_request_is_answered_with_an_error_frame() {
     assert_eq!(raw.read(&mut buf).expect("clean close"), 0);
     server.shutdown();
 }
+
+/// A kNN `k` is any `u64` on the wire. Over a sharded database — where
+/// per-shard candidates are merged — `usize::MAX` must be answered with
+/// every id, exactly like `k = len`, by a merge sized by its candidates,
+/// and the server must keep serving: a second client's request
+/// afterwards is answered too.
+#[test]
+fn an_unbounded_knn_k_is_answered_and_the_server_keeps_serving() {
+    let db = dataset();
+    let sharded = TrajDb::from_store(
+        db.to_store(),
+        DbOptions::new().partition(PartitionStrategy::Hash { parts: 2 }),
+    );
+    let server = Server::start(sharded, "127.0.0.1:0", ServeOptions::batched()).expect("start");
+    let bounds = db.bounding_cube();
+    let knn = |k: usize| {
+        Query::Knn(KnnQuery {
+            query: db.get(0).clone(),
+            ts: bounds.t_min,
+            te: bounds.t_max,
+            k,
+            measure: Dissimilarity::Edr { eps: 2_000.0 },
+        })
+    };
+
+    let mut first = Client::connect(server.local_addr()).expect("connect");
+    let everyone = first.execute(&knn(db.len())).expect("k = len");
+    assert_eq!(everyone.ids().map(<[_]>::len), Some(db.len()));
+    assert_eq!(first.execute(&knn(usize::MAX)).expect("k = MAX"), everyone);
+    assert_eq!(first.execute(&knn(1 << 60)).expect("k = 2^60"), everyone);
+
+    let mut second = Client::connect(server.local_addr()).expect("second connect");
+    let three = second
+        .execute(&knn(3))
+        .expect("a second client is answered");
+    assert_eq!(three.ids().map(<[_]>::len), Some(3));
+    server.shutdown();
+}
+
+/// A similarity `step` is any bit pattern on the wire. A step that never
+/// advances the grid cursor (`1e-20` against timestamps of ~10^5 s) or
+/// advances nothing anywhere (a subnormal) must come back — in bounded
+/// memory — with the answer the default grid gives, over the wire and in
+/// process alike.
+#[test]
+fn a_hostile_similarity_step_is_answered_like_the_default_step() {
+    let db = dataset();
+    let in_process = TrajDb::from_store(db.to_store(), DbOptions::new());
+    let served = TrajDb::from_store(db.to_store(), DbOptions::new());
+    let server = Server::start(served, "127.0.0.1:0", ServeOptions::batched()).expect("start");
+    let probe = db.get(0).clone();
+    let (ts, te) = probe.time_span();
+    let similar = |step: f64| {
+        Query::Similarity(SimilarityQuery {
+            query: probe.clone(),
+            ts,
+            te,
+            delta: 5_000.0,
+            step,
+        })
+    };
+
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let want = client.execute(&similar(0.0)).expect("default grid");
+    assert!(
+        want.ids().is_some_and(|ids| ids.contains(&0)),
+        "the probe matches itself"
+    );
+    for step in [1e-20, f64::from_bits(1), f64::MIN_POSITIVE] {
+        assert_eq!(client.execute(&similar(step)).expect("hostile step"), want);
+        assert_eq!(in_process.execute_one(&similar(step)), want);
+    }
+    server.shutdown();
+}

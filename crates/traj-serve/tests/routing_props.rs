@@ -329,3 +329,45 @@ fn rounds_that_reach_one_shard_answer_like_the_full_database() {
     servers.into_iter().for_each(Server::shutdown);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A kNN `k` of `usize::MAX` through a coordinator — whose global merge
+/// takes the shards' candidate lists — is answered with every id, exactly
+/// like `k = len`, and both the coordinator and a shard server it talked
+/// to keep serving afterwards.
+#[test]
+fn an_unbounded_knn_k_is_answered_by_the_coordinator_which_keeps_serving() {
+    let db = generate(&DatasetSpec::tdrive(Scale::Smoke).with_trajectories(24), 3);
+    let dir = write_shard_dir(&db, &PartitionStrategy::Hash { parts: 2 });
+    let (servers, coordinator) = cluster_over(&dir);
+    let bounds = db.bounding_cube();
+    let knn = |k: usize| {
+        QueryBatch::from_queries(vec![Query::Knn(KnnQuery {
+            query: db.get(0).clone(),
+            ts: bounds.t_min,
+            te: bounds.t_max,
+            k,
+            measure: Dissimilarity::Edr { eps: 2_000.0 },
+        })])
+    };
+
+    let everyone = coordinator.execute_batch(&knn(db.len())).expect("k = len");
+    assert_eq!(everyone.status, ResponseStatus::Complete);
+    assert_eq!(everyone.results[0].ids().map(<[_]>::len), Some(db.len()));
+    let unbounded = coordinator
+        .execute_batch(&knn(usize::MAX))
+        .expect("k = MAX");
+    assert_eq!(unbounded.status, ResponseStatus::Complete);
+    assert_eq!(unbounded.results, everyone.results);
+
+    let three = coordinator.execute_batch(&knn(3)).expect("the next round");
+    assert_eq!(three.results[0].ids().map(<[_]>::len), Some(3));
+    let mut direct = traj_serve::Client::connect(servers[0].local_addr()).expect("connect");
+    assert!(
+        direct.execute_batch(&knn(3)).is_ok(),
+        "a shard's next client"
+    );
+
+    drop(coordinator);
+    servers.into_iter().for_each(Server::shutdown);
+    std::fs::remove_dir_all(&dir).ok();
+}

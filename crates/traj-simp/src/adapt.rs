@@ -3,7 +3,7 @@
 //! proportional budget; **Whole** ("W") treats the database as one global
 //! pool of insertion/drop candidates.
 
-use trajectory::{PointStore, TrajectoryDb};
+use trajectory::{AsColumns, Simplification, TrajView};
 
 /// How a trajectory-level algorithm is adapted to a database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,21 +27,10 @@ impl std::fmt::Display for Adaptation {
 /// "Each" adaptation: every trajectory gets at least its two endpoints,
 /// the rest is distributed proportionally to trajectory length
 /// (largest-remainder rounding), and the total never exceeds
-/// `max(budget, Σ min(|T|, 2))`.
-pub fn per_trajectory_budgets(db: &TrajectoryDb, budget: usize) -> Vec<usize> {
-    let lens: Vec<usize> = db.trajectories().iter().map(|t| t.len()).collect();
-    budgets_for_lengths(&lens, budget)
-}
-
-/// [`per_trajectory_budgets`] over columnar storage (only the per-
-/// trajectory lengths matter, which are offset-table differences).
-pub fn per_trajectory_budgets_store(store: &PointStore, budget: usize) -> Vec<usize> {
+/// `max(budget, Σ min(|T|, 2))`. Only the per-trajectory lengths matter,
+/// which are offset-table differences.
+pub fn per_trajectory_budgets_store<S: AsColumns + ?Sized>(store: &S, budget: usize) -> Vec<usize> {
     let lens: Vec<usize> = store.views().map(|v| v.len()).collect();
-    budgets_for_lengths(&lens, budget)
-}
-
-/// Layout-independent core of the proportional budget split.
-fn budgets_for_lengths(lens: &[usize], budget: usize) -> Vec<usize> {
     let n: usize = lens.iter().sum();
     let mut budgets: Vec<usize> = lens.iter().map(|&len| len.min(2)).collect();
     let floor_total: usize = budgets.iter().sum();
@@ -76,12 +65,25 @@ fn budgets_for_lengths(lens: &[usize], budget: usize) -> Vec<usize> {
     budgets
 }
 
+/// The "E" adaptation, written once: split `budget` proportionally
+/// ([`per_trajectory_budgets_store`]), hand every trajectory's zero-copy
+/// view and its share to `one`, and assemble the kept lists.
+pub fn simplify_each<S: AsColumns + ?Sized>(
+    store: &S,
+    budget: usize,
+    mut one: impl FnMut(TrajView<'_>, usize) -> Vec<u32>,
+) -> Simplification {
+    let budgets = per_trajectory_budgets_store(store, budget);
+    let kept = store.views().zip(budgets).map(|(v, b)| one(v, b)).collect();
+    Simplification::from_kept_store(store, kept)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trajectory::{Point, Trajectory};
+    use trajectory::{Point, PointStore, Trajectory, TrajectoryDb};
 
-    fn db(lens: &[usize]) -> TrajectoryDb {
+    fn db(lens: &[usize]) -> PointStore {
         TrajectoryDb::new(
             lens.iter()
                 .map(|&n| {
@@ -94,13 +96,14 @@ mod tests {
                 })
                 .collect(),
         )
+        .to_store()
     }
 
     #[test]
     fn budgets_respect_total_and_floors() {
         let db = db(&[100, 200, 700]);
         let budget = 100; // 10% of 1000
-        let budgets = per_trajectory_budgets(&db, budget);
+        let budgets = per_trajectory_budgets_store(&db, budget);
         assert!(budgets.iter().sum::<usize>() <= budget);
         assert!(budgets.iter().all(|&b| b >= 2));
         // Proportionality: the 700-point trajectory gets the biggest share.
@@ -110,14 +113,14 @@ mod tests {
     #[test]
     fn tiny_budget_degrades_to_endpoints() {
         let db = db(&[50, 50]);
-        let budgets = per_trajectory_budgets(&db, 1);
+        let budgets = per_trajectory_budgets_store(&db, 1);
         assert_eq!(budgets, vec![2, 2]);
     }
 
     #[test]
     fn budget_larger_than_db_caps_at_lengths() {
         let db = db(&[5, 7]);
-        let budgets = per_trajectory_budgets(&db, 1_000);
+        let budgets = per_trajectory_budgets_store(&db, 1_000);
         assert!(budgets[0] <= 5 && budgets[1] <= 7);
         assert_eq!(budgets.iter().sum::<usize>(), 12);
     }
@@ -125,7 +128,7 @@ mod tests {
     #[test]
     fn single_point_trajectories_get_one() {
         let db = db(&[1, 10]);
-        let budgets = per_trajectory_budgets(&db, 6);
+        let budgets = per_trajectory_budgets_store(&db, 6);
         assert_eq!(budgets[0], 1);
         assert!(budgets[1] >= 2);
     }

@@ -2,21 +2,17 @@
 //! trajectory and repeatedly *drop* the point whose removal introduces the
 //! smallest error, until the budget is met.
 //!
-//! The drop loop is implemented twice over the same heap discipline: the
-//! AoS path walks [`Trajectory`] point slices, the **native columnar**
-//! path ([`Simplifier::simplify_store`]) walks zero-copy
-//! [`TrajView`](trajectory::TrajView)s straight off the columns — no
-//! `Vec<Point>` trajectories are materialized, no AoS round-trip. Both
-//! paths push and pop identical cost sequences through the shared
-//! [`LazyHeap`], so their kept sets are equal point-for-point
-//! (equality-tested for all four error measures and both adaptations).
+//! The per-trajectory drop loop is generic over [`PointSeq`] and the
+//! database loop walks zero-copy [`TrajView`](trajectory::TrajView)s
+//! straight off the columns — no `Vec<Point>` trajectories are
+//! materialized. Both push and pop the same cost sequences through the
+//! shared [`LazyHeap`], so "W" over a single-trajectory database equals
+//! "E" point for point (tested for all four error measures).
 
-use crate::adapt::{per_trajectory_budgets, per_trajectory_budgets_store, Adaptation};
+use crate::adapt::{simplify_each, Adaptation};
 use crate::heap::LazyHeap;
 use crate::Simplifier;
-use trajectory::{
-    AsColumns, ErrorMeasure, PointSeq, PointStore, Simplification, TrajId, Trajectory, TrajectoryDb,
-};
+use trajectory::{AsColumns, ErrorMeasure, PointSeq, PointStore, Simplification, TrajId};
 
 /// The Bottom-Up baseline, parameterized by error measure and adaptation.
 #[derive(Debug, Clone, Copy)]
@@ -42,70 +38,21 @@ impl Simplifier for BottomUp {
         format!("Bottom-Up({},{})", self.adaptation, self.measure)
     }
 
-    fn simplify(&self, db: &TrajectoryDb, budget: usize) -> Simplification {
-        match self.adaptation {
-            Adaptation::Each => {
-                let budgets = per_trajectory_budgets(db, budget);
-                let kept = db
-                    .iter()
-                    .map(|(id, t)| bottomup_one(t, budgets[id], self.measure))
-                    .collect();
-                Simplification::from_kept(db, kept)
-            }
-            Adaptation::Whole => bottomup_whole(db, budget, self.measure),
-        }
-    }
-
-    /// Native columnar Bottom-Up: the drop loops run directly over
-    /// zero-copy [`TrajView`](trajectory::TrajView)s — identical kept
-    /// sets to [`Simplifier::simplify`] on the equivalent database.
     fn simplify_store(&self, store: &PointStore, budget: usize) -> Simplification {
         match self.adaptation {
             Adaptation::Each => {
-                let budgets = per_trajectory_budgets_store(store, budget);
-                let kept = store
-                    .views()
-                    .enumerate()
-                    .map(|(id, v)| bottomup_one_seq(&v, budgets[id], self.measure))
-                    .collect();
-                Simplification::from_kept_store(store, kept)
+                simplify_each(store, budget, |v, b| bottomup_one_seq(&v, b, self.measure))
             }
             Adaptation::Whole => bottomup_whole_store(store, budget, self.measure),
         }
     }
 }
 
-/// The cost of dropping kept point `idx`: the Eq. 1 segment error of the
-/// merged anchor `(left, right)` that removal would create.
-fn drop_cost(
-    traj: &Trajectory,
-    simp: &Simplification,
-    id: TrajId,
-    idx: u32,
-    m: ErrorMeasure,
-) -> Option<f64> {
-    let (l, r) = simp.kept_neighbors(id, idx)?;
-    Some(m.segment_error(traj, l as usize, r as usize))
-}
-
-/// Bottom-Up for a single trajectory under a point budget.
-pub fn bottomup_one(traj: &Trajectory, budget: usize, measure: ErrorMeasure) -> Vec<u32> {
-    let n = traj.len();
-    if n <= 2 {
-        return (0..n as u32).collect();
-    }
-    let budget = budget.clamp(2, n);
-    let db = TrajectoryDb::new(vec![traj.clone()]);
-    let mut simp = Simplification::full(&db);
-    run_bottomup_db(&db, &mut simp, budget, measure);
-    simp.kept(0).to_vec()
-}
-
-/// Layout-agnostic single-trajectory Bottom-Up: the same drop loop over
-/// any [`PointSeq`] — kept indices are maintained in a doubly-linked
-/// prev/next list instead of a [`Simplification`], but costs, version
-/// stamps, and heap operations occur in exactly the order of
-/// [`bottomup_one`], so the kept sets are identical.
+/// Bottom-Up for a single trajectory under a point budget, over any
+/// [`PointSeq`]. Kept indices are maintained in a doubly-linked prev/next
+/// list instead of a [`Simplification`], but costs, version stamps, and
+/// heap operations occur in exactly the order of the database loop run
+/// over that one trajectory, so the kept sets are identical.
 pub fn bottomup_one_seq<S: PointSeq + ?Sized>(
     seq: &S,
     budget: usize,
@@ -156,87 +103,20 @@ pub fn bottomup_one_seq<S: PointSeq + ?Sized>(
 }
 
 /// Bottom-Up over the whole database: one global min-heap of drop costs.
-fn bottomup_whole(db: &TrajectoryDb, budget: usize, measure: ErrorMeasure) -> Simplification {
-    let mut simp = Simplification::full(db);
-    let budget = budget.max(crate::min_points(db));
-    run_bottomup_db(db, &mut simp, budget, measure);
-    simp
-}
-
-/// [`bottomup_whole`] walking columns natively: per-trajectory point
-/// access is a [`TrajView`](trajectory::TrajView) sub-slice lookup
-/// instead of a pointer chase through `Vec<Trajectory>`. Heap order,
-/// tie-breaking, and therefore the kept sets are identical to the AoS
-/// path.
-fn bottomup_whole_store(
-    store: &PointStore,
+fn bottomup_whole_store<S: AsColumns + ?Sized>(
+    store: &S,
     budget: usize,
     measure: ErrorMeasure,
 ) -> Simplification {
     let mut simp = Simplification::full_store(store);
     let budget = budget.max(crate::min_points_store(store));
-    let mut versions: Vec<Vec<u64>> = store.views().map(|v| vec![0u64; v.len()]).collect();
-    let mut heap: LazyHeap<(TrajId, u32)> = LazyHeap::new();
-    for (id, v) in AsColumns::iter(store) {
-        for idx in 1..v.len().saturating_sub(1) as u32 {
-            if let Some(c) = drop_cost_seq(&v, &simp, id, idx, measure) {
-                heap.push(-c, 0, (id, idx));
-            }
-        }
-    }
-    let mut total = simp.total_points();
-    while total > budget {
-        let popped = heap
-            .pop_current(|&(id, idx), v| versions[id][idx as usize] == v && simp.contains(id, idx));
-        let Some((_, (id, idx))) = popped else { break };
-        let (l, r) = simp.kept_neighbors(id, idx).expect("validated current");
-        let removed = simp.remove(id, idx);
-        debug_assert!(removed);
-        total -= 1;
-        let v = store.view(id);
-        for nb in [l, r] {
-            if simp.kept_neighbors(id, nb).is_some() {
-                versions[id][nb as usize] += 1;
-                if let Some(c) = drop_cost_seq(&v, &simp, id, nb, measure) {
-                    heap.push(-c, versions[id][nb as usize], (id, nb));
-                }
-            }
-        }
-    }
-    simp
-}
-
-/// [`drop_cost`] over any [`PointSeq`] (same Eq. 1 segment error).
-fn drop_cost_seq<S: PointSeq + ?Sized>(
-    seq: &S,
-    simp: &Simplification,
-    id: TrajId,
-    idx: u32,
-    m: ErrorMeasure,
-) -> Option<f64> {
-    let (l, r) = simp.kept_neighbors(id, idx)?;
-    Some(m.segment_error_seq(seq, l as usize, r as usize))
-}
-
-/// Core drop loop shared by both adaptations (the per-trajectory case is a
-/// single-trajectory database).
-fn run_bottomup_db(
-    db: &TrajectoryDb,
-    simp: &mut Simplification,
-    budget: usize,
-    measure: ErrorMeasure,
-) {
     // Version stamps: an entry for (id, idx) is valid only if the stamp
     // matches (neighbors unchanged since push) and the point is still kept.
-    let mut versions: Vec<Vec<u64>> = db
-        .trajectories()
-        .iter()
-        .map(|t| vec![0u64; t.len()])
-        .collect();
+    let mut versions: Vec<Vec<u64>> = store.views().map(|v| vec![0u64; v.len()]).collect();
     let mut heap: LazyHeap<(TrajId, u32)> = LazyHeap::new();
-    for (id, t) in db.iter() {
-        for idx in 1..t.len().saturating_sub(1) as u32 {
-            if let Some(c) = drop_cost(t, simp, id, idx, measure) {
+    for (id, v) in store.iter() {
+        for idx in 1..v.len().saturating_sub(1) as u32 {
+            if let Some(c) = drop_cost_seq(&v, &simp, id, idx, measure) {
                 heap.push(-c, 0, (id, idx)); // negate: LazyHeap is a max-heap
             }
         }
@@ -252,22 +132,36 @@ fn run_bottomup_db(
         total -= 1;
         // The bracketing neighbors' drop costs changed: re-push with fresh
         // stamps.
-        let t = db.get(id);
+        let v = store.view(id);
         for nb in [l, r] {
             if simp.kept_neighbors(id, nb).is_some() {
                 versions[id][nb as usize] += 1;
-                if let Some(c) = drop_cost(t, simp, id, nb, measure) {
+                if let Some(c) = drop_cost_seq(&v, &simp, id, nb, measure) {
                     heap.push(-c, versions[id][nb as usize], (id, nb));
                 }
             }
         }
     }
+    simp
+}
+
+/// The cost of dropping kept point `idx`: the Eq. 1 segment error of the
+/// merged anchor `(left, right)` that removal would create.
+pub(crate) fn drop_cost_seq<S: PointSeq + ?Sized>(
+    seq: &S,
+    simp: &Simplification,
+    id: TrajId,
+    idx: u32,
+    m: ErrorMeasure,
+) -> Option<f64> {
+    let (l, r) = simp.kept_neighbors(id, idx)?;
+    Some(m.segment_error_seq(seq, l as usize, r as usize))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trajectory::Point;
+    use trajectory::{Point, Trajectory, TrajectoryDb};
 
     fn zigzag(n: usize, amp: f64) -> Trajectory {
         Trajectory::new(
@@ -285,7 +179,7 @@ mod tests {
     fn respects_budget_and_endpoints() {
         let t = zigzag(40, 5.0);
         for budget in [2, 7, 20, 40] {
-            let kept = bottomup_one(&t, budget, ErrorMeasure::Sed);
+            let kept = bottomup_one_seq(&t, budget, ErrorMeasure::Sed);
             assert_eq!(kept.len(), budget.max(2), "exact budget expected");
             assert_eq!(kept[0], 0);
             assert_eq!(*kept.last().unwrap(), 39);
@@ -301,14 +195,14 @@ mod tests {
             .collect();
         pts[11] = Point::new(110.0, 400.0, 11.0);
         let t = Trajectory::new(pts).unwrap();
-        let kept = bottomup_one(&t, 3, ErrorMeasure::Sed);
+        let kept = bottomup_one_seq(&t, 3, ErrorMeasure::Sed);
         assert_eq!(kept, vec![0, 11, 19]);
     }
 
     #[test]
     fn full_budget_is_identity() {
         let t = zigzag(15, 3.0);
-        let kept = bottomup_one(&t, 15, ErrorMeasure::Ped);
+        let kept = bottomup_one_seq(&t, 15, ErrorMeasure::Ped);
         assert_eq!(kept.len(), 15);
     }
 
@@ -321,9 +215,9 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let db = TrajectoryDb::new(vec![wild, straight]);
+        let store = TrajectoryDb::new(vec![wild, straight]).to_store();
         let bu = BottomUp::new(ErrorMeasure::Sed, Adaptation::Whole);
-        let simp = bu.simplify(&db, 34);
+        let simp = bu.simplify_store(&store, 34);
         assert_eq!(simp.total_points(), 34);
         assert!(
             simp.kept(0).len() > simp.kept(1).len(),
@@ -337,18 +231,18 @@ mod tests {
 
     #[test]
     fn budget_below_floor_clamps_to_endpoints() {
-        let db = TrajectoryDb::new(vec![zigzag(10, 1.0), zigzag(10, 1.0)]);
+        let store = TrajectoryDb::new(vec![zigzag(10, 1.0), zigzag(10, 1.0)]).to_store();
         let bu = BottomUp::new(ErrorMeasure::Sed, Adaptation::Whole);
-        let simp = bu.simplify(&db, 0);
+        let simp = bu.simplify_store(&store, 0);
         assert_eq!(simp.total_points(), 4);
     }
 
     #[test]
     fn all_measures_and_adaptations_run() {
-        let db = TrajectoryDb::new(vec![zigzag(25, 5.0), zigzag(12, 2.0)]);
+        let store = TrajectoryDb::new(vec![zigzag(25, 5.0), zigzag(12, 2.0)]).to_store();
         for m in ErrorMeasure::ALL {
             for a in [Adaptation::Each, Adaptation::Whole] {
-                let simp = BottomUp::new(m, a).simplify(&db, 12);
+                let simp = BottomUp::new(m, a).simplify_store(&store, 12);
                 assert!(simp.total_points() <= 12, "{m} {a}");
             }
         }
@@ -363,35 +257,20 @@ mod tests {
     }
 
     #[test]
-    fn simplify_store_matches_aos_for_all_measures_and_adaptations() {
-        // The native columnar path must produce the exact kept sets of
-        // the AoS path: same drop order, same tie-breaking.
-        let db = TrajectoryDb::new(vec![zigzag(40, 8.0), zigzag(25, 3.0), zigzag(7, 30.0)]);
-        let store = db.to_store();
-        for m in ErrorMeasure::ALL {
-            for a in [Adaptation::Each, Adaptation::Whole] {
-                for budget in [6, 20, 50, 200] {
-                    let bu = BottomUp::new(m, a);
-                    assert_eq!(
-                        bu.simplify_store(&store, budget),
-                        bu.simplify(&db, budget),
-                        "{m} {a} budget {budget}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn one_seq_matches_one_on_views() {
+        // The linked-list loop over one sequence — a column view or an
+        // owned trajectory — keeps exactly what the database loop keeps on
+        // a single-trajectory store.
         let t = zigzag(33, 6.0);
-        let db = TrajectoryDb::new(vec![t.clone()]);
-        let store = db.to_store();
+        let store = TrajectoryDb::new(vec![t.clone()]).to_store();
         for m in ErrorMeasure::ALL {
+            let whole = BottomUp::new(m, Adaptation::Whole);
             for budget in [2, 5, 12, 33] {
+                let kept = bottomup_one_seq(&store.view(0), budget, m);
+                assert_eq!(kept, bottomup_one_seq(&t, budget, m), "{m} budget {budget}");
                 assert_eq!(
-                    bottomup_one_seq(&store.view(0), budget, m),
-                    bottomup_one(&t, budget, m),
+                    kept,
+                    whole.simplify_store(&store, budget).kept(0),
                     "{m} budget {budget}"
                 );
             }
@@ -403,8 +282,8 @@ mod tests {
         // Both heuristics should land in the same error ballpark on a
         // benign input (sanity guard against gross implementation bugs).
         let t = zigzag(60, 5.0);
-        let bu = bottomup_one(&t, 12, ErrorMeasure::Sed);
-        let td = crate::topdown::topdown_one(&t, 12, ErrorMeasure::Sed);
+        let bu = bottomup_one_seq(&t, 12, ErrorMeasure::Sed);
+        let td = crate::topdown::topdown_one_seq(&t, 12, ErrorMeasure::Sed);
         let e_bu = ErrorMeasure::Sed.trajectory_error(&t, &bu);
         let e_td = ErrorMeasure::Sed.trajectory_error(&t, &td);
         assert!(

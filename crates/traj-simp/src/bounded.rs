@@ -9,13 +9,13 @@
 //! budgets — plus the bridge both directions: the minimum ε that reaches a
 //! given budget.
 
-use trajectory::{ErrorMeasure, Simplification, Trajectory, TrajectoryDb};
+use trajectory::{AsColumns, ErrorMeasure, PointSeq, Simplification};
 
 /// Greedy error-bounded simplification of one trajectory: from each kept
 /// point, extend the anchor as far as the Eq. 1 segment error allows.
 /// Every produced anchor satisfies `segment_error ≤ eps`.
-pub fn bounded_one(traj: &Trajectory, measure: ErrorMeasure, eps: f64) -> Vec<u32> {
-    let n = traj.len();
+pub fn bounded_one<S: PointSeq + ?Sized>(traj: &S, measure: ErrorMeasure, eps: f64) -> Vec<u32> {
+    let n = traj.n_points();
     if n <= 2 {
         return (0..n as u32).collect();
     }
@@ -26,7 +26,7 @@ pub fn bounded_one(traj: &Trajectory, measure: ErrorMeasure, eps: f64) -> Vec<u3
         // (single original segment has zero spatial error; DAD/SAD are
         // zero against themselves too).
         let mut e = s + 1;
-        while e + 1 < n && measure.segment_error(traj, s, e + 1) <= eps {
+        while e + 1 < n && measure.segment_error_seq(traj, s, e + 1) <= eps {
             e += 1;
         }
         kept.push(e as u32);
@@ -38,36 +38,40 @@ pub fn bounded_one(traj: &Trajectory, measure: ErrorMeasure, eps: f64) -> Vec<u3
 /// Error-bounded simplification of a whole database: one tolerance, every
 /// trajectory simplified independently (the error bound is local by
 /// definition).
-pub fn bounded_db(db: &TrajectoryDb, measure: ErrorMeasure, eps: f64) -> Simplification {
-    let kept = db
-        .iter()
-        .map(|(_, t)| bounded_one(t, measure, eps))
+pub fn bounded_db<S: AsColumns + ?Sized>(
+    store: &S,
+    measure: ErrorMeasure,
+    eps: f64,
+) -> Simplification {
+    let kept = store
+        .views()
+        .map(|v| bounded_one(&v, measure, eps))
         .collect();
-    Simplification::from_kept(db, kept)
+    Simplification::from_kept_store(store, kept)
 }
 
 /// The smallest tolerance (within `tol` relative precision) whose bounded
 /// simplification fits in `budget` points — the bridge from the min-size
 /// formulation back to the paper's budgeted setting. Returns the tolerance
 /// and its simplification.
-pub fn min_eps_for_budget(
-    db: &TrajectoryDb,
+pub fn min_eps_for_budget<S: AsColumns + ?Sized>(
+    store: &S,
     measure: ErrorMeasure,
     budget: usize,
 ) -> (f64, Simplification) {
     // Establish an upper bound by doubling.
     let mut hi = 1.0f64;
-    let mut best = bounded_db(db, measure, hi);
+    let mut best = bounded_db(store, measure, hi);
     let mut guard = 0;
     while best.total_points() > budget && guard < 60 {
         hi *= 2.0;
-        best = bounded_db(db, measure, hi);
+        best = bounded_db(store, measure, hi);
         guard += 1;
     }
     let mut lo = 0.0f64;
     for _ in 0..40 {
         let mid = 0.5 * (lo + hi);
-        let s = bounded_db(db, measure, mid);
+        let s = bounded_db(store, measure, mid);
         if s.total_points() <= budget {
             hi = mid;
             best = s;
@@ -81,7 +85,7 @@ pub fn min_eps_for_budget(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trajectory::Point;
+    use trajectory::{Point, Trajectory, TrajectoryDb};
 
     fn zigzag(n: usize, amp: f64) -> Trajectory {
         Trajectory::new(
@@ -136,7 +140,7 @@ mod tests {
 
     #[test]
     fn min_eps_for_budget_meets_budget() {
-        let db = TrajectoryDb::new(vec![zigzag(40, 9.0), zigzag(25, 3.0)]);
+        let db = TrajectoryDb::new(vec![zigzag(40, 9.0), zigzag(25, 3.0)]).to_store();
         let budget = 20;
         let (eps, simp) = min_eps_for_budget(&db, ErrorMeasure::Sed, budget);
         assert!(simp.total_points() <= budget);
@@ -151,7 +155,7 @@ mod tests {
 
     #[test]
     fn works_for_all_measures() {
-        let db = TrajectoryDb::new(vec![zigzag(30, 6.0)]);
+        let db = TrajectoryDb::new(vec![zigzag(30, 6.0)]).to_store();
         for m in ErrorMeasure::ALL {
             let s = bounded_db(&db, m, 1.0);
             assert!(s.total_points() >= 2);

@@ -19,6 +19,13 @@
 //! Each algorithm is generic over the four error measures where the
 //! original supports them, yielding the paper's 25 baselines
 //! (3 algorithms × 4 measures × 2 adaptations + Span-Search).
+//!
+//! Every algorithm is written once, over columns: a database is a
+//! [`PointStore`], one trajectory a [`trajectory::PointSeq`] (the
+//! per-trajectory kernels — `topdown_one_seq`, `bottomup_one_seq`,
+//! `spansearch_one`, `bounded_one` — accept a zero-copy column view, an
+//! owned [`trajectory::Trajectory`] or a point slice alike). The "E"
+//! adaptation all of them share lives in [`adapt::simplify_each`].
 
 #![warn(missing_docs)]
 
@@ -34,7 +41,7 @@ pub mod streaming;
 pub mod topdown;
 pub mod uniform;
 
-pub use adapt::{per_trajectory_budgets, Adaptation};
+pub use adapt::{per_trajectory_budgets_store, Adaptation};
 pub use bottomup::BottomUp;
 pub use bounded::{bounded_db, bounded_one, min_eps_for_budget};
 pub use onepass::OnePassSed;
@@ -49,11 +56,11 @@ pub use streaming::{streaming_simplify, StreamingSimplifier};
 pub use topdown::TopDown;
 pub use uniform::Uniform;
 
-use trajectory::{PointStore, Simplification, TrajectoryDb};
+use trajectory::{AsColumns, PointStore, Simplification, TrajectoryDb};
 
-/// A database simplification algorithm: reduce `db` to at most `budget`
-/// total points (every trajectory always keeps its endpoints, so the
-/// effective floor is `Σ min(|T|, 2)`).
+/// A database simplification algorithm: reduce a database to at most
+/// `budget` total points (every trajectory always keeps its endpoints, so
+/// the effective floor is `Σ min(|T|, 2)`).
 ///
 /// `Send + Sync` is required so experiment harnesses can evaluate many
 /// methods in parallel; all implementations are plain data + trained
@@ -63,29 +70,22 @@ pub trait Simplifier: Send + Sync {
     /// `"Top-Down(E,PED)"`.
     fn name(&self) -> String;
 
-    /// Produces the simplification.
-    fn simplify(&self, db: &TrajectoryDb, budget: usize) -> Simplification;
+    /// Produces the simplification of a columnar store — the one method an
+    /// algorithm implements. The kept-index sets line up with the store's
+    /// per-trajectory views, so `simp.materialize_store(store)` (a column
+    /// gather) yields `D'` and `simp.to_bitmap(store)` its serving form.
+    fn simplify_store(&self, store: &PointStore, budget: usize) -> Simplification;
 
-    /// Produces the simplification of a columnar store. The resulting
-    /// kept-index sets line up with the store's per-trajectory views, so
-    /// `simp.materialize_store(store)` (a column gather) yields `D'`
-    /// without round-tripping through `Vec<Point>` trajectories.
-    ///
-    /// The default implementation materializes an AoS copy and delegates
-    /// to [`Simplifier::simplify`]; algorithms migrate to native column
-    /// walks incrementally.
-    fn simplify_store(&self, store: &PointStore, budget: usize) -> Simplification {
-        self.simplify(&store.to_db(), budget)
+    /// Row-form forward of [`Simplifier::simplify_store`] for callers that
+    /// hold a [`TrajectoryDb`] builder. Provided; no implementor overrides
+    /// it.
+    fn simplify(&self, db: &TrajectoryDb, budget: usize) -> Simplification {
+        self.simplify_store(&db.to_store(), budget)
     }
 }
 
 /// Effective lower bound on the number of points any simplification keeps.
-pub fn min_points(db: &TrajectoryDb) -> usize {
-    db.trajectories().iter().map(|t| t.len().min(2)).sum()
-}
-
-/// [`min_points`] over columnar storage.
-pub fn min_points_store(store: &PointStore) -> usize {
+pub fn min_points_store<S: AsColumns + ?Sized>(store: &S) -> usize {
     store.views().map(|v| v.len().min(2)).sum()
 }
 
@@ -96,7 +96,7 @@ mod tests {
 
     #[test]
     fn min_points_counts_endpoints() {
-        let db = TrajectoryDb::new(vec![
+        let store = TrajectoryDb::new(vec![
             Trajectory::new(vec![Point::new(0.0, 0.0, 0.0)]).unwrap(),
             Trajectory::new(
                 (0..5)
@@ -104,7 +104,8 @@ mod tests {
                     .collect(),
             )
             .unwrap(),
-        ]);
-        assert_eq!(min_points(&db), 3);
+        ])
+        .to_store();
+        assert_eq!(min_points_store(&store), 3);
     }
 }

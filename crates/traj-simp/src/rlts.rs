@@ -11,13 +11,14 @@
 //! trajectory-level technique); the E/W adaptations only change how the
 //! trained policy is *applied* to a database.
 
-use crate::adapt::{per_trajectory_budgets, Adaptation};
+use crate::adapt::{simplify_each, Adaptation};
+use crate::bottomup::drop_cost_seq;
 use crate::heap::LazyHeap;
 use crate::Simplifier;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tiny_rl::{Dqn, DqnConfig, Transition};
-use trajectory::{ErrorMeasure, Simplification, TrajId, TrajectoryDb};
+use trajectory::{AsColumns, ErrorMeasure, PointStore, Simplification, TrajId, TrajView};
 
 /// The RLTS+ baseline.
 #[derive(Debug, Clone)]
@@ -53,12 +54,13 @@ impl Default for RltsTrainConfig {
 }
 
 impl RltsPlus {
-    /// Trains an RLTS+ policy on trajectories sampled from `train_db`.
-    pub fn train(
+    /// Trains an RLTS+ policy on trajectories sampled from `train_db`
+    /// (owned or mapped columns; training only reads them).
+    pub fn train<S: AsColumns + ?Sized>(
         measure: ErrorMeasure,
         adaptation: Adaptation,
         k: usize,
-        train_db: &TrajectoryDb,
+        train_db: &S,
         config: &RltsTrainConfig,
         seed: u64,
     ) -> Self {
@@ -69,15 +71,12 @@ impl RltsPlus {
             if train_db.is_empty() {
                 break;
             }
-            let id = rng.gen_range(0..train_db.len());
-            let traj = train_db.get(id);
+            let traj = train_db.view(rng.gen_range(0..train_db.len()));
             if traj.len() < 4 {
                 continue;
             }
             let budget = ((traj.len() as f64 * config.ratio) as usize).max(2);
-            let single = TrajectoryDb::new(vec![traj.clone()]);
-            let mut simp = Simplification::full(&single);
-            run_policy_drop(&single, &mut simp, budget, measure, k, &mut agent, true);
+            policy_drop_one(traj, budget, measure, k, &mut agent, true);
         }
         agent.freeze();
         Self {
@@ -112,36 +111,21 @@ impl Simplifier for RltsPlus {
         format!("RLTS+({},{})", self.adaptation, self.measure)
     }
 
-    fn simplify(&self, db: &TrajectoryDb, budget: usize) -> Simplification {
+    fn simplify_store(&self, store: &PointStore, budget: usize) -> Simplification {
         // The trained agent is cloned so inference stays `&self` and
         // repeated calls are independent and deterministic.
         let mut agent = self.agent.clone();
         agent.freeze();
         match self.adaptation {
-            Adaptation::Each => {
-                let budgets = per_trajectory_budgets(db, budget);
-                let mut kept = Vec::with_capacity(db.len());
-                for (id, t) in db.iter() {
-                    let single = TrajectoryDb::new(vec![t.clone()]);
-                    let mut simp = Simplification::full(&single);
-                    run_policy_drop(
-                        &single,
-                        &mut simp,
-                        budgets[id].clamp(2, t.len()),
-                        self.measure,
-                        self.k,
-                        &mut agent,
-                        false,
-                    );
-                    kept.push(simp.kept(0).to_vec());
-                }
-                Simplification::from_kept(db, kept)
-            }
+            Adaptation::Each => simplify_each(store, budget, |v, b| {
+                let budget = b.clamp(2, v.len());
+                policy_drop_one(v, budget, self.measure, self.k, &mut agent, false)
+            }),
             Adaptation::Whole => {
-                let mut simp = Simplification::full(db);
-                let budget = budget.max(crate::min_points(db));
+                let mut simp = Simplification::full_store(store);
+                let budget = budget.max(crate::min_points_store(store));
                 run_policy_drop(
-                    db,
+                    store,
                     &mut simp,
                     budget,
                     self.measure,
@@ -155,23 +139,29 @@ impl Simplifier for RltsPlus {
     }
 }
 
-/// Drop cost of a kept interior point (Eq. 1 error of the merged anchor).
-fn drop_cost(
-    db: &TrajectoryDb,
-    simp: &Simplification,
-    id: TrajId,
-    idx: u32,
-    m: ErrorMeasure,
-) -> Option<f64> {
-    let (l, r) = simp.kept_neighbors(id, idx)?;
-    Some(m.segment_error(db.get(id), l as usize, r as usize))
+/// The policy loop over one trajectory, run as a single-trajectory store
+/// of its own (the trajectory's points are copied once). Returns its kept
+/// indices.
+fn policy_drop_one(
+    traj: TrajView<'_>,
+    budget: usize,
+    measure: ErrorMeasure,
+    k: usize,
+    agent: &mut Dqn,
+    learn: bool,
+) -> Vec<u32> {
+    let mut single = PointStore::with_capacity(1, traj.len());
+    let _ = single.push_view(traj);
+    let mut simp = Simplification::full_store(&single);
+    run_policy_drop(&single, &mut simp, budget, measure, k, agent, learn);
+    simp.kept(0).to_vec()
 }
 
 /// The shared Bottom-Up-with-a-policy loop. With `learn = true` it explores
 /// ε-greedily, stores transitions, and trains the agent; otherwise it acts
 /// greedily.
-fn run_policy_drop(
-    db: &TrajectoryDb,
+fn run_policy_drop<S: AsColumns + ?Sized>(
+    store: &S,
     simp: &mut Simplification,
     budget: usize,
     measure: ErrorMeasure,
@@ -179,15 +169,11 @@ fn run_policy_drop(
     agent: &mut Dqn,
     learn: bool,
 ) {
-    let mut versions: Vec<Vec<u64>> = db
-        .trajectories()
-        .iter()
-        .map(|t| vec![0u64; t.len()])
-        .collect();
+    let mut versions: Vec<Vec<u64>> = store.views().map(|v| vec![0u64; v.len()]).collect();
     let mut heap: LazyHeap<(TrajId, u32)> = LazyHeap::new();
-    for (id, t) in db.iter() {
-        for idx in 1..t.len().saturating_sub(1) as u32 {
-            if let Some(c) = drop_cost(db, simp, id, idx, measure) {
+    for (id, v) in store.iter() {
+        for idx in 1..v.len().saturating_sub(1) as u32 {
+            if let Some(c) = drop_cost_seq(&v, simp, id, idx, measure) {
                 heap.push(-c, 0, (id, idx));
             }
         }
@@ -259,7 +245,7 @@ fn run_policy_drop(
         for nb in [l, r] {
             if simp.kept_neighbors(id, nb).is_some() {
                 versions[id][nb as usize] += 1;
-                if let Some(c) = drop_cost(db, simp, id, nb, measure) {
+                if let Some(c) = drop_cost_seq(&store.view(id), simp, id, nb, measure) {
                     heap.push(-c, versions[id][nb as usize], (id, nb));
                 }
             }
@@ -293,10 +279,10 @@ fn run_policy_drop(
 mod tests {
     use super::*;
     use trajectory::gen::{generate, DatasetSpec, Scale};
-    use trajectory::{Point, Trajectory};
+    use trajectory::{Point, Trajectory, TrajectoryDb};
 
-    fn train_db() -> TrajectoryDb {
-        generate(&DatasetSpec::geolife(Scale::Smoke), 11)
+    fn train_db() -> PointStore {
+        generate(&DatasetSpec::geolife(Scale::Smoke), 11).to_store()
     }
 
     fn trained() -> RltsPlus {
@@ -319,8 +305,8 @@ mod tests {
         let rlts = trained();
         let db = train_db();
         let budget = db.total_points() / 10;
-        let simp = rlts.simplify(&db, budget);
-        assert!(simp.total_points() <= budget.max(crate::min_points(&db)));
+        let simp = rlts.simplify_store(&db, budget);
+        assert!(simp.total_points() <= budget.max(crate::min_points_store(&db)));
         for (id, t) in db.iter() {
             assert_eq!(simp.kept(id)[0], 0);
             assert_eq!(*simp.kept(id).last().unwrap(), t.len() as u32 - 1);
@@ -332,16 +318,16 @@ mod tests {
         let rlts = trained().with_adaptation(Adaptation::Whole);
         let db = train_db();
         let budget = db.total_points() / 8;
-        let simp = rlts.simplify(&db, budget);
-        assert!(simp.total_points() <= budget.max(crate::min_points(&db)));
+        let simp = rlts.simplify_store(&db, budget);
+        assert!(simp.total_points() <= budget.max(crate::min_points_store(&db)));
     }
 
     #[test]
     fn inference_is_deterministic() {
         let rlts = trained();
         let db = train_db();
-        let a = rlts.simplify(&db, db.total_points() / 10);
-        let b = rlts.simplify(&db, db.total_points() / 10);
+        let a = rlts.simplify_store(&db, db.total_points() / 10);
+        let b = rlts.simplify_store(&db, db.total_points() / 10);
         assert_eq!(a, b);
     }
 
@@ -359,10 +345,10 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let db = TrajectoryDb::new(vec![t.clone()]);
-        let simp = rlts.simplify(&db, 20);
+        let db = TrajectoryDb::new(vec![t.clone()]).to_store();
+        let simp = rlts.simplify_store(&db, 20);
         let e_rl = ErrorMeasure::Sed.trajectory_error(&t, simp.kept(0));
-        let bu = crate::bottomup::bottomup_one(&t, 20, ErrorMeasure::Sed);
+        let bu = crate::bottomup::bottomup_one_seq(&t, 20, ErrorMeasure::Sed);
         let e_bu = ErrorMeasure::Sed.trajectory_error(&t, &bu);
         assert!(e_rl <= 5.0 * e_bu + 1.0, "rlts {e_rl} vs bottom-up {e_bu}");
     }

@@ -11,9 +11,9 @@
 //! Only the "E" adaptation exists (the paper notes "W" is not possible:
 //! the greedy span cover is inherently per-trajectory).
 
-use crate::adapt::per_trajectory_budgets;
+use crate::adapt::simplify_each;
 use crate::Simplifier;
-use trajectory::{geom, Simplification, Trajectory, TrajectoryDb};
+use trajectory::{geom, PointSeq, PointStore, Simplification};
 
 /// The Span-Search baseline (DAD, "E" adaptation).
 #[derive(Debug, Clone, Copy, Default)]
@@ -24,20 +24,15 @@ impl Simplifier for SpanSearch {
         "Span-Search".to_string()
     }
 
-    fn simplify(&self, db: &TrajectoryDb, budget: usize) -> Simplification {
-        let budgets = per_trajectory_budgets(db, budget);
-        let kept = db
-            .iter()
-            .map(|(id, t)| spansearch_one(t, budgets[id]))
-            .collect();
-        Simplification::from_kept(db, kept)
+    fn simplify_store(&self, store: &PointStore, budget: usize) -> Simplification {
+        simplify_each(store, budget, |v, b| spansearch_one(&v, b))
     }
 }
 
 /// Simplifies one trajectory to at most `budget` points, minimizing the
 /// DAD tolerance by binary search over ε ∈ [0, π].
-pub fn spansearch_one(traj: &Trajectory, budget: usize) -> Vec<u32> {
-    let n = traj.len();
+pub fn spansearch_one<S: PointSeq + ?Sized>(traj: &S, budget: usize) -> Vec<u32> {
+    let n = traj.n_points();
     if n <= 2 {
         return (0..n as u32).collect();
     }
@@ -62,9 +57,9 @@ pub fn spansearch_one(traj: &Trajectory, budget: usize) -> Vec<u32> {
 /// Greedy maximal-span cover at tolerance `eps`: from each start point,
 /// extend the span while the angular constraint intersection stays
 /// non-empty and contains the anchor's own heading.
-fn greedy_cover(traj: &Trajectory, eps: f64) -> Vec<u32> {
-    let n = traj.len();
-    let pts = traj.points();
+fn greedy_cover<S: PointSeq + ?Sized>(traj: &S, eps: f64) -> Vec<u32> {
+    let n = traj.n_points();
+    let dir = |a: usize, b: usize| geom::direction(&traj.point_at(a), &traj.point_at(b));
     // At ε ≥ π every heading satisfies every constraint (angle_diff ≤ π),
     // and the linear interval unwrapping below is only valid for ε < π.
     if eps >= std::f64::consts::PI {
@@ -75,14 +70,14 @@ fn greedy_cover(traj: &Trajectory, eps: f64) -> Vec<u32> {
     while s < n - 1 {
         // Interval intersection of [d_i - eps, d_i + eps], unwrapped
         // around the first segment's heading to avoid circular logic.
-        let base = geom::direction(&pts[s], &pts[s + 1]);
+        let base = dir(s, s + 1);
         let mut lo = -eps;
         let mut hi = eps;
         let mut e = s + 1;
         // Invariant: span (s, e) is feasible.
         while e < n - 1 {
             let next = e + 1;
-            let d = unwrap_near(geom::direction(&pts[e], &pts[e + 1]) - base);
+            let d = unwrap_near(dir(e, e + 1) - base);
             let nlo = lo.max(d - eps);
             let nhi = hi.min(d + eps);
             if nlo > nhi {
@@ -90,7 +85,7 @@ fn greedy_cover(traj: &Trajectory, eps: f64) -> Vec<u32> {
             }
             // The anchor heading of the extended span must itself satisfy
             // every constraint (that's what DAD measures against).
-            let anchor = unwrap_near(geom::direction(&pts[s], &pts[next]) - base);
+            let anchor = unwrap_near(dir(s, next) - base);
             if anchor < nlo - 1e-12 || anchor > nhi + 1e-12 {
                 break;
             }
@@ -119,7 +114,7 @@ fn unwrap_near(mut d: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trajectory::{ErrorMeasure, Point};
+    use trajectory::{ErrorMeasure, Point, Trajectory, TrajectoryDb};
 
     fn traj(coords: &[(f64, f64)]) -> Trajectory {
         Trajectory::new(
@@ -186,11 +181,12 @@ mod tests {
 
     #[test]
     fn simplifier_impl_covers_database() {
-        let db = TrajectoryDb::new(vec![
+        let store = TrajectoryDb::new(vec![
             traj(&[(0.0, 0.0), (10.0, 0.0), (20.0, 5.0), (30.0, 0.0)]),
             traj(&[(0.0, 0.0), (0.0, 10.0)]),
-        ]);
-        let simp = SpanSearch.simplify(&db, 5);
+        ])
+        .to_store();
+        let simp = SpanSearch.simplify_store(&store, 5);
         assert!(simp.total_points() <= 6);
         assert_eq!(simp.kept(1), &[0, 1]);
         assert_eq!(SpanSearch.name(), "Span-Search");

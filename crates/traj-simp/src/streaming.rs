@@ -250,7 +250,7 @@ mod tests {
             .map(|p| t.points().iter().position(|q| q == p).unwrap() as u32)
             .collect();
         let e_stream = ErrorMeasure::Sed.trajectory_error(&t, &kept_stream);
-        let kept_batch = crate::bottomup::bottomup_one(&t, 12, ErrorMeasure::Sed);
+        let kept_batch = crate::bottomup::bottomup_one_seq(&t, 12, ErrorMeasure::Sed);
         let e_batch = ErrorMeasure::Sed.trajectory_error(&t, &kept_batch);
         assert!(
             e_batch <= e_stream + 1e-9,

@@ -3,19 +3,14 @@
 //! simplification and repeatedly *insert* the point with the largest error
 //! until the budget is reached.
 //!
-//! The core is generic over [`PointSeq`], so the same best-first loop
-//! serves the AoS [`Trajectory`] path and the **native columnar** path
-//! ([`Simplifier::simplify_store`]): the store variant walks zero-copy
-//! [`TrajView`]s directly — no `Vec<Point>` trajectories are
-//! materialized, no AoS round-trip.
+//! The per-trajectory core is generic over [`PointSeq`] and the database
+//! loops walk zero-copy [`TrajView`](trajectory::TrajView)s straight off
+//! the columns — no `Vec<Point>` trajectories are materialized.
 
-use crate::adapt::{per_trajectory_budgets, per_trajectory_budgets_store, Adaptation};
+use crate::adapt::{simplify_each, Adaptation};
 use crate::heap::LazyHeap;
 use crate::Simplifier;
-use trajectory::{
-    AsColumns, ErrorMeasure, PointSeq, PointStore, Simplification, TrajId, TrajView, Trajectory,
-    TrajectoryDb,
-};
+use trajectory::{AsColumns, ErrorMeasure, PointSeq, PointStore, Simplification, TrajId};
 
 /// The Top-Down baseline, parameterized by error measure and adaptation.
 #[derive(Debug, Clone, Copy)]
@@ -41,33 +36,10 @@ impl Simplifier for TopDown {
         format!("Top-Down({},{})", self.adaptation, self.measure)
     }
 
-    fn simplify(&self, db: &TrajectoryDb, budget: usize) -> Simplification {
-        match self.adaptation {
-            Adaptation::Each => {
-                let budgets = per_trajectory_budgets(db, budget);
-                let kept = db
-                    .iter()
-                    .map(|(id, t)| topdown_one(t, budgets[id], self.measure))
-                    .collect();
-                Simplification::from_kept(db, kept)
-            }
-            Adaptation::Whole => topdown_whole(db, budget, self.measure),
-        }
-    }
-
-    /// Native columnar Top-Down: the best-first loops run directly over
-    /// zero-copy [`TrajView`]s — no AoS round-trip, identical kept sets
-    /// to [`Simplifier::simplify`] on the equivalent database.
     fn simplify_store(&self, store: &PointStore, budget: usize) -> Simplification {
         match self.adaptation {
             Adaptation::Each => {
-                let budgets = per_trajectory_budgets_store(store, budget);
-                let kept = store
-                    .views()
-                    .enumerate()
-                    .map(|(id, v)| topdown_one_seq(&v, budgets[id], self.measure))
-                    .collect();
-                Simplification::from_kept_store(store, kept)
+                simplify_each(store, budget, |v, b| topdown_one_seq(&v, b, self.measure))
             }
             Adaptation::Whole => topdown_whole_store(store, budget, self.measure),
         }
@@ -95,13 +67,9 @@ fn worst_insertable<S: PointSeq + ?Sized>(
     best
 }
 
-/// Top-Down for a single trajectory under a point budget.
-pub fn topdown_one(traj: &Trajectory, budget: usize, measure: ErrorMeasure) -> Vec<u32> {
-    topdown_one_seq(traj, budget, measure)
-}
-
-/// Layout-agnostic core of [`topdown_one`]: the same best-first insertion
-/// over any [`PointSeq`] — an AoS trajectory or a zero-copy column view.
+/// Top-Down for a single trajectory under a point budget: best-first
+/// insertion over any [`PointSeq`] — a zero-copy column view, an owned
+/// trajectory, a point slice.
 pub fn topdown_one_seq<S: PointSeq + ?Sized>(
     seq: &S,
     budget: usize,
@@ -140,46 +108,16 @@ pub fn topdown_one_seq<S: PointSeq + ?Sized>(
 
 /// Top-Down over the whole database: one global heap, insert the globally
 /// worst point anywhere until the budget is exhausted.
-fn topdown_whole(db: &TrajectoryDb, budget: usize, measure: ErrorMeasure) -> Simplification {
-    let mut simp = Simplification::most_simplified(db);
-    let mut total = simp.total_points();
-    let budget = budget.max(total);
-    let mut heap: LazyHeap<(TrajId, usize, usize, usize)> = LazyHeap::new();
-    for (id, t) in db.iter() {
-        if t.len() > 2 {
-            if let Some((err, idx)) = worst_insertable(t, 0, t.len() - 1, measure) {
-                heap.push(err, 0, (id, 0, t.len() - 1, idx));
-            }
-        }
-    }
-    while total < budget {
-        let Some((_, (id, s, e, idx))) = heap.pop_current(|_, _| true) else {
-            break;
-        };
-        let inserted = simp.insert(id, idx as u32);
-        debug_assert!(inserted);
-        total += 1;
-        let t = db.get(id);
-        if let Some((err, i)) = worst_insertable(t, s, idx, measure) {
-            heap.push(err, 0, (id, s, idx, i));
-        }
-        if let Some((err, i)) = worst_insertable(t, idx, e, measure) {
-            heap.push(err, 0, (id, idx, e, i));
-        }
-    }
-    simp
-}
-
-/// [`topdown_whole`] walking columns natively: the per-trajectory point
-/// access is a [`TrajView`] sub-slice lookup instead of a pointer chase
-/// through `Vec<Trajectory>`. Heap order, tie-breaking, and therefore the
-/// kept sets are identical to the AoS path.
-fn topdown_whole_store(store: &PointStore, budget: usize, measure: ErrorMeasure) -> Simplification {
+fn topdown_whole_store<S: AsColumns + ?Sized>(
+    store: &S,
+    budget: usize,
+    measure: ErrorMeasure,
+) -> Simplification {
     let mut simp = Simplification::most_simplified_store(store);
     let mut total = simp.total_points();
     let budget = budget.max(total);
     let mut heap: LazyHeap<(TrajId, usize, usize, usize)> = LazyHeap::new();
-    for (id, v) in AsColumns::iter(store) {
+    for (id, v) in store.iter() {
         if v.len() > 2 {
             if let Some((err, idx)) = worst_insertable(&v, 0, v.len() - 1, measure) {
                 heap.push(err, 0, (id, 0, v.len() - 1, idx));
@@ -193,7 +131,7 @@ fn topdown_whole_store(store: &PointStore, budget: usize, measure: ErrorMeasure)
         let inserted = simp.insert(id, idx as u32);
         debug_assert!(inserted);
         total += 1;
-        let v: TrajView<'_> = store.view(id);
+        let v = store.view(id);
         if let Some((err, i)) = worst_insertable(&v, s, idx, measure) {
             heap.push(err, 0, (id, s, idx, i));
         }
@@ -207,7 +145,7 @@ fn topdown_whole_store(store: &PointStore, budget: usize, measure: ErrorMeasure)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trajectory::Point;
+    use trajectory::{Point, Trajectory, TrajectoryDb};
 
     fn zigzag(n: usize, amp: f64) -> Trajectory {
         Trajectory::new(
@@ -225,7 +163,7 @@ mod tests {
     fn respects_budget() {
         let t = zigzag(50, 5.0);
         for budget in [2, 5, 10, 50, 100] {
-            let kept = topdown_one(&t, budget, ErrorMeasure::Sed);
+            let kept = topdown_one_seq(&t, budget, ErrorMeasure::Sed);
             assert!(kept.len() <= budget.clamp(2, 50));
             assert_eq!(kept[0], 0);
             assert_eq!(*kept.last().unwrap(), 49);
@@ -239,9 +177,12 @@ mod tests {
         // hold: a generous budget beats the endpoints-only baseline, and
         // the full budget is lossless.
         let t = zigzag(60, 8.0);
-        let coarse = ErrorMeasure::Sed.trajectory_error(&t, &topdown_one(&t, 2, ErrorMeasure::Sed));
-        let fine = ErrorMeasure::Sed.trajectory_error(&t, &topdown_one(&t, 40, ErrorMeasure::Sed));
-        let full = ErrorMeasure::Sed.trajectory_error(&t, &topdown_one(&t, 60, ErrorMeasure::Sed));
+        let coarse =
+            ErrorMeasure::Sed.trajectory_error(&t, &topdown_one_seq(&t, 2, ErrorMeasure::Sed));
+        let fine =
+            ErrorMeasure::Sed.trajectory_error(&t, &topdown_one_seq(&t, 40, ErrorMeasure::Sed));
+        let full =
+            ErrorMeasure::Sed.trajectory_error(&t, &topdown_one_seq(&t, 60, ErrorMeasure::Sed));
         assert!(fine <= coarse + 1e-9, "fine {fine} vs coarse {coarse}");
         assert!(full < 1e-9, "full budget must be lossless");
     }
@@ -251,8 +192,8 @@ mod tests {
         // Best-first insertion is deterministic, so a larger budget's kept
         // set contains the smaller one's.
         let t = zigzag(60, 8.0);
-        let small = topdown_one(&t, 10, ErrorMeasure::Sed);
-        let large = topdown_one(&t, 25, ErrorMeasure::Sed);
+        let small = topdown_one_seq(&t, 10, ErrorMeasure::Sed);
+        let large = topdown_one_seq(&t, 25, ErrorMeasure::Sed);
         for idx in &small {
             assert!(large.contains(idx), "index {idx} lost when budget grew");
         }
@@ -267,7 +208,7 @@ mod tests {
             .collect();
         pts[7] = Point::new(70.0, 500.0, 7.0);
         let t = Trajectory::new(pts).unwrap();
-        let kept = topdown_one(&t, 3, ErrorMeasure::Sed);
+        let kept = topdown_one_seq(&t, 3, ErrorMeasure::Sed);
         assert_eq!(kept, vec![0, 7, 19]);
     }
 
@@ -282,9 +223,9 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let db = TrajectoryDb::new(vec![wild, straight]);
+        let store = TrajectoryDb::new(vec![wild, straight]).to_store();
         let td = TopDown::new(ErrorMeasure::Sed, Adaptation::Whole);
-        let simp = td.simplify(&db, 14);
+        let simp = td.simplify_store(&store, 14);
         assert!(simp.total_points() <= 14);
         assert!(
             simp.kept(0).len() >= simp.kept(1).len() + 6,
@@ -296,9 +237,9 @@ mod tests {
 
     #[test]
     fn each_adaptation_splits_proportionally() {
-        let db = TrajectoryDb::new(vec![zigzag(100, 5.0), zigzag(20, 5.0)]);
+        let store = TrajectoryDb::new(vec![zigzag(100, 5.0), zigzag(20, 5.0)]).to_store();
         let td = TopDown::new(ErrorMeasure::Ped, Adaptation::Each);
-        let simp = td.simplify(&db, 24);
+        let simp = td.simplify_store(&store, 24);
         assert!(simp.total_points() <= 24);
         assert!(simp.kept(0).len() > simp.kept(1).len());
     }
@@ -316,31 +257,28 @@ mod tests {
     }
 
     #[test]
-    fn simplify_store_matches_aos_for_all_measures_and_adaptations() {
-        // The native columnar path must produce the exact kept sets of
-        // the AoS path: same best-first order, same tie-breaking.
-        let db = TrajectoryDb::new(vec![zigzag(40, 8.0), zigzag(25, 3.0), zigzag(7, 30.0)]);
-        let store = db.to_store();
+    fn whole_over_one_trajectory_is_each() {
+        // The global-heap loop and the per-trajectory loop push and pop
+        // the same sequence when the database is one trajectory.
+        let store = TrajectoryDb::new(vec![zigzag(40, 8.0)]).to_store();
         for m in ErrorMeasure::ALL {
-            for a in [Adaptation::Each, Adaptation::Whole] {
-                for budget in [6, 20, 50, 200] {
-                    let td = TopDown::new(m, a);
-                    assert_eq!(
-                        td.simplify_store(&store, budget),
-                        td.simplify(&db, budget),
-                        "{m} {a} budget {budget}"
-                    );
-                }
+            let whole = TopDown::new(m, Adaptation::Whole);
+            for budget in [2, 9, 25, 40] {
+                assert_eq!(
+                    whole.simplify_store(&store, budget).kept(0),
+                    topdown_one_seq(&store.view(0), budget, m),
+                    "{m} budget {budget}"
+                );
             }
         }
     }
 
     #[test]
     fn all_measures_run() {
-        let db = TrajectoryDb::new(vec![zigzag(30, 5.0)]);
+        let store = TrajectoryDb::new(vec![zigzag(30, 5.0)]).to_store();
         for m in ErrorMeasure::ALL {
             for a in [Adaptation::Each, Adaptation::Whole] {
-                let simp = TopDown::new(m, a).simplify(&db, 10);
+                let simp = TopDown::new(m, a).simplify_store(&store, 10);
                 assert!(simp.total_points() <= 10, "{m} {a}");
                 assert!(simp.total_points() >= 2);
             }

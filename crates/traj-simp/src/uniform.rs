@@ -2,9 +2,9 @@
 //! baselines, but a useful floor for sanity checks and examples — any
 //! error-aware method should beat it.
 
-use crate::adapt::{per_trajectory_budgets, per_trajectory_budgets_store};
+use crate::adapt::simplify_each;
 use crate::Simplifier;
-use trajectory::{PointStore, Simplification, Trajectory, TrajectoryDb};
+use trajectory::{PointStore, Simplification};
 
 /// The uniform-sampling baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -15,34 +15,14 @@ impl Simplifier for Uniform {
         "Uniform".to_string()
     }
 
-    fn simplify(&self, db: &TrajectoryDb, budget: usize) -> Simplification {
-        let budgets = per_trajectory_budgets(db, budget);
-        let kept = db
-            .iter()
-            .map(|(id, t)| uniform_one(t, budgets[id]))
-            .collect();
-        Simplification::from_kept(db, kept)
-    }
-
-    /// Native columnar path: only lengths are consulted, no AoS
-    /// materialization happens.
+    /// Only per-trajectory lengths are consulted.
     fn simplify_store(&self, store: &PointStore, budget: usize) -> Simplification {
-        let budgets = per_trajectory_budgets_store(store, budget);
-        let kept = store
-            .views()
-            .enumerate()
-            .map(|(id, v)| uniform_indices(v.len(), budgets[id]))
-            .collect();
-        Simplification::from_kept_store(store, kept)
+        simplify_each(store, budget, |v, b| uniform_indices(v.len(), b))
     }
 }
 
-/// Evenly spaced `budget` indices over `[0, n-1]`, endpoints included.
-pub fn uniform_one(traj: &Trajectory, budget: usize) -> Vec<u32> {
-    uniform_indices(traj.len(), budget)
-}
-
-/// Evenly spaced `budget` indices for a trajectory of `n` points.
+/// Evenly spaced `budget` indices over `[0, n-1]` for a trajectory of `n`
+/// points, endpoints included.
 pub fn uniform_indices(n: usize, budget: usize) -> Vec<u32> {
     if n <= 2 || budget >= n {
         return (0..n as u32).collect();
@@ -58,7 +38,7 @@ pub fn uniform_indices(n: usize, budget: usize) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trajectory::Point;
+    use trajectory::{Point, Trajectory, TrajectoryDb};
 
     fn traj(n: usize) -> Trajectory {
         Trajectory::new(
@@ -71,37 +51,26 @@ mod tests {
 
     #[test]
     fn spacing_is_even() {
-        let kept = uniform_one(&traj(11), 3);
+        let kept = uniform_indices(11, 3);
         assert_eq!(kept, vec![0, 5, 10]);
     }
 
     #[test]
     fn budget_of_two_keeps_endpoints() {
-        assert_eq!(uniform_one(&traj(50), 2), vec![0, 49]);
+        assert_eq!(uniform_indices(50, 2), vec![0, 49]);
     }
 
     #[test]
     fn oversized_budget_keeps_everything() {
-        assert_eq!(uniform_one(&traj(5), 100).len(), 5);
+        assert_eq!(uniform_indices(5, 100).len(), 5);
     }
 
     #[test]
     fn database_level_budget_is_respected() {
-        let db = TrajectoryDb::new(vec![traj(100), traj(50)]);
-        let simp = Uniform.simplify(&db, 15);
-        assert!(simp.total_points() <= 15);
-    }
-
-    #[test]
-    fn store_path_matches_aos_path() {
-        let db = TrajectoryDb::new(vec![traj(100), traj(50), traj(3)]);
-        let store = db.to_store();
+        let store = TrajectoryDb::new(vec![traj(100), traj(50), traj(3)]).to_store();
         for budget in [7, 15, 60, 1_000] {
-            assert_eq!(
-                Uniform.simplify(&db, budget),
-                Uniform.simplify_store(&store, budget),
-                "budget {budget}"
-            );
+            let simp = Uniform.simplify_store(&store, budget);
+            assert!(simp.total_points() <= budget.max(6), "budget {budget}");
         }
     }
 }

@@ -4,11 +4,12 @@
 
 use proptest::prelude::*;
 use traj_simp::{
-    per_trajectory_budgets, Adaptation, BottomUp, Simplifier, SpanSearch, TopDown, Uniform,
+    min_points_store, per_trajectory_budgets_store, Adaptation, BottomUp, Simplifier, SpanSearch,
+    TopDown, Uniform,
 };
-use trajectory::{ErrorMeasure, Point, Trajectory, TrajectoryDb};
+use trajectory::{ErrorMeasure, Point, PointStore, Trajectory, TrajectoryDb};
 
-fn arb_db() -> impl Strategy<Value = TrajectoryDb> {
+fn arb_db() -> impl Strategy<Value = PointStore> {
     prop::collection::vec(
         prop::collection::vec((-500.0..500.0f64, -500.0..500.0f64, 0.1..10.0f64), 2..40),
         1..6,
@@ -29,17 +30,18 @@ fn arb_db() -> impl Strategy<Value = TrajectoryDb> {
                 )
                 .unwrap()
             })
-            .collect()
+            .collect::<TrajectoryDb>()
+            .to_store()
     })
 }
 
 fn check_simplification(
-    db: &TrajectoryDb,
+    db: &PointStore,
     s: &dyn Simplifier,
     budget: usize,
 ) -> Result<(), TestCaseError> {
-    let simp = s.simplify(db, budget);
-    let floor = traj_simp::min_points(db);
+    let simp = s.simplify_store(db, budget);
+    let floor = min_points_store(db);
     prop_assert!(
         simp.total_points() <= budget.max(floor),
         "{} overshot budget: {} > {}",
@@ -67,6 +69,29 @@ fn check_simplification(
             "{}: out of range",
             s.name()
         );
+    }
+    Ok(())
+}
+
+/// A larger budget's kept set contains every smaller budget's.
+fn check_nested(db: &PointStore, s: &dyn Simplifier) -> Result<(), TestCaseError> {
+    let floor = min_points_store(db);
+    let n = db.total_points();
+    if n <= floor + 4 {
+        return Ok(());
+    }
+    let small = floor + (n - floor) / 4;
+    let large = floor + (n - floor) / 2;
+    let s_small = s.simplify_store(db, small);
+    let s_large = s.simplify_store(db, large);
+    for (id, _) in db.iter() {
+        for idx in s_small.kept(id) {
+            prop_assert!(
+                s_large.contains(id, *idx),
+                "{}: traj {id} point {idx} kept at budget {small} but dropped at {large}",
+                s.name()
+            );
+        }
     }
     Ok(())
 }
@@ -105,23 +130,23 @@ proptest! {
     fn bottomup_exactly_meets_feasible_budgets(db in arb_db()) {
         // Bottom-Up drops one point at a time, so it can hit any budget
         // between the floor and N exactly.
-        let floor = traj_simp::min_points(&db);
+        let floor = min_points_store(&db);
         let n = db.total_points();
         let budget = (floor + n) / 2;
-        let simp = BottomUp::new(ErrorMeasure::Sed, Adaptation::Whole).simplify(&db, budget);
+        let simp = BottomUp::new(ErrorMeasure::Sed, Adaptation::Whole).simplify_store(&db, budget);
         prop_assert_eq!(simp.total_points(), budget);
     }
 
     #[test]
     fn budgets_partition_within_caps((db, frac) in (arb_db(), 0.0..1.2f64)) {
         let budget = (db.total_points() as f64 * frac) as usize;
-        let budgets = per_trajectory_budgets(&db, budget);
+        let budgets = per_trajectory_budgets_store(&db, budget);
         prop_assert_eq!(budgets.len(), db.len());
         for (id, t) in db.iter() {
             prop_assert!(budgets[id] <= t.len());
             prop_assert!(budgets[id] >= t.len().min(2));
         }
-        let floor: usize = db.trajectories().iter().map(|t| t.len().min(2)).sum();
+        let floor: usize = db.views().map(|t| t.len().min(2)).sum();
         prop_assert!(budgets.iter().sum::<usize>() <= budget.max(floor));
     }
 
@@ -132,21 +157,17 @@ proptest! {
         // superset of any smaller budget's. (Note the max *error* is NOT
         // monotone in the budget — refinement non-monotonicity — so that
         // is deliberately not asserted.)
-        let floor = traj_simp::min_points(&db);
-        let n = db.total_points();
-        prop_assume!(n > floor + 4);
-        let small = floor + (n - floor) / 4;
-        let large = floor + (n - floor) / 2;
-        let bu = BottomUp::new(ErrorMeasure::Sed, Adaptation::Whole);
-        let s_small = bu.simplify(&db, small);
-        let s_large = bu.simplify(&db, large);
-        for (id, _) in db.iter() {
-            for idx in s_small.kept(id) {
-                prop_assert!(
-                    s_large.contains(id, *idx),
-                    "traj {id} point {idx} kept at budget {small} but dropped at {large}"
-                );
-            }
+        for m in ErrorMeasure::ALL {
+            check_nested(&db, &BottomUp::new(m, Adaptation::Whole))?;
+        }
+    }
+
+    #[test]
+    fn topdown_kept_sets_are_nested_across_budgets((db, _x) in (arb_db(), 0..1)) {
+        // The mirror image: "W" Top-Down inserts along one global
+        // best-first order, and the budget only decides where it stops.
+        for m in ErrorMeasure::ALL {
+            check_nested(&db, &TopDown::new(m, Adaptation::Whole))?;
         }
     }
 }

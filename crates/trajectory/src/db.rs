@@ -1,14 +1,19 @@
-//! Trajectory databases and their simplified counterparts.
+//! The row-form database builder and the simplification of a database.
+//!
+//! [`TrajectoryDb`] is a *builder*: a `Vec<Trajectory>` that generators,
+//! CSV readers and tests assemble row by row, and whose one exit is
+//! [`TrajectoryDb::to_store`]. No algorithm is written against it — every
+//! simplifier, query operator and error measure walks columns
+//! ([`AsColumns`]) and single trajectories as [`PointSeq`](crate::PointSeq).
 
 use crate::bbox::Cube;
-use crate::point::Point;
 use crate::store::{AsColumns, KeptBitmap, PointStore};
 use crate::traj::Trajectory;
 
-/// Identifier of a trajectory inside a [`TrajectoryDb`] (its index).
+/// Identifier of a trajectory inside a database (its index).
 pub type TrajId = usize;
 
-/// A database `D` of trajectories. `N` in the paper is
+/// A database `D` of trajectories in row form. `N` in the paper is
 /// [`TrajectoryDb::total_points`], `M` is [`TrajectoryDb::len`].
 #[derive(Debug, Clone, Default)]
 pub struct TrajectoryDb {
@@ -86,16 +91,15 @@ impl TrajectoryDb {
     }
 
     /// Converts the database into columnar storage (see
-    /// [`PointStore`]) — the layout the index and query engine operate on.
+    /// [`PointStore`]) — the layout every algorithm operates on. The
+    /// reverse direction is [`AsColumns::to_db`].
     #[must_use]
     pub fn to_store(&self) -> PointStore {
-        PointStore::from_db(self)
-    }
-
-    /// Materializes an AoS database from columnar storage.
-    #[must_use]
-    pub fn from_store(store: &PointStore) -> TrajectoryDb {
-        store.to_db()
+        let mut store = PointStore::with_capacity(self.len(), self.total_points());
+        for t in &self.trajectories {
+            store.push_traj(t);
+        }
+        store
     }
 
     /// Splits the database into `(head, tail)` where `head` keeps the first
@@ -113,14 +117,15 @@ impl FromIterator<Trajectory> for TrajectoryDb {
     }
 }
 
-/// A simplification of a [`TrajectoryDb`]: for every trajectory, the sorted
-/// set of *kept* point indices. The first and last index of every trajectory
-/// are always kept (the paper's "most simplified database" keeps exactly
-/// those two).
+/// A simplification of a database: for every trajectory, the sorted set of
+/// *kept* point indices. The first and last index of every trajectory are
+/// always kept (the paper's "most simplified database" keeps exactly those
+/// two).
 ///
-/// This representation is what all simplification algorithms produce; it can
-/// be materialized into a standalone [`TrajectoryDb`] with
-/// [`Simplification::materialize`].
+/// This representation is what all simplification algorithms produce; it
+/// is materialized into standalone columns with
+/// [`Simplification::materialize_store`] (a gather) or consumed in place as
+/// a [`KeptBitmap`] ([`Simplification::to_bitmap`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Simplification {
     /// `kept[id]` = sorted indices of retained points of trajectory `id`.
@@ -130,33 +135,7 @@ pub struct Simplification {
 impl Simplification {
     /// The most simplified database: every trajectory reduced to its first
     /// and last point (single-point trajectories keep their one point).
-    pub fn most_simplified(db: &TrajectoryDb) -> Self {
-        let kept = db
-            .trajectories()
-            .iter()
-            .map(|t| {
-                if t.len() <= 1 {
-                    vec![0]
-                } else {
-                    vec![0, (t.len() - 1) as u32]
-                }
-            })
-            .collect();
-        Self { kept }
-    }
-
-    /// A simplification that keeps everything (identity).
-    pub fn full(db: &TrajectoryDb) -> Self {
-        let kept = db
-            .trajectories()
-            .iter()
-            .map(|t| (0..t.len() as u32).collect())
-            .collect();
-        Self { kept }
-    }
-
-    /// [`Simplification::most_simplified`] over columnar storage (owned
-    /// or mapped — anything [`AsColumns`]).
+    /// Works over owned or mapped columns — anything [`AsColumns`].
     pub fn most_simplified_store<S: AsColumns + ?Sized>(store: &S) -> Self {
         let kept = store
             .views()
@@ -171,7 +150,7 @@ impl Simplification {
         Self { kept }
     }
 
-    /// [`Simplification::full`] over columnar storage.
+    /// A simplification that keeps everything (identity).
     pub fn full_store<S: AsColumns + ?Sized>(store: &S) -> Self {
         let kept = store
             .views()
@@ -181,18 +160,8 @@ impl Simplification {
     }
 
     /// Builds from per-trajectory kept-index lists. Lists must be sorted,
-    /// deduplicated, and contain the endpoints; debug builds assert this.
-    pub fn from_kept(db: &TrajectoryDb, kept: Vec<Vec<u32>>) -> Self {
-        debug_assert_eq!(kept.len(), db.len());
-        #[cfg(debug_assertions)]
-        for (id, ks) in kept.iter().enumerate() {
-            Self::assert_kept_list(id, ks, db.get(id).len() as u32);
-        }
-        Self { kept }
-    }
-
-    /// [`Simplification::from_kept`] validated against a columnar store's
-    /// per-trajectory lengths.
+    /// deduplicated, and contain the endpoints; debug builds assert this
+    /// against the store's per-trajectory lengths.
     pub fn from_kept_store<S: AsColumns + ?Sized>(store: &S, kept: Vec<Vec<u32>>) -> Self {
         debug_assert_eq!(kept.len(), store.len());
         #[cfg(debug_assertions)]
@@ -318,30 +287,17 @@ impl Simplification {
         self.total_points() == total_points
     }
 
-    /// Materializes the simplified database `D'` as standalone trajectories.
-    /// When everything is kept, this is a plain clone of `db`.
+    /// Row-form forward of [`Simplification::materialize_store`], kept for
+    /// callers that hold a builder.
     #[must_use]
     pub fn materialize(&self, db: &TrajectoryDb) -> TrajectoryDb {
-        if self.is_full(db.total_points()) {
-            return db.clone();
-        }
-        let trajectories = self
-            .kept
-            .iter()
-            .enumerate()
-            .map(|(id, ks)| {
-                let src = db.get(id).points();
-                let pts: Vec<Point> = ks.iter().map(|&i| src[i as usize]).collect();
-                Trajectory::from_sorted_unchecked(pts)
-            })
-            .collect();
-        TrajectoryDb::new(trajectories)
+        self.materialize_store(&db.to_store()).to_db()
     }
 
-    /// Materializes `D'` in columnar form: a straight gather over the
-    /// store's columns (no per-trajectory re-validation, no `Vec<Point>`
-    /// intermediaries). The identity simplification short-circuits to a
-    /// column clone.
+    /// Materializes the simplified database `D'`: a straight gather over
+    /// the store's columns (no per-trajectory re-validation, no
+    /// `Vec<Point>` intermediaries). The identity simplification
+    /// short-circuits to a column clone.
     #[must_use]
     pub fn materialize_store(&self, store: &PointStore) -> PointStore {
         store.gather(self)
@@ -367,14 +323,14 @@ impl Simplification {
     /// paper's "uniform compression ratio" discussion). The fully-kept
     /// case short-circuits to all-ones.
     #[must_use]
-    pub fn compression_ratios(&self, db: &TrajectoryDb) -> Vec<f64> {
-        if self.is_full(db.total_points()) {
+    pub fn compression_ratios<S: AsColumns + ?Sized>(&self, store: &S) -> Vec<f64> {
+        if self.is_full(store.total_points()) {
             return vec![1.0; self.kept.len()];
         }
         self.kept
             .iter()
-            .enumerate()
-            .map(|(id, ks)| ks.len() as f64 / db.get(id).len() as f64)
+            .zip(store.views())
+            .map(|(ks, v)| ks.len() as f64 / v.len() as f64)
             .collect()
     }
 }
@@ -382,6 +338,7 @@ impl Simplification {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::point::Point;
 
     fn db() -> TrajectoryDb {
         let t1 = Trajectory::new(
@@ -399,6 +356,10 @@ mod tests {
         TrajectoryDb::new(vec![t1, t2])
     }
 
+    fn store() -> PointStore {
+        db().to_store()
+    }
+
     #[test]
     fn counts_match() {
         let db = db();
@@ -408,8 +369,7 @@ mod tests {
 
     #[test]
     fn most_simplified_keeps_endpoints() {
-        let db = db();
-        let s = Simplification::most_simplified(&db);
+        let s = Simplification::most_simplified_store(&store());
         assert_eq!(s.total_points(), 4);
         assert_eq!(s.kept(0), &[0, 4]);
         assert_eq!(s.kept(1), &[0, 2]);
@@ -417,8 +377,7 @@ mod tests {
 
     #[test]
     fn insert_and_contains() {
-        let db = db();
-        let mut s = Simplification::most_simplified(&db);
+        let mut s = Simplification::most_simplified_store(&store());
         assert!(s.insert(0, 2));
         assert!(!s.insert(0, 2), "double insert must be rejected");
         assert!(s.contains(0, 2));
@@ -428,8 +387,7 @@ mod tests {
 
     #[test]
     fn anchor_brackets_missing_points() {
-        let db = db();
-        let mut s = Simplification::most_simplified(&db);
+        let mut s = Simplification::most_simplified_store(&store());
         assert_eq!(s.anchor(0, 2), (0, 4));
         s.insert(0, 2);
         assert_eq!(s.anchor(0, 1), (0, 2));
@@ -440,8 +398,7 @@ mod tests {
 
     #[test]
     fn kept_neighbors_only_for_interior_kept_points() {
-        let db = db();
-        let mut s = Simplification::most_simplified(&db);
+        let mut s = Simplification::most_simplified_store(&store());
         s.insert(0, 2);
         assert_eq!(s.kept_neighbors(0, 2), Some((0, 4)));
         assert_eq!(s.kept_neighbors(0, 0), None);
@@ -451,8 +408,7 @@ mod tests {
 
     #[test]
     fn remove_protects_endpoints() {
-        let db = db();
-        let mut s = Simplification::most_simplified(&db);
+        let mut s = Simplification::most_simplified_store(&store());
         s.insert(0, 2);
         assert!(!s.remove(0, 0));
         assert!(!s.remove(0, 4));
@@ -464,7 +420,7 @@ mod tests {
     #[test]
     fn materialize_builds_sub_trajectories() {
         let db = db();
-        let mut s = Simplification::most_simplified(&db);
+        let mut s = Simplification::most_simplified_store(&db.to_store());
         s.insert(0, 2);
         let simplified = s.materialize(&db);
         assert_eq!(simplified.get(0).len(), 3);
@@ -475,7 +431,7 @@ mod tests {
     #[test]
     fn full_simplification_is_identity() {
         let db = db();
-        let s = Simplification::full(&db);
+        let s = Simplification::full_store(&db.to_store());
         assert_eq!(s.total_points(), db.total_points());
         let m = s.materialize(&db);
         assert_eq!(m.get(0).points(), db.get(0).points());
@@ -483,31 +439,19 @@ mod tests {
 
     #[test]
     fn compression_ratios_per_trajectory() {
-        let db = db();
-        let s = Simplification::most_simplified(&db);
-        let r = s.compression_ratios(&db);
+        let store = store();
+        let s = Simplification::most_simplified_store(&store);
+        let r = s.compression_ratios(&store);
         assert_eq!(r, vec![2.0 / 5.0, 2.0 / 3.0]);
-    }
-
-    #[test]
-    fn store_constructors_match_aos_constructors() {
-        let db = db();
-        let store = db.to_store();
-        assert_eq!(
-            Simplification::most_simplified_store(&store),
-            Simplification::most_simplified(&db)
-        );
-        assert_eq!(
-            Simplification::full_store(&store),
-            Simplification::full(&db)
-        );
+        let full = Simplification::full_store(&store);
+        assert_eq!(full.compression_ratios(&store), vec![1.0, 1.0]);
     }
 
     #[test]
     fn bitmap_agrees_with_contains() {
         let db = db();
         let store = db.to_store();
-        let mut s = Simplification::most_simplified(&db);
+        let mut s = Simplification::most_simplified_store(&store);
         s.insert(0, 2);
         let bitmap = s.to_bitmap(&store);
         for (id, t) in db.iter() {
@@ -526,7 +470,7 @@ mod tests {
     fn materialize_store_is_a_gather() {
         let db = db();
         let store = db.to_store();
-        let mut s = Simplification::most_simplified(&db);
+        let mut s = Simplification::most_simplified_store(&store);
         s.insert(0, 2);
         let gathered = s.materialize_store(&store);
         let materialized = s.materialize(&db);
@@ -535,7 +479,10 @@ mod tests {
             materialized.get(0).points()
         );
         // Fully-kept fast path is the identity.
-        assert_eq!(Simplification::full(&db).materialize_store(&store), store);
+        assert_eq!(
+            Simplification::full_store(&store).materialize_store(&store),
+            store
+        );
     }
 
     #[test]

@@ -10,9 +10,9 @@ pub mod ped;
 pub mod sad;
 pub mod sed;
 
-use crate::db::{Simplification, TrajectoryDb};
+use crate::db::Simplification;
 use crate::seq::PointSeq;
-use crate::traj::Trajectory;
+use crate::store::AsColumns;
 
 pub use dad::dad;
 pub use ped::ped;
@@ -52,19 +52,11 @@ impl ErrorMeasure {
     }
 
     /// `ϵ(p_s p_e | p_i)` for anchor segment `(s, e)` (point indices into
-    /// `traj`) and anchored point `i`, with `s ≤ i < e` (Eq. 1's range).
+    /// `seq`) and anchored point `i`, with `s ≤ i < e` (Eq. 1's range).
     ///
     /// For SED/PED this is the deviation of point `i` itself; for DAD/SAD it
     /// is the deviation of the original segment `i → i+1` that the anchor
     /// replaces.
-    pub fn point_error(self, traj: &Trajectory, s: usize, e: usize, i: usize) -> f64 {
-        self.point_error_seq(traj, s, e, i)
-    }
-
-    /// [`ErrorMeasure::point_error`] over any layout ([`PointSeq`]): the
-    /// same Eq. 1 semantics computed from assembled points, so native
-    /// columnar simplifiers (walking zero-copy
-    /// [`TrajView`](crate::TrajView)s) and the AoS path score identically.
     pub fn point_error_seq<S: PointSeq + ?Sized>(
         self,
         seq: &S,
@@ -86,14 +78,6 @@ impl ErrorMeasure {
     /// Segment error `ϵ(p_s p_e)` (Eq. 1): the maximum point error over all
     /// points anchored by segment `(s, e)`. Zero when the anchor spans a
     /// single original segment.
-    pub fn segment_error(self, traj: &Trajectory, s: usize, e: usize) -> f64 {
-        self.segment_error_seq(traj, s, e)
-    }
-
-    /// [`ErrorMeasure::segment_error`] over any layout ([`PointSeq`]): the
-    /// max runs over the same index range in the same order, so a columnar
-    /// simplifier's drop/insert costs are bitwise identical to the AoS
-    /// path's.
     pub fn segment_error_seq<S: PointSeq + ?Sized>(self, seq: &S, s: usize, e: usize) -> f64 {
         debug_assert!(s < e && e < seq.n_points());
         let mut worst = 0.0f64;
@@ -105,34 +89,35 @@ impl ErrorMeasure {
 
     /// Trajectory error `ϵ(T')` (Eq. 2): the maximum segment error over the
     /// simplified segments induced by `kept` (sorted kept indices).
-    pub fn trajectory_error(self, traj: &Trajectory, kept: &[u32]) -> f64 {
+    pub fn trajectory_error<S: PointSeq + ?Sized>(self, seq: &S, kept: &[u32]) -> f64 {
         let mut worst = 0.0f64;
         for w in kept.windows(2) {
-            worst = worst.max(self.segment_error(traj, w[0] as usize, w[1] as usize));
+            worst = worst.max(self.segment_error_seq(seq, w[0] as usize, w[1] as usize));
         }
         worst
     }
 
-    /// Maximum trajectory error over the whole simplified database.
-    pub fn db_error(self, db: &TrajectoryDb, simp: &Simplification) -> f64 {
+    /// Maximum trajectory error over the whole simplified database — the
+    /// "simplification error" of a store and its [`Simplification`].
+    pub fn db_error<S: AsColumns + ?Sized>(self, store: &S, simp: &Simplification) -> f64 {
         let mut worst = 0.0f64;
-        for (id, traj) in db.iter() {
-            worst = worst.max(self.trajectory_error(traj, simp.kept(id)));
+        for (id, v) in store.iter() {
+            worst = worst.max(self.trajectory_error(&v, simp.kept(id)));
         }
         worst
     }
 
     /// Mean trajectory error over the database (used by the deformation
     /// study, Fig. 7, which averages SED over query-returned trajectories).
-    pub fn mean_db_error(self, db: &TrajectoryDb, simp: &Simplification) -> f64 {
-        if db.is_empty() {
+    pub fn mean_db_error<S: AsColumns + ?Sized>(self, store: &S, simp: &Simplification) -> f64 {
+        if store.is_empty() {
             return 0.0;
         }
-        let sum: f64 = db
+        let sum: f64 = store
             .iter()
-            .map(|(id, t)| self.trajectory_error(t, simp.kept(id)))
+            .map(|(id, v)| self.trajectory_error(&v, simp.kept(id)))
             .sum();
-        sum / db.len() as f64
+        sum / store.len() as f64
     }
 }
 
@@ -159,7 +144,9 @@ impl std::str::FromStr for ErrorMeasure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::TrajectoryDb;
     use crate::point::Point;
+    use crate::traj::Trajectory;
 
     /// A zig-zag trajectory with an obvious outlier at index 2.
     fn zigzag() -> Trajectory {
@@ -176,7 +163,7 @@ mod tests {
     #[test]
     fn segment_error_takes_the_max_point() {
         let t = zigzag();
-        let e = ErrorMeasure::Sed.segment_error(&t, 0, 4);
+        let e = ErrorMeasure::Sed.segment_error_seq(&t, 0, 4);
         // The detour point dominates: sync at t=20 is (20, 0), actual (20, 30).
         assert!((e - 30.0).abs() < 1e-9);
     }
@@ -185,7 +172,7 @@ mod tests {
     fn single_segment_anchor_has_zero_error_for_spatial_measures() {
         let t = zigzag();
         for m in [ErrorMeasure::Sed, ErrorMeasure::Ped] {
-            assert!(m.segment_error(&t, 1, 2) < 1e-12, "{m}");
+            assert!(m.segment_error_seq(&t, 1, 2) < 1e-12, "{m}");
         }
     }
 
@@ -208,11 +195,11 @@ mod tests {
 
     #[test]
     fn db_error_is_max_over_trajectories() {
-        let db = TrajectoryDb::new(vec![zigzag(), zigzag()]);
-        let simp = Simplification::most_simplified(&db);
-        let per = ErrorMeasure::Sed.trajectory_error(db.get(0), simp.kept(0));
-        assert_eq!(ErrorMeasure::Sed.db_error(&db, &simp), per);
-        assert!((ErrorMeasure::Sed.mean_db_error(&db, &simp) - per).abs() < 1e-12);
+        let store = TrajectoryDb::new(vec![zigzag(), zigzag()]).to_store();
+        let simp = Simplification::most_simplified_store(&store);
+        let per = ErrorMeasure::Sed.trajectory_error(&zigzag(), simp.kept(0));
+        assert_eq!(ErrorMeasure::Sed.db_error(&store, &simp), per);
+        assert!((ErrorMeasure::Sed.mean_db_error(&store, &simp) - per).abs() < 1e-12);
     }
 
     #[test]

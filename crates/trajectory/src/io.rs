@@ -6,7 +6,7 @@
 
 use crate::db::{TrajId, TrajectoryDb};
 use crate::point::Point;
-use crate::store::PointStore;
+use crate::store::{AsColumns, PointStore};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 

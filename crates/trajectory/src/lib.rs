@@ -3,13 +3,18 @@
 //! This crate provides everything the simplification algorithms and query
 //! engine consume:
 //!
-//! - the data model: [`Point`], [`Trajectory`], [`TrajectoryDb`],
-//!   [`Simplification`] (a database-level set of kept point indices);
+//! - the data model: [`Point`], [`Trajectory`], [`Simplification`] (a
+//!   database-level set of kept point indices);
 //! - columnar storage ([`store`]): the struct-of-arrays [`PointStore`]
 //!   with zero-copy [`TrajView`]s and the [`KeptBitmap`] face of a
-//!   simplification — what the index and query engine iterate;
-//! - the layout-agnostic sequence abstraction ([`seq`]): [`PointSeq`]
-//!   lets one query kernel serve AoS trajectories and SoA views;
+//!   simplification — the **one layout** every index, query operator,
+//!   simplifier and error measure is written against ([`AsColumns`]);
+//! - one trajectory as an algorithm sees it ([`seq`]): [`PointSeq`],
+//!   implemented by column views, owned trajectories and point slices,
+//!   so each per-trajectory kernel is written once;
+//! - the row-form builder ([`db`]): [`TrajectoryDb`], what generators,
+//!   CSV readers and tests assemble row by row — its one exit is
+//!   [`TrajectoryDb::to_store`], [`AsColumns::to_db`] the way back;
 //! - the geometry kernel ([`geom`]): synchronized interpolation, segment
 //!   projections, headings, speeds;
 //! - the four error measures of the paper ([`error`]): SED, PED, DAD, SAD

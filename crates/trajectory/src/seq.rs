@@ -1,18 +1,21 @@
-//! A layout-agnostic read view of a point sequence.
+//! One trajectory, as an algorithm sees it.
 //!
-//! Query kernels (EDR dynamic programs, embeddings, similarity checks,
-//! windowed distances) only ever need *random access by index* to a
-//! time-ordered point sequence. [`PointSeq`] captures exactly that, so one
-//! generic kernel serves both storage layouts:
+//! Per-trajectory kernels (EDR dynamic programs, embeddings, similarity
+//! checks, windowed distances, the error measures, every simplifier's
+//! inner loop) only ever need *random access by index* to a time-ordered
+//! point sequence. [`PointSeq`] captures exactly that, so each kernel is
+//! written once and runs over whatever holds the points:
 //!
-//! - [`Trajectory`] — the AoS compat type (`Vec<Point>`),
 //! - [`TrajView`] — a zero-copy column view into a
-//!   [`PointStore`](crate::PointStore),
-//! - bare `[Point]` slices (windowed restrictions of AoS trajectories).
+//!   [`PointStore`](crate::PointStore) or mapped snapshot: the database
+//!   side of every operator,
+//! - [`Trajectory`] — an owned `Vec<Point>`: query trajectories off the
+//!   wire, rows of the [`TrajectoryDb`](crate::TrajectoryDb) builder,
+//! - bare `[Point]` slices (windowed restrictions of a [`Trajectory`]).
 //!
-//! The provided methods implement the shared time-window / interpolation
-//! conventions once, keeping AoS and SoA execution bit-identical — the
-//! property the cross-layout equality tests pin down.
+//! The provided methods implement the time-window / interpolation
+//! conventions once, so the same instants and positions are computed
+//! whichever implementor a kernel is handed.
 
 use crate::geom;
 use crate::point::Point;

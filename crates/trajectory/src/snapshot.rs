@@ -1506,9 +1506,8 @@ mod tests {
     #[test]
     fn kept_bitmap_round_trips() {
         let store = sample_store();
-        let db = store.to_db();
-        let mut simp = Simplification::most_simplified(&db);
-        for (id, t) in db.iter() {
+        let mut simp = Simplification::most_simplified_store(&store);
+        for (id, t) in store.iter() {
             for idx in (0..t.len() as u32).step_by(4) {
                 simp.insert(id, idx);
             }
@@ -1830,9 +1829,8 @@ mod tests {
     #[test]
     fn quantized_mapped_open_decodes_transparently() {
         let store = sample_store();
-        let db = store.to_db();
-        let mut simp = Simplification::most_simplified(&db);
-        for (id, t) in db.iter() {
+        let mut simp = Simplification::most_simplified_store(&store);
+        for (id, t) in store.iter() {
             for idx in (0..t.len() as u32).step_by(3) {
                 simp.insert(id, idx);
             }

@@ -1,6 +1,6 @@
 //! Dataset statistics (the columns of Table I).
 
-use crate::db::TrajectoryDb;
+use crate::store::AsColumns;
 
 /// Summary statistics of a trajectory database, mirroring Table I of the
 /// paper: trajectory count, total points, average points per trajectory,
@@ -20,10 +20,10 @@ pub struct DatasetStats {
 }
 
 impl DatasetStats {
-    /// Computes the statistics of `db`.
-    pub fn compute(db: &TrajectoryDb) -> Self {
-        let num_trajectories = db.len();
-        let total_points = db.total_points();
+    /// Computes the statistics of `store` (owned or mapped columns).
+    pub fn compute<S: AsColumns + ?Sized>(store: &S) -> Self {
+        let num_trajectories = store.len();
+        let total_points = store.total_points();
         let mean_points_per_traj = if num_trajectories == 0 {
             0.0
         } else {
@@ -34,11 +34,11 @@ impl DatasetStats {
         let mut interval_n = 0usize;
         let mut seg_sum = 0.0;
         let mut seg_n = 0usize;
-        for (_, t) in db.iter() {
-            let pts = t.points();
-            for w in pts.windows(2) {
-                interval_sum += w[1].t - w[0].t;
-                seg_sum += w[0].spatial_distance(&w[1]);
+        for v in store.views() {
+            for i in 1..v.len() {
+                let (a, b) = (v.point(i - 1), v.point(i));
+                interval_sum += b.t - a.t;
+                seg_sum += a.spatial_distance(&b);
                 interval_n += 1;
                 seg_n += 1;
             }
@@ -78,6 +78,7 @@ impl std::fmt::Display for DatasetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::TrajectoryDb;
     use crate::gen::{generate, DatasetSpec, Scale};
     use crate::point::Point;
     use crate::traj::Trajectory;
@@ -90,8 +91,7 @@ mod tests {
             Point::new(6.0, 8.0, 20.0),
         ])
         .unwrap();
-        let db = TrajectoryDb::new(vec![t]);
-        let s = DatasetStats::compute(&db);
+        let s = DatasetStats::compute(&TrajectoryDb::new(vec![t]).to_store());
         assert_eq!(s.num_trajectories, 1);
         assert_eq!(s.total_points, 3);
         assert_eq!(s.mean_points_per_traj, 3.0);
@@ -101,7 +101,7 @@ mod tests {
 
     #[test]
     fn empty_database_is_all_zero() {
-        let s = DatasetStats::compute(&TrajectoryDb::default());
+        let s = DatasetStats::compute(&TrajectoryDb::default().to_store());
         assert_eq!(s.total_points, 0);
         assert_eq!(s.mean_points_per_traj, 0.0);
         assert_eq!(s.mean_sampling_interval, 0.0);
@@ -111,8 +111,9 @@ mod tests {
     fn generated_datasets_match_their_spec_shape() {
         // T-Drive-like must be sparser (larger interval, longer steps) than
         // Geolife-like — the defining contrast in Table I.
-        let geo = DatasetStats::compute(&generate(&DatasetSpec::geolife(Scale::Smoke), 1));
-        let td = DatasetStats::compute(&generate(&DatasetSpec::tdrive(Scale::Smoke), 1));
+        let geo =
+            DatasetStats::compute(&generate(&DatasetSpec::geolife(Scale::Smoke), 1).to_store());
+        let td = DatasetStats::compute(&generate(&DatasetSpec::tdrive(Scale::Smoke), 1).to_store());
         assert!(td.mean_sampling_interval > 10.0 * geo.mean_sampling_interval);
         assert!(td.mean_segment_length > 5.0 * geo.mean_segment_length);
     }

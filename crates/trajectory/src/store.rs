@@ -1,13 +1,15 @@
 //! Columnar (struct-of-arrays) trajectory storage.
 //!
-//! The simplified database is what gets queried at scale, and every hot
-//! path — octree construction, range/kNN scans, Eq. 10 workload
-//! maintenance, materializing `D'` — walks *points*, not trajectories. The
-//! classic `Vec<Trajectory>` of `Vec<Point>` layout makes each of those
-//! walks chase a pointer per trajectory and interleave x/y/t in memory.
+//! This is the **one layout** algorithms are written against: index
+//! construction, every query operator, every simplifier, the error
+//! measures and Eq. 10 workload maintenance all walk *points*, and a
+//! `Vec<Trajectory>` of `Vec<Point>` would make each of those walks chase
+//! a pointer per trajectory and interleave x/y/t in memory. The row-form
+//! [`TrajectoryDb`] survives only as a builder whose exit is
+//! [`TrajectoryDb::to_store`]; [`AsColumns::to_db`] is the way back.
 //!
-//! [`PointStore`] instead keeps the whole database as three contiguous
-//! `f64` columns (`xs`, `ys`, `ts`) plus a per-trajectory offset table:
+//! [`PointStore`] keeps the whole database as three contiguous `f64`
+//! columns (`xs`, `ys`, `ts`) plus a per-trajectory offset table:
 //!
 //! ```text
 //!  xs: [ x0 x1 x2 | x3 x4 | x5 x6 x7 x8 | ... ]
@@ -104,25 +106,6 @@ impl PointStore {
             offsets,
             open: false,
         }
-    }
-
-    /// Converts an AoS database into columns (the compat path for `io`,
-    /// generators, and existing call sites).
-    #[must_use]
-    pub fn from_db(db: &TrajectoryDb) -> Self {
-        let mut store = Self::with_capacity(db.len(), db.total_points());
-        for (_, t) in db.iter() {
-            store.push_traj(t);
-        }
-        store
-    }
-
-    /// Materializes the columns back into an AoS [`TrajectoryDb`].
-    #[must_use]
-    pub fn to_db(&self) -> TrajectoryDb {
-        self.views()
-            .map(|v| Trajectory::from_sorted_unchecked(v.collect_points()))
-            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -421,18 +404,6 @@ impl PointStore {
             out.offsets.push(out.xs.len() as u32);
         }
         out
-    }
-}
-
-impl From<&TrajectoryDb> for PointStore {
-    fn from(db: &TrajectoryDb) -> Self {
-        PointStore::from_db(db)
-    }
-}
-
-impl From<&PointStore> for TrajectoryDb {
-    fn from(store: &PointStore) -> Self {
-        store.to_db()
     }
 }
 
@@ -807,7 +778,10 @@ pub trait AsColumns {
         )
     }
 
-    /// Materializes the columns into an AoS [`TrajectoryDb`].
+    /// Materializes the columns into a row-form [`TrajectoryDb`] — the
+    /// one way back from columns (CSV export, handing a sampled
+    /// sub-database to code that builds on rows). The way in is
+    /// [`TrajectoryDb::to_store`].
     fn to_db(&self) -> TrajectoryDb {
         self.views()
             .map(|v| Trajectory::from_sorted_unchecked(v.collect_points()))
@@ -959,7 +933,7 @@ mod tests {
     #[test]
     fn round_trips_through_columns() {
         let db = sample_db();
-        let store = PointStore::from_db(&db);
+        let store = db.to_store();
         assert_eq!(store.len(), db.len());
         assert_eq!(store.total_points(), db.total_points());
         let back = store.to_db();
@@ -971,7 +945,7 @@ mod tests {
     #[test]
     fn views_match_trajectories() {
         let db = sample_db();
-        let store = PointStore::from_db(&db);
+        let store = db.to_store();
         for (id, t) in db.iter() {
             let v = store.view(id);
             assert_eq!(v.len(), t.len());
@@ -986,7 +960,7 @@ mod tests {
     #[test]
     fn global_ids_locate_and_round_trip() {
         let db = sample_db();
-        let store = PointStore::from_db(&db);
+        let store = db.to_store();
         let owners = store.owner_column();
         for gid in 0..store.total_points() as u32 {
             let (traj, idx) = store.locate(gid);
@@ -999,7 +973,7 @@ mod tests {
     #[test]
     fn bounding_cube_matches_aos() {
         let db = sample_db();
-        let store = PointStore::from_db(&db);
+        let store = db.to_store();
         assert_eq!(store.bounding_cube(), db.bounding_cube());
         assert_eq!(store.time_span(), db.time_span());
     }
@@ -1045,7 +1019,7 @@ mod tests {
     #[test]
     fn window_and_position_match_trajectory_semantics() {
         let db = sample_db();
-        let store = PointStore::from_db(&db);
+        let store = db.to_store();
         for (id, t) in db.iter().take(4) {
             let v = store.view(id);
             let (t0, t1) = t.time_span();
@@ -1065,7 +1039,7 @@ mod tests {
     #[test]
     fn gather_trajs_subsets_without_cloning_points() {
         let db = sample_db();
-        let store = PointStore::from_db(&db);
+        let store = db.to_store();
         let ids = vec![2usize, 0];
         let sub = store.gather_trajs(&ids);
         assert_eq!(sub.len(), 2);
@@ -1076,8 +1050,8 @@ mod tests {
     #[test]
     fn gather_simplification_matches_materialize() {
         let db = sample_db();
-        let store = PointStore::from_db(&db);
-        let mut simp = Simplification::most_simplified(&db);
+        let store = db.to_store();
+        let mut simp = Simplification::most_simplified_store(&store);
         for (id, t) in db.iter() {
             for idx in (0..t.len() as u32).step_by(3) {
                 simp.insert(id, idx);
@@ -1094,8 +1068,8 @@ mod tests {
     #[test]
     fn gather_full_simplification_is_identity() {
         let db = sample_db();
-        let store = PointStore::from_db(&db);
-        let full = Simplification::full(&db);
+        let store = db.to_store();
+        let full = Simplification::full_store(&store);
         assert_eq!(store.gather(&full), store);
     }
 

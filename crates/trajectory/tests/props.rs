@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use trajectory::{
-    error::ErrorMeasure, geom, Cube, Point, Simplification, Trajectory, TrajectoryDb,
+    error::ErrorMeasure, geom, AsColumns, Cube, Point, Simplification, Trajectory, TrajectoryDb,
 };
 
 /// Strategy: a valid trajectory of 2..=40 points with strictly increasing
@@ -45,7 +45,7 @@ proptest! {
     fn errors_are_nonnegative_and_finite(traj in arb_trajectory()) {
         let n = traj.len();
         for m in ErrorMeasure::ALL {
-            let e = m.segment_error(&traj, 0, n - 1);
+            let e = m.segment_error_seq(&traj, 0, n - 1);
             prop_assert!(e >= 0.0 && e.is_finite(), "{m}: {e}");
         }
     }
@@ -62,8 +62,8 @@ proptest! {
     fn ped_never_exceeds_sed(traj in arb_trajectory()) {
         let n = traj.len();
         for i in 1..n - 1 {
-            let ped = ErrorMeasure::Ped.point_error(&traj, 0, n - 1, i);
-            let sed = ErrorMeasure::Sed.point_error(&traj, 0, n - 1, i);
+            let ped = ErrorMeasure::Ped.point_error_seq(&traj, 0, n - 1, i);
+            let sed = ErrorMeasure::Sed.point_error_seq(&traj, 0, n - 1, i);
             prop_assert!(ped <= sed + 1e-9, "PED {ped} > SED {sed}");
         }
     }
@@ -71,7 +71,7 @@ proptest! {
     #[test]
     fn dad_bounded_by_pi(traj in arb_trajectory()) {
         let n = traj.len();
-        let e = ErrorMeasure::Dad.segment_error(&traj, 0, n - 1);
+        let e = ErrorMeasure::Dad.segment_error_seq(&traj, 0, n - 1);
         prop_assert!(e <= std::f64::consts::PI + 1e-9);
     }
 
@@ -85,14 +85,14 @@ proptest! {
         // The Eq.2 error must upper-bound the SED of every dropped point
         // w.r.t. its own anchor (Eq.1 takes the max over exactly those).
         let worst = ErrorMeasure::Sed.trajectory_error(&traj, &kept);
-        let db = TrajectoryDb::new(vec![traj.clone()]);
-        let simp = Simplification::from_kept(&db, vec![kept.clone()]);
+        let store = TrajectoryDb::new(vec![traj.clone()]).to_store();
+        let simp = Simplification::from_kept_store(&store, vec![kept.clone()]);
         for i in 0..traj.len() as u32 {
             if simp.contains(0, i) {
                 continue;
             }
             let (s, e) = simp.anchor(0, i);
-            let err = ErrorMeasure::Sed.point_error(&traj, s as usize, e as usize, i as usize);
+            let err = ErrorMeasure::Sed.point_error_seq(&traj, s as usize, e as usize, i as usize);
             prop_assert!(err <= worst + 1e-9);
         }
     }
@@ -105,7 +105,7 @@ proptest! {
         })
     ) {
         let db = TrajectoryDb::new(vec![traj]);
-        let mut s = Simplification::most_simplified(&db);
+        let mut s = Simplification::most_simplified_store(&db.to_store());
         let before = s.total_points();
         let inserted = s.insert(0, idx);
         let endpoint = idx == 0 || idx as usize == db.get(0).len() - 1;
@@ -125,7 +125,7 @@ proptest! {
         })
     ) {
         let db = TrajectoryDb::new(vec![traj]);
-        let simp = Simplification::from_kept(&db, vec![kept]);
+        let simp = Simplification::from_kept_store(&db.to_store(), vec![kept]);
         for i in 0..db.get(0).len() as u32 {
             let (s, e) = simp.anchor(0, i);
             prop_assert!(s <= i && i <= e);
@@ -223,11 +223,19 @@ proptest! {
                 ks
             })
             .collect();
-        let simp = Simplification::from_kept(&db, kepts);
+        // The expected `D'`, picked row by row straight from the builder.
+        let expected: TrajectoryDb = db
+            .iter()
+            .map(|(id, t)| {
+                Trajectory::new(kepts[id].iter().map(|&i| *t.point(i as usize)).collect()).unwrap()
+            })
+            .collect();
+        let simp = Simplification::from_kept_store(&store, kepts);
         let gathered = simp.materialize_store(&store);
-        let materialized = simp.materialize(&db);
-        prop_assert_eq!(gathered, materialized.to_store(),
-            "column gather must equal AoS materialize");
+        prop_assert_eq!(&gathered, &expected.to_store(),
+            "column gather must pick exactly the kept rows");
+        prop_assert_eq!(simp.materialize(&db).to_store(), gathered,
+            "the row-form forward returns the same database");
         // The bitmap view agrees with per-trajectory membership.
         let bitmap = simp.to_bitmap(&store);
         prop_assert_eq!(bitmap.count(), simp.total_points());

@@ -9,9 +9,9 @@
 //! Run with: `cargo run --release --example fleet_compression`
 
 use qdts::query::{
-    range_workload, EngineConfig, QueryDistribution, QueryEngine, RangeWorkloadSpec,
+    range_workload_store, EngineConfig, QueryDistribution, QueryEngine, RangeWorkloadSpec,
 };
-use qdts::rl4qdts::{train, RewardTracker, Rl4QdtsConfig, TrainerConfig};
+use qdts::rl4qdts::{train_store, RewardTracker, Rl4QdtsConfig, TrainerConfig};
 use qdts::simp::{Adaptation, BottomUp, Simplifier, TopDown, Uniform};
 use qdts::trajectory::gen::{generate, DatasetSpec, Scale};
 use qdts::trajectory::{ErrorMeasure, Simplification};
@@ -20,7 +20,10 @@ use rand::SeedableRng;
 
 fn main() {
     let fleet = generate(&DatasetSpec::chengdu(Scale::Smoke), 11);
+    // The generator hands back a row-form builder; everything downstream
+    // runs over its columns.
     let (train_pool, archive) = fleet.split_at(20);
+    let (train_pool, archive) = (train_pool.to_store(), archive.to_store());
     println!(
         "archive: {} trips, {} GPS points",
         archive.len(),
@@ -35,14 +38,14 @@ fn main() {
         dist: QueryDistribution::Real,
     };
     let mut rng = StdRng::seed_from_u64(2);
-    let state_queries = range_workload(&archive, &workload, &mut rng);
-    let eval_queries = range_workload(&archive, &workload, &mut rng);
-    let baseline = Simplification::most_simplified(&archive);
-    let engine = QueryEngine::over(&archive, EngineConfig::octree());
+    let state_queries = range_workload_store(&archive, &workload, &mut rng);
+    let eval_queries = range_workload_store(&archive, &workload, &mut rng);
+    let baseline = Simplification::most_simplified_store(&archive);
+    let engine = QueryEngine::over_store(&archive, EngineConfig::octree());
     let tracker = RewardTracker::new(&engine, eval_queries, &baseline);
 
-    let config = Rl4QdtsConfig::scaled_to(&train_pool).with_delta(25);
-    let (model, _) = train(&train_pool, config, &TrainerConfig::small(workload), 5);
+    let config = Rl4QdtsConfig::scaled_to_points(train_pool.total_points()).with_delta(25);
+    let (model, _) = train_store(&train_pool, config, &TrainerConfig::small(workload), 5);
 
     let budget = archive.total_points() / 10; // keep 10%
     println!("storage budget: {budget} points (10%)\n");
@@ -57,24 +60,24 @@ fn main() {
         );
     };
 
-    report("Uniform", &Uniform.simplify(&archive, budget));
+    report("Uniform", &Uniform.simplify_store(&archive, budget));
     report(
         "Top-Down(E,SED)",
-        &TopDown::new(ErrorMeasure::Sed, Adaptation::Each).simplify(&archive, budget),
+        &TopDown::new(ErrorMeasure::Sed, Adaptation::Each).simplify_store(&archive, budget),
     );
     report(
         "Bottom-Up(W,PED)",
-        &BottomUp::new(ErrorMeasure::Ped, Adaptation::Whole).simplify(&archive, budget),
+        &BottomUp::new(ErrorMeasure::Ped, Adaptation::Whole).simplify_store(&archive, budget),
     );
     report(
         "RL4QDTS",
-        &model.simplify(&archive, budget, &state_queries, 3),
+        &model.simplify_store(&archive, budget, &state_queries, 3),
     );
 
     // Where did RL4QDTS spend the budget? Show the spread of per-trip
     // compression ratios — collective simplification is deliberately
     // non-uniform.
-    let simp = model.simplify(&archive, budget, &state_queries, 3);
+    let simp = model.simplify_store(&archive, budget, &state_queries, 3);
     let ratios = simp.compression_ratios(&archive);
     let min = ratios.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = ratios.iter().cloned().fold(0.0f64, f64::max);

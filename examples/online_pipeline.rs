@@ -14,7 +14,7 @@ use qdts::query::join::{similarity_join, JoinParams};
 use qdts::query::{EngineConfig, QueryEngine};
 use qdts::simp::StreamingSimplifier;
 use qdts::trajectory::gen::{generate, DatasetSpec, Scale};
-use qdts::trajectory::{Cube, Point, Trajectory, TrajectoryDb};
+use qdts::trajectory::{Cube, Point, PointStore, Trajectory, TrajectoryDb};
 
 fn main() {
     // A fleet, plus two vehicles deliberately convoying.
@@ -38,16 +38,15 @@ fn main() {
     fleet.push(Trajectory::new(lead).unwrap());
     let wing_id = fleet.len();
     fleet.push(Trajectory::new(wing).unwrap());
-    let original = TrajectoryDb::new(fleet);
+    let original = TrajectoryDb::new(fleet).to_store();
 
     // Online ingestion: every vehicle streams through a 16-point buffer.
-    let archived: TrajectoryDb = original
-        .trajectories()
-        .iter()
+    let archived: PointStore = original
+        .views()
         .map(|t| {
             let mut s = StreamingSimplifier::new(16);
             for p in t.points() {
-                s.push(*p); // one fix at a time — dropped fixes are gone
+                s.push(p); // one fix at a time — dropped fixes are gone
             }
             s.finish().expect("non-empty stream")
         })
@@ -79,7 +78,7 @@ fn main() {
     // Serve hotspot lookups from the archive: the engine indexes the
     // archived points once, then answers each range query by cube-pruned
     // traversal instead of rescanning every vehicle.
-    let engine = QueryEngine::new(archived, EngineConfig::octree());
+    let engine = QueryEngine::from_store(archived, EngineConfig::octree());
     let convoy_area = Cube::new(0.0, 4_800.0, -120.0, 120.0, 0.0, 1_800.0);
     let vehicles = engine.range(&convoy_area);
     println!(

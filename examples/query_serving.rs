@@ -17,12 +17,11 @@ use qdts::query::knn::{Dissimilarity, KnnQuery};
 use qdts::query::similarity::SimilarityQuery;
 use qdts::query::traclus::{traclus, TraclusParams};
 use qdts::query::{
-    f1_pairs, f1_sets, mean_f1, range_workload, traj_query_workload, EngineConfig,
+    f1_pairs, f1_sets, mean_f1, range_workload_store, traj_query_workload, EngineConfig,
     QueryDistribution, QueryEngine, RangeWorkloadSpec,
 };
-use qdts::rl4qdts::{train, Rl4QdtsConfig, TrainerConfig};
+use qdts::rl4qdts::{train_store, Rl4QdtsConfig, TrainerConfig};
 use qdts::trajectory::gen::{generate, DatasetSpec, Scale};
-use qdts::trajectory::AsColumns;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,6 +29,7 @@ fn main() {
     let spec = DatasetSpec::geolife(Scale::Smoke).with_trajectories(36);
     let pool = generate(&spec, 77);
     let (train_pool, db) = pool.split_at(12);
+    let (train_pool, db) = (train_pool.to_store(), db.to_store());
 
     // Train on range queries only — the paper's strategy.
     let workload = RangeWorkloadSpec {
@@ -38,15 +38,15 @@ fn main() {
         temporal_extent: 3_600.0,
         dist: QueryDistribution::Data,
     };
-    let config = Rl4QdtsConfig::scaled_to(&train_pool).with_delta(25);
-    let (model, _) = train(&train_pool, config, &TrainerConfig::small(workload), 9);
+    let config = Rl4QdtsConfig::scaled_to_points(train_pool.total_points()).with_delta(25);
+    let (model, _) = train_store(&train_pool, config, &TrainerConfig::small(workload), 9);
 
     let mut rng = StdRng::seed_from_u64(3);
-    let state_queries = range_workload(&db, &workload, &mut rng);
+    let state_queries = range_workload_store(&db, &workload, &mut rng);
     let budget = db.total_points() / 30;
     let simplified = model
-        .simplify(&db, budget, &state_queries, 4)
-        .materialize(&db);
+        .simplify_store(&db, budget, &state_queries, 4)
+        .materialize_store(&db);
     println!(
         "one simplified database: {} -> {} points\n",
         db.total_points(),
@@ -55,11 +55,11 @@ fn main() {
 
     // Two engines: ground truth and archive. Index built once each; every
     // query below is served with cube pruning + parallel batches.
-    let truth_engine = QueryEngine::over(&db, EngineConfig::octree());
-    let served_engine = QueryEngine::new(simplified, EngineConfig::octree());
+    let truth_engine = QueryEngine::over_store(&db, EngineConfig::octree());
+    let served_engine = QueryEngine::from_store(simplified, EngineConfig::octree());
 
     // 1. Range queries (whole batch, parallel).
-    let range_qs = range_workload(&db, &workload, &mut rng);
+    let range_qs = range_workload_store(&db, &workload, &mut rng);
     let truth_results = truth_engine.range_batch(&range_qs);
     let served_results = served_engine.range_batch(&range_qs);
     let range_scores: Vec<_> = truth_results
@@ -78,7 +78,7 @@ fn main() {
         let queries: Vec<KnnQuery> = knn_specs
             .iter()
             .map(|s| KnnQuery {
-                query: db.get(s.query).clone(),
+                query: db.view(s.query).to_trajectory(),
                 ts: s.ts,
                 te: s.te,
                 k: 3,
@@ -100,7 +100,7 @@ fn main() {
     let sim_queries: Vec<SimilarityQuery> = sim_specs
         .iter()
         .map(|s| SimilarityQuery {
-            query: db.get(s.query).clone(),
+            query: db.view(s.query).to_trajectory(),
             ts: s.ts,
             te: s.te,
             delta: 1_000.0,
@@ -116,10 +116,10 @@ fn main() {
         .collect();
     println!("similarity query F1:  {:.3}", mean_f1(&sim_scores));
 
-    // 4. TRACLUS clustering (co-clustered trajectory pairs). TRACLUS is
-    // the one AoS consumer left, so materialize from the engines' columns.
+    // 4. TRACLUS clustering (co-clustered trajectory pairs), straight off
+    // the engines' columns.
     let params = TraclusParams::default();
-    let truth = traclus(&truth_engine.store().to_db(), &params).co_clustered_pairs();
-    let ours = traclus(&served_engine.store().to_db(), &params).co_clustered_pairs();
+    let truth = traclus(truth_engine.store(), &params).co_clustered_pairs();
+    let ours = traclus(served_engine.store(), &params).co_clustered_pairs();
     println!("clustering pair F1:   {:.3}", f1_pairs(&truth, &ours).f1);
 }

@@ -4,9 +4,9 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use qdts::query::{
-    range_workload, EngineConfig, QueryDistribution, QueryEngine, RangeWorkloadSpec,
+    range_workload_store, EngineConfig, QueryDistribution, QueryEngine, RangeWorkloadSpec,
 };
-use qdts::rl4qdts::{train, RewardTracker, Rl4QdtsConfig, TrainerConfig};
+use qdts::rl4qdts::{train_store, RewardTracker, Rl4QdtsConfig, TrainerConfig};
 use qdts::trajectory::gen::{generate, DatasetSpec, Scale};
 use qdts::trajectory::{DatasetStats, Simplification};
 use rand::rngs::StdRng;
@@ -16,7 +16,10 @@ fn main() {
     // 1. A Geolife-shaped synthetic database (dense GPS, mixed movement).
     let spec = DatasetSpec::geolife(Scale::Smoke).with_trajectories(30);
     let pool = generate(&spec, 42);
+    // The generator hands back a row-form builder; `to_store()` is its
+    // exit into the columns everything below runs over.
     let (train_pool, db) = pool.split_at(14);
+    let (train_pool, db) = (train_pool.to_store(), db.to_store());
     println!("database: {}", DatasetStats::compute(&db));
 
     // 2. The query workload we want the simplified database to keep
@@ -31,9 +34,9 @@ fn main() {
 
     // 3. Train the two agents (Agent-Cube picks octree cubes, Agent-Point
     //    picks points) with the shared query-accuracy reward.
-    let config = Rl4QdtsConfig::scaled_to(&train_pool).with_delta(25);
+    let config = Rl4QdtsConfig::scaled_to_points(train_pool.total_points()).with_delta(25);
     let trainer = TrainerConfig::small(workload);
-    let (model, stats) = train(&train_pool, config, &trainer, 7);
+    let (model, stats) = train_store(&train_pool, config, &trainer, 7);
     println!(
         "trained: {} episodes, {} insertions, {:.2}s",
         stats.episodes, stats.insertions, stats.wall_seconds
@@ -42,8 +45,8 @@ fn main() {
     // 4. Simplify to 5% of the original points.
     let budget = db.total_points() / 20;
     let mut rng = StdRng::seed_from_u64(1);
-    let state_queries = range_workload(&db, &workload, &mut rng);
-    let simplified = model.simplify(&db, budget, &state_queries, 1);
+    let state_queries = range_workload_store(&db, &workload, &mut rng);
+    let simplified = model.simplify_store(&db, budget, &state_queries, 1);
     println!(
         "simplified: {} -> {} points ({:.1}x reduction)",
         db.total_points(),
@@ -53,9 +56,9 @@ fn main() {
 
     // 5. How much query accuracy survived? (1.0 = identical results)
     //    Query execution runs through the index-accelerated engine.
-    let eval_queries = range_workload(&db, &workload, &mut rng);
-    let baseline = Simplification::most_simplified(&db);
-    let engine = QueryEngine::over(&db, EngineConfig::octree());
+    let eval_queries = range_workload_store(&db, &workload, &mut rng);
+    let baseline = Simplification::most_simplified_store(&db);
+    let engine = QueryEngine::over_store(&db, EngineConfig::octree());
     let tracker = RewardTracker::new(&engine, eval_queries, &baseline);
     println!(
         "range-query F1 endpoints-only: {:.3}, RL4QDTS: {:.3}",

@@ -19,8 +19,10 @@
 //! [`QueryExecutor`] surface, with mixed workloads planned as
 //! heterogeneous [`QueryBatch`]es. The underlying [`QueryEngine`] (and
 //! its sharded fan-out twin) stay available for layout-specific work;
-//! the per-operator scan functions in [`query`] remain the semantic
-//! reference.
+//! the per-operator scan functions over columns in [`query`] remain the
+//! semantic reference. Everything below the constructor runs over one
+//! layout — columns; [`TrajectoryDb`] is the row-form builder whose exit
+//! is `to_store()`.
 //!
 //! See `examples/quickstart.rs` for the 60-second tour,
 //! `docs/ARCHITECTURE.md` (the [`architecture`] module) for the crate

@@ -56,7 +56,7 @@ fn all_simplifier_families_integrate_with_query_engine() {
     let db = generate(&DatasetSpec::geolife(Scale::Smoke), 1002);
     let mut rng = StdRng::seed_from_u64(7);
     let eval_queries = range_workload(&db, &workload(), &mut rng);
-    let base = Simplification::most_simplified(&db);
+    let base = Simplification::most_simplified_store(&db.to_store());
     let engine = QueryEngine::over(&db, EngineConfig::octree());
     let tracker = RewardTracker::new(&engine, eval_queries, &base);
 
@@ -87,7 +87,8 @@ fn all_simplifier_families_integrate_with_query_engine() {
 #[test]
 fn materialized_and_in_place_range_queries_agree() {
     let db = generate(&DatasetSpec::chengdu(Scale::Smoke), 1003);
-    let mut simp = Simplification::most_simplified(&db);
+    let store = db.to_store();
+    let mut simp = Simplification::most_simplified_store(&store);
     // Insert an arbitrary scattering of points.
     let mut rng = StdRng::seed_from_u64(11);
     let queries = range_workload(&db, &workload(), &mut rng);
@@ -96,12 +97,12 @@ fn materialized_and_in_place_range_queries_agree() {
             simp.insert(id, idx);
         }
     }
-    let materialized = simp.materialize(&db);
-    let engine = QueryEngine::over(&db, EngineConfig::octree());
-    let served = QueryEngine::over(&materialized, EngineConfig::octree());
+    let materialized = simp.materialize_store(&store);
+    let engine = QueryEngine::over_store(&store, EngineConfig::octree());
+    let served = QueryEngine::over_store(&materialized, EngineConfig::octree());
     for q in &queries {
-        let in_place = qdts::rl4qdts::range_query_simplified(&db, &simp, q);
-        let on_materialized = qdts::query::range_query(&materialized, q);
+        let in_place = qdts::rl4qdts::range_query_simplified(&store, &simp, q);
+        let on_materialized = qdts::query::range_query_store(&materialized, q);
         assert_eq!(in_place, on_materialized, "query {q:?}");
         assert_eq!(
             engine.range_simplified(&simp, q),
@@ -152,10 +153,11 @@ fn simplified_database_survives_csv_round_trip() {
 
     let mut rng = StdRng::seed_from_u64(19);
     let queries = range_workload(&db, &workload(), &mut rng);
+    let (materialized, back) = (materialized.to_store(), back.to_store());
     for q in &queries {
         assert_eq!(
-            qdts::query::range_query(&materialized, q),
-            qdts::query::range_query(&back, q)
+            qdts::query::range_query_store(&materialized, q),
+            qdts::query::range_query_store(&back, q)
         );
     }
 }

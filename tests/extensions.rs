@@ -16,7 +16,7 @@ use rl4qdts::IndexKind;
 /// the budget, and its error never exceeds ε.
 #[test]
 fn bounded_and_budgeted_formulations_are_consistent() {
-    let db = generate(&DatasetSpec::geolife(Scale::Smoke), 3001);
+    let db = generate(&DatasetSpec::geolife(Scale::Smoke), 3001).to_store();
     let budget = db.total_points() / 8;
     let (eps, simp) = min_eps_for_budget(&db, ErrorMeasure::Sed, budget);
     assert!(simp.total_points() <= budget);
@@ -42,7 +42,7 @@ fn streamed_trajectories_feed_the_query_engine() {
     // subset-consistent result.
     let q = db.bounding_cube();
     assert_eq!(
-        qdts::query::range_query(&streamed, &q).len(),
+        qdts::query::range_query_store(&streamed.to_store(), &q).len(),
         streamed.len(),
         "whole-space query returns everything"
     );
@@ -68,7 +68,7 @@ fn joins_behave_under_simplification() {
     trajs.push(Trajectory::new(base).unwrap());
     let b = trajs.len();
     trajs.push(Trajectory::new(buddy).unwrap());
-    let db = TrajectoryDb::new(trajs);
+    let db = TrajectoryDb::new(trajs).to_store();
 
     let params = JoinParams {
         delta: 500.0,
@@ -81,8 +81,8 @@ fn joins_behave_under_simplification() {
     // Simplify mildly: the straight-line companions survive simplification
     // (their paths are linear, so endpoints reproduce them exactly).
     let simp = BottomUp::new(ErrorMeasure::Sed, Adaptation::Each)
-        .simplify(&db, db.total_points() / 4)
-        .materialize(&db);
+        .simplify_store(&db, db.total_points() / 4)
+        .materialize_store(&db);
     let pairs_simp = similarity_join(&simp, &params);
     assert!(
         pairs_simp.contains(&(a, b)),

@@ -33,11 +33,11 @@ fn whole_adaptation_beats_each_on_heterogeneous_complexity() {
             .collect(),
     )
     .unwrap();
-    let db = TrajectoryDb::new(vec![straight, wiggly]);
+    let db = TrajectoryDb::new(vec![straight, wiggly]).to_store();
     let budget = 40;
 
-    let each = BottomUp::new(ErrorMeasure::Sed, Adaptation::Each).simplify(&db, budget);
-    let whole = BottomUp::new(ErrorMeasure::Sed, Adaptation::Whole).simplify(&db, budget);
+    let each = BottomUp::new(ErrorMeasure::Sed, Adaptation::Each).simplify_store(&db, budget);
+    let whole = BottomUp::new(ErrorMeasure::Sed, Adaptation::Whole).simplify_store(&db, budget);
     let err_each = ErrorMeasure::Sed.db_error(&db, &each);
     let err_whole = ErrorMeasure::Sed.db_error(&db, &whole);
     assert!(
@@ -61,7 +61,7 @@ fn rewards_telescope_over_many_windows() {
     };
     let mut rng = StdRng::seed_from_u64(3);
     let queries = range_workload(&db, &spec, &mut rng);
-    let mut simp = Simplification::most_simplified(&db);
+    let mut simp = Simplification::most_simplified_store(&db.to_store());
     let engine = QueryEngine::over(&db, EngineConfig::octree());
     let mut tracker = RewardTracker::new(&engine, queries, &simp);
     let initial = tracker.last_diff();
@@ -102,6 +102,7 @@ fn ablation_variants_make_different_decisions() {
     let queries = range_workload(&pool, &spec, &mut rng);
     let budget = pool.total_points() / 10;
 
+    let pool = pool.to_store();
     let full = model.simplify_variant(&pool, budget, &queries, 9, PolicyVariant::FULL);
     let neither = model.simplify_variant(&pool, budget, &queries, 9, PolicyVariant::NEITHER);
     let no_cube = model.simplify_variant(&pool, budget, &queries, 9, PolicyVariant::NO_CUBE);
