@@ -7,21 +7,21 @@
 //! maximizing ΣR equivalent to minimizing the final query-result
 //! difference — the QDTS objective itself.
 //!
-//! Execution goes through [`traj_query::QueryEngine`]: the ground truth
+//! Execution goes through a [`traj_query::QueryEngine`]: the ground truth
 //! `Q(D)` is computed once with index pruning, and the simplification's
 //! results are *maintained* as points are inserted
 //! ([`traj_query::MaintainedWorkload`]) — closing a reward window is O(W)
 //! counter reads instead of a full workload rescan.
 
-use traj_query::QueryEngine;
+use traj_query::{QueryEngine, QueryExecutor};
 use trajectory::{AsColumns, Cube, Point, Simplification, TrajId};
 
 /// Evaluates range queries against a simplification *without*
 /// materializing the simplified database: a trajectory matches when one of
 /// its kept points falls inside the query cube.
 ///
-/// This is the linear-scan reference semantic; the engine's
-/// [`QueryEngine::range_simplified`] executes the same query with index
+/// This is the linear-scan reference semantic;
+/// [`QueryExecutor::range_simplified`] executes the same query with index
 /// pruning.
 #[must_use]
 pub fn range_query_simplified<S: AsColumns + ?Sized>(
@@ -86,12 +86,12 @@ impl RewardTracker {
     }
 
     /// `diff(Q(D), Q(D'))` for an *arbitrary* simplification of the same
-    /// database, recomputed from scratch through the engine. Useful for
-    /// scoring unrelated simplifications against the tracker's ground
-    /// truth.
+    /// database, recomputed from scratch through `executor` (any layout
+    /// over the same trajectories). Useful for scoring unrelated
+    /// simplifications against the tracker's ground truth.
     #[must_use]
-    pub fn diff_of(&self, engine: &QueryEngine<'_>, simp: &Simplification) -> f64 {
-        self.workload.diff_of(engine, simp)
+    pub fn diff_of(&self, executor: &impl QueryExecutor, simp: &Simplification) -> f64 {
+        self.workload.diff_of(executor, simp)
     }
 
     /// Closes a reward window (Eq. 10): returns

@@ -9,15 +9,18 @@
 //! well. This module states that contract once:
 //!
 //! - [`QueryExecutor`] is the full query surface (one-shot, batch,
-//!   simplified-database variants, and workload maintenance), implemented
-//!   by both [`QueryEngine`] and [`ShardedQueryEngine`] with identical
-//!   signatures — including the previously diverging `range_kept`, which
-//!   now serves the executor's *own* persisted simplification behind the
-//!   same `Option` on both sides.
+//!   simplified-database variants, and workload maintenance). It has
+//!   **one implementation**: the blanket impl in
+//!   [`segment`](crate::segment) over anything that can hand out its
+//!   database as an ordered list of [`Segment`]s. A
+//!   [`QueryEngine`] supplies the one-segment list, a
+//!   [`ShardedQueryEngine`] one segment per shard, [`TrajDb`] whichever
+//!   of the two it opened, a [`GenerationalDb`](crate::GenerationalDb)
+//!   `[base, sealed deltas…, active delta]`.
 //! - [`Query`] / [`QueryResult`] are the typed request/response pair, and
 //!   a [`QueryBatch`] is a *heterogeneous* plan: a mixed
 //!   range+kNN+similarity workload (the shape of the paper's Eq. 10
-//!   evaluation) executes in **one** [`par_map`] pass instead of three
+//!   evaluation) executes in **one** data-parallel pass instead of three
 //!   serial per-kind batches — each worker runs its query with sequential
 //!   inner loops, so the pass uses `cores` threads, not `cores²`.
 //! - [`TrajDb`] is the façade over storage: [`TrajDb::open`] auto-detects
@@ -27,15 +30,15 @@
 //!   in-memory sharded engine), and serves the whole [`QueryExecutor`]
 //!   surface — including `D'` through a persisted kept bitmap.
 //!
-//! This is also the seam the ROADMAP's sharding follow-ups (backend
-//! mixing, remote shards, rebalancing) plug into: a [`Query`] is
-//! serializable in spirit — plain data, no lifetimes — so the same plan
-//! that fans out across local shards can cross a network boundary
-//! unchanged.
+//! A [`Query`] is plain data, no lifetimes, so the plan that fans out
+//! across local segments crosses the wire to a shard process unchanged
+//! (`traj-serve`).
 //!
-//! Batch-vs-sequential equality is property-tested in
-//! `tests/db_props.rs` across both executors, all three index backends,
-//! and owned as well as mmap-backed stores.
+//! Every executor is checked against the linear-scan operators in
+//! `tests/segment_props.rs` and `tests/db_props.rs` (all three index
+//! backends, owned as well as mmap-backed stores), and against answers
+//! recorded before the implementations were merged in the workspace's
+//! `tests/executor_fixtures.rs`.
 
 use std::fmt;
 use std::path::Path;
@@ -46,10 +49,9 @@ use trajectory::shard::{partition, OpenShard, PartitionStrategy, Shard, ShardSet
 use trajectory::snapshot::{is_snapshot_file, read_snapshot, MappedStore, SnapshotError};
 use trajectory::{AsColumns, Cube, KeptBitmap, PointStore, Simplification, TrajId, TrajectoryDb};
 
-use crate::engine::{BackendKind, EngineConfig, MaintainedWorkload, QueryEngine, QueryScratch};
+use crate::engine::{BackendKind, EngineConfig, MaintainedWorkload, QueryEngine};
 use crate::knn::KnnQuery;
-use crate::parallel::{par_map, par_map_with};
-use crate::segment::ShardResult;
+use crate::segment::{Segment, Segmented, ShardResult};
 use crate::sharded::ShardedQueryEngine;
 use crate::similarity::SimilarityQuery;
 use crate::workload::{range_workload_store, RangeWorkloadSpec};
@@ -60,8 +62,8 @@ use crate::workload::{range_workload_store, RangeWorkloadSpec};
 
 /// One typed query against a trajectory database: the request half of the
 /// public API. Plain data (no lifetimes, no store references), so a query
-/// built once can be executed against any [`QueryExecutor`] — or, later,
-/// shipped across a network boundary to a remote shard.
+/// built once can be executed against any [`QueryExecutor`] — or shipped
+/// across the wire to a remote shard.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Query {
     /// Range query: which trajectories have a sampled point inside the
@@ -125,9 +127,8 @@ impl QueryKind {
 }
 
 /// The typed answer to a [`Query`], mirroring its kind. Every operator
-/// returns trajectory ids ascending; [`QueryResult::RangeKept`] keeps the
-/// `Option` of the reconciled `range_kept` surface (`None` when the
-/// executor serves no simplified database).
+/// returns trajectory ids ascending; [`QueryResult::RangeKept`] is `None`
+/// when the executor serves no simplified database.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryResult {
     /// Answer to [`Query::Range`].
@@ -183,7 +184,7 @@ impl QueryResult {
 /// what they cannot do is overlap *across* kinds — a workload of 100
 /// ranges, 20 kNNs, and 20 similarities would run as three serial
 /// batches, each ending with a synchronization barrier. A `QueryBatch`
-/// erases the kind boundary: all 140 queries enter one [`par_map`] whose
+/// erases the kind boundary: all 140 queries enter one pass whose
 /// work-stealing counter balances the (wildly uneven) per-kind costs
 /// automatically. Results come back in submission order, each tagged as a
 /// typed [`QueryResult`] — property-tested equal to executing every query
@@ -302,22 +303,24 @@ impl Extend<Query> for QueryBatch {
 // The executor trait.
 // ---------------------------------------------------------------------
 
-/// The full query surface of a trajectory database, implemented by both
-/// the single-store [`QueryEngine`] and the fan-out
-/// [`ShardedQueryEngine`] (whose results are property-tested identical).
+/// The full query surface of a trajectory database.
 ///
-/// Code written against this trait — the evaluation tasks, the serving
-/// pipeline, benchmarks — runs unchanged over every physical layout.
-/// `Sync` is a supertrait so batch execution can share `&self` across
-/// worker threads.
+/// There is one implementation — the blanket impl over
+/// [`Segmented`] in [`segment`](crate::segment) — and
+/// every database gets it by supplying its segment list: [`QueryEngine`],
+/// [`ShardedQueryEngine`], [`TrajDb`] and
+/// [`GenerationalDb`](crate::GenerationalDb). Code written against this
+/// trait — the evaluation tasks, the serving pipeline, benchmarks — runs
+/// unchanged over every physical layout, and every layout answers
+/// byte-identically to the linear-scan operators over the same
+/// trajectories. `Sync` is a supertrait so batch execution can share
+/// `&self` across worker threads.
 pub trait QueryExecutor: Sync {
     /// Number of trajectories served.
     fn len(&self) -> usize;
 
     /// True when the executor serves no trajectories.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    fn is_empty(&self) -> bool;
 
     /// Total points served.
     fn total_points(&self) -> usize;
@@ -336,7 +339,7 @@ pub trait QueryExecutor: Sync {
     /// Executes a kNN query (ids ascending).
     fn knn(&self, q: &KnnQuery) -> Vec<TrajId>;
 
-    /// Executes a batch of kNN queries.
+    /// Executes a batch of kNN queries, parallel across queries.
     fn knn_batch(&self, queries: &[KnnQuery]) -> Vec<Vec<TrajId>>;
 
     /// Executes a similarity query (ids ascending).
@@ -350,9 +353,7 @@ pub trait QueryExecutor: Sync {
     fn has_kept_bitmap(&self) -> bool;
 
     /// Executes a range query against the executor's persisted simplified
-    /// database (`None` when it carries none). The signature both engines
-    /// now share — the reconciliation of the former
-    /// `range_kept(&KeptBitmap, &Cube)` vs `range_kept(&Cube)` split.
+    /// database (`None` when it carries none).
     fn range_kept(&self, q: &Cube) -> Option<Vec<TrajId>>;
 
     /// Executes a range query against an in-memory [`Simplification`]
@@ -360,8 +361,7 @@ pub trait QueryExecutor: Sync {
     fn range_simplified(&self, simp: &Simplification, q: &Cube) -> Vec<TrajId>;
 
     /// Batch variant of [`QueryExecutor::range_simplified`], parallel
-    /// across queries (per-batch setup such as bitmap construction or
-    /// per-shard splitting happens once).
+    /// across queries.
     fn range_simplified_batch(&self, simp: &Simplification, queries: &[Cube]) -> Vec<Vec<TrajId>>;
 
     /// Builds a [`MaintainedWorkload`] over `queries`: ground truth from
@@ -388,14 +388,7 @@ pub trait QueryExecutor: Sync {
     /// [`merge`](crate::merge) to combine with other segments'. The
     /// one-query form, with the executor's full internal parallelism;
     /// frames of queries go through [`QueryExecutor::shard_batch`].
-    fn shard_result(&self, q: &Query) -> ShardResult {
-        match q {
-            Query::Range(c) => ShardResult::Ids(self.range(c)),
-            Query::Knn(k) => ShardResult::Candidates(self.knn_candidates(k)),
-            Query::Similarity(s) => ShardResult::Ids(self.similarity(s)),
-            Query::RangeKept(c) => ShardResult::Kept(self.range_kept(c)),
-        }
-    }
+    fn shard_result(&self, q: &Query) -> ShardResult;
 
     /// Answers a whole frame of queries as one *segment* of a larger
     /// database — the material twin of
@@ -414,120 +407,16 @@ pub trait QueryExecutor: Sync {
     fn execute_one(&self, q: &Query) -> QueryResult;
 
     /// Executes one typed query with the executor's full internal
-    /// parallelism (candidate scoring, shard fan-out).
-    fn execute(&self, q: &Query) -> QueryResult {
-        match q {
-            Query::Range(c) => QueryResult::Range(self.range(c)),
-            Query::Knn(k) => QueryResult::Knn(self.knn(k)),
-            Query::Similarity(s) => QueryResult::Similarity(self.similarity(s)),
-            Query::RangeKept(c) => QueryResult::RangeKept(self.range_kept(c)),
-        }
-    }
+    /// parallelism (candidate scoring, segments side by side).
+    fn execute(&self, q: &Query) -> QueryResult;
 
     /// Executes a heterogeneous [`QueryBatch`] in one data-parallel pass:
     /// every query — whatever its kind — is a work item of a single
-    /// [`par_map`], so mixed workloads get the same core saturation
-    /// homogeneous `*_batch` calls already enjoy. Results come back in
+    /// work-stealing loop, each worker reusing one scratch buffer across
+    /// the queries it pulls, so mixed workloads get the same core
+    /// saturation homogeneous `*_batch` calls enjoy. Results come back in
     /// submission order.
-    fn execute_batch(&self, batch: &QueryBatch) -> Vec<QueryResult> {
-        par_map(batch.queries(), |q| self.execute_one(q))
-    }
-}
-
-impl QueryExecutor for QueryEngine<'_> {
-    fn len(&self) -> usize {
-        self.store().len()
-    }
-
-    fn total_points(&self) -> usize {
-        self.store().total_points()
-    }
-
-    fn trajectory(&self, id: TrajId) -> trajectory::Trajectory {
-        QueryEngine::trajectory(self, id)
-    }
-
-    fn range(&self, q: &Cube) -> Vec<TrajId> {
-        QueryEngine::range(self, q)
-    }
-
-    fn range_batch(&self, queries: &[Cube]) -> Vec<Vec<TrajId>> {
-        QueryEngine::range_batch(self, queries)
-    }
-
-    fn knn(&self, q: &KnnQuery) -> Vec<TrajId> {
-        QueryEngine::knn(self, q)
-    }
-
-    fn knn_batch(&self, queries: &[KnnQuery]) -> Vec<Vec<TrajId>> {
-        QueryEngine::knn_batch(self, queries)
-    }
-
-    fn similarity(&self, q: &SimilarityQuery) -> Vec<TrajId> {
-        QueryEngine::similarity(self, q)
-    }
-
-    fn similarity_batch(&self, queries: &[SimilarityQuery]) -> Vec<Vec<TrajId>> {
-        QueryEngine::similarity_batch(self, queries)
-    }
-
-    fn has_kept_bitmap(&self) -> bool {
-        QueryEngine::has_kept_bitmap(self)
-    }
-
-    fn range_kept(&self, q: &Cube) -> Option<Vec<TrajId>> {
-        QueryEngine::range_kept(self, q)
-    }
-
-    fn range_simplified(&self, simp: &Simplification, q: &Cube) -> Vec<TrajId> {
-        QueryEngine::range_simplified(self, simp, q)
-    }
-
-    fn range_simplified_batch(&self, simp: &Simplification, queries: &[Cube]) -> Vec<Vec<TrajId>> {
-        QueryEngine::range_simplified_batch(self, simp, queries)
-    }
-
-    fn maintained_workload(&self, queries: Vec<Cube>, simp: &Simplification) -> MaintainedWorkload {
-        QueryEngine::maintained_workload(self, queries, simp)
-    }
-
-    fn knn_candidates(&self, q: &KnnQuery) -> Vec<(f64, TrajId)> {
-        QueryEngine::knn_candidates(self, q)
-    }
-
-    fn bounding_cube(&self) -> Cube {
-        self.store().bounding_cube()
-    }
-
-    fn execute_one(&self, q: &Query) -> QueryResult {
-        match q {
-            Query::Range(c) => QueryResult::Range(self.range(c)),
-            Query::Knn(k) => QueryResult::Knn(self.knn_seq(k)),
-            Query::Similarity(s) => QueryResult::Similarity(self.similarity_seq(s)),
-            Query::RangeKept(c) => QueryResult::RangeKept(QueryEngine::range_kept(self, c)),
-        }
-    }
-
-    /// One data-parallel pass with **per-worker scratch reuse**: the
-    /// hit-flag buffer range-style queries need is allocated once per
-    /// worker thread and recycled across every query that worker pulls,
-    /// instead of once per query (identical results to the default).
-    fn execute_batch(&self, batch: &QueryBatch) -> Vec<QueryResult> {
-        par_map_with(batch.queries(), QueryScratch::new, |scratch, q| match q {
-            Query::Range(c) => QueryResult::Range(self.range_scratch(c, scratch)),
-            Query::Knn(k) => QueryResult::Knn(self.knn_seq(k)),
-            Query::Similarity(s) => QueryResult::Similarity(self.similarity_seq(s)),
-            Query::RangeKept(c) => QueryResult::RangeKept(self.range_kept_scratch(c, scratch)),
-        })
-    }
-
-    /// The same pass as [`QueryExecutor::execute_batch`] — per-worker
-    /// scratch, sequential inner loops — producing merge material.
-    fn shard_batch(&self, batch: &QueryBatch) -> Vec<ShardResult> {
-        par_map_with(batch.queries(), QueryScratch::new, |scratch, q| {
-            self.material_scratch(q, false, scratch)
-        })
-    }
+    fn execute_batch(&self, batch: &QueryBatch) -> Vec<QueryResult>;
 }
 
 // ---------------------------------------------------------------------
@@ -540,11 +429,9 @@ pub enum OpenMode {
     /// Snapshot sources are mmap-ed (zero-copy serving); CSV sources —
     /// which have no zero-copy representation — parse into owned columns.
     #[default]
-    Auto,
+    Mapped,
     /// Force heap-owned columns for every source.
     Owned,
-    /// Equivalent to [`OpenMode::Auto`]: mmap whenever the format allows.
-    Mapped,
 }
 
 /// Builder-style options for [`TrajDb::open`] and the in-memory
@@ -570,7 +457,7 @@ pub struct DbOptions {
 }
 
 impl DbOptions {
-    /// Default options: octree backend, [`OpenMode::Auto`], no
+    /// Default options: octree backend, [`OpenMode::Mapped`], no
     /// re-partitioning.
     #[must_use]
     pub fn new() -> Self {
@@ -616,7 +503,7 @@ impl DbOptions {
     }
 
     /// Requests mmap-backed columns where the format allows
-    /// ([`OpenMode::Mapped`]).
+    /// ([`OpenMode::Mapped`], the default).
     #[must_use]
     pub fn mapped(mut self) -> Self {
         self.mode = OpenMode::Mapped;
@@ -740,7 +627,7 @@ impl TrajDb {
         if path.is_dir() {
             let set = ShardSet::load(path)?;
             let engine = match opts.mode {
-                OpenMode::Auto | OpenMode::Mapped => {
+                OpenMode::Mapped => {
                     ShardedQueryEngine::from_mapped_shards(set.open_mapped()?, opts.engine)
                 }
                 OpenMode::Owned => {
@@ -753,7 +640,7 @@ impl TrajDb {
         }
         if is_snapshot_file(path)? {
             return match (opts.mode, opts.partition) {
-                (OpenMode::Auto | OpenMode::Mapped, None) => {
+                (OpenMode::Mapped, None) => {
                     let mapped = MappedStore::open(path)?;
                     Ok(TrajDb {
                         inner: Inner::Single(Box::new(QueryEngine::from_mapped(
@@ -918,137 +805,13 @@ impl fmt::Debug for TrajDb {
     }
 }
 
-impl QueryExecutor for TrajDb {
-    fn len(&self) -> usize {
+/// The segment list of whichever engine the database opened; the whole
+/// [`QueryExecutor`] surface follows from the shared fan-out.
+impl Segmented for TrajDb {
+    fn with_segments<R>(&self, f: impl FnOnce(&[Segment<'_>]) -> R) -> R {
         match &self.inner {
-            Inner::Single(e) => QueryExecutor::len(e.as_ref()),
-            Inner::Sharded(e) => QueryExecutor::len(e),
-        }
-    }
-
-    fn total_points(&self) -> usize {
-        match &self.inner {
-            Inner::Single(e) => QueryExecutor::total_points(e.as_ref()),
-            Inner::Sharded(e) => QueryExecutor::total_points(e),
-        }
-    }
-
-    fn trajectory(&self, id: TrajId) -> trajectory::Trajectory {
-        match &self.inner {
-            Inner::Single(e) => e.trajectory(id),
-            Inner::Sharded(e) => e.trajectory(id),
-        }
-    }
-
-    fn range(&self, q: &Cube) -> Vec<TrajId> {
-        match &self.inner {
-            Inner::Single(e) => e.range(q),
-            Inner::Sharded(e) => e.range(q),
-        }
-    }
-
-    fn range_batch(&self, queries: &[Cube]) -> Vec<Vec<TrajId>> {
-        match &self.inner {
-            Inner::Single(e) => e.range_batch(queries),
-            Inner::Sharded(e) => e.range_batch(queries),
-        }
-    }
-
-    fn knn(&self, q: &KnnQuery) -> Vec<TrajId> {
-        match &self.inner {
-            Inner::Single(e) => e.knn(q),
-            Inner::Sharded(e) => e.knn(q),
-        }
-    }
-
-    fn knn_batch(&self, queries: &[KnnQuery]) -> Vec<Vec<TrajId>> {
-        match &self.inner {
-            Inner::Single(e) => e.knn_batch(queries),
-            Inner::Sharded(e) => e.knn_batch(queries),
-        }
-    }
-
-    fn similarity(&self, q: &SimilarityQuery) -> Vec<TrajId> {
-        match &self.inner {
-            Inner::Single(e) => e.similarity(q),
-            Inner::Sharded(e) => e.similarity(q),
-        }
-    }
-
-    fn similarity_batch(&self, queries: &[SimilarityQuery]) -> Vec<Vec<TrajId>> {
-        match &self.inner {
-            Inner::Single(e) => e.similarity_batch(queries),
-            Inner::Sharded(e) => e.similarity_batch(queries),
-        }
-    }
-
-    fn has_kept_bitmap(&self) -> bool {
-        match &self.inner {
-            Inner::Single(e) => e.has_kept_bitmap(),
-            Inner::Sharded(e) => e.has_kept_bitmap(),
-        }
-    }
-
-    fn range_kept(&self, q: &Cube) -> Option<Vec<TrajId>> {
-        match &self.inner {
-            Inner::Single(e) => e.range_kept(q),
-            Inner::Sharded(e) => e.range_kept(q),
-        }
-    }
-
-    fn range_simplified(&self, simp: &Simplification, q: &Cube) -> Vec<TrajId> {
-        match &self.inner {
-            Inner::Single(e) => QueryExecutor::range_simplified(e.as_ref(), simp, q),
-            Inner::Sharded(e) => QueryExecutor::range_simplified(e, simp, q),
-        }
-    }
-
-    fn range_simplified_batch(&self, simp: &Simplification, queries: &[Cube]) -> Vec<Vec<TrajId>> {
-        match &self.inner {
-            Inner::Single(e) => QueryExecutor::range_simplified_batch(e.as_ref(), simp, queries),
-            Inner::Sharded(e) => QueryExecutor::range_simplified_batch(e, simp, queries),
-        }
-    }
-
-    fn maintained_workload(&self, queries: Vec<Cube>, simp: &Simplification) -> MaintainedWorkload {
-        match &self.inner {
-            Inner::Single(e) => e.maintained_workload(queries, simp),
-            Inner::Sharded(e) => e.maintained_workload(queries, simp),
-        }
-    }
-
-    fn knn_candidates(&self, q: &KnnQuery) -> Vec<(f64, TrajId)> {
-        match &self.inner {
-            Inner::Single(e) => e.knn_candidates(q),
-            Inner::Sharded(e) => e.knn_candidates(q),
-        }
-    }
-
-    fn bounding_cube(&self) -> Cube {
-        match &self.inner {
-            Inner::Single(e) => e.store().bounding_cube(),
-            Inner::Sharded(e) => e.bounding_cube(),
-        }
-    }
-
-    fn execute_one(&self, q: &Query) -> QueryResult {
-        match &self.inner {
-            Inner::Single(e) => e.execute_one(q),
-            Inner::Sharded(e) => e.execute_one(q),
-        }
-    }
-
-    fn execute_batch(&self, batch: &QueryBatch) -> Vec<QueryResult> {
-        match &self.inner {
-            Inner::Single(e) => e.as_ref().execute_batch(batch),
-            Inner::Sharded(e) => e.execute_batch(batch),
-        }
-    }
-
-    fn shard_batch(&self, batch: &QueryBatch) -> Vec<ShardResult> {
-        match &self.inner {
-            Inner::Single(e) => e.shard_batch(batch),
-            Inner::Sharded(e) => e.shard_batch(batch),
+            Inner::Single(e) => e.with_segments(f),
+            Inner::Sharded(e) => e.with_segments(f),
         }
     }
 }

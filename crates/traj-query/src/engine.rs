@@ -1,4 +1,4 @@
-//! The canonical query-execution path: an index-accelerated, parallel
+//! The canonical query-execution path: an index-accelerated
 //! [`QueryEngine`].
 //!
 //! Every query operator in this crate has a straightforward linear-scan
@@ -6,11 +6,14 @@
 //! [`KnnQuery::execute_store`], [`SimilarityQuery::execute_store`]); those
 //! remain the semantic reference. The engine executes the *same* queries
 //! against a spatio-temporal index (octree or median kd-tree from
-//! `traj-index`) with cube pruning, and runs batch workloads data-parallel
-//! across all cores. Property tests assert result-set equality between the
+//! `traj-index`) with cube pruning. It answers one query at a time, as
+//! merge material ([`QueryEngine::material`]); the public query surface —
+//! one-shot, batch, simplified-database — is [`QueryExecutor`], which an
+//! engine gets like every other database: as a [`Segmented`] list, here
+//! of one segment. Property tests assert result-set equality between the
 //! engine and the scans for every backend.
 //!
-//! Beyond one-shot execution, the engine supports the access pattern at the
+//! Beyond one-shot execution, the crate supports the access pattern at the
 //! heart of RL4QDTS's training loop (Eq. 10): a fixed range-query workload
 //! repeatedly evaluated against a *growing* simplification. A
 //! [`MaintainedWorkload`] keeps every query's result set — and its F1
@@ -19,6 +22,7 @@
 //! into O(W) bookkeeping per insertion.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use traj_index::{
     CubeIndex, MedianTree, MedianTreeConfig, NodeId, Octree, OctreeConfig, SpatioTemporalIndex,
@@ -28,26 +32,28 @@ use trajectory::{
     TrajectoryDb,
 };
 
-use crate::db::Query;
+use crate::db::{Query, QueryExecutor};
 use crate::knn::KnnQuery;
 use crate::metrics::{f1_sets, F1Score};
-use crate::parallel::{par_map, par_map_with};
+use crate::parallel::par_map;
 use crate::range::view_matches;
-use crate::segment::{IdMap, ShardResult};
+use crate::segment::{IdMap, Segment, Segmented, ShardResult};
 use crate::similarity::SimilarityQuery;
 
-/// Reusable per-worker scratch for batch execution: the hit-flag buffer
-/// every range-style marking pass needs, allocated once per worker
-/// thread and recycled across the queries it processes (instead of one
-/// fresh `vec![false; M]` per query).
-pub(crate) struct QueryScratch {
+/// Reusable per-worker scratch for query execution: the hit-flag buffer
+/// every marking pass needs, allocated once per worker thread and
+/// recycled across the queries — and the segments — it processes
+/// (instead of one fresh `vec![false; M]` per query per segment).
+#[derive(Debug, Default)]
+pub struct QueryScratch {
     hit: Vec<bool>,
 }
 
 impl QueryScratch {
     /// An empty scratch; buffers grow on first use.
-    pub(crate) fn new() -> Self {
-        Self { hit: Vec::new() }
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The hit-flag buffer, cleared and sized to `len` trajectories.
@@ -154,27 +160,34 @@ pub(crate) enum IndexBackend {
 
 /// Owns (or borrows) a columnar store — heap-backed [`PointStore`] or
 /// mmap-backed [`MappedStore`], behind a [`StoreRef`] — plus an index over
-/// it, and executes all query types through one pruned, parallel path.
+/// it, and answers every query kind through one pruned path.
 ///
 /// Construction is the only O(N log N) step; afterwards each range query
 /// touches only the index nodes intersecting its cube, and every point
-/// test is three contiguous column loads. The engine is the seam every
-/// consumer goes through: training rewards (`rl4qdts`), the evaluation
-/// suite, the benchmarks, and the serving examples. Because every access
-/// goes through [`AsColumns`], a snapshot file opened with
+/// test is three contiguous column loads. Because every access goes
+/// through [`AsColumns`], a snapshot file opened with
 /// [`MappedStore::open`] serves queries with zero deserialization
 /// ([`QueryEngine::from_mapped`] / [`QueryEngine::over_mapped`]).
+///
+/// What the engine itself holds is construction, the store / index /
+/// kept-bitmap accessors, and the per-query unit
+/// [`QueryEngine::material`]. Queries are asked through
+/// [`QueryExecutor`]: an engine is the one-segment [`Segmented`] list
+/// `[all of it]`, so it answers through the same fan-out and merge as a
+/// sharded or a live database.
 pub struct QueryEngine<'a> {
     store: StoreRef<'a>,
     /// The engine's own simplified-database selection, when it serves one:
     /// populated automatically from a mapped snapshot's kept-bitmap
     /// section, or attached with [`QueryEngine::set_kept_bitmap`]. This is
-    /// what [`QueryEngine::range_kept`] queries — the same `Option`
-    /// semantics as the sharded engine, so both sides of
-    /// [`QueryExecutor`](crate::QueryExecutor) agree.
+    /// what [`Query::RangeKept`] queries.
     kept: Option<KeptBitmap>,
     backend: IndexBackend,
     config: EngineConfig,
+    /// Bounding cube of the store, learnt on first use: an engine that is
+    /// asked no query (a simplification job's) or only ever serves as a
+    /// segment of a database that tracks bounds itself never pays the pass.
+    bounds: OnceLock<Cube>,
 }
 
 impl QueryEngine<'static> {
@@ -191,28 +204,21 @@ impl QueryEngine<'static> {
     #[must_use]
     pub fn from_store(store: PointStore, config: EngineConfig) -> Self {
         let backend = build_backend(&store, config);
-        Self {
-            store: StoreRef::Owned(store),
-            kept: None,
-            backend,
-            config,
-        }
+        Self::from_backend(StoreRef::Owned(store), backend, config)
     }
 
     /// Builds an engine owning an mmap-backed store: queries execute
     /// straight off the file mapping, so cold start is the index build
     /// alone — no CSV parse, no column deserialization. When the snapshot
     /// carries a kept bitmap (a persisted simplified database), it is
-    /// retained so [`QueryEngine::range_kept`] serves `D'` immediately.
+    /// retained so [`Query::RangeKept`] serves `D'` immediately.
     #[must_use]
     pub fn from_mapped(store: MappedStore, config: EngineConfig) -> Self {
         let backend = build_backend(&store, config);
         let kept = store.kept_bitmap();
         Self {
-            store: StoreRef::Mapped(store),
             kept,
-            backend,
-            config,
+            ..Self::from_backend(StoreRef::Mapped(store), backend, config)
         }
     }
 }
@@ -222,27 +228,25 @@ impl<'a> QueryEngine<'a> {
     /// paths).
     #[must_use]
     pub fn over_store(store: &'a PointStore, config: EngineConfig) -> Self {
-        let backend = build_backend(store, config);
-        Self {
-            store: StoreRef::Borrowed(store),
-            kept: None,
-            backend,
+        Self::from_backend(
+            StoreRef::Borrowed(store),
+            build_backend(store, config),
             config,
-        }
+        )
     }
 
     /// Builds an engine borrowing an mmap-backed store (zero copy; same
     /// execution paths as [`QueryEngine::over_store`]). A kept bitmap in
-    /// the snapshot is retained for [`QueryEngine::range_kept`].
+    /// the snapshot is retained for [`Query::RangeKept`].
     #[must_use]
     pub fn over_mapped(store: &'a MappedStore, config: EngineConfig) -> Self {
-        let backend = build_backend(store, config);
-        let kept = store.kept_bitmap();
         Self {
-            store: StoreRef::MappedRef(store),
-            kept,
-            backend,
-            config,
+            kept: store.kept_bitmap(),
+            ..Self::from_backend(
+                StoreRef::MappedRef(store),
+                build_backend(store, config),
+                config,
+            )
         }
     }
 
@@ -261,11 +265,12 @@ impl<'a> QueryEngine<'a> {
             kept: None,
             backend,
             config,
+            bounds: OnceLock::new(),
         }
     }
 
-    /// Attaches (or clears) the kept bitmap [`QueryEngine::range_kept`]
-    /// serves. Callers that computed a [`Simplification`] attach its
+    /// Attaches (or clears) the kept bitmap [`Query::RangeKept`] is
+    /// answered from. Callers that computed a [`Simplification`] attach its
     /// bitmap (`simp.to_bitmap(engine.store())`) to serve `D'` through
     /// the same engine that serves `D`.
     ///
@@ -293,18 +298,11 @@ impl<'a> QueryEngine<'a> {
         self
     }
 
-    /// The kept bitmap this engine serves through
-    /// [`QueryEngine::range_kept`], if any.
+    /// The kept bitmap this engine answers [`Query::RangeKept`] from, if
+    /// any.
     #[must_use]
     pub fn kept_bitmap(&self) -> Option<&KeptBitmap> {
         self.kept.as_ref()
-    }
-
-    /// True when the engine carries a kept bitmap — i.e.
-    /// [`QueryEngine::range_kept`] serves a simplified database.
-    #[must_use]
-    pub fn has_kept_bitmap(&self) -> bool {
-        self.kept.is_some()
     }
 
     /// The underlying columnar storage (owned, borrowed, or mapped). All
@@ -315,15 +313,6 @@ impl<'a> QueryEngine<'a> {
     #[must_use]
     pub fn store(&self) -> &StoreRef<'a> {
         &self.store
-    }
-
-    /// Materializes trajectory `id` as an owned
-    /// [`Trajectory`](trajectory::Trajectory) (a column gather) — the
-    /// executor-level accessor consumers use when an operator needs
-    /// whole trajectories (e.g. TRACLUS clustering).
-    #[must_use]
-    pub fn trajectory(&self, id: TrajId) -> trajectory::Trajectory {
-        self.store.view(id).to_trajectory()
     }
 
     /// The build configuration.
@@ -374,46 +363,52 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
+    /// Smallest cube covering every point of the store, computed on first
+    /// use and remembered.
+    #[must_use]
+    pub fn bounding_cube(&self) -> Cube {
+        *self.bounds.get_or_init(|| self.store.bounding_cube())
+    }
+
     // ------------------------------------------------------------------
-    // Range queries.
+    // Query execution: one unit, one arm per kind.
     // ------------------------------------------------------------------
 
-    /// Executes a range query, returning matching trajectory ids ascending.
-    /// Identical results to [`crate::range::range_query_store`], via index
-    /// pruning over the columns.
+    /// **The** per-query unit: this engine's merge material for `q`, in
+    /// its local ids — what [`Segment::answer`] returns once the bounds
+    /// prune passed, and what [`merge`](crate::merge) turns into a
+    /// [`QueryResult`](crate::QueryResult). `parallel` lets kNN scoring
+    /// and similarity checks fan out over the cores (a one-shot query
+    /// owning the machine); batch workers pass `false` and their own
+    /// `scratch`. The material is identical either way.
     #[must_use]
-    pub fn range(&self, q: &Cube) -> Vec<TrajId> {
-        // Dispatch on the concrete index type so the per-node traversal
-        // (cube tests, slab scans) monomorphizes and inlines.
-        match &self.backend {
-            IndexBackend::Scan => self.range_scan(q),
-            IndexBackend::Octree(t) => self.range_marked(t, q),
-            IndexBackend::MedianKd(t) => self.range_marked(t, q),
+    pub fn material(&self, q: &Query, parallel: bool, scratch: &mut QueryScratch) -> ShardResult {
+        match q {
+            Query::Range(c) => ShardResult::Ids(self.range_hits(c, scratch)),
+            Query::Knn(k) => ShardResult::Candidates(self.knn_best(k, parallel)),
+            Query::Similarity(s) => ShardResult::Ids(self.similarity_hits(s, parallel)),
+            Query::RangeKept(c) => ShardResult::Kept(
+                self.kept
+                    .as_ref()
+                    .map(|kept| self.range_with_bitmap(kept, c, scratch)),
+            ),
         }
     }
 
-    /// The `Scan` backend: every trajectory through the lane-wide
-    /// containment kernel.
-    fn range_scan(&self, q: &Cube) -> Vec<TrajId> {
-        self.store
-            .iter()
-            .filter(|(_, v)| view_matches(*v, q))
-            .map(|(id, _)| id)
-            .collect()
-    }
-
-    fn range_marked<I: SpatioTemporalIndex>(&self, index: &I, q: &Cube) -> Vec<TrajId> {
-        let mut hit = vec![false; self.store.len()];
-        range_mark(index, index.root(), q, &mut hit);
-        collect_hits(&hit)
-    }
-
-    /// [`QueryEngine::range`] reusing a worker's scratch hit buffer —
-    /// the per-query unit batch passes run, so a batch of W queries
-    /// allocates one buffer per worker instead of W.
-    pub(crate) fn range_scratch(&self, q: &Cube, scratch: &mut QueryScratch) -> Vec<TrajId> {
+    /// Trajectories with a sampled point inside `q`, ascending. Identical
+    /// results to [`crate::range::range_query_store`], via index pruning
+    /// over the columns.
+    fn range_hits(&self, q: &Cube, scratch: &mut QueryScratch) -> Vec<TrajId> {
+        // Dispatch on the concrete index type so the per-node traversal
+        // (cube tests, slab scans) monomorphizes and inlines.
         match &self.backend {
-            IndexBackend::Scan => self.range_scan(q),
+            // Every trajectory through the lane-wide containment kernel.
+            IndexBackend::Scan => self
+                .store
+                .iter()
+                .filter(|(_, v)| view_matches(*v, q))
+                .map(|(id, _)| id)
+                .collect(),
             IndexBackend::Octree(t) => {
                 let hit = scratch.hit(self.store.len());
                 range_mark(t, SpatioTemporalIndex::root(t), q, hit);
@@ -427,127 +422,63 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Executes a whole batch of range queries in parallel, with
-    /// per-worker scratch reuse.
-    #[must_use]
-    pub fn range_batch(&self, queries: &[Cube]) -> Vec<Vec<TrajId>> {
-        par_map_with(queries, QueryScratch::new, |scratch, q| {
-            self.range_scratch(q, scratch)
-        })
-    }
-
-    /// Executes a range query against a *simplification* of the engine's
-    /// database without materializing it: a trajectory matches when one of
-    /// its kept points lies inside `q`. Identical results to
-    /// `rl4qdts::range_query_simplified`. One-shot calls test kept
-    /// membership per leaf point (no O(N) setup); batches should prefer
-    /// [`QueryEngine::range_simplified_batch`], which builds the kept
-    /// bitmap once.
-    #[must_use]
-    pub fn range_simplified(&self, simp: &Simplification, q: &Cube) -> Vec<TrajId> {
-        self.range_simplified_view(self.own_view(simp), q)
-    }
-
-    /// `simp` read with this engine's local ids as its trajectory ids.
-    fn own_view<'s>(&self, simp: &'s Simplification) -> KeptView<'s> {
-        let ids = IdMap::Offset {
-            first: 0,
-            len: self.store.len(),
-        };
-        KeptView::new(simp, ids)
-    }
-
-    /// [`QueryEngine::range_simplified`] against a simplification in
-    /// *global* trajectory ids, read through a segment's id map; hits
-    /// come back in this engine's local ids.
-    pub(crate) fn range_simplified_view(&self, kept: KeptView<'_>, q: &Cube) -> Vec<TrajId> {
+    /// Range query against a *simplification* of the engine's database
+    /// without materializing it: a trajectory matches when one of its
+    /// kept points lies inside `q`. The simplification is in *global*
+    /// trajectory ids, read through a segment's id map; hits come back in
+    /// this engine's local ids. Identical results to
+    /// `rl4qdts::range_query_simplified`. Kept membership is tested per
+    /// leaf point — no O(N) bitmap is built.
+    pub(crate) fn range_simplified_view(
+        &self,
+        kept: KeptView<'_>,
+        q: &Cube,
+        scratch: &mut QueryScratch,
+    ) -> Vec<TrajId> {
+        let offsets = self.store.offsets();
         match &self.backend {
-            IndexBackend::Scan => self.range_simplified_scan(kept, q),
-            IndexBackend::Octree(t) => self.range_marked_simplified(t, kept, q),
-            IndexBackend::MedianKd(t) => self.range_marked_simplified(t, kept, q),
+            // Kept-list scan: output-sensitive in the number of *kept*
+            // points.
+            IndexBackend::Scan => self
+                .store
+                .iter()
+                .filter(|(id, v)| {
+                    kept.kept(*id).iter().any(|&idx| {
+                        let i = idx as usize;
+                        q.contains_xyz(v.xs[i], v.ys[i], v.ts[i])
+                    })
+                })
+                .map(|(id, _)| id)
+                .collect(),
+            IndexBackend::Octree(t) => {
+                let hit = scratch.hit(self.store.len());
+                range_mark_simplified(t, kept, offsets, SpatioTemporalIndex::root(t), q, hit);
+                collect_hits(hit)
+            }
+            IndexBackend::MedianKd(t) => {
+                let hit = scratch.hit(self.store.len());
+                range_mark_simplified(t, kept, offsets, SpatioTemporalIndex::root(t), q, hit);
+                collect_hits(hit)
+            }
         }
     }
 
-    /// Kept-list scan: output-sensitive in the number of *kept* points.
-    fn range_simplified_scan(&self, kept: KeptView<'_>, q: &Cube) -> Vec<TrajId> {
-        self.store
-            .iter()
-            .filter(|(id, v)| {
-                kept.kept(*id).iter().any(|&idx| {
-                    let i = idx as usize;
-                    q.contains_xyz(v.xs[i], v.ys[i], v.ts[i])
-                })
-            })
-            .map(|(id, _)| id)
-            .collect()
-    }
-
-    /// Pruned traversal testing per-trajectory kept membership per leaf
-    /// point — no per-call bitmap construction.
-    fn range_marked_simplified<I: SpatioTemporalIndex>(
-        &self,
-        index: &I,
-        kept: KeptView<'_>,
-        q: &Cube,
-    ) -> Vec<TrajId> {
-        let mut hit = vec![false; self.store.len()];
-        range_mark_simplified(index, kept, self.store.offsets(), index.root(), q, &mut hit);
-        collect_hits(&hit)
-    }
-
-    /// Executes a range query against the engine's *own* kept bitmap (a
-    /// persisted or attached simplified database) — `None` when the engine
-    /// carries none. Same signature and `Option` semantics as
-    /// [`QueryExecutor::range_kept`](crate::QueryExecutor::range_kept),
-    /// so every executor presents one `D'`-serving surface.
+    /// Range query against a kept-point bitmap over this engine's store
+    /// (the engine's own for [`Query::RangeKept`], or any other of the
+    /// right length): flags every trajectory with a kept point inside
+    /// `q`. The scan-backend arm sweeps each trajectory's contiguous
+    /// column run through the bitmap-masked containment kernel
+    /// ([`trajectory::simd::any_masked_in_cube`]), skipping fully-dropped
+    /// 64-point words without touching a coordinate (O(N)); with an index
+    /// only leaves intersecting `q` are touched.
     #[must_use]
-    pub fn range_kept(&self, q: &Cube) -> Option<Vec<TrajId>> {
-        self.kept
-            .as_ref()
-            .map(|kept| self.range_with_bitmap(kept, q))
-    }
-
-    /// [`QueryEngine::range_kept`] reusing a worker's scratch buffers.
-    pub(crate) fn range_kept_scratch(
-        &self,
-        q: &Cube,
-        scratch: &mut QueryScratch,
-    ) -> Option<Vec<TrajId>> {
-        self.kept
-            .as_ref()
-            .map(|kept| self.range_with_bitmap_scratch(kept, q, scratch))
-    }
-
-    /// [`QueryEngine::range_simplified`] against a pre-built kept-point
-    /// bitmap. The scan-backend arm is a whole-store sweep (O(N)); with an
-    /// index only leaves intersecting `q` are touched.
-    #[must_use]
-    pub fn range_with_bitmap(&self, kept: &KeptBitmap, q: &Cube) -> Vec<TrajId> {
-        let mut hit = vec![false; self.store.len()];
-        self.mark_with_bitmap(kept, q, &mut hit);
-        collect_hits(&hit)
-    }
-
-    /// [`QueryEngine::range_with_bitmap`] reusing a worker's scratch hit
-    /// buffer.
-    pub(crate) fn range_with_bitmap_scratch(
+    pub fn range_with_bitmap(
         &self,
         kept: &KeptBitmap,
         q: &Cube,
         scratch: &mut QueryScratch,
     ) -> Vec<TrajId> {
         let hit = scratch.hit(self.store.len());
-        self.mark_with_bitmap(kept, q, hit);
-        collect_hits(hit)
-    }
-
-    /// The marking core of [`QueryEngine::range_with_bitmap`]: flags in
-    /// `hit` every trajectory with a kept point inside `q`. The
-    /// scan-backend arm sweeps each trajectory's contiguous column run
-    /// through the bitmap-masked containment kernel
-    /// ([`trajectory::simd::any_masked_in_cube`]), skipping fully-dropped
-    /// 64-point words without touching a coordinate.
-    fn mark_with_bitmap(&self, kept: &KeptBitmap, q: &Cube, hit: &mut [bool]) {
         match &self.backend {
             IndexBackend::Scan => {
                 let (xs, ys, ts) = (self.store.xs(), self.store.ys(), self.store.ts());
@@ -572,92 +503,20 @@ impl<'a> QueryEngine<'a> {
                 range_mark_kept(t, kept, SpatioTemporalIndex::root(t), q, hit)
             }
         }
+        collect_hits(hit)
     }
 
-    /// Batch variant of [`QueryEngine::range_simplified`], parallel across
-    /// queries. Indexed backends build the kept-point bitmap once for the
-    /// whole batch; the scan backend stays on the output-sensitive
-    /// kept-list sweep.
-    #[must_use]
-    pub fn range_simplified_batch(
-        &self,
-        simp: &Simplification,
-        queries: &[Cube],
-    ) -> Vec<Vec<TrajId>> {
-        match &self.backend {
-            IndexBackend::Scan => par_map(queries, |q| self.range_simplified(simp, q)),
-            _ => {
-                let bitmap = simp.to_bitmap(&self.store);
-                par_map_with(queries, QueryScratch::new, |scratch, q| {
-                    self.range_with_bitmap_scratch(&bitmap, q, scratch)
-                })
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // kNN queries.
-    // ------------------------------------------------------------------
-
-    /// Executes a kNN query. Identical results to [`KnnQuery::execute_store`]:
-    /// the index narrows the candidate set to trajectories with points in
-    /// the query's time window (everything else ranks at infinity), and
-    /// candidate distances are computed in parallel.
-    #[must_use]
-    pub fn knn(&self, q: &KnnQuery) -> Vec<TrajId> {
-        self.knn_from_finite(q.k, self.knn_finite_scored(q, true))
-    }
-
-    /// [`QueryEngine::knn`] with candidate scoring run sequentially in the
-    /// calling thread — the per-query unit a batch-level [`par_map`] pass
-    /// schedules without nesting thread pools (`cores` workers, not
-    /// `cores²`). Identical results to [`QueryEngine::knn`].
-    pub(crate) fn knn_seq(&self, q: &KnnQuery) -> Vec<TrajId> {
-        self.knn_from_finite(q.k, self.knn_finite_scored(q, false))
-    }
-
-    /// The take-`k` / infinite-fill policy shared by the parallel and
-    /// sequential kNN paths. Every trajectory absent from `finite` ranks
-    /// at infinity. The reference scan orders by (distance, id), so all
-    /// finite distances come first and the infinite tail fills in
-    /// ascending id order.
-    fn knn_from_finite(&self, k: usize, finite: Vec<(f64, TrajId)>) -> Vec<TrajId> {
-        let mut in_finite = vec![false; self.store.len()];
-        for &(_, id) in &finite {
-            in_finite[id] = true;
-        }
-        let mut ids: Vec<TrajId> = finite.into_iter().take(k).map(|(_, id)| id).collect();
-        if ids.len() < k {
-            for (id, _) in in_finite.iter().enumerate().filter(|(_, &f)| !f) {
-                ids.push(id);
-                if ids.len() == k {
-                    break;
-                }
-            }
-        }
-        ids.sort_unstable();
-        ids
-    }
-
-    /// This store's contribution to a distributed kNN: its
-    /// finite-distance candidates sorted by `(distance, id)`, truncated
-    /// to the query's `k`, with `-0.0` distances normalized to `+0.0`
-    /// so the coordinator's `total_cmp` merge agrees with the
-    /// `partial_cmp` sort used here. Feeding these lists through
-    /// [`merge_knn_candidates`](crate::merge_knn_candidates) and
-    /// [`knn_take_fill`](crate::knn_take_fill) reproduces
-    /// [`QueryEngine::knn`] byte-for-byte.
-    #[must_use]
-    pub fn knn_candidates(&self, q: &KnnQuery) -> Vec<(f64, TrajId)> {
-        self.knn_candidates_impl(q, true)
-    }
-
-    /// [`QueryEngine::knn_candidates`] with parallel or sequential
-    /// candidate scoring. Only a store's best `k` can reach a global
-    /// top `k`, so the list is truncated; the merge's infinite-fill is
-    /// unaffected (it only triggers when the global finite count is
-    /// below `k`, in which case nothing was truncated).
-    fn knn_candidates_impl(&self, q: &KnnQuery, parallel: bool) -> Vec<(f64, TrajId)> {
+    /// This store's contribution to a kNN: its finite-distance candidates
+    /// sorted by `(distance, id)`, truncated to the query's `k`, with
+    /// `-0.0` distances normalized to `+0.0` so the merge's `total_cmp`
+    /// agrees with the `partial_cmp` sort used here. Only a store's best
+    /// `k` can reach a global top `k`, so the list is truncated; the
+    /// merge's infinite-fill is unaffected (it only triggers when the
+    /// global finite count is below `k`, in which case nothing was
+    /// truncated). [`merge_knn_candidates`](crate::merge_knn_candidates)
+    /// and [`knn_take_fill`](crate::knn_take_fill) over these lists
+    /// reproduce [`KnnQuery::execute_store`] byte-for-byte.
+    fn knn_best(&self, q: &KnnQuery, parallel: bool) -> Vec<(f64, TrajId)> {
         let mut scored = self.knn_finite_scored(q, parallel);
         scored.truncate(q.k);
         for entry in &mut scored {
@@ -666,43 +525,12 @@ impl<'a> QueryEngine<'a> {
         scored
     }
 
-    /// This engine's merge material for `q`, in its local ids — what
-    /// [`Segment::answer`](crate::Segment::answer) returns once the
-    /// bounds prune passed. `parallel` selects the parallel or the
-    /// sequential inner loops; the material is identical.
-    pub(crate) fn material(&self, q: &Query, parallel: bool) -> ShardResult {
-        self.material_scratch(q, parallel, &mut QueryScratch::new())
-    }
-
-    /// [`QueryEngine::material`] reusing a worker's scratch buffers —
-    /// the per-query unit of a shard frame's batch pass
-    /// ([`QueryExecutor::shard_batch`](crate::QueryExecutor::shard_batch)).
-    pub(crate) fn material_scratch(
-        &self,
-        q: &Query,
-        parallel: bool,
-        scratch: &mut QueryScratch,
-    ) -> ShardResult {
-        match q {
-            Query::Range(c) => ShardResult::Ids(self.range_scratch(c, scratch)),
-            Query::Knn(k) => ShardResult::Candidates(self.knn_candidates_impl(k, parallel)),
-            Query::Similarity(s) => ShardResult::Ids(if parallel {
-                self.similarity(s)
-            } else {
-                self.similarity_seq(s)
-            }),
-            Query::RangeKept(c) => ShardResult::Kept(self.range_kept_scratch(c, scratch)),
-        }
-    }
-
     /// The finite-distance half of a kNN execution: every trajectory whose
     /// windowed distance to the query is finite, as `(distance, id)` pairs
-    /// sorted ascending by `(distance, id)`. [`QueryEngine::knn`] is this
-    /// plus the take-`k` / infinite-fill policy; a multi-segment executor
-    /// merges these lists across segments (mapping ids to global ones) and
-    /// applies the same policy once, globally — which is what makes fan-out
-    /// kNN byte-identical to the single-store execution. The scoring loop
-    /// is parallel (`par_map`) or sequential — results are identical (both
+    /// sorted ascending by `(distance, id)`. The index narrows the
+    /// candidate set to trajectories with points in the query's time
+    /// window (everything else ranks at infinity); the scoring loop is
+    /// parallel (`par_map`) or sequential — results are identical (both
     /// preserve candidate order before the final sort).
     fn knn_finite_scored(&self, q: &KnnQuery, parallel: bool) -> Vec<(f64, TrajId)> {
         let q_window = q.query_window();
@@ -748,26 +576,16 @@ impl<'a> QueryEngine<'a> {
         finite
     }
 
-    /// Executes a batch of kNN queries, parallel across queries. Each
-    /// query's candidate scoring runs sequentially inside its worker —
-    /// one level of parallelism, not `cores²` threads.
-    #[must_use]
-    pub fn knn_batch(&self, queries: &[KnnQuery]) -> Vec<Vec<TrajId>> {
-        par_map(queries, |q| self.knn_seq(q))
-    }
-
-    // ------------------------------------------------------------------
-    // Similarity queries.
-    // ------------------------------------------------------------------
-
-    /// Executes a similarity query. Identical results to
-    /// [`SimilarityQuery::execute_store`]; the per-trajectory "within δ at every
-    /// instant" checks run in parallel over zero-copy views. (Index pruning
-    /// is unsound here: a trajectory with no *sampled* point near the
-    /// window can still match through interpolation, so the engine
-    /// parallelizes instead.)
-    #[must_use]
-    pub fn similarity(&self, q: &SimilarityQuery) -> Vec<TrajId> {
+    /// Trajectories within δ of the query at every instant, ascending.
+    /// Identical results to [`SimilarityQuery::execute_store`] — which is
+    /// what runs when not `parallel`; otherwise the per-trajectory checks
+    /// run side by side over zero-copy views. (Index pruning is unsound
+    /// here: a trajectory with no *sampled* point near the window can
+    /// still match through interpolation.)
+    fn similarity_hits(&self, q: &SimilarityQuery, parallel: bool) -> Vec<TrajId> {
+        if !parallel {
+            return q.execute_store(&self.store);
+        }
         let ids: Vec<TrajId> = (0..self.store.len()).collect();
         let matches = par_map(&ids, |&id| q.matches_seq(&self.store.view(id)));
         ids.into_iter()
@@ -775,35 +593,22 @@ impl<'a> QueryEngine<'a> {
             .filter_map(|(id, m)| m.then_some(id))
             .collect()
     }
+}
 
-    /// Executes a batch of similarity queries, parallel across queries.
-    /// Each query's per-trajectory checks run sequentially inside its
-    /// worker — one level of parallelism, not `cores²` threads.
-    #[must_use]
-    pub fn similarity_batch(&self, queries: &[SimilarityQuery]) -> Vec<Vec<TrajId>> {
-        par_map(queries, |q| self.similarity_seq(q))
-    }
-
-    /// [`QueryEngine::similarity`] with the per-trajectory checks run
-    /// sequentially — the per-query unit batch passes parallelize over.
-    pub(crate) fn similarity_seq(&self, q: &SimilarityQuery) -> Vec<TrajId> {
-        q.execute_store(&self.store)
-    }
-
-    // ------------------------------------------------------------------
-    // Workload maintenance.
-    // ------------------------------------------------------------------
-
-    /// Builds a [`MaintainedWorkload`] over `queries`: ground truth comes
-    /// from this engine (index-accelerated, parallel), and the running
-    /// result sets start from `simp`.
-    #[must_use]
-    pub fn maintained_workload(
-        &self,
-        queries: Vec<Cube>,
-        simp: &Simplification,
-    ) -> MaintainedWorkload {
-        MaintainedWorkload::new(self, queries, simp)
+/// An engine is the one-segment list `[all of it]`: the whole
+/// [`QueryExecutor`] surface follows from the shared fan-out, which for a
+/// single segment is [`QueryEngine::material`] plus the merge's
+/// finishing step (the kNN infinite-fill, the `RangeKept` option).
+impl Segmented for QueryEngine<'_> {
+    fn with_segments<R>(&self, f: impl FnOnce(&[Segment<'_>]) -> R) -> R {
+        f(&[Segment {
+            engine: self,
+            ids: IdMap::Offset {
+                first: 0,
+                len: self.store.len(),
+            },
+            bounds: self.bounding_cube(),
+        }])
     }
 }
 
@@ -1131,7 +936,7 @@ pub(crate) fn count_kept_hits<S: AsColumns + ?Sized>(
 /// intersection with the ground truth `Q(D)`. [`MaintainedWorkload::insert`]
 /// updates all three in O(queries containing the point); the aggregate
 /// `diff` (Eq. 10's `1 − mean F1`) is then O(W) with no database access at
-/// all — the "maintain, don't rescan" half of the tentpole.
+/// all.
 #[derive(Debug, Clone)]
 pub struct MaintainedWorkload {
     queries: Vec<Cube>,
@@ -1146,24 +951,10 @@ pub struct MaintainedWorkload {
 }
 
 impl MaintainedWorkload {
-    /// Builds the workload state: ground truth via `engine` (indexed,
-    /// parallel), initial result sets from `simp`.
-    #[must_use]
-    pub fn new(engine: &QueryEngine<'_>, queries: Vec<Cube>, simp: &Simplification) -> Self {
-        let truth = engine.range_batch(&queries);
-        let kept = engine.own_view(simp);
-        let initial: Vec<HashMap<TrajId, u32>> = par_map(&queries, |q| {
-            let mut counts = HashMap::new();
-            count_kept_hits(engine.store(), kept, q, &mut counts);
-            counts
-        });
-        Self::from_parts(queries, truth, initial)
-    }
-
     /// Assembles the workload state from already-computed ground truth and
-    /// kept-point hit counts — the seam multi-segment executors use: truth
-    /// and counts come from a fan-out over segments (in global ids), the
-    /// derived `|Rs|` / `|Ro ∩ Rs|` bookkeeping is shared.
+    /// kept-point hit counts, both in global ids — what
+    /// [`QueryExecutor::maintained_workload`] computes over its segment
+    /// list; the `|Rs|` / `|Ro ∩ Rs|` bookkeeping is derived here.
     pub(crate) fn from_parts(
         queries: Vec<Cube>,
         truth: Vec<Vec<TrajId>>,
@@ -1278,15 +1069,15 @@ impl MaintainedWorkload {
     }
 
     /// From-scratch recomputation of [`MaintainedWorkload::diff`] for
-    /// `simp` via the engine — the O(W·N) path the incremental bookkeeping
-    /// replaces; kept for verification and for scoring unrelated
-    /// simplifications.
+    /// `simp` via `executor` (any layout over the same trajectories) — the
+    /// O(W·N) path the incremental bookkeeping replaces; kept for
+    /// verification and for scoring unrelated simplifications.
     #[must_use]
-    pub fn diff_of(&self, engine: &QueryEngine<'_>, simp: &Simplification) -> f64 {
+    pub fn diff_of(&self, executor: &(impl QueryExecutor + ?Sized), simp: &Simplification) -> f64 {
         if self.queries.is_empty() {
             return 0.0;
         }
-        let results = engine.range_simplified_batch(simp, &self.queries);
+        let results = executor.range_simplified_batch(simp, &self.queries);
         let scores: Vec<F1Score> = results
             .iter()
             .zip(&self.truth)
@@ -1402,6 +1193,37 @@ mod tests {
                     "backend {:?}",
                     cfg.backend
                 );
+            }
+        }
+    }
+
+    /// An answer of `k` ids owns `k` ids' worth of memory however many
+    /// candidates were scored: whoever holds many answers (a cache, a
+    /// serving oracle) must not hold every query's candidate buffer too.
+    #[test]
+    fn a_knn_answer_does_not_keep_its_candidate_buffer() {
+        let spec = DatasetSpec::geolife(Scale::Smoke).with_trajectories(40);
+        let store = generate(&spec, 4242).to_store();
+        let (t0, t1) = store.time_span();
+        let knn = |k: usize| KnnQuery {
+            query: store.view(0).to_trajectory(),
+            ts: t0,
+            te: t1,
+            k,
+            measure: Dissimilarity::Edr { eps: 1_000.0 },
+        };
+        let k = 2;
+        for cfg in all_backends() {
+            let engine = QueryEngine::over_store(&store, cfg);
+            assert!(engine.knn_candidates(&knn(store.len())).len() >= 10 * k);
+            let batch = crate::QueryBatch::from_queries(vec![Query::Knn(knn(k))]);
+            for ids in [
+                engine.knn(&knn(k)),
+                engine.execute_one(&Query::Knn(knn(k))).into_ids().unwrap(),
+                engine.execute_batch(&batch).remove(0).into_ids().unwrap(),
+            ] {
+                assert_eq!(ids.len(), k);
+                assert!(ids.capacity() <= 2 * k, "{} ids", ids.capacity());
             }
         }
     }

@@ -278,7 +278,6 @@ struct Sealed {
 struct Inner {
     generation: u64,
     base: Arc<QueryEngine<'static>>,
-    base_bounds: Cube,
     sealed: Vec<Arc<Sealed>>,
     active: DeltaStore,
     /// Running bounding cube of the active delta, unioned on ingest.
@@ -319,7 +318,7 @@ impl Inner {
     /// delta of [`Inner::delta_engines`], with contiguous ids in the
     /// order a from-scratch rebuild would assign them.
     fn segments<'s>(&'s self, deltas: &'s [(QueryEngine<'s>, Cube)]) -> Vec<Segment<'s>> {
-        let base: (&QueryEngine<'s>, Cube) = (&self.base, self.base_bounds);
+        let base: (&QueryEngine<'s>, Cube) = (&self.base, self.base.bounding_cube());
         let mut first = 0;
         std::iter::once(base)
             .chain(deltas.iter().map(|(engine, bounds)| (engine, *bounds)))
@@ -459,12 +458,8 @@ impl GenerationalDb {
         let cfg = opts.engine_config();
         let base = match opts.open_mode() {
             OpenMode::Owned => QueryEngine::from_store(read_snapshot(&snap_path)?.store, cfg),
-            OpenMode::Auto | OpenMode::Mapped => {
-                QueryEngine::from_mapped(MappedStore::open(&snap_path)?, cfg)
-            }
+            OpenMode::Mapped => QueryEngine::from_mapped(MappedStore::open(&snap_path)?, cfg),
         };
-        let base_bounds = base.store().bounding_cube();
-
         let mut seqs: Vec<u64> = Vec::new();
         for entry in fs::read_dir(&dir)? {
             if let Some(seq) = parse_wal_name(&entry?.file_name().to_string_lossy()) {
@@ -491,7 +486,6 @@ impl GenerationalDb {
             inner: RwLock::new(Inner {
                 generation: manifest.generation,
                 base: Arc::new(base),
-                base_bounds,
                 sealed,
                 active,
                 active_bounds,
@@ -622,7 +616,7 @@ impl GenerationalDb {
         fs::rename(&tmp, &snap_path)?;
         let engine = match self.opts.open_mode() {
             OpenMode::Owned => QueryEngine::from_store(folded, self.opts.engine_config()),
-            OpenMode::Auto | OpenMode::Mapped => {
+            OpenMode::Mapped => {
                 QueryEngine::from_mapped(MappedStore::open(&snap_path)?, self.opts.engine_config())
             }
         };
@@ -637,11 +631,11 @@ impl GenerationalDb {
             },
         )?;
 
-        // Phase 4 (write lock): swap serving onto the new generation.
-        let base_bounds = engine.store().bounding_cube();
+        // Phase 4 (write lock): swap serving onto the new generation. Its
+        // bounds are learnt here, ahead of the lock, not by its first query.
+        let _ = engine.bounding_cube();
         {
             let mut inner = self.inner.write().unwrap();
-            inner.base_bounds = base_bounds;
             inner.base = Arc::new(engine);
             inner.generation = next_gen;
             inner.sealed.retain(|s| s.seq >= new_wal_start);

@@ -19,39 +19,47 @@
 //! index, no SIMD — with the executors checked against it. Production
 //! consumers should construct a [`QueryEngine`] instead: it owns (or
 //! borrows) the columns together with a spatio-temporal index backend
-//! ([`BackendKind`]: octree, median kd-tree, or the naive scan), prunes
-//! query execution through the index, runs batch workloads data-parallel
-//! across cores, and — via [`MaintainedWorkload`] — keeps a workload's
-//! results over a growing simplification incrementally up to date
-//! instead of rescanning. Property tests guarantee engine results equal
-//! the scan reference for every backend, owned or mapped — see
-//! [`QueryEngine::over_mapped`] and `docs/ARCHITECTURE.md`.
+//! ([`BackendKind`]: octree, median kd-tree, or the naive scan) and
+//! prunes query execution through the index; a [`MaintainedWorkload`]
+//! keeps a workload's results over a growing simplification
+//! incrementally up to date instead of rescanning. Property tests
+//! guarantee engine results equal the scan reference for every backend,
+//! owned or mapped — see [`QueryEngine::over_mapped`] and
+//! `docs/ARCHITECTURE.md`.
 //!
 //! The row-form [`trajectory::TrajectoryDb`] is a builder, not a query
 //! input. Three entry points still accept one, each a one-line forward
 //! through `to_store()` kept because the frozen benchmark calls it:
 //! [`range_workload`], [`QueryEngine::over`] and [`TrajDb::from_db`].
 //!
-//! A database served from more than one set of columns is an ordered
-//! list of [`Segment`]s, answered by the one fan-out and the one
-//! [`merge`] of [`segment`]: a [`ShardedQueryEngine`] (one segment per
-//! shard, indexes built in parallel, see [`sharded`]), a live
-//! [`GenerationalDb`] (`[base, sealed deltas…, active delta]`, see
-//! [`generational`]), and — over the wire — the coordinator in
-//! `traj-serve`.
+//! # One query surface, one implementation
 //!
-//! All executors sit behind the public façade in [`db`]: the
-//! [`QueryExecutor`] trait (one signature set over every layout), typed
+//! Queries are asked through the [`QueryExecutor`] trait (one-shot,
+//! batch, simplified-database and workload-maintenance methods; typed
 //! [`Query`]/[`QueryResult`] pairs with heterogeneous [`QueryBatch`]
-//! plans executed in a single data-parallel pass, and [`TrajDb`] —
-//! [`TrajDb::open`] auto-detects CSV vs snapshot vs shard directory and
-//! serves whatever it finds through the same API.
+//! plans executed in a single data-parallel pass). The trait is
+//! implemented **once**, in [`segment`], for anything that hands out its
+//! database as an ordered list of [`Segment`]s ([`Segmented`]): every
+//! query is the one fan-out ([`Segment::answer`] per segment) and the one
+//! [`merge`]. Who supplies a list:
+//!
+//! - a [`QueryEngine`] — one segment, all of it;
+//! - a [`ShardedQueryEngine`] — one segment per shard, indexes built in
+//!   parallel (see [`sharded`]);
+//! - [`TrajDb`] — the façade in [`db`]: [`TrajDb::open`] auto-detects CSV
+//!   vs snapshot vs shard directory and hands on the list of whichever
+//!   engine it built;
+//! - a live [`GenerationalDb`] — `[base, sealed deltas…, active delta]`
+//!   (see [`generational`]);
+//! - and, over the wire, the coordinator in `traj-serve`, whose segments
+//!   are shard processes answering with the same merge material.
 //!
 //! # Example: build once, serve ranges, kNN, and similarity
 //!
 //! ```
 //! use traj_query::{
-//!     range_workload_store, EngineConfig, QueryDistribution, QueryEngine, RangeWorkloadSpec,
+//!     range_workload_store, EngineConfig, QueryDistribution, QueryEngine, QueryExecutor,
+//!     RangeWorkloadSpec,
 //! };
 //! use trajectory::gen::{generate, DatasetSpec, Scale};
 //! use rand::rngs::StdRng;
@@ -89,7 +97,7 @@ pub use db::{
     DbOptions, OpenMode, Query, QueryBatch, QueryExecutor, QueryKind, QueryResult, TrajDb,
     TrajDbError,
 };
-pub use engine::{BackendKind, EngineConfig, MaintainedWorkload, QueryEngine};
+pub use engine::{BackendKind, EngineConfig, MaintainedWorkload, QueryEngine, QueryScratch};
 pub use generational::{
     spawn_compactor, CompactionReport, CompactorHandle, GenError, GenerationalDb, IngestReport,
     SimpFactory,

@@ -17,7 +17,8 @@ use trajectory::{AsColumns, Cube, PointSeq, TrajId, TrajView};
 /// over [`PointSeq`] and shares no kernel with what it checks: in
 /// particular it never calls [`trajectory::simd`], which [`view_matches`]
 /// and the engine's `Scan` backend use. Production code should prefer
-/// [`crate::QueryEngine::range`], which prunes through an index and
+/// [`QueryExecutor::range`](crate::QueryExecutor::range) on a
+/// [`QueryEngine`](crate::QueryEngine), which prunes through an index and
 /// returns identical results.
 #[must_use]
 pub fn range_query_store<S: AsColumns + ?Sized>(store: &S, q: &Cube) -> Vec<TrajId> {
@@ -57,8 +58,9 @@ pub fn view_matches(v: TrajView<'_>, q: &Cube) -> bool {
 }
 
 /// Executes a batch of range queries (the result of one workload) by
-/// linear scan — the reference for [`crate::QueryEngine::range_batch`],
-/// which spreads queries across cores and prunes each through the index.
+/// linear scan — the reference for
+/// [`QueryExecutor::range_batch`](crate::QueryExecutor::range_batch), which
+/// spreads queries across cores and prunes each through the index.
 #[must_use]
 pub fn range_query_batch<S: AsColumns + ?Sized>(store: &S, queries: &[Cube]) -> Vec<Vec<TrajId>> {
     queries

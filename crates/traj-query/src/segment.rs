@@ -1,9 +1,11 @@
-//! The segment: the single unit of "answer over parts, then merge".
+//! The segment: the single unit of "answer over parts, then merge", and
+//! the single implementation of [`QueryExecutor`].
 //!
-//! Every executor that serves more than one set of columns treats its
-//! database as an **ordered list of segments** — the in-process
-//! [`ShardedQueryEngine`](crate::ShardedQueryEngine) (one segment per
-//! shard), the live [`GenerationalDb`](crate::GenerationalDb) (base
+//! Every executor treats its database as an **ordered list of
+//! segments** — a [`QueryEngine`] (one segment: all of it), the
+//! in-process [`ShardedQueryEngine`](crate::ShardedQueryEngine) (one
+//! segment per shard), [`TrajDb`](crate::TrajDb) (whichever of the two it
+//! opened), the live [`GenerationalDb`](crate::GenerationalDb) (base
 //! generation, sealed deltas, active delta) and the distributed
 //! coordinator in `traj-serve` (one remote segment per shard process).
 //! A [`Segment`] is a [`QueryEngine`] — indexed, or the zero-cost
@@ -16,9 +18,10 @@
 //! [`Answer`]s of any number of segments into the [`QueryResult`] a
 //! single store over the union would have returned. [`fan_out`] is the
 //! two composed for in-process segments, and an in-process executor is
-//! nothing but its segment list ([`Segmented`]); a remote executor skips
-//! [`Segment::answer`] — the shard process already ran it — and hands
-//! the decoded material to the same [`merge`].
+//! nothing but its segment list: the blanket impl over [`Segmented`]
+//! below is the only `impl QueryExecutor` in the workspace. A remote
+//! executor skips [`Segment::answer`] — the shard process already ran
+//! it — and hands the decoded material to the same [`merge`].
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -26,9 +29,9 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 use trajectory::{AsColumns, Cube, Simplification, TrajId};
 
 use crate::db::{Query, QueryBatch, QueryExecutor, QueryResult};
-use crate::engine::{count_kept_hits, KeptView, MaintainedWorkload, QueryEngine};
+use crate::engine::{count_kept_hits, KeptView, MaintainedWorkload, QueryEngine, QueryScratch};
 use crate::knn::KnnQuery;
-use crate::parallel::par_map;
+use crate::parallel::par_map_with;
 use crate::similarity::SimilarityQuery;
 
 /// One segment's raw answer to one query, in **segment-local**
@@ -152,15 +155,16 @@ impl<'a> Segment<'a> {
     /// `q` over the segment's engine. `parallel` lets the engine use
     /// its internal data parallelism (kNN scoring, similarity checks);
     /// batch workers pass `false` so a batch stays one level of
-    /// parallelism deep.
+    /// parallelism deep. `scratch` is the calling worker's, reused
+    /// across the segments and the queries it walks.
     #[must_use]
-    pub fn answer(&self, q: &Query, parallel: bool) -> Answer {
+    pub fn answer(&self, q: &Query, parallel: bool, scratch: &mut QueryScratch) -> Answer {
         if !query_touches_bounds(q, &self.bounds) {
             return Answer::Pruned {
-                has_kept: self.engine.has_kept_bitmap(),
+                has_kept: self.engine.kept_bitmap().is_some(),
             };
         }
-        Answer::Material(self.engine.material(q, parallel))
+        Answer::Material(self.engine.material(q, parallel, scratch))
     }
 }
 
@@ -253,19 +257,25 @@ pub fn merge(q: &Query, parts: Vec<(IdMap<'_>, Answer)>) -> Result<QueryResult, 
     }
 }
 
-/// Appends `local` ids to `out` as global ids.
+/// Appends `local` ids to `out` as global ids. The first list to arrive
+/// is remapped where it lies and becomes `out` — all there is to do for
+/// a one-segment list, or when one segment holds every hit.
 fn remap_into(
     out: &mut Vec<TrajId>,
     ids: &IdMap<'_>,
-    local: Vec<TrajId>,
+    mut local: Vec<TrajId>,
     segment: usize,
 ) -> Result<(), MergeError> {
-    out.reserve(local.len());
-    for l in local {
-        out.push(ids.global(l).ok_or(MergeError {
+    for l in &mut local {
+        *l = ids.global(*l).ok_or(MergeError {
             segment,
             reason: "segment-local id out of range",
-        })?);
+        })?;
+    }
+    if out.is_empty() {
+        *out = local;
+    } else {
+        out.extend(local);
     }
     Ok(())
 }
@@ -329,46 +339,74 @@ fn merge_candidates(
 
 const WELL_FORMED: &str = "in-process segments answer in kind with in-range ids";
 
-/// Every segment's [`Answer`] to `q`, side by side when `parallel`.
-fn answers<'a>(segments: &[Segment<'a>], q: &Query, parallel: bool) -> Vec<(IdMap<'a>, Answer)> {
-    let answer = |seg: &Segment<'a>| (seg.ids, seg.answer(q, parallel));
+/// `f` over every segment: one after the other on the caller's
+/// `scratch`, or — `parallel` — side by side, each worker on a scratch
+/// of its own.
+fn per_segment<'a, R: Send>(
+    segments: &[Segment<'a>],
+    parallel: bool,
+    scratch: &mut QueryScratch,
+    f: impl Fn(&Segment<'a>, &mut QueryScratch) -> R + Sync,
+) -> Vec<R> {
     if parallel {
-        par_map(segments, answer)
+        par_map_with(segments, QueryScratch::new, |scratch, seg| f(seg, scratch))
     } else {
-        segments.iter().map(answer).collect()
+        segments.iter().map(|seg| f(seg, scratch)).collect()
     }
+}
+
+/// Every segment's [`Answer`] to `q`.
+fn answers<'a>(
+    segments: &[Segment<'a>],
+    q: &Query,
+    parallel: bool,
+    scratch: &mut QueryScratch,
+) -> Vec<(IdMap<'a>, Answer)> {
+    per_segment(segments, parallel, scratch, |seg, scratch| {
+        (seg.ids, seg.answer(q, parallel, scratch))
+    })
 }
 
 /// **The** fan-out: answers `q` over every segment and merges. With
 /// `parallel` a single query uses the whole machine (segments side by
 /// side, engines with their internal parallelism); a batch worker
-/// passes `false` and stays sequential.
+/// passes `false` and its own `scratch`, and stays sequential.
 #[must_use]
-pub fn fan_out(segments: &[Segment<'_>], q: &Query, parallel: bool) -> QueryResult {
-    merge(q, answers(segments, q, parallel)).expect(WELL_FORMED)
+pub fn fan_out(
+    segments: &[Segment<'_>],
+    q: &Query,
+    parallel: bool,
+    scratch: &mut QueryScratch,
+) -> QueryResult {
+    merge(q, answers(segments, q, parallel, scratch)).expect(WELL_FORMED)
 }
 
-/// [`fan_out`] for the kinds that always answer with ids (every kind
-/// but `RangeKept`).
-fn fan_out_ids(segments: &[Segment<'_>], q: &Query, parallel: bool) -> Vec<TrajId> {
-    fan_out(segments, q, parallel)
+/// The ids of a result of any kind but `RangeKept`.
+fn ids(result: QueryResult) -> Vec<TrajId> {
+    result
         .into_ids()
         .expect("range, kNN and similarity results carry ids")
 }
 
 /// The whole segment list answering `q` as *one* segment of a larger
-/// database: merged material in global ids, no kNN fill — what
-/// [`QueryExecutor::shard_result`] returns for it.
-fn material(segments: &[Segment<'_>], q: &Query, parallel: bool) -> ShardResult {
+/// database: merged material in global ids, no kNN fill.
+fn material(
+    segments: &[Segment<'_>],
+    q: &Query,
+    parallel: bool,
+    scratch: &mut QueryScratch,
+) -> ShardResult {
     match q {
         Query::Range(_) | Query::Similarity(_) => {
-            ShardResult::Ids(fan_out_ids(segments, q, parallel))
+            ShardResult::Ids(ids(fan_out(segments, q, parallel, scratch)))
         }
         Query::Knn(k) => {
-            let parts = answers(segments, q, parallel);
+            let parts = answers(segments, q, parallel, scratch);
             ShardResult::Candidates(merge_candidates(k.k, parts).expect(WELL_FORMED))
         }
-        Query::RangeKept(_) => ShardResult::Kept(fan_out(segments, q, parallel).into_ids()),
+        Query::RangeKept(_) => {
+            ShardResult::Kept(fan_out(segments, q, parallel, scratch).into_ids())
+        }
     }
 }
 
@@ -379,20 +417,17 @@ fn range_simplified(
     simp: &Simplification,
     q: &Cube,
     parallel: bool,
+    scratch: &mut QueryScratch,
 ) -> Vec<TrajId> {
-    let hits = |seg: &Segment<'_>| -> Vec<TrajId> {
+    let hits = per_segment(segments, parallel, scratch, |seg, scratch| {
         if !seg.bounds.intersects(q) {
             return Vec::new();
         }
         let kept = KeptView::new(simp, seg.ids);
-        let local = seg.engine.range_simplified_view(kept, q);
+        let local = seg.engine.range_simplified_view(kept, q, scratch);
         local.into_iter().map(|l| kept.global(l)).collect()
-    };
-    let mut out: Vec<TrajId> = if parallel {
-        par_map(segments, hits).into_iter().flatten().collect()
-    } else {
-        segments.iter().flat_map(hits).collect()
-    };
+    });
+    let mut out: Vec<TrajId> = hits.into_iter().flatten().collect();
     out.sort_unstable();
     out
 }
@@ -400,17 +435,61 @@ fn range_simplified(
 /// An executor that *is* a segment list: implementing this one method
 /// provides the whole [`QueryExecutor`] surface through the shared
 /// fan-out — a one-shot query runs its segments side by side, a batch
-/// runs its queries side by side with each walking the segments
-/// sequentially (one level of parallelism, not `cores²` threads).
+/// runs its queries side by side with each worker walking the segments
+/// sequentially on its own [`QueryScratch`] (one level of parallelism,
+/// not `cores²` threads; one hit buffer per worker, not per query).
 pub trait Segmented: Sync {
     /// Runs `f` over the segment list. Everything `f` does sees one
     /// consistent list (a live database holds its read lock for it).
     fn with_segments<R>(&self, f: impl FnOnce(&[Segment<'_>]) -> R) -> R;
 }
 
+/// One query on the calling thread: `f` over the segment list with a
+/// scratch of its own.
+fn one_query<T: Segmented, R>(
+    exec: &T,
+    f: impl FnOnce(&[Segment<'_>], &mut QueryScratch) -> R,
+) -> R {
+    exec.with_segments(|segments| f(segments, &mut QueryScratch::new()))
+}
+
+/// One data-parallel pass over `items` and one segment list: every
+/// item — whatever it costs — is a work item of a single work-stealing
+/// loop, `f` runs it sequentially on its worker's scratch, and results
+/// come back in submission order.
+fn batch_pass<T: Segmented, I: Sync, R: Send>(
+    exec: &T,
+    items: &[I],
+    f: impl Fn(&[Segment<'_>], &I, &mut QueryScratch) -> R + Sync,
+) -> Vec<R> {
+    exec.with_segments(|segments| {
+        par_map_with(items, QueryScratch::new, |scratch, item| {
+            f(segments, item, scratch)
+        })
+    })
+}
+
+/// A homogeneous batch: [`batch_pass`] over `items`, each wrapped into
+/// its typed [`Query`] by `query`.
+fn typed_batch<T: Segmented, I: Sync>(
+    exec: &T,
+    items: &[I],
+    query: impl Fn(&I) -> Query + Sync,
+) -> Vec<Vec<TrajId>> {
+    batch_pass(exec, items, |segments, item, scratch| {
+        ids(fan_out(segments, &query(item), false, scratch))
+    })
+}
+
+/// **The** implementation of the query surface, for every executor in
+/// the workspace.
 impl<T: Segmented> QueryExecutor for T {
     fn len(&self) -> usize {
         self.with_segments(|segments| segments.iter().map(|seg| seg.ids.len()).sum())
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     fn total_points(&self) -> usize {
@@ -426,8 +505,9 @@ impl<T: Segmented> QueryExecutor for T {
         self.with_segments(|segments| {
             segments
                 .iter()
-                .find_map(|seg| seg.ids.local(id).map(|l| seg.engine.trajectory(l)))
+                .find_map(|seg| seg.ids.local(id).map(|l| seg.engine.store().view(l)))
                 .expect("trajectory id out of range")
+                .to_trajectory()
         })
     }
 
@@ -442,53 +522,46 @@ impl<T: Segmented> QueryExecutor for T {
     }
 
     fn range(&self, q: &Cube) -> Vec<TrajId> {
-        self.with_segments(|segments| fan_out_ids(segments, &Query::Range(*q), true))
+        ids(self.execute(&Query::Range(*q)))
     }
 
     fn range_batch(&self, queries: &[Cube]) -> Vec<Vec<TrajId>> {
-        self.with_segments(|segments| {
-            par_map(queries, |q| fan_out_ids(segments, &Query::Range(*q), false))
-        })
+        typed_batch(self, queries, |q| Query::Range(*q))
     }
 
     fn knn(&self, q: &KnnQuery) -> Vec<TrajId> {
-        self.with_segments(|segments| fan_out_ids(segments, &Query::Knn(q.clone()), true))
+        ids(self.execute(&Query::Knn(q.clone())))
     }
 
     fn knn_batch(&self, queries: &[KnnQuery]) -> Vec<Vec<TrajId>> {
-        self.with_segments(|segments| {
-            par_map(queries, |q| {
-                fan_out_ids(segments, &Query::Knn(q.clone()), false)
-            })
-        })
+        typed_batch(self, queries, |q| Query::Knn(q.clone()))
     }
 
     /// The global best `k` finite candidates — the whole segment list
     /// answering as one remote segment.
     fn knn_candidates(&self, q: &KnnQuery) -> Vec<(f64, TrajId)> {
-        self.with_segments(|segments| {
-            let parts = answers(segments, &Query::Knn(q.clone()), true);
-            merge_candidates(q.k, parts).expect(WELL_FORMED)
-        })
+        match self.shard_result(&Query::Knn(q.clone())) {
+            ShardResult::Candidates(candidates) => candidates,
+            _ => unreachable!("kNN material is a candidate list"),
+        }
     }
 
     fn similarity(&self, q: &SimilarityQuery) -> Vec<TrajId> {
-        self.with_segments(|segments| fan_out_ids(segments, &Query::Similarity(q.clone()), true))
+        ids(self.execute(&Query::Similarity(q.clone())))
     }
 
     fn similarity_batch(&self, queries: &[SimilarityQuery]) -> Vec<Vec<TrajId>> {
-        self.with_segments(|segments| {
-            par_map(queries, |q| {
-                fan_out_ids(segments, &Query::Similarity(q.clone()), false)
-            })
-        })
+        typed_batch(self, queries, |q| Query::Similarity(q.clone()))
     }
 
     /// True when there is a segment and every segment carries a kept
     /// bitmap — the [`merge`] rule for `RangeKept`, asked up front.
     fn has_kept_bitmap(&self) -> bool {
         self.with_segments(|segments| {
-            !segments.is_empty() && segments.iter().all(|seg| seg.engine.has_kept_bitmap())
+            !segments.is_empty()
+                && segments
+                    .iter()
+                    .all(|seg| seg.engine.kept_bitmap().is_some())
         })
     }
 
@@ -497,47 +570,39 @@ impl<T: Segmented> QueryExecutor for T {
     }
 
     fn range_simplified(&self, simp: &Simplification, q: &Cube) -> Vec<TrajId> {
-        self.with_segments(|segments| range_simplified(segments, simp, q, true))
+        one_query(self, |segments, scratch| {
+            range_simplified(segments, simp, q, true, scratch)
+        })
     }
 
     fn range_simplified_batch(&self, simp: &Simplification, queries: &[Cube]) -> Vec<Vec<TrajId>> {
-        self.with_segments(|segments| {
-            par_map(queries, |q| range_simplified(segments, simp, q, false))
+        batch_pass(self, queries, |segments, q, scratch| {
+            range_simplified(segments, simp, q, false, scratch)
         })
     }
 
     /// Ground truth from the fan-out, kept-point hit counts from the one
     /// counting routine, all in global ids.
     fn maintained_workload(&self, queries: Vec<Cube>, simp: &Simplification) -> MaintainedWorkload {
-        self.with_segments(|segments| {
-            let truth = par_map(&queries, |q| {
-                fan_out_ids(segments, &Query::Range(*q), false)
-            });
-            let counts = par_map(&queries, |q| {
-                let mut counts = HashMap::new();
-                // Kept points inside q lie inside their segment's bounds.
-                for seg in segments.iter().filter(|seg| seg.bounds.intersects(q)) {
-                    let kept = KeptView::new(simp, seg.ids);
-                    count_kept_hits(seg.engine.store(), kept, q, &mut counts);
-                }
-                counts
-            });
-            MaintainedWorkload::from_parts(queries, truth, counts)
+        let (truth, counts) = batch_pass(self, &queries, |segments, q, scratch| {
+            let truth = ids(fan_out(segments, &Query::Range(*q), false, scratch));
+            let mut counts = HashMap::new();
+            // Kept points inside q lie inside their segment's bounds.
+            for seg in segments.iter().filter(|seg| seg.bounds.intersects(q)) {
+                let kept = KeptView::new(simp, seg.ids);
+                count_kept_hits(seg.engine.store(), kept, q, &mut counts);
+            }
+            (truth, counts)
         })
+        .into_iter()
+        .unzip();
+        MaintainedWorkload::from_parts(queries, truth, counts)
     }
 
-    fn execute_one(&self, q: &Query) -> QueryResult {
-        self.with_segments(|segments| fan_out(segments, q, false))
-    }
-
-    fn execute(&self, q: &Query) -> QueryResult {
-        self.with_segments(|segments| fan_out(segments, q, true))
-    }
-
-    /// One segment list for the whole batch: every query of the plan
-    /// sees the same consistent snapshot.
-    fn execute_batch(&self, batch: &QueryBatch) -> Vec<QueryResult> {
-        self.with_segments(|segments| par_map(batch.queries(), |q| fan_out(segments, q, false)))
+    fn shard_result(&self, q: &Query) -> ShardResult {
+        one_query(self, |segments, scratch| {
+            material(segments, q, true, scratch)
+        })
     }
 
     /// One segment list for the whole frame, as for
@@ -545,7 +610,29 @@ impl<T: Segmented> QueryExecutor for T {
     /// coordinator's frame from one state, never straddling an ingest
     /// or a fold.
     fn shard_batch(&self, batch: &QueryBatch) -> Vec<ShardResult> {
-        self.with_segments(|segments| par_map(batch.queries(), |q| material(segments, q, false)))
+        batch_pass(self, batch.queries(), |segments, q, scratch| {
+            material(segments, q, false, scratch)
+        })
+    }
+
+    fn execute_one(&self, q: &Query) -> QueryResult {
+        one_query(self, |segments, scratch| {
+            fan_out(segments, q, false, scratch)
+        })
+    }
+
+    fn execute(&self, q: &Query) -> QueryResult {
+        one_query(self, |segments, scratch| {
+            fan_out(segments, q, true, scratch)
+        })
+    }
+
+    /// One segment list for the whole batch: every query of the plan
+    /// sees the same consistent snapshot.
+    fn execute_batch(&self, batch: &QueryBatch) -> Vec<QueryResult> {
+        batch_pass(self, batch.queries(), |segments, q, scratch| {
+            fan_out(segments, q, false, scratch)
+        })
     }
 }
 
@@ -556,8 +643,8 @@ impl<T: Segmented> QueryExecutor for T {
 /// Merges per-stream kNN candidate lists into the global best `k`,
 /// still sorted ascending by `(distance, id)`. Each input stream must
 /// be sorted ascending by `(distance, id)` with finite,
-/// `-0.0`-normalized distances and globally unique ids — the shape
-/// [`QueryEngine::knn_candidates`] returns.
+/// `-0.0`-normalized distances and globally unique ids — the shape of
+/// [`ShardResult::Candidates`].
 #[must_use]
 pub fn merge_knn_candidates(k: usize, per_stream: &[Vec<(f64, TrajId)>]) -> Vec<(f64, TrajId)> {
     // Global k-heap: a best-first k-way merge over the sorted

@@ -3,8 +3,8 @@
 //! A [`ShardedQueryEngine`] holds one [`QueryEngine`] per shard (each over
 //! its own columns — heap-owned or mmap-backed — with its own index, all
 //! built **in parallel** via [`par_map`]) plus the shard-local → global
-//! trajectory id tables and per-shard bounding cubes — that is, a list of
-//! [`Segment`]s. Every query is the shared fan-out of
+//! trajectory id tables — that is, a list of [`Segment`]s, each bounded
+//! by its engine's bounding cube. Every query is the shared fan-out of
 //! [`segment`](crate::segment): each shard whose bounds can contribute
 //! answers, the one [`merge`](crate::merge) combines, and the result is
 //! **byte-identical** to a single-store [`QueryEngine`] over the
@@ -14,23 +14,21 @@
 //! partitioners and index backends, including mmap-backed shards.
 
 use trajectory::shard::{partition, OpenShard, PartitionStrategy, Shard};
-use trajectory::{AsColumns, Cube, KeptBitmap, MappedStore, PointStore, StoreRef, TrajId};
+use trajectory::{KeptBitmap, MappedStore, PointStore, StoreRef, TrajId};
 
 use crate::engine::{build_backend, EngineConfig, QueryEngine};
 use crate::parallel::par_map;
 use crate::segment::{IdMap, Segment, Segmented};
 
 /// One shard as the router sees it: its engine (which carries the shard
-/// snapshot's kept bitmap, when one was persisted), its id translation,
-/// and its bounds.
+/// snapshot's kept bitmap, when one was persisted, and knows the bounding
+/// cube range routing and kNN time pruning test against) and its id
+/// translation.
 struct ShardHandle<'a> {
     engine: QueryEngine<'a>,
     /// `global_ids[local]` = global trajectory id; strictly ascending, so
     /// shard-local result order is global order.
     global_ids: Vec<TrajId>,
-    /// Smallest cube covering the shard's points — what range routing and
-    /// kNN time pruning test against.
-    bounds: Cube,
 }
 
 /// A query engine over a sharded database: per-shard indexes built in
@@ -121,7 +119,7 @@ impl<'a> ShardedQueryEngine<'a> {
     /// The shared constructor core: per-shard index builds run in
     /// parallel via [`par_map`] over the store handles (owned, borrowed,
     /// or mapped — [`StoreRef`] implements `AsColumns`), then each store
-    /// moves into its engine alongside its bounds and id map.
+    /// moves into its engine alongside its id map.
     fn build(
         shards: Vec<(StoreRef<'a>, Vec<TrajId>, Option<KeptBitmap>)>,
         config: EngineConfig,
@@ -131,14 +129,9 @@ impl<'a> ShardedQueryEngine<'a> {
             .into_iter()
             .zip(backends)
             .map(|((store, global_ids, kept), backend)| {
-                let bounds = store.bounding_cube();
                 let mut engine = QueryEngine::from_backend(store, backend, config);
                 engine.set_kept_bitmap(kept);
-                ShardHandle {
-                    engine,
-                    global_ids,
-                    bounds,
-                }
+                ShardHandle { engine, global_ids }
             })
             .collect();
         let total_trajs = shards.iter().map(|sh| sh.global_ids.len()).sum();
@@ -187,7 +180,7 @@ impl Segmented for ShardedQueryEngine<'_> {
             .map(|sh| Segment {
                 engine: &sh.engine,
                 ids: IdMap::Table(&sh.global_ids),
-                bounds: sh.bounds,
+                bounds: sh.engine.bounding_cube(),
             })
             .collect();
         f(&segments)
@@ -203,6 +196,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use trajectory::gen::{generate, DatasetSpec, Scale};
+    use trajectory::Cube;
     use trajectory::Simplification;
 
     fn sample_store() -> PointStore {

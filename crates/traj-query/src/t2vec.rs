@@ -44,11 +44,12 @@ impl T2vecEmbedder {
         self.embed_seq(pts)
     }
 
-    /// Embeds any point sequence — slice or zero-copy column view.
+    /// Embeds any point sequence — slice or zero-copy column view. A
+    /// `dim` of 0 embeds everything to the empty vector (all distances 0).
     pub fn embed_seq<S: PointSeq + ?Sized>(&self, pts: &S) -> Vec<f64> {
         let mut v = vec![0.0f64; self.dim];
         let cells = self.cell_sequence(pts);
-        if cells.is_empty() {
+        if cells.is_empty() || self.dim == 0 {
             return v;
         }
         for k in 1..=3usize {
@@ -197,6 +198,18 @@ mod tests {
         let e = T2vecEmbedder::default();
         let v = e.embed_points(&[]);
         assert!(v.iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn a_zero_dimension_embeds_to_the_empty_vector() {
+        let e = T2vecEmbedder {
+            cell_size: 250.0,
+            dim: 0,
+        };
+        let a = e.embed(&traj(&[(0.0, 0.0), (300.0, 0.0), (600.0, 300.0)]));
+        let b = e.embed(&traj(&[(9_000.0, 0.0), (9_300.0, 0.0)]));
+        assert!(a.is_empty() && b.is_empty());
+        assert_eq!(T2vecEmbedder::distance(&a, &b), 0.0);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use traj_query::{
     range_query_store,
     t2vec::T2vecEmbedder,
     traclus::segdist::{components, segment_distance, DistanceWeights, Segment},
-    EngineConfig, QueryEngine,
+    EngineConfig, QueryEngine, QueryExecutor, QueryScratch,
 };
 use trajectory::snapshot::{write_snapshot_with, MappedStore};
 use trajectory::{Cube, KeptBitmap, Point, Simplification, Trajectory, TrajectoryDb};
@@ -437,8 +437,8 @@ proptest! {
                 cfg.backend
             );
             prop_assert_eq!(
-                owned.range_with_bitmap(&kept, &qf),
-                served.range_with_bitmap(&mapped_kept, &qf),
+                owned.range_with_bitmap(&kept, &qf, &mut QueryScratch::new()),
+                served.range_with_bitmap(&mapped_kept, &qf, &mut QueryScratch::new()),
                 "range_with_bitmap, backend {:?}",
                 cfg.backend
             );
@@ -446,7 +446,7 @@ proptest! {
             // bitmap, so the reconciled Option-returning surface serves
             // D' with no further plumbing.
             prop_assert_eq!(
-                Some(owned.range_with_bitmap(&kept, &qf)),
+                Some(owned.range_with_bitmap(&kept, &qf, &mut QueryScratch::new())),
                 served.range_kept(&qf),
                 "range_kept, backend {:?}",
                 cfg.backend

@@ -18,8 +18,8 @@ use proptest::prelude::*;
 use traj_query::knn::{Dissimilarity, KnnQuery};
 use traj_query::{
     fan_out, merge, merge_knn_candidates, range_query_store, Answer, DbOptions, EngineConfig,
-    GenerationalDb, IdMap, Query, QueryBatch, QueryEngine, QueryExecutor, QueryResult, Segment,
-    ShardResult, ShardedQueryEngine, SimilarityQuery, TrajDb,
+    GenerationalDb, IdMap, Query, QueryBatch, QueryEngine, QueryExecutor, QueryResult,
+    QueryScratch, Segment, ShardResult, ShardedQueryEngine, SimilarityQuery, TrajDb,
 };
 use trajectory::snapshot::write_snapshot_quantized;
 use trajectory::{
@@ -206,6 +206,9 @@ proptest! {
     ) {
         let store = db.to_store();
         let queries = one_of_each_kind(&db, frac, half, k, delta);
+        // One worker's scratch, as in a batch pass: reused across every
+        // segment of every cut and every query below.
+        let mut scratch = QueryScratch::new();
 
         let mut sorted_owner = cut.owner.clone();
         sorted_owner.sort_unstable();
@@ -246,7 +249,7 @@ proptest! {
                 let expected = oracle(&store, &everyone, all_kept, q);
                 for parallel in [false, true] {
                     prop_assert_eq!(
-                        &fan_out(&segments, q, parallel),
+                        &fan_out(&segments, q, parallel, &mut scratch),
                         &expected,
                         "{} fan_out(parallel={}) of {:?}",
                         form, parallel, q.kind()
@@ -258,7 +261,7 @@ proptest! {
                     .iter()
                     .enumerate()
                     .map(|(s, seg)| {
-                        let answer = if cut.missing[s] { Answer::Missing } else { seg.answer(q, false) };
+                        let answer = if cut.missing[s] { Answer::Missing } else { seg.answer(q, false, &mut scratch) };
                         (seg.ids, answer)
                     })
                     .collect();
@@ -329,7 +332,9 @@ proptest! {
 
     /// `shard_batch` is `shard_result` per query, on every executor a
     /// shard server can front: frames of any mix of the four kinds,
-    /// repeats, the empty frame and the one-query frame included.
+    /// repeats, the empty frame and the one-query frame included. The
+    /// batch pass walks every segment of a query on one worker's scratch;
+    /// the one-by-one side starts each query on a fresh one.
     #[test]
     fn a_shard_frame_in_one_pass_equals_its_queries_one_by_one(
         (db, ((frac, half), k, delta), picks, parts, (s0, s1)) in arb_db().prop_flat_map(|db| {
@@ -364,13 +369,29 @@ proptest! {
             })
             .collect();
         check(&ShardedQueryEngine::from_open_shards(shards, backends()[1]), "sharded")?;
+        // Indexed segments of unequal length, `[..a)`, `[a..b)`, `[b..)`:
+        // the worker's hit buffer is re-sized and re-cleared per segment.
+        let cut = (s0.min(s1), s0.max(s1));
+        let uneven = || -> Vec<OpenShard<PointStore>> {
+            [0..cut.0, cut.0..cut.1, cut.1..db.len()]
+                .into_iter()
+                .filter(|ids| !ids.is_empty())
+                .map(|ids| {
+                    let global_ids: Vec<TrajId> = ids.collect();
+                    let part = store.gather_trajs(&global_ids);
+                    OpenShard { kept: Some(even_points(&part)), store: part, global_ids }
+                })
+                .collect()
+        };
+        for cfg in &backends()[1..] {
+            check(&ShardedQueryEngine::from_open_shards(uneven(), *cfg), "uneven shards")?;
+        }
         // The façade forwards to whichever it holds.
         check(&TrajDb::from_store(store.clone(), DbOptions::new()), "TrajDb, single")?;
         let opts = DbOptions::new().partition(strategy);
         check(&TrajDb::from_store(store, opts), "TrajDb, sharded")?;
 
         let trajs: Vec<Trajectory> = db.iter().map(|(_, t)| t.clone()).collect();
-        let cut = (s0.min(s1), s0.max(s1));
         let opts = DbOptions::new().engine(backends()[1]);
         for quantize in [false, true] {
             let (dir, live) = live_with_every_segment(&trajs, cut, quantize, opts);

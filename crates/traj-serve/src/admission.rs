@@ -12,8 +12,13 @@
 //! [`SharedCoordinator`](crate::SharedCoordinator) runs a distributed
 //! fan-out round and replies with per-rider responses — the queue is the
 //! same.
+//!
+//! A pass that panics costs its own riders their reply
+//! ([`Refused::PassFailed`]) and nothing else: the unwind stops at the
+//! drain loop, which goes on to serve the next riders.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -39,6 +44,16 @@ impl Default for BatchConfig {
             linger: Duration::from_micros(100),
         }
     }
+}
+
+/// Why a submission came back without a reply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Refused {
+    /// The queue was closed before the submission could join it.
+    Closed,
+    /// The pass the submission rode in panicked. The queue is still
+    /// serving; only that pass's riders are refused.
+    PassFailed,
 }
 
 /// One rider waiting for a pass: its queries and the channel its reply
@@ -72,20 +87,22 @@ impl<R> Admission<R> {
         }
     }
 
-    /// Enqueues `queries` and blocks until their pass replies. `None`
-    /// when the queue was closed before a pass picked them up.
-    pub(crate) fn submit(&self, queries: Vec<Query>) -> Option<R> {
+    /// Enqueues `queries` and blocks until their pass replies — or is
+    /// [`Refused`].
+    pub(crate) fn submit(&self, queries: Vec<Query>) -> Result<R, Refused> {
         let (tx, rx) = sync_channel(1);
         {
             let mut q = self.queue.lock().expect("queue lock");
             if q.closed {
-                return None;
+                return Err(Refused::Closed);
             }
             q.queued_queries += queries.len();
             q.jobs.push_back(Job { queries, reply: tx });
         }
         self.available.notify_one();
-        rx.recv().ok()
+        // Everything queued gets a pass; a sender dropped unanswered is a
+        // pass that unwound.
+        rx.recv().map_err(|_| Refused::PassFailed)
     }
 
     /// Closes the queue: later submissions are refused, and every
@@ -100,7 +117,8 @@ impl<R> Admission<R> {
     /// rider, linger so concurrent arrivals coalesce, take whole
     /// submissions up to the batch bound, and run them as one combined
     /// batch. `pass` receives the batch and each rider's query count
-    /// (in batch order) and returns one reply per rider.
+    /// (in batch order) and returns one reply per rider. A `pass` that
+    /// panics refuses its riders and the loop goes on.
     pub(crate) fn run(&self, cfg: BatchConfig, pass: impl Fn(&QueryBatch, &[usize]) -> Vec<R>) {
         let max_queries = cfg.max_queries.max(1);
         loop {
@@ -152,7 +170,14 @@ impl<R> Admission<R> {
                 combined.extend(job.queries);
                 riders.push(job.reply);
             }
-            let replies = pass(&QueryBatch::from_queries(combined), &lens);
+            let batch = QueryBatch::from_queries(combined);
+            // The unwind stops here, or every later rider would park
+            // behind a dead drain thread. `pass` only reads what it shares
+            // with later passes, so they see nothing half-updated.
+            let Ok(replies) = catch_unwind(AssertUnwindSafe(|| pass(&batch, &lens))) else {
+                // Dropping `riders` unanswered is what refuses them.
+                continue;
+            };
             for (rider, reply) in riders.into_iter().zip(replies) {
                 // A rider that gave up (its connection died) is fine.
                 let _ = rider.send(reply);
@@ -168,4 +193,57 @@ pub(crate) fn split<T>(results: Vec<T>, lens: &[usize]) -> Vec<Vec<T>> {
     lens.iter()
         .map(|&len| results.by_ref().take(len).collect())
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::channel;
+    use std::sync::Arc;
+    use trajectory::Cube;
+
+    /// A pass that panics on a marked batch refuses that batch's rider,
+    /// the same drain thread answers the next one, and the loop still
+    /// returns when the queue closes. Every wait has a deadline: a dead
+    /// drain thread shows as a failure, not a hang.
+    #[test]
+    fn a_panicking_pass_refuses_its_riders_and_the_drain_thread_lives_on() {
+        const DEADLINE: Duration = Duration::from_secs(10);
+        let cube = Cube::new(0.0, 1.0, 0.0, 1.0, 0.0, 1.0);
+        let (marked, plain) = (Query::Range(cube), Query::RangeKept(cube));
+        let admission = Arc::new(Admission::<usize>::new());
+
+        let (drained_tx, drained) = channel();
+        let drain = {
+            let (admission, marked) = (Arc::clone(&admission), marked.clone());
+            std::thread::spawn(move || {
+                let cfg = BatchConfig {
+                    max_queries: 1,
+                    linger: Duration::ZERO,
+                };
+                admission.run(cfg, |batch, lens| {
+                    assert!(batch.queries()[0] != marked, "a marked batch");
+                    lens.to_vec()
+                });
+                let _ = drained_tx.send(());
+            })
+        };
+        let ride = |queries: Vec<Query>| {
+            let (tx, rx) = channel();
+            let admission = Arc::clone(&admission);
+            std::thread::spawn(move || tx.send(admission.submit(queries)));
+            rx.recv_timeout(DEADLINE).expect("answered or refused")
+        };
+
+        assert_eq!(ride(vec![marked.clone()]), Err(Refused::PassFailed));
+        assert_eq!(ride(vec![plain.clone(), marked]), Ok(2));
+        admission.close();
+        assert_eq!(ride(vec![plain]), Err(Refused::Closed));
+        drained
+            .recv_timeout(DEADLINE)
+            .expect("the drain loop returns");
+        drain
+            .join()
+            .expect("the drain thread did not die of the panic");
+    }
 }

@@ -65,7 +65,7 @@ use traj_query::{merge, query_touches_bounds, Answer, IdMap, Query, QueryBatch, 
 use trajectory::shard::ShardSet;
 use trajectory::{Cube, TrajId};
 
-use crate::admission::{split, Admission, BatchConfig};
+use crate::admission::{split, Admission, BatchConfig, Refused};
 use crate::client::{Client, ClientConfig};
 use crate::wire::{ShardInfo, ShardResult, WireError};
 
@@ -257,6 +257,9 @@ pub enum CoordinatorError {
     /// The [`SharedCoordinator`] was shut down while this batch was
     /// queued or in flight.
     Closed,
+    /// The coalesced round this batch rode in panicked. Its riders get
+    /// this; the [`SharedCoordinator`] keeps serving.
+    RoundFailed,
 }
 
 impl fmt::Display for CoordinatorError {
@@ -280,6 +283,9 @@ impl fmt::Display for CoordinatorError {
             } => write!(f, "shard {shard} ({addr}) broke protocol: {reason}"),
             CoordinatorError::Closed => {
                 write!(f, "the shared coordinator is shut down")
+            }
+            CoordinatorError::RoundFailed => {
+                write!(f, "the coalesced round answering this batch failed")
             }
         }
     }
@@ -811,7 +817,12 @@ impl SharedCoordinator {
         self.shared
             .admission
             .submit(batch.queries().to_vec())
-            .unwrap_or(Err(CoordinatorError::Closed))
+            .unwrap_or_else(|refused| {
+                Err(match refused {
+                    Refused::Closed => CoordinatorError::Closed,
+                    Refused::PassFailed => CoordinatorError::RoundFailed,
+                })
+            })
     }
 
     /// The wrapped coordinator (for stats and placement introspection).

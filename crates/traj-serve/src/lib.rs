@@ -17,7 +17,9 @@
 //!   frame bypasses the queue and is one such pass by itself
 //!   ([`QueryExecutor::shard_batch`](traj_query::QueryExecutor::shard_batch)):
 //!   parallel across the frame's queries with sequential inner loops,
-//!   over one segment list;
+//!   over one segment list. A pass that panics is contained: its own
+//!   riders get a typed [`ERR_PASS_FAILED`] frame, the queue keeps
+//!   draining;
 //! - [`client`] — a blocking client speaking the same frames (with
 //!   optional connect/read/write deadlines), plus the
 //!   `traj_bench_client` load generator that measures throughput and
@@ -72,7 +74,8 @@ pub use coordinator::{
 };
 pub use fault::{Fault, FaultDirection, FaultProxy};
 pub use server::{
-    BatchConfig, ServeDb, ServeOptions, Server, ServerStats, ERR_INGEST_FAILED, ERR_READ_ONLY,
+    BatchConfig, ServeDb, ServeOptions, Server, ServerStats, ERR_INGEST_FAILED, ERR_PASS_FAILED,
+    ERR_READ_ONLY,
 };
 pub use wire::{
     decode_message, encode_message, read_message, write_message, IngestAck, Message, ShardInfo,

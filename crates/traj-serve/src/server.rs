@@ -22,6 +22,7 @@
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -34,7 +35,7 @@ use traj_query::{
 use trajectory::Trajectory;
 
 pub use crate::admission::BatchConfig;
-use crate::admission::{split, Admission};
+use crate::admission::{split, Admission, Refused};
 use crate::wire::{read_message, write_message, IngestAck, Message, ShardInfo, WireError};
 
 // The database must stay shareable across connection handler threads;
@@ -56,6 +57,9 @@ pub const ERR_READ_ONLY: u16 = 3;
 /// Error code sent when a live server's ingest failed durably (WAL
 /// write or sync error); nothing from the batch was acknowledged.
 pub const ERR_INGEST_FAILED: u16 = 4;
+/// Error code sent when the engine pass a request rode in panicked. The
+/// request was not answered; the connection and the server keep serving.
+pub const ERR_PASS_FAILED: u16 = 5;
 
 /// The database behind a server: either an immutable snapshot-backed
 /// [`TrajDb`] (queries only) or a live, WAL-backed [`GenerationalDb`]
@@ -362,7 +366,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 }
 
 fn handle_connection(mut stream: TcpStream, conn_id: u64, shared: &Arc<Shared>) {
-    serve_connection(&mut stream, shared);
+    // A shard frame's pass runs on this thread. If it panics the
+    // connection is lost, but not its registry entry's descriptor.
+    let _ = catch_unwind(AssertUnwindSafe(|| serve_connection(&mut stream, shared)));
     // Drop the registry's duplicate fd with the connection, then shut
     // the socket down so the peer sees end-of-stream even if shutdown
     // raced us and still holds a clone.
@@ -381,9 +387,13 @@ fn serve_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
                     .queries
                     .fetch_add(batch.len() as u64, Ordering::Relaxed);
                 match shared.admission.submit(batch.into_queries()) {
-                    Some(results) => Message::Response(results),
+                    Ok(results) => Message::Response(results),
                     // The queue closed under us: the server is going down.
-                    None => return,
+                    Err(Refused::Closed) => return,
+                    Err(Refused::PassFailed) => Message::Error {
+                        code: ERR_PASS_FAILED,
+                        message: "the engine pass answering this request failed".to_owned(),
+                    },
                 }
             }
             // Distributed-serving frames bypass the admission queue and

@@ -573,7 +573,7 @@ fn decode_query(r: &mut Reader<'_>) -> Result<Query, WireError> {
                     let cell_size = r.f64()?;
                     let dim = usize::try_from(r.u64()?)
                         .ok()
-                        .filter(|&d| d <= MAX_T2VEC_DIM);
+                        .filter(|d| (1..=MAX_T2VEC_DIM).contains(d));
                     let dim = dim.ok_or(WireError::Malformed {
                         reason: "t2vec dimension out of range",
                     })?;

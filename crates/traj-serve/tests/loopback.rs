@@ -349,3 +349,47 @@ fn a_hostile_similarity_step_is_answered_like_the_default_step() {
     }
     server.shutdown();
 }
+
+/// A t2vec `dim` of 0 would have the embedder take a remainder by zero
+/// inside the engine pass. The frame is refused at the decoder with a
+/// typed error, like any malformed frame, and the server keeps serving: a
+/// second client's kNN afterwards is answered.
+#[test]
+fn a_zero_t2vec_dimension_is_refused_and_the_server_keeps_serving() {
+    use std::io::Write;
+
+    let db = dataset();
+    let served = TrajDb::from_store(db.to_store(), DbOptions::new());
+    let server = Server::start(served, "127.0.0.1:0", ServeOptions::batched()).expect("start");
+    let bounds = db.bounding_cube();
+    let knn = |measure: Dissimilarity| {
+        Query::Knn(KnnQuery {
+            query: db.get(0).clone(),
+            ts: bounds.t_min,
+            te: bounds.t_max,
+            k: 3,
+            measure,
+        })
+    };
+
+    let hostile = knn(Dissimilarity::T2vec(traj_query::T2vecEmbedder {
+        cell_size: 250.0,
+        dim: 0,
+    }));
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    let frame = encode_message(&Message::Request(QueryBatch::from_queries(vec![hostile])));
+    raw.write_all(&frame).expect("send the frame");
+    match traj_serve::wire::read_message(&mut raw).expect("typed error frame") {
+        Some(Message::Error { code, .. }) => {
+            assert_eq!(code, traj_serve::server::ERR_BAD_REQUEST);
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+
+    let mut second = Client::connect(server.local_addr()).expect("second connect");
+    let three = second
+        .execute(&knn(Dissimilarity::Edr { eps: 2_000.0 }))
+        .expect("a second client is answered");
+    assert_eq!(three.ids().map(<[_]>::len), Some(3));
+    server.shutdown();
+}

@@ -10,7 +10,7 @@ use traj_query::{
 };
 use traj_serve::wire::{
     decode_message, encode_message, IngestAck, Message, ShardInfo, ShardResult, WireError,
-    MAX_PAYLOAD,
+    MAX_PAYLOAD, MAX_T2VEC_DIM,
 };
 use trajectory::{Cube, Point, Trajectory};
 
@@ -341,4 +341,39 @@ fn version_and_kind_corruption_give_specific_errors() {
         decode_message(&r),
         Err(WireError::Malformed { .. })
     ));
+}
+
+/// A t2vec dimension the embedder cannot take a remainder by (0), or one
+/// that commits the server to unbounded embedding work, is refused at the
+/// decoder; the bounds themselves decode.
+#[test]
+fn a_t2vec_dimension_out_of_range_is_malformed() {
+    let frame = |dim: usize| {
+        let knn = KnnQuery {
+            query: Trajectory::new(vec![Point::new(0.0, 0.0, 0.0), Point::new(1.0, 1.0, 1.0)])
+                .unwrap(),
+            ts: 0.0,
+            te: 1.0,
+            k: 1,
+            measure: Dissimilarity::T2vec(T2vecEmbedder {
+                cell_size: 250.0,
+                dim,
+            }),
+        };
+        encode_message(&Message::Request(QueryBatch::from_queries(vec![
+            Query::Knn(knn),
+        ])))
+    };
+    for dim in [0, MAX_T2VEC_DIM + 1] {
+        assert!(
+            matches!(
+                decode_message(&frame(dim)),
+                Err(WireError::Malformed { .. })
+            ),
+            "dim {dim}"
+        );
+    }
+    for dim in [1, MAX_T2VEC_DIM] {
+        assert!(decode_message(&frame(dim)).is_ok(), "dim {dim}");
+    }
 }

@@ -5,7 +5,7 @@
 //! ([`trajectory::snapshot`]) persists exactly that pairing: the full
 //! columns of `D` plus a kept-point bitmap selecting `D'`. Serving then
 //! opens the file with [`trajectory::MappedStore::open`] and queries the
-//! bitmap in place (`QueryEngine::range_kept`) — no CSV re-parse, no
+//! bitmap in place (`QueryExecutor::range_kept`) — no CSV re-parse, no
 //! materialization of `D'`, and the original columns stay addressable
 //! for error measures or re-simplification under a different budget.
 //!

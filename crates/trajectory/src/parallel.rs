@@ -39,7 +39,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_indexed(items, |_, item| f(item))
+    worker_loop(items, || (), |(), _, item| f(item))
 }
 
 /// [`par_map`] variant with **per-worker scratch state**: `init` runs
@@ -58,16 +58,45 @@ where
     G: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> R + Sync,
 {
+    worker_loop(items, init, |scratch, _, item| f(scratch, item))
+}
+
+/// [`par_map`] variant whose callback also receives the item index.
+pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    worker_loop(items, || (), |(), i, item| f(i, item))
+}
+
+/// **The** worker loop behind every `par_map*`: `f` sees its worker's
+/// scratch (built by `init`, once per worker), the item's index and the
+/// item.
+fn worker_loop<T, R, S, G, F>(items: &[T], init: G, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    G: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> R + Sync,
+{
     let workers = worker_count(items.len());
     if workers <= 1 || items.len() < 2 {
         let mut scratch = init();
-        return items.iter().map(|item| f(&mut scratch, item)).collect();
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| f(&mut scratch, i, item))
+            .collect();
     }
 
     let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
     let next = AtomicUsize::new(0);
     {
+        // Each worker collects (index, value) pairs; merging afterwards
+        // restores input order without sharing mutable state across threads.
         let f = &f;
         let init = &init;
         let next = &next;
@@ -83,64 +112,7 @@ where
                             if i >= items.len() {
                                 break;
                             }
-                            out.push((i, f(&mut scratch, &items[i])));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                partials.push(h.join().expect("parallel worker panicked"));
-            }
-        });
-        for part in partials {
-            for (i, r) in part {
-                slots[i] = Some(r);
-            }
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index produced"))
-        .collect()
-}
-
-/// [`par_map`] variant whose callback also receives the item index.
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let workers = worker_count(items.len());
-    if workers <= 1 || items.len() < 2 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
-
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    let next = AtomicUsize::new(0);
-    {
-        // Each worker collects (index, value) pairs; merging afterwards
-        // restores input order without sharing mutable state across threads.
-        let f = &f;
-        let next = &next;
-        let mut partials: Vec<Vec<(usize, R)>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
-                                break;
-                            }
-                            out.push((i, f(i, &items[i])));
+                            out.push((i, f(&mut scratch, i, &items[i])));
                         }
                         out
                     })

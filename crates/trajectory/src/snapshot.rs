@@ -1374,7 +1374,7 @@ impl MappedStore {
     }
 
     /// An owned [`KeptBitmap`] copy of the kept section, for APIs that
-    /// need one (`QueryEngine::range_kept`). O(N/64) words copied — tiny
+    /// need one (`QueryExecutor::range_kept`). O(N/64) words copied — tiny
     /// next to the columns, which stay mapped.
     #[must_use]
     pub fn kept_bitmap(&self) -> Option<KeptBitmap> {

@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example online_pipeline`
 
 use qdts::query::join::{similarity_join, JoinParams};
-use qdts::query::{EngineConfig, QueryEngine};
+use qdts::query::{EngineConfig, QueryEngine, QueryExecutor};
 use qdts::simp::StreamingSimplifier;
 use qdts::trajectory::gen::{generate, DatasetSpec, Scale};
 use qdts::trajectory::{Cube, Point, PointStore, Trajectory, TrajectoryDb};

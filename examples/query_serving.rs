@@ -18,7 +18,7 @@ use qdts::query::similarity::SimilarityQuery;
 use qdts::query::traclus::{traclus, TraclusParams};
 use qdts::query::{
     f1_pairs, f1_sets, mean_f1, range_workload_store, traj_query_workload, EngineConfig,
-    QueryDistribution, QueryEngine, RangeWorkloadSpec,
+    QueryDistribution, QueryEngine, QueryExecutor, RangeWorkloadSpec,
 };
 use qdts::rl4qdts::{train_store, Rl4QdtsConfig, TrainerConfig};
 use qdts::trajectory::gen::{generate, DatasetSpec, Scale};

@@ -2,7 +2,7 @@
 //! through training, simplification, and all five query tasks.
 
 use qdts::query::{
-    range_workload, EngineConfig, QueryDistribution, QueryEngine, RangeWorkloadSpec,
+    range_workload, EngineConfig, QueryDistribution, QueryEngine, QueryExecutor, RangeWorkloadSpec,
 };
 use qdts::rl4qdts::{train, RewardTracker, Rl4QdtsConfig, TrainerConfig};
 use qdts::simp::{Adaptation, BottomUp, Simplifier, TopDown, Uniform};
