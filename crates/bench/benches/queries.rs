@@ -32,7 +32,7 @@ fn bench_queries(c: &mut Criterion) {
     let a = db.get(0);
     let bt = db.get(1);
     c.bench_function("edr_full_trajectories", |b| {
-        b.iter(|| edr::edr(std::hint::black_box(a), std::hint::black_box(bt), 2_000.0))
+        b.iter(|| edr::edr_seq(std::hint::black_box(a), std::hint::black_box(bt), 2_000.0))
     });
 
     let embedder = T2vecEmbedder::default();

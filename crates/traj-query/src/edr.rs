@@ -6,24 +6,14 @@
 //! the non-learning dissimilarity the paper uses to instantiate kNN
 //! queries (ε = 2 km in the experiments).
 
-use trajectory::{Point, PointSeq, Trajectory};
+use trajectory::{Point, PointSeq};
 
-/// Computes `EDR(a, b)` with matching tolerance `eps` (meters, per axis).
+/// `EDR(a, b)` with matching tolerance `eps` (meters, per axis) over any
+/// pair of point sequences — the one dynamic program serving owned
+/// trajectories, point slices and zero-copy column views alike.
 ///
 /// Runs the standard O(|a|·|b|) dynamic program with a rolling row.
 /// An empty sequence is at distance `|other|` (all inserts).
-pub fn edr(a: &Trajectory, b: &Trajectory, eps: f64) -> f64 {
-    edr_seq(a, b, eps)
-}
-
-/// EDR over raw point slices (used by windowed kNN without re-allocating
-/// sub-trajectories).
-pub fn edr_points(a: &[Point], b: &[Point], eps: f64) -> f64 {
-    edr_seq(a, b, eps)
-}
-
-/// EDR over any pair of point sequences — the one dynamic program serving
-/// point slices and zero-copy column views alike.
 pub fn edr_seq<A: PointSeq + ?Sized, B: PointSeq + ?Sized>(a: &A, b: &B, eps: f64) -> f64 {
     let (n, m) = (a.n_points(), b.n_points());
     if n == 0 {
@@ -48,14 +38,16 @@ pub fn edr_seq<A: PointSeq + ?Sized, B: PointSeq + ?Sized>(a: &A, b: &B, eps: f6
     prev[m] as f64
 }
 
+/// The match predicate: within `eps` on both axes.
 #[inline]
-fn matches(a: &Point, b: &Point, eps: f64) -> bool {
+pub(crate) fn matches(a: &Point, b: &Point, eps: f64) -> bool {
     (a.x - b.x).abs() <= eps && (a.y - b.y).abs() <= eps
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trajectory::Trajectory;
 
     fn traj(coords: &[(f64, f64)]) -> Trajectory {
         Trajectory::new(
@@ -71,15 +63,15 @@ mod tests {
     #[test]
     fn identical_sequences_have_zero_distance() {
         let a = traj(&[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]);
-        assert_eq!(edr(&a, &a, 0.5), 0.0);
+        assert_eq!(edr_seq(&a, &a, 0.5), 0.0);
     }
 
     #[test]
     fn within_tolerance_counts_as_match() {
         let a = traj(&[(0.0, 0.0), (10.0, 0.0)]);
         let b = traj(&[(0.3, -0.3), (10.4, 0.2)]);
-        assert_eq!(edr(&a, &b, 0.5), 0.0);
-        assert_eq!(edr(&a, &b, 0.1), 2.0);
+        assert_eq!(edr_seq(&a, &b, 0.5), 0.0);
+        assert_eq!(edr_seq(&a, &b, 0.1), 2.0);
     }
 
     #[test]
@@ -87,29 +79,30 @@ mod tests {
         let a = traj(&[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]);
         let b = traj(&[(0.0, 0.0), (3.0, 0.0)]);
         // Two interior points must be deleted.
-        assert_eq!(edr(&a, &b, 0.1), 2.0);
+        assert_eq!(edr_seq(&a, &b, 0.1), 2.0);
     }
 
     #[test]
     fn empty_sequence_distance_is_other_length() {
         let a = traj(&[(0.0, 0.0), (1.0, 0.0)]);
-        assert_eq!(edr_points(a.points(), &[], 1.0), 2.0);
-        assert_eq!(edr_points(&[], a.points(), 1.0), 2.0);
-        assert_eq!(edr_points(&[], &[], 1.0), 0.0);
+        let empty: &[Point] = &[];
+        assert_eq!(edr_seq(a.points(), empty, 1.0), 2.0);
+        assert_eq!(edr_seq(empty, a.points(), 1.0), 2.0);
+        assert_eq!(edr_seq(empty, empty, 1.0), 0.0);
     }
 
     #[test]
     fn edr_is_symmetric() {
         let a = traj(&[(0.0, 0.0), (5.0, 1.0), (9.0, 3.0), (12.0, 8.0)]);
         let b = traj(&[(0.2, 0.1), (7.0, 7.0), (12.0, 8.0)]);
-        assert_eq!(edr(&a, &b, 1.0), edr(&b, &a, 1.0));
+        assert_eq!(edr_seq(&a, &b, 1.0), edr_seq(&b, &a, 1.0));
     }
 
     #[test]
     fn edr_bounded_by_max_length() {
         let a = traj(&[(0.0, 0.0), (1e6, 0.0), (2e6, 0.0)]);
         let b = traj(&[(-1e6, 5.0), (-2e6, 5.0)]);
-        let d = edr(&a, &b, 1.0);
+        let d = edr_seq(&a, &b, 1.0);
         assert!(d <= 3.0);
         assert_eq!(d, 3.0, "totally dissimilar: substitutions + delete");
     }
@@ -120,7 +113,7 @@ mod tests {
         // by at most the number of dropped points (each is one delete).
         let a = traj(&[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)]);
         let simplified = traj(&[(0.0, 0.0), (4.0, 0.0)]);
-        let d = edr(&a, &simplified, 0.1);
+        let d = edr_seq(&a, &simplified, 0.1);
         assert_eq!(d, 3.0);
     }
 }

@@ -21,7 +21,7 @@
 //! re-introduced, turning the per-window reward from a full O(W·N) rescan
 //! into O(W) bookkeeping per insertion.
 
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::OnceLock;
 
 use traj_index::{
@@ -33,20 +33,38 @@ use trajectory::{
 };
 
 use crate::db::{Query, QueryExecutor};
-use crate::knn::KnnQuery;
+use crate::knn::{Dissimilarity, KnnQuery};
 use crate::metrics::{f1_sets, F1Score};
 use crate::parallel::par_map;
 use crate::range::view_matches;
+use crate::refine::{edr_bounded, lower_bound, Extent};
 use crate::segment::{IdMap, Segment, Segmented, ShardResult};
 use crate::similarity::SimilarityQuery;
 
-/// Reusable per-worker scratch for query execution: the hit-flag buffer
-/// every marking pass needs, allocated once per worker thread and
-/// recycled across the queries — and the segments — it processes
-/// (instead of one fresh `vec![false; M]` per query per segment).
+/// Reusable per-worker scratch for query execution, allocated once per
+/// worker thread and recycled across the queries — and the segments — it
+/// processes: the hit-flag buffer every marking pass needs (instead of
+/// one fresh `vec![false; M]` per query per segment) and what a kNN
+/// refines in — its candidate list, the heap of its best `k` so far and
+/// the two rows of the bounded EDR program. Over a warmed scratch a query
+/// allocates its answer and nothing else.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
     hit: Vec<bool>,
+    candidates: Vec<KnnCandidate>,
+    best: BinaryHeap<(u32, TrajId)>,
+    rows: [Vec<u32>; 2],
+}
+
+/// One kNN candidate: a trajectory with its sample range `lo..hi` inside
+/// the query's time window and a lower bound on its distance. Ordered by
+/// `(lb, id)` — ids are unique within a list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct KnnCandidate {
+    lb: u32,
+    id: u32,
+    lo: u32,
+    hi: u32,
 }
 
 impl QueryScratch {
@@ -188,6 +206,10 @@ pub struct QueryEngine<'a> {
     /// asked no query (a simplification job's) or only ever serves as a
     /// segment of a database that tracks bounds itself never pays the pass.
     bounds: OnceLock<Cube>,
+    /// `(first t, last t)` per trajectory, learnt on first use like
+    /// `bounds`: what kNN and similarity enumerate their candidates from
+    /// without touching a trajectory.
+    spans: OnceLock<Vec<(f64, f64)>>,
 }
 
 impl QueryEngine<'static> {
@@ -266,6 +288,7 @@ impl<'a> QueryEngine<'a> {
             backend,
             config,
             bounds: OnceLock::new(),
+            spans: OnceLock::new(),
         }
     }
 
@@ -343,16 +366,6 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// The structural traversal view, `None` for the scan backend.
-    #[must_use]
-    fn spatial_index(&self) -> Option<&dyn SpatioTemporalIndex> {
-        match &self.backend {
-            IndexBackend::Scan => None,
-            IndexBackend::Octree(t) => Some(t),
-            IndexBackend::MedianKd(t) => Some(t),
-        }
-    }
-
     /// Registers a query workload on the index's per-node `Q_B` statistics
     /// (no-op for the scan backend). Required before Agent-Cube sampling.
     pub fn assign_queries(&mut self, queries: &[Cube]) {
@@ -370,6 +383,13 @@ impl<'a> QueryEngine<'a> {
         *self.bounds.get_or_init(|| self.store.bounding_cube())
     }
 
+    /// Every trajectory's time span, computed on first use and remembered
+    /// (one sequential pass, 16 bytes a trajectory).
+    fn spans(&self) -> &[(f64, f64)] {
+        self.spans
+            .get_or_init(|| self.store.iter().map(|(_, v)| v.time_span()).collect())
+    }
+
     // ------------------------------------------------------------------
     // Query execution: one unit, one arm per kind.
     // ------------------------------------------------------------------
@@ -377,16 +397,18 @@ impl<'a> QueryEngine<'a> {
     /// **The** per-query unit: this engine's merge material for `q`, in
     /// its local ids — what [`Segment::answer`] returns once the bounds
     /// prune passed, and what [`merge`](crate::merge) turns into a
-    /// [`QueryResult`](crate::QueryResult). `parallel` lets kNN scoring
-    /// and similarity checks fan out over the cores (a one-shot query
-    /// owning the machine); batch workers pass `false` and their own
-    /// `scratch`. The material is identical either way.
+    /// [`QueryResult`](crate::QueryResult). `parallel` lets a t2vec kNN
+    /// score its candidates side by side (a one-shot query owning the
+    /// machine); batch workers pass `false` and their own `scratch`.
+    /// Every other arm — ranges, EDR kNN, similarity — runs on the
+    /// calling thread either way: a refined query costs less than
+    /// spawning workers for it. The material is identical either way.
     #[must_use]
     pub fn material(&self, q: &Query, parallel: bool, scratch: &mut QueryScratch) -> ShardResult {
         match q {
             Query::Range(c) => ShardResult::Ids(self.range_hits(c, scratch)),
-            Query::Knn(k) => ShardResult::Candidates(self.knn_best(k, parallel)),
-            Query::Similarity(s) => ShardResult::Ids(self.similarity_hits(s, parallel)),
+            Query::Knn(k) => ShardResult::Candidates(self.knn_best(k, parallel, scratch)),
+            Query::Similarity(s) => ShardResult::Ids(self.similarity_hits(s)),
             Query::RangeKept(c) => ShardResult::Kept(
                 self.kept
                     .as_ref()
@@ -506,91 +528,169 @@ impl<'a> QueryEngine<'a> {
         collect_hits(hit)
     }
 
-    /// This store's contribution to a kNN: its finite-distance candidates
-    /// sorted by `(distance, id)`, truncated to the query's `k`, with
+    /// This store's contribution to a kNN: its best `k` finite-distance
+    /// candidates as `(distance, id)`, ascending by `(distance, id)`, with
     /// `-0.0` distances normalized to `+0.0` so the merge's `total_cmp`
-    /// agrees with the `partial_cmp` sort used here. Only a store's best
-    /// `k` can reach a global top `k`, so the list is truncated; the
-    /// merge's infinite-fill is unaffected (it only triggers when the
-    /// global finite count is below `k`, in which case nothing was
-    /// truncated). [`merge_knn_candidates`](crate::merge_knn_candidates)
-    /// and [`knn_take_fill`](crate::knn_take_fill) over these lists
-    /// reproduce [`KnnQuery::execute_store`] byte-for-byte.
-    fn knn_best(&self, q: &KnnQuery, parallel: bool) -> Vec<(f64, TrajId)> {
-        let mut scored = self.knn_finite_scored(q, parallel);
-        scored.truncate(q.k);
-        for entry in &mut scored {
-            entry.0 += 0.0; // normalize -0.0 so total_cmp == partial_cmp
+    /// agrees with the `partial_cmp` order used here. Only a store's best
+    /// `k` can reach a global top `k`; the merge's infinite-fill is
+    /// unaffected (it only triggers when the global finite count is below
+    /// `k`, in which case every finite candidate is listed).
+    /// [`merge_knn_candidates`](crate::merge_knn_candidates) and
+    /// [`knn_take_fill`](crate::knn_take_fill) over these lists reproduce
+    /// [`KnnQuery::execute_store`] byte-for-byte.
+    ///
+    /// Filter, then refine — exactly. The candidates are the trajectories
+    /// that score finite: those with a sample in `[ts, te]`, found from
+    /// the span column and one window search each (with an empty query
+    /// window every trajectory scores finite, and all are candidates).
+    /// Under EDR each gets the box lower bound of
+    /// [`edr_lower_bound`](crate::refine::edr_lower_bound), they are
+    /// visited in `(bound, id)` order, and once `k` distances are known
+    /// the worst of them is a threshold τ: the visit stops at the first
+    /// bound above τ — strictly, since a tie on distance can still win on
+    /// id — and each survivor runs [`edr_bounded`] under τ. A t2vec kNN
+    /// has no bound and scores every candidate.
+    fn knn_best(
+        &self,
+        q: &KnnQuery,
+        parallel: bool,
+        scratch: &mut QueryScratch,
+    ) -> Vec<(f64, TrajId)> {
+        if q.k == 0 {
+            return Vec::new();
         }
-        scored
+        let q_window = q.query_window();
+        self.knn_windows(q, q_window.is_empty(), &mut scratch.candidates);
+        match q.measure {
+            Dissimilarity::Edr { eps } => self.knn_refine_edr(q_window, eps, q.k, scratch),
+            Dissimilarity::T2vec(_) => {
+                let score = |c: &KnnCandidate| {
+                    let id = c.id as usize;
+                    // `+ 0.0` normalizes -0.0 so total_cmp == partial_cmp.
+                    (
+                        q.windowed_distance_view(q_window, self.store.view(id)) + 0.0,
+                        id,
+                    )
+                };
+                let mut scored: Vec<(f64, TrajId)> = if parallel {
+                    par_map(&scratch.candidates, score)
+                } else {
+                    scratch.candidates.iter().map(score).collect()
+                };
+                scored.retain(|(d, _)| d.is_finite());
+                scored.sort_by(|a, b| {
+                    a.0.partial_cmp(&b.0)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.1.cmp(&b.1))
+                });
+                scored.truncate(q.k);
+                scored
+            }
+        }
     }
 
-    /// The finite-distance half of a kNN execution: every trajectory whose
-    /// windowed distance to the query is finite, as `(distance, id)` pairs
-    /// sorted ascending by `(distance, id)`. The index narrows the
-    /// candidate set to trajectories with points in the query's time
-    /// window (everything else ranks at infinity); the scoring loop is
-    /// parallel (`par_map`) or sequential — results are identical (both
-    /// preserve candidate order before the final sort).
-    fn knn_finite_scored(&self, q: &KnnQuery, parallel: bool) -> Vec<(f64, TrajId)> {
-        let q_window = q.query_window();
-        let candidates: Vec<TrajId> = match (self.spatial_index(), q_window.is_empty()) {
-            // No index, or a degenerate window (where even trajectories
-            // outside [ts, te] score finite): every trajectory is a
-            // candidate.
-            (None, _) | (_, true) => (0..self.store.len()).collect(),
-            (Some(index), false) => {
-                // Time-slab pruning: only trajectories with a sampled
-                // point in [ts, te] can have a finite distance. The
-                // marking is conservative (a leaf partially overlapping
-                // the slab contributes all its trajectories), which only
-                // adds candidates whose exact distance is then computed —
-                // results never change.
-                let slab = time_slab(index.cube(index.root()), q.ts, q.te);
-                let mut in_window = vec![false; self.store.len()];
-                match &self.backend {
-                    IndexBackend::Scan => unreachable!("scan handled above"),
-                    IndexBackend::Octree(t) => {
-                        mark_trajectories_in(t, SpatioTemporalIndex::root(t), &slab, &mut in_window)
-                    }
-                    IndexBackend::MedianKd(t) => {
-                        mark_trajectories_in(t, SpatioTemporalIndex::root(t), &slab, &mut in_window)
-                    }
-                }
-                collect_hits(&in_window)
+    /// **The** kNN candidate enumeration, for both measures: every
+    /// trajectory that scores finite, ascending, with its sample range
+    /// inside `[ts, te]` and no bound yet. A trajectory whose span misses
+    /// the window has no sample in it; the window search decides the rest
+    /// exactly. Both windows empty is distance 0 — a candidate with an
+    /// empty range; only the trajectory's empty is ∞ — not a candidate.
+    fn knn_windows(&self, q: &KnnQuery, empty_query: bool, out: &mut Vec<KnnCandidate>) {
+        out.clear();
+        for (id, &(t0, t1)) in self.spans().iter().enumerate() {
+            let window = if t1 < q.ts || t0 > q.te {
+                None
+            } else {
+                self.store.view(id).window_indices(q.ts, q.te)
+            };
+            let (lo, hi) = match window {
+                Some((lo, hi)) => (lo as u32, hi as u32 + 1),
+                None if empty_query => (0, 0),
+                None => continue,
+            };
+            out.push(KnnCandidate {
+                lb: 0,
+                id: id as u32,
+                lo,
+                hi,
+            });
+        }
+    }
+
+    /// The best `k` of the scratch's candidates under EDR, each DP run
+    /// only while it can still enter them.
+    fn knn_refine_edr(
+        &self,
+        q_window: &[Point],
+        eps: f64,
+        k: usize,
+        scratch: &mut QueryScratch,
+    ) -> Vec<(f64, TrajId)> {
+        let QueryScratch {
+            candidates,
+            best,
+            rows,
+            ..
+        } = scratch;
+        let window = |c: &KnnCandidate| {
+            let view = self.store.view(c.id as usize);
+            view.slice(c.lo as usize, c.hi as usize)
+        };
+        let extent = Extent::of_points(q_window);
+        for c in candidates.iter_mut() {
+            c.lb = lower_bound(q_window, &extent, window(c), eps);
+        }
+        candidates.sort_unstable();
+        best.clear();
+        for c in candidates.iter() {
+            let w = window(c);
+            // Until `k` distances are known every candidate is scored:
+            // no EDR exceeds the longer side.
+            let tau = match best.peek() {
+                Some(&(worst, _)) if best.len() == k => worst,
+                _ => q_window.len().max(w.len()) as u32,
+            };
+            if c.lb > tau {
+                break;
             }
-        };
-        let score = |&id: &TrajId| (q.windowed_distance_view(q_window, self.store.view(id)), id);
-        let scored: Vec<(f64, TrajId)> = if parallel {
-            par_map(&candidates, score)
-        } else {
-            candidates.iter().map(score).collect()
-        };
-        let mut finite: Vec<(f64, TrajId)> =
-            scored.into_iter().filter(|(d, _)| d.is_finite()).collect();
-        finite.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        finite
+            let Some(d) = edr_bounded(q_window, &w, eps, tau, rows) else {
+                continue;
+            };
+            let entry = (d, c.id as usize);
+            if best.len() < k {
+                best.push(entry);
+            } else if let Some(mut worst) = best.peek_mut() {
+                if entry < *worst {
+                    *worst = entry;
+                }
+            }
+        }
+        let mut out = Vec::with_capacity(best.len());
+        while let Some((d, id)) = best.pop() {
+            out.push((f64::from(d), id));
+        }
+        out.reverse();
+        out
     }
 
     /// Trajectories within δ of the query at every instant, ascending.
-    /// Identical results to [`SimilarityQuery::execute_store`] — which is
-    /// what runs when not `parallel`; otherwise the per-trajectory checks
-    /// run side by side over zero-copy views. (Index pruning is unsound
-    /// here: a trajectory with no *sampled* point near the window can
-    /// still match through interpolation.)
-    fn similarity_hits(&self, q: &SimilarityQuery, parallel: bool) -> Vec<TrajId> {
-        if !parallel {
-            return q.execute_store(&self.store);
-        }
-        let ids: Vec<TrajId> = (0..self.store.len()).collect();
-        let matches = par_map(&ids, |&id| q.matches_seq(&self.store.view(id)));
-        ids.into_iter()
-            .zip(matches)
-            .filter_map(|(id, m)| m.then_some(id))
+    /// Identical results to [`SimilarityQuery::execute_store`]: the same
+    /// matcher, asked only of the trajectories whose span — read from the
+    /// span column, not from the trajectory — overlaps the query's clipped
+    /// window. That is the test the matcher itself makes first
+    /// ([`SimilarityQuery::matches_seq`]), so skipping the others cannot
+    /// change the answer. Nothing spatial
+    /// prunes: the *index* is unsound here, since a trajectory with no
+    /// sampled point near the window can still match through
+    /// interpolation.
+    fn similarity_hits(&self, q: &SimilarityQuery) -> Vec<TrajId> {
+        let Some(check) = q.check() else {
+            return Vec::new();
+        };
+        let spans = self.spans().iter().enumerate();
+        spans
+            .filter(|&(id, &span)| check.overlaps(span) && check.stays_within(&self.store.view(id)))
+            .map(|(id, _)| id)
             .collect()
     }
 }
@@ -654,18 +754,6 @@ fn covers(outer: &Cube, inner: &Cube) -> bool {
         && inner.y_max <= outer.y_max
         && outer.t_min <= inner.t_min
         && inner.t_max <= outer.t_max
-}
-
-/// The root cube widened to cover all x/y but clipped to `[ts, te]` in time.
-fn time_slab(root: Cube, ts: f64, te: f64) -> Cube {
-    Cube {
-        x_min: f64::NEG_INFINITY,
-        x_max: f64::INFINITY,
-        y_min: f64::NEG_INFINITY,
-        y_max: f64::INFINITY,
-        t_min: ts.min(root.t_max),
-        t_max: te.max(root.t_min),
-    }
 }
 
 /// Marks every trajectory with a point inside `q` in the subtree of `id`.
@@ -835,33 +923,6 @@ fn range_mark_kept<I: SpatioTemporalIndex + ?Sized>(
                         break;
                     }
                 }
-            }
-        }
-    }
-}
-
-/// Conservatively marks every trajectory that *may* have a point inside
-/// `q`: all trajectories of every leaf whose cube intersects `q`. A
-/// superset is fine for candidate pruning — exact per-candidate work
-/// decides membership afterwards.
-fn mark_trajectories_in<I: SpatioTemporalIndex + ?Sized>(
-    index: &I,
-    id: NodeId,
-    q: &Cube,
-    hit: &mut [bool],
-) {
-    if index.point_count(id) == 0 || !index.tight_cube(id).intersects(q) {
-        return;
-    }
-    match index.children(id) {
-        Some(children) => {
-            for c in children {
-                mark_trajectories_in(index, c, q, hit);
-            }
-        }
-        None => {
-            for &owner in index.leaf_slab(id).owners {
-                hit[owner as usize] = true;
             }
         }
     }
@@ -1224,6 +1285,59 @@ mod tests {
             ] {
                 assert_eq!(ids.len(), k);
                 assert!(ids.capacity() <= 2 * k, "{} ids", ids.capacity());
+            }
+        }
+    }
+
+    /// Over a warmed scratch a kNN or similarity query allocates its
+    /// answer and nothing else: what the first pass over a set of queries
+    /// grew the scratch's buffers to, a hundred more queries leave as it
+    /// is.
+    #[test]
+    fn a_warmed_scratch_does_not_grow() {
+        let store = small_store();
+        let (t0, t1) = store.time_span();
+        let queries: Vec<Query> = (0..store.len())
+            .flat_map(|id| {
+                let query = store.view(id).to_trajectory();
+                let (ts, te) = if id % 2 == 0 {
+                    (t0, t1)
+                } else {
+                    store.view(id).time_span()
+                };
+                [
+                    Query::Knn(KnnQuery {
+                        query: query.clone(),
+                        ts,
+                        te,
+                        k: 1 + id % 4,
+                        measure: Dissimilarity::Edr { eps: 1_000.0 },
+                    }),
+                    Query::Similarity(SimilarityQuery {
+                        query,
+                        ts,
+                        te,
+                        delta: 2_500.0,
+                        step: 300.0,
+                    }),
+                ]
+            })
+            .collect();
+        let capacities = |s: &QueryScratch| {
+            let rows = s.rows.each_ref().map(Vec::capacity);
+            (s.candidates.capacity(), s.best.capacity(), rows)
+        };
+        for cfg in all_backends() {
+            let engine = QueryEngine::over_store(&store, cfg);
+            let mut scratch = QueryScratch::new();
+            for q in &queries {
+                let _ = engine.material(q, false, &mut scratch);
+            }
+            let warmed = capacities(&scratch);
+            assert!(warmed.0 > 0 && warmed.1 > 0 && warmed.2[0] > 0);
+            for q in queries.iter().cycle().take(100) {
+                let _ = engine.material(q, false, &mut scratch);
+                assert_eq!(capacities(&scratch), warmed, "{:?}", cfg.backend);
             }
         }
     }

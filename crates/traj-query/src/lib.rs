@@ -20,9 +20,11 @@
 //! consumers should construct a [`QueryEngine`] instead: it owns (or
 //! borrows) the columns together with a spatio-temporal index backend
 //! ([`BackendKind`]: octree, median kd-tree, or the naive scan) and
-//! prunes query execution through the index; a [`MaintainedWorkload`]
-//! keeps a workload's results over a growing simplification
-//! incrementally up to date instead of rescanning. Property tests
+//! prunes query execution through the index — and, for the two kinds an
+//! index cannot answer, filters kNN and similarity candidates on exact
+//! bounds and refines only the survivors (the kernels are in [`refine`]);
+//! a [`MaintainedWorkload`] keeps a workload's results over a growing
+//! simplification incrementally up to date instead of rescanning. Property tests
 //! guarantee engine results equal the scan reference for every backend,
 //! owned or mapped — see [`QueryEngine::over_mapped`] and
 //! `docs/ARCHITECTURE.md`.
@@ -86,6 +88,7 @@ pub mod join;
 pub mod knn;
 pub mod metrics;
 pub mod range;
+pub mod refine;
 pub mod segment;
 pub mod sharded;
 pub mod similarity;

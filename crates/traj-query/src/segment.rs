@@ -153,10 +153,12 @@ pub struct MergeError {
 impl<'a> Segment<'a> {
     /// **The** per-segment answer: prunes by bounds, otherwise executes
     /// `q` over the segment's engine. `parallel` lets the engine use
-    /// its internal data parallelism (kNN scoring, similarity checks);
-    /// batch workers pass `false` so a batch stays one level of
-    /// parallelism deep. `scratch` is the calling worker's, reused
-    /// across the segments and the queries it walks.
+    /// its internal data parallelism — t2vec kNN scoring; every other
+    /// arm, refined EDR kNN and similarity included, runs on the calling
+    /// thread (see [`QueryEngine::material`]); batch workers pass
+    /// `false` so a batch stays one level of parallelism deep. `scratch`
+    /// is the calling worker's, reused across the segments and the
+    /// queries it walks.
     #[must_use]
     pub fn answer(&self, q: &Query, parallel: bool, scratch: &mut QueryScratch) -> Answer {
         if !query_touches_bounds(q, &self.bounds) {
@@ -369,8 +371,8 @@ fn answers<'a>(
 
 /// **The** fan-out: answers `q` over every segment and merges. With
 /// `parallel` a single query uses the whole machine (segments side by
-/// side, engines with their internal parallelism); a batch worker
-/// passes `false` and its own `scratch`, and stays sequential.
+/// side, engines with what internal parallelism their arm has); a batch
+/// worker passes `false` and its own `scratch`, and stays sequential.
 #[must_use]
 pub fn fan_out(
     segments: &[Segment<'_>],

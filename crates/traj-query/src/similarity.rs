@@ -59,53 +59,182 @@ impl SimilarityQuery {
     /// *query* trajectory's own span (the query cannot demand testimony
     /// about times it does not cover itself).
     pub fn matches_seq<S: PointSeq + ?Sized>(&self, t: &S) -> bool {
+        self.check()
+            .is_some_and(|check| check.overlaps(t.seq_time_span()) && check.stays_within(t))
+    }
+
+    /// What every candidate check needs of the query alone, `None` when
+    /// the window misses the query trajectory entirely: vacuous truth
+    /// would make every trajectory match, so nothing does.
+    pub(crate) fn check(&self) -> Option<SimilarityCheck<'_>> {
         let (q0, q1) = self.query.seq_time_span();
         let ts = self.ts.max(q0);
         let te = self.te.min(q1);
         if ts > te {
-            // Window misses the query trajectory entirely: vacuous truth
-            // would make every trajectory match; reject instead.
-            return false;
+            return None;
         }
-        let (t0, t1) = t.seq_time_span();
-        if t1 < ts || t0 > te {
-            return false;
-        }
-
-        // Check at a regular grid plus both trajectories' sample times.
         let step = if self.step > 0.0 {
             self.step
         } else {
             (te - ts).max(1.0) / 16.0
         };
-        let step = step.max((te - ts) / MAX_GRID_INSTANTS as f64);
-        let mut check_times: Vec<f64> = Vec::new();
-        let mut t_cursor = ts;
-        // The length test also ends the loop when `step` is too small
-        // against `ts` for the cursor to advance at all.
-        while t_cursor < te && check_times.len() < MAX_GRID_INSTANTS {
-            check_times.push(t_cursor);
-            t_cursor += step;
-        }
-        check_times.push(te);
-        if let Some((lo, hi)) = self.query.seq_window_indices(ts, te) {
-            check_times.extend((lo..=hi).map(|i| self.query.point_at(i).t));
-        }
-        if let Some((lo, hi)) = t.seq_window_indices(ts, te) {
-            check_times.extend((lo..=hi).map(|i| t.point_at(i).t));
-        }
-        check_times.iter().all(|&time| {
+        Some(SimilarityCheck {
+            query: &self.query,
+            delta: self.delta,
+            ts,
+            te,
+            step: step.max((te - ts) / MAX_GRID_INSTANTS as f64),
+            query_samples: self.query.seq_window_indices(ts, te),
+        })
+    }
+}
+
+/// A [`SimilarityQuery`] ready to be held against candidates: the window
+/// clipped to the query trajectory's span, the widened grid step and the
+/// query's own samples inside the window — computed once, however many
+/// candidates are checked.
+pub(crate) struct SimilarityCheck<'q> {
+    query: &'q Trajectory,
+    delta: f64,
+    ts: f64,
+    te: f64,
+    step: f64,
+    query_samples: Option<(usize, usize)>,
+}
+
+impl SimilarityCheck<'_> {
+    /// True when a trajectory spanning `[t0, t1]` overlaps the clipped
+    /// window — the first thing asked of a candidate, and askable without
+    /// the candidate: one that does not overlap cannot testify about the
+    /// window and is rejected.
+    pub(crate) fn overlaps(&self, (t0, t1): (f64, f64)) -> bool {
+        !(t1 < self.ts || t0 > self.te)
+    }
+
+    /// True when `t` — which [overlaps](Self::overlaps) the clipped
+    /// window — stays within δ of the query at a regular grid over it, at
+    /// its end and at both trajectories' sample times inside it. Instants
+    /// are checked as they are produced: a candidate that is far away at
+    /// `ts` costs one pair of interpolations.
+    pub(crate) fn stays_within<S: PointSeq + ?Sized>(&self, t: &S) -> bool {
+        let (ts, te) = (self.ts, self.te);
+        let within = |time: f64| {
             let qp = self.query.seq_position_at(time);
             let tp = t.seq_position_at(time);
             qp.spatial_distance(&tp) <= self.delta
-        })
+        };
+        // The cap also ends the grid when `step` is too small against
+        // `ts` for the cursor to advance at all.
+        let mut grid = (0..MAX_GRID_INSTANTS)
+            .scan(ts, |cursor, _| {
+                let time = *cursor;
+                *cursor += self.step;
+                Some(time)
+            })
+            .take_while(|&time| time < te);
+        grid.all(within)
+            && within(te)
+            && self
+                .query_samples
+                .is_none_or(|(lo, hi)| (lo..=hi).all(|i| within(self.query.point_at(i).t)))
+            && t.seq_window_indices(ts, te)
+                .is_none_or(|(lo, hi)| (lo..=hi).all(|i| within(t.point_at(i).t)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use trajectory::{Point, PointStore, TrajectoryDb};
+
+    impl SimilarityQuery {
+        /// `matches_seq` as it stood before it checked lazily, body
+        /// verbatim: every instant materialized, then tested. The lazy
+        /// matcher is the kernel the scan reference and the engine share,
+        /// so this copy is what pins it from outside.
+        fn matches_seq_eager<S: PointSeq + ?Sized>(&self, t: &S) -> bool {
+            let (q0, q1) = self.query.seq_time_span();
+            let ts = self.ts.max(q0);
+            let te = self.te.min(q1);
+            if ts > te {
+                // Window misses the query trajectory entirely: vacuous truth
+                // would make every trajectory match; reject instead.
+                return false;
+            }
+            let (t0, t1) = t.seq_time_span();
+            if t1 < ts || t0 > te {
+                return false;
+            }
+
+            // Check at a regular grid plus both trajectories' sample times.
+            let step = if self.step > 0.0 {
+                self.step
+            } else {
+                (te - ts).max(1.0) / 16.0
+            };
+            let step = step.max((te - ts) / MAX_GRID_INSTANTS as f64);
+            let mut check_times: Vec<f64> = Vec::new();
+            let mut t_cursor = ts;
+            // The length test also ends the loop when `step` is too small
+            // against `ts` for the cursor to advance at all.
+            while t_cursor < te && check_times.len() < MAX_GRID_INSTANTS {
+                check_times.push(t_cursor);
+                t_cursor += step;
+            }
+            check_times.push(te);
+            if let Some((lo, hi)) = self.query.seq_window_indices(ts, te) {
+                check_times.extend((lo..=hi).map(|i| self.query.point_at(i).t));
+            }
+            if let Some((lo, hi)) = t.seq_window_indices(ts, te) {
+                check_times.extend((lo..=hi).map(|i| t.point_at(i).t));
+            }
+            check_times.iter().all(|&time| {
+                let qp = self.query.seq_position_at(time);
+                let tp = t.seq_position_at(time);
+                qp.spatial_distance(&tp) <= self.delta
+            })
+        }
+    }
+
+    /// A trajectory on a 0.1 coordinate lattice over integer times, some
+    /// of them repeated, starting within 6 s of time 10.
+    fn arb_lattice_traj() -> impl Strategy<Value = Trajectory> {
+        let steps = prop::collection::vec((0..8i32, 0..8i32, 0..3i32), 1..9);
+        (10..16i32, steps).prop_map(|(start, steps)| {
+            let mut t = start;
+            let points = steps.into_iter().map(|(x, y, dt)| {
+                t += dt;
+                Point::new(f64::from(x) * 0.1, f64::from(y) * 0.1, f64::from(t))
+            });
+            Trajectory::new(points.collect()).unwrap()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The lazy matcher decides what the eager one decided: windows
+        /// before, inside and after both trajectories, one instant wide
+        /// or reversed; δ on the coordinate lattice, so a distance of
+        /// exactly δ occurs; default, ordinary and hostile steps.
+        #[test]
+        fn lazy_matcher_equals_the_eager_one(
+            (query, candidate) in (arb_lattice_traj(), arb_lattice_traj()),
+            (ts, len) in (5..25i32, -2..12i32),
+            (delta, step) in (0..16i32, 0..5usize),
+        ) {
+            let q = SimilarityQuery {
+                query,
+                ts: f64::from(ts),
+                te: f64::from(ts + len),
+                delta: f64::from(delta) * 0.1,
+                step: [0.0, 0.5, 1.0, 1e-20, f64::NAN][step],
+            };
+            prop_assert_eq!(q.matches_seq(&candidate), q.matches_seq_eager(&candidate));
+            prop_assert_eq!(q.matches_seq(&q.query), q.matches_seq_eager(&q.query));
+        }
+    }
 
     fn store_of(trajectories: Vec<Trajectory>) -> PointStore {
         TrajectoryDb::new(trajectories).to_store()

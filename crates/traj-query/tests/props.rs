@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use traj_query::knn::{Dissimilarity, KnnQuery};
 use traj_query::{
-    edr::edr_points,
+    edr::edr_seq,
     f1_sets,
     metrics::F1Score,
     range_query_store,
@@ -97,12 +97,12 @@ proptest! {
         (a, b) in (arb_points(15), arb_points(15)),
         eps in 0.1..100.0f64,
     ) {
-        let d_ab = edr_points(&a, &b, eps);
-        let d_ba = edr_points(&b, &a, eps);
+        let d_ab = edr_seq(&a[..], &b[..], eps);
+        let d_ba = edr_seq(&b[..], &a[..], eps);
         prop_assert_eq!(d_ab, d_ba, "symmetry");
         prop_assert!(d_ab >= 0.0);
         prop_assert!(d_ab <= a.len().max(b.len()) as f64, "bounded by max length");
-        prop_assert_eq!(edr_points(&a, &a, eps), 0.0, "identity");
+        prop_assert_eq!(edr_seq(&a[..], &a[..], eps), 0.0, "identity");
     }
 
     #[test]
@@ -110,7 +110,7 @@ proptest! {
         (a, b) in (arb_points(15), arb_points(15)),
     ) {
         // At least |len(a) - len(b)| unmatched elements must be edited.
-        let d = edr_points(&a, &b, 50.0);
+        let d = edr_seq(&a[..], &b[..], 50.0);
         prop_assert!(d >= (a.len() as f64 - b.len() as f64).abs());
     }
 
