@@ -2,7 +2,7 @@
 //! paper-shaped networks (16→25→9 cube agent; 4→25→2 point agent).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use tiny_rl::{Dqn, DqnConfig, Transition};
+use tiny_rl::{Dqn, DqnConfig, ForwardRows, Transition};
 
 fn bench_dqn(c: &mut Criterion) {
     let mut agent = Dqn::new(&[16, 25, 9], DqnConfig::default(), 1);
@@ -15,6 +15,11 @@ fn bench_dqn(c: &mut Criterion) {
 
     c.bench_function("dqn_greedy_action", |b| {
         b.iter(|| agent.greedy_action(std::hint::black_box(&state), &mask))
+    });
+
+    c.bench_function("dqn_greedy_action_reused_rows", |b| {
+        let mut rows = ForwardRows::default();
+        b.iter(|| agent.greedy_action_with(std::hint::black_box(&state), &mask, &mut rows))
     });
 
     // Fill the replay so train_step actually trains.
@@ -33,7 +38,11 @@ fn bench_dqn(c: &mut Criterion) {
     group.finish();
 
     c.bench_function("dqn_whiten", |b| {
-        b.iter(|| agent.whiten(std::hint::black_box(&state), false))
+        let mut whitened = state.clone();
+        b.iter(|| {
+            whitened.copy_from_slice(std::hint::black_box(&state));
+            agent.whiten(&mut whitened);
+        })
     });
 }
 

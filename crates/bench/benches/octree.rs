@@ -1,11 +1,12 @@
 //! Octree benchmarks: build cost (the O(N) term of the paper's complexity
-//! analysis), query assignment, start-cube sampling, and per-cube point
-//! enumeration (Agent-Point's state construction input).
+//! analysis), query assignment, the start-cube distribution (its
+//! once-per-loop build and its per-insertion draw, timed apart), and
+//! per-cube point enumeration (Agent-Point's state construction input).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use traj_index::{Octree, OctreeConfig};
+use traj_index::{CubeIndex, Octree, OctreeConfig};
 use traj_query::{range_workload, QueryDistribution, RangeWorkloadSpec};
 use trajectory::gen::{generate, DatasetSpec, Scale};
 
@@ -34,13 +35,22 @@ fn bench_octree(c: &mut Criterion) {
     });
 
     tree.assign_queries(&queries);
-    c.bench_function("octree_sample_start", |b| {
-        let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| tree.sample_start(3, &mut rng))
+    c.bench_function("octree_start_sampler_build", |b| {
+        b.iter(|| tree.start_sampler(std::hint::black_box(3), false))
     });
 
-    c.bench_function("octree_points_by_trajectory_root", |b| {
-        b.iter(|| tree.points_by_trajectory(tree.root()))
+    c.bench_function("octree_start_sampler_draw", |b| {
+        let sampler = tree.start_sampler(3, false);
+        let mut rng = StdRng::seed_from_u64(3);
+        b.iter(|| sampler.sample(&mut rng))
+    });
+
+    c.bench_function("octree_sorted_point_ids_root", |b| {
+        let mut ids = Vec::new();
+        b.iter(|| {
+            tree.sorted_point_ids(tree.root(), &mut ids);
+            ids.len()
+        })
     });
 }
 

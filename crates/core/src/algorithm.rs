@@ -3,10 +3,10 @@
 
 use crate::config::{PolicyVariant, Rl4QdtsConfig};
 use crate::cube_agent::{cube_mask, cube_state, forced_stop, STOP_ACTION};
-use crate::point_agent::point_state;
+use crate::point_agent::{point_state, PointScratch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tiny_rl::Dqn;
+use tiny_rl::{Dqn, ForwardRows};
 use traj_index::{CubeIndex, NodeId};
 use traj_query::QueryEngine;
 use trajectory::{AsColumns, Cube, PointStore, Simplification, TrajectoryDb};
@@ -127,38 +127,34 @@ impl Rl4Qdts {
         let total_points = store.total_points();
         let budget = budget.clamp(simp.total_points(), total_points);
 
-        // Inference clones so `&self` stays shareable and runs independent.
-        let mut cube_agent = self.cube_agent.clone();
-        let mut point_agent = self.point_agent.clone();
-        cube_agent.freeze();
-        point_agent.freeze();
+        // What no insertion changes is computed here, once: the tree and
+        // its `Q_B` counts are borrowed for the whole loop, so the start
+        // distribution is too. The full method samples the start cube by
+        // the *query* distribution and refines with Agent-Cube; the "w/o
+        // Agent-Cube" ablation replaces the whole cube stage with
+        // *data*-distribution sampling (§V-B(3)).
+        let sampler = tree.start_sampler(self.config.start_level, !variant.use_cube_agent);
+        let mut point = PointScratch::default();
+        let mut rows = ForwardRows::default();
 
         let mut consecutive_misses = 0usize;
         const MAX_MISSES: usize = 64;
 
         while simp.total_points() < budget {
-            // The full method samples the start cube by the *query*
-            // distribution and refines with Agent-Cube; the "w/o
-            // Agent-Cube" ablation replaces the whole cube stage with
-            // *data*-distribution sampling (§V-B(3)).
-            let node = if variant.use_cube_agent {
-                let start = tree.sample_start(self.config.start_level, &mut rng);
-                self.descend(tree, start, &mut cube_agent)
-            } else {
-                tree.sample_start_by_data(self.config.start_level, &mut rng)
-            };
-            let inserted = match point_state(store, &simp, tree, node, &self.config) {
-                Some(ps) => {
-                    let action = if variant.use_point_agent {
-                        let ws = point_agent.whiten(&ps.state, false);
-                        point_agent.greedy_action(&ws, &ps.mask)
-                    } else {
-                        0 // maximum-v_s candidate
-                    };
-                    let c = ps.candidates[action.min(ps.candidates.len() - 1)];
-                    simp.insert(c.point.traj, c.point.idx)
-                }
-                None => false,
+            let mut node = sampler.sample(&mut rng);
+            if variant.use_cube_agent {
+                node = self.descend(tree, node, &mut rows);
+            }
+            let inserted = point_state(store, &simp, tree, node, &self.config, &mut point) && {
+                let action = if variant.use_point_agent {
+                    self.point_agent.whiten(&mut point.state);
+                    self.point_agent
+                        .greedy_action_with(&point.state, &point.mask, &mut rows)
+                } else {
+                    0 // maximum-v_s candidate
+                };
+                let c = point.candidates[action.min(point.candidates.len() - 1)];
+                simp.insert(c.point.traj, c.point.idx)
             };
             if inserted {
                 consecutive_misses = 0;
@@ -181,18 +177,18 @@ impl Rl4Qdts {
         &self,
         tree: &I,
         mut node: NodeId,
-        agent: &mut Dqn,
+        rows: &mut ForwardRows,
     ) -> NodeId {
         loop {
             if forced_stop(tree, node, self.config.max_depth) {
                 return node;
             }
-            let Some(raw) = cube_state(tree, node) else {
+            let Some(mut state) = cube_state(tree, node) else {
                 return node;
             };
-            let state = agent.whiten(&raw, false);
+            self.cube_agent.whiten(&mut state);
             let mask = cube_mask(tree, node);
-            let action = agent.greedy_action(&state, &mask);
+            let action = self.cube_agent.greedy_action_with(&state, &mask, rows);
             if action == STOP_ACTION {
                 return node;
             }
@@ -208,8 +204,7 @@ impl Rl4Qdts {
 fn fill_remaining<S: AsColumns + ?Sized>(store: &S, simp: &mut Simplification, budget: usize) {
     use crate::point_agent::point_value;
     use traj_index::PointRef;
-    let mut total = simp.total_points();
-    if total >= budget {
+    if simp.total_points() >= budget {
         return;
     }
     // One O(N log N) pass: rank all remaining points by their current
@@ -227,12 +222,10 @@ fn fill_remaining<S: AsColumns + ?Sized>(store: &S, simp: &mut Simplification, b
     }
     candidates.sort_by(|a, b| b.0.total_cmp(&a.0));
     for (_, r) in candidates {
-        if total >= budget {
+        if simp.total_points() >= budget {
             break;
         }
-        if simp.insert(r.traj, r.idx) {
-            total += 1;
-        }
+        simp.insert(r.traj, r.idx);
     }
 }
 

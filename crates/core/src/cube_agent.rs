@@ -15,14 +15,17 @@ pub const STOP_ACTION: usize = 8;
 /// parent's trajectories (`M_child / M_B`) and of the parent's queries
 /// (`Q_child / Q_B`), interleaved as `[m1, q1, m2, q2, …]`.
 /// Returns `None` for leaves (no children to observe — traversal must stop).
-pub fn cube_state<I: CubeIndex + ?Sized>(tree: &I, node: NodeId) -> Option<Vec<f64>> {
+pub fn cube_state<I: CubeIndex + ?Sized>(
+    tree: &I,
+    node: NodeId,
+) -> Option<[f64; Rl4QdtsConfig::CUBE_STATE_DIM]> {
     let stats = tree.child_stats(node)?;
     let m_total = tree.traj_count(node).max(1) as f64;
     let q_total = tree.query_count(node).max(1) as f64;
-    let mut s = Vec::with_capacity(Rl4QdtsConfig::CUBE_STATE_DIM);
-    for (m, q) in stats {
-        s.push(m as f64 / m_total);
-        s.push(q as f64 / q_total);
+    let mut s = [0.0; Rl4QdtsConfig::CUBE_STATE_DIM];
+    for (pair, (m, q)) in s.chunks_exact_mut(2).zip(stats) {
+        pair[0] = m as f64 / m_total;
+        pair[1] = q as f64 / q_total;
     }
     Some(s)
 }

@@ -9,7 +9,7 @@
 use crate::algorithm::Rl4Qdts;
 use crate::config::Rl4QdtsConfig;
 use crate::cube_agent::{cube_mask, cube_state, forced_stop, STOP_ACTION};
-use crate::point_agent::point_state;
+use crate::point_agent::{point_state, PointScratch};
 use crate::reward::RewardTracker;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -205,6 +205,10 @@ fn run_episode(
         .max(floor + 2 * config.delta)
         .min(store.total_points());
     let mut tracker = RewardTracker::new(engine, queries, &simp);
+    // The same once-per-loop start distribution and Agent-Point buffers as
+    // inference (`Rl4Qdts::simplify_with_index`).
+    let sampler = tree.start_sampler(config.start_level, false);
+    let mut point = PointScratch::default();
 
     let mut cube_buf = WindowBuffer::new();
     let mut point_buf = WindowBuffer::new();
@@ -217,7 +221,7 @@ fn run_episode(
 
     while simp.total_points() < budget {
         // --- Agent-Cube: ε-greedy traversal (Algorithm 2). ---
-        let mut node = tree.sample_start(config.start_level, rng);
+        let mut node = sampler.sample(rng);
         loop {
             if forced_stop(tree, node, config.max_depth) {
                 break;
@@ -225,7 +229,8 @@ fn run_episode(
             let Some(raw) = cube_state(tree, node) else {
                 break;
             };
-            let state = model.cube_agent.whiten(&raw, true);
+            let mut state = raw.to_vec();
+            model.cube_agent.observe_whiten(&mut state);
             let mask = cube_mask(tree, node);
             let action = model.cube_agent.select_action(&state, &mask);
             cube_buf.on_decision(state, action);
@@ -237,26 +242,24 @@ fn run_episode(
         }
 
         // --- Agent-Point: choose and insert a point (Algorithm 3). ---
-        match point_state(store, &simp, tree, node, &config) {
-            Some(ps) => {
-                let state = model.point_agent.whiten(&ps.state, true);
-                let action = model.point_agent.select_action(&state, &ps.mask);
-                point_buf.on_decision(state, action);
-                transitions += 1;
-                let c = ps.candidates[action.min(ps.candidates.len() - 1)];
-                if simp.insert(c.point.traj, c.point.idx) {
-                    let p = store.view(c.point.traj).point(c.point.idx as usize);
-                    tracker.on_insert(c.point.traj, &p);
-                    insertions += 1;
-                    since_window += 1;
-                    misses = 0;
-                }
+        if point_state(store, &simp, tree, node, &config, &mut point) {
+            let mut state = point.state.clone();
+            model.point_agent.observe_whiten(&mut state);
+            let action = model.point_agent.select_action(&state, &point.mask);
+            point_buf.on_decision(state, action);
+            transitions += 1;
+            let c = point.candidates[action.min(point.candidates.len() - 1)];
+            if simp.insert(c.point.traj, c.point.idx) {
+                let p = store.view(c.point.traj).point(c.point.idx as usize);
+                tracker.on_insert(c.point.traj, &p);
+                insertions += 1;
+                since_window += 1;
+                misses = 0;
             }
-            None => {
-                misses += 1;
-                if misses >= 64 {
-                    break; // region exhausted; end the episode
-                }
+        } else {
+            misses += 1;
+            if misses >= 64 {
+                break; // region exhausted; end the episode
             }
         }
 

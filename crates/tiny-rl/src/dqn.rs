@@ -3,7 +3,7 @@
 //! agents: γ = 0.99, Adam lr 0.01, replay capacity 2000, ε floor 0.1 with
 //! multiplicative decay 0.99.
 
-use crate::nn::{Adam, Mlp, Whitener};
+use crate::nn::{Adam, ForwardRows, Mlp, Whitener};
 use crate::replay::{ReplayMemory, Transition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -136,16 +136,16 @@ impl Dqn {
         self.replay.len()
     }
 
-    /// Whitens a raw state. Training observes (updates statistics);
-    /// inference only transforms.
-    pub fn whiten(&mut self, state: &[f64], learn: bool) -> Vec<f64> {
-        let mut s = state.to_vec();
-        if learn {
-            self.whitener.observe_transform(&mut s);
-        } else {
-            self.whitener.transform(&mut s);
-        }
-        s
+    /// Whitens a raw state in place with the statistics as they stand —
+    /// the inference form, on a borrowed agent.
+    pub fn whiten(&self, state: &mut [f64]) {
+        self.whitener.transform(state);
+    }
+
+    /// Folds a raw state into the whitening statistics, then whitens it in
+    /// place — the training form.
+    pub fn observe_whiten(&mut self, state: &mut [f64]) {
+        self.whitener.observe_transform(state);
     }
 
     /// Q-values of a (whitened) state.
@@ -169,7 +169,18 @@ impl Dqn {
 
     /// Greedy (argmax-Q) action over valid actions.
     pub fn greedy_action(&self, state: &[f64], mask: &[bool]) -> usize {
-        let q = self.q_values(state);
+        self.greedy_action_with(state, mask, &mut ForwardRows::default())
+    }
+
+    /// [`Dqn::greedy_action`] with the forward pass run over the caller's
+    /// rows (an inference loop's per-decision allocations go).
+    pub fn greedy_action_with(
+        &self,
+        state: &[f64],
+        mask: &[bool],
+        rows: &mut ForwardRows,
+    ) -> usize {
+        let q = self.online.forward_rows(state, rows);
         let mut best = None::<(usize, f64)>;
         for (a, (&qa, &ok)) in q.iter().zip(mask).enumerate() {
             if !ok {
@@ -465,9 +476,10 @@ mod tests {
     fn whiten_learn_vs_inference() {
         let mut agent = Dqn::new(&[2, 4, 2], DqnConfig::default(), 12);
         for i in 0..100 {
-            let _ = agent.whiten(&[i as f64, 1000.0 * i as f64], true);
+            agent.observe_whiten(&mut [i as f64, 1000.0 * i as f64]);
         }
-        let w = agent.whiten(&[50.0, 50_000.0], false);
+        let mut w = [50.0, 50_000.0];
+        agent.whiten(&mut w);
         assert!(w.iter().all(|v| v.abs() < 3.0), "whitened: {w:?}");
     }
 }

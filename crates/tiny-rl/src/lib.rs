@@ -18,5 +18,5 @@ pub mod nn;
 pub mod replay;
 
 pub use dqn::{Dqn, DqnConfig};
-pub use nn::{Adam, Dense, Mlp, Whitener};
+pub use nn::{Adam, Dense, ForwardRows, Mlp, Whitener};
 pub use replay::{ReplayMemory, Transition};

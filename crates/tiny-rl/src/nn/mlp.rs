@@ -13,6 +13,15 @@ pub struct Mlp {
     layers: Vec<Dense>,
 }
 
+/// The two activation rows a forward pass ping-pongs between, held by the
+/// caller so a loop of forward passes ([`Mlp::forward_rows`]) allocates on
+/// its first pass only.
+#[derive(Debug, Clone, Default)]
+pub struct ForwardRows {
+    current: Vec<f64>,
+    next: Vec<f64>,
+}
+
 /// Per-layer gradient buffers for an [`Mlp`].
 #[derive(Debug, Clone)]
 pub struct MlpGrad {
@@ -55,16 +64,29 @@ impl Mlp {
 
     /// Forward pass.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut h = x.to_vec();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let mut y = layer.forward(&h);
-            if i != last {
-                for v in &mut y {
-                    *v = v.tanh();
-                }
+        let mut rows = ForwardRows::default();
+        self.forward_rows(x, &mut rows);
+        rows.current
+    }
+
+    /// Forward pass over the caller's two rows; the output borrows one of
+    /// them. Each layer is [`Dense::forward_into`], so the sums run in the
+    /// order [`Mlp::forward_trace`] runs them.
+    pub fn forward_rows<'r>(&self, x: &[f64], rows: &'r mut ForwardRows) -> &'r [f64] {
+        let ForwardRows {
+            current: h,
+            next: y,
+        } = rows;
+        let (first, rest) = self.layers.split_first().expect("an MLP has a layer");
+        h.resize(first.output, 0.0);
+        first.forward_into(x, h);
+        for layer in rest {
+            for v in h.iter_mut() {
+                *v = v.tanh();
             }
-            h = y;
+            y.resize(layer.output, 0.0);
+            layer.forward_into(h, y);
+            std::mem::swap(h, y);
         }
         h
     }
@@ -137,6 +159,28 @@ mod tests {
         assert_eq!(net.output_dim(), 9);
         assert_eq!(net.param_count(), 16 * 25 + 25 + 25 * 9 + 9);
         assert_eq!(net.forward(&[0.1; 16]).len(), 9);
+    }
+
+    #[test]
+    fn forward_rows_match_forward_and_keep_their_capacity() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let net = Mlp::new(&[4, 25, 7, 3], &mut rng);
+        let mut rows = ForwardRows::default();
+        let mut warmed = None;
+        for i in 0..1_000 {
+            let x = [i as f64 * 0.01, -1.0, (i % 7) as f64, 0.5];
+            let bits = |v: &[f64]| v.iter().map(|q| q.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(net.forward_rows(&x, &mut rows)),
+                bits(&net.forward(&x))
+            );
+            assert_eq!(
+                bits(&net.forward(&x)),
+                bits(net.forward_trace(&x).last().unwrap())
+            );
+            let capacities = [rows.current.capacity(), rows.next.capacity()];
+            assert_eq!(*warmed.get_or_insert(capacities), capacities, "pass {i}");
+        }
     }
 
     #[test]

@@ -11,5 +11,5 @@ pub mod serialize;
 
 pub use adam::Adam;
 pub use dense::{Dense, DenseGrad};
-pub use mlp::{Mlp, MlpGrad};
+pub use mlp::{ForwardRows, Mlp, MlpGrad};
 pub use norm::Whitener;

@@ -12,11 +12,9 @@
 //! Like the octree, the tree is built over a columnar
 //! [`trajectory::PointStore`] and its leaves hold bare global [`PointId`]s.
 
-use crate::octree::{group_by_trajectory, LeafSlab, NodeId, PackedPoints};
+use crate::octree::{LeafSlab, NodeId, PackedPoints};
 use crate::traits::CubeIndex;
-use rand::rngs::StdRng;
-use rand::Rng;
-use trajectory::{AsColumns, Cube, Point, PointId, TrajId};
+use trajectory::{AsColumns, Cube, Point, PointId};
 
 /// One node of the median tree.
 #[derive(Debug, Clone)]
@@ -24,7 +22,9 @@ struct Node {
     cube: Cube,
     depth: u32,
     children: Option<[NodeId; 8]>,
-    /// Start/length of the leaf's run in the packed arrays (leaves only).
+    /// Start of the subtree's run in the packed arrays (leaves are packed
+    /// in DFS order, so the `point_count` points under a node are
+    /// contiguous) and the length of the node's own run (leaves only).
     points_start: u32,
     points_len: u32,
     traj_count: u32,
@@ -56,8 +56,6 @@ pub struct MedianTree {
     nodes: Vec<Node>,
     /// Leaf-major packed coordinates/owners/ids (see [`LeafSlab`]).
     packed: PackedPoints,
-    /// Copy of the store's offset table (global id → trajectory mapping).
-    starts: Vec<u32>,
 }
 
 impl MedianTree {
@@ -79,7 +77,6 @@ impl MedianTree {
         let mut tree = Self {
             nodes: Vec::new(),
             packed: PackedPoints::with_capacity(store.total_points()),
-            starts: store.offsets().to_vec(),
         };
         tree.build_node(&mut entries[..], &owners, cube, 1, &config);
         tree
@@ -105,7 +102,7 @@ impl MedianTree {
             cube,
             depth,
             children: None,
-            points_start: 0,
+            points_start: self.packed.gids.len() as u32,
             points_len: 0,
             traj_count: distinct.len() as u32,
             point_count: entries.len() as u32,
@@ -114,11 +111,9 @@ impl MedianTree {
 
         let must_leaf = entries.len() <= config.leaf_capacity || depth >= config.max_depth;
         if must_leaf {
-            let start = self.packed.gids.len() as u32;
             for (gid, p) in entries.iter() {
                 self.packed.push(*gid, p.x, p.y, p.t, owners[*gid as usize]);
             }
-            self.nodes[id as usize].points_start = start;
             self.nodes[id as usize].points_len = entries.len() as u32;
             return id;
         }
@@ -194,28 +189,6 @@ impl MedianTree {
                 self.count_query(c, q);
             }
         }
-    }
-
-    /// Node ids at traversal level `s` (see [`Octree::nodes_at_level`]).
-    ///
-    /// [`Octree::nodes_at_level`]: crate::octree::Octree::nodes_at_level
-    fn nodes_at_level(&self, s: u32) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack = vec![0 as NodeId];
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id as usize];
-            if node.traj_count == 0 {
-                continue;
-            }
-            if node.depth == s || (node.children.is_none() && node.depth < s) {
-                out.push(id);
-            } else if node.depth < s {
-                if let Some(children) = node.children {
-                    stack.extend(children);
-                }
-            }
-        }
-        out
     }
 }
 
@@ -299,70 +272,17 @@ impl CubeIndex for MedianTree {
         }
     }
 
-    fn sample_start(&self, s: u32, rng: &mut StdRng) -> NodeId {
-        let candidates = self.nodes_at_level(s);
-        if candidates.is_empty() {
-            return 0;
-        }
-        let by_query: Vec<f64> = candidates
-            .iter()
-            .map(|&id| CubeIndex::query_count(self, id) as f64)
-            .collect();
-        let weights: Vec<f64> = if by_query.iter().sum::<f64>() > 0.0 {
-            by_query
-        } else {
-            candidates
-                .iter()
-                .map(|&id| CubeIndex::traj_count(self, id) as f64)
-                .collect()
-        };
-        pick_weighted_kd(&candidates, &weights, rng)
+    fn subtree_points(&self, id: NodeId) -> &[PointId] {
+        let node = &self.nodes[id as usize];
+        let r = node.points_start as usize..(node.points_start + node.point_count) as usize;
+        &self.packed.gids[r]
     }
-
-    fn sample_start_by_data(&self, s: u32, rng: &mut StdRng) -> NodeId {
-        let candidates = self.nodes_at_level(s);
-        if candidates.is_empty() {
-            return 0;
-        }
-        let weights: Vec<f64> = candidates
-            .iter()
-            .map(|&id| CubeIndex::traj_count(self, id) as f64)
-            .collect();
-        pick_weighted_kd(&candidates, &weights, rng)
-    }
-
-    fn points_by_trajectory(&self, id: NodeId) -> Vec<(TrajId, Vec<u32>)> {
-        let mut points: Vec<PointId> = Vec::with_capacity(self.point_count(id) as usize);
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            match self.nodes[n as usize].children {
-                None => points.extend_from_slice(self.leaf_points(n)),
-                Some(children) => stack.extend(children),
-            }
-        }
-        group_by_trajectory(points, &self.starts)
-    }
-}
-
-/// Weighted pick over candidates; uniform when all weights vanish.
-fn pick_weighted_kd(candidates: &[NodeId], weights: &[f64], rng: &mut StdRng) -> NodeId {
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 {
-        return candidates[rng.gen_range(0..candidates.len())];
-    }
-    let mut pick = rng.gen_range(0.0..total);
-    for (id, w) in candidates.iter().zip(weights) {
-        pick -= w;
-        if pick <= 0.0 {
-            return *id;
-        }
-    }
-    *candidates.last().expect("non-empty")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
     use trajectory::gen::{generate, DatasetSpec, Scale};
     use trajectory::PointStore;
@@ -382,10 +302,10 @@ mod tests {
             },
         );
         assert_eq!(tree.point_count(0) as usize, store.total_points());
-        let groups = tree.points_by_trajectory(0);
-        let total: usize = groups.iter().map(|(_, v)| v.len()).sum();
-        assert_eq!(total, store.total_points());
-        assert_eq!(groups.len(), store.len());
+        let mut ids = Vec::new();
+        tree.sorted_point_ids(0, &mut ids);
+        let all: Vec<PointId> = (0..store.total_points() as PointId).collect();
+        assert_eq!(ids, all);
     }
 
     #[test]
@@ -473,7 +393,7 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(9);
         for s in 1..5 {
-            let id = CubeIndex::sample_start(&tree, s, &mut rng);
+            let id = tree.start_sampler(s, false).sample(&mut rng);
             assert!(CubeIndex::traj_count(&tree, id) > 0, "level {s}");
         }
     }
@@ -497,12 +417,9 @@ mod tests {
         );
         for id in 0..tree.len() as NodeId {
             let cube = CubeIndex::cube(&tree, id);
-            for (traj, idxs) in tree.points_by_trajectory(id) {
-                let v = store.view(traj);
-                for idx in idxs {
-                    let p = v.point(idx as usize);
-                    assert!(cube.contains(&p), "node {id}: point {p} outside cube");
-                }
+            for &gid in tree.subtree_points(id) {
+                let p = store.point(gid);
+                assert!(cube.contains(&p), "node {id}: point {p} outside cube");
             }
         }
     }

@@ -17,4 +17,4 @@ pub mod traits;
 
 pub use kdtree::{MedianTree, MedianTreeConfig};
 pub use octree::{LeafSlab, Node, NodeId, Octree, OctreeConfig, PointRef};
-pub use traits::{CubeIndex, SpatioTemporalIndex};
+pub use traits::{CubeIndex, SpatioTemporalIndex, StartSampler};

@@ -15,8 +15,6 @@
 //! trajectory-major global-id order), replacing the allocation-heavy
 //! sorted-list merges of the AoS design.
 
-use rand::rngs::StdRng;
-use rand::Rng;
 use trajectory::{AsColumns, Cube, PointId, TrajId};
 
 /// Index of a node in the octree arena.
@@ -123,7 +121,9 @@ pub struct Node {
     pub depth: u32,
     /// Child node ids (octant order of [`Cube::octants`]); `None` for leaves.
     pub children: Option<[NodeId; 8]>,
-    /// Start of the leaf's run in the packed arrays (leaves only).
+    /// Start of the subtree's run in the packed arrays: leaves are packed
+    /// in DFS order, so the `point_count` points under any node are
+    /// contiguous.
     points_start: u32,
     /// Length of the leaf's packed run (leaves only).
     points_len: u32,
@@ -252,17 +252,17 @@ impl Octree {
         let mut node = Node::new_leaf(cube, depth);
         node.point_count = gids.len() as u32;
         node.traj_count = traj_count;
+        let start = self.packed.gids.len() as u32;
+        node.points_start = start;
         self.nodes.push(node);
 
         let (xs, ys, ts) = (store.xs(), store.ys(), store.ts());
         let must_leaf = gids.len() <= self.config.leaf_capacity || depth >= self.config.max_depth;
         if must_leaf {
-            let start = self.packed.gids.len() as u32;
             for &gid in gids.iter() {
                 let g = gid as usize;
                 self.packed.push(gid, xs[g], ys[g], ts[g], owners[g]);
             }
-            self.nodes[id as usize].points_start = start;
             self.nodes[id as usize].points_len = gids.len() as u32;
             // Tight bounds: lane-wide min/max over the freshly packed,
             // leaf-contiguous runs.
@@ -422,66 +422,6 @@ impl Octree {
         }
     }
 
-    /// Node ids at traversal level `s`: nodes at depth `s` plus leaves
-    /// shallower than `s` (they cannot be descended further). Only nodes
-    /// containing at least one trajectory are returned, matching the
-    /// paper's action-space constraint.
-    pub fn nodes_at_level(&self, s: u32) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack = vec![self.root()];
-        while let Some(id) = stack.pop() {
-            let node = self.node(id);
-            if node.traj_count == 0 {
-                continue;
-            }
-            if node.depth == s || (node.is_leaf() && node.depth < s) {
-                out.push(id);
-            } else if node.depth < s {
-                if let Some(children) = node.children {
-                    stack.extend(children);
-                }
-            }
-        }
-        out
-    }
-
-    /// Samples a start node at level `s` following the query distribution
-    /// (weights `Q_B`); falls back to the data distribution (`M_B`) when the
-    /// workload misses every candidate. Returns the root for an empty tree.
-    pub fn sample_start(&self, s: u32, rng: &mut StdRng) -> NodeId {
-        let candidates = self.nodes_at_level(s);
-        if candidates.is_empty() {
-            return self.root();
-        }
-        let by_query: Vec<f64> = candidates
-            .iter()
-            .map(|&id| self.node(id).query_count as f64)
-            .collect();
-        let weights: Vec<f64> = if by_query.iter().sum::<f64>() > 0.0 {
-            by_query
-        } else {
-            candidates
-                .iter()
-                .map(|&id| self.node(id).traj_count as f64)
-                .collect()
-        };
-        pick_weighted(&candidates, &weights, rng)
-    }
-
-    /// Samples a start node at level `s` following the *data* distribution
-    /// (`M_B` weights) — the paper's "w/o Agent-Cube" ablation behaviour.
-    pub fn sample_start_by_data(&self, s: u32, rng: &mut StdRng) -> NodeId {
-        let candidates = self.nodes_at_level(s);
-        if candidates.is_empty() {
-            return self.root();
-        }
-        let weights: Vec<f64> = candidates
-            .iter()
-            .map(|&id| self.node(id).traj_count as f64)
-            .collect();
-        pick_weighted(&candidates, &weights, rng)
-    }
-
     /// Global point ids stored directly at `id` (non-empty only for
     /// leaves).
     #[inline]
@@ -500,25 +440,20 @@ impl Octree {
         self.packed.slab(node.points_start, node.points_len)
     }
 
-    /// All global point ids in the subtree rooted at `id` (DFS over
-    /// leaves).
-    pub fn collect_points(&self, id: NodeId) -> Vec<PointId> {
-        let mut out = Vec::with_capacity(self.node(id).point_count as usize);
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            match self.node(n).children {
-                None => out.extend_from_slice(self.leaf_points(n)),
-                Some(children) => stack.extend(children),
-            }
-        }
-        out
+    /// All global point ids in the subtree rooted at `id`: one contiguous
+    /// run of the packed arrays, leaf after leaf in DFS order (ascending
+    /// within a leaf, not across leaves).
+    #[inline]
+    #[must_use]
+    pub fn subtree_points(&self, id: NodeId) -> &[PointId] {
+        let node = &self.nodes[id as usize];
+        let r = node.points_start as usize..(node.points_start + node.point_count) as usize;
+        &self.packed.gids[r]
     }
 
-    /// Points in the subtree of `id`, grouped by trajectory with each
-    /// trajectory's point indices sorted ascending. This is exactly the
-    /// view Agent-Point's state construction (Eq. 6–8) needs.
-    pub fn points_by_trajectory(&self, id: NodeId) -> Vec<(TrajId, Vec<u32>)> {
-        group_by_trajectory(self.collect_points(id), &self.starts)
+    /// Owned copy of [`Octree::subtree_points`].
+    pub fn collect_points(&self, id: NodeId) -> Vec<PointId> {
+        self.subtree_points(id).to_vec()
     }
 
     /// Maximum depth of any node actually present.
@@ -541,49 +476,11 @@ fn count_runs(owners: &[u32]) -> u32 {
     count
 }
 
-/// Sorts raw global ids and groups them into per-trajectory local index
-/// lists using an offset table — shared by both index backends.
-pub(crate) fn group_by_trajectory(
-    mut points: Vec<PointId>,
-    starts: &[u32],
-) -> Vec<(TrajId, Vec<u32>)> {
-    points.sort_unstable();
-    let mut out: Vec<(TrajId, Vec<u32>)> = Vec::new();
-    // Sorted global ids visit trajectories in id order: advance the offset
-    // cursor instead of binary-searching per point.
-    let mut traj = 0usize;
-    for gid in points {
-        while starts[traj + 1] <= gid {
-            traj += 1;
-        }
-        let idx = gid - starts[traj];
-        match out.last_mut() {
-            Some((last, idxs)) if *last == traj => idxs.push(idx),
-            _ => out.push((traj, vec![idx])),
-        }
-    }
-    out
-}
-
-/// Weighted pick over candidate node ids; uniform when all weights vanish.
-fn pick_weighted(candidates: &[NodeId], weights: &[f64], rng: &mut StdRng) -> NodeId {
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 {
-        return candidates[rng.gen_range(0..candidates.len())];
-    }
-    let mut pick = rng.gen_range(0.0..total);
-    for (id, w) in candidates.iter().zip(weights) {
-        pick -= w;
-        if pick <= 0.0 {
-            return *id;
-        }
-    }
-    *candidates.last().expect("non-empty")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::CubeIndex;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
     use trajectory::gen::{generate, DatasetSpec, Scale};
     use trajectory::{Point, PointStore, Trajectory, TrajectoryDb};
@@ -804,9 +701,10 @@ mod tests {
         let (cx, cy, ct) = cube.center();
         tree.assign_queries(&[Cube::centered(cx, cy, ct, 1e-6, 1e-6, 1e-6)]);
         let mut rng = StdRng::seed_from_u64(1);
+        let sampler = tree.start_sampler(2, false);
         let mut hits = 0;
         for _ in 0..50 {
-            if tree.sample_start(2, &mut rng) == target {
+            if sampler.sample(&mut rng) == target {
                 hits += 1;
             }
         }
@@ -822,7 +720,7 @@ mod tests {
         let tree = Octree::build(&store, OctreeConfig::default());
         // No queries assigned at all: still returns a valid populated node.
         let mut rng = StdRng::seed_from_u64(2);
-        let id = tree.sample_start(3, &mut rng);
+        let id = tree.start_sampler(3, false).sample(&mut rng);
         assert!(tree.node(id).traj_count > 0);
     }
 
@@ -830,16 +728,16 @@ mod tests {
     fn points_by_trajectory_groups_and_sorts() {
         let store = small_store();
         let tree = Octree::build(&store, OctreeConfig::default());
-        let groups = tree.points_by_trajectory(tree.root());
-        assert_eq!(groups.len(), store.len());
-        let total: usize = groups.iter().map(|(_, v)| v.len()).sum();
-        assert_eq!(total, store.total_points());
-        for (traj, idxs) in &groups {
-            assert!(
-                idxs.windows(2).all(|w| w[0] < w[1]),
-                "unsorted for traj {traj}"
-            );
-            assert_eq!(idxs.len(), store.view(*traj).len());
+        let mut ids = vec![PointId::MAX; 3]; // stale content must not survive
+        tree.sorted_point_ids(tree.root(), &mut ids);
+        // Every point once, ascending: trajectory-major ids make that each
+        // trajectory's full index run, in trajectory order.
+        let all: Vec<PointId> = (0..store.total_points() as PointId).collect();
+        assert_eq!(ids, all);
+        for id in 0..tree.len() as NodeId {
+            tree.sorted_point_ids(id, &mut ids);
+            assert_eq!(ids.len(), tree.node(id).point_count as usize, "node {id}");
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "unsorted at node {id}");
         }
     }
 
@@ -876,6 +774,6 @@ mod tests {
         assert!(tree.is_empty());
         assert_eq!(tree.len(), 1);
         let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(tree.sample_start(4, &mut rng), tree.root());
+        assert_eq!(tree.start_sampler(4, false).sample(&mut rng), tree.root());
     }
 }

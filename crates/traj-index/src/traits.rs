@@ -7,7 +7,8 @@
 //! ([`crate::kdtree::MedianTree`]) can be swapped in and ablated.
 
 use rand::rngs::StdRng;
-use trajectory::{Cube, PointId, TrajId};
+use rand::Rng;
+use trajectory::{Cube, PointId};
 
 use crate::kdtree::MedianTree;
 use crate::octree::{LeafSlab, NodeId, Octree};
@@ -139,17 +140,111 @@ pub trait CubeIndex {
     /// Registers the query workload (recomputes every `Q_B`).
     fn assign_queries(&mut self, queries: &[Cube]);
 
-    /// Samples a start node at level `s` following the query distribution,
-    /// falling back to the data distribution.
-    fn sample_start(&self, s: u32, rng: &mut StdRng) -> NodeId;
+    /// All global point ids in the subtree of `id`, as the index stores
+    /// them (leaf after leaf; ascending within a leaf only).
+    fn subtree_points(&self, id: NodeId) -> &[PointId];
 
-    /// Samples a start node at level `s` following the *data* distribution
-    /// (`M_B` weights) — what the paper's "w/o Agent-Cube" ablation does.
-    fn sample_start_by_data(&self, s: u32, rng: &mut StdRng) -> NodeId;
+    /// The global ids of the points in the subtree of `id`, ascending, left
+    /// in the caller's `out` (cleared first, capacity kept). Global ids are
+    /// trajectory-major, so this is the cube's points grouped by trajectory
+    /// with each trajectory's indices ascending — the view Agent-Point's
+    /// state construction (Eq. 6–8) walks.
+    fn sorted_point_ids(&self, id: NodeId, out: &mut Vec<PointId>) {
+        out.clear();
+        out.extend_from_slice(self.subtree_points(id));
+        out.sort_unstable();
+    }
 
-    /// Points in the subtree of `id`, grouped per trajectory, indices
-    /// ascending.
-    fn points_by_trajectory(&self, id: NodeId) -> Vec<(TrajId, Vec<u32>)>;
+    /// Node ids at traversal level `s`: nodes at depth `s` plus leaves
+    /// shallower than `s` (they cannot be descended further). Only nodes
+    /// containing at least one trajectory are returned, matching the
+    /// paper's action-space constraint.
+    fn nodes_at_level(&self, s: u32) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        let mut stack = vec![self.root()];
+        while let Some(id) = stack.pop() {
+            if self.traj_count(id) == 0 {
+                continue;
+            }
+            let depth = self.depth(id);
+            if depth == s || (self.is_leaf(id) && depth < s) {
+                out.push(id);
+            } else if depth < s {
+                if let Some(children) = self.children(id) {
+                    stack.extend(children);
+                }
+            }
+        }
+        out
+    }
+
+    /// The start-cube distribution at level `s` under the `Q_B` counts as
+    /// they stand: candidates weighted by the query distribution (`Q_B`),
+    /// or by the data distribution (`M_B`) when `by_data` is set — the
+    /// paper's "w/o Agent-Cube" ablation — or when the workload misses
+    /// every candidate. The tree and its counts do not change while an
+    /// insertion loop runs, so a loop builds this once, after
+    /// [`assign_queries`](Self::assign_queries).
+    fn start_sampler(&self, s: u32, by_data: bool) -> StartSampler {
+        let candidates = self.nodes_at_level(s);
+        let weigh = |by_data: bool| -> (Vec<f64>, f64) {
+            let count = |id| match by_data {
+                true => self.traj_count(id),
+                false => self.query_count(id),
+            };
+            let weights: Vec<f64> = candidates.iter().map(|&id| count(id) as f64).collect();
+            let total = weights.iter().sum();
+            (weights, total)
+        };
+        let (mut weights, mut total) = weigh(by_data);
+        if !by_data && total <= 0.0 {
+            (weights, total) = weigh(true);
+        }
+        StartSampler {
+            root: self.root(),
+            candidates,
+            weights,
+            total,
+        }
+    }
+}
+
+/// A start-cube distribution ([`CubeIndex::start_sampler`]): the candidate
+/// nodes of one level, their weights and the weights' sum, computed once
+/// and drawn from once per insertion.
+#[derive(Debug, Clone)]
+pub struct StartSampler {
+    root: NodeId,
+    candidates: Vec<NodeId>,
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl StartSampler {
+    /// Draws a start node; the root (and nothing from `rng`) for an empty
+    /// tree.
+    ///
+    /// The draw is part of what a seed means, so its rng consumption is
+    /// fixed: one `gen_range(0.0..total)` (one `gen_range(0..len)` when
+    /// every weight vanishes), then a sequential subtraction scan. A
+    /// prefix-sum table with a binary search would round differently at a
+    /// boundary between two candidates and pick the other one.
+    pub fn sample(&self, rng: &mut StdRng) -> NodeId {
+        let Some(&last) = self.candidates.last() else {
+            return self.root;
+        };
+        if self.total <= 0.0 {
+            return self.candidates[rng.gen_range(0..self.candidates.len())];
+        }
+        let mut pick = rng.gen_range(0.0..self.total);
+        for (id, w) in self.candidates.iter().zip(&self.weights) {
+            pick -= w;
+            if pick <= 0.0 {
+                return *id;
+            }
+        }
+        last
+    }
 }
 
 impl CubeIndex for Octree {
@@ -189,25 +284,178 @@ impl CubeIndex for Octree {
         Octree::assign_queries(self, queries)
     }
 
-    fn sample_start(&self, s: u32, rng: &mut StdRng) -> NodeId {
-        Octree::sample_start(self, s, rng)
-    }
-
-    fn sample_start_by_data(&self, s: u32, rng: &mut StdRng) -> NodeId {
-        Octree::sample_start_by_data(self, s, rng)
-    }
-
-    fn points_by_trajectory(&self, id: NodeId) -> Vec<(TrajId, Vec<u32>)> {
-        Octree::points_by_trajectory(self, id)
+    fn subtree_points(&self, id: NodeId) -> &[PointId] {
+        Octree::subtree_points(self, id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kdtree::MedianTreeConfig;
     use crate::octree::OctreeConfig;
-    use rand::SeedableRng;
+    use proptest::prelude::*;
+    use rand::{RngCore, SeedableRng};
     use trajectory::gen::{generate, DatasetSpec, Scale};
+    use trajectory::{Point, PointStore, Trajectory, TrajectoryDb};
+
+    /// The start-cube draw as it was written before [`StartSampler`]: the
+    /// candidates re-collected and their weights re-summed on every draw
+    /// (the `MedianTree` copy, which already read the counts through the
+    /// trait; `Octree`'s differed only in reading its node fields). The
+    /// reference the sampler's draws and rng consumption are held to.
+    mod per_draw {
+        use super::*;
+
+        pub fn sample_start<I: CubeIndex + ?Sized>(tree: &I, s: u32, rng: &mut StdRng) -> NodeId {
+            let candidates = tree.nodes_at_level(s);
+            if candidates.is_empty() {
+                return 0;
+            }
+            let by_query: Vec<f64> = candidates
+                .iter()
+                .map(|&id| CubeIndex::query_count(tree, id) as f64)
+                .collect();
+            let weights: Vec<f64> = if by_query.iter().sum::<f64>() > 0.0 {
+                by_query
+            } else {
+                candidates
+                    .iter()
+                    .map(|&id| CubeIndex::traj_count(tree, id) as f64)
+                    .collect()
+            };
+            pick_weighted_kd(&candidates, &weights, rng)
+        }
+
+        pub fn sample_start_by_data<I: CubeIndex + ?Sized>(
+            tree: &I,
+            s: u32,
+            rng: &mut StdRng,
+        ) -> NodeId {
+            let candidates = tree.nodes_at_level(s);
+            if candidates.is_empty() {
+                return 0;
+            }
+            let weights: Vec<f64> = candidates
+                .iter()
+                .map(|&id| CubeIndex::traj_count(tree, id) as f64)
+                .collect();
+            pick_weighted_kd(&candidates, &weights, rng)
+        }
+
+        /// Weighted pick over candidates; uniform when all weights vanish.
+        fn pick_weighted_kd(candidates: &[NodeId], weights: &[f64], rng: &mut StdRng) -> NodeId {
+            let total: f64 = weights.iter().sum();
+            if total <= 0.0 {
+                return candidates[rng.gen_range(0..candidates.len())];
+            }
+            let mut pick = rng.gen_range(0.0..total);
+            for (id, w) in candidates.iter().zip(weights) {
+                pick -= w;
+                if pick <= 0.0 {
+                    return *id;
+                }
+            }
+            *candidates.last().expect("non-empty")
+        }
+    }
+
+    /// Twelve draws from one sampler against twelve per-draw samplings,
+    /// at every level and under both distributions, then the next word of
+    /// each random stream: equal draws off equally advanced generators.
+    fn assert_sampler_matches_per_draw<I: CubeIndex>(tree: &I, depth: u32, seed: u64) {
+        for level in 1..=depth + 1 {
+            for by_data in [false, true] {
+                let sampler = tree.start_sampler(level, by_data);
+                let mut new_rng = StdRng::seed_from_u64(seed);
+                let mut old_rng = StdRng::seed_from_u64(seed);
+                for draw in 0..12 {
+                    let old = if by_data {
+                        per_draw::sample_start_by_data(tree, level, &mut old_rng)
+                    } else {
+                        per_draw::sample_start(tree, level, &mut old_rng)
+                    };
+                    assert_eq!(
+                        sampler.sample(&mut new_rng),
+                        old,
+                        "level {level}, by_data {by_data}, draw {draw}"
+                    );
+                }
+                assert_eq!(
+                    new_rng.next_u64(),
+                    old_rng.next_u64(),
+                    "level {level}, by_data {by_data}: the generators parted"
+                );
+            }
+        }
+    }
+
+    fn both_backends(store: &PointStore, queries: &[Cube], seed: u64) {
+        let mut octree = Octree::build(
+            store,
+            OctreeConfig {
+                max_depth: 5,
+                leaf_capacity: 6,
+            },
+        );
+        octree.assign_queries(queries);
+        assert_sampler_matches_per_draw(&octree, octree.actual_depth(), seed);
+        let mut kd = MedianTree::build(
+            store,
+            MedianTreeConfig {
+                max_depth: 4,
+                leaf_capacity: 6,
+            },
+        );
+        kd.assign_queries(queries);
+        assert_sampler_matches_per_draw(&kd, kd.actual_depth(), seed);
+    }
+
+    fn arb_store() -> impl Strategy<Value = PointStore> {
+        prop::collection::vec(
+            prop::collection::vec((-1e3..1e3f64, -1e3..1e3f64, 0.1..10.0f64), 2..30),
+            1..8,
+        )
+        .prop_map(|trajs| {
+            let trajs = trajs.into_iter().map(|steps| {
+                let mut t = 0.0;
+                let pts = steps.into_iter().map(|(x, y, dt)| {
+                    t += dt;
+                    Point::new(x, y, t)
+                });
+                Trajectory::new(pts.collect()).unwrap()
+            });
+            TrajectoryDb::new(trajs.collect()).to_store()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn start_sampler_draws_what_the_per_draw_sampling_drew(
+            store in arb_store(),
+            centers in prop::collection::vec((-1e3..1e3f64, -1e3..1e3f64, 0.0..200.0f64), 0..6),
+            seed in 0u64..1_000,
+        ) {
+            let queries: Vec<Cube> = centers
+                .iter()
+                .map(|&(x, y, t)| Cube::centered(x, y, t, 300.0, 300.0, 40.0))
+                .collect();
+            both_backends(&store, &queries, seed);
+            // A workload that hits nothing: the data-distribution fallback.
+            both_backends(&store, &[Cube::centered(1e9, 1e9, 1e9, 1.0, 1.0, 1.0)], seed);
+        }
+    }
+
+    #[test]
+    fn start_sampler_of_an_empty_tree_is_the_root_and_draws_nothing() {
+        both_backends(&PointStore::new(), &[], 5);
+        let tree = Octree::build(&PointStore::new(), OctreeConfig::default());
+        let mut rng = StdRng::seed_from_u64(5);
+        assert_eq!(tree.start_sampler(3, false).sample(&mut rng), 0);
+        assert_eq!(rng.next_u64(), StdRng::seed_from_u64(5).next_u64());
+    }
 
     /// The trait view of the octree must agree with its inherent methods.
     #[test]
@@ -218,12 +466,9 @@ mod tests {
         assert_eq!(dyn_tree.root(), 0);
         assert_eq!(dyn_tree.depth(0), 1);
         assert_eq!(dyn_tree.traj_count(0) as usize, store.len());
-        assert_eq!(
-            dyn_tree.points_by_trajectory(0).len(),
-            tree.points_by_trajectory(0).len()
-        );
+        assert_eq!(dyn_tree.subtree_points(0), tree.subtree_points(0));
         let mut rng = StdRng::seed_from_u64(1);
-        let start = dyn_tree.sample_start(2, &mut rng);
+        let start = dyn_tree.start_sampler(2, false).sample(&mut rng);
         assert!(dyn_tree.traj_count(start) > 0);
     }
 }

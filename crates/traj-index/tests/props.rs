@@ -1,7 +1,7 @@
 //! Property-based tests for the octree index.
 
 use proptest::prelude::*;
-use traj_index::{Octree, OctreeConfig};
+use traj_index::{CubeIndex, Octree, OctreeConfig};
 use trajectory::{Point, Trajectory, TrajectoryDb};
 
 fn arb_db() -> impl Strategy<Value = TrajectoryDb> {
@@ -80,14 +80,16 @@ proptest! {
 
     #[test]
     fn points_by_trajectory_is_a_partition(db in arb_db()) {
-        let tree = Octree::build(&db.to_store(), OctreeConfig { max_depth: 6, leaf_capacity: 8 });
-        let groups = tree.points_by_trajectory(tree.root());
+        let store = db.to_store();
+        let tree = Octree::build(&store, OctreeConfig { max_depth: 6, leaf_capacity: 8 });
+        let mut ids = Vec::new();
+        tree.sorted_point_ids(tree.root(), &mut ids);
+        prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must ascend");
         let mut seen = std::collections::BTreeSet::new();
-        for (traj, idxs) in groups {
-            for idx in idxs {
-                prop_assert!(seen.insert((traj, idx)), "duplicate ({traj},{idx})");
-                prop_assert!((idx as usize) < db.get(traj).len());
-            }
+        for gid in ids {
+            let (traj, idx) = store.locate(gid);
+            prop_assert!(seen.insert((traj, idx)), "duplicate ({traj},{idx})");
+            prop_assert!((idx as usize) < db.get(traj).len());
         }
         prop_assert_eq!(seen.len(), db.total_points());
     }

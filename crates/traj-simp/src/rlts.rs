@@ -76,7 +76,7 @@ impl RltsPlus {
                 continue;
             }
             let budget = ((traj.len() as f64 * config.ratio) as usize).max(2);
-            policy_drop_one(traj, budget, measure, k, &mut agent, true);
+            policy_drop_one(traj, budget, measure, k, Policy::Learn(&mut agent));
         }
         agent.freeze();
         Self {
@@ -112,31 +112,30 @@ impl Simplifier for RltsPlus {
     }
 
     fn simplify_store(&self, store: &PointStore, budget: usize) -> Simplification {
-        // The trained agent is cloned so inference stays `&self` and
-        // repeated calls are independent and deterministic.
-        let mut agent = self.agent.clone();
-        agent.freeze();
+        // Greedy inference reads the trained agent and changes nothing in
+        // it, so repeated calls are independent and deterministic.
+        let policy = || Policy::Act(&self.agent);
         match self.adaptation {
             Adaptation::Each => simplify_each(store, budget, |v, b| {
                 let budget = b.clamp(2, v.len());
-                policy_drop_one(v, budget, self.measure, self.k, &mut agent, false)
+                policy_drop_one(v, budget, self.measure, self.k, policy())
             }),
             Adaptation::Whole => {
                 let mut simp = Simplification::full_store(store);
                 let budget = budget.max(crate::min_points_store(store));
-                run_policy_drop(
-                    store,
-                    &mut simp,
-                    budget,
-                    self.measure,
-                    self.k,
-                    &mut agent,
-                    false,
-                );
+                run_policy_drop(store, &mut simp, budget, self.measure, self.k, policy());
                 simp
             }
         }
     }
+}
+
+/// How the drop loop uses its agent: training explores ε-greedily, stores
+/// transitions and takes gradient steps, so it owns the agent for the
+/// loop; inference acts greedily on a borrowed one.
+enum Policy<'a> {
+    Learn(&'a mut Dqn),
+    Act(&'a Dqn),
 }
 
 /// The policy loop over one trajectory, run as a single-trajectory store
@@ -147,27 +146,23 @@ fn policy_drop_one(
     budget: usize,
     measure: ErrorMeasure,
     k: usize,
-    agent: &mut Dqn,
-    learn: bool,
+    policy: Policy<'_>,
 ) -> Vec<u32> {
     let mut single = PointStore::with_capacity(1, traj.len());
     let _ = single.push_view(traj);
     let mut simp = Simplification::full_store(&single);
-    run_policy_drop(&single, &mut simp, budget, measure, k, agent, learn);
+    run_policy_drop(&single, &mut simp, budget, measure, k, policy);
     simp.kept(0).to_vec()
 }
 
-/// The shared Bottom-Up-with-a-policy loop. With `learn = true` it explores
-/// ε-greedily, stores transitions, and trains the agent; otherwise it acts
-/// greedily.
+/// The shared Bottom-Up-with-a-policy loop (see [`Policy`]).
 fn run_policy_drop<S: AsColumns + ?Sized>(
     store: &S,
     simp: &mut Simplification,
     budget: usize,
     measure: ErrorMeasure,
     k: usize,
-    agent: &mut Dqn,
-    learn: bool,
+    mut policy: Policy<'_>,
 ) {
     let mut versions: Vec<Vec<u64>> = store.views().map(|v| vec![0u64; v.len()]).collect();
     let mut heap: LazyHeap<(TrajId, u32)> = LazyHeap::new();
@@ -202,16 +197,19 @@ fn run_policy_drop<S: AsColumns + ?Sized>(
         }
         // State: the K costs ascending, padded with the worst cost.
         let pad = candidates.last().expect("non-empty").0;
-        let mut raw_state: Vec<f64> = candidates.iter().map(|(c, _)| *c).collect();
-        raw_state.resize(k, pad);
-        let state = agent.whiten(&raw_state, learn);
+        let mut state: Vec<f64> = candidates.iter().map(|(c, _)| *c).collect();
+        state.resize(k, pad);
+        match &mut policy {
+            Policy::Learn(agent) => agent.observe_whiten(&mut state),
+            Policy::Act(agent) => agent.whiten(&mut state),
+        }
         let mut mask = vec![false; k];
         for m in mask.iter_mut().take(candidates.len()) {
             *m = true;
         }
 
         // Close the pending transition now that its successor is known.
-        if learn {
+        if let Policy::Learn(agent) = &mut policy {
             if let Some((ps, pa, pr)) = pending.take() {
                 agent.remember(Transition {
                     state: ps,
@@ -224,10 +222,9 @@ fn run_policy_drop<S: AsColumns + ?Sized>(
             }
         }
 
-        let action = if learn {
-            agent.select_action(&state, &mask)
-        } else {
-            agent.greedy_action(&state, &mask)
+        let action = match &mut policy {
+            Policy::Learn(agent) => agent.select_action(&state, &mask),
+            Policy::Act(agent) => agent.greedy_action(&state, &mask),
         };
         let (cost, (id, idx)) = candidates[action.min(candidates.len() - 1)];
 
@@ -251,7 +248,7 @@ fn run_policy_drop<S: AsColumns + ?Sized>(
             }
         }
 
-        if learn {
+        if matches!(policy, Policy::Learn(_)) {
             // Reward: negative increase of the running max error.
             let new_err = running_err.max(cost);
             let reward = running_err - new_err;
@@ -261,7 +258,7 @@ fn run_policy_drop<S: AsColumns + ?Sized>(
     }
 
     // Terminal transition.
-    if learn {
+    if let Policy::Learn(agent) = &mut policy {
         if let Some((ps, pa, pr)) = pending.take() {
             agent.remember(Transition {
                 state: ps,

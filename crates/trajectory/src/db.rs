@@ -130,6 +130,9 @@ impl FromIterator<Trajectory> for TrajectoryDb {
 pub struct Simplification {
     /// `kept[id]` = sorted indices of retained points of trajectory `id`.
     kept: Vec<Vec<u32>>,
+    /// Σ `kept[id].len()`, maintained by every constructor and by
+    /// `insert` / `remove`: insertion loops test it once per point.
+    total: usize,
 }
 
 impl Simplification {
@@ -147,7 +150,7 @@ impl Simplification {
                 }
             })
             .collect();
-        Self { kept }
+        Self::counted(kept)
     }
 
     /// A simplification that keeps everything (identity).
@@ -156,7 +159,7 @@ impl Simplification {
             .views()
             .map(|v| (0..v.len() as u32).collect())
             .collect();
-        Self { kept }
+        Self::counted(kept)
     }
 
     /// Builds from per-trajectory kept-index lists. Lists must be sorted,
@@ -168,7 +171,12 @@ impl Simplification {
         for (id, ks) in kept.iter().enumerate() {
             Self::assert_kept_list(id, ks, store.view(id).len() as u32);
         }
-        Self { kept }
+        Self::counted(kept)
+    }
+
+    fn counted(kept: Vec<Vec<u32>>) -> Self {
+        let total = kept.iter().map(Vec::len).sum();
+        Self { kept, total }
     }
 
     #[cfg(debug_assertions)]
@@ -209,9 +217,11 @@ impl Simplification {
 
     /// Total number of retained points (the quantity bounded by the storage
     /// budget `W`).
+    #[inline]
     #[must_use]
     pub fn total_points(&self) -> usize {
-        self.kept.iter().map(Vec::len).sum()
+        debug_assert_eq!(self.total, self.kept.iter().map(Vec::len).sum::<usize>());
+        self.total
     }
 
     /// True when point `idx` of trajectory `id` is retained.
@@ -227,6 +237,7 @@ impl Simplification {
             Ok(_) => false,
             Err(pos) => {
                 self.kept[id].insert(pos, idx);
+                self.total += 1;
                 true
             }
         }
@@ -242,6 +253,7 @@ impl Simplification {
         match ks.binary_search(&idx) {
             Ok(pos) if pos != 0 && pos != ks.len() - 1 => {
                 ks.remove(pos);
+                self.total -= 1;
                 true
             }
             _ => false,
@@ -415,6 +427,46 @@ mod tests {
         assert!(s.remove(0, 2));
         assert_eq!(s.kept(0), &[0, 4]);
         assert!(!s.remove(0, 2), "already gone");
+    }
+
+    #[test]
+    fn total_points_follows_every_constructor_and_edit() {
+        let store = store();
+        let summed = |s: &Simplification| (0..s.len()).map(|id| s.kept(id).len()).sum::<usize>();
+        let from_kept = Simplification::from_kept_store(&store, vec![vec![0, 1, 3, 4], vec![0, 2]]);
+        assert_eq!(from_kept.total_points(), 6);
+        assert_eq!(Simplification::full_store(&store).total_points(), 8);
+        let single = TrajectoryDb::new(vec![
+            Trajectory::new(vec![Point::new(0.0, 0.0, 0.0)]).unwrap()
+        ]);
+        let single = Simplification::most_simplified_store(&single.to_store());
+        assert_eq!(single.total_points(), 1);
+
+        let mut s = Simplification::most_simplified_store(&store);
+        assert_eq!(s.total_points(), 4);
+        let edits: [(bool, TrajId, u32, bool, usize); 8] = [
+            (true, 0, 2, true, 5),
+            (true, 0, 2, false, 5), // duplicate insert
+            (true, 1, 1, true, 6),
+            (false, 0, 0, false, 6), // endpoint remove
+            (false, 0, 4, false, 6),
+            (false, 0, 3, false, 6), // not kept
+            (false, 0, 2, true, 5),
+            (false, 1, 1, true, 4),
+        ];
+        for (insert, id, idx, changed, total) in edits {
+            let did = if insert {
+                s.insert(id, idx)
+            } else {
+                s.remove(id, idx)
+            };
+            assert_eq!(did, changed, "insert {insert} ({id}, {idx})");
+            assert_eq!(s.total_points(), total, "insert {insert} ({id}, {idx})");
+            assert_eq!(s.total_points(), summed(&s));
+            assert!(!s.is_full(8));
+        }
+        assert_eq!(s, Simplification::most_simplified_store(&store));
+        assert_eq!(s.clone().total_points(), summed(&s));
     }
 
     #[test]
