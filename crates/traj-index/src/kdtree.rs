@@ -179,6 +179,16 @@ impl MedianTree {
         self.packed.slab(node.points_start, node.points_len)
     }
 
+    /// The owning trajectory of every point in the subtree of `id` — one
+    /// contiguous run, leaf after leaf in DFS order.
+    #[inline]
+    #[must_use]
+    pub fn subtree_owners(&self, id: NodeId) -> &[u32] {
+        let node = &self.nodes[id as usize];
+        let r = node.points_start as usize..(node.points_start + node.point_count) as usize;
+        &self.packed.owners[r]
+    }
+
     fn count_query(&mut self, id: NodeId, q: &Cube) {
         if !self.nodes[id as usize].cube.intersects(q) {
             return;

@@ -451,6 +451,15 @@ impl Octree {
         &self.packed.gids[r]
     }
 
+    /// The owners of [`Octree::subtree_points`], point for point.
+    #[inline]
+    #[must_use]
+    pub fn subtree_owners(&self, id: NodeId) -> &[u32] {
+        let node = &self.nodes[id as usize];
+        let r = node.points_start as usize..(node.points_start + node.point_count) as usize;
+        &self.packed.owners[r]
+    }
+
     /// Owned copy of [`Octree::subtree_points`].
     pub fn collect_points(&self, id: NodeId) -> Vec<PointId> {
         self.subtree_points(id).to_vec()

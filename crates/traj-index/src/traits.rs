@@ -53,6 +53,12 @@ pub trait SpatioTemporalIndex {
 
     /// Number of points in the subtree of `id`.
     fn point_count(&self, id: NodeId) -> u32;
+
+    /// The owning trajectory of every point in the subtree of `id`: one
+    /// contiguous run of the packed owner column (leaves are packed in
+    /// DFS order), so accepting a subtree whole is one walk of a slice,
+    /// no descent.
+    fn subtree_owners(&self, id: NodeId) -> &[u32];
 }
 
 impl SpatioTemporalIndex for Octree {
@@ -83,6 +89,10 @@ impl SpatioTemporalIndex for Octree {
     fn point_count(&self, id: NodeId) -> u32 {
         self.node(id).point_count
     }
+
+    fn subtree_owners(&self, id: NodeId) -> &[u32] {
+        Octree::subtree_owners(self, id)
+    }
 }
 
 impl SpatioTemporalIndex for MedianTree {
@@ -108,6 +118,10 @@ impl SpatioTemporalIndex for MedianTree {
 
     fn point_count(&self, id: NodeId) -> u32 {
         MedianTree::point_count(self, id)
+    }
+
+    fn subtree_owners(&self, id: NodeId) -> &[u32] {
+        MedianTree::subtree_owners(self, id)
     }
 }
 
@@ -470,5 +484,30 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let start = dyn_tree.start_sampler(2, false).sample(&mut rng);
         assert!(dyn_tree.traj_count(start) > 0);
+    }
+
+    /// A subtree's owner run names, point for point, the trajectories of
+    /// its point run — on every node of both backends, interior nodes and
+    /// empty ones included.
+    #[test]
+    fn subtree_owners_are_the_owners_of_the_subtree_points() {
+        fn check<I: SpatioTemporalIndex + CubeIndex>(tree: &I, nodes: usize, store: &PointStore) {
+            for id in 0..nodes as NodeId {
+                let owners = tree.subtree_owners(id);
+                let points = tree.subtree_points(id);
+                assert_eq!(owners.len(), tree.point_count(id) as usize, "node {id}");
+                assert_eq!(owners.len(), points.len(), "node {id}");
+                for (&owner, &gid) in owners.iter().zip(points) {
+                    assert_eq!(owner as usize, store.traj_of(gid), "node {id}");
+                }
+            }
+        }
+        let store = generate(&DatasetSpec::geolife(Scale::Smoke), 67).to_store();
+        let octree = Octree::build(&store, OctreeConfig::default());
+        check(&octree, octree.len(), &store);
+        let kd = MedianTree::build(&store, MedianTreeConfig::default());
+        check(&kd, kd.len(), &store);
+        let empty = Octree::build(&PointStore::new(), OctreeConfig::default());
+        assert!(empty.subtree_owners(0).is_empty());
     }
 }

@@ -25,7 +25,8 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::OnceLock;
 
 use traj_index::{
-    CubeIndex, MedianTree, MedianTreeConfig, NodeId, Octree, OctreeConfig, SpatioTemporalIndex,
+    CubeIndex, LeafSlab, MedianTree, MedianTreeConfig, NodeId, Octree, OctreeConfig,
+    SpatioTemporalIndex,
 };
 use trajectory::{
     AsColumns, Cube, KeptBitmap, MappedStore, Point, PointStore, Simplification, StoreRef, TrajId,
@@ -763,9 +764,9 @@ fn covers(outer: &Cube, inner: &Cube) -> bool {
 /// miss `q` is skipped, and one fully covered by `q` is accepted by
 /// marking owners alone — neither touches a coordinate. Leaves that
 /// straddle the boundary are scanned as packed coordinate/owner runs
-/// ([`LeafSlab`]), one same-owner run at a time through the lane-wide
-/// containment kernel ([`trajectory::simd::any_in_cube`]); runs whose
-/// owner is already marked are skipped without a single point test.
+/// ([`LeafSlab`]): one containment mask per ≤ 64 points
+/// ([`for_each_inside`]), whoever owns them, then the owners of its set
+/// bits are marked.
 fn range_mark<I: SpatioTemporalIndex + ?Sized>(index: &I, id: NodeId, q: &Cube, hit: &mut [bool]) {
     if index.point_count(id) == 0 {
         return;
@@ -786,75 +787,45 @@ fn range_mark<I: SpatioTemporalIndex + ?Sized>(index: &I, id: NodeId, q: &Cube, 
         }
         None => {
             let slab = index.leaf_slab(id);
-            for (owner, lo, hi) in OwnerRuns::new(slab.owners) {
-                if !hit[owner]
-                    && trajectory::simd::any_in_cube(
-                        &slab.xs[lo..hi],
-                        &slab.ys[lo..hi],
-                        &slab.ts[lo..hi],
-                        q,
-                    )
-                {
-                    hit[owner] = true;
-                }
-            }
+            for_each_inside(&slab, q, false, |i| hit[slab.owners[i] as usize] = true);
         }
     }
 }
 
 /// Marks every owner in the subtree of `id` without touching coordinates
 /// — the whole-accept arm of [`range_mark`] once a node's tight cube is
-/// covered by the query.
+/// covered by the query. The subtree's owners lie in one contiguous run
+/// ([`SpatioTemporalIndex::subtree_owners`]): no descent.
 fn mark_all_owners<I: SpatioTemporalIndex + ?Sized>(index: &I, id: NodeId, hit: &mut [bool]) {
-    match index.children(id) {
-        Some(children) => {
-            for c in children {
-                if index.point_count(c) > 0 {
-                    mark_all_owners(index, c, hit);
-                }
-            }
-        }
-        None => {
-            for &owner in index.leaf_slab(id).owners {
-                hit[owner as usize] = true;
-            }
-        }
+    for &owner in index.subtree_owners(id) {
+        hit[owner as usize] = true;
     }
 }
 
-/// Iterator over maximal same-owner runs of a packed owner column:
-/// yields `(owner, start, end)` half-open ranges. Leaf slabs keep each
-/// trajectory's points adjacent, so runs are long and each becomes one
-/// kernel call.
-struct OwnerRuns<'a> {
-    owners: &'a [u32],
-    pos: usize,
-}
-
-impl<'a> OwnerRuns<'a> {
-    fn new(owners: &'a [u32]) -> Self {
-        Self { owners, pos: 0 }
+/// Calls `f(i)` for every slab point inside `q`, ascending: one
+/// [`trajectory::simd::in_cube_mask`] per chunk of at most 64 points,
+/// then a walk of its set bits. `contained` says the leaf's tight cube
+/// lies inside `q`, so every point does and no coordinate is read.
+fn for_each_inside(slab: &LeafSlab<'_>, q: &Cube, contained: bool, mut f: impl FnMut(usize)) {
+    if contained {
+        (0..slab.len()).for_each(f);
+        return;
     }
-}
-
-impl Iterator for OwnerRuns<'_> {
-    type Item = (usize, usize, usize);
-
-    fn next(&mut self) -> Option<(usize, usize, usize)> {
-        let lo = self.pos;
-        let owner = *self.owners.get(lo)?;
-        let mut hi = lo + 1;
-        while self.owners.get(hi) == Some(&owner) {
-            hi += 1;
+    for lo in (0..slab.len()).step_by(64) {
+        let hi = (lo + 64).min(slab.len());
+        let mut inside =
+            trajectory::simd::in_cube_mask(&slab.xs[lo..hi], &slab.ys[lo..hi], &slab.ts[lo..hi], q);
+        while inside != 0 {
+            f(lo + inside.trailing_zeros() as usize);
+            inside &= inside - 1;
         }
-        self.pos = hi;
-        Some((owner as usize, lo, hi))
     }
 }
 
 /// [`range_mark`] over only the *kept* points of a simplification,
-/// resolving kept membership per leaf point (owner from the slab, local
-/// index from the offset table) — the bitmap-free single-query path.
+/// resolving kept membership per contained leaf point (owner from the
+/// slab, local index from the offset table; a binary search, so it runs
+/// after containment, not before) — the bitmap-free single-query path.
 fn range_mark_simplified<I: SpatioTemporalIndex + ?Sized>(
     index: &I,
     kept: KeptView<'_>,
@@ -874,22 +845,19 @@ fn range_mark_simplified<I: SpatioTemporalIndex + ?Sized>(
             }
         }
         None => {
-            let contained = covers(q, &tight);
             let slab = index.leaf_slab(id);
-            for i in 0..slab.len() {
+            for_each_inside(&slab, q, covers(q, &tight), |i| {
                 let traj = slab.owners[i] as usize;
-                if hit[traj] || !kept.contains(traj, slab.gids[i] - offsets[traj]) {
-                    continue;
-                }
-                if contained || q.contains_xyz(slab.xs[i], slab.ys[i], slab.ts[i]) {
+                if !hit[traj] && kept.contains(traj, slab.gids[i] - offsets[traj]) {
                     hit[traj] = true;
                 }
-            }
+            });
         }
     }
 }
 
-/// [`range_mark`] over only the points set in the kept bitmap.
+/// [`range_mark`] over only the points set in the kept bitmap: the
+/// bitmap is asked only about points the containment mask let through.
 fn range_mark_kept<I: SpatioTemporalIndex + ?Sized>(
     index: &I,
     kept: &KeptBitmap,
@@ -908,22 +876,13 @@ fn range_mark_kept<I: SpatioTemporalIndex + ?Sized>(
             }
         }
         None => {
-            let contained = covers(q, &tight);
             let slab = index.leaf_slab(id);
-            for (traj, lo, hi) in OwnerRuns::new(slab.owners) {
-                if hit[traj] {
-                    continue;
+            for_each_inside(&slab, q, covers(q, &tight), |i| {
+                let traj = slab.owners[i] as usize;
+                if !hit[traj] && kept.contains(slab.gids[i]) {
+                    hit[traj] = true;
                 }
-                for i in lo..hi {
-                    if !kept.contains(slab.gids[i]) {
-                        continue;
-                    }
-                    if contained || q.contains_xyz(slab.xs[i], slab.ys[i], slab.ts[i]) {
-                        hit[traj] = true;
-                        break;
-                    }
-                }
-            }
+            });
         }
     }
 }
@@ -1384,6 +1343,69 @@ mod tests {
                     "backend {:?}",
                     cfg.backend
                 );
+            }
+        }
+    }
+
+    /// The three range walkers against the scan backend — which shares
+    /// neither the tree walk nor the mask kernel — at leaf sizes on both
+    /// sides of the 64-point chunk: one point a leaf, exactly 64, 65, a
+    /// few chunks, and the whole store in the root leaf. The cubes include
+    /// ones whose faces pass through sampled points and one that covers
+    /// everything (the whole-accept arm).
+    #[test]
+    fn range_walkers_match_the_scan_backend_at_every_leaf_size() {
+        let store = small_store();
+        let mut simp = Simplification::most_simplified_store(&store);
+        let mut bitmap = KeptBitmap::zeros(store.total_points());
+        for (id, t) in store.iter() {
+            for idx in (0..t.len() as u32).step_by(3) {
+                simp.insert(id, idx);
+            }
+        }
+        for gid in (0..store.total_points() as u32).filter(|g| g % 7 < 2) {
+            bitmap.insert(gid);
+        }
+        let mut queries = workload(&store, 30, 9);
+        queries.push(store.bounding_cube());
+        let (xs, ys, ts) = (store.xs(), store.ys(), store.ts());
+        for g in (0..store.total_points()).step_by(store.total_points() / 12 + 1) {
+            // Point `g` on the low corner, another point's coordinates on
+            // the high faces.
+            let h = (g * 31 + 17) % store.total_points();
+            queries.push(Cube::new(
+                xs[g].min(xs[h]),
+                xs[g].max(xs[h]),
+                ys[g].min(ys[h]),
+                ys[g].max(ys[h]),
+                ts[g].min(ts[h]),
+                ts[g].max(ts[h]),
+            ));
+        }
+        let scan = QueryEngine::over_store(&store, EngineConfig::scan());
+        let mut scratch = QueryScratch::new();
+        for leaf_capacity in [1, 64, 65, 200, usize::MAX] {
+            for backend in [BackendKind::Octree, BackendKind::MedianKd] {
+                let cfg = EngineConfig {
+                    backend,
+                    leaf_capacity,
+                    ..EngineConfig::default()
+                };
+                let engine = QueryEngine::over_store(&store, cfg);
+                for q in &queries {
+                    let label = format!("{backend:?} leaf {leaf_capacity} cube {q:?}");
+                    assert_eq!(engine.range(q), scan.range(q), "{label}");
+                    assert_eq!(
+                        engine.range_simplified(&simp, q),
+                        scan.range_simplified(&simp, q),
+                        "simplified, {label}"
+                    );
+                    assert_eq!(
+                        engine.range_with_bitmap(&bitmap, q, &mut scratch),
+                        scan.range_with_bitmap(&bitmap, q, &mut scratch),
+                        "kept bitmap, {label}"
+                    );
+                }
             }
         }
     }

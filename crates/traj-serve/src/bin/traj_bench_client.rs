@@ -418,8 +418,8 @@ fn run_live(
     }
 }
 
-/// Executor threads draining the shared coordinator's admission queue
-/// in cluster mode — the pipeline depth: how many coalesced wire
+/// Rounds the shared coordinator's admission queue lets run at once in
+/// cluster mode — the pipeline depth: how many coalesced wire
 /// rounds stay in flight over the pooled shard connections. Extra
 /// in-flight rounds only pay off when coordinator-side merge work can
 /// overlap shard execution on other cores; on a single core they just
@@ -726,7 +726,7 @@ fn main() {
             "    \"clients\": {},\n",
             "    \"requests_per_client\": {},\n",
             "    \"workload\": \"1 query/request: 80% range (paper-default 2km x 7d, data-anchored), 10% knn (EDR, k=3, 1h window), 10% similarity (5km, 10min step, 1h window)\",\n",
-            "    \"batched_mode\": \"admission queue + persistent executor coalescing concurrent requests into shared heterogeneous engine passes\",\n",
+            "    \"batched_mode\": \"admission queue whose leader coalesces concurrent requests into shared heterogeneous engine passes on its own thread\",\n",
             "    \"max_batch_queries\": {},\n",
             "    \"linger_us\": {},\n",
             "    \"cluster_shards\": {},\n",

@@ -11,7 +11,7 @@ use traj_query::{Query, QueryBatch, QueryResult};
 use trajectory::Trajectory;
 
 use crate::wire::{
-    encode_ingest, encode_message, encode_request, encode_shard_request, read_message, IngestAck,
+    encode_ingest, encode_message, encode_request, encode_shard_request, read_frame, IngestAck,
     Message, ShardInfo, ShardResult, WireError,
 };
 
@@ -136,8 +136,7 @@ impl Client {
     /// One request/response exchange over the caller's queries, encoded
     /// where they lie.
     fn request(&mut self, queries: &[Query]) -> Result<Vec<QueryResult>, WireError> {
-        self.send(&encode_request(queries))?;
-        match self.receive()? {
+        match self.exchange(encode_request(queries))? {
             Message::Response(results) => {
                 if results.len() != queries.len() {
                     return Err(WireError::Malformed {
@@ -157,8 +156,7 @@ impl Client {
     /// itself (trajectory/point counts, kept-bitmap presence) so the
     /// placement map can be cross-checked before queries flow.
     pub fn hello(&mut self) -> Result<ShardInfo, WireError> {
-        self.send(&encode_message(&Message::Hello))?;
-        match self.receive()? {
+        match self.exchange(encode_message(&Message::Hello))? {
             Message::ShardInfo(info) => Ok(info),
             Message::Error { code, message } => Err(WireError::Remote { code, message }),
             _ => Err(WireError::Malformed {
@@ -171,7 +169,8 @@ impl Client {
     /// server returns raw per-shard material ([`ShardResult`] per
     /// query — local hits, kept hits, scored kNN candidates) for the
     /// coordinator to merge globally. `queries` is a `&QueryBatch` or
-    /// any exact-size run of borrowed queries (a coordinator sends the
+    /// any exact-size run of borrowed queries that can be walked twice —
+    /// once to size the frame, once to write it (a coordinator sends the
     /// routed part of its caller's batch without copying it). The
     /// caller-chosen `id` is sent on the request and verified against
     /// the response's echo — a mismatched echo means the connection
@@ -185,12 +184,11 @@ impl Client {
     ) -> Result<Vec<ShardResult>, WireError>
     where
         I: IntoIterator<Item = &'a Query>,
-        I::IntoIter: ExactSizeIterator,
+        I::IntoIter: ExactSizeIterator + Clone,
     {
         let queries = queries.into_iter();
         let sent = queries.len();
-        self.send(&encode_shard_request(id, queries))?;
-        match self.receive()? {
+        match self.exchange(encode_shard_request(id, queries))? {
             Message::ShardResponse {
                 id: echoed,
                 results,
@@ -221,8 +219,7 @@ impl Client {
     /// snapshot answers with a typed [`WireError::Remote`] carrying
     /// [`ERR_READ_ONLY`](crate::server::ERR_READ_ONLY).
     pub fn ingest(&mut self, trajs: &[Trajectory]) -> Result<IngestAck, WireError> {
-        self.send(&encode_ingest(trajs))?;
-        match self.receive()? {
+        match self.exchange(encode_ingest(trajs))? {
             Message::IngestAck(ack) => Ok(ack),
             Message::Error { code, message } => Err(WireError::Remote { code, message }),
             _ => Err(WireError::Malformed {
@@ -231,13 +228,14 @@ impl Client {
         }
     }
 
-    /// Writes one encoded frame (one `write_all` call).
-    fn send(&mut self, frame: &[u8]) -> Result<(), WireError> {
-        self.stream.write_all(frame).map_err(|e| map_io("write", e))
-    }
-
-    fn receive(&mut self) -> Result<Message, WireError> {
-        match map_timeout("read", read_message(&mut self.stream))? {
+    /// One exchange: writes the encoded request (one `write_all` call)
+    /// and reads the reply into the same allocation, where it is checked
+    /// and decoded.
+    fn exchange(&mut self, mut frame: Vec<u8>) -> Result<Message, WireError> {
+        self.stream
+            .write_all(&frame)
+            .map_err(|e| map_io("write", e))?;
+        match map_timeout("read", read_frame(&mut self.stream, &mut frame))? {
             Some(msg) => Ok(msg),
             None => Err(WireError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,

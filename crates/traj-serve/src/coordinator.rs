@@ -47,18 +47,16 @@
 //! and re-dialed transparently after a failure.
 //!
 //! [`SharedCoordinator`] puts the admission queue the in-process
-//! [`Server`](crate::Server) uses in front of the fan-out:
-//! many connections (or threads) submit batches concurrently, a small
-//! pool of executor threads coalesces everything that arrived together
-//! into one wire round per shard, and each submitter gets its slice of
-//! the merged answer back. [`Coordinator::stats`] reports how well
-//! that works: coalesced rounds, queries per round, and frames
-//! sent vs pruned per shard.
+//! [`Server`](crate::Server) uses in front of the fan-out: many threads
+//! submit batches concurrently, the leader among them runs everything
+//! that arrived together as one wire round per shard, and each submitter
+//! gets its slice of the merged answer back. [`Coordinator::stats`]
+//! reports how well that works: coalesced rounds, queries per round, and
+//! frames sent vs pruned per shard.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use traj_query::{merge, query_touches_bounds, Answer, IdMap, Query, QueryBatch, QueryResult};
@@ -756,54 +754,35 @@ fn shard_round(
     }
 }
 
-struct SharedState {
+/// The coalescing front of a [`Coordinator`]: N concurrent callers
+/// submit batches; the leader among them coalesces everything that
+/// arrived together into *one* wire round per shard (amortizing framing,
+/// syscalls, and shard-side engine passes), runs it on its own thread and
+/// routes each caller its slice of the merged answer. More than one
+/// executor keeps several rounds in flight, pipelined over the per-shard
+/// connection pools. Shared by reference ([`SharedCoordinator::execute_batch`]
+/// takes `&self`); it owns no thread, so dropping it is all the shutdown
+/// there is.
+pub struct SharedCoordinator {
     coordinator: Coordinator,
     admission: Admission<Result<DistributedResponse, CoordinatorError>>,
 }
 
-/// The coalescing front of a [`Coordinator`]: the admission queue the
-/// single-process [`Server`](crate::Server) batches with, put in front
-/// of the distributed fan-out. N concurrent callers submit
-/// batches; a small pool of executor threads coalesces everything that
-/// arrived together into *one* wire round per shard (amortizing
-/// framing, syscalls, and shard-side engine passes) and routes each
-/// caller's slice of the merged answer back. More than one executor
-/// keeps multiple coalesced rounds in flight, pipelined over the
-/// coordinator's per-shard connection pools.
-///
-/// Shareable by reference across threads ([`SharedCoordinator::execute_batch`]
-/// takes `&self`); dropping it shuts the executors down.
-pub struct SharedCoordinator {
-    shared: Arc<SharedState>,
-    executors: Vec<JoinHandle<()>>,
-    done: bool,
-}
-
 impl SharedCoordinator {
-    /// Wraps a connected coordinator in an admission queue drained by
-    /// `executors` coalescing threads (at least one). `cfg` bounds the
-    /// coalesced batch size and the linger window exactly as it does
-    /// for [`Server`](crate::Server).
+    /// Wraps a connected coordinator in an admission queue that lets
+    /// `executors` coalesced rounds run at once (at least one). `cfg`
+    /// bounds the batch as it does for [`Server`](crate::Server); callers
+    /// being anonymous threads, a round that is not full lingers its
+    /// whole window for one more.
     #[must_use]
     pub fn start(
         coordinator: Coordinator,
         cfg: BatchConfig,
         executors: usize,
     ) -> SharedCoordinator {
-        let shared = Arc::new(SharedState {
-            coordinator,
-            admission: Admission::new(),
-        });
-        let executors = (0..executors.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || shared_executor_loop(&shared, cfg))
-            })
-            .collect();
         SharedCoordinator {
-            shared,
-            executors,
-            done: false,
+            coordinator,
+            admission: Admission::new(cfg, executors, false),
         }
     }
 
@@ -814,60 +793,8 @@ impl SharedCoordinator {
         &self,
         batch: &QueryBatch,
     ) -> Result<DistributedResponse, CoordinatorError> {
-        self.shared
-            .admission
-            .submit(batch.queries().to_vec())
-            .unwrap_or_else(|refused| {
-                Err(match refused {
-                    Refused::Closed => CoordinatorError::Closed,
-                    Refused::PassFailed => CoordinatorError::RoundFailed,
-                })
-            })
-    }
-
-    /// The wrapped coordinator (for stats and placement introspection).
-    #[must_use]
-    pub fn coordinator(&self) -> &Coordinator {
-        &self.shared.coordinator
-    }
-
-    /// Current counters of the wrapped coordinator.
-    #[must_use]
-    pub fn stats(&self) -> CoordinatorStats {
-        self.shared.coordinator.stats()
-    }
-
-    /// Stops the executors once they have served what is already
-    /// queued, and joins them. Later submissions fail with
-    /// [`CoordinatorError::Closed`]. Idempotent; also runs on drop.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        if self.done {
-            return;
-        }
-        self.done = true;
-        self.shared.admission.close();
-        for h in self.executors.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for SharedCoordinator {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-/// The admission drain: one fan-out round per coalesced batch, each
-/// rider replied its slice of the merged results under the round's
-/// status (a degraded round degrades every rider).
-fn shared_executor_loop(state: &Arc<SharedState>, cfg: BatchConfig) {
-    state.admission.run(cfg, |batch, lens| {
-        match state.coordinator.execute_batch(batch) {
+        // Each rider is replied its slice under the round's status.
+        let round = |batch: &_, lens: &[usize]| match self.coordinator.execute_batch(batch) {
             Ok(resp) => split(resp.results, lens)
                 .into_iter()
                 .map(|results| {
@@ -879,6 +806,30 @@ fn shared_executor_loop(state: &Arc<SharedState>, cfg: BatchConfig) {
                 })
                 .collect(),
             Err(e) => lens.iter().map(|_| Err(e.clone())).collect(),
-        }
-    });
+        };
+        self.admission
+            .submit(batch.queries().to_vec(), round)
+            .unwrap_or_else(|refused| {
+                Err(match refused {
+                    Refused::Closed => CoordinatorError::Closed,
+                    Refused::PassFailed => CoordinatorError::RoundFailed,
+                })
+            })
+    }
+
+    /// The wrapped coordinator (for stats and placement introspection).
+    #[must_use]
+    pub fn coordinator(&self) -> &Coordinator {
+        &self.coordinator
+    }
+
+    /// Current counters of the wrapped coordinator.
+    #[must_use]
+    pub fn stats(&self) -> CoordinatorStats {
+        self.coordinator.stats()
+    }
+
+    /// Drops the front and the coordinator's pooled connections. Callers
+    /// borrow the front while they ride, so none can be queued here.
+    pub fn shutdown(self) {}
 }

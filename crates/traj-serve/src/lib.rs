@@ -7,19 +7,29 @@
 //! - [`wire`] — a versioned, length-prefixed, checksummed little-endian
 //!   frame format carrying whole batch plans and their results, with a
 //!   typed [`WireError`] for every corruption class (mirroring the
-//!   snapshot codec's discipline, and reusing its encode primitives);
+//!   snapshot codec's discipline, and reusing its encode primitives).
+//!   A connection owns one frame buffer: a frame is read into it as its
+//!   bytes arrive — never to the length a header merely declares — and
+//!   hashed where it lies, and the reply is encoded into the same
+//!   allocation at its exact size;
 //! - [`server`] — a multi-threaded TCP server sharing one database
 //!   (an immutable [`TrajDb`](traj_query::TrajDb) or a live
 //!   [`GenerationalDb`](traj_query::GenerationalDb)) across all
 //!   connections, whose **admission queue** ([`BatchConfig`]) coalesces
 //!   queries arriving concurrently on many connections into single
-//!   heterogeneous work-stealing engine passes. A coordinator's shard
+//!   heterogeneous work-stealing engine passes. The queue owns no
+//!   thread: the connection that finds fewer than
+//!   [`ServeOptions::executors`] passes running leads the next one on
+//!   its own thread and hands the others their slices, and it lingers
+//!   only for connections that have queried before, are neither queued
+//!   nor riding, and were set free by a pass less than the window ago —
+//!   a lone client pays no admission tax. A coordinator's shard
 //!   frame bypasses the queue and is one such pass by itself
 //!   ([`QueryExecutor::shard_batch`](traj_query::QueryExecutor::shard_batch)):
 //!   parallel across the frame's queries with sequential inner loops,
 //!   over one segment list. A pass that panics is contained: its own
-//!   riders get a typed [`ERR_PASS_FAILED`] frame, the queue keeps
-//!   draining;
+//!   riders get a typed [`ERR_PASS_FAILED`] frame, the lead is handed
+//!   on and the queue keeps serving;
 //! - [`client`] — a blocking client speaking the same frames (with
 //!   optional connect/read/write deadlines), plus the
 //!   `traj_bench_client` load generator that measures throughput and
@@ -38,7 +48,7 @@
 //!   retries, and a per-request [`FailurePolicy`] for typed degraded
 //!   answers. A [`SharedCoordinator`] puts the server's admission queue
 //!   in front so concurrent submissions coalesce into one wire round
-//!   per shard;
+//!   per shard, run by whichever caller leads it;
 //! - [`fault`] — a byte-level fault-injecting TCP proxy ([`FaultProxy`])
 //!   used by the test suites to prove every injected failure surfaces
 //!   as a typed error or a correct degraded answer, never a wrong one.

@@ -1,17 +1,17 @@
 //! Multi-threaded TCP server fronting one shared database.
 //!
 //! One listener thread accepts connections; each connection gets a
-//! handler thread that reads framed requests and writes framed
-//! responses. What happens *between* read and write is the point of
-//! this module — the admission/batching layer: handler threads enqueue
-//! their queries into a shared admission queue and
-//! a small pool of persistent executor threads coalesces everything
-//! that arrived concurrently — across *all* connections — into one
-//! heterogeneous [`QueryBatch`] executed in a single work-stealing
-//! `execute_batch` pass. A bounded batch size and a microsecond-scale
-//! linger window ([`BatchConfig`]) trade a little queueing delay for
-//! much better per-query overhead; results are routed back to each
-//! waiting connection in submission order.
+//! handler thread that reads framed requests into its own frame buffer
+//! and writes framed responses from it. What happens *between* read and
+//! write is the point of this module — the admission/batching layer
+//! (`admission.rs`): handler threads enqueue their queries, and one
+//! of them, the leader, runs everything that arrived concurrently —
+//! across *all* connections — as one heterogeneous `QueryBatch` in a
+//! single work-stealing `execute_batch` pass on its own thread, then
+//! routes each waiting connection its results. A bounded batch size and
+//! a microsecond-scale linger window ([`BatchConfig`]) trade a little
+//! queueing delay for much better per-query overhead; a lone client
+//! pays neither the window nor a wake-up.
 //!
 //! The database is opened once and shared (`TrajDb` is `Send + Sync`;
 //! the static assertion below keeps that honest), so every layout the
@@ -29,14 +29,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use traj_query::{
-    DbOptions, GenerationalDb, IngestReport, QueryBatch, QueryExecutor, QueryResult, TrajDb,
-    TrajDbError,
+    DbOptions, GenerationalDb, IngestReport, QueryExecutor, QueryResult, TrajDb, TrajDbError,
 };
 use trajectory::Trajectory;
 
 pub use crate::admission::BatchConfig;
 use crate::admission::{split, Admission, Refused};
-use crate::wire::{read_message, write_message, IngestAck, Message, ShardInfo, WireError};
+use crate::wire::{read_frame, write_frame, IngestAck, Message, ShardInfo, WireError};
 
 // The database must stay shareable across connection handler threads;
 // if a future backend loses Send/Sync this fails to compile right here
@@ -119,9 +118,9 @@ impl ServeDb {
 pub struct ServeOptions {
     /// Admission tuning: coalesced batch bound and linger window.
     pub batch: BatchConfig,
-    /// Executor threads draining the admission queue. Usually 1: each
-    /// pass is already internally parallel via the engine's
-    /// work-stealing `par_map`.
+    /// Passes that may run at once, each on the connection thread that
+    /// leads it. Usually 1: each pass is already internally parallel via
+    /// the engine's work-stealing `par_map`.
     pub executors: usize,
 }
 
@@ -206,7 +205,6 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    executors: Vec<JoinHandle<()>>,
     done: bool,
 }
 
@@ -237,7 +235,7 @@ impl Server {
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
             db: db.into(),
-            admission: Admission::new(),
+            admission: Admission::new(opts.batch, opts.executors, true),
             shutting_down: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             queries: AtomicU64::new(0),
@@ -249,13 +247,6 @@ impl Server {
             handlers: Mutex::new(Vec::new()),
         });
 
-        let executors = (0..opts.executors.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || executor_loop(&shared, opts.batch))
-            })
-            .collect();
-
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::spawn(move || accept_loop(&listener, &accept_shared));
 
@@ -263,7 +254,6 @@ impl Server {
             shared,
             addr: local,
             accept: Some(accept),
-            executors,
             done: false,
         })
     }
@@ -287,7 +277,7 @@ impl Server {
         }
     }
 
-    /// Stops accepting, closes every connection, drains the executors,
+    /// Stops accepting, answers what is queued, closes every connection
     /// and joins all threads. Idempotent; also runs on drop.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
@@ -299,9 +289,8 @@ impl Server {
         }
         self.done = true;
         self.shared.shutting_down.store(true, Ordering::SeqCst);
-        // Let the executors drain what is queued and exit.
         self.shared.admission.close();
-        // Unblock handler threads blocked in read_message.
+        // Unblock handler threads blocked in a read.
         for conn in self.shared.conns.lock().expect("conns lock").values() {
             let _ = conn.shutdown(Shutdown::Both);
         }
@@ -312,9 +301,6 @@ impl Server {
         }
         let handlers = std::mem::take(&mut *self.shared.handlers.lock().expect("handlers lock"));
         for h in handlers {
-            let _ = h.join();
-        }
-        for h in self.executors.drain(..) {
             let _ = h.join();
         }
     }
@@ -366,8 +352,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 }
 
 fn handle_connection(mut stream: TcpStream, conn_id: u64, shared: &Arc<Shared>) {
-    // A shard frame's pass runs on this thread. If it panics the
-    // connection is lost, but not its registry entry's descriptor.
+    // A shard frame's pass runs on this thread uncaught. If it panics
+    // the connection is lost, but not its registry entry's descriptor.
     let _ = catch_unwind(AssertUnwindSafe(|| serve_connection(&mut stream, shared)));
     // Drop the registry's duplicate fd with the connection, then shut
     // the socket down so the peer sees end-of-stream even if shutdown
@@ -377,16 +363,29 @@ fn handle_connection(mut stream: TcpStream, conn_id: u64, shared: &Arc<Shared>) 
 }
 
 fn serve_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
+    // Every request is read into this buffer, every reply encoded into it.
+    let mut frame = Vec::new();
+    // Set by the first `Request` frame: passes linger for peers only, so
+    // never for an ingest-only writer or a coordinator's shard connection.
+    let mut peer = None;
     loop {
         if shared.shutting_down.load(Ordering::SeqCst) {
             return;
         }
-        let reply = match read_message(stream) {
+        let reply = match read_frame(stream, &mut frame) {
             Ok(Some(Message::Request(batch))) => {
                 shared
                     .queries
                     .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                match shared.admission.submit(batch.into_queries()) {
+                peer.get_or_insert_with(|| shared.admission.join());
+                // One engine pass per coalesced batch — here, if this
+                // connection leads it — each rider replied its slice.
+                let pass = |batch: &_, lens: &_| {
+                    let results = shared.db.executor().execute_batch(batch);
+                    shared.count_pass(batch.len());
+                    split(results, lens)
+                };
+                match shared.admission.submit(batch.into_queries(), pass) {
                     Ok(results) => Message::Response(results),
                     // The queue closed under us: the server is going down.
                     Err(Refused::Closed) => return,
@@ -396,11 +395,10 @@ fn serve_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
                     },
                 }
             }
-            // Distributed-serving frames bypass the admission queue and
-            // run on the connection thread: the coordinator already
-            // coalesced its callers into one frame per shard, and shard
-            // results (scored kNN candidates, raw local hits) are not
-            // the `QueryResult`s the executors route.
+            // Distributed-serving frames bypass the admission queue: the
+            // coordinator already coalesced its callers into one frame
+            // per shard, and shard results (scored kNN candidates, raw
+            // local hits) are not the `QueryResult`s a pass routes.
             Ok(Some(Message::Hello)) => {
                 // Bounds come from the decoded store, so for quantized
                 // snapshots they match the manifest's `bounds=` lines
@@ -458,43 +456,29 @@ fn serve_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
             Ok(Some(_)) => {
                 // A server only accepts request-side frames; anything
                 // else ends the conversation after a typed error frame.
-                let _ = write_message(
-                    stream,
-                    &Message::Error {
-                        code: ERR_NOT_A_REQUEST,
-                        message: "expected a request frame".to_owned(),
-                    },
-                );
+                let refusal = Message::Error {
+                    code: ERR_NOT_A_REQUEST,
+                    message: "expected a request frame".to_owned(),
+                };
+                let _ = write_frame(stream, &refusal, &mut frame);
                 return;
             }
             Ok(None) | Err(WireError::Io(_)) => return,
             Err(e) => {
                 // Corrupt frame. The stream may be desynchronized, so
                 // answer with a typed error and close.
-                let _ = write_message(
-                    stream,
-                    &Message::Error {
-                        code: ERR_BAD_REQUEST,
-                        message: e.to_string(),
-                    },
-                );
+                let refusal = Message::Error {
+                    code: ERR_BAD_REQUEST,
+                    message: e.to_string(),
+                };
+                let _ = write_frame(stream, &refusal, &mut frame);
                 return;
             }
         };
         shared.requests.fetch_add(1, Ordering::Relaxed);
-        if write_message(stream, &reply).is_err() {
+        if write_frame(stream, &reply, &mut frame).is_err() {
             return;
         }
         let _ = stream.flush();
     }
-}
-
-/// The admission drain: one heterogeneous engine pass per coalesced
-/// batch, each rider replied its slice of the results.
-fn executor_loop(shared: &Arc<Shared>, cfg: BatchConfig) {
-    shared.admission.run(cfg, |batch: &QueryBatch, lens| {
-        let results = shared.db.executor().execute_batch(batch);
-        shared.count_pass(batch.len());
-        split(results, lens)
-    });
 }

@@ -13,14 +13,21 @@
 //! Decoding never panics and never allocates ahead of the bytes that
 //! back an allocation: counts are validated against the remaining
 //! payload length before any `Vec` is sized, oversized length prefixes
-//! are rejected before a read is attempted, and the checksum is
-//! verified before the payload is parsed.
+//! are rejected before a read is attempted, a frame buffer grows with
+//! the bytes *received* (never to the length a header merely declares),
+//! and the checksum is verified before the payload is parsed.
+//!
+//! A connection owns one frame buffer (`read_frame` / `write_frame`):
+//! a frame is read into it and hashed where it lies, the reply is encoded
+//! into the same allocation at its exact size, and nothing is zeroed or
+//! copied on the way. [`read_message`] / [`write_message`] are the same
+//! two functions over a buffer of their own.
 
 use std::fmt;
 use std::io::{Read, Write};
 
 use traj_query::{Dissimilarity, KnnQuery, Query, QueryBatch, QueryResult, SimilarityQuery};
-use trajectory::snapshot::{fnv1a64, get_u32, get_u64, put_u32, put_u64};
+use trajectory::snapshot::{fnv1a64, get_u32, get_u64, put_u32};
 use trajectory::{Cube, Point, TrajId, Trajectory};
 
 use traj_query::T2vecEmbedder;
@@ -952,30 +959,119 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
     Ok(msg)
 }
 
-/// One complete frame of `kind` (header + payload + checksum) in one
-/// buffer: the header is reserved first and `payload` writes straight
-/// behind it, so no byte is laid down twice; the payload length is
-/// patched in and the checksum appended once the payload is known.
-fn encode_frame(kind: u8, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut frame = vec![0u8; HEADER_LEN];
-    frame[0..4].copy_from_slice(&MAGIC);
-    frame[4..6].copy_from_slice(&VERSION.to_le_bytes());
-    frame[6] = kind;
-    frame[7] = 0; // reserved
-    payload(&mut frame);
+// Encoded sizes, so a frame is reserved once at its exact length instead
+// of doubling its way up (a 96 KB request re-copies ~96 KB doing that).
+// `encode_frame` checks them against what the encoders wrote.
+
+fn ids_len(n: usize) -> usize {
+    4 + 8 * n
+}
+
+fn trajectory_len(t: &Trajectory) -> usize {
+    4 + 24 * t.len()
+}
+
+fn query_len(q: &Query) -> usize {
+    1 + match q {
+        Query::Range(_) | Query::RangeKept(_) => 48,
+        Query::Knn(k) => {
+            let measure = match k.measure {
+                Dissimilarity::Edr { .. } => 8,
+                Dissimilarity::T2vec(_) => 16,
+            };
+            trajectory_len(&k.query) + 24 + 1 + measure
+        }
+        Query::Similarity(s) => trajectory_len(&s.query) + 32,
+    }
+}
+
+fn queries_len<'a>(queries: impl Iterator<Item = &'a Query>) -> usize {
+    4 + queries.map(query_len).sum::<usize>()
+}
+
+fn trajectories_len(trajs: &[Trajectory]) -> usize {
+    4 + trajs.iter().map(trajectory_len).sum::<usize>()
+}
+
+fn result_len(r: &QueryResult) -> usize {
+    1 + match r {
+        QueryResult::Range(ids) | QueryResult::Knn(ids) | QueryResult::Similarity(ids) => {
+            ids_len(ids.len())
+        }
+        QueryResult::RangeKept(ids) => 1 + ids.as_ref().map_or(0, |ids| ids_len(ids.len())),
+    }
+}
+
+fn shard_result_len(r: &ShardResult) -> usize {
+    1 + match r {
+        ShardResult::Ids(ids) => ids_len(ids.len()),
+        ShardResult::Kept(ids) => 1 + ids.as_ref().map_or(0, |ids| ids_len(ids.len())),
+        ShardResult::Candidates(cands) => 4 + 16 * cands.len(),
+    }
+}
+
+fn payload_len(msg: &Message) -> usize {
+    match msg {
+        Message::Request(batch) => queries_len(batch.queries().iter()),
+        Message::Response(results) => 4 + results.iter().map(result_len).sum::<usize>(),
+        Message::Error { message, .. } => 2 + 4 + message.len(),
+        Message::Hello => 0,
+        Message::ShardInfo(info) => 2 + 8 + 8 + 1 + 1 + info.bounds.map_or(0, |_| 48),
+        Message::ShardRequest { batch, .. } => 8 + queries_len(batch.queries().iter()),
+        Message::ShardResponse { results, .. } => {
+            8 + 4 + results.iter().map(shard_result_len).sum::<usize>()
+        }
+        Message::Ingest(trajs) => trajectories_len(trajs),
+        Message::IngestAck(_) => 4 + 4 + 8 + 8 + 8,
+    }
+}
+
+/// One complete frame of `kind` (header + payload + checksum) left in
+/// `frame`, whatever it held: the frame's size is reserved once, the
+/// header is laid down and `payload` writes straight behind it, so no
+/// byte is written twice; the payload length is patched in from what was
+/// written and the checksum, computed over the bytes where they lie,
+/// appended.
+fn encode_frame(
+    frame: &mut Vec<u8>,
+    kind: u8,
+    payload_len: usize,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    frame.clear();
+    frame.reserve(HEADER_LEN + payload_len + CHECKSUM_LEN);
+    frame.extend_from_slice(&MAGIC);
+    frame.extend_from_slice(&VERSION.to_le_bytes());
+    frame.extend_from_slice(&[kind, 0]); // kind, reserved
+    frame.extend_from_slice(&[0; 4]); // payload length, patched below
+    payload(frame);
     let len = frame.len() - HEADER_LEN;
-    put_u32(&mut frame, 8, len as u32);
-    let checksum = fnv1a64(&frame);
-    let mut tail = [0u8; CHECKSUM_LEN];
-    put_u64(&mut tail, 0, checksum);
-    frame.extend_from_slice(&tail);
+    debug_assert_eq!(len, payload_len, "size function out of step, kind {kind}");
+    put_u32(frame, 8, len as u32);
+    let checksum = fnv1a64(frame);
+    frame.extend_from_slice(&checksum.to_le_bytes());
+}
+
+/// [`encode_frame`] into a buffer of its own.
+fn new_frame(kind: u8, payload_len: usize, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut frame = Vec::new();
+    encode_frame(&mut frame, kind, payload_len, payload);
     frame
+}
+
+/// `msg`'s frame, left in `frame`.
+fn encode_message_into(frame: &mut Vec<u8>, msg: &Message) {
+    encode_frame(frame, msg.kind(), payload_len(msg), |out| {
+        encode_payload(out, msg);
+    });
 }
 
 /// Encodes `msg` into one complete frame (header + payload + checksum).
 #[must_use]
 pub fn encode_message(msg: &Message) -> Vec<u8> {
-    encode_frame(msg.kind(), |out| encode_payload(out, msg))
+    let mut frame = Vec::new();
+    encode_message_into(&mut frame, msg);
+    frame
 }
 
 // The request-side frames a [`Client`](crate::Client) sends, encoded
@@ -986,23 +1082,31 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
 
 /// The [`Message::Request`] frame over `queries`.
 pub(crate) fn encode_request(queries: &[Query]) -> Vec<u8> {
-    encode_frame(KIND_REQUEST, |out| encode_queries(out, queries.iter()))
+    new_frame(KIND_REQUEST, queries_len(queries.iter()), |out| {
+        encode_queries(out, queries.iter());
+    })
 }
 
 /// The [`Message::ShardRequest`] frame over `queries`.
 pub(crate) fn encode_shard_request<'a>(
     id: u64,
-    queries: impl ExactSizeIterator<Item = &'a Query>,
+    queries: impl ExactSizeIterator<Item = &'a Query> + Clone,
 ) -> Vec<u8> {
-    encode_frame(KIND_SHARD_REQUEST, |out| {
-        put_u64_vec(out, id);
-        encode_queries(out, queries);
-    })
+    new_frame(
+        KIND_SHARD_REQUEST,
+        8 + queries_len(queries.clone()),
+        |out| {
+            put_u64_vec(out, id);
+            encode_queries(out, queries);
+        },
+    )
 }
 
 /// The [`Message::Ingest`] frame over `trajs`.
 pub(crate) fn encode_ingest(trajs: &[Trajectory]) -> Vec<u8> {
-    encode_frame(KIND_INGEST, |out| encode_trajectories(out, trajs))
+    new_frame(KIND_INGEST, trajectories_len(trajs), |out| {
+        encode_trajectories(out, trajs);
+    })
 }
 
 /// Validates the 12-byte header, returning `(kind, payload_len)`.
@@ -1072,8 +1176,19 @@ pub fn decode_message(buf: &[u8]) -> Result<Message, WireError> {
 /// Writes one frame to `w` (one `write_all` call; pair with
 /// `TCP_NODELAY` for low latency).
 pub fn write_message(w: &mut impl Write, msg: &Message) -> Result<(), WireError> {
-    let frame = encode_message(msg);
-    w.write_all(&frame)?;
+    write_frame(w, msg, &mut Vec::new())
+}
+
+/// [`write_message`] through the connection's frame buffer: `msg` is
+/// encoded into `frame` (replacing what it held, keeping its allocation)
+/// and written from there.
+pub(crate) fn write_frame(
+    w: &mut impl Write,
+    msg: &Message,
+    frame: &mut Vec<u8>,
+) -> Result<(), WireError> {
+    encode_message_into(frame, msg);
+    w.write_all(frame)?;
     Ok(())
 }
 
@@ -1083,30 +1198,45 @@ pub fn write_message(w: &mut impl Write, msg: &Message) -> Result<(), WireError>
 /// before the payload is read, so a bad magic or an oversized length
 /// prefix never commits the reader to a large read.
 pub fn read_message(r: &mut impl Read) -> Result<Option<Message>, WireError> {
-    let mut header = [0u8; HEADER_LEN];
+    read_frame(r, &mut Vec::new())
+}
+
+/// [`read_message`] through the connection's frame buffer. The frame is
+/// read into `frame` (replacing what it held, keeping its allocation)
+/// through a reader limited to the declared length, so the buffer grows
+/// with the bytes that arrive — a header declaring [`MAX_PAYLOAD`] costs
+/// its sender's peer twelve bytes until the payload follows — and the
+/// checksum is computed over header and payload where they lie.
+pub(crate) fn read_frame(
+    r: &mut impl Read,
+    frame: &mut Vec<u8>,
+) -> Result<Option<Message>, WireError> {
+    frame.clear();
+    frame.resize(HEADER_LEN, 0);
     // First byte separately: a clean close before any byte is not an
     // error, it is the end of the conversation.
-    match r.read(&mut header[..1]) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-            return read_message(r);
+    loop {
+        match r.read(&mut frame[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(WireError::Io(e)),
         }
-        Err(e) => return Err(WireError::Io(e)),
     }
-    r.read_exact(&mut header[1..])?;
-    let (kind, len) = decode_header(&header)?;
-    let mut rest = vec![0u8; len + CHECKSUM_LEN];
-    r.read_exact(&mut rest)?;
-    let stored = get_u64(&rest, len);
-    let mut hasher_input = Vec::with_capacity(HEADER_LEN + len);
-    hasher_input.extend_from_slice(&header);
-    hasher_input.extend_from_slice(&rest[..len]);
-    let computed = fnv1a64(&hasher_input);
+    r.read_exact(&mut frame[1..])?;
+    let header: &[u8; HEADER_LEN] = frame[..].try_into().expect("resized to the header");
+    let (kind, len) = decode_header(header)?;
+    let rest = len + CHECKSUM_LEN;
+    if r.by_ref().take(rest as u64).read_to_end(frame)? < rest {
+        return Err(WireError::Io(std::io::ErrorKind::UnexpectedEof.into()));
+    }
+    let body = &frame[..HEADER_LEN + len];
+    let stored = get_u64(frame, body.len());
+    let computed = fnv1a64(body);
     if stored != computed {
         return Err(WireError::ChecksumMismatch { stored, computed });
     }
-    decode_payload(kind, &rest[..len]).map(Some)
+    decode_payload(kind, &body[HEADER_LEN..]).map(Some)
 }
 
 #[cfg(test)]
@@ -1164,6 +1294,171 @@ mod tests {
                 encode_ingest(&trajs[..n]),
                 encode_message(&Message::Ingest(trajs[..n].to_vec()))
             );
+        }
+    }
+
+    /// A header is a promise, not bytes: one declaring the largest
+    /// payload, followed by 1 KiB and end-of-stream, is an unexpected EOF
+    /// that has committed the connection's buffer to what arrived — not
+    /// to the 64 MiB declared (the parent zeroed all of it up front).
+    #[test]
+    fn a_declared_length_commits_no_memory_until_its_bytes_arrive() {
+        let mut stream = encode_message(&Message::Hello)[..HEADER_LEN].to_vec();
+        put_u32(&mut stream, 8, MAX_PAYLOAD as u32);
+        stream.extend_from_slice(&[0xAB; 1024]);
+        let mut frame = Vec::new();
+        match read_frame(&mut stream.as_slice(), &mut frame) {
+            Err(WireError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+            other => panic!("expected an unexpected EOF, got {other:?}"),
+        }
+        assert!(
+            frame.capacity() < 64 << 10,
+            "{} bytes committed to 1 KiB received",
+            frame.capacity()
+        );
+        // One byte more than the maximum is refused at the header.
+        put_u32(&mut stream, 8, MAX_PAYLOAD as u32 + 1);
+        assert!(matches!(
+            read_frame(&mut stream.as_slice(), &mut frame),
+            Err(WireError::Oversized { .. })
+        ));
+    }
+
+    /// A reader that is interrupted at every turn — before the first
+    /// byte too, which the parent retried by recursion — still yields the
+    /// frame; and a buffer that held a longer frame yields the shorter
+    /// one that follows, then the clean end of stream.
+    #[test]
+    fn interrupted_reads_are_retried_and_the_buffer_is_reused() {
+        struct Stutter<'a>(&'a [u8], bool);
+        impl Read for Stutter<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.1 = !self.1;
+                if self.1 {
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                // A few bytes at a time, as a socket may.
+                let n = buf.len().min(7);
+                self.0.read(&mut buf[..n])
+            }
+        }
+        let long = Message::Error {
+            code: 7,
+            message: "x".repeat(4096),
+        };
+        let short = Message::Hello;
+        let mut bytes = encode_message(&long);
+        bytes.extend(encode_message(&short));
+        let mut stream = Stutter(&bytes, false);
+        let mut frame = Vec::new();
+        for want in [&long, &short] {
+            let got = read_frame(&mut stream, &mut frame)
+                .expect("frame")
+                .expect("not EOF");
+            assert_eq!(encode_message(&got), encode_message(want));
+        }
+        assert!(read_frame(&mut stream, &mut frame)
+            .expect("clean EOF")
+            .is_none());
+    }
+
+    /// Every frame is reserved once at its exact size: the size functions
+    /// agree with the encoders on every message kind (`encode_frame`
+    /// asserts it in debug builds; this holds it in release too), and a
+    /// reply encoded into a connection's buffer is the one-shot frame.
+    #[test]
+    fn frames_are_reserved_at_their_exact_size() {
+        let traj = Trajectory::new(vec![Point::new(1.0, 2.0, 3.0), Point::new(4.0, 5.0, 6.0)])
+            .expect("valid trajectory");
+        let cube = Cube::new(0.0, 1.0, 0.0, 1.0, 0.0, 1.0);
+        let batch = QueryBatch::from_queries(vec![
+            Query::Range(cube),
+            Query::RangeKept(cube),
+            Query::Knn(KnnQuery {
+                query: traj.clone(),
+                ts: 0.0,
+                te: 9.0,
+                k: 3,
+                measure: Dissimilarity::Edr { eps: 10.0 },
+            }),
+            Query::Knn(KnnQuery {
+                query: traj.clone(),
+                ts: 0.0,
+                te: 9.0,
+                k: 3,
+                measure: Dissimilarity::T2vec(T2vecEmbedder {
+                    cell_size: 5.0,
+                    dim: 8,
+                }),
+            }),
+            Query::Similarity(SimilarityQuery {
+                query: traj.clone(),
+                ts: 0.0,
+                te: 9.0,
+                delta: 5.0,
+                step: 1.0,
+            }),
+        ]);
+        let messages = [
+            Message::Request(batch.clone()),
+            Message::Request(QueryBatch::new()),
+            Message::Response(vec![
+                QueryResult::Range(vec![1, 2, 3]),
+                QueryResult::Knn(vec![]),
+                QueryResult::Similarity(vec![9]),
+                QueryResult::RangeKept(None),
+                QueryResult::RangeKept(Some(vec![4, 5])),
+            ]),
+            Message::Error {
+                code: 3,
+                message: "why".to_owned(),
+            },
+            Message::Hello,
+            Message::ShardInfo(ShardInfo {
+                trajs: 1,
+                points: 2,
+                has_kept: true,
+                bounds: Some(cube),
+            }),
+            Message::ShardInfo(ShardInfo {
+                trajs: 0,
+                points: 0,
+                has_kept: false,
+                bounds: None,
+            }),
+            Message::ShardRequest { id: 5, batch },
+            Message::ShardResponse {
+                id: 5,
+                results: vec![
+                    ShardResult::Ids(vec![1]),
+                    ShardResult::Kept(None),
+                    ShardResult::Kept(Some(vec![2, 3])),
+                    ShardResult::Candidates(vec![(0.5, 1), (1.5, 0)]),
+                ],
+            },
+            Message::Ingest(vec![traj.clone(), traj]),
+            Message::IngestAck(IngestAck {
+                accepted: 2,
+                rejected: 0,
+                first_id: Some(4),
+                total_trajs: 6,
+                total_points: 12,
+            }),
+        ];
+        let mut connection = vec![0xFF; 3];
+        for msg in &messages {
+            let frame = encode_message(msg);
+            assert_eq!(
+                frame.len(),
+                HEADER_LEN + payload_len(msg) + CHECKSUM_LEN,
+                "kind {}",
+                msg.kind()
+            );
+            assert_eq!(frame.capacity(), frame.len(), "kind {} grew", msg.kind());
+            let mut sink = Vec::new();
+            write_frame(&mut sink, msg, &mut connection).expect("in-memory write");
+            assert_eq!(sink, frame, "kind {}", msg.kind());
+            assert_eq!(connection, frame, "kind {}", msg.kind());
         }
     }
 }

@@ -447,3 +447,45 @@ fn an_unbounded_knn_k_is_answered_by_a_live_server_which_keeps_serving() {
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// An ingest-only writer never sends a `Request` frame, so it is never a
+/// peer a pass lingers for: under a one-minute window the reader beside
+/// it — the only query peer — is answered at once, before and after the
+/// writer's frames.
+#[test]
+fn an_ingest_only_writer_is_never_lingered_for() {
+    use std::time::{Duration, Instant};
+
+    let base = dataset(3, 12);
+    let dir = unique_dir("writer_peer");
+    let db = Arc::new(
+        GenerationalDb::create(&dir, &base.to_store(), DbOptions::new(), keep_all())
+            .expect("create"),
+    );
+    let opts = ServeOptions {
+        batch: traj_serve::BatchConfig {
+            max_queries: 256,
+            linger: Duration::from_secs(60),
+        },
+        executors: 1,
+    };
+    let server = Server::start(Arc::clone(&db), "127.0.0.1:0", opts).expect("server start");
+    let mut writer = Client::connect(server.local_addr()).expect("writer connect");
+    let mut reader = Client::connect(server.local_addr()).expect("reader connect");
+    let batch = mixed_batch(&base);
+
+    let started = Instant::now();
+    for seed in [17, 19, 23] {
+        reader.execute_batch(&batch).expect("read");
+        let ack = writer.ingest(&trajs_of(&dataset(seed, 2))).expect("ingest");
+        assert_eq!(ack.accepted, 2);
+        reader.execute_batch(&batch).expect("read after write");
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "the reader lingered for the writer: {:?}",
+        started.elapsed()
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}

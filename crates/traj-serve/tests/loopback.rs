@@ -393,3 +393,103 @@ fn a_zero_t2vec_dimension_is_refused_and_the_server_keeps_serving() {
     assert_eq!(three.ids().map(<[_]>::len), Some(3));
     server.shutdown();
 }
+
+/// A frame header is a promise of bytes, not the bytes: a connection that
+/// declares the largest payload, sends 1 KiB of it and stalls ties up its
+/// own handler and nothing else — a second client is answered meanwhile —
+/// and when it gives up it gets end-of-stream, not a reply.
+#[test]
+fn a_stalled_oversized_declaration_costs_only_its_own_connection() {
+    use std::io::{Read, Write};
+
+    let db = dataset();
+    let served = TrajDb::from_store(db.to_store(), DbOptions::new());
+    let server = Server::start(served, "127.0.0.1:0", ServeOptions::batched()).expect("start");
+
+    let mut staller = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    let mut header = encode_message(&Message::Request(QueryBatch::new()));
+    header.truncate(traj_serve::wire::HEADER_LEN);
+    header[8..12].copy_from_slice(&(traj_serve::MAX_PAYLOAD as u32).to_le_bytes());
+    staller.write_all(&header).expect("send the header");
+    staller.write_all(&[0xAB; 1024]).expect("send 1 KiB of it");
+
+    let batch = mixed_batch(&db);
+    let mut second = Client::connect(server.local_addr()).expect("second connect");
+    for _ in 0..3 {
+        let got = second.execute_batch(&batch).expect("answered meanwhile");
+        assert_eq!(got.len(), batch.len());
+    }
+
+    staller
+        .shutdown(std::net::Shutdown::Write)
+        .expect("give up mid-frame");
+    let mut buf = [0u8; 1];
+    assert_eq!(staller.read(&mut buf).expect("closed, not answered"), 0);
+    assert_eq!(server.stats().requests, 3);
+    server.shutdown();
+}
+
+/// The linger is a wait for peers that can still arrive. Under a window
+/// of a minute: a lone client is answered at once; so is one beside a
+/// coordinator's shard connection, which never sends a `Request` frame
+/// and so is nobody's peer; and once a second client *has* queried, its
+/// staying connected but silent past the window costs the first nothing.
+#[test]
+fn the_linger_waits_only_for_peers_that_can_still_arrive() {
+    use std::time::{Duration, Instant};
+
+    let db = dataset();
+    let batch = mixed_batch(&db);
+    let at_once = Duration::from_secs(5);
+    let start = |linger| {
+        let opts = ServeOptions {
+            batch: BatchConfig {
+                max_queries: 256,
+                linger,
+            },
+            executors: 1,
+        };
+        Server::start(TrajDb::from_db(&db, DbOptions::new()), "127.0.0.1:0", opts).expect("start")
+    };
+
+    let server = start(Duration::from_secs(60));
+    let mut lone = Client::connect(server.local_addr()).expect("connect");
+    let mut shard_conn = Client::connect(server.local_addr()).expect("shard connection");
+    shard_conn.hello().expect("handshake");
+    shard_conn
+        .execute_shard_batch(&batch, 1)
+        .expect("shard frame");
+    let started = Instant::now();
+    for _ in 0..3 {
+        lone.execute_batch(&batch).expect("request");
+    }
+    assert!(
+        started.elapsed() < at_once,
+        "a lone client lingered: {:?}",
+        started.elapsed()
+    );
+    server.shutdown();
+
+    // A second client queries once, then idles. The first client's next
+    // request falls inside the window that pass opened and may spend it
+    // waiting; the one after the window has run out may not.
+    let window = Duration::from_millis(300);
+    let server = start(window);
+    let mut first = Client::connect(server.local_addr()).expect("connect");
+    let mut idle = Client::connect(server.local_addr()).expect("idle connect");
+    idle.execute_batch(&batch).expect("its one request");
+    first
+        .execute_batch(&batch)
+        .expect("request inside the window");
+    std::thread::sleep(window + Duration::from_millis(50));
+    let started = Instant::now();
+    first
+        .execute_batch(&batch)
+        .expect("request beside an idle peer");
+    assert!(
+        started.elapsed() < window / 2,
+        "an idle connection was waited for: {:?}",
+        started.elapsed()
+    );
+    server.shutdown();
+}

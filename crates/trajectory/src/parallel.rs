@@ -4,8 +4,9 @@
 //! embarrassingly-parallel loop — the query engine's batch paths, the
 //! sharded engine's per-shard index builds, per-shard simplification —
 //! uses this helper: a work-stealing index counter over `items` with one
-//! worker per available core. Results preserve input order, and a panic
-//! in any worker propagates to the caller, so `par_map` is a drop-in
+//! worker per available core, the calling thread being one of them.
+//! Results preserve input order, and a panic in any worker — the caller's
+//! own share included — propagates to the caller, so `par_map` is a drop-in
 //! replacement for a sequential `iter().map().collect()`. (It lives in
 //! the data-substrate crate so both `traj-query` and `traj-simp` can
 //! share it; `traj_query::parallel` re-exports it.)
@@ -94,39 +95,34 @@ where
     let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
     let next = AtomicUsize::new(0);
-    {
-        // Each worker collects (index, value) pairs; merging afterwards
-        // restores input order without sharing mutable state across threads.
-        let f = &f;
-        let init = &init;
-        let next = &next;
-        let mut partials: Vec<Vec<(usize, R)>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut scratch = init();
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
-                                break;
-                            }
-                            out.push((i, f(&mut scratch, i, &items[i])));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                partials.push(h.join().expect("parallel worker panicked"));
+    // Each worker collects (index, value) pairs; merging afterwards
+    // restores input order without sharing mutable state across threads.
+    let work = || {
+        let mut scratch = init();
+        let mut out = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
             }
-        });
-        for part in partials {
-            for (i, r) in part {
-                slots[i] = Some(r);
-            }
+            out.push((i, f(&mut scratch, i, &items[i])));
         }
+        out
+    };
+    // The caller would only wait for the workers, so it is worker 0 and
+    // `workers - 1` helpers are spawned beside it. A panic in the caller's
+    // share unwinds through the scope, which joins the helpers first.
+    let partials: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let work = &work;
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut partials = vec![work()];
+        for h in helpers {
+            partials.push(h.join().expect("parallel worker panicked"));
+        }
+        partials
+    });
+    for (i, r) in partials.into_iter().flatten() {
+        slots[i] = Some(r);
     }
     slots
         .into_iter()
@@ -203,5 +199,47 @@ mod tests {
         });
         assert_eq!(out.len(), 64);
         assert_eq!(out[1], 1);
+    }
+
+    /// The thread that calls is one of the workers: some item runs on it
+    /// (with one core every item does), and order holds all the same.
+    #[test]
+    fn the_caller_is_a_worker_and_order_is_kept() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..4096).collect();
+        let on_caller = AtomicUsize::new(0);
+        let out = par_map_indexed(&items, |i, &x| {
+            if std::thread::current().id() == caller {
+                on_caller.fetch_add(1, Ordering::Relaxed);
+            }
+            (i, x * 3)
+        });
+        let expected: Vec<(usize, usize)> = items.iter().map(|&x| (x, x * 3)).collect();
+        assert_eq!(out, expected);
+        assert!(on_caller.load(Ordering::Relaxed) > 0, "the caller sat idle");
+    }
+
+    /// A panic propagates whether the item fell to the caller's share or
+    /// to a helper's: every item panics, so both shares do.
+    #[test]
+    fn a_panic_in_any_share_reaches_the_caller() {
+        for variant in 0..3 {
+            let items: Vec<usize> = (0..64).collect();
+            let unwound = std::panic::catch_unwind(|| match variant {
+                0 => par_map(&items, |_| -> usize { panic!("every share") }),
+                1 => par_map_with(&items, || 0usize, |_, _| -> usize { panic!("every share") }),
+                _ => par_map_indexed(&items, |_, _| -> usize { panic!("every share") }),
+            });
+            assert!(unwound.is_err(), "variant {variant} swallowed the panic");
+        }
+        // One poisoned item, wherever it lands.
+        let items: Vec<usize> = (0..512).collect();
+        let unwound = std::panic::catch_unwind(|| {
+            par_map(&items, |&x| {
+                assert!(x != 300, "item 300");
+                x
+            })
+        });
+        assert!(unwound.is_err());
     }
 }

@@ -133,6 +133,29 @@ pub fn any_in_cube(xs: &[f64], ys: &[f64], ts: &[f64], cube: &Cube) -> bool {
     scalar::any_in_cube(xs, ys, ts, cube)
 }
 
+/// Containment of at most 64 points as a bit mask: bit `i` is set when
+/// `(xs[i], ys[i], ts[i])` lies inside `cube` (inclusive bounds, NaN
+/// never contained — the compares of [`any_in_cube`], without its early
+/// exit). The boundary-leaf kernel of the range walkers: one call per
+/// chunk of a leaf, whoever owns its points. All three slices must have
+/// equal length, at most 64.
+#[must_use]
+pub fn in_cube_mask(xs: &[f64], ys: &[f64], ts: &[f64], cube: &Cube) -> u64 {
+    debug_assert!(xs.len() == ys.len() && ys.len() == ts.len());
+    debug_assert!(xs.len() <= 64);
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if simd_active() {
+        // SAFETY: dispatch guarantees AVX2 is available.
+        return unsafe { avx2::in_cube_mask(xs, ys, ts, cube) };
+    }
+    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+    if simd_active() {
+        // SAFETY: dispatch guarantees NEON is available.
+        return unsafe { neon::in_cube_mask(xs, ys, ts, cube) };
+    }
+    scalar::in_cube_mask(xs, ys, ts, cube)
+}
+
 /// `(min, max)` of a slice, ignoring NaNs; `(∞, −∞)` when empty — the
 /// bounds-precompute kernel behind per-leaf tight cubes and
 /// [`bounding cube`](crate::store::AsColumns::bounding_cube) folds.
@@ -341,6 +364,16 @@ pub mod scalar {
             .any(|((&x, &y), &t)| cube.contains_xyz(x, y, t))
     }
 
+    /// Scalar [`in_cube_mask`](super::in_cube_mask).
+    #[must_use]
+    pub fn in_cube_mask(xs: &[f64], ys: &[f64], ts: &[f64], cube: &Cube) -> u64 {
+        let mut mask = 0u64;
+        for (i, ((&x, &y), &t)) in xs.iter().zip(ys).zip(ts).enumerate() {
+            mask |= u64::from(cube.contains_xyz(x, y, t)) << i;
+        }
+        mask
+    }
+
     /// Scalar [`any_selected_in_cube`](super::any_selected_in_cube):
     /// probe exactly the set bits, lowest first.
     #[must_use]
@@ -447,6 +480,51 @@ mod avx2 {
             i += 4;
         }
         super::scalar::any_in_cube(&xs[i..], &ys[i..], &ts[i..], cube)
+    }
+
+    /// # Safety
+    /// Caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn in_cube_mask(xs: &[f64], ys: &[f64], ts: &[f64], cube: &Cube) -> u64 {
+        let n = xs.len();
+        let x_min = _mm256_set1_pd(cube.x_min);
+        let x_max = _mm256_set1_pd(cube.x_max);
+        let y_min = _mm256_set1_pd(cube.y_min);
+        let y_max = _mm256_set1_pd(cube.y_max);
+        let t_min = _mm256_set1_pd(cube.t_min);
+        let t_max = _mm256_set1_pd(cube.t_max);
+        let mut mask = 0u64;
+        let mut i = 0usize;
+        while i + 4 <= n {
+            let x = _mm256_loadu_pd(xs.as_ptr().add(i));
+            let y = _mm256_loadu_pd(ys.as_ptr().add(i));
+            let t = _mm256_loadu_pd(ts.as_ptr().add(i));
+            // The ordered compares of `any_in_cube`.
+            let m = _mm256_and_pd(
+                _mm256_and_pd(
+                    _mm256_and_pd(
+                        _mm256_cmp_pd::<_CMP_GE_OQ>(x, x_min),
+                        _mm256_cmp_pd::<_CMP_LE_OQ>(x, x_max),
+                    ),
+                    _mm256_and_pd(
+                        _mm256_cmp_pd::<_CMP_GE_OQ>(y, y_min),
+                        _mm256_cmp_pd::<_CMP_LE_OQ>(y, y_max),
+                    ),
+                ),
+                _mm256_and_pd(
+                    _mm256_cmp_pd::<_CMP_GE_OQ>(t, t_min),
+                    _mm256_cmp_pd::<_CMP_LE_OQ>(t, t_max),
+                ),
+            );
+            // `i + 4 <= n <= 64`: the shift is at most 60.
+            mask |= (_mm256_movemask_pd(m) as u64) << i;
+            i += 4;
+        }
+        if i < n {
+            // A tail exists, so `i < 64` — a full chunk never shifts by 64.
+            mask |= super::scalar::in_cube_mask(&xs[i..], &ys[i..], &ts[i..], cube) << i;
+        }
+        mask
     }
 
     /// # Safety
@@ -619,6 +697,43 @@ mod neon {
     /// # Safety
     /// Caller must ensure NEON is available.
     #[target_feature(enable = "neon")]
+    pub unsafe fn in_cube_mask(xs: &[f64], ys: &[f64], ts: &[f64], cube: &Cube) -> u64 {
+        let n = xs.len();
+        let x_min = vdupq_n_f64(cube.x_min);
+        let x_max = vdupq_n_f64(cube.x_max);
+        let y_min = vdupq_n_f64(cube.y_min);
+        let y_max = vdupq_n_f64(cube.y_max);
+        let t_min = vdupq_n_f64(cube.t_min);
+        let t_max = vdupq_n_f64(cube.t_max);
+        let mut mask = 0u64;
+        let mut i = 0usize;
+        while i + 2 <= n {
+            let x = vld1q_f64(xs.as_ptr().add(i));
+            let y = vld1q_f64(ys.as_ptr().add(i));
+            let t = vld1q_f64(ts.as_ptr().add(i));
+            let m = vandq_u64(
+                vandq_u64(
+                    vandq_u64(vcgeq_f64(x, x_min), vcleq_f64(x, x_max)),
+                    vandq_u64(vcgeq_f64(y, y_min), vcleq_f64(y, y_max)),
+                ),
+                vandq_u64(vcgeq_f64(t, t_min), vcleq_f64(t, t_max)),
+            );
+            // A lane is all ones or all zeros; `i + 2 <= n <= 64`, so the
+            // shift is at most 62.
+            let pair = (vgetq_lane_u64::<0>(m) & 1) | (vgetq_lane_u64::<1>(m) & 2);
+            mask |= pair << i;
+            i += 2;
+        }
+        if i < n {
+            // A tail exists, so `i < 64` — a full chunk never shifts by 64.
+            mask |= super::scalar::in_cube_mask(&xs[i..], &ys[i..], &ts[i..], cube) << i;
+        }
+        mask
+    }
+
+    /// # Safety
+    /// Caller must ensure NEON is available.
+    #[target_feature(enable = "neon")]
     pub unsafe fn any_selected_in_cube(
         xs: &[f64],
         ys: &[f64],
@@ -782,6 +897,67 @@ mod tests {
         let ts = [10.0, 0.0, 99.0, 99.0, 99.0, 99.0, 99.0, 99.0];
         assert!(any_in_cube(&xs, &ys, &ts, &q));
         assert!(any_in_cube(&xs[1..], &ys[1..], &ts[1..], &q));
+    }
+
+    /// The per-point reference `in_cube_mask` is defined by, written
+    /// without the kernel's loop.
+    fn mask_reference(xs: &[f64], ys: &[f64], ts: &[f64], q: &Cube) -> u64 {
+        (0..xs.len())
+            .filter(|&i| q.contains_xyz(xs[i], ys[i], ts[i]))
+            .fold(0u64, |m, i| m | (1u64 << i))
+    }
+
+    /// Every length a chunk can have — the full 64 included, where a
+    /// careless tail shifts by 64 — with NaN, ±∞ and on-the-face
+    /// coordinates sprinkled over every lane position.
+    #[test]
+    fn containment_mask_is_bit_equal_to_the_reference_for_every_length() {
+        let q = cube();
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            q.x_min,
+            q.x_max,
+            -0.0,
+        ];
+        for n in 0..=64usize {
+            for seed in 1..8u64 {
+                let (mut xs, mut ys, mut ts) = columns(n, seed * 31 + n as u64);
+                for i in 0..n {
+                    let pick = (i as u64 * 7 + seed) % 11;
+                    if let Some(&v) = specials.get(pick as usize) {
+                        match (i + seed as usize) % 3 {
+                            0 => xs[i] = v,
+                            1 => ys[i] = v * 2.0,
+                            _ => ts[i] = if v == q.x_min { q.t_min } else { v + 5.0 },
+                        }
+                    }
+                }
+                let want = mask_reference(&xs, &ys, &ts, &q);
+                assert_eq!(in_cube_mask(&xs, &ys, &ts, &q), want, "n={n} seed={seed}");
+                assert_eq!(
+                    scalar::in_cube_mask(&xs, &ys, &ts, &q),
+                    want,
+                    "scalar n={n}"
+                );
+                assert_eq!(
+                    want != 0,
+                    scalar::any_in_cube(&xs, &ys, &ts, &q),
+                    "mask and any disagree at n={n}"
+                );
+            }
+            // All inside: exactly the low `n` bits, no more.
+            let want = if n == 64 { !0u64 } else { (1u64 << n) - 1 };
+            assert_eq!(
+                in_cube_mask(&vec![0.0; n], &vec![0.0; n], &vec![5.0; n], &q),
+                want
+            );
+            assert_eq!(
+                in_cube_mask(&vec![f64::NAN; n], &vec![0.0; n], &vec![5.0; n], &q),
+                0
+            );
+        }
     }
 
     #[test]

@@ -99,6 +99,26 @@ proptest! {
         );
     }
 
+    /// Chunked the way the range walkers chunk a leaf (≤ 64 points a
+    /// call), the mask names exactly the contained points — NaN lanes and
+    /// a final chunk of exactly 64 included.
+    #[test]
+    fn in_cube_mask_matches_scalar_exactly(
+        (xs, ys, ts) in arb_columns(),
+        cube in arb_cube(),
+    ) {
+        for base in (0..xs.len()).step_by(64) {
+            let end = (base + 64).min(xs.len());
+            let (x, y, t) = (&xs[base..end], &ys[base..end], &ts[base..end]);
+            let mask = simd::in_cube_mask(x, y, t, &cube);
+            prop_assert_eq!(mask, simd::scalar::in_cube_mask(x, y, t, &cube));
+            for i in 0..64 {
+                let inside = i < x.len() && cube.contains_xyz(x[i], y[i], t[i]);
+                prop_assert_eq!(mask >> i & 1 == 1, inside, "bit {} of chunk at {}", i, base);
+            }
+        }
+    }
+
     #[test]
     fn min_max_matches_scalar_exactly((xs, _, _) in arb_columns()) {
         // min/max are exact operations — no tolerance even across lanes,
@@ -229,10 +249,15 @@ fn force_scalar_pins_dispatch_to_the_reference() {
         simd::min_max(&xs),
         simd::squared_distance(&xs, &ys).to_bits(),
         simd::sum_squares(&ts).to_bits(),
+        simd::in_cube_mask(&xs[..64], &ys[..64], &ts[..64], &cube),
     );
     simd::set_force_scalar(false);
     assert_eq!(forced.0, simd::scalar::any_in_cube(&xs, &ys, &ts, &cube));
     assert_eq!(forced.1, simd::scalar::min_max(&xs));
     assert_eq!(forced.2, simd::scalar::squared_distance(&xs, &ys).to_bits());
     assert_eq!(forced.3, simd::scalar::sum_squares(&ts).to_bits());
+    assert_eq!(
+        forced.4,
+        simd::scalar::in_cube_mask(&xs[..64], &ys[..64], &ts[..64], &cube)
+    );
 }
