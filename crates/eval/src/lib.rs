@@ -13,7 +13,8 @@
 //! Each experiment is exposed both as a library function (tested at smoke
 //! scale) and as a binary (`cargo run -p qdts-eval --release --bin
 //! fig4_geolife -- --scale small`). See DESIGN.md §4 for the experiment →
-//! binary index and EXPERIMENTS.md for measured results.
+//! binary index. No measured results are committed yet: ROADMAP.md item 2
+//! ("the paper's tables from one command") is where they will come from.
 
 #![warn(missing_docs)]
 

@@ -751,16 +751,6 @@ impl TrajDb {
         }
     }
 
-    /// The sharded engine behind the façade, when the database is
-    /// sharded.
-    #[must_use]
-    pub fn as_sharded(&self) -> Option<&ShardedQueryEngine<'static>> {
-        match &self.inner {
-            Inner::Single(_) => None,
-            Inner::Sharded(e) => Some(e),
-        }
-    }
-
     /// Generates a range-query workload over the served database with
     /// `spec` — data-centered anchors come from the actual columns, and a
     /// sharded database contributes anchors per shard proportional to its

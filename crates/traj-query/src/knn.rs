@@ -94,6 +94,43 @@ impl KnnQuery {
         window_points(&self.query, self.ts, self.te)
     }
 
+    /// The samples of the query trajectory this query's answer depends
+    /// on: those inside `[ts, te]`, the last one before `ts` and the first
+    /// one after `te` where they exist; the first sample alone when that
+    /// range is empty (a reversed window); the whole trajectory when `ts`
+    /// or `te` is NaN. What the wire carries of a kNN or similarity query
+    /// ([`SimilarityQuery::answer_points`](crate::SimilarityQuery::answer_points)
+    /// applies the same rule).
+    ///
+    /// A query rebuilt over these samples, with everything else the same,
+    /// answers bit for bit what this one answers:
+    ///
+    /// - **kNN** reads only the samples inside the window (the query side
+    ///   of every windowed distance), and the kept range holds exactly
+    ///   those.
+    /// - **Similarity** reads three things of its query, and each
+    ///   survives. (1) The window clipped to the query's span,
+    ///   `[max(ts, t₀), min(te, tₙ)]`: where a sample precedes `ts`, the
+    ///   kept neighbour lies below `ts` as `t₀` does and the clip is `ts`
+    ///   either way; where none does, `t₀` itself is kept. The same holds
+    ///   at `te`, so the `t ≤ first` / `t ≥ last` clamps of interpolation
+    ///   act where they did. (2) The query's samples inside the clipped
+    ///   window, which lies inside `[ts, te]`. (3) Positions interpolated
+    ///   at instants `τ` of the clipped window: the bracketing segment
+    ///   runs from the last sample with time `≤ τ` — the neighbour before
+    ///   `ts` or a later one — to the first with time `> τ` — the
+    ///   neighbour after `te` or an earlier one. Both ends are kept, and
+    ///   since the kept samples are a contiguous run and the search picks
+    ///   by time, repeated timestamps pick the same pair.
+    ///
+    /// NaN is the exception: the clip takes `f64::max(NaN, t₀) = t₀`, so a
+    /// NaN bound reaches the whole span, while the searches that find the
+    /// neighbours would find nothing at or before it.
+    #[must_use]
+    pub fn answer_points(&self) -> &[Point] {
+        answer_points(&self.query, self.ts, self.te)
+    }
+
     /// Distance between the precomputed query window and `v`'s window
     /// (a zero-copy sub-view). This is the single definition of the
     /// empty-window conventions the engine's pruned execution shares with
@@ -132,6 +169,23 @@ fn window_points(t: &Trajectory, ts: f64, te: f64) -> &[Point] {
     match t.window_indices(ts, te) {
         Some((lo, hi)) => &t.points()[lo..=hi],
         None => &[],
+    }
+}
+
+/// The samples of `t` an answer over `[ts, te]` reads — the window plus
+/// one neighbour on each side; the rule and why it is exact are on
+/// [`KnnQuery::answer_points`].
+pub(crate) fn answer_points(t: &Trajectory, ts: f64, te: f64) -> &[Point] {
+    let pts = t.points();
+    if ts.is_nan() || te.is_nan() {
+        return pts;
+    }
+    let lo = pts.partition_point(|p| p.t < ts).saturating_sub(1);
+    let hi = (pts.partition_point(|p| p.t <= te) + 1).min(pts.len());
+    if lo < hi {
+        &pts[lo..hi]
+    } else {
+        &pts[..1]
     }
 }
 

@@ -7,7 +7,7 @@
 //! all times `i` in the window, so (unlike the point-based range query)
 //! this query interpolates on both databases.
 
-use trajectory::{AsColumns, PointSeq, TrajId, Trajectory};
+use trajectory::{AsColumns, Point, PointSeq, TrajId, Trajectory};
 
 /// Most grid instants one candidate check evaluates. A `step` finer than
 /// `window / MAX_GRID_INSTANTS` is widened to it, so a step off the wire
@@ -61,6 +61,15 @@ impl SimilarityQuery {
     pub fn matches_seq<S: PointSeq + ?Sized>(&self, t: &S) -> bool {
         self.check()
             .is_some_and(|check| check.overlaps(t.seq_time_span()) && check.stays_within(t))
+    }
+
+    /// The samples of the query trajectory this query's answer depends
+    /// on: the window plus one neighbour on each side. The rule, and why
+    /// a query rebuilt over them answers bit for bit the same, are on
+    /// [`KnnQuery::answer_points`](crate::KnnQuery::answer_points).
+    #[must_use]
+    pub fn answer_points(&self) -> &[Point] {
+        crate::knn::answer_points(&self.query, self.ts, self.te)
     }
 
     /// What every candidate check needs of the query alone, `None` when

@@ -17,6 +17,13 @@
 //! the bytes *received* (never to the length a header merely declares),
 //! and the checksum is verified before the payload is parsed.
 //!
+//! A kNN or similarity query travels as the samples its answer reads —
+//! its window plus one neighbour on each side
+//! ([`KnnQuery::answer_points`]) — not as its whole trajectory: the
+//! decoded query answers exactly what the sent one would. The decoder
+//! takes any valid trajectory, so a peer that sends whole trajectories is
+//! still understood.
+//!
 //! A connection owns one frame buffer (`read_frame` / `write_frame`):
 //! a frame is read into it and hashed where it lies, the reply is encoded
 //! into the same allocation at its exact size, and nothing is zeroed or
@@ -483,8 +490,10 @@ fn decode_cube(r: &mut Reader<'_>) -> Result<Cube, WireError> {
     })
 }
 
-fn encode_trajectory(out: &mut Vec<u8>, t: &Trajectory) {
-    let pts = t.points();
+/// The trajectory sub-encoding over a run of points: every sample of an
+/// ingested trajectory, the [answer points](KnnQuery::answer_points) of a
+/// kNN or similarity query.
+fn encode_points(out: &mut Vec<u8>, pts: &[Point]) {
     put_u32_vec(out, pts.len() as u32);
     for p in pts {
         put_f64_vec(out, p.x);
@@ -497,7 +506,7 @@ fn encode_trajectory(out: &mut Vec<u8>, t: &Trajectory) {
 fn encode_trajectories(out: &mut Vec<u8>, trajs: &[Trajectory]) {
     put_u32_vec(out, trajs.len() as u32);
     for t in trajs {
-        encode_trajectory(out, t);
+        encode_points(out, t.points());
     }
 }
 
@@ -515,7 +524,10 @@ fn decode_trajectory(r: &mut Reader<'_>) -> Result<Trajectory, WireError> {
     })
 }
 
-/// Appends one [`Query`]'s wire encoding to `out`.
+/// Appends one [`Query`]'s wire encoding to `out`. A kNN or similarity
+/// query writes its [answer points](KnnQuery::answer_points), not its
+/// whole trajectory: the decoded query answers the same, and a peer that
+/// sends the whole trajectory is still understood.
 pub fn encode_query(out: &mut Vec<u8>, q: &Query) {
     match q {
         Query::Range(c) => {
@@ -524,7 +536,7 @@ pub fn encode_query(out: &mut Vec<u8>, q: &Query) {
         }
         Query::Knn(k) => {
             out.push(TAG_KNN);
-            encode_trajectory(out, &k.query);
+            encode_points(out, k.answer_points());
             put_f64_vec(out, k.ts);
             put_f64_vec(out, k.te);
             put_u64_vec(out, k.k as u64);
@@ -542,7 +554,7 @@ pub fn encode_query(out: &mut Vec<u8>, q: &Query) {
         }
         Query::Similarity(s) => {
             out.push(TAG_SIMILARITY);
-            encode_trajectory(out, &s.query);
+            encode_points(out, s.answer_points());
             put_f64_vec(out, s.ts);
             put_f64_vec(out, s.te);
             put_f64_vec(out, s.delta);
@@ -960,15 +972,15 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
 }
 
 // Encoded sizes, so a frame is reserved once at its exact length instead
-// of doubling its way up (a 96 KB request re-copies ~96 KB doing that).
+// of doubling its way up (a 52 KB response re-copies ~52 KB doing that).
 // `encode_frame` checks them against what the encoders wrote.
 
 fn ids_len(n: usize) -> usize {
     4 + 8 * n
 }
 
-fn trajectory_len(t: &Trajectory) -> usize {
-    4 + 24 * t.len()
+fn points_len(n: usize) -> usize {
+    4 + 24 * n
 }
 
 fn query_len(q: &Query) -> usize {
@@ -979,9 +991,9 @@ fn query_len(q: &Query) -> usize {
                 Dissimilarity::Edr { .. } => 8,
                 Dissimilarity::T2vec(_) => 16,
             };
-            trajectory_len(&k.query) + 24 + 1 + measure
+            points_len(k.answer_points().len()) + 24 + 1 + measure
         }
-        Query::Similarity(s) => trajectory_len(&s.query) + 32,
+        Query::Similarity(s) => points_len(s.answer_points().len()) + 32,
     }
 }
 
@@ -990,7 +1002,7 @@ fn queries_len<'a>(queries: impl Iterator<Item = &'a Query>) -> usize {
 }
 
 fn trajectories_len(trajs: &[Trajectory]) -> usize {
-    4 + trajs.iter().map(trajectory_len).sum::<usize>()
+    4 + trajs.iter().map(|t| points_len(t.len())).sum::<usize>()
 }
 
 fn result_len(r: &QueryResult) -> usize {

@@ -10,15 +10,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
 use traj_query::{
-    DbOptions, Dissimilarity, KnnQuery, Query, QueryBatch, QueryExecutor, QueryResult,
-    SimilarityQuery, TrajDb,
+    DbOptions, Dissimilarity, GenerationalDb, KnnQuery, Query, QueryBatch, QueryExecutor,
+    QueryResult, SimilarityQuery, TrajDb,
 };
-use traj_serve::wire::{encode_message, Message};
+use traj_serve::wire::{decode_message, encode_message, Message};
 use traj_serve::{BatchConfig, Client, ServeOptions, Server};
 use trajectory::gen::{generate, DatasetSpec, Scale};
 use trajectory::shard::{partition, PartitionStrategy, ShardSet};
-use trajectory::snapshot::{write_snapshot_quantized, write_snapshot_with};
-use trajectory::{KeptBitmap, TrajectoryDb};
+use trajectory::snapshot::{fnv1a64, write_snapshot_quantized, write_snapshot_with};
+use trajectory::{KeepAll, KeptBitmap, Trajectory, TrajectoryDb};
 
 fn unique_path(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -492,4 +492,173 @@ fn the_linger_waits_only_for_peers_that_can_still_arrive() {
         started.elapsed()
     );
     server.shutdown();
+}
+
+/// The request frame a client that ships whole query trajectories sends
+/// (the layout of `docs/WIRE_FORMAT.md`, written out by hand, since this
+/// crate's encoder ships only each query's answer points).
+fn whole_trajectory_request(queries: &[Query]) -> Vec<u8> {
+    fn f64s(out: &mut Vec<u8>, values: &[f64]) {
+        for v in values {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    fn trajectory(out: &mut Vec<u8>, t: &Trajectory) {
+        out.extend_from_slice(&(t.len() as u32).to_le_bytes());
+        for p in t.points() {
+            f64s(out, &[p.x, p.y, p.t]);
+        }
+    }
+    let mut payload = (queries.len() as u32).to_le_bytes().to_vec();
+    for q in queries {
+        match q {
+            Query::Range(c) => {
+                payload.push(0);
+                f64s(
+                    &mut payload,
+                    &[c.x_min, c.x_max, c.y_min, c.y_max, c.t_min, c.t_max],
+                );
+            }
+            Query::Knn(k) => {
+                payload.push(1);
+                trajectory(&mut payload, &k.query);
+                f64s(&mut payload, &[k.ts, k.te]);
+                payload.extend_from_slice(&(k.k as u64).to_le_bytes());
+                match k.measure {
+                    Dissimilarity::Edr { eps } => {
+                        payload.push(0);
+                        f64s(&mut payload, &[eps]);
+                    }
+                    Dissimilarity::T2vec(e) => {
+                        payload.push(1);
+                        f64s(&mut payload, &[e.cell_size]);
+                        payload.extend_from_slice(&(e.dim as u64).to_le_bytes());
+                    }
+                }
+            }
+            Query::Similarity(s) => {
+                payload.push(2);
+                trajectory(&mut payload, &s.query);
+                f64s(&mut payload, &[s.ts, s.te, s.delta, s.step]);
+            }
+            Query::RangeKept(_) => unreachable!("not in the batch below"),
+        }
+    }
+    let mut frame = b"QWIR".to_vec();
+    frame.extend_from_slice(&1u16.to_le_bytes()); // version
+    frame.extend_from_slice(&[1, 0]); // kind: request, reserved
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    let checksum = fnv1a64(&frame);
+    frame.extend_from_slice(&checksum.to_le_bytes());
+    frame
+}
+
+/// A client that ships whole query trajectories, as one written before
+/// queries shipped their answer points does, speaks the same wire
+/// version: its frame decodes to exactly the queries it holds, and an
+/// owned, a sharded and a live server answer it as they answer the
+/// trimmed frame of the stock client — and as the database answers in
+/// process. The windows are a third of the probe's span, so the two
+/// frames really differ.
+#[test]
+fn whole_trajectory_requests_are_answered_like_trimmed_ones() {
+    use std::io::Write;
+
+    let db = dataset();
+    let probe = db.get(0).clone();
+    let (t0, t1) = probe.time_span();
+    let (ts, te) = (t0 + (t1 - t0) / 3.0, t0 + 2.0 * (t1 - t0) / 3.0);
+    let knn = |k, measure| {
+        Query::Knn(KnnQuery {
+            query: probe.clone(),
+            ts,
+            te,
+            k,
+            measure,
+        })
+    };
+    let batch = QueryBatch::from_queries(vec![
+        Query::Range(db.bounding_cube()),
+        knn(3, Dissimilarity::Edr { eps: 2_000.0 }),
+        knn(2, Dissimilarity::t2vec_default()),
+        Query::Similarity(SimilarityQuery {
+            query: probe.clone(),
+            ts,
+            te,
+            delta: 5_000.0,
+            step: 600.0,
+        }),
+    ]);
+    let whole = whole_trajectory_request(batch.queries());
+    let trimmed = encode_message(&Message::Request(batch.clone()));
+    assert!(
+        whole.len() > trimmed.len(),
+        "{} whole against {} trimmed bytes",
+        whole.len(),
+        trimmed.len()
+    );
+    let Message::Request(decoded) = decode_message(&whole).expect("a whole-trajectory frame")
+    else {
+        panic!("kind preserved");
+    };
+    assert_eq!(decoded.queries(), batch.queries());
+
+    let answers_alike = |label: &str, server: Server, expected: Vec<QueryResult>| {
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let got = client.execute_batch(&batch).expect("trimmed frame");
+        assert_eq!(got, expected, "{label}: trimmed frame");
+        let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+        raw.write_all(&whole)
+            .expect("send the whole-trajectory frame");
+        match traj_serve::wire::read_message(&mut raw).expect("a reply") {
+            Some(Message::Response(got)) => {
+                assert_eq!(got, expected, "{label}: whole-trajectory frame");
+            }
+            other => panic!("{label}: expected a response, got {other:?}"),
+        }
+        server.shutdown();
+    };
+
+    let owned = || TrajDb::from_store(db.to_store(), DbOptions::new());
+    let expected = owned().execute_batch(&batch);
+    let server = Server::start(owned(), "127.0.0.1:0", ServeOptions::batched()).expect("start");
+    answers_alike("owned", server, expected);
+
+    let sharded = || {
+        let opts = DbOptions::new().partition(PartitionStrategy::Hash { parts: 3 });
+        TrajDb::from_store(db.to_store(), opts)
+    };
+    let expected = sharded().execute_batch(&batch);
+    let server = Server::start(sharded(), "127.0.0.1:0", ServeOptions::batched()).expect("start");
+    answers_alike("sharded", server, expected);
+
+    // Live: two thirds of the trajectories in the base, the rest ingested
+    // into the delta before the queries arrive.
+    let trajs: Vec<Trajectory> = db.iter().map(|(_, t)| t.clone()).collect();
+    let (base, extra) = trajs.split_at(2 * trajs.len() / 3);
+    let base: TrajectoryDb = base.iter().cloned().collect();
+    let dir = unique_path("loopback_live");
+    let live = std::sync::Arc::new(
+        GenerationalDb::create(
+            &dir,
+            &base.to_store(),
+            DbOptions::new(),
+            Box::new(|| Box::new(KeepAll)),
+        )
+        .expect("create a live database"),
+    );
+    let server = Server::start(
+        std::sync::Arc::clone(&live),
+        "127.0.0.1:0",
+        ServeOptions::batched(),
+    )
+    .expect("start");
+    let ack = Client::connect(server.local_addr())
+        .expect("connect")
+        .ingest(extra)
+        .expect("ingest acked");
+    assert_eq!(ack.accepted as usize, extra.len());
+    answers_alike("live", server, live.execute_batch(&batch));
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,7 +1,8 @@
 //! Property-based tests for the wire format, mirroring the snapshot
 //! corruption suites: every `Query`/`QueryResult`/`QueryBatch` variant
-//! round-trips exactly through a frame, and *any* single-bit flip,
-//! truncation, or oversized length prefix is rejected with a typed
+//! round-trips through a frame — exactly, except that a kNN or
+//! similarity query arrives as its answer points — and *any* single-bit
+//! flip, truncation, or oversized length prefix is rejected with a typed
 //! [`WireError`] — never a panic, never silently wrong data.
 
 use proptest::prelude::*;
@@ -10,7 +11,7 @@ use traj_query::{
 };
 use traj_serve::wire::{
     decode_message, encode_message, IngestAck, Message, ShardInfo, ShardResult, WireError,
-    MAX_PAYLOAD, MAX_T2VEC_DIM,
+    CHECKSUM_LEN, HEADER_LEN, MAX_PAYLOAD, MAX_T2VEC_DIM,
 };
 use trajectory::{Cube, Point, Trajectory};
 
@@ -49,41 +50,42 @@ fn arb_measure() -> impl Strategy<Value = Dissimilarity> {
     ]
 }
 
+/// A query window `(ts, te)`. Mostly over the generated trajectories
+/// (which start after 0 s and end before 1 200 s) — inside, across either
+/// end, or reversed — so the answer points are a strict part of the
+/// trajectory; sometimes anywhere up to 10⁶ s, where they are one sample.
+fn arb_window() -> impl Strategy<Value = (f64, f64)> {
+    prop_oneof![
+        3 => (-100.0..1_300.0f64, -50.0..600.0f64).prop_map(|(ts, dte)| (ts, ts + dte)),
+        1 => (0.0..1e6f64, 0.0..1e6f64).prop_map(|(ts, dte)| (ts, ts + dte)),
+    ]
+}
+
 fn arb_query() -> impl Strategy<Value = Query> {
     prop_oneof![
         arb_cube().prop_map(Query::Range),
-        (
-            arb_trajectory(),
-            0.0..1e6f64,
-            0.0..1e6f64,
-            1usize..50,
-            arb_measure()
-        )
-            .prop_map(|(query, ts, dte, k, measure)| {
+        (arb_trajectory(), arb_window(), 1usize..50, arb_measure()).prop_map(
+            |(query, (ts, te), k, measure)| {
                 Query::Knn(KnnQuery {
                     query,
                     ts,
-                    te: ts + dte,
+                    te,
                     k,
                     measure,
                 })
-            }),
-        (
-            arb_trajectory(),
-            0.0..1e6f64,
-            0.0..1e6f64,
-            1.0..1e5f64,
-            1.0..1e4f64
-        )
-            .prop_map(|(query, ts, dte, delta, step)| {
+            }
+        ),
+        (arb_trajectory(), arb_window(), 1.0..1e5f64, 1.0..1e4f64).prop_map(
+            |(query, (ts, te), delta, step)| {
                 Query::Similarity(SimilarityQuery {
                     query,
                     ts,
-                    te: ts + dte,
+                    te,
                     delta,
                     step,
                 })
-            }),
+            }
+        ),
         arb_cube().prop_map(Query::RangeKept),
     ]
 }
@@ -185,6 +187,37 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// `q` as it arrives: a kNN or similarity query over its answer points.
+fn answer_form(q: &Query) -> Query {
+    let trimmed = |points: &[Point]| Trajectory::new(points.to_vec()).expect("a run of samples");
+    match q {
+        Query::Knn(k) => Query::Knn(KnnQuery {
+            query: trimmed(k.answer_points()),
+            ..k.clone()
+        }),
+        Query::Similarity(s) => Query::Similarity(SimilarityQuery {
+            query: trimmed(s.answer_points()),
+            ..s.clone()
+        }),
+        Query::Range(_) | Query::RangeKept(_) => q.clone(),
+    }
+}
+
+/// `msg` as it arrives: every query of a request in its
+/// [`answer_form`], everything else as it was.
+fn arrives_as(msg: &Message) -> Message {
+    let batch =
+        |b: &QueryBatch| QueryBatch::from_queries(b.queries().iter().map(answer_form).collect());
+    match msg {
+        Message::Request(b) => Message::Request(batch(b)),
+        Message::ShardRequest { id, batch: b } => Message::ShardRequest {
+            id: *id,
+            batch: batch(b),
+        },
+        other => other.clone(),
+    }
+}
+
 /// Structural equality over messages (Query intentionally has no Eq
 /// impl beyond PartialEq; compare per variant).
 fn assert_message_eq(a: &Message, b: &Message) -> Result<(), TestCaseError> {
@@ -241,10 +274,35 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn every_message_round_trips_exactly(msg in arb_message()) {
+    fn every_message_round_trips_to_its_answer_form(msg in arb_message()) {
+        let frame = encode_message(&msg);
+        let decoded = decode_message(&frame).expect("own encoding decodes");
+        assert_message_eq(&arrives_as(&msg), &decoded)?;
+    }
+
+    /// A message already in answer form — and so every message that
+    /// carries no kNN or similarity query, `Ingest` included —
+    /// round-trips exactly, to the same frame.
+    #[test]
+    fn a_message_in_answer_form_round_trips_exactly(msg in arb_message()) {
+        let msg = arrives_as(&msg);
         let frame = encode_message(&msg);
         let decoded = decode_message(&frame).expect("own encoding decodes");
         assert_message_eq(&msg, &decoded)?;
+        prop_assert_eq!(encode_message(&decoded), frame);
+    }
+
+    /// Ingested trajectories are data, not query probes: every sample of
+    /// every trajectory is written and comes back, whatever its times.
+    #[test]
+    fn ingest_trajectories_are_never_trimmed(trajs in prop::collection::vec(arb_trajectory(), 0..6)) {
+        let frame = encode_message(&Message::Ingest(trajs.clone()));
+        let points: usize = trajs.iter().map(Trajectory::len).sum();
+        prop_assert_eq!(frame.len(), HEADER_LEN + 4 + 4 * trajs.len() + 24 * points + CHECKSUM_LEN);
+        match decode_message(&frame).expect("own encoding decodes") {
+            Message::Ingest(decoded) => prop_assert_eq!(decoded, trajs),
+            other => prop_assert!(false, "kind changed: {:?}", other),
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Integration tests pinning the paper's qualitative claims at smoke
-//! scale. These are the "shape" assertions EXPERIMENTS.md reports on:
-//! they do not check absolute numbers, only orderings and behaviours the
-//! paper predicts.
+//! scale. These are "shape" assertions: they do not check absolute
+//! numbers, only orderings and behaviours the paper predicts. The tables
+//! they would be read beside, and the orderings still to be asserted
+//! here, are ROADMAP.md item 2.
 
 use qdts::query::{
     range_workload, EngineConfig, QueryDistribution, QueryEngine, RangeWorkloadSpec,
