@@ -3,9 +3,11 @@
 //!
 //! The framing cost bounds the per-request overhead the serving layer
 //! adds on top of the engine pass, so it should stay microseconds-scale
-//! even for large heterogeneous batches. The checksum (FNV-1a 64 over
-//! header + payload) dominates for big frames; the decode side adds
-//! bounds-checked parsing and trajectory revalidation.
+//! even for large heterogeneous batches. The checksum (XXH64 over the
+//! header and payload) takes 32 bytes a step, so the rest of the codec
+//! dominates: the encode side writes each query's answer points and each
+//! result's varint ids, the decode side adds bounds-checked parsing and
+//! trajectory revalidation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use traj_query::{Dissimilarity, KnnQuery, Query, QueryBatch, QueryResult, SimilarityQuery};

@@ -12,7 +12,7 @@ fn main() {
     println!("{}", datasets::run(args.scale, args.seed).render());
     println!(
         "Synthetic generators reproduce the paper's per-dataset shape \
-         (sampling interval, step length, trajectory length ratios) at laptop scale; \
-         see DESIGN.md §5."
+         (sampling interval, step length, trajectory length ratios) at laptop scale, \
+         standing in for the real datasets, which are not available offline."
     );
 }

@@ -1,7 +1,8 @@
 //! Table I: dataset statistics.
 //!
 //! Generates the four synthetic datasets and prints their statistics next
-//! to the paper's reference values, making the substitution (DESIGN.md §5)
+//! to the paper's reference values, making the substitution of synthetic
+//! generators for the real datasets, which are not available offline,
 //! auditable at a glance.
 
 use crate::table::Table;

@@ -12,8 +12,8 @@
 //!
 //! Each experiment is exposed both as a library function (tested at smoke
 //! scale) and as a binary (`cargo run -p qdts-eval --release --bin
-//! fig4_geolife -- --scale small`). See DESIGN.md §4 for the experiment →
-//! binary index. No measured results are committed yet: ROADMAP.md item 2
+//! fig4_geolife -- --scale small`), named after the table or figure it
+//! reproduces. No measured results are committed yet: ROADMAP.md item 2
 //! ("the paper's tables from one command") is where they will come from.
 
 #![warn(missing_docs)]

@@ -51,7 +51,9 @@ impl Default for DqnConfig {
 }
 
 /// A DQN agent: online + target Q-networks, replay memory, ε-greedy policy,
-/// and an input whitener (the paper's batch-norm stand-in; DESIGN.md §6).
+/// and an input whitener (the paper's batch-norm stand-in: running
+/// per-feature statistics scale the states as batch norm would, but
+/// deterministically, without noisy tiny-batch estimates).
 #[derive(Debug, Clone)]
 pub struct Dqn {
     online: Mlp,

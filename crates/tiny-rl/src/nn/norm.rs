@@ -5,7 +5,7 @@
 //! make the policy non-deterministic at inference; a running
 //! (Welford) estimate of per-feature mean/variance provides the same scale
 //! robustness deterministically. The ablation in this module's tests shows
-//! it normalizes arbitrary scales to O(1) features. See DESIGN.md §6.
+//! it normalizes arbitrary scales to O(1) features.
 
 /// Running per-feature mean/variance estimator used to whiten MDP states
 /// before they reach the Q-network.

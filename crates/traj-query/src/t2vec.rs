@@ -5,7 +5,8 @@
 //! Euclidean distances reflect trajectory similarity. Training a deep
 //! sequence encoder is outside this reproduction's offline budget, so we
 //! substitute a deterministic embedding with the same *interface* and the
-//! same sensitivity profile (DESIGN.md §5):
+//! same sensitivity profile (nearby vectors for trajectories that share
+//! cells, a moved vector for every dropped point):
 //!
 //! 1. discretize the trajectory into a sequence of spatial grid cells
 //!    (t2vec's own preprocessing step),

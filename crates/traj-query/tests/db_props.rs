@@ -18,7 +18,7 @@ use traj_query::{
 };
 use traj_simp::{Simplifier, Uniform};
 use trajectory::shard::{partition, PartitionStrategy, Shard, ShardSet};
-use trajectory::snapshot::write_snapshot_with;
+use trajectory::snapshot::{read_snapshot, write_snapshot_with};
 use trajectory::{Cube, KeptBitmap, Point, Simplification, Trajectory, TrajectoryDb};
 
 /// Strategy: a Geolife/T-Drive-shaped database of 1..8 trajectories with
@@ -316,4 +316,57 @@ fn open_rejects_missing_paths_with_io_errors() {
     )
     .unwrap_err();
     assert!(matches!(err, traj_query::TrajDbError::Io(_)), "{err}");
+}
+
+/// A snapshot written before the version-2 bump opens through the façade,
+/// mapped and owned, and answers a mixed batch exactly as its version-2
+/// rewrite does: the raw fixture with its kept bitmap, and the quantized
+/// one, whose decoded columns are what both serve.
+#[test]
+fn version_1_snapshots_answer_as_their_version_2_rewrites() {
+    let fixtures =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../trajectory/tests/fixtures");
+    for (name, has_kept) in [("v1_plain_kept.snap", true), ("v1_quantized.snap", false)] {
+        let v1 = fixtures.join(name);
+        let snap = read_snapshot(&v1).unwrap();
+        let v2 = unique_path("v2_rewrite");
+        write_snapshot_with(&snap.store, snap.kept.as_ref(), &v2).unwrap();
+
+        let cube = snap.store.bounding_cube();
+        let (t0, t1) = snap.store.time_span();
+        let half = Cube::new(
+            cube.x_min,
+            (cube.x_min + cube.x_max) / 2.0,
+            cube.y_min,
+            cube.y_max,
+            cube.t_min,
+            cube.t_max,
+        );
+        let mut batch = QueryBatch::new();
+        batch.push_range(cube);
+        batch.push_range(half);
+        batch.push_range_kept(half);
+        batch.push_knn(KnnQuery {
+            query: snap.store.view(0).to_trajectory(),
+            ts: t0,
+            te: t0 + 0.7 * (t1 - t0),
+            k: 3,
+            measure: Dissimilarity::Edr { eps: 1_000.0 },
+        });
+        batch.push_similarity(SimilarityQuery {
+            query: snap.store.view(1).to_trajectory(),
+            ts: t0,
+            te: t1,
+            delta: 2_500.0,
+            step: 30.0,
+        });
+        for opts in [DbOptions::new(), DbOptions::new().owned()] {
+            let old = TrajDb::open(&v1, opts).unwrap().execute_batch(&batch);
+            let new = TrajDb::open(&v2, opts).unwrap().execute_batch(&batch);
+            assert_eq!(old, new, "{name}, {:?}", opts.open_mode());
+            assert_eq!(old[0].ids().unwrap().len(), snap.store.len(), "{name}");
+            assert_eq!(matches!(old[2], QueryResult::RangeKept(Some(_))), has_kept);
+        }
+        std::fs::remove_file(&v2).ok();
+    }
 }

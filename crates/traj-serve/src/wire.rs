@@ -3,12 +3,18 @@
 //! [`QueryResult`] responses.
 //!
 //! The format mirrors the snapshot codec's discipline — explicit magic,
-//! version gate, FNV-1a 64 checksum, typed errors for every corruption
+//! version gate, the same XXH64 checksum
+//! ([`trajectory::snapshot::xxh64`]), typed errors for every corruption
 //! class — and reuses its little-endian primitives
 //! ([`trajectory::snapshot::put_u32`] and friends), so the network and
 //! disk layers speak the same byte order from the same helpers. The
 //! byte-level layout is specified (and doc-tested) in
 //! `docs/WIRE_FORMAT.md`; see [`crate::format_spec`].
+//!
+//! A result's trajectory ids cost what they carry: each is the varint of
+//! the zigzag of its difference from the id before it, so an ascending
+//! list over a thousand trajectories takes a byte or two an id, and any
+//! list — kNN rank order, repeats — round-trips exactly.
 //!
 //! Decoding never panics and never allocates ahead of the bytes that
 //! back an allocation: counts are validated against the remaining
@@ -34,19 +40,21 @@ use std::fmt;
 use std::io::{Read, Write};
 
 use traj_query::{Dissimilarity, KnnQuery, Query, QueryBatch, QueryResult, SimilarityQuery};
-use trajectory::snapshot::{fnv1a64, get_u32, get_u64, put_u32};
+use trajectory::snapshot::{get_u32, get_u64, put_u32, unzigzag, xxh64, zigzag};
 use trajectory::{Cube, Point, TrajId, Trajectory};
 
 use traj_query::T2vecEmbedder;
 
 /// Frame magic: `b"QWIR"`.
 pub const MAGIC: [u8; 4] = *b"QWIR";
-/// Current (and only) wire version.
-pub const VERSION: u16 = 1;
+/// The wire version, and the only one a decoder accepts. Version 2
+/// replaced version 1's FNV-1a trailer by XXH64 and its fixed 8-byte ids
+/// by varint deltas.
+pub const VERSION: u16 = 2;
 /// Fixed frame header size: magic (4) + version (2) + kind (1) +
 /// reserved (1) + payload length (4).
 pub const HEADER_LEN: usize = 12;
-/// Trailing checksum size (FNV-1a 64 over header + payload).
+/// Trailing checksum size (XXH64 over header + payload).
 pub const CHECKSUM_LEN: usize = 8;
 /// Largest accepted payload. Frames declaring more are rejected with
 /// [`WireError::Oversized`] before any buffer is allocated.
@@ -409,6 +417,29 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// An unsigned LEB128 varint: seven bits a byte, low first, the high
+    /// bit set on every byte but the last. Bytes running out is
+    /// `Truncated`; a tenth byte carrying more than bit 63, or an
+    /// eleventh byte, is `Malformed`.
+    fn varint(&mut self) -> Result<u64, WireError> {
+        let mut v = 0;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                if shift == 63 && b > 1 {
+                    return Err(WireError::Malformed {
+                        reason: "varint overflows 64 bits",
+                    });
+                }
+                return Ok(v);
+            }
+        }
+        Err(WireError::Malformed {
+            reason: "varint longer than ten bytes",
+        })
+    }
+
     /// A `u32` element count whose elements occupy at least
     /// `elem_size` bytes each — validated against the remaining
     /// payload so a corrupt count can never size an allocation.
@@ -633,18 +664,41 @@ fn decode_query(r: &mut Reader<'_>) -> Result<Query, WireError> {
     }
 }
 
+/// What an id list puts on the wire, one varint each: the zigzag of every
+/// id's wrapping difference from the id before it, the first's from 0.
+fn id_codes(ids: &[TrajId]) -> impl Iterator<Item = u64> + '_ {
+    ids.iter().scan(0u64, |prev, &id| {
+        let id = id as u64;
+        let code = zigzag(id.wrapping_sub(*prev) as i64);
+        *prev = id;
+        Some(code)
+    })
+}
+
+/// Bytes of `v`'s LEB128 varint: one per started seven bits, at least one.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 fn encode_ids(out: &mut Vec<u8>, ids: &[TrajId]) {
     put_u32_vec(out, ids.len() as u32);
-    for &id in ids {
-        put_u64_vec(out, id as u64);
+    for mut code in id_codes(ids) {
+        while code >= 0x80 {
+            out.push(code as u8 | 0x80);
+            code >>= 7;
+        }
+        out.push(code as u8);
     }
 }
 
 fn decode_ids(r: &mut Reader<'_>) -> Result<Vec<TrajId>, WireError> {
-    let n = r.count(8)?;
+    // An id is at least one varint byte.
+    let n = r.count(1)?;
     let mut ids = Vec::with_capacity(n);
+    let mut prev = 0u64;
     for _ in 0..n {
-        let id = usize::try_from(r.u64()?).map_err(|_| WireError::Malformed {
+        prev = prev.wrapping_add(unzigzag(r.varint()?) as u64);
+        let id = usize::try_from(prev).map_err(|_| WireError::Malformed {
             reason: "trajectory id exceeds usize",
         })?;
         ids.push(id);
@@ -972,11 +1026,12 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
 }
 
 // Encoded sizes, so a frame is reserved once at its exact length instead
-// of doubling its way up (a 52 KB response re-copies ~52 KB doing that).
-// `encode_frame` checks them against what the encoders wrote.
+// of doubling its way up and re-copying what it holds at each step; an id
+// list is sized by a pass over its varint codes. `encode_frame` checks
+// them against what the encoders wrote.
 
-fn ids_len(n: usize) -> usize {
-    4 + 8 * n
+fn ids_len(ids: &[TrajId]) -> usize {
+    4 + id_codes(ids).map(varint_len).sum::<usize>()
 }
 
 fn points_len(n: usize) -> usize {
@@ -1008,16 +1063,16 @@ fn trajectories_len(trajs: &[Trajectory]) -> usize {
 fn result_len(r: &QueryResult) -> usize {
     1 + match r {
         QueryResult::Range(ids) | QueryResult::Knn(ids) | QueryResult::Similarity(ids) => {
-            ids_len(ids.len())
+            ids_len(ids)
         }
-        QueryResult::RangeKept(ids) => 1 + ids.as_ref().map_or(0, |ids| ids_len(ids.len())),
+        QueryResult::RangeKept(ids) => 1 + ids.as_deref().map_or(0, ids_len),
     }
 }
 
 fn shard_result_len(r: &ShardResult) -> usize {
     1 + match r {
-        ShardResult::Ids(ids) => ids_len(ids.len()),
-        ShardResult::Kept(ids) => 1 + ids.as_ref().map_or(0, |ids| ids_len(ids.len())),
+        ShardResult::Ids(ids) => ids_len(ids),
+        ShardResult::Kept(ids) => 1 + ids.as_deref().map_or(0, ids_len),
         ShardResult::Candidates(cands) => 4 + 16 * cands.len(),
     }
 }
@@ -1060,7 +1115,7 @@ fn encode_frame(
     let len = frame.len() - HEADER_LEN;
     debug_assert_eq!(len, payload_len, "size function out of step, kind {kind}");
     put_u32(frame, 8, len as u32);
-    let checksum = fnv1a64(frame);
+    let checksum = xxh64(frame);
     frame.extend_from_slice(&checksum.to_le_bytes());
 }
 
@@ -1178,7 +1233,7 @@ pub fn decode_message(buf: &[u8]) -> Result<Message, WireError> {
         });
     }
     let stored = get_u64(buf, HEADER_LEN + len);
-    let computed = fnv1a64(&buf[..HEADER_LEN + len]);
+    let computed = xxh64(&buf[..HEADER_LEN + len]);
     if stored != computed {
         return Err(WireError::ChecksumMismatch { stored, computed });
     }
@@ -1244,7 +1299,7 @@ pub(crate) fn read_frame(
     }
     let body = &frame[..HEADER_LEN + len];
     let stored = get_u64(frame, body.len());
-    let computed = fnv1a64(body);
+    let computed = xxh64(body);
     if stored != computed {
         return Err(WireError::ChecksumMismatch { stored, computed });
     }

@@ -17,7 +17,7 @@ use traj_serve::wire::{decode_message, encode_message, Message};
 use traj_serve::{BatchConfig, Client, ServeOptions, Server};
 use trajectory::gen::{generate, DatasetSpec, Scale};
 use trajectory::shard::{partition, PartitionStrategy, ShardSet};
-use trajectory::snapshot::{fnv1a64, write_snapshot_quantized, write_snapshot_with};
+use trajectory::snapshot::{write_snapshot_quantized, write_snapshot_with, xxh64};
 use trajectory::{KeepAll, KeptBitmap, Trajectory, TrajectoryDb};
 
 fn unique_path(tag: &str) -> PathBuf {
@@ -545,11 +545,11 @@ fn whole_trajectory_request(queries: &[Query]) -> Vec<u8> {
         }
     }
     let mut frame = b"QWIR".to_vec();
-    frame.extend_from_slice(&1u16.to_le_bytes()); // version
+    frame.extend_from_slice(&2u16.to_le_bytes()); // version
     frame.extend_from_slice(&[1, 0]); // kind: request, reserved
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(&payload);
-    let checksum = fnv1a64(&frame);
+    let checksum = xxh64(&frame);
     frame.extend_from_slice(&checksum.to_le_bytes());
     frame
 }

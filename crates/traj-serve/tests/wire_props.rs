@@ -11,8 +11,9 @@ use traj_query::{
 };
 use traj_serve::wire::{
     decode_message, encode_message, IngestAck, Message, ShardInfo, ShardResult, WireError,
-    CHECKSUM_LEN, HEADER_LEN, MAX_PAYLOAD, MAX_T2VEC_DIM,
+    CHECKSUM_LEN, HEADER_LEN, KIND_RESPONSE, MAGIC, MAX_PAYLOAD, MAX_T2VEC_DIM, VERSION,
 };
+use trajectory::snapshot::xxh64;
 use trajectory::{Cube, Point, Trajectory};
 
 fn arb_cube() -> impl Strategy<Value = Cube> {
@@ -92,6 +93,27 @@ fn arb_query() -> impl Strategy<Value = Query> {
 
 fn arb_ids() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(0usize..1_000_000, 0..40)
+}
+
+/// Any id list the codec must carry exactly: ids anywhere in the type's
+/// range, 0 and the largest id included, in any order — as drawn, ascending
+/// as a range answer, descending — or with every id repeated.
+fn arb_any_ids() -> impl Strategy<Value = Vec<usize>> {
+    let id = prop_oneof![
+        Just(0usize),
+        Just(u64::MAX as usize),
+        any::<usize>(),
+        0usize..1_000,
+    ];
+    (prop::collection::vec(id, 0..40), 0u8..4).prop_map(|(mut ids, shape)| {
+        match shape {
+            0 => ids.sort_unstable(),
+            1 => ids.sort_unstable_by(|a, b| b.cmp(a)),
+            2 => ids = ids.iter().flat_map(|&id| [id, id]).collect(),
+            _ => {}
+        }
+        ids
+    })
 }
 
 fn arb_result() -> impl Strategy<Value = QueryResult> {
@@ -348,6 +370,29 @@ proptest! {
         ));
     }
 
+    /// Every id list — in a response's four result kinds and a shard
+    /// reply's two id kinds — comes back exactly, at no more than the
+    /// ten bytes an id a 64-bit varint can take.
+    #[test]
+    fn every_id_list_round_trips_exactly(ids in arb_any_ids()) {
+        let response = Message::Response(vec![
+            QueryResult::Range(ids.clone()),
+            QueryResult::Knn(ids.clone()),
+            QueryResult::Similarity(ids.clone()),
+            QueryResult::RangeKept(Some(ids.clone())),
+        ]);
+        let shard = Message::ShardResponse {
+            id: 1,
+            results: vec![ShardResult::Ids(ids.clone()), ShardResult::Kept(Some(ids.clone()))],
+        };
+        for (msg, lists) in [(response, 4), (shard, 2)] {
+            let frame = encode_message(&msg);
+            prop_assert!(frame.len() <= HEADER_LEN + 12 + lists * (6 + 10 * ids.len()) + CHECKSUM_LEN);
+            let decoded = decode_message(&frame).expect("own encoding decodes");
+            assert_message_eq(&msg, &decoded)?;
+        }
+    }
+
     #[test]
     fn streaming_and_buffer_decodes_agree(msg in arb_message()) {
         // read_message over an in-memory stream sees the same message
@@ -370,12 +415,12 @@ fn version_and_kind_corruption_give_specific_errors() {
     let frame = encode_message(&Message::Request(QueryBatch::new()));
 
     let mut v = frame.clone();
-    v[4] = 2;
+    v[4] = 1;
     assert!(matches!(
         decode_message(&v),
         Err(WireError::UnsupportedVersion {
-            found: 2,
-            supported: 1
+            found: 1,
+            supported: 2
         })
     ));
 
@@ -398,6 +443,74 @@ fn version_and_kind_corruption_give_specific_errors() {
     assert!(matches!(
         decode_message(&r),
         Err(WireError::Malformed { .. })
+    ));
+}
+
+/// A frame of `kind` around a hand-written `payload`, sealed as the
+/// encoder seals one, so only the payload can be wrong.
+fn sealed(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut frame = MAGIC.to_vec();
+    frame.extend_from_slice(&VERSION.to_le_bytes());
+    frame.extend_from_slice(&[kind, 0]);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    let checksum = xxh64(&frame);
+    frame.extend_from_slice(&checksum.to_le_bytes());
+    frame
+}
+
+/// A response frame holding one range result: `n` ids declared, then
+/// `codes` as the id bytes.
+fn range_response(n: u32, codes: &[u8]) -> Vec<u8> {
+    let mut payload = 1u32.to_le_bytes().to_vec();
+    payload.push(0); // tag: range
+    payload.extend_from_slice(&n.to_le_bytes());
+    payload.extend_from_slice(codes);
+    sealed(KIND_RESPONSE, &payload)
+}
+
+/// Hand-written id bytes decode as the codec specifies — the first id
+/// from 0, each next one from its predecessor, wrapping — and every bad
+/// varint is a typed error: bytes that run out are `Truncated`, an
+/// eleventh byte or bits past 64 are `Malformed`, and a count the bytes
+/// cannot hold is refused before anything is sized by it.
+#[test]
+fn id_varints_decode_exactly_and_bad_ones_give_typed_errors() {
+    let ids = |frame: &[u8]| match decode_message(frame) {
+        Ok(Message::Response(results)) => match &results[..] {
+            [QueryResult::Range(ids)] => ids.clone(),
+            other => panic!("unexpected results {other:?}"),
+        },
+        other => panic!("unexpected decode {other:?}"),
+    };
+    // 5 → zigzag 10; 300 − 5 → 590 = 0xce 0x04; 299 − 300 → zigzag 1.
+    assert_eq!(ids(&range_response(3, &[10, 0xce, 0x04, 1])), [5, 300, 299]);
+    // The widest code, ten bytes: zigzag u64::MAX is the delta −2⁶³.
+    let widest = [[0xff; 9].as_slice(), &[0x01]].concat();
+    assert_eq!(ids(&range_response(1, &widest)), [1usize << 63]);
+
+    // A varint cut off by the end of the payload.
+    assert!(matches!(
+        decode_message(&range_response(1, &[0x80])),
+        Err(WireError::Truncated { .. })
+    ));
+    // An eleventh byte.
+    let eleven = [[0x80; 10].as_slice(), &[0x00]].concat();
+    assert!(matches!(
+        decode_message(&range_response(1, &eleven)),
+        Err(WireError::Malformed { .. })
+    ));
+    // A tenth byte carrying bits past 64.
+    let overflow = [[0xff; 9].as_slice(), &[0x02]].concat();
+    assert!(matches!(
+        decode_message(&range_response(1, &overflow)),
+        Err(WireError::Malformed { .. })
+    ));
+    // Four billion ids declared over three bytes: refused at the count
+    // (sizing the list by it would ask for 32 GiB).
+    assert!(matches!(
+        decode_message(&range_response(u32::MAX, &[0, 0, 0])),
+        Err(WireError::Truncated { needed, got: 3 }) if needed == u32::MAX as usize
     ));
 }
 

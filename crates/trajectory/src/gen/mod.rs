@@ -5,8 +5,9 @@
 //! provides generators that reproduce their *statistical shape* — number of
 //! trajectories, points per trajectory, sampling interval, mean step length
 //! — and, crucially, the cross-trajectory heterogeneity in sampling rate and
-//! movement complexity that motivates collective simplification. See
-//! DESIGN.md §5 for the substitution argument.
+//! movement complexity that motivates collective simplification. Query
+//! accuracy after simplification depends on those statistics, so
+//! generators that match them stand in for the real data.
 
 pub mod grid;
 pub mod walk;

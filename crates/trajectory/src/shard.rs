@@ -860,7 +860,7 @@ impl ShardSet {
     /// Opens every shard as an owned, heap-backed store (plus its kept
     /// bitmap when present), validating that each snapshot's trajectory
     /// count matches the manifest. Shard files are independent, so the
-    /// opens (decode + checksum pass each) run in parallel.
+    /// opens (an XXH64 checksum pass and a decode each) run in parallel.
     pub fn open_owned(&self) -> Result<Vec<OpenShard<PointStore>>, ShardSetError> {
         crate::parallel::par_map(&self.entries, |e| {
             let snap = read_snapshot(self.dir.join(&e.file)).map_err(|source| {
@@ -882,7 +882,7 @@ impl ShardSet {
 
     /// Opens every shard zero-copy behind a read-only mapping (plus its
     /// kept bitmap when present) — the serving path: no column is copied
-    /// or decoded, each file's one full pass is its checksum
+    /// or decoded, each file's one full pass is its XXH64 checksum
     /// verification, and the per-file opens run in parallel.
     pub fn open_mapped(&self) -> Result<Vec<OpenShard<MappedStore>>, ShardSetError> {
         crate::parallel::par_map(&self.entries, |e| {

@@ -4,7 +4,8 @@
 //! column runs (`xs`/`ys`/`ts`/`offsets`) written little-endian into one
 //! file behind a fixed 128-byte header, every section 64-byte aligned, an
 //! optional [`KeptBitmap`] section for simplified databases, and a
-//! trailing FNV-1a checksum. Because the in-memory layout already is
+//! trailing [`xxh64`] checksum (version 1 files, whose checksum is
+//! [`fnv1a64`], still open). Because the in-memory layout already is
 //! "plain `f64` runs, no interior pointers", the file needs no
 //! deserialization step at all — three access paths share the format:
 //!
@@ -63,8 +64,10 @@ pub mod format_spec {}
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 8] = *b"QDTSNAP\0";
 
-/// Current (and only) format version.
-pub const VERSION: u32 = 1;
+/// Format version the writers produce: 2, whose checksum is [`xxh64`].
+/// Readers also open version 1, the same layout checksummed by
+/// [`fnv1a64`].
+pub const VERSION: u32 = 2;
 
 /// Header flag bit: the file carries a kept-point bitmap section.
 pub const FLAG_KEPT_BITMAP: u32 = 1;
@@ -126,7 +129,7 @@ pub enum SnapshotError {
     UnsupportedVersion {
         /// Version stored in the file.
         found: u32,
-        /// Version this build reads and writes.
+        /// Newest version this build reads, and the one it writes.
         supported: u32,
     },
     /// The header carries flag bits this version does not understand.
@@ -252,9 +255,12 @@ impl From<io::Error> for SnapshotError {
 // Checksum.
 // ---------------------------------------------------------------------
 
-/// FNV-1a 64-bit over `bytes` — dependency-free, byte-order independent,
-/// and fast enough to verify gigabyte snapshots at memory bandwidth
-/// fractions that never dominate a cold start.
+/// FNV-1a 64-bit over `bytes`: dependency-free and byte-order
+/// independent, but a byte at a time through a serial multiply chain
+/// (~1.3 ns/B), so it no longer guards frames or snapshots — [`xxh64`]
+/// does. It remains the verifier of version-1 snapshots, the WAL's
+/// per-record checksum (records of 9–33 bytes), the `Hash` partitioner's
+/// hash of a trajectory id, and the fingerprint the fixture tests print.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -265,6 +271,70 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(PRIME);
     }
     h
+}
+
+/// XXH64 (seed 0) over `bytes` — the checksum of version-2 snapshots and
+/// of every QWIR frame. Four independent 64-bit multiply-rotate lanes
+/// take 32 bytes a step, so it runs ~15× faster than [`fnv1a64`] in
+/// portable safe Rust, the same on every build and byte order.
+#[must_use]
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const P3: u64 = 0x1656_67b1_9e37_79f9;
+    const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+    const P5: u64 = 0x27d4_eb2f_1656_67c5;
+    #[inline(always)]
+    fn round(acc: u64, lane: u64) -> u64 {
+        acc.wrapping_add(lane.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    }
+    #[inline(always)]
+    fn merge(acc: u64, v: u64) -> u64 {
+        (acc ^ round(0, v)).wrapping_mul(P1).wrapping_add(P4)
+    }
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+
+    let stripes = bytes.chunks_exact(32);
+    let mut rest = stripes.remainder();
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in stripes {
+            for (acc, lane) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+                *acc = round(*acc, word(lane));
+            }
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.iter().fold(h, |h, &v| merge(h, v))
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    while rest.len() >= 8 {
+        h ^= round(0, word(&rest[..8]));
+        h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+        rest = &rest[8..];
+    }
+    if rest.len() >= 4 {
+        let half = u32::from_le_bytes(rest[..4].try_into().expect("4-byte chunk"));
+        h ^= u64::from(half).wrapping_mul(P1);
+        h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+        rest = &rest[4..];
+    }
+    for &b in rest {
+        h ^= u64::from(b).wrapping_mul(P5);
+        h = h.rotate_left(11).wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 // ---------------------------------------------------------------------
@@ -397,13 +467,19 @@ struct QuantMeta {
     cols: [ColQuant; 3],
 }
 
+/// Zigzag-encodes a signed delta so small magnitudes of either sign map to
+/// small codes (0, -1, 1, -2, … → 0, 1, 2, 3, …). Shared by the quantized
+/// columns and the wire's id lists, like [`put_u32`].
 #[inline]
-fn zigzag(d: i64) -> u64 {
+#[must_use]
+pub fn zigzag(d: i64) -> u64 {
     ((d << 1) ^ (d >> 63)) as u64
 }
 
+/// The inverse of [`zigzag`].
 #[inline]
-fn unzigzag(z: u64) -> i64 {
+#[must_use]
+pub fn unzigzag(z: u64) -> i64 {
     ((z >> 1) as i64) ^ -((z & 1) as i64)
 }
 
@@ -631,7 +707,7 @@ fn validate(bytes: &[u8]) -> Result<Layout, SnapshotError> {
         return Err(SnapshotError::BadMagic { found });
     }
     let version = get_u32(bytes, 8);
-    if version != VERSION {
+    if !(1..=VERSION).contains(&version) {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             supported: VERSION,
@@ -719,7 +795,13 @@ fn validate(bytes: &[u8]) -> Result<Layout, SnapshotError> {
     }
 
     let stored_sum = get_u64(bytes, layout.checksum_off);
-    let computed = fnv1a64(&bytes[..layout.checksum_off]);
+    let covered = &bytes[..layout.checksum_off];
+    // Version 1 differs from 2 only in its checksum; files outlive builds.
+    let computed = if version == 1 {
+        fnv1a64(covered)
+    } else {
+        xxh64(covered)
+    };
     if stored_sum != computed {
         return Err(SnapshotError::ChecksumMismatch {
             stored: stored_sum,
@@ -827,7 +909,7 @@ pub fn snapshot_bytes<S: AsColumns + ?Sized>(store: &S, kept: Option<&KeptBitmap
         copy_u64s_le(&mut buf[off..off + layout.kept_words * 8], k.words());
     }
 
-    let sum = fnv1a64(&buf[..layout.checksum_off]);
+    let sum = xxh64(&buf[..layout.checksum_off]);
     put_u64(&mut buf, layout.checksum_off, sum);
     buf
 }
@@ -953,7 +1035,7 @@ pub fn quantized_snapshot_bytes<S: AsColumns + ?Sized>(
         copy_u64s_le(&mut buf[off..off + layout.kept_words * 8], k.words());
     }
 
-    let sum = fnv1a64(&buf[..layout.checksum_off]);
+    let sum = xxh64(&buf[..layout.checksum_off]);
     put_u64(&mut buf, layout.checksum_off, sum);
     Ok(buf)
 }
@@ -1557,7 +1639,7 @@ mod tests {
         assert!(bytes[80..128].iter().all(|&b| b == 0));
         // Trailing checksum self-verifies.
         let sum_off = get_u64(&bytes, 72) as usize;
-        assert_eq!(get_u64(&bytes, sum_off), fnv1a64(&bytes[..sum_off]));
+        assert_eq!(get_u64(&bytes, sum_off), xxh64(&bytes[..sum_off]));
         assert_eq!(bytes.len(), sum_off + 8);
     }
 
@@ -1647,7 +1729,7 @@ mod tests {
         let o2 = get_u32(&bytes, offsets_off + 8);
         put_u32(&mut bytes, offsets_off + 4, o2 + 1);
         let sum_off = get_u64(&bytes, 72) as usize;
-        let sum = fnv1a64(&bytes[..sum_off]);
+        let sum = xxh64(&bytes[..sum_off]);
         put_u64(&mut bytes, sum_off, sum);
         assert!(matches!(
             read_snapshot_bytes(&bytes),
@@ -1667,7 +1749,7 @@ mod tests {
         // keeping the table monotone.
         put_u32(&mut bytes, offsets_off + 4, 0);
         let sum_off = get_u64(&bytes, 72) as usize;
-        let sum = fnv1a64(&bytes[..sum_off]);
+        let sum = xxh64(&bytes[..sum_off]);
         put_u64(&mut bytes, sum_off, sum);
         assert!(matches!(
             read_snapshot_bytes(&bytes),
@@ -1690,7 +1772,7 @@ mod tests {
         let last_off = kept_off + (words - 1) * 8;
         put_u64(&mut bytes, last_off, 1u64 << 63); // bit 63 of last word > n
         let sum_off = get_u64(&bytes, 72) as usize;
-        let sum = fnv1a64(&bytes[..sum_off]);
+        let sum = xxh64(&bytes[..sum_off]);
         put_u64(&mut bytes, sum_off, sum);
 
         assert!(matches!(
@@ -1929,7 +2011,7 @@ mod tests {
         let mut bad_width = good.clone();
         put_u64(&mut bad_width, HEADER_LEN + 8 + 16, 3);
         let sum_off = get_u64(&bad_width, 72) as usize;
-        let sum = fnv1a64(&bad_width[..sum_off]);
+        let sum = xxh64(&bad_width[..sum_off]);
         put_u64(&mut bad_width, sum_off, sum);
         assert!(matches!(
             read_snapshot_bytes(&bad_width),
@@ -1944,5 +2026,19 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn xxh64_matches_reference_vectors() {
+        // Published XXH64 (seed 0) test vectors; the last one is 39 bytes,
+        // so it runs the 32-byte lane loop, then the 4-byte and the
+        // single-byte tails.
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
     }
 }
