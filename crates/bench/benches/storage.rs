@@ -1,5 +1,5 @@
 //! Storage benchmarks over the columnar `PointStore`: cold load (CSV
-//! re-parse vs owned snapshot read vs zero-copy mmap), the sharded engine
+//! re-parse vs owned snapshot read vs zero-copy mmap), a sharded database
 //! against a single store, the scalar-vs-SIMD kernels, and raw-vs-quantized
 //! snapshot loads — each on a T-Drive-shaped database (100k+ points).
 
@@ -7,12 +7,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use traj_query::{
-    range_workload, EngineConfig, QueryDistribution, QueryEngine, QueryExecutor, RangeWorkloadSpec,
-    ShardedQueryEngine,
+    range_workload, DbOptions, EngineConfig, QueryDistribution, QueryEngine, QueryExecutor,
+    RangeWorkloadSpec, TrajDb,
 };
 use trajectory::gen::{generate, DatasetSpec, Scale};
 use trajectory::io::{read_csv_store, write_csv};
-use trajectory::shard::{partition, PartitionStrategy};
+use trajectory::shard::PartitionStrategy;
 use trajectory::snapshot::{read_snapshot, write_snapshot, MappedStore};
 use trajectory::Cube;
 
@@ -106,22 +106,19 @@ fn bench_cold_load(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------
-// Sharded: parallel per-shard index builds + fan-out queries vs the
-// single-store baseline, at the same T-Drive scale as the groups above.
+// Sharded: a `TrajDb` cut into 8 hash shards — one segment each, their
+// index builds run in parallel — vs the same database as one segment,
+// at the same T-Drive scale as the groups above.
 //
-// The build side is where sharding pays immediately: the single-store
-// octree build is serial, while the sharded build runs one (smaller)
-// build per shard across cores via par_map. The query side fans each
-// range query out to the shards whose bounds intersect it and merges —
-// equality with the single-store engine is asserted below before any
-// timing claim. At the 349k-point scale with 8 hash shards this
-// measures ~1.35x on build even on ONE core (18.6 ms -> 13.8 ms: eight
-// shallow trees beat one deep one on locality alone); with multiple
-// cores the per-shard builds additionally run concurrently, bounded by
-// min(shards, cores). Hash shards overlap spatially, so every query
-// visits all eight indexes — the batch measures the fan-out's overhead
-// ceiling (~2.4x at 1 core), which bound-pruned grid/time partitions
-// and multicore fan-out claw back.
+// Both builds start from a copy of the columns; the sharded one also
+// pays the partition pass. The single-store octree build is serial,
+// while the sharded build runs one (smaller) build per shard across
+// cores via par_map. The query side fans each range query out to the
+// shards whose bounds intersect it and merges — equality with the
+// single store is asserted below before any timing claim. Hash shards
+// overlap spatially, so every query visits all eight indexes: the batch
+// measures the fan-out's overhead ceiling, which bound-pruned grid/time
+// partitions and multicore fan-out claw back.
 // ---------------------------------------------------------------------
 
 fn bench_sharded(c: &mut Criterion) {
@@ -134,24 +131,23 @@ fn bench_sharded(c: &mut Criterion) {
     let spec = RangeWorkloadSpec::paper_default(100, QueryDistribution::Data);
     let queries = range_workload(&db, &spec, &mut StdRng::seed_from_u64(11));
 
-    let shards = partition(&store, &PartitionStrategy::Hash { parts: 8 });
+    let single_opts = DbOptions::new();
+    let sharded_opts = single_opts.partition(PartitionStrategy::Hash { parts: 8 });
 
     let mut group = c.benchmark_group("sharded");
     group.sample_size(10);
 
     // Index construction: one serial build vs 8 parallel shard builds.
     group.bench_function(BenchmarkId::new("single_store_build", n), |b| {
-        b.iter(|| QueryEngine::over_store(std::hint::black_box(&store), EngineConfig::octree()))
+        b.iter(|| TrajDb::from_store(std::hint::black_box(&store).clone(), single_opts))
     });
     group.bench_function(BenchmarkId::new("sharded_build_hash8", n), |b| {
-        b.iter(|| {
-            ShardedQueryEngine::over_shards(std::hint::black_box(&shards), EngineConfig::octree())
-        })
+        b.iter(|| TrajDb::from_store(std::hint::black_box(&store).clone(), sharded_opts))
     });
 
-    // 100-query batch over pre-built engines.
-    let single = QueryEngine::over_store(&store, EngineConfig::octree());
-    let sharded = ShardedQueryEngine::over_shards(&shards, EngineConfig::octree());
+    // 100-query batch over pre-built databases.
+    let single = TrajDb::from_store(store.clone(), single_opts);
+    let sharded = TrajDb::from_store(store, sharded_opts);
     group.bench_function(BenchmarkId::new("single_store_batch_100", n), |b| {
         b.iter(|| std::hint::black_box(&single).range_batch(&queries))
     });

@@ -1,21 +1,21 @@
 //! The public database façade: one typed query surface over every
 //! physical layout.
 //!
-//! Everything below this module — single-store vs. sharded engines,
-//! heap-owned vs. mmap-backed columns, CSV vs. snapshot vs. shard-set
-//! files — is an *execution detail*. The paper's contract (§III-B) is a
-//! database `D` answering a workload of range / kNN / similarity queries,
-//! and a simplified database `D'` answering the same workload almost as
-//! well. This module states that contract once:
+//! Everything below this module — one segment or many, heap-owned vs.
+//! mmap-backed columns, CSV vs. snapshot vs. shard-set files — is an
+//! *execution detail*. The paper's contract (§III-B) is a database `D`
+//! answering a workload of range / kNN / similarity queries, and a
+//! simplified database `D'` answering the same workload almost as well.
+//! This module states that contract once:
 //!
 //! - [`QueryExecutor`] is the full query surface (one-shot, batch,
 //!   simplified-database variants, and workload maintenance). It has
 //!   **one implementation**: the blanket impl in
 //!   [`segment`](crate::segment) over anything that can hand out its
-//!   database as an ordered list of [`Segment`]s. A
-//!   [`QueryEngine`] supplies the one-segment list, a
-//!   [`ShardedQueryEngine`] one segment per shard, [`TrajDb`] whichever
-//!   of the two it opened, a [`GenerationalDb`](crate::GenerationalDb)
+//!   database as an ordered list of [`Segment`]s. A [`QueryEngine`]
+//!   supplies the one-segment list, [`TrajDb`] the list of segments it
+//!   stores (one per snapshot, one per shard), a
+//!   [`GenerationalDb`](crate::GenerationalDb)
 //!   `[base, sealed deltas…, active delta]`.
 //! - [`Query`] / [`QueryResult`] are the typed request/response pair, and
 //!   a [`QueryBatch`] is a *heterogeneous* plan: a mixed
@@ -26,9 +26,10 @@
 //! - [`TrajDb`] is the façade over storage: [`TrajDb::open`] auto-detects
 //!   the three on-disk formats (CSV file, snapshot file, shard-set
 //!   directory), honours a builder-style [`DbOptions`] (index backend and
-//!   tree shape, owned vs. mmap opening, optional re-partitioning into an
-//!   in-memory sharded engine), and serves the whole [`QueryExecutor`]
-//!   surface — including `D'` through a persisted kept bitmap.
+//!   tree shape, owned vs. mmap opening, optional re-partitioning into
+//!   one segment per shard), builds every segment's index once and in
+//!   parallel, and serves the whole [`QueryExecutor`] surface — including
+//!   `D'` through a persisted kept bitmap.
 //!
 //! A [`Query`] is plain data, no lifetimes, so the plan that fans out
 //! across local segments crosses the wire to a shard process unchanged
@@ -47,12 +48,13 @@ use rand::rngs::StdRng;
 use trajectory::io::ReadError;
 use trajectory::shard::{partition, OpenShard, PartitionStrategy, Shard, ShardSet, ShardSetError};
 use trajectory::snapshot::{is_snapshot_file, read_snapshot, MappedStore, SnapshotError};
-use trajectory::{AsColumns, Cube, KeptBitmap, PointStore, Simplification, TrajId, TrajectoryDb};
+use trajectory::{
+    AsColumns, Cube, KeptBitmap, PointStore, Simplification, StoreRef, TrajId, TrajectoryDb,
+};
 
 use crate::engine::{BackendKind, EngineConfig, MaintainedWorkload, QueryEngine};
 use crate::knn::KnnQuery;
-use crate::segment::{Segment, Segmented, ShardResult};
-use crate::sharded::ShardedQueryEngine;
+use crate::segment::{Ids, Part, Segment, Segmented, ShardResult, StoredSegment};
 use crate::similarity::SimilarityQuery;
 use crate::workload::{range_workload_store, RangeWorkloadSpec};
 
@@ -308,13 +310,12 @@ impl Extend<Query> for QueryBatch {
 /// There is one implementation — the blanket impl over
 /// [`Segmented`] in [`segment`](crate::segment) — and
 /// every database gets it by supplying its segment list: [`QueryEngine`],
-/// [`ShardedQueryEngine`], [`TrajDb`] and
-/// [`GenerationalDb`](crate::GenerationalDb). Code written against this
-/// trait — the evaluation tasks, the serving pipeline, benchmarks — runs
-/// unchanged over every physical layout, and every layout answers
-/// byte-identically to the linear-scan operators over the same
-/// trajectories. `Sync` is a supertrait so batch execution can share
-/// `&self` across worker threads.
+/// [`TrajDb`] and [`GenerationalDb`](crate::GenerationalDb). Code written
+/// against this trait — the evaluation tasks, the serving pipeline,
+/// benchmarks — runs unchanged over every physical layout, and every
+/// layout answers byte-identically to the linear-scan operators over the
+/// same trajectories. `Sync` is a supertrait so batch execution can
+/// share `&self` across worker threads.
 pub trait QueryExecutor: Sync {
     /// Number of trajectories served.
     fn len(&self) -> usize;
@@ -486,9 +487,9 @@ impl DbOptions {
     }
 
     /// Re-partitions a *single-store* source (CSV or snapshot) with
-    /// `strategy` and serves it through a fan-out [`ShardedQueryEngine`].
-    /// Ignored for shard-set directories, whose on-disk partition is
-    /// authoritative.
+    /// `strategy` and serves it as one segment per shard. Ignored for
+    /// shard-set directories and [`TrajDb::from_shards`], whose partition
+    /// is authoritative.
     #[must_use]
     pub fn partition(mut self, strategy: PartitionStrategy) -> Self {
         self.partition = Some(strategy);
@@ -593,29 +594,27 @@ impl From<ReadError> for TrajDbError {
 // The façade.
 // ---------------------------------------------------------------------
 
-/// The layout the opened database resolved to.
-enum Inner {
-    Single(Box<QueryEngine<'static>>),
-    Sharded(ShardedQueryEngine<'static>),
-}
-
 /// The public trajectory-database façade: open any supported on-disk
 /// format (or adopt an in-memory store), get back one object serving the
 /// whole [`QueryExecutor`] surface.
 ///
+/// A `TrajDb` is an ordered list of segments, each built once: an engine
+/// over its columns (the configured backend, the kept bitmap when one was
+/// persisted), its place in the global id space and its bounding cube.
 /// [`TrajDb::open`] auto-detects the format:
 ///
-/// | on disk | detection | served by |
+/// | on disk | detection | segments |
 /// |---|---|---|
-/// | shard-set directory | `path.is_dir()` | [`ShardedQueryEngine`] (per-shard kept bitmaps retained) |
-/// | snapshot file | leading [`trajectory::snapshot::MAGIC`] | [`QueryEngine`] over mmap (or owned), kept bitmap retained |
-/// | CSV file | fallback | [`QueryEngine`] over parsed owned columns |
+/// | shard-set directory | `path.is_dir()` | one per shard, kept bitmaps retained |
+/// | snapshot file | leading [`trajectory::snapshot::MAGIC`] | one, over mmap (or owned), kept bitmap retained |
+/// | CSV file | fallback | one, over parsed owned columns |
 ///
-/// A [`DbOptions::partition`] choice turns a single-store source into an
-/// in-memory sharded engine (splitting a snapshot's kept bitmap across
-/// the shards); shard-set directories keep their persisted partition.
+/// A [`DbOptions::partition`] choice cuts a single-store source into one
+/// segment per shard (splitting a snapshot's kept bitmap across the
+/// shards); shard-set directories keep their persisted partition. Every
+/// segment's index is built in parallel with the others.
 pub struct TrajDb {
-    inner: Inner,
+    segments: Vec<StoredSegment>,
 }
 
 impl TrajDb {
@@ -626,36 +625,22 @@ impl TrajDb {
         let path = path.as_ref();
         if path.is_dir() {
             let set = ShardSet::load(path)?;
-            let engine = match opts.mode {
-                OpenMode::Mapped => {
-                    ShardedQueryEngine::from_mapped_shards(set.open_mapped()?, opts.engine)
-                }
-                OpenMode::Owned => {
-                    ShardedQueryEngine::from_open_shards(set.open_owned()?, opts.engine)
-                }
-            };
-            return Ok(TrajDb {
-                inner: Inner::Sharded(engine),
+            return Ok(match opts.mode {
+                OpenMode::Mapped => Self::from_shards(set.open_mapped()?, opts),
+                OpenMode::Owned => Self::from_shards(set.open_owned()?, opts),
             });
         }
         if is_snapshot_file(path)? {
-            return match (opts.mode, opts.partition) {
-                (OpenMode::Mapped, None) => {
-                    let mapped = MappedStore::open(path)?;
-                    Ok(TrajDb {
-                        inner: Inner::Single(Box::new(QueryEngine::from_mapped(
-                            mapped,
-                            opts.engine,
-                        ))),
-                    })
-                }
-                // Partitioning rearranges the columns, so the mapping
-                // cannot be served in place: decode into owned shards.
-                _ => {
-                    let snap = read_snapshot(path)?;
-                    Ok(Self::from_store_with_kept(snap.store, snap.kept, opts))
-                }
-            };
+            if opts.partition.is_none() {
+                return Ok(Self::build(
+                    vec![snapshot_part(path, opts.mode)?],
+                    opts.engine,
+                ));
+            }
+            // Partitioning rearranges the columns, so the mapping cannot
+            // be served in place: decode into owned shards.
+            let snap = read_snapshot(path)?;
+            return Ok(Self::from_store_with_kept(snap.store, snap.kept, opts));
         }
         let store = trajectory::io::read_csv_store(std::fs::File::open(path)?)?;
         Ok(Self::from_store(store, opts))
@@ -675,112 +660,107 @@ impl TrajDb {
         Self::from_store(db.to_store(), opts)
     }
 
-    /// The shared in-memory constructor core: partitions when requested,
-    /// carrying an optional kept bitmap through (split per shard when
-    /// partitioning).
+    /// Serves already-partitioned shards, owned ([`PointStore`]) or
+    /// mmap-backed ([`MappedStore`]), one segment each, as
+    /// [`TrajDb::open`] serves a shard-set directory. Their global ids
+    /// must partition `0..total`; their kept bitmaps are retained.
+    /// [`DbOptions::partition`] and the open mode do not apply.
+    #[must_use]
+    pub fn from_shards<S: Into<StoreRef<'static>>>(
+        shards: Vec<OpenShard<S>>,
+        opts: DbOptions,
+    ) -> TrajDb {
+        debug_assert!(
+            {
+                let mut ids: Vec<TrajId> =
+                    shards.iter().flat_map(|sh| sh.global_ids.clone()).collect();
+                ids.sort_unstable();
+                ids.iter().copied().eq(0..ids.len())
+            },
+            "shard global ids must partition 0..total"
+        );
+        let parts = shards
+            .into_iter()
+            .map(|sh| (sh.store.into(), Ids::Table(sh.global_ids), sh.kept))
+            .collect();
+        Self::build(parts, opts.engine)
+    }
+
+    /// The in-memory constructor: partitions when requested, carrying an
+    /// optional kept bitmap through (split per shard when partitioning).
     fn from_store_with_kept(
         store: PointStore,
         kept: Option<KeptBitmap>,
         opts: DbOptions,
     ) -> TrajDb {
-        match opts.partition {
-            None => {
-                let mut engine = QueryEngine::from_store(store, opts.engine);
-                engine.set_kept_bitmap(kept);
-                TrajDb {
-                    inner: Inner::Single(Box::new(engine)),
-                }
-            }
-            Some(strategy) => {
-                let shards = partition(&store, &strategy);
-                let kept_per_shard = match kept {
-                    Some(bitmap) => split_kept_bitmap(&bitmap, store.offsets(), &shards)
-                        .into_iter()
-                        .map(Some)
-                        .collect(),
-                    None => vec![None; shards.len()],
-                };
-                let open: Vec<OpenShard<PointStore>> = shards
-                    .into_iter()
-                    .zip(kept_per_shard)
-                    .map(|(sh, kept)| OpenShard {
-                        store: sh.store,
-                        global_ids: sh.global_ids,
-                        kept,
-                    })
-                    .collect();
-                TrajDb {
-                    inner: Inner::Sharded(ShardedQueryEngine::from_open_shards(open, opts.engine)),
-                }
-            }
+        let Some(strategy) = opts.partition else {
+            return Self::build(vec![(store.into(), Ids::From(0), kept)], opts.engine);
+        };
+        let shards = partition(&store, &strategy)
+            .into_iter()
+            .map(|sh| OpenShard {
+                kept: kept.as_ref().map(|b| shard_bitmap(b, store.offsets(), &sh)),
+                store: sh.store,
+                global_ids: sh.global_ids,
+            })
+            .collect();
+        Self::from_shards(shards, opts)
+    }
+
+    /// Every constructor ends here: the segments' indexes are built in
+    /// parallel, once.
+    fn build(parts: Vec<Part>, config: EngineConfig) -> TrajDb {
+        TrajDb {
+            segments: StoredSegment::build_all(parts, config),
         }
     }
 
-    /// True when the database is served by a fan-out sharded engine.
+    /// True when the database is served as shards: anything but one
+    /// unpartitioned store.
     #[must_use]
     pub fn is_sharded(&self) -> bool {
-        matches!(self.inner, Inner::Sharded(_))
+        self.as_single().is_none()
     }
 
-    /// Number of shards (1 for a single-store database).
+    /// Number of segments: the shards, or 1 for a single store.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        match &self.inner {
-            Inner::Single(_) => 1,
-            Inner::Sharded(e) => e.shard_count(),
-        }
+        self.segments.len()
     }
 
-    /// The engine configuration in use.
-    #[must_use]
-    pub fn config(&self) -> EngineConfig {
-        match &self.inner {
-            Inner::Single(e) => e.config(),
-            Inner::Sharded(e) => e.config(),
-        }
-    }
-
-    /// The single-store engine behind the façade, when the database is
-    /// unsharded — the escape hatch for layout-specific features
-    /// ([`QueryEngine::cube_index`], `assign_queries`).
+    /// The engine of an unsharded database — the escape hatch for
+    /// layout-specific features ([`QueryEngine::cube_index`],
+    /// `assign_queries`).
     #[must_use]
     pub fn as_single(&self) -> Option<&QueryEngine<'static>> {
-        match &self.inner {
-            Inner::Single(e) => Some(e.as_ref()),
-            Inner::Sharded(_) => None,
+        match self.segments.as_slice() {
+            [only] if matches!(only.ids, Ids::From(_)) => Some(&only.engine),
+            _ => None,
         }
     }
 
     /// Generates a range-query workload over the served database with
-    /// `spec` — data-centered anchors come from the actual columns, and a
-    /// sharded database contributes anchors per shard proportional to its
-    /// share of the points (so the workload's spatial distribution
-    /// matches the data regardless of layout).
+    /// `spec` — data-centered anchors come from the actual columns, each
+    /// segment contributing anchors in proportion to its share of the
+    /// points (so the workload's spatial distribution matches the data
+    /// regardless of layout).
     #[must_use]
     pub fn range_workload(&self, spec: &RangeWorkloadSpec, rng: &mut StdRng) -> Vec<Cube> {
-        match &self.inner {
-            Inner::Single(e) => range_workload_store(e.store(), spec, rng),
-            Inner::Sharded(e) => {
-                let total: usize = e.total_points();
-                let shares: Vec<&trajectory::StoreRef<'static>> = e.shard_stores().collect();
-                let mut queries = Vec::with_capacity(spec.count);
-                for (i, store) in shares.iter().enumerate() {
-                    let share = if total == 0 {
-                        0
-                    } else if i + 1 == shares.len() {
-                        spec.count - queries.len()
-                    } else {
-                        spec.count * store.total_points() / total
-                    };
-                    let shard_spec = RangeWorkloadSpec {
-                        count: share,
-                        ..*spec
-                    };
-                    queries.extend(range_workload_store(*store, &shard_spec, rng));
-                }
-                queries
-            }
+        let total = self.total_points();
+        let mut queries = Vec::with_capacity(spec.count);
+        for (i, seg) in self.segments.iter().enumerate() {
+            let store = seg.engine.store();
+            let count = if total == 0 {
+                0
+            } else if i + 1 == self.segments.len() {
+                spec.count - queries.len()
+            } else {
+                spec.count * store.total_points() / total
+            };
+            let share = RangeWorkloadSpec { count, ..*spec };
+            queries.extend(range_workload_store(store, &share, rng));
         }
+        queries
     }
 }
 
@@ -795,44 +775,50 @@ impl fmt::Debug for TrajDb {
     }
 }
 
-/// The segment list of whichever engine the database opened; the whole
-/// [`QueryExecutor`] surface follows from the shared fan-out.
+/// The stored segments, in order; the whole [`QueryExecutor`] surface
+/// follows from the shared fan-out. Segments whose bounds cannot
+/// contribute are pruned without touching their index.
 impl Segmented for TrajDb {
     fn with_segments<R>(&self, f: impl FnOnce(&[Segment<'_>]) -> R) -> R {
-        match &self.inner {
-            Inner::Single(e) => e.with_segments(f),
-            Inner::Sharded(e) => e.with_segments(f),
-        }
+        let segments: Vec<Segment<'_>> = self.segments.iter().map(StoredSegment::segment).collect();
+        f(&segments)
     }
 }
 
-/// Splits a whole-database kept bitmap (indexed by the original store's
-/// global point ids) into per-shard bitmaps (indexed by each shard's own
-/// point numbering). `orig_offsets` is the original store's offset table;
-/// shards reference it through their `global_ids`.
-fn split_kept_bitmap(
-    bitmap: &KeptBitmap,
-    orig_offsets: &[u32],
-    shards: &[Shard],
-) -> Vec<KeptBitmap> {
-    shards
-        .iter()
-        .map(|sh| {
-            let mut local = KeptBitmap::zeros(sh.store.total_points());
-            let shard_offsets = sh.store.offsets();
-            for (local_id, &global_id) in sh.global_ids.iter().enumerate() {
-                let src = orig_offsets[global_id];
-                let dst = shard_offsets[local_id];
-                let len = orig_offsets[global_id + 1] - src;
-                for i in 0..len {
-                    if bitmap.contains(src + i) {
-                        local.insert(dst + i);
-                    }
-                }
+/// A snapshot file as the one part of a database from id 0, owned or
+/// mapped per `mode`; a persisted kept bitmap comes along.
+pub(crate) fn snapshot_part(path: &Path, mode: OpenMode) -> Result<Part, SnapshotError> {
+    Ok(match mode {
+        OpenMode::Mapped => {
+            let mapped = MappedStore::open(path)?;
+            let kept = mapped.kept_bitmap();
+            (mapped.into(), Ids::From(0), kept)
+        }
+        OpenMode::Owned => {
+            let snap = read_snapshot(path)?;
+            (snap.store.into(), Ids::From(0), snap.kept)
+        }
+    })
+}
+
+/// The shard's part of a whole-database kept bitmap (indexed by the
+/// original store's global point ids), renumbered to the shard's own
+/// points. `orig_offsets` is the original store's offset table; the
+/// shard references it through its `global_ids`.
+fn shard_bitmap(bitmap: &KeptBitmap, orig_offsets: &[u32], shard: &Shard) -> KeptBitmap {
+    let mut local = KeptBitmap::zeros(shard.store.total_points());
+    let shard_offsets = shard.store.offsets();
+    for (local_id, &global_id) in shard.global_ids.iter().enumerate() {
+        let src = orig_offsets[global_id];
+        let dst = shard_offsets[local_id];
+        let len = orig_offsets[global_id + 1] - src;
+        for i in 0..len {
+            if bitmap.contains(src + i) {
+                local.insert(dst + i);
             }
-            local
-        })
-        .collect()
+        }
+    }
+    local
 }
 
 #[cfg(test)]
@@ -965,5 +951,137 @@ mod tests {
             // Data-centered queries must actually hit data.
             assert!(w.iter().all(|q| !db.range(q).is_empty()));
         }
+    }
+
+    fn sharded(store: &PointStore, strategy: PartitionStrategy) -> TrajDb {
+        TrajDb::from_store(store.clone(), DbOptions::new().partition(strategy))
+    }
+
+    fn workload(store: &PointStore, n: usize, seed: u64) -> Vec<Cube> {
+        let spec = RangeWorkloadSpec {
+            count: n,
+            spatial_extent: 2_000.0,
+            temporal_extent: 86_400.0,
+            dist: QueryDistribution::Data,
+        };
+        range_workload_store(store, &spec, &mut StdRng::seed_from_u64(seed))
+    }
+
+    #[test]
+    fn sharded_range_matches_single_store() {
+        let store = sample_store();
+        let queries = workload(&store, 25, 1);
+        let single = QueryEngine::over_store(&store, EngineConfig::octree());
+        for strategy in [
+            PartitionStrategy::Grid { nx: 2, ny: 2 },
+            PartitionStrategy::Time { parts: 3 },
+            PartitionStrategy::Hash { parts: 4 },
+        ] {
+            let sharded = sharded(&store, strategy);
+            assert!(sharded.shard_count() >= 1);
+            assert_eq!(sharded.len(), store.len());
+            assert_eq!(sharded.total_points(), store.total_points());
+            for q in &queries {
+                assert_eq!(sharded.range(q), single.range(q), "{strategy:?}");
+            }
+            assert_eq!(sharded.range_batch(&queries), single.range_batch(&queries));
+        }
+    }
+
+    #[test]
+    fn sharded_knn_matches_single_store() {
+        let store = sample_store();
+        let (t0, t1) = store.time_span();
+        let single = QueryEngine::over_store(&store, EngineConfig::octree());
+        let sharded = sharded(&store, PartitionStrategy::Hash { parts: 3 });
+        for (k, ts, te) in [
+            (3, t0, t1),
+            (1, t0, (t0 + t1) / 2.0),
+            (100, t1 + 1.0, t1 + 10.0), // empty window: degenerate scoring
+        ] {
+            let q = KnnQuery {
+                query: store.view(0).to_trajectory(),
+                ts,
+                te,
+                k,
+                measure: Dissimilarity::Edr { eps: 1_000.0 },
+            };
+            assert_eq!(sharded.knn(&q), single.knn(&q), "k={k} ts={ts} te={te}");
+        }
+    }
+
+    #[test]
+    fn sharded_similarity_matches_single_store() {
+        let store = sample_store();
+        let (t0, t1) = store.view(0).time_span();
+        let q = SimilarityQuery {
+            query: store.view(0).to_trajectory(),
+            ts: t0,
+            te: t1,
+            delta: 2_500.0,
+            step: 300.0,
+        };
+        let single = QueryEngine::over_store(&store, EngineConfig::octree());
+        let sharded = sharded(&store, PartitionStrategy::Time { parts: 4 });
+        assert_eq!(sharded.similarity(&q), single.similarity(&q));
+        assert_eq!(
+            sharded.similarity_batch(std::slice::from_ref(&q)),
+            single.similarity_batch(std::slice::from_ref(&q))
+        );
+    }
+
+    #[test]
+    fn sharded_simplified_and_workload_match_single_store() {
+        let store = sample_store();
+        let mut simp = Simplification::most_simplified_store(&store);
+        for (id, t) in store.iter() {
+            for idx in (0..t.len() as u32).step_by(4) {
+                simp.insert(id, idx);
+            }
+        }
+        let queries = workload(&store, 15, 9);
+        let single = QueryEngine::over_store(&store, EngineConfig::octree());
+        let sharded = sharded(&store, PartitionStrategy::Grid { nx: 2, ny: 2 });
+        for q in &queries {
+            assert_eq!(
+                sharded.range_simplified(&simp, q),
+                single.range_simplified(&simp, q)
+            );
+        }
+        assert_eq!(
+            sharded.range_simplified_batch(&simp, &queries),
+            single.range_simplified_batch(&simp, &queries)
+        );
+
+        let mut single_w = single.maintained_workload(queries.clone(), &simp);
+        let mut sharded_w = sharded.maintained_workload(queries.clone(), &simp);
+        assert!((single_w.diff() - sharded_w.diff()).abs() < 1e-12);
+        for i in 0..queries.len() {
+            assert_eq!(single_w.truth(i), sharded_w.truth(i));
+            assert_eq!(single_w.result(i), sharded_w.result(i));
+        }
+        // The maintained state evolves identically under insertions.
+        for id in 0..store.len().min(8) {
+            let v = store.view(id);
+            if v.len() > 2 && simp.insert(id, 1) {
+                single_w.insert(id, &v.point(1));
+                sharded_w.insert(id, &v.point(1));
+            }
+        }
+        assert!((single_w.diff() - sharded_w.diff()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_database_serves_empty_results() {
+        let sharded = sharded(&PointStore::new(), PartitionStrategy::Hash { parts: 4 });
+        assert_eq!(sharded.shard_count(), 0);
+        assert!(sharded.is_empty());
+        assert!(sharded
+            .range(&Cube::new(0.0, 1.0, 0.0, 1.0, 0.0, 1.0))
+            .is_empty());
+        assert!(!sharded.has_kept_bitmap());
+        assert!(sharded
+            .range_kept(&Cube::new(0.0, 1.0, 0.0, 1.0, 0.0, 1.0))
+            .is_none());
     }
 }

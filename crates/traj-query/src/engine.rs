@@ -202,7 +202,6 @@ pub struct QueryEngine<'a> {
     /// what [`Query::RangeKept`] queries.
     kept: Option<KeptBitmap>,
     backend: IndexBackend,
-    config: EngineConfig,
     /// Bounding cube of the store, learnt on first use: an engine that is
     /// asked no query (a simplification job's) or only ever serves as a
     /// segment of a database that tracks bounds itself never pays the pass.
@@ -227,7 +226,7 @@ impl QueryEngine<'static> {
     #[must_use]
     pub fn from_store(store: PointStore, config: EngineConfig) -> Self {
         let backend = build_backend(&store, config);
-        Self::from_backend(StoreRef::Owned(store), backend, config)
+        Self::from_backend(StoreRef::Owned(store), backend)
     }
 
     /// Builds an engine owning an mmap-backed store: queries execute
@@ -241,7 +240,7 @@ impl QueryEngine<'static> {
         let kept = store.kept_bitmap();
         Self {
             kept,
-            ..Self::from_backend(StoreRef::Mapped(store), backend, config)
+            ..Self::from_backend(StoreRef::Mapped(store), backend)
         }
     }
 }
@@ -251,11 +250,7 @@ impl<'a> QueryEngine<'a> {
     /// paths).
     #[must_use]
     pub fn over_store(store: &'a PointStore, config: EngineConfig) -> Self {
-        Self::from_backend(
-            StoreRef::Borrowed(store),
-            build_backend(store, config),
-            config,
-        )
+        Self::from_backend(StoreRef::Borrowed(store), build_backend(store, config))
     }
 
     /// Builds an engine borrowing an mmap-backed store (zero copy; same
@@ -265,29 +260,20 @@ impl<'a> QueryEngine<'a> {
     pub fn over_mapped(store: &'a MappedStore, config: EngineConfig) -> Self {
         Self {
             kept: store.kept_bitmap(),
-            ..Self::from_backend(
-                StoreRef::MappedRef(store),
-                build_backend(store, config),
-                config,
-            )
+            ..Self::from_backend(StoreRef::MappedRef(store), build_backend(store, config))
         }
     }
 
     /// Assembles an engine from a store handle and an index already built
-    /// over it (with [`build_backend`]) — the seam that lets the sharded
-    /// engine run all shard index builds in parallel first and attach the
+    /// over it (with [`build_backend`]) — the seam that lets a database run
+    /// all its segments' index builds in parallel first and attach the
     /// stores afterwards. The caller guarantees `backend` was built over
     /// exactly these columns.
-    pub(crate) fn from_backend(
-        store: StoreRef<'a>,
-        backend: IndexBackend,
-        config: EngineConfig,
-    ) -> Self {
+    pub(crate) fn from_backend(store: StoreRef<'a>, backend: IndexBackend) -> Self {
         Self {
             store,
             kept: None,
             backend,
-            config,
             bounds: OnceLock::new(),
             spans: OnceLock::new(),
         }
@@ -337,12 +323,6 @@ impl<'a> QueryEngine<'a> {
     #[must_use]
     pub fn store(&self) -> &StoreRef<'a> {
         &self.store
-    }
-
-    /// The build configuration.
-    #[must_use]
-    pub fn config(&self) -> EngineConfig {
-        self.config
     }
 
     /// The backend actually in use.
@@ -714,8 +694,8 @@ impl Segmented for QueryEngine<'_> {
 }
 
 /// Builds the configured index over the columns of `store` (any
-/// [`AsColumns`] backend). `pub(crate)` so the sharded engine can run
-/// per-shard builds in parallel before assembling its [`QueryEngine`]s.
+/// [`AsColumns`] backend). `pub(crate)` so a database can run its
+/// segments' builds in parallel before assembling their [`QueryEngine`]s.
 pub(crate) fn build_backend<S: AsColumns + ?Sized>(
     store: &S,
     config: EngineConfig,

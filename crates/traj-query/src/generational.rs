@@ -1,20 +1,21 @@
 //! Live ingestion: merged base + delta serving with background
 //! compaction into snapshot generations.
 //!
-//! The engines in [`engine`](crate::engine) and
-//! [`sharded`](crate::sharded) serve *immutable* databases: their
-//! indexes are built once over frozen columns. A [`GenerationalDb`]
-//! adds writes without giving that up, LSM-style:
+//! A [`QueryEngine`] and a [`TrajDb`](crate::TrajDb) serve *immutable*
+//! databases: their indexes are built once over frozen columns. A
+//! [`GenerationalDb`] adds writes without giving that up, LSM-style:
 //!
 //! - the **base** is an immutable snapshot generation (`gen-N.snap`),
-//!   served by an ordinary [`QueryEngine`] (owned or mmap-backed per
-//!   [`DbOptions`]);
+//!   one stored segment with the configured index (owned or mmap-backed
+//!   per [`DbOptions`]), built when the generation is opened;
 //! - the **active delta** is a WAL-guarded
 //!   [`DeltaStore`]: appends are simplified
 //!   online at admission, logged, and acknowledged only after an
 //!   `fsync` — a crash replays exactly the acked trajectories;
-//! - **sealed** deltas are frozen in-memory segments awaiting
-//!   compaction (their WALs still on disk);
+//! - **sealed** deltas are frozen segments awaiting compaction (their
+//!   WALs still on disk), each stored once — when its WAL is replayed at
+//!   open, or when a compaction seals the active delta — over the scan
+//!   backend, so sealing builds no index under the write lock;
 //! - a **compaction** folds base + sealed segments into the next
 //!   snapshot generation and commits it by atomically renaming the
 //!   `gens.manifest` — serving never stops, and a crash on either side
@@ -22,9 +23,10 @@
 //!
 //! Queries see one logical database, and it is an ordered list of
 //! [`Segment`]s: the indexed base, then each sealed delta, then the
-//! active delta — the deltas as zero-cost scan-backend engines borrowed
-//! over their columns under the read lock. Trajectory ids are assigned
-//! in that (ingest) order, every query is the shared
+//! active delta — the stored segments handed out as they are, and only
+//! the active delta's view (a scan-backend engine borrowed over its
+//! columns, O(1)) assembled per call under the read lock. Trajectory
+//! ids are assigned in that (ingest) order, every query is the shared
 //! [`fan_out`](crate::fan_out), and so every operator answers
 //! **identically to a from-scratch rebuild** over the same
 //! trajectories. Compaction preserves ids: folding appends sealed
@@ -85,12 +87,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use trajectory::delta::{replay_wal, BoxedSimplifier, DeltaError, DeltaStore};
-use trajectory::snapshot::{read_snapshot, write_snapshot, MappedStore, SnapshotError};
+use trajectory::snapshot::{write_snapshot, SnapshotError};
 use trajectory::{AsColumns, Cube, PointStore, TrajId, Trajectory};
 
-use crate::db::{DbOptions, OpenMode};
+use crate::db::{snapshot_part, DbOptions, OpenMode};
 use crate::engine::{EngineConfig, QueryEngine};
-use crate::segment::{IdMap, Segment, Segmented};
+use crate::segment::{IdMap, Ids, Segment, Segmented, StoredSegment};
 
 /// File name of the generation manifest inside a live-db directory.
 pub const GENS_MANIFEST: &str = "gens.manifest";
@@ -266,18 +268,17 @@ fn store_manifest(dir: &Path, m: &Manifest) -> Result<(), GenError> {
 // The merged view.
 // ---------------------------------------------------------------------
 
-/// A sealed delta: frozen columns plus their bounding cube, queued for
-/// the next compaction. Its WAL stays on disk until the manifest
-/// commits a generation that contains it.
+/// A sealed delta: its stored segment, queued for the next compaction.
+/// Its WAL stays on disk until the manifest commits a generation that
+/// contains it.
 struct Sealed {
     seq: u64,
-    store: PointStore,
-    bounds: Cube,
+    segment: StoredSegment,
 }
 
 struct Inner {
     generation: u64,
-    base: Arc<QueryEngine<'static>>,
+    base: Arc<StoredSegment>,
     sealed: Vec<Arc<Sealed>>,
     active: DeltaStore,
     /// Running bounding cube of the active delta, unioned on ingest.
@@ -287,52 +288,26 @@ struct Inner {
 
 impl Inner {
     fn base_len(&self) -> usize {
-        self.base.store().len()
+        self.base.engine.store().len()
+    }
+
+    /// The global id of the active delta's first trajectory: ids run in
+    /// segment order, base then sealed deltas then the active one.
+    fn active_first(&self) -> TrajId {
+        let sealed = self.sealed.iter().map(|s| s.segment.engine.store().len());
+        self.base_len() + sealed.sum::<usize>()
     }
 
     fn delta_trajs(&self) -> usize {
-        self.sealed.iter().map(|s| s.store.len()).sum::<usize>() + self.active.len()
+        self.active_first() - self.base_len() + self.active.len()
     }
 
     fn delta_points(&self) -> usize {
         self.sealed
             .iter()
-            .map(|s| s.store.total_points())
+            .map(|s| s.segment.engine.store().total_points())
             .sum::<usize>()
             + self.active.total_points()
-    }
-
-    /// Scan engines over the delta columns in id order (sealed in seal
-    /// order, then the active one), each with its bounding cube. O(1)
-    /// each: the scan backend builds nothing over the columns.
-    fn delta_engines(&self) -> Vec<(QueryEngine<'_>, Cube)> {
-        self.sealed
-            .iter()
-            .map(|s| (&s.store, s.bounds))
-            .chain([(self.active.store(), self.active_bounds)])
-            .map(|(store, bounds)| (QueryEngine::over_store(store, EngineConfig::scan()), bounds))
-            .collect()
-    }
-
-    /// The database as the shared fan-out sees it: the base, then every
-    /// delta of [`Inner::delta_engines`], with contiguous ids in the
-    /// order a from-scratch rebuild would assign them.
-    fn segments<'s>(&'s self, deltas: &'s [(QueryEngine<'s>, Cube)]) -> Vec<Segment<'s>> {
-        let base: (&QueryEngine<'s>, Cube) = (&self.base, self.base.bounding_cube());
-        let mut first = 0;
-        std::iter::once(base)
-            .chain(deltas.iter().map(|(engine, bounds)| (engine, *bounds)))
-            .map(|(engine, bounds)| {
-                let len = engine.store().len();
-                let ids = IdMap::Offset { first, len };
-                first += len;
-                Segment {
-                    engine,
-                    ids,
-                    bounds,
-                }
-            })
-            .collect()
     }
 }
 
@@ -454,12 +429,8 @@ impl GenerationalDb {
     ) -> Result<Self, GenError> {
         let dir = dir.as_ref().to_path_buf();
         let manifest = load_manifest(&dir.join(GENS_MANIFEST))?;
-        let snap_path = dir.join(&manifest.snapshot);
-        let cfg = opts.engine_config();
-        let base = match opts.open_mode() {
-            OpenMode::Owned => QueryEngine::from_store(read_snapshot(&snap_path)?.store, cfg),
-            OpenMode::Mapped => QueryEngine::from_mapped(MappedStore::open(&snap_path)?, cfg),
-        };
+        let base_part = snapshot_part(&dir.join(&manifest.snapshot), opts.open_mode())?;
+        let base = StoredSegment::build(base_part, opts.engine_config());
         let mut seqs: Vec<u64> = Vec::new();
         for entry in fs::read_dir(&dir)? {
             if let Some(seq) = parse_wal_name(&entry?.file_name().to_string_lossy()) {
@@ -471,12 +442,15 @@ impl GenerationalDb {
         seqs.sort_unstable();
         let active_seq = seqs.pop().unwrap_or(manifest.wal_start);
         let mut sealed = Vec::new();
+        let mut first = base.engine.store().len();
         for seq in seqs {
             let mut simp = simp_factory();
             let store = replay_wal(dir.join(wal_name(seq)), simp.as_mut())?;
             if !store.is_empty() {
-                let bounds = store.bounding_cube();
-                sealed.push(Arc::new(Sealed { seq, store, bounds }));
+                let (len, bounds) = (store.len(), store.bounding_cube());
+                let segment = StoredSegment::scan(store, first, bounds);
+                sealed.push(Arc::new(Sealed { seq, segment }));
+                first += len;
             }
         }
         let active = DeltaStore::open(dir.join(wal_name(active_seq)), simp_factory())?;
@@ -518,7 +492,7 @@ impl GenerationalDb {
         let (report, wal) = {
             let mut guard = self.inner.write().unwrap();
             let inner = &mut *guard;
-            let first_global = inner.base_len() + inner.delta_trajs();
+            let first_global = inner.active_first() + inner.active.len();
             let mut accepted = 0u32;
             let mut rejected = 0u32;
             let mut first_id = None;
@@ -541,7 +515,8 @@ impl GenerationalDb {
                 rejected,
                 first_id,
                 total_trajs: (inner.base_len() + inner.delta_trajs()) as u64,
-                total_points: (inner.base.store().total_points() + inner.delta_points()) as u64,
+                total_points: (inner.base.engine.store().total_points() + inner.delta_points())
+                    as u64,
             };
             (report, wal)
         };
@@ -585,10 +560,11 @@ impl GenerationalDb {
             let old_seq = inner.active_seq;
             inner.active_seq = new_seq;
             if !old.is_empty() {
+                let segment =
+                    StoredSegment::scan(old.into_store(), inner.active_first(), old_bounds);
                 inner.sealed.push(Arc::new(Sealed {
                     seq: old_seq,
-                    store: old.into_store(),
-                    bounds: old_bounds,
+                    segment,
                 }));
             }
             base = Arc::clone(&inner.base);
@@ -598,10 +574,10 @@ impl GenerationalDb {
         }
 
         // Phase 2 (no lock): fold base + sealed into the next snapshot.
-        let mut folded = base.store().to_point_store();
+        let mut folded = base.engine.store().to_point_store();
         let (mut folded_trajs, mut folded_points) = (0usize, 0usize);
-        for seg in &sealed {
-            for v in seg.store.views() {
+        for s in &sealed {
+            for v in s.segment.engine.store().views() {
                 folded_trajs += 1;
                 folded_points += v.len();
                 folded.push_view(v);
@@ -614,12 +590,12 @@ impl GenerationalDb {
         write_snapshot(&folded, &tmp)?;
         File::open(&tmp)?.sync_all()?;
         fs::rename(&tmp, &snap_path)?;
-        let engine = match self.opts.open_mode() {
-            OpenMode::Owned => QueryEngine::from_store(folded, self.opts.engine_config()),
-            OpenMode::Mapped => {
-                QueryEngine::from_mapped(MappedStore::open(&snap_path)?, self.opts.engine_config())
-            }
+        // Its index and bounds are built here, ahead of the swap.
+        let part = match self.opts.open_mode() {
+            OpenMode::Owned => (folded.into(), Ids::From(0), None),
+            OpenMode::Mapped => snapshot_part(&snap_path, OpenMode::Mapped)?,
         };
+        let next_base = StoredSegment::build(part, self.opts.engine_config());
 
         // Phase 3: commit — atomic manifest rename.
         store_manifest(
@@ -631,12 +607,10 @@ impl GenerationalDb {
             },
         )?;
 
-        // Phase 4 (write lock): swap serving onto the new generation. Its
-        // bounds are learnt here, ahead of the lock, not by its first query.
-        let _ = engine.bounding_cube();
+        // Phase 4 (write lock): swap serving onto the new generation.
         {
             let mut inner = self.inner.write().unwrap();
-            inner.base = Arc::new(engine);
+            inner.base = Arc::new(next_base);
             inner.generation = next_gen;
             inner.sealed.retain(|s| s.seq >= new_wal_start);
         }
@@ -698,11 +672,22 @@ impl GenerationalDb {
 /// live database answers `None`.
 impl Segmented for GenerationalDb {
     /// Takes the read lock once: `f` sees a consistent generation +
-    /// delta snapshot.
+    /// delta snapshot. The base and the sealed deltas are handed out as
+    /// stored; only the active delta's view is assembled here.
     fn with_segments<R>(&self, f: impl FnOnce(&[Segment<'_>]) -> R) -> R {
         let inner = self.inner.read().unwrap();
-        let deltas = inner.delta_engines();
-        f(&inner.segments(&deltas))
+        let active = QueryEngine::over_store(inner.active.store(), EngineConfig::scan());
+        let stored = std::iter::once(&*inner.base).chain(inner.sealed.iter().map(|s| &s.segment));
+        let mut segments: Vec<Segment<'_>> = stored.map(StoredSegment::segment).collect();
+        segments.push(Segment {
+            engine: &active,
+            ids: IdMap::Offset {
+                first: inner.active_first(),
+                len: inner.active.len(),
+            },
+            bounds: inner.active_bounds,
+        });
+        f(&segments)
     }
 }
 
@@ -903,6 +888,36 @@ mod tests {
                 Err(GenError::Manifest { .. })
             ));
         }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A sealed delta is built once, when its WAL is replayed: two
+    /// readers in flight at the same time are handed the same engine.
+    #[test]
+    fn a_replayed_sealed_delta_is_served_by_one_stored_engine() {
+        // Sealed as `crash_before_manifest_commit_replays_the_wals` seals
+        // it: a compaction that died after creating the next WAL.
+        let dir = tmp_dir("sealed_once");
+        let db = GenerationalDb::create(&dir, &base_store(), DbOptions::new(), keep_all_factory())
+            .unwrap();
+        db.ingest(&[traj(&[(5.0, 5.0, 0.0), (6.0, 6.0, 5.0)])])
+            .unwrap();
+        drop(db);
+        DeltaStore::create(dir.join(wal_name(1)), Box::new(KeepAll)).unwrap();
+        let db = GenerationalDb::open(&dir, DbOptions::new(), keep_all_factory()).unwrap();
+
+        let sealed_engine = |segments: &[Segment<'_>]| {
+            assert_eq!(segments.len(), 3, "[base, sealed, active]");
+            assert_eq!(segments[1].ids.len(), 1);
+            std::ptr::from_ref(segments[1].engine) as usize
+        };
+        let (outer, inner) = std::thread::scope(|s| {
+            db.with_segments(|segments| {
+                let other = s.spawn(|| db.with_segments(sealed_engine));
+                (sealed_engine(segments), other.join().unwrap())
+            })
+        });
+        assert_eq!(outer, inner);
         fs::remove_dir_all(&dir).ok();
     }
 

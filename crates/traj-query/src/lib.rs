@@ -46,13 +46,14 @@
 //! [`merge`]. Who supplies a list:
 //!
 //! - a [`QueryEngine`] — one segment, all of it;
-//! - a [`ShardedQueryEngine`] — one segment per shard, indexes built in
-//!   parallel (see [`sharded`]);
-//! - [`TrajDb`] — the façade in [`db`]: [`TrajDb::open`] auto-detects CSV
-//!   vs snapshot vs shard directory and hands on the list of whichever
-//!   engine it built;
-//! - a live [`GenerationalDb`] — `[base, sealed deltas…, active delta]`
-//!   (see [`generational`]);
+//! - [`TrajDb`] — the façade in [`db`], and the one type that stores a
+//!   segment list: [`TrajDb::open`] auto-detects CSV vs snapshot vs shard
+//!   directory and builds one segment per snapshot or shard, every index
+//!   once and in parallel ([`DbOptions::partition`] cuts a single store
+//!   into shards the same way);
+//! - a live [`GenerationalDb`] — `[base, sealed deltas…, active delta]`,
+//!   the base and the sealed deltas stored as `TrajDb`'s segments are,
+//!   the active delta's view assembled per call (see [`generational`]);
 //! - and, over the wire, the coordinator in `traj-serve`, whose segments
 //!   are shard processes answering with the same merge material.
 //!
@@ -90,7 +91,6 @@ pub mod metrics;
 pub mod range;
 pub mod refine;
 pub mod segment;
-pub mod sharded;
 pub mod similarity;
 pub mod t2vec;
 pub mod traclus;
@@ -113,7 +113,6 @@ pub use segment::{
     fan_out, knn_take_fill, merge, merge_knn_candidates, query_touches_bounds, Answer, IdMap,
     MergeError, Segment, Segmented, ShardResult,
 };
-pub use sharded::ShardedQueryEngine;
 pub use similarity::SimilarityQuery;
 pub use t2vec::T2vecEmbedder;
 pub use traclus::{traclus, TraclusParams, TraclusResult};

@@ -2,16 +2,21 @@
 //! the single implementation of [`QueryExecutor`].
 //!
 //! Every executor treats its database as an **ordered list of
-//! segments** — a [`QueryEngine`] (one segment: all of it), the
-//! in-process [`ShardedQueryEngine`](crate::ShardedQueryEngine) (one
-//! segment per shard), [`TrajDb`](crate::TrajDb) (whichever of the two it
+//! segments** — a [`QueryEngine`] (one segment: all of it),
+//! [`TrajDb`](crate::TrajDb) (one segment per snapshot or shard it
 //! opened), the live [`GenerationalDb`](crate::GenerationalDb) (base
 //! generation, sealed deltas, active delta) and the distributed
 //! coordinator in `traj-serve` (one remote segment per shard process).
-//! A [`Segment`] is a [`QueryEngine`] — indexed, or the zero-cost
+//! A [`Segment`] is a [`QueryEngine`] — indexed, or the
 //! [`BackendKind::Scan`](crate::BackendKind) backend for small unindexed
 //! data — plus an [`IdMap`] from segment-local to global trajectory ids
 //! plus the bounding cube of its points.
+//!
+//! A [`Segment`] is a borrowed view. What a database keeps is a
+//! `StoredSegment`: the same three things, owned and built once — the
+//! engine's index, the id map and the bounds. `TrajDb` is a list of them,
+//! and a live database keeps its base and every sealed delta as one;
+//! only the active delta's view is assembled per call.
 //!
 //! Two functions carry the whole design: [`Segment::answer`] produces
 //! one segment's *merge material* for a query, and [`merge`] turns the
@@ -26,12 +31,15 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
-use trajectory::{AsColumns, Cube, Simplification, TrajId};
+use trajectory::{AsColumns, Cube, KeptBitmap, PointStore, Simplification, StoreRef, TrajId};
 
 use crate::db::{Query, QueryBatch, QueryExecutor, QueryResult};
-use crate::engine::{count_kept_hits, KeptView, MaintainedWorkload, QueryEngine, QueryScratch};
+use crate::engine::{
+    build_backend, count_kept_hits, EngineConfig, KeptView, MaintainedWorkload, QueryEngine,
+    QueryScratch,
+};
 use crate::knn::KnnQuery;
-use crate::parallel::par_map_with;
+use crate::parallel::{par_map, par_map_with};
 use crate::similarity::SimilarityQuery;
 
 /// One segment's raw answer to one query, in **segment-local**
@@ -167,6 +175,84 @@ impl<'a> Segment<'a> {
             };
         }
         Answer::Material(self.engine.material(q, parallel, scratch))
+    }
+}
+
+/// Where a [`StoredSegment`]'s trajectories sit in the global id space:
+/// the owned form of an [`IdMap`].
+pub(crate) enum Ids {
+    /// Contiguous, starting at this global id.
+    From(TrajId),
+    /// A shard's global ids, strictly ascending.
+    Table(Vec<TrajId>),
+}
+
+/// What a [`StoredSegment`] is built from: its columns, its ids and the
+/// kept bitmap over its points, if it serves one.
+pub(crate) type Part = (StoreRef<'static>, Ids, Option<KeptBitmap>);
+
+/// A segment owned and built once: its engine (the configured backend,
+/// the kept bitmap), its ids and its bounding cube. [`Segment`] views of
+/// it cost nothing to hand out.
+pub(crate) struct StoredSegment {
+    pub(crate) engine: QueryEngine<'static>,
+    pub(crate) ids: Ids,
+    pub(crate) bounds: Cube,
+}
+
+impl StoredSegment {
+    /// **The** constructor core: every part's index build and bounds pass
+    /// run in parallel via [`par_map`], then each store moves into its
+    /// engine — no column is copied.
+    pub(crate) fn build_all(parts: Vec<Part>, config: EngineConfig) -> Vec<StoredSegment> {
+        let built = par_map(&parts, |(store, _, _)| {
+            (build_backend(store, config), store.bounding_cube())
+        });
+        parts
+            .into_iter()
+            .zip(built)
+            .map(|((store, ids, kept), (backend, bounds))| {
+                let mut engine = QueryEngine::from_backend(store, backend);
+                engine.set_kept_bitmap(kept);
+                StoredSegment {
+                    engine,
+                    ids,
+                    bounds,
+                }
+            })
+            .collect()
+    }
+
+    /// [`StoredSegment::build_all`] of one part.
+    pub(crate) fn build(part: Part, config: EngineConfig) -> StoredSegment {
+        let mut built = Self::build_all(vec![part], config);
+        built.pop().expect("one part, one segment")
+    }
+
+    /// Unindexed columns whose bounds are already known: the scan backend
+    /// builds nothing, so this is O(1).
+    pub(crate) fn scan(store: PointStore, first: TrajId, bounds: Cube) -> StoredSegment {
+        StoredSegment {
+            engine: QueryEngine::from_store(store, EngineConfig::scan()),
+            ids: Ids::From(first),
+            bounds,
+        }
+    }
+
+    /// The segment as the fan-out sees it.
+    pub(crate) fn segment(&self) -> Segment<'_> {
+        let ids = match &self.ids {
+            Ids::From(first) => IdMap::Offset {
+                first: *first,
+                len: self.engine.store().len(),
+            },
+            Ids::Table(table) => IdMap::Table(table),
+        };
+        Segment {
+            engine: &self.engine,
+            ids,
+            bounds: self.bounds,
+        }
     }
 }
 

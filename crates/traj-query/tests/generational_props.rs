@@ -430,7 +430,7 @@ fn torn_wal_tail_recovers_exactly_the_acked_writes() {
 /// and ignores the orphaned snapshot.
 #[test]
 fn crash_before_manifest_commit_replays_the_wals() {
-    let (dir, trajs, _db) = crash_case();
+    let (dir, trajs, db) = crash_case();
     let live =
         GenerationalDb::create(&dir, &store_of(&trajs[..1]), DbOptions::new(), keep_all()).unwrap();
     live.ingest(&trajs[1..]).unwrap();
@@ -449,6 +449,12 @@ fn crash_before_manifest_commit_replays_the_wals() {
     let rebuild = QueryEngine::over_store(&full, EngineConfig::octree());
     for q in probe_queries() {
         assert_eq!(live.range(&q), QueryExecutor::range(&rebuild, &q));
+    }
+    // The replayed WAL is served as a sealed segment: a mixed batch of
+    // ranges, kNN and similarity answers as the rebuild does.
+    for k in [1, 2, 5] {
+        let batch = mixed_batch(&db, &probe_queries(), k);
+        assert_eq!(live.execute_batch(&batch), rebuild.execute_batch(&batch));
     }
     // And the interrupted compaction can simply run again.
     assert_eq!(live.compact().unwrap().generation, 1);

@@ -19,7 +19,7 @@ use traj_query::knn::{Dissimilarity, KnnQuery};
 use traj_query::{
     fan_out, merge, merge_knn_candidates, range_query_store, Answer, DbOptions, EngineConfig,
     GenerationalDb, IdMap, Query, QueryBatch, QueryEngine, QueryExecutor, QueryResult,
-    QueryScratch, Segment, ShardResult, ShardedQueryEngine, SimilarityQuery, TrajDb,
+    QueryScratch, Segment, ShardResult, SimilarityQuery, TrajDb,
 };
 use trajectory::snapshot::write_snapshot_quantized;
 use trajectory::{
@@ -368,7 +368,8 @@ proptest! {
                 global_ids: sh.global_ids,
             })
             .collect();
-        check(&ShardedQueryEngine::from_open_shards(shards, backends()[1]), "sharded")?;
+        let opts = DbOptions::new().engine(backends()[1]);
+        check(&TrajDb::from_shards(shards, opts), "sharded")?;
         // Indexed segments of unequal length, `[..a)`, `[a..b)`, `[b..)`:
         // the worker's hit buffer is re-sized and re-cleared per segment.
         let cut = (s0.min(s1), s0.max(s1));
@@ -384,9 +385,10 @@ proptest! {
                 .collect()
         };
         for cfg in &backends()[1..] {
-            check(&ShardedQueryEngine::from_open_shards(uneven(), *cfg), "uneven shards")?;
+            let opts = DbOptions::new().engine(*cfg);
+            check(&TrajDb::from_shards(uneven(), opts), "uneven shards")?;
         }
-        // The façade forwards to whichever it holds.
+        // And from a store: one segment, then one per shard.
         check(&TrajDb::from_store(store.clone(), DbOptions::new()), "TrajDb, single")?;
         let opts = DbOptions::new().partition(strategy);
         check(&TrajDb::from_store(store, opts), "TrajDb, sharded")?;

@@ -1,5 +1,5 @@
-//! Property tests of the sharding layer's core promise: a
-//! `ShardedQueryEngine` returns **byte-identical results** to a
+//! Property tests of the sharding layer's core promise: a `TrajDb` served
+//! as one segment per shard returns **byte-identical results** to a
 //! single-store `QueryEngine` over the unsharded database — for range,
 //! kNN, similarity, and simplified-database execution, across every
 //! partitioner (grid / time / hash) and every index backend (scan /
@@ -9,11 +9,10 @@
 use proptest::prelude::*;
 use traj_query::knn::{Dissimilarity, KnnQuery};
 use traj_query::{
-    range_query_store, EngineConfig, QueryEngine, QueryExecutor, ShardedQueryEngine,
-    SimilarityQuery,
+    range_query_store, DbOptions, EngineConfig, QueryEngine, QueryExecutor, SimilarityQuery, TrajDb,
 };
 use trajectory::shard::{partition, PartitionStrategy, ShardSet};
-use trajectory::{Cube, Point, Simplification, Trajectory, TrajectoryDb};
+use trajectory::{Cube, Point, PointStore, Simplification, Trajectory, TrajectoryDb};
 
 /// Strategy: a Geolife/T-Drive-shaped database of 1..8 trajectories with
 /// 2..40 points each (bounded coordinates, strictly increasing times).
@@ -77,6 +76,14 @@ fn partition_strategies() -> [PartitionStrategy; 3] {
     ]
 }
 
+/// `store` cut by `strategy`, one segment per shard, each indexed by `cfg`.
+fn sharded(store: &PointStore, strategy: PartitionStrategy, cfg: EngineConfig) -> TrajDb {
+    TrajDb::from_store(
+        store.clone(),
+        DbOptions::new().engine(cfg).partition(strategy),
+    )
+}
+
 /// A unique temp dir per case so parallel test binaries never collide.
 fn unique_shard_dir() -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -108,7 +115,7 @@ proptest! {
             let expected = single.range(&qf);
             prop_assert_eq!(&expected, &range_query_store(&store, &qf), "engine vs scan");
             for strategy in partition_strategies() {
-                let sharded = ShardedQueryEngine::from_partition(&store, &strategy, cfg);
+                let sharded = sharded(&store, strategy, cfg);
                 prop_assert_eq!(
                     sharded.range(&qf),
                     expected.clone(),
@@ -146,7 +153,7 @@ proptest! {
         for cfg in engine_configs() {
             let expected = QueryEngine::over_store(&store, cfg).knn(&q);
             for strategy in partition_strategies() {
-                let sharded = ShardedQueryEngine::from_partition(&store, &strategy, cfg);
+                let sharded = sharded(&store, strategy, cfg);
                 prop_assert_eq!(
                     sharded.knn(&q),
                     expected.clone(),
@@ -175,7 +182,7 @@ proptest! {
         let expected = QueryEngine::over_store(&store, EngineConfig::octree()).similarity(&q);
         for strategy in partition_strategies() {
             let sharded =
-                ShardedQueryEngine::from_partition(&store, &strategy, EngineConfig::octree());
+                sharded(&store, strategy, EngineConfig::octree());
             prop_assert_eq!(
                 sharded.similarity(&q),
                 expected.clone(),
@@ -202,7 +209,7 @@ proptest! {
         for cfg in engine_configs() {
             let expected = QueryEngine::over_store(&store, cfg).range_simplified(&simp, &qf);
             for strategy in partition_strategies() {
-                let sharded = ShardedQueryEngine::from_partition(&store, &strategy, cfg);
+                let sharded = sharded(&store, strategy, cfg);
                 prop_assert_eq!(
                     sharded.range_simplified(&simp, &qf),
                     expected.clone(),
@@ -245,7 +252,7 @@ proptest! {
         let single_w = single.maintained_workload(queries.clone(), &simp);
         for strategy in partition_strategies() {
             let sharded =
-                ShardedQueryEngine::from_partition(&store, &strategy, EngineConfig::octree());
+                sharded(&store, strategy, EngineConfig::octree());
             let sharded_w = sharded.maintained_workload(queries.clone(), &simp);
             prop_assert!((single_w.diff() - sharded_w.diff()).abs() < 1e-12, "{:?}", strategy);
             for i in 0..queries.len() {
@@ -296,7 +303,7 @@ proptest! {
             for cfg in engine_configs() {
                 let single = QueryEngine::over_store(&store, cfg);
                 let mapped = set.open_mapped().unwrap();
-                let served = ShardedQueryEngine::from_mapped_shards(mapped, cfg);
+                let served = TrajDb::from_shards(mapped, DbOptions::new().engine(cfg));
                 prop_assert_eq!(
                     served.range(&qf),
                     single.range(&qf),
@@ -352,7 +359,7 @@ proptest! {
             let dir = unique_shard_dir();
             traj_simp::write_simplified_shard_set(&dir, &shards, &locals).unwrap();
             let mapped = ShardSet::load(&dir).unwrap().open_mapped().unwrap();
-            let served = ShardedQueryEngine::from_mapped_shards(mapped, EngineConfig::octree());
+            let served = TrajDb::from_shards(mapped, DbOptions::new());
             prop_assert!(served.has_kept_bitmap());
             prop_assert_eq!(
                 served.range_kept(&qf).unwrap(),

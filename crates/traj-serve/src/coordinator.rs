@@ -17,8 +17,8 @@
 //!
 //! - **bound-pruned routing**: each shard receives a sub-batch of only
 //!   the queries whose answer can involve its data, decided by the
-//!   same [`query_touches_bounds`] predicate the in-process
-//!   `ShardedQueryEngine` prunes with. A shard every query prunes away
+//!   same [`query_touches_bounds`] predicate an in-process sharded
+//!   `TrajDb` prunes its segments with. A shard every query prunes away
 //!   gets *no frame at all* for that round — a dead shard the routing
 //!   never touches cannot degrade the answer;
 //! - sub-batches travel as id-tagged

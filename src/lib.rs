@@ -17,8 +17,9 @@
 //! resolves any supported on-disk layout (CSV, zero-copy snapshot,
 //! sharded directory) into one object serving the typed
 //! [`QueryExecutor`] surface, with mixed workloads planned as
-//! heterogeneous [`QueryBatch`]es. The underlying [`QueryEngine`] (and
-//! its sharded fan-out twin) stay available for layout-specific work;
+//! heterogeneous [`QueryBatch`]es. A [`TrajDb`] is a list of stored
+//! segments — one per snapshot or shard — and the underlying
+//! [`QueryEngine`] stays available for layout-specific work;
 //! the per-operator scan functions over columns in [`query`] remain the
 //! semantic reference. Everything below the constructor runs over one
 //! layout — columns; [`TrajectoryDb`] is the row-form builder whose exit
@@ -47,7 +48,7 @@ pub use rl4qdts;
 pub use rl4qdts::{PolicyVariant, Rl4Qdts, Rl4QdtsConfig, TrainerConfig};
 pub use traj_query::{
     BackendKind, DbOptions, EngineConfig, MaintainedWorkload, Query, QueryBatch, QueryEngine,
-    QueryExecutor, QueryResult, ShardedQueryEngine, TrajDb,
+    QueryExecutor, QueryResult, TrajDb,
 };
 pub use traj_serve::{
     Client, Coordinator, CoordinatorOptions, CoordinatorStats, DistributedResponse, FailurePolicy,
