@@ -12,7 +12,7 @@
 //! Like the octree, the tree is built over a columnar
 //! [`trajectory::PointStore`] and its leaves hold bare global [`PointId`]s.
 
-use crate::octree::{LeafSlab, NodeId, PackedPoints};
+use crate::octree::{subset_cube, LeafSlab, NodeId, PackedPoints};
 use crate::traits::CubeIndex;
 use trajectory::{AsColumns, Cube, Point, PointId};
 
@@ -65,18 +65,43 @@ impl MedianTree {
     /// [`crate::Octree::build`], the build is generic over [`AsColumns`],
     /// so owned and mmap-backed stores index identically.
     pub fn build<S: AsColumns + ?Sized>(store: &S, config: MedianTreeConfig) -> Self {
-        let mut cube = store.bounding_cube();
+        let all = 0..store.total_points() as PointId;
+        Self::build_over(store, all, store.bounding_cube(), config)
+    }
+
+    /// [`MedianTree::build`] over the points `gids` of `store` alone —
+    /// any ascending subset of its global ids. As with
+    /// [`crate::Octree::build_subset`], slabs carry the store's own global
+    /// ids and owners, and the root cube is the subset's bounding cube.
+    pub fn build_subset<S: AsColumns + ?Sized>(
+        store: &S,
+        gids: Vec<PointId>,
+        config: MedianTreeConfig,
+    ) -> Self {
+        debug_assert!(gids.windows(2).all(|w| w[0] < w[1]), "gids must ascend");
+        let cube = subset_cube(store, &gids);
+        Self::build_over(store, gids, cube, config)
+    }
+
+    /// The build over `gids` (ascending) inside the root cube `cube`.
+    fn build_over<S: AsColumns + ?Sized>(
+        store: &S,
+        gids: impl IntoIterator<Item = PointId>,
+        mut cube: Cube,
+        config: MedianTreeConfig,
+    ) -> Self {
         if cube.is_empty() {
             cube = Cube::new(0.0, 1.0, 0.0, 1.0, 0.0, 1.0);
         }
         // Collect (gid, coords) once; recursion partitions index ranges.
-        let mut entries: Vec<(PointId, Point)> = (0..store.total_points() as PointId)
+        let mut entries: Vec<(PointId, Point)> = gids
+            .into_iter()
             .map(|gid| (gid, store.point(gid)))
             .collect();
         let owners = store.owner_column();
         let mut tree = Self {
             nodes: Vec::new(),
-            packed: PackedPoints::with_capacity(store.total_points()),
+            packed: PackedPoints::with_capacity(entries.len()),
         };
         tree.build_node(&mut entries[..], &owners, cube, 1, &config);
         tree

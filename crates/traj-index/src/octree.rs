@@ -203,11 +203,36 @@ impl Octree {
     /// [`trajectory::MappedStore`] — the index never holds the store, only
     /// a copy of its offset table.
     pub fn build<S: AsColumns + ?Sized>(store: &S, config: OctreeConfig) -> Self {
-        let mut cube = store.bounding_cube();
+        let all = 0..store.total_points() as PointId;
+        Self::build_over(store, all, store.bounding_cube(), config)
+    }
+
+    /// [`Octree::build`] over the points `gids` of `store` alone — any
+    /// ascending subset of its global ids, such as a simplified database's
+    /// kept points. Slabs carry the store's own global ids and owners, so
+    /// answers need no remap, and a trajectory none of whose points is
+    /// listed has no entries. The root cube is the subset's bounding cube.
+    pub fn build_subset<S: AsColumns + ?Sized>(
+        store: &S,
+        gids: Vec<PointId>,
+        config: OctreeConfig,
+    ) -> Self {
+        debug_assert!(gids.windows(2).all(|w| w[0] < w[1]), "gids must ascend");
+        let cube = subset_cube(store, &gids);
+        Self::build_over(store, gids.into_iter(), cube, config)
+    }
+
+    /// The build over `gids` (ascending) inside the root cube `cube`.
+    fn build_over<S: AsColumns + ?Sized>(
+        store: &S,
+        gids: impl ExactSizeIterator<Item = PointId>,
+        mut cube: Cube,
+        config: OctreeConfig,
+    ) -> Self {
         if cube.is_empty() {
             cube = Cube::new(0.0, 1.0, 0.0, 1.0, 0.0, 1.0);
         }
-        let n = store.total_points();
+        let n = gids.len();
         let mut tree = Self {
             nodes: Vec::new(),
             config,
@@ -215,10 +240,10 @@ impl Octree {
             starts: store.offsets().to_vec(),
         };
         let owners = store.owner_column();
-        let mut gids: Vec<PointId> = (0..n as PointId).collect();
+        let mut gids: Vec<PointId> = gids.collect();
         let mut aux: Vec<PointId> = vec![0; n];
         let mut octs: Vec<u8> = vec![0; n];
-        let root_trajs = count_runs(&owners);
+        let root_trajs = count_runs(gids.iter().map(|&g| owners[g as usize]));
         tree.build_node(
             &mut gids[..],
             &mut aux[..],
@@ -471,12 +496,22 @@ impl Octree {
     }
 }
 
+/// Smallest cube covering the points `gids` of `store`
+/// ([`Cube::empty`] for none).
+pub(crate) fn subset_cube<S: AsColumns + ?Sized>(store: &S, gids: &[PointId]) -> Cube {
+    let mut cube = Cube::empty();
+    for &gid in gids {
+        cube.extend(&store.point(gid));
+    }
+    cube
+}
+
 /// Number of runs of equal values — the distinct count for a
 /// trajectory-major owner sequence.
-fn count_runs(owners: &[u32]) -> u32 {
+fn count_runs(owners: impl IntoIterator<Item = u32>) -> u32 {
     let mut count = 0u32;
     let mut last = u32::MAX;
-    for &owner in owners {
+    for owner in owners {
         if owner != last {
             last = owner;
             count += 1;

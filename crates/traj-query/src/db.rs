@@ -599,8 +599,9 @@ impl From<ReadError> for TrajDbError {
 /// whole [`QueryExecutor`] surface.
 ///
 /// A `TrajDb` is an ordered list of segments, each built once: an engine
-/// over its columns (the configured backend, the kept bitmap when one was
-/// persisted), its place in the global id space and its bounding cube.
+/// over its columns (the configured backend, and the kept bitmap with an
+/// index over its kept points when one was persisted), its place in the
+/// global id space and its bounding cube.
 /// [`TrajDb::open`] auto-detects the format:
 ///
 /// | on disk | detection | segments |
@@ -612,7 +613,8 @@ impl From<ReadError> for TrajDbError {
 /// A [`DbOptions::partition`] choice cuts a single-store source into one
 /// segment per shard (splitting a snapshot's kept bitmap across the
 /// shards); shard-set directories keep their persisted partition. Every
-/// segment's index is built in parallel with the others.
+/// segment's index, and every kept bitmap's, is built in parallel with
+/// the others.
 pub struct TrajDb {
     segments: Vec<StoredSegment>,
 }

@@ -196,11 +196,13 @@ pub(crate) enum IndexBackend {
 /// sharded or a live database.
 pub struct QueryEngine<'a> {
     store: StoreRef<'a>,
-    /// The engine's own simplified-database selection, when it serves one:
-    /// populated automatically from a mapped snapshot's kept-bitmap
-    /// section, or attached with [`QueryEngine::set_kept_bitmap`]. This is
-    /// what [`Query::RangeKept`] queries.
-    kept: Option<KeptBitmap>,
+    config: EngineConfig,
+    /// The engine's own simplified database D′, when it serves one: the
+    /// kept bitmap (from a mapped snapshot's kept-bitmap section, or
+    /// attached with [`QueryEngine::set_kept_bitmap`]) and the configured
+    /// backend built over its set points alone. This is what
+    /// [`Query::RangeKept`] queries.
+    kept: Option<(KeptBitmap, IndexBackend)>,
     backend: IndexBackend,
     /// Bounding cube of the store, learnt on first use: an engine that is
     /// asked no query (a simplification job's) or only ever serves as a
@@ -225,23 +227,23 @@ impl QueryEngine<'static> {
     /// constructor.
     #[must_use]
     pub fn from_store(store: PointStore, config: EngineConfig) -> Self {
-        let backend = build_backend(&store, config);
-        Self::from_backend(StoreRef::Owned(store), backend)
+        let backend = build_backend(&store, config, None);
+        Self::from_backend(StoreRef::Owned(store), config, backend, None)
     }
 
     /// Builds an engine owning an mmap-backed store: queries execute
     /// straight off the file mapping, so cold start is the index build
     /// alone — no CSV parse, no column deserialization. When the snapshot
     /// carries a kept bitmap (a persisted simplified database), it is
-    /// retained so [`Query::RangeKept`] serves `D'` immediately.
+    /// retained, with an index of its own, so [`Query::RangeKept`] serves
+    /// `D'` immediately.
     #[must_use]
     pub fn from_mapped(store: MappedStore, config: EngineConfig) -> Self {
-        let backend = build_backend(&store, config);
+        let backend = build_backend(&store, config, None);
         let kept = store.kept_bitmap();
-        Self {
-            kept,
-            ..Self::from_backend(StoreRef::Mapped(store), backend)
-        }
+        let mut engine = Self::from_backend(StoreRef::Mapped(store), config, backend, None);
+        engine.set_kept_bitmap(kept);
+        engine
     }
 }
 
@@ -250,7 +252,8 @@ impl<'a> QueryEngine<'a> {
     /// paths).
     #[must_use]
     pub fn over_store(store: &'a PointStore, config: EngineConfig) -> Self {
-        Self::from_backend(StoreRef::Borrowed(store), build_backend(store, config))
+        let backend = build_backend(store, config, None);
+        Self::from_backend(StoreRef::Borrowed(store), config, backend, None)
     }
 
     /// Builds an engine borrowing an mmap-backed store (zero copy; same
@@ -258,21 +261,28 @@ impl<'a> QueryEngine<'a> {
     /// the snapshot is retained for [`Query::RangeKept`].
     #[must_use]
     pub fn over_mapped(store: &'a MappedStore, config: EngineConfig) -> Self {
-        Self {
-            kept: store.kept_bitmap(),
-            ..Self::from_backend(StoreRef::MappedRef(store), build_backend(store, config))
-        }
+        let backend = build_backend(store, config, None);
+        let mut engine = Self::from_backend(StoreRef::MappedRef(store), config, backend, None);
+        engine.set_kept_bitmap(store.kept_bitmap());
+        engine
     }
 
-    /// Assembles an engine from a store handle and an index already built
-    /// over it (with [`build_backend`]) — the seam that lets a database run
-    /// all its segments' index builds in parallel first and attach the
-    /// stores afterwards. The caller guarantees `backend` was built over
-    /// exactly these columns.
-    pub(crate) fn from_backend(store: StoreRef<'a>, backend: IndexBackend) -> Self {
+    /// Assembles an engine from a store handle, the index already built
+    /// over it with `config` (by [`build_backend`]) and, when it serves
+    /// D′, the kept bitmap with D′'s index — the seam that lets a database
+    /// run all its segments' index builds in parallel first and attach the
+    /// stores afterwards. The caller guarantees both indexes were built
+    /// over exactly these columns.
+    pub(crate) fn from_backend(
+        store: StoreRef<'a>,
+        config: EngineConfig,
+        backend: IndexBackend,
+        kept: Option<(KeptBitmap, IndexBackend)>,
+    ) -> Self {
         Self {
             store,
-            kept: None,
+            config,
+            kept,
             backend,
             bounds: OnceLock::new(),
             spans: OnceLock::new(),
@@ -280,7 +290,8 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Attaches (or clears) the kept bitmap [`Query::RangeKept`] is
-    /// answered from. Callers that computed a [`Simplification`] attach its
+    /// answered from, building (or dropping) the configured index over its
+    /// set points. Callers that computed a [`Simplification`] attach its
     /// bitmap (`simp.to_bitmap(engine.store())`) to serve `D'` through
     /// the same engine that serves `D`.
     ///
@@ -290,14 +301,15 @@ impl<'a> QueryEngine<'a> {
     /// an index-out-of-bounds (or silently wrong results) deep inside
     /// query execution.
     pub fn set_kept_bitmap(&mut self, kept: Option<KeptBitmap>) {
-        if let Some(kept) = &kept {
+        self.kept = kept.map(|kept| {
             assert_eq!(
                 kept.len(),
                 self.store.total_points(),
                 "kept bitmap covers a different point count than the store"
             );
-        }
-        self.kept = kept;
+            let index = build_backend(&self.store, self.config, Some(&kept));
+            (kept, index)
+        });
     }
 
     /// Builder form of [`QueryEngine::set_kept_bitmap`] (same length
@@ -312,7 +324,7 @@ impl<'a> QueryEngine<'a> {
     /// any.
     #[must_use]
     pub fn kept_bitmap(&self) -> Option<&KeptBitmap> {
-        self.kept.as_ref()
+        self.kept.as_ref().map(|(bitmap, _)| bitmap)
     }
 
     /// The underlying columnar storage (owned, borrowed, or mapped). All
@@ -387,42 +399,62 @@ impl<'a> QueryEngine<'a> {
     #[must_use]
     pub fn material(&self, q: &Query, parallel: bool, scratch: &mut QueryScratch) -> ShardResult {
         match q {
-            Query::Range(c) => ShardResult::Ids(self.range_hits(c, scratch)),
+            Query::Range(c) => ShardResult::Ids(self.range_hits(&self.backend, None, c, scratch)),
             Query::Knn(k) => ShardResult::Candidates(self.knn_best(k, parallel, scratch)),
             Query::Similarity(s) => ShardResult::Ids(self.similarity_hits(s)),
             Query::RangeKept(c) => ShardResult::Kept(
                 self.kept
                     .as_ref()
-                    .map(|kept| self.range_with_bitmap(kept, c, scratch)),
+                    .map(|(bitmap, index)| self.range_hits(index, Some(bitmap), c, scratch)),
             ),
         }
     }
 
-    /// Trajectories with a sampled point inside `q`, ascending. Identical
-    /// results to [`crate::range::range_query_store`], via index pruning
-    /// over the columns.
-    fn range_hits(&self, q: &Cube, scratch: &mut QueryScratch) -> Vec<TrajId> {
+    /// Trajectories with a sampled point inside `q`, ascending, over
+    /// `index`: the engine's own for [`Query::Range`], identical results
+    /// to [`crate::range::range_query_store`]; D′'s for
+    /// [`Query::RangeKept`], with `kept` its bitmap, where a trajectory
+    /// hits when one of its kept points lies inside `q`. A tree holds only
+    /// the points it was built over, so both walk it the same way. The
+    /// scan backend has no tree: it tests every trajectory with the
+    /// lane-wide containment kernel or, for D′, sweeps each trajectory's
+    /// column run through the bitmap-masked kernel
+    /// ([`trajectory::simd::any_masked_in_cube`]), skipping fully-dropped
+    /// 64-point words without touching a coordinate.
+    fn range_hits(
+        &self,
+        index: &IndexBackend,
+        kept: Option<&KeptBitmap>,
+        q: &Cube,
+        scratch: &mut QueryScratch,
+    ) -> Vec<TrajId> {
+        let hit = scratch.hit(self.store.len());
         // Dispatch on the concrete index type so the per-node traversal
         // (cube tests, slab scans) monomorphizes and inlines.
-        match &self.backend {
-            // Every trajectory through the lane-wide containment kernel.
-            IndexBackend::Scan => self
-                .store
-                .iter()
-                .filter(|(_, v)| view_matches(*v, q))
-                .map(|(id, _)| id)
-                .collect(),
-            IndexBackend::Octree(t) => {
-                let hit = scratch.hit(self.store.len());
-                range_mark(t, SpatioTemporalIndex::root(t), q, hit);
-                collect_hits(hit)
+        match (index, kept) {
+            (IndexBackend::Octree(t), _) => range_mark(t, SpatioTemporalIndex::root(t), q, hit),
+            (IndexBackend::MedianKd(t), _) => range_mark(t, SpatioTemporalIndex::root(t), q, hit),
+            (IndexBackend::Scan, None) => {
+                for (id, v) in self.store.iter() {
+                    hit[id] = view_matches(v, q);
+                }
             }
-            IndexBackend::MedianKd(t) => {
-                let hit = scratch.hit(self.store.len());
-                range_mark(t, SpatioTemporalIndex::root(t), q, hit);
-                collect_hits(hit)
+            (IndexBackend::Scan, Some(kept)) => {
+                let (xs, ys, ts) = (self.store.xs(), self.store.ys(), self.store.ts());
+                for (id, h) in hit.iter_mut().enumerate() {
+                    let r = self.store.global_range(id);
+                    *h = trajectory::simd::any_masked_in_cube(
+                        &xs[r.clone()],
+                        &ys[r.clone()],
+                        &ts[r.clone()],
+                        kept.words(),
+                        r.start,
+                        q,
+                    );
+                }
             }
         }
+        collect_hits(hit)
     }
 
     /// Range query against a *simplification* of the engine's database
@@ -464,49 +496,6 @@ impl<'a> QueryEngine<'a> {
                 collect_hits(hit)
             }
         }
-    }
-
-    /// Range query against a kept-point bitmap over this engine's store
-    /// (the engine's own for [`Query::RangeKept`], or any other of the
-    /// right length): flags every trajectory with a kept point inside
-    /// `q`. The scan-backend arm sweeps each trajectory's contiguous
-    /// column run through the bitmap-masked containment kernel
-    /// ([`trajectory::simd::any_masked_in_cube`]), skipping fully-dropped
-    /// 64-point words without touching a coordinate (O(N)); with an index
-    /// only leaves intersecting `q` are touched.
-    #[must_use]
-    pub fn range_with_bitmap(
-        &self,
-        kept: &KeptBitmap,
-        q: &Cube,
-        scratch: &mut QueryScratch,
-    ) -> Vec<TrajId> {
-        let hit = scratch.hit(self.store.len());
-        match &self.backend {
-            IndexBackend::Scan => {
-                let (xs, ys, ts) = (self.store.xs(), self.store.ys(), self.store.ts());
-                let offsets = self.store.offsets();
-                let words = kept.words();
-                for (traj, h) in hit.iter_mut().enumerate() {
-                    let (s, e) = (offsets[traj] as usize, offsets[traj + 1] as usize);
-                    *h = trajectory::simd::any_masked_in_cube(
-                        &xs[s..e],
-                        &ys[s..e],
-                        &ts[s..e],
-                        words,
-                        s,
-                        q,
-                    );
-                }
-            }
-            IndexBackend::Octree(t) => {
-                range_mark_kept(t, kept, SpatioTemporalIndex::root(t), q, hit)
-            }
-            IndexBackend::MedianKd(t) => {
-                range_mark_kept(t, kept, SpatioTemporalIndex::root(t), q, hit)
-            }
-        }
-        collect_hits(hit)
     }
 
     /// This store's contribution to a kNN: its best `k` finite-distance
@@ -694,28 +683,38 @@ impl Segmented for QueryEngine<'_> {
 }
 
 /// Builds the configured index over the columns of `store` (any
-/// [`AsColumns`] backend). `pub(crate)` so a database can run its
-/// segments' builds in parallel before assembling their [`QueryEngine`]s.
+/// [`AsColumns`] backend): over every point, or over the points set in
+/// `kept` alone — D′'s own index. `pub(crate)` so a database can run its
+/// segments' builds, D's and D′'s alike, in parallel before assembling
+/// their [`QueryEngine`]s.
 pub(crate) fn build_backend<S: AsColumns + ?Sized>(
     store: &S,
     config: EngineConfig,
+    kept: Option<&KeptBitmap>,
 ) -> IndexBackend {
+    let (max_depth, leaf_capacity) = (config.max_depth, config.leaf_capacity);
     match config.backend {
         BackendKind::Scan => IndexBackend::Scan,
-        BackendKind::Octree => IndexBackend::Octree(Octree::build(
-            store,
-            OctreeConfig {
-                max_depth: config.max_depth,
-                leaf_capacity: config.leaf_capacity,
-            },
-        )),
-        BackendKind::MedianKd => IndexBackend::MedianKd(MedianTree::build(
-            store,
-            MedianTreeConfig {
-                max_depth: config.max_depth,
-                leaf_capacity: config.leaf_capacity,
-            },
-        )),
+        BackendKind::Octree => {
+            let config = OctreeConfig {
+                max_depth,
+                leaf_capacity,
+            };
+            IndexBackend::Octree(match kept {
+                None => Octree::build(store, config),
+                Some(kept) => Octree::build_subset(store, kept.ones().collect(), config),
+            })
+        }
+        BackendKind::MedianKd => {
+            let config = MedianTreeConfig {
+                max_depth,
+                leaf_capacity,
+            };
+            IndexBackend::MedianKd(match kept {
+                None => MedianTree::build(store, config),
+                Some(kept) => MedianTree::build_subset(store, kept.ones().collect(), config),
+            })
+        }
     }
 }
 
@@ -829,37 +828,6 @@ fn range_mark_simplified<I: SpatioTemporalIndex + ?Sized>(
             for_each_inside(&slab, q, covers(q, &tight), |i| {
                 let traj = slab.owners[i] as usize;
                 if !hit[traj] && kept.contains(traj, slab.gids[i] - offsets[traj]) {
-                    hit[traj] = true;
-                }
-            });
-        }
-    }
-}
-
-/// [`range_mark`] over only the points set in the kept bitmap: the
-/// bitmap is asked only about points the containment mask let through.
-fn range_mark_kept<I: SpatioTemporalIndex + ?Sized>(
-    index: &I,
-    kept: &KeptBitmap,
-    id: NodeId,
-    q: &Cube,
-    hit: &mut [bool],
-) {
-    let tight = index.tight_cube(id);
-    if index.point_count(id) == 0 || !tight.intersects(q) {
-        return;
-    }
-    match index.children(id) {
-        Some(children) => {
-            for c in children {
-                range_mark_kept(index, kept, c, q, hit);
-            }
-        }
-        None => {
-            let slab = index.leaf_slab(id);
-            for_each_inside(&slab, q, covers(q, &tight), |i| {
-                let traj = slab.owners[i] as usize;
-                if !hit[traj] && kept.contains(slab.gids[i]) {
                     hit[traj] = true;
                 }
             });
@@ -1327,12 +1295,13 @@ mod tests {
         }
     }
 
-    /// The three range walkers against the scan backend — which shares
-    /// neither the tree walk nor the mask kernel — at leaf sizes on both
-    /// sides of the 64-point chunk: one point a leaf, exactly 64, 65, a
-    /// few chunks, and the whole store in the root leaf. The cubes include
-    /// ones whose faces pass through sampled points and one that covers
-    /// everything (the whole-accept arm).
+    /// The range walks — D's tree, the simplified walk and D′'s own tree —
+    /// against the scan backend, which shares neither the tree walk nor
+    /// the mask kernel, at leaf sizes on both sides of the 64-point chunk:
+    /// one point a leaf, exactly 64, 65, a few chunks, and the whole store
+    /// in the root leaf. The cubes include ones whose faces pass through
+    /// sampled points and one that covers everything (the whole-accept
+    /// arm).
     #[test]
     fn range_walkers_match_the_scan_backend_at_every_leaf_size() {
         let store = small_store();
@@ -1362,8 +1331,8 @@ mod tests {
                 ts[g].max(ts[h]),
             ));
         }
-        let scan = QueryEngine::over_store(&store, EngineConfig::scan());
-        let mut scratch = QueryScratch::new();
+        let scan =
+            QueryEngine::over_store(&store, EngineConfig::scan()).with_kept_bitmap(bitmap.clone());
         for leaf_capacity in [1, 64, 65, 200, usize::MAX] {
             for backend in [BackendKind::Octree, BackendKind::MedianKd] {
                 let cfg = EngineConfig {
@@ -1371,7 +1340,7 @@ mod tests {
                     leaf_capacity,
                     ..EngineConfig::default()
                 };
-                let engine = QueryEngine::over_store(&store, cfg);
+                let engine = QueryEngine::over_store(&store, cfg).with_kept_bitmap(bitmap.clone());
                 for q in &queries {
                     let label = format!("{backend:?} leaf {leaf_capacity} cube {q:?}");
                     assert_eq!(engine.range(q), scan.range(q), "{label}");
@@ -1381,8 +1350,8 @@ mod tests {
                         "simplified, {label}"
                     );
                     assert_eq!(
-                        engine.range_with_bitmap(&bitmap, q, &mut scratch),
-                        scan.range_with_bitmap(&bitmap, q, &mut scratch),
+                        engine.range_kept(q),
+                        scan.range_kept(q),
                         "kept bitmap, {label}"
                     );
                 }

@@ -192,8 +192,8 @@ pub(crate) enum Ids {
 pub(crate) type Part = (StoreRef<'static>, Ids, Option<KeptBitmap>);
 
 /// A segment owned and built once: its engine (the configured backend,
-/// the kept bitmap), its ids and its bounding cube. [`Segment`] views of
-/// it cost nothing to hand out.
+/// and the kept bitmap with D′'s own index), its ids and its bounding
+/// cube. [`Segment`] views of it cost nothing to hand out.
 pub(crate) struct StoredSegment {
     pub(crate) engine: QueryEngine<'static>,
     pub(crate) ids: Ids,
@@ -201,21 +201,34 @@ pub(crate) struct StoredSegment {
 }
 
 impl StoredSegment {
-    /// **The** constructor core: every part's index build and bounds pass
-    /// run in parallel via [`par_map`], then each store moves into its
-    /// engine — no column is copied.
+    /// **The** constructor core: every part's index build and bounds pass,
+    /// and the build of every kept bitmap's D′ index as a task of its
+    /// own, run in parallel via [`par_map`]; then each store moves into
+    /// its engine — no column is copied.
     pub(crate) fn build_all(parts: Vec<Part>, config: EngineConfig) -> Vec<StoredSegment> {
-        let built = par_map(&parts, |(store, _, _)| {
-            (build_backend(store, config), store.bounding_cube())
-        });
+        // D's builds first, one per part, then D′'s, in part order.
+        let with_kept = parts.iter().enumerate().filter(|(_, p)| p.2.is_some());
+        let tasks: Vec<(usize, bool)> = (0..parts.len())
+            .map(|i| (i, false))
+            .chain(with_kept.map(|(i, _)| (i, true)))
+            .collect();
+        let mut built = par_map(&tasks, |&(i, is_kept)| {
+            let (store, _, kept) = &parts[i];
+            if is_kept {
+                (build_backend(store, config, kept.as_ref()), Cube::empty())
+            } else {
+                (build_backend(store, config, None), store.bounding_cube())
+            }
+        })
+        .into_iter();
+        let main: Vec<_> = built.by_ref().take(parts.len()).collect();
         parts
             .into_iter()
-            .zip(built)
+            .zip(main)
             .map(|((store, ids, kept), (backend, bounds))| {
-                let mut engine = QueryEngine::from_backend(store, backend);
-                engine.set_kept_bitmap(kept);
+                let kept = kept.map(|bitmap| (bitmap, built.next().expect("a D′ build").0));
                 StoredSegment {
-                    engine,
+                    engine: QueryEngine::from_backend(store, config, backend, kept),
                     ids,
                     bounds,
                 }

@@ -610,6 +610,18 @@ impl KeptBitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// The kept global ids, ascending.
+    pub fn ones(&self) -> impl Iterator<Item = PointId> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros())?;
+                rest &= rest - 1;
+                Some(w as PointId * 64 + bit)
+            })
+        })
+    }
+
     /// The raw 64-bit words backing the bitmap (bit `gid % 64` of word
     /// `gid / 64` is point `gid`). This is the exact run the snapshot
     /// format persists.
@@ -1083,8 +1095,11 @@ mod tests {
         b.insert(64);
         assert!(b.contains(129) && b.contains(0) && b.contains(64));
         assert_eq!(b.count(), 3);
+        assert_eq!(b.ones().collect::<Vec<_>>(), [0, 64, 129]);
         b.remove(64);
         assert!(!b.contains(64));
         assert_eq!(b.count(), 2);
+        assert_eq!(b.ones().collect::<Vec<_>>(), [0, 129]);
+        assert_eq!(KeptBitmap::zeros(70).ones().count(), 0);
     }
 }
