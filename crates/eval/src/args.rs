@@ -1,9 +1,10 @@
-//! Minimal command-line parsing shared by all experiment binaries.
+//! Minimal command-line parsing for the `repro` binary.
 //!
-//! Every binary accepts `--scale smoke|small|paper`, `--seed N`, and
-//! `--runs N`; a tiny hand-rolled parser keeps the workspace free of a CLI
-//! dependency.
+//! `repro` accepts `--scale smoke|small|paper`, `--seed N`, `--runs N` and
+//! `--only NAME`; a tiny hand-rolled parser keeps the workspace free of a
+//! CLI dependency.
 
+use crate::repro::EXPERIMENTS;
 use trajectory::gen::Scale;
 
 /// Common experiment options.
@@ -16,6 +17,9 @@ pub struct ExpArgs {
     /// Number of repeated runs for mean ± std reporting (the paper uses
     /// 50; the default here is 3).
     pub runs: usize,
+    /// The one experiment to run (a name in [`EXPERIMENTS`]); `None` runs
+    /// them all.
+    pub only: Option<&'static str>,
 }
 
 impl Default for ExpArgs {
@@ -24,8 +28,19 @@ impl Default for ExpArgs {
             scale: Scale::Small,
             seed: 42,
             runs: 3,
+            only: None,
         }
     }
+}
+
+/// The usage line, listing every experiment `--only` accepts.
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    format!(
+        "usage: repro [--scale smoke|small|paper] [--seed N] [--runs N] [--only NAME]\n\
+         NAME: {}",
+        names.join(" | ")
+    )
 }
 
 impl ExpArgs {
@@ -35,7 +50,7 @@ impl ExpArgs {
             Ok(a) => a,
             Err(msg) => {
                 eprintln!("error: {msg}");
-                eprintln!("usage: <bin> [--scale smoke|small|paper] [--seed N] [--runs N]");
+                eprintln!("{}", usage());
                 std::process::exit(2);
             }
         }
@@ -61,6 +76,11 @@ impl ExpArgs {
                         return Err("--runs must be ≥ 1".into());
                     }
                 }
+                "--only" => {
+                    let name = value()?;
+                    let found = EXPERIMENTS.iter().find(|(n, _)| *n == name);
+                    out.only = Some(found.ok_or(format!("unknown experiment: {name}"))?.0);
+                }
                 other => return Err(format!("unknown flag: {other}")),
             }
         }
@@ -82,14 +102,19 @@ mod tests {
         assert_eq!(a.scale, Scale::Small);
         assert_eq!(a.seed, 42);
         assert_eq!(a.runs, 3);
+        assert_eq!(a.only, None);
     }
 
     #[test]
     fn all_flags_parse() {
-        let a = parse(&["--scale", "smoke", "--seed", "7", "--runs", "5"]).unwrap();
+        let a = parse(&[
+            "--scale", "smoke", "--seed", "7", "--runs", "5", "--only", "fig4",
+        ])
+        .unwrap();
         assert_eq!(a.scale, Scale::Smoke);
         assert_eq!(a.seed, 7);
         assert_eq!(a.runs, 5);
+        assert_eq!(a.only, Some("fig4"));
     }
 
     #[test]
@@ -98,5 +123,16 @@ mod tests {
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--runs", "0"]).is_err());
         assert!(parse(&["--wat"]).is_err());
+        assert!(parse(&["--only", "fig10"]).is_err());
+        assert!(parse(&["--only"]).is_err());
+        // The registry names twelve distinct experiments, and the usage
+        // message offers each of them.
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 12);
+        for name in names {
+            assert!(usage().contains(name), "usage omits {name}");
+        }
     }
 }

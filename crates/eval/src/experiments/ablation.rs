@@ -5,7 +5,7 @@
 //! w/o both — scored on range-query F1 (mean ± std over runs) with wall
 //! time, on a Geolife-like database under the data distribution.
 
-use crate::experiments::{query_count, ratio_sweep};
+use crate::experiments::{query_count, ratio_sweep, split_train_test};
 use crate::suite::{state_workload, train_rl4qdts, Rl4QdtsSimplifier};
 use crate::table::{mean, std_dev, Table};
 use crate::tasks::{build_tasks, eval_range, TaskParams};
@@ -20,10 +20,7 @@ use trajectory::gen::{generate, DatasetSpec, Scale};
 /// `variant, range F1 (mean ± std), time (s)`.
 pub fn run(scale: Scale, seed: u64, runs: usize) -> Table {
     let db = generate(&DatasetSpec::geolife(scale), seed);
-    let (train_db, test_db) = {
-        let n = (db.len() / 4).max(2);
-        db.split_at(n)
-    };
+    let (train_db, test_db) = split_train_test(db);
     let dist = QueryDistribution::Data;
     let model = train_rl4qdts(&train_db, dist, query_count(scale), seed);
 
@@ -76,7 +73,7 @@ mod tests {
     #[test]
     fn produces_four_variant_rows() {
         let t = run(Scale::Smoke, 5, 2);
-        assert_eq!(t.len(), 4);
+        assert_eq!(t.rows().len(), 4);
         let names: Vec<&str> = t.rows().iter().map(|r| r[0].as_str()).collect();
         assert_eq!(
             names,

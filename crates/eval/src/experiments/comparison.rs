@@ -1,7 +1,7 @@
 //! Figures 4, 5, 6: RL4QDTS vs. the skyline baselines across compression
 //! ratios, five query tasks per distribution.
 
-use crate::experiments::{query_count, score_method};
+use crate::experiments::{query_count, score_method, split_train_test};
 use crate::suite::{
     baseline_suite, paper_skyline_names, select_by_name, state_workload, train_rl4qdts,
     Rl4QdtsSimplifier,
@@ -38,10 +38,7 @@ pub fn run(
     runs: usize,
 ) -> Vec<ComparisonOutcome> {
     let db = trajectory::gen::generate(spec, seed);
-    let (train_db, test_db) = {
-        let n = (db.len() / 4).max(2);
-        db.split_at(n)
-    };
+    let (train_db, test_db) = split_train_test(db);
     dists
         .iter()
         .map(|&dist| run_one(&train_db, &test_db, dist, ratios, scale, seed, runs))
@@ -149,7 +146,7 @@ mod tests {
         assert_eq!(tables.len(), 5);
         for (task, t) in tables {
             // 5 data-dist skyline baselines + RL4QDTS.
-            assert_eq!(t.len(), 6, "{task}");
+            assert_eq!(t.rows().len(), 6, "{task}");
             // Two ratio columns + method column.
             assert!(t.rows()[0].len() == 3, "{task}");
         }

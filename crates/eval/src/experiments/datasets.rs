@@ -66,7 +66,7 @@ mod tests {
     #[test]
     fn produces_four_rows() {
         let t = run(Scale::Smoke, 1);
-        assert_eq!(t.len(), 4);
+        assert_eq!(t.rows().len(), 4);
         assert!(t.render().contains("geolife"));
         assert!(t.render().contains("osm"));
     }

@@ -6,7 +6,7 @@
 //! query-aware method should deform the trajectories that queries actually
 //! return less than error-driven methods do.
 
-use crate::experiments::{query_count, ratio_sweep};
+use crate::experiments::{query_count, ratio_sweep, split_train_test};
 use crate::suite::{
     baseline_suite, paper_skyline_names, select_by_name, state_workload, train_rl4qdts,
     Rl4QdtsSimplifier,
@@ -50,10 +50,7 @@ pub fn returned_trajectory_sed(
 /// columns compression ratios, cells mean SED (meters — lower is better).
 pub fn run_one(scale: Scale, seed: u64, dist: QueryDistribution) -> Table {
     let db = generate(&DatasetSpec::geolife(scale), seed);
-    let (train_db, test_db) = {
-        let n = (db.len() / 4).max(2);
-        db.split_at(n)
-    };
+    let (train_db, test_db) = split_train_test(db);
     let suite = baseline_suite(&train_db, seed);
     let baselines = select_by_name(&suite, &paper_skyline_names(dist));
     let model = train_rl4qdts(&train_db, dist, query_count(scale), seed);
@@ -129,6 +126,6 @@ mod tests {
     fn produces_method_rows() {
         let t = run_one(Scale::Smoke, 7, QueryDistribution::Data);
         // 5 data-dist skyline baselines + RL4QDTS.
-        assert_eq!(t.len(), 6);
+        assert_eq!(t.rows().len(), 6);
     }
 }

@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn size_sweep_table_has_all_methods() {
         let t = run_varying_size(Scale::Smoke, 21);
-        assert_eq!(t.len(), 8, "7 baselines + RL4QDTS");
+        assert_eq!(t.rows().len(), 8, "7 baselines + RL4QDTS");
         for r in t.rows() {
             assert_eq!(r.len(), 1 + size_sweep(Scale::Smoke).len());
             for cell in &r[1..] {
@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn budget_sweep_table_has_all_methods() {
         let t = run_varying_budget(Scale::Smoke, 22);
-        assert_eq!(t.len(), 8);
+        assert_eq!(t.rows().len(), 8);
         assert_eq!(t.rows()[0].len(), 1 + budget_sweep(Scale::Smoke).len());
     }
 }

@@ -4,7 +4,7 @@
 //! Trains one model per index kind under identical settings and compares
 //! held-out range-query F1 and simplification wall time across budgets.
 
-use crate::experiments::{query_count, ratio_sweep};
+use crate::experiments::{query_count, ratio_sweep, split_train_test};
 use crate::suite::{state_workload, Rl4QdtsSimplifier};
 use crate::table::Table;
 use crate::tasks::{build_tasks, eval_range, TaskParams};
@@ -22,10 +22,7 @@ const DIST: QueryDistribution = QueryDistribution::Data;
 /// `index, ratio, Range F1, simplify time (s)`.
 pub fn run(scale: Scale, seed: u64) -> Table {
     let db = generate(&DatasetSpec::geolife(scale), seed);
-    let (train_db, test_db) = {
-        let n = (db.len() / 4).max(2);
-        db.split_at(n)
-    };
+    let (train_db, test_db) = split_train_test(db);
     let workload = RangeWorkloadSpec {
         count: query_count(scale),
         spatial_extent: 2_000.0,
@@ -86,7 +83,7 @@ mod tests {
             t.rows().iter().map(|r| r[0].as_str()).collect();
         assert!(kinds.contains("octree"));
         assert!(kinds.contains("median-kd"));
-        assert_eq!(t.len(), 2 * ratio_sweep(Scale::Smoke).len());
+        assert_eq!(t.rows().len(), 2 * ratio_sweep(Scale::Smoke).len());
         for r in t.rows() {
             let f1: f64 = r[2].parse().unwrap();
             assert!((0.0..=1.0).contains(&f1), "{r:?}");

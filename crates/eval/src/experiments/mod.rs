@@ -1,6 +1,6 @@
 //! One module per table/figure of the paper. Each exposes a `run`
-//! function returning renderable [`crate::table::Table`]s so the binaries
-//! stay thin and the experiments remain testable at smoke scale.
+//! function returning renderable [`crate::table::Table`]s so the `repro`
+//! printers stay thin and the experiments remain testable at smoke scale.
 
 pub mod ablation;
 pub mod comparison;
@@ -38,6 +38,13 @@ pub fn chengdu_ratio_sweep(scale: Scale) -> Vec<f64> {
         Scale::Small => vec![0.03, 0.04, 0.05, 0.06, 0.08, 0.15, 0.25],
         Scale::Smoke => vec![0.05, 0.12, 0.25],
     }
+}
+
+/// Splits a generated database into the training quarter (at least two
+/// trajectories) and the held-out rest the experiments score on.
+pub fn split_train_test(db: TrajectoryDb) -> (TrajectoryDb, TrajectoryDb) {
+    let n = (db.len() / 4).max(2);
+    db.split_at(n)
 }
 
 /// Number of evaluation queries per scale (paper: 100).

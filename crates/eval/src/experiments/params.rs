@@ -2,7 +2,7 @@
 //! report): the start level `S`, end level `E`, Agent-Point's `K`, and the
 //! kNN `k`.
 
-use crate::experiments::{query_count, ratio_sweep};
+use crate::experiments::{query_count, ratio_sweep, split_train_test};
 use crate::suite::{state_workload, Rl4QdtsSimplifier};
 use crate::table::Table;
 use crate::tasks::{build_tasks, eval_range_with_engines, TaskParams};
@@ -72,93 +72,58 @@ fn score_config(
     )
 }
 
-/// Sweeps the start level `S` (with `E` fixed at the scaled default).
-pub fn run_start_level(scale: Scale, seed: u64) -> Table {
-    let db = generate(&DatasetSpec::geolife(scale), seed);
-    let (train_db, test_db) = {
-        let n = (db.len() / 4).max(2);
-        db.split_at(n)
-    };
+/// One row of held-out range F1 and train+simplify time per `(value,
+/// config)` that `configs` derives from the scaled default configuration.
+fn sweep<V: ToString>(
+    scale: Scale,
+    seed: u64,
+    name: &str,
+    configs: impl FnOnce(Rl4QdtsConfig) -> Vec<(V, Rl4QdtsConfig)>,
+) -> Table {
+    let (train_db, test_db) = split_train_test(generate(&DatasetSpec::geolife(scale), seed));
     let truth = QueryEngine::over(&test_db, EngineConfig::octree());
     let base = Rl4QdtsConfig::scaled_to(&train_db).with_delta(25);
-    let mut table = Table::new(&["S", "Range F1", "Time (s)"]);
-    for s in 1..=base.max_depth.saturating_sub(1) {
-        let (f1, time) = score_config(
-            base.with_start_level(s),
-            &train_db,
-            &test_db,
-            &truth,
-            scale,
-            seed,
-        );
+    let mut table = Table::new(&[name, "Range F1", "Time (s)"]);
+    for (value, config) in configs(base) {
+        let (f1, time) = score_config(config, &train_db, &test_db, &truth, scale, seed);
         table.row(vec![
-            s.to_string(),
+            value.to_string(),
             format!("{f1:.3}"),
             format!("{time:.2}"),
         ]);
     }
     table
+}
+
+/// Sweeps the start level `S` (with `E` fixed at the scaled default).
+pub fn run_start_level(scale: Scale, seed: u64) -> Table {
+    sweep(scale, seed, "S", |base| {
+        let levels = 1..=base.max_depth.saturating_sub(1);
+        levels.map(|s| (s, base.with_start_level(s))).collect()
+    })
 }
 
 /// Sweeps the end level `E` (with `S` fixed at 1).
 pub fn run_max_depth(scale: Scale, seed: u64) -> Table {
-    let db = generate(&DatasetSpec::geolife(scale), seed);
-    let (train_db, test_db) = {
-        let n = (db.len() / 4).max(2);
-        db.split_at(n)
-    };
-    let truth = QueryEngine::over(&test_db, EngineConfig::octree());
-    let base = Rl4QdtsConfig::scaled_to(&train_db)
-        .with_delta(25)
-        .with_start_level(1);
-    let mut table = Table::new(&["E", "Range F1", "Time (s)"]);
-    for e in 3..=(base.max_depth + 2).min(10) {
-        let (f1, time) = score_config(
-            base.with_max_depth(e),
-            &train_db,
-            &test_db,
-            &truth,
-            scale,
-            seed,
-        );
-        table.row(vec![
-            e.to_string(),
-            format!("{f1:.3}"),
-            format!("{time:.2}"),
-        ]);
-    }
-    table
+    sweep(scale, seed, "E", |base| {
+        let base = base.with_start_level(1);
+        let depths = 3..=(base.max_depth + 2).min(10);
+        depths.map(|e| (e, base.with_max_depth(e))).collect()
+    })
 }
 
 /// Sweeps Agent-Point's `K`.
 pub fn run_k(scale: Scale, seed: u64) -> Table {
-    let db = generate(&DatasetSpec::geolife(scale), seed);
-    let (train_db, test_db) = {
-        let n = (db.len() / 4).max(2);
-        db.split_at(n)
-    };
-    let truth = QueryEngine::over(&test_db, EngineConfig::octree());
-    let base = Rl4QdtsConfig::scaled_to(&train_db).with_delta(25);
-    let mut table = Table::new(&["K", "Range F1", "Time (s)"]);
-    for k in [1usize, 2, 4, 8] {
-        let (f1, time) = score_config(base.with_k(k), &train_db, &test_db, &truth, scale, seed);
-        table.row(vec![
-            k.to_string(),
-            format!("{f1:.3}"),
-            format!("{time:.2}"),
-        ]);
-    }
-    table
+    sweep(scale, seed, "K", |base| {
+        [1usize, 2, 4, 8].map(|k| (k, base.with_k(k))).into()
+    })
 }
 
 /// Sweeps the kNN `k` on a fixed trained model (experiment 8): F1 of both
 /// kNN variants as `k` grows.
 pub fn run_knn_k(scale: Scale, seed: u64) -> Table {
     let db = generate(&DatasetSpec::geolife(scale), seed);
-    let (train_db, test_db) = {
-        let n = (db.len() / 4).max(2);
-        db.split_at(n)
-    };
+    let (train_db, test_db) = split_train_test(db);
     let model = crate::suite::train_rl4qdts(&train_db, DIST, query_count(scale), seed);
     let ratio = ratio_sweep(scale)[0];
     let test_store = test_db.to_store();
@@ -218,7 +183,7 @@ mod tests {
     #[test]
     fn k_sweep_has_four_rows() {
         let t = run_k(Scale::Smoke, 41);
-        assert_eq!(t.len(), 4);
+        assert_eq!(t.rows().len(), 4);
         for r in t.rows() {
             let f1: f64 = r[1].parse().unwrap();
             assert!((0.0..=1.0).contains(&f1));
@@ -228,7 +193,7 @@ mod tests {
     #[test]
     fn knn_k_sweep_scores_both_measures() {
         let t = run_knn_k(Scale::Smoke, 43);
-        assert_eq!(t.len(), 4);
+        assert_eq!(t.rows().len(), 4);
         assert_eq!(t.rows()[0].len(), 3);
     }
 }

@@ -5,7 +5,9 @@
 //! reported. The paper uses this to pick per-distribution comparison sets
 //! for Figures 4–6.
 
-use crate::experiments::{chengdu_ratio_sweep, query_count, ratio_sweep, score_method};
+use crate::experiments::{
+    chengdu_ratio_sweep, query_count, ratio_sweep, score_method, split_train_test,
+};
 use crate::skyline::{skyline, ScoredMethod};
 use crate::suite::baseline_suite;
 use crate::table::Table;
@@ -54,10 +56,7 @@ pub fn run_one(scale: Scale, seed: u64, dist: QueryDistribution) -> SkylineOutco
             ratio_sweep(scale)[0],
         )
     };
-    let (train_db, test_db) = {
-        let n = (db.len() / 4).max(2);
-        db.split_at(n)
-    };
+    let (train_db, test_db) = split_train_test(db);
 
     let suite = baseline_suite(&train_db, seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xf00d);
@@ -105,7 +104,7 @@ mod tests {
     #[test]
     fn produces_all_25_baselines_and_a_nonempty_skyline() {
         let out = run_one(Scale::Smoke, 3, QueryDistribution::Data);
-        assert_eq!(out.table.len(), 25);
+        assert_eq!(out.table.rows().len(), 25);
         assert!(!out.skyline.is_empty());
         assert!(out.skyline.len() <= 25);
     }

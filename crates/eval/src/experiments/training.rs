@@ -29,10 +29,8 @@ fn workload(scale: Scale) -> RangeWorkloadSpec {
 /// (a) Training time and held-out range F1 vs. training-pool size.
 pub fn run_pool_size(scale: Scale, seed: u64) -> Table {
     let db = generate(&DatasetSpec::geolife(scale), seed);
-    let (train_pool, test_db) = {
-        let n = db.len() * 3 / 4;
-        db.split_at(n)
-    };
+    let n = db.len() * 3 / 4;
+    let (train_pool, test_db) = db.split_at(n);
     let sizes: Vec<usize> = match scale {
         Scale::Paper => vec![10, 50, 100, 200],
         Scale::Small => vec![8, 16, 32, 64],
@@ -63,13 +61,10 @@ pub fn run_pool_size(scale: Scale, seed: u64) -> Table {
 /// (b) Effect of the reward interval Δ on training time and accuracy.
 pub fn run_delta(scale: Scale, seed: u64) -> Table {
     let db = generate(&DatasetSpec::geolife(scale), seed);
-    let (train_pool, test_db) = {
-        let n = db.len() * 3 / 4;
-        db.split_at(n)
-    };
-    let deltas: Vec<usize> = vec![10, 25, 50, 100];
+    let n = db.len() * 3 / 4;
+    let (train_pool, test_db) = db.split_at(n);
     let mut table = Table::new(&["Δ", "Train time (s)", "Windows/episode", "Range F1"]);
-    for &delta in &deltas {
+    for delta in [10usize, 25, 50, 100] {
         let config = Rl4QdtsConfig::scaled_to(&train_pool).with_delta(delta);
         let trainer = TrainerConfig {
             num_dbs: 3,
@@ -128,7 +123,7 @@ mod tests {
     #[test]
     fn pool_size_sweep_reports_time_and_f1() {
         let t = run_pool_size(Scale::Smoke, 51);
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.rows().len(), 3);
         for r in t.rows() {
             assert!(r[1].parse::<f64>().unwrap() >= 0.0);
             let f1: f64 = r[3].parse().unwrap();

@@ -5,7 +5,7 @@
 //! ∈ [0.5, 0.9], Gaussian σ ∈ [0.25, 0.85], and Zipf a ∈ [4, 8]. The
 //! baseline is Bottom-Up(E,SED), as in the paper.
 
-use crate::experiments::{query_count, ratio_sweep};
+use crate::experiments::{query_count, ratio_sweep, split_train_test};
 use crate::suite::{state_workload, train_rl4qdts, Rl4QdtsSimplifier};
 use crate::table::{mean, std_dev, Table};
 use crate::tasks::{build_tasks, eval_range_with_engines, TaskParams};
@@ -35,10 +35,7 @@ pub struct TransferOutcome {
 /// Runs all three sub-figures.
 pub fn run(scale: Scale, seed: u64, runs: usize) -> Vec<TransferOutcome> {
     let db = generate(&DatasetSpec::geolife(scale), seed);
-    let (train_db, test_db) = {
-        let n = (db.len() / 4).max(2);
-        db.split_at(n)
-    };
+    let (train_db, test_db) = split_train_test(db);
     let model = train_rl4qdts(&train_db, TRAIN_DIST, query_count(scale), seed);
 
     let mu_dists: Vec<(String, QueryDistribution)> = [0.5, 0.6, 0.7, 0.8, 0.9]
@@ -161,7 +158,7 @@ mod tests {
         let out = run(Scale::Smoke, 31, 1);
         assert_eq!(out.len(), 3);
         for o in &out {
-            assert_eq!(o.table.len(), 2, "{}: baseline + ours", o.label);
+            assert_eq!(o.table.rows().len(), 2, "{}: baseline + ours", o.label);
             assert_eq!(o.table.rows()[0].len(), 6, "{}: 5 x-values", o.label);
         }
     }

@@ -6,14 +6,13 @@
 //! - [`suite`]: the 25 EDTS baselines plus RL4QDTS behind one interface;
 //! - [`skyline`]: Pareto skyline selection (Fig. 3's methodology);
 //! - [`experiments`]: one module per table/figure;
-//! - [`serving`]: the `snapshot` / `serve` persistence pipeline (CSV →
-//!   snapshot once, then query from the mapping);
+//! - [`repro`]: one printer per table/figure and their registry;
 //! - [`args`], [`table`]: CLI parsing and plain-text table rendering.
 //!
-//! Each experiment is exposed both as a library function (tested at smoke
-//! scale) and as a binary (`cargo run -p qdts-eval --release --bin
-//! fig4_geolife -- --scale small`), named after the table or figure it
-//! reproduces. No measured results are committed yet: ROADMAP.md item 2
+//! Each experiment is a library function (tested at smoke scale); the
+//! one `repro` binary prints them all in paper order, or one of them
+//! (`cargo run -p qdts-eval --release --bin repro -- --only fig4 --scale
+//! small`). No measured results are committed yet: ROADMAP.md item 2
 //! ("the paper's tables from one command") is where they will come from.
 
 #![warn(missing_docs)]
@@ -21,7 +20,7 @@
 pub mod args;
 pub mod experiments;
 pub mod heatmap;
-pub mod serving;
+pub mod repro;
 pub mod skyline;
 pub mod suite;
 pub mod table;

@@ -1,6 +1,6 @@
 //! Plain-text table rendering for experiment output.
 //!
-//! The experiment binaries print the same rows/series the paper's figures
+//! The `repro` binary prints the same rows/series the paper's figures
 //! plot; a small column-aligned renderer keeps that output readable and
 //! diffable.
 
@@ -24,16 +24,6 @@ impl Table {
     pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
         self.rows.push(cells);
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no data rows exist.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Access to the raw rows (tests).
@@ -83,37 +73,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV (for plotting scripts).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|c| esc(c))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&r.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// Formats a mean ± std pair the way the paper's tables do.
-pub fn mean_std(values: &[f64]) -> String {
-    format!("{:.3} ± {:.3}", mean(values), std_dev(values))
 }
 
 /// Arithmetic mean (0 for empty input).
@@ -153,19 +112,9 @@ mod tests {
     }
 
     #[test]
-    fn csv_escapes_commas() {
-        let mut t = Table::new(&["a,b", "c"]);
-        t.row(vec!["x\"y".into(), "z".into()]);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("\"a,b\",c\n"));
-        assert!(csv.contains("\"x\"\"y\",z"));
-    }
-
-    #[test]
     fn stats_helpers() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(std_dev(&[1.0]), 0.0);
         assert!((std_dev(&[1.0, 2.0, 3.0]) - 1.0).abs() < 1e-12);
-        assert_eq!(mean_std(&[0.5, 0.7]), "0.600 ± 0.141");
     }
 }

@@ -47,8 +47,7 @@ pub use bounded::{bounded_db, bounded_one, min_eps_for_budget};
 pub use onepass::OnePassSed;
 pub use persist::{
     per_shard_budgets, simplify_shards, simplify_to_shard_set, simplify_to_snapshot,
-    write_simplified_shard_set, write_simplified_shard_set_quantized, write_simplified_snapshot,
-    write_simplified_snapshot_quantized,
+    write_simplified_shard_set, write_simplified_snapshot, write_simplified_snapshot_quantized,
 };
 pub use rlts::RltsPlus;
 pub use spansearch::SpanSearch;

@@ -155,28 +155,6 @@ pub fn write_simplified_shard_set(
     ShardSet::write_with(dir, shards, &kept)
 }
 
-/// [`write_simplified_shard_set`] with quantized per-shard columns (see
-/// [`write_simplified_snapshot_quantized`] for the coding and its error
-/// bound).
-pub fn write_simplified_shard_set_quantized(
-    dir: impl AsRef<Path>,
-    shards: &[Shard],
-    simps: &[Simplification],
-    max_error: f64,
-) -> Result<ShardSet, ShardSetError> {
-    assert_eq!(
-        shards.len(),
-        simps.len(),
-        "one simplification per shard required"
-    );
-    let kept: Vec<KeptBitmap> = shards
-        .iter()
-        .zip(simps)
-        .map(|(shard, simp)| simp.to_bitmap(&shard.store))
-        .collect();
-    ShardSet::write_quantized(dir, shards, Some(&kept), max_error)
-}
-
 /// One-shot sharded pipeline: simplify every shard to its proportional
 /// budget slice (in parallel), then persist the whole set as kept-bitmap
 /// snapshots. Returns the per-shard simplifications so callers can report
@@ -288,29 +266,6 @@ mod tests {
         assert_eq!(mapped.xs(), snap.store.xs());
         std::fs::remove_file(&raw_path).ok();
         std::fs::remove_file(&q_path).ok();
-    }
-
-    #[test]
-    fn quantized_shard_set_round_trips_bitmaps() {
-        use trajectory::shard::{partition, PartitionStrategy, ShardSet};
-
-        let store = generate(&DatasetSpec::geolife(Scale::Smoke), 13).to_store();
-        let shards = partition(&store, &PartitionStrategy::Hash { parts: 2 });
-        let budget = store.total_points() / 2;
-        let simps = simplify_shards(&Uniform, &shards, budget);
-
-        let dir = std::env::temp_dir()
-            .join("qdts_simp_persist_tests")
-            .join(format!("sharded_q_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        write_simplified_shard_set_quantized(&dir, &shards, &simps, 0.5).unwrap();
-
-        let set = ShardSet::load(&dir).unwrap();
-        for (open, simp) in set.open_mapped().unwrap().iter().zip(&simps) {
-            let bitmap = open.kept.as_ref().expect("kept bitmap persisted");
-            assert_eq!(bitmap.count(), simp.total_points());
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

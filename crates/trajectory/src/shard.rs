@@ -76,30 +76,6 @@ pub enum PartitionStrategy {
     },
 }
 
-impl PartitionStrategy {
-    /// A grid strategy producing roughly `shards` cells (`nx = ⌈√shards⌉`,
-    /// `ny = ⌈shards / nx⌉`).
-    #[must_use]
-    pub fn grid_for(shards: usize) -> Self {
-        let shards = shards.max(1);
-        let nx = (shards as f64).sqrt().ceil() as usize;
-        PartitionStrategy::Grid {
-            nx,
-            ny: shards.div_ceil(nx),
-        }
-    }
-
-    /// Display label for tables and benchmark ids.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            PartitionStrategy::Grid { .. } => "grid",
-            PartitionStrategy::Time { .. } => "time",
-            PartitionStrategy::Hash { .. } => "hash",
-        }
-    }
-}
-
 /// One shard of a partitioned database: a self-contained [`PointStore`]
 /// plus the mapping from shard-local trajectory ids back to global ones.
 #[derive(Debug, Clone, PartialEq)]
@@ -1131,16 +1107,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_for_produces_at_least_requested_cells() {
-        for n in 1..=9 {
-            let PartitionStrategy::Grid { nx, ny } = PartitionStrategy::grid_for(n) else {
-                panic!("grid_for must return a grid");
-            };
-            assert!(nx * ny >= n);
-        }
-    }
-
-    #[test]
     fn shard_set_round_trips_owned_and_mapped() {
         let store = sample_store();
         let shards = partition(&store, &PartitionStrategy::Hash { parts: 3 });
@@ -1184,6 +1150,10 @@ mod tests {
                 .sum()
         };
         assert!(dir_bytes(&dir) < dir_bytes(&raw_dir));
+        // At a half-metre bound the set is under half the raw bytes.
+        let coarse_dir = temp_dir("quantized_set_coarse");
+        ShardSet::write_quantized(&coarse_dir, &shards, None, 0.5).unwrap();
+        assert!(2 * dir_bytes(&coarse_dir) < dir_bytes(&raw_dir));
 
         let set = ShardSet::load(&dir).unwrap();
         let within = |xs: &[f64], ys: &[f64]| {
@@ -1204,6 +1174,7 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&raw_dir).ok();
+        std::fs::remove_dir_all(&coarse_dir).ok();
     }
 
     #[test]
