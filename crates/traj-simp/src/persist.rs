@@ -226,6 +226,37 @@ mod tests {
     }
 
     #[test]
+    fn quantized_shard_set_round_trips_bitmaps() {
+        use trajectory::shard::{partition, PartitionStrategy, ShardSet};
+
+        let store = generate(&DatasetSpec::geolife(Scale::Smoke), 13).to_store();
+        let shards = partition(&store, &PartitionStrategy::Hash { parts: 2 });
+        let budget = store.total_points() / 2;
+        let simps = simplify_shards(&Uniform, &shards, budget);
+        let kept: Vec<KeptBitmap> = shards
+            .iter()
+            .zip(&simps)
+            .map(|(shard, simp)| simp.to_bitmap(&shard.store))
+            .collect();
+
+        let dir = std::env::temp_dir()
+            .join("qdts_simp_persist_tests")
+            .join(format!("sharded_q_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        ShardSet::write_quantized(&dir, &shards, Some(&kept), 0.5).unwrap();
+
+        let set = ShardSet::load(&dir).unwrap();
+        let opened = set.open_mapped().unwrap();
+        assert_eq!(opened.len(), shards.len());
+        for ((open, simp), expected) in opened.iter().zip(&simps).zip(&kept) {
+            let bitmap = open.kept.as_ref().expect("kept bitmap persisted");
+            assert_eq!(bitmap.count(), simp.total_points());
+            assert_eq!(bitmap, expected);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn quantized_simplified_snapshot_keeps_bitmap_exact_and_bounds_coords() {
         let store = generate(&DatasetSpec::geolife(Scale::Smoke), 77).to_store();
         let budget = store.total_points() / 3;

@@ -1027,6 +1027,7 @@ fn unify_parts<S: AsColumns>(parts: &[(&S, &[TrajId])]) -> PointStore {
 mod tests {
     use super::*;
     use crate::gen::{generate, DatasetSpec, Scale};
+    use crate::Point;
 
     fn sample_store() -> PointStore {
         generate(&DatasetSpec::geolife(Scale::Smoke), 77).to_store()
@@ -1096,6 +1097,59 @@ mod tests {
             max <= min * 3 + 2,
             "hash shards badly unbalanced: {min}..{max}"
         );
+    }
+
+    /// Every trajectory of a shard falls in that shard's cell, and shards
+    /// come in ascending cell order, one per non-empty cell.
+    fn assert_one_cell_per_shard(shards: &[Shard], cells: usize, cell: impl Fn(usize) -> usize) {
+        assert!(shards.len() > 1 && shards.len() <= cells);
+        let mut previous = None;
+        for shard in shards {
+            let c = cell(shard.global_ids[0]);
+            assert!(c < cells);
+            assert!(shard.global_ids.iter().all(|&id| cell(id) == c));
+            assert!(previous < Some(c), "cells out of order");
+            previous = Some(c);
+        }
+    }
+
+    #[test]
+    fn grid_partition_places_trajectories_by_their_center() {
+        let store = sample_store();
+        let (nx, ny) = (3, 2);
+        let shards = partition(&store, &PartitionStrategy::Grid { nx, ny });
+        let bc = store.bounding_cube();
+        let index = |v: f64, lo: f64, hi: f64, n: usize| {
+            ((((v - lo) / (hi - lo)) * n as f64).floor() as usize).min(n - 1)
+        };
+        assert_one_cell_per_shard(&shards, nx * ny, |id| {
+            let vb = store.view(id).bounding_cube();
+            let ix = index(0.5 * (vb.x_min + vb.x_max), bc.x_min, bc.x_max, nx);
+            let iy = index(0.5 * (vb.y_min + vb.y_max), bc.y_min, bc.y_max, ny);
+            iy * nx + ix
+        });
+    }
+
+    #[test]
+    fn time_partition_places_trajectories_by_their_start() {
+        // Durations of 0, 400 and 800 s over a 1 900 s span: ranges by
+        // start and ranges by end group the trajectories differently.
+        let mut store = PointStore::new();
+        for i in 0..12 {
+            let (t0, step) = (100.0 * f64::from(i), 200.0 * f64::from(i % 3));
+            let pts: Vec<Point> = (0..3)
+                .map(|k| Point::new(f64::from(i + k), 0.0, t0 + step * f64::from(k)))
+                .collect();
+            store.push_points(&pts).unwrap();
+        }
+        let parts = 3;
+        let shards = partition(&store, &PartitionStrategy::Time { parts });
+        let bc = store.bounding_cube();
+        let span = bc.t_max - bc.t_min;
+        assert_one_cell_per_shard(&shards, parts, |id| {
+            let start = store.view(id).ts[0];
+            (((start - bc.t_min) / span * parts as f64).floor() as usize).min(parts - 1)
+        });
     }
 
     #[test]
