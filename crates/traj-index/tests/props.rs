@@ -2,6 +2,7 @@
 //! of both backends.
 
 use proptest::prelude::*;
+use traj_index::octree::SPLIT_MIN_POINTS;
 use traj_index::{
     CubeIndex, MedianTree, MedianTreeConfig, NodeId, Octree, OctreeConfig, SpatioTemporalIndex,
 };
@@ -237,4 +238,40 @@ fn an_empty_subset_gives_an_empty_root() {
         ),
         (0, 0)
     );
+}
+
+/// Above [`SPLIT_MIN_POINTS`] the root's octants are built by parallel
+/// workers and stitched together; the result is the sequential build,
+/// node for node — for `build` and for a `build_subset` over every point,
+/// at the serving shape, a deep narrow one, and a root that must stay a
+/// leaf.
+#[test]
+fn the_split_build_is_the_sequential_build_node_for_node() {
+    let store = trajectory::gen::generate(
+        &trajectory::gen::DatasetSpec::tdrive(trajectory::gen::Scale::Small).with_trajectories(250),
+        9,
+    )
+    .to_store();
+    assert!(
+        store.total_points() >= SPLIT_MIN_POINTS,
+        "input below the cut-off"
+    );
+    let all: Vec<PointId> = (0..store.total_points() as PointId).collect();
+    for (max_depth, leaf_capacity) in [(12, 64), (8, 4), (1, 64)] {
+        let config = OctreeConfig {
+            max_depth,
+            leaf_capacity,
+        };
+        let sequential = Octree::build_unsplit(&store, config);
+        for split in [
+            Octree::build(&store, config),
+            Octree::build_subset(&store, all.clone(), config),
+        ] {
+            assert_eq!(split.len(), sequential.len(), "shape {config:?}");
+            assert_same_tree(&split, &sequential, sequential.len());
+            for id in 0..sequential.len() as NodeId {
+                assert_eq!(split.subtree_owners(id), sequential.subtree_owners(id));
+            }
+        }
+    }
 }

@@ -79,7 +79,7 @@
 
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -87,12 +87,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use trajectory::delta::{replay_wal, BoxedSimplifier, DeltaError, DeltaStore};
-use trajectory::snapshot::{write_snapshot, SnapshotError};
+use trajectory::snapshot::{write_snapshot_to, SnapshotError};
 use trajectory::{AsColumns, Cube, PointStore, TrajId, Trajectory};
 
-use crate::db::{snapshot_part, DbOptions, OpenMode};
+use crate::db::{snapshot_part, DbOptions};
 use crate::engine::{EngineConfig, QueryEngine};
-use crate::segment::{IdMap, Ids, Segment, Segmented, StoredSegment};
+use crate::segment::{IdMap, Segment, Segmented, StoredSegment};
 
 /// File name of the generation manifest inside a live-db directory.
 pub const GENS_MANIFEST: &str = "gens.manifest";
@@ -242,6 +242,38 @@ fn load_manifest(path: &Path) -> Result<Manifest, GenError> {
         })?,
         wal_start: parse_u64("wal_start", wal_start)?,
     })
+}
+
+/// Commits `parts`, concatenated, as generation `generation`: streams
+/// them into a temporary file, `fsync`s it, renames it to its
+/// `gen-N.snap` name and stores the manifest naming it with `wal_start`.
+/// The snapshot is durable before any manifest names it, so a crash at
+/// any step leaves the previous commit (or none) in force. Returns the
+/// snapshot's path.
+fn commit_generation<S: AsColumns + ?Sized>(
+    dir: &Path,
+    generation: u64,
+    parts: &[&S],
+    wal_start: u64,
+) -> Result<PathBuf, GenError> {
+    let snapshot = snapshot_name(generation);
+    let path = dir.join(&snapshot);
+    let tmp = dir.join(format!("{snapshot}.tmp"));
+    let file = write_snapshot_to(parts, None, BufWriter::new(File::create(&tmp)?))?
+        .into_inner()
+        .map_err(io::IntoInnerError::into_error)?;
+    file.sync_all()?;
+    drop(file);
+    fs::rename(&tmp, &path)?;
+    store_manifest(
+        dir,
+        &Manifest {
+            generation,
+            snapshot,
+            wal_start,
+        },
+    )?;
+    Ok(path)
 }
 
 /// Writes the manifest durably: temp file, `fsync`, atomic rename —
@@ -402,18 +434,7 @@ impl GenerationalDb {
     ) -> Result<Self, GenError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let snap = snapshot_name(0);
-        let tmp = dir.join(format!("{snap}.tmp"));
-        write_snapshot(base, &tmp)?;
-        fs::rename(&tmp, dir.join(&snap))?;
-        store_manifest(
-            &dir,
-            &Manifest {
-                generation: 0,
-                snapshot: snap,
-                wal_start: 0,
-            },
-        )?;
+        commit_generation(&dir, 0, &[base], 0)?;
         Self::open(dir, opts, simp_factory)
     }
 
@@ -529,12 +550,12 @@ impl GenerationalDb {
     ///
     /// The pass holds the write lock only while sealing the active
     /// delta (a pointer swap plus one small file create) and while
-    /// swapping the new base in; the fold — column copy, snapshot
-    /// write, index rebuild — runs with serving live. The atomic
-    /// manifest rename is the commit point: a crash before it replays
-    /// the old generation plus all WALs, a crash after it opens the
-    /// new generation and ignores the folded WALs. Trajectory ids are
-    /// preserved exactly.
+    /// swapping the new base in; the fold — base and sealed columns
+    /// streamed into the next snapshot, then its index built — runs
+    /// with serving live. The atomic manifest rename is the commit
+    /// point: a crash before it replays the old generation plus all
+    /// WALs, a crash after it opens the new generation and ignores the
+    /// folded WALs. Trajectory ids are preserved exactly.
     pub fn compact(&self) -> Result<CompactionReport, GenError> {
         let _gate = self.compact_gate.lock().unwrap();
 
@@ -573,39 +594,21 @@ impl GenerationalDb {
             new_wal_start = new_seq;
         }
 
-        // Phase 2 (no lock): fold base + sealed into the next snapshot.
-        let mut folded = base.engine.store().to_point_store();
-        let (mut folded_trajs, mut folded_points) = (0usize, 0usize);
-        for s in &sealed {
-            for v in s.segment.engine.store().views() {
-                folded_trajs += 1;
-                folded_points += v.len();
-                folded.push_view(v);
-            }
-        }
-        let new_base_len = folded.len();
-        let snap = snapshot_name(next_gen);
-        let snap_path = self.dir.join(&snap);
-        let tmp = self.dir.join(format!("{snap}.tmp"));
-        write_snapshot(&folded, &tmp)?;
-        File::open(&tmp)?.sync_all()?;
-        fs::rename(&tmp, &snap_path)?;
-        // Its index and bounds are built here, ahead of the swap.
-        let part = match self.opts.open_mode() {
-            OpenMode::Owned => (folded.into(), Ids::From(0), None),
-            OpenMode::Mapped => snapshot_part(&snap_path, OpenMode::Mapped)?,
-        };
-        let next_base = StoredSegment::build(part, self.opts.engine_config());
+        // Phase 2 (no lock): stream base + sealed straight into the next
+        // snapshot and commit it — the manifest rename is the commit
+        // point. No folded copy of the columns is made.
+        let sealed_stores: Vec<_> = sealed.iter().map(|s| s.segment.engine.store()).collect();
+        let folded_trajs = sealed_stores.iter().map(|s| s.len()).sum();
+        let folded_points = sealed_stores.iter().map(|s| s.total_points()).sum();
+        let mut parts = vec![base.engine.store()];
+        parts.extend(sealed_stores);
+        let new_base_len = parts.iter().map(|s| s.len()).sum();
+        let snap_path = commit_generation(&self.dir, next_gen, &parts, new_wal_start)?;
 
-        // Phase 3: commit — atomic manifest rename.
-        store_manifest(
-            &self.dir,
-            &Manifest {
-                generation: next_gen,
-                snapshot: snap,
-                wal_start: new_wal_start,
-            },
-        )?;
+        // Phase 3 (no lock): open the committed generation and build its
+        // index, ahead of the swap.
+        let part = snapshot_part(&snap_path, self.opts.open_mode())?;
+        let next_base = StoredSegment::build(part, self.opts.engine_config());
 
         // Phase 4 (write lock): swap serving onto the new generation.
         {

@@ -3,6 +3,7 @@
 //! proportional budget; **Whole** ("W") treats the database as one global
 //! pool of insertion/drop candidates.
 
+use trajectory::parallel::par_map_indexed;
 use trajectory::{AsColumns, Simplification, TrajView};
 
 /// How a trajectory-level algorithm is adapted to a database.
@@ -68,13 +69,18 @@ pub fn per_trajectory_budgets_store<S: AsColumns + ?Sized>(store: &S, budget: us
 /// The "E" adaptation, written once: split `budget` proportionally
 /// ([`per_trajectory_budgets_store`]), hand every trajectory's zero-copy
 /// view and its share to `one`, and assemble the kept lists.
-pub fn simplify_each<S: AsColumns + ?Sized>(
+///
+/// Trajectories share nothing under "E", so they are simplified in
+/// parallel ([`par_map_indexed`]): the work-stealing counter balances
+/// long and short trajectories across the cores, and the kept lists come
+/// back in id order — the same lists a sequential map returns.
+pub fn simplify_each<S: AsColumns + Sync + ?Sized>(
     store: &S,
     budget: usize,
-    mut one: impl FnMut(TrajView<'_>, usize) -> Vec<u32>,
+    one: impl Fn(TrajView<'_>, usize) -> Vec<u32> + Sync,
 ) -> Simplification {
     let budgets = per_trajectory_budgets_store(store, budget);
-    let kept = store.views().zip(budgets).map(|(v, b)| one(v, b)).collect();
+    let kept = par_map_indexed(&budgets, |id, &b| one(store.view(id), b));
     Simplification::from_kept_store(store, kept)
 }
 

@@ -2,17 +2,25 @@
 //! contracts, endpoint preservation, and index validity for every
 //! algorithm × measure × adaptation combination.
 
+use std::sync::OnceLock;
+
 use proptest::prelude::*;
+use traj_simp::rlts::RltsTrainConfig;
 use traj_simp::{
-    min_points_store, per_trajectory_budgets_store, Adaptation, BottomUp, Simplifier, SpanSearch,
-    TopDown, Uniform,
+    min_points_store, per_trajectory_budgets_store, Adaptation, BottomUp, RltsPlus, Simplifier,
+    SpanSearch, TopDown, Uniform,
 };
+use trajectory::gen::{generate, DatasetSpec, Scale};
 use trajectory::{ErrorMeasure, Point, PointStore, Trajectory, TrajectoryDb};
 
 fn arb_db() -> impl Strategy<Value = PointStore> {
+    arb_db_of(1..6)
+}
+
+fn arb_db_of(trajectories: std::ops::Range<usize>) -> impl Strategy<Value = PointStore> {
     prop::collection::vec(
         prop::collection::vec((-500.0..500.0f64, -500.0..500.0f64, 0.1..10.0f64), 2..40),
-        1..6,
+        trajectories,
     )
     .prop_map(|trajs| {
         trajs
@@ -168,6 +176,53 @@ proptest! {
         // best-first order, and the budget only decides where it stops.
         for m in ErrorMeasure::ALL {
             check_nested(&db, &TopDown::new(m, Adaptation::Whole))?;
+        }
+    }
+}
+
+/// A trained RLTS+ policy, trained once for every case.
+fn rlts() -> &'static RltsPlus {
+    static POLICY: OnceLock<RltsPlus> = OnceLock::new();
+    POLICY.get_or_init(|| {
+        let train = generate(&DatasetSpec::geolife(Scale::Smoke), 3).to_store();
+        let cfg = RltsTrainConfig {
+            episodes: 4,
+            ..RltsTrainConfig::default()
+        };
+        RltsPlus::train(ErrorMeasure::Sed, Adaptation::Each, 3, &train, &cfg, 5)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// "E" simplifies trajectories on parallel workers; the kept sets are
+    /// those of a sequential map that simplifies each trajectory alone,
+    /// as a one-trajectory store (which runs on the calling thread), on
+    /// its share of the budget.
+    #[test]
+    fn each_adaptation_equals_a_sequential_map(
+        (db, frac) in (arb_db_of(2..24), 0.05..1.0f64)
+    ) {
+        let budget = ((db.total_points() as f64 * frac) as usize).max(1);
+        let budgets = per_trajectory_budgets_store(&db, budget);
+        let mut simplifiers: Vec<Box<dyn Simplifier>> = Vec::new();
+        for m in ErrorMeasure::ALL {
+            simplifiers.push(Box::new(TopDown::new(m, Adaptation::Each)));
+            simplifiers.push(Box::new(BottomUp::new(m, Adaptation::Each)));
+        }
+        simplifiers.push(Box::new(rlts().clone()));
+        simplifiers.push(Box::new(SpanSearch));
+        simplifiers.push(Box::new(Uniform));
+        for s in &simplifiers {
+            let simp = s.simplify_store(&db, budget);
+            for (id, v) in db.iter() {
+                let mut alone = PointStore::new();
+                alone.push_view(v);
+                prop_assert_eq!(per_trajectory_budgets_store(&alone, budgets[id]), vec![budgets[id]]);
+                let expected = s.simplify_store(&alone, budgets[id]);
+                prop_assert_eq!(simp.kept(id), expected.kept(0), "{} on trajectory {}", s.name(), id);
+            }
         }
     }
 }

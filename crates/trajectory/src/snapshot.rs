@@ -45,9 +45,9 @@
 //! ```
 
 use std::fs::File;
-use std::io;
 #[cfg(not(unix))]
 use std::io::Read;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 use crate::store::{AsColumns, KeptBitmap, PointStore};
@@ -279,32 +279,54 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// portable safe Rust, the same on every build and byte order.
 #[must_use]
 pub fn xxh64(bytes: &[u8]) -> u64 {
-    const P1: u64 = 0x9e37_79b1_85eb_ca87;
-    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
-    const P3: u64 = 0x1656_67b1_9e37_79f9;
-    const P4: u64 = 0x85eb_ca77_c2b2_ae63;
-    const P5: u64 = 0x27d4_eb2f_1656_67c5;
-    #[inline(always)]
-    fn round(acc: u64, lane: u64) -> u64 {
-        acc.wrapping_add(lane.wrapping_mul(P2))
-            .rotate_left(31)
-            .wrapping_mul(P1)
+    // One piece: whole stripes straight from `bytes`, then the tail.
+    let body = bytes.len() - bytes.len() % 32;
+    let mut lanes = XXH_LANES;
+    xxh_stripes(&mut lanes, &bytes[..body]);
+    xxh_digest(lanes, bytes.len() as u64, &bytes[body..])
+}
+
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// The four lanes before any stripe (seed 0).
+const XXH_LANES: [u64; 4] = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+
+#[inline(always)]
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+#[inline(always)]
+fn xxh_word(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("8-byte chunk"))
+}
+
+/// Runs the four lanes over whole 32-byte stripes.
+#[inline(always)]
+fn xxh_stripes(lanes: &mut [u64; 4], stripes: &[u8]) {
+    let mut v = *lanes;
+    for stripe in stripes.chunks_exact(32) {
+        for (acc, lane) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+            *acc = xxh_round(*acc, xxh_word(lane));
+        }
     }
+    *lanes = v;
+}
+
+/// The hash of `total` bytes whose whole stripes left `lanes` and whose
+/// last `tail.len() < 32` bytes are `tail`.
+fn xxh_digest(v: [u64; 4], total: u64, mut tail: &[u8]) -> u64 {
     #[inline(always)]
     fn merge(acc: u64, v: u64) -> u64 {
-        (acc ^ round(0, v)).wrapping_mul(P1).wrapping_add(P4)
+        (acc ^ xxh_round(0, v)).wrapping_mul(P1).wrapping_add(P4)
     }
-    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
-
-    let stripes = bytes.chunks_exact(32);
-    let mut rest = stripes.remainder();
-    let mut h = if bytes.len() >= 32 {
-        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
-        for stripe in stripes {
-            for (acc, lane) in v.iter_mut().zip(stripe.chunks_exact(8)) {
-                *acc = round(*acc, word(lane));
-            }
-        }
+    let mut h = if total >= 32 {
         let h = v[0]
             .rotate_left(1)
             .wrapping_add(v[1].rotate_left(7))
@@ -314,19 +336,19 @@ pub fn xxh64(bytes: &[u8]) -> u64 {
     } else {
         P5
     };
-    h = h.wrapping_add(bytes.len() as u64);
-    while rest.len() >= 8 {
-        h ^= round(0, word(&rest[..8]));
+    h = h.wrapping_add(total);
+    while tail.len() >= 8 {
+        h ^= xxh_round(0, xxh_word(&tail[..8]));
         h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
-        rest = &rest[8..];
+        tail = &tail[8..];
     }
-    if rest.len() >= 4 {
-        let half = u32::from_le_bytes(rest[..4].try_into().expect("4-byte chunk"));
+    if tail.len() >= 4 {
+        let half = u32::from_le_bytes(tail[..4].try_into().expect("4-byte chunk"));
         h ^= u64::from(half).wrapping_mul(P1);
         h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
-        rest = &rest[4..];
+        tail = &tail[4..];
     }
-    for &b in rest {
+    for &b in tail {
         h ^= u64::from(b).wrapping_mul(P5);
         h = h.rotate_left(11).wrapping_mul(P1);
     }
@@ -335,6 +357,63 @@ pub fn xxh64(bytes: &[u8]) -> u64 {
     h ^= h >> 29;
     h = h.wrapping_mul(P3);
     h ^ (h >> 32)
+}
+
+/// [`xxh64`] fed in pieces: any split of a buffer over [`Xxh64::update`]
+/// calls, then [`Xxh64::finish`], gives the hash of the whole. A partial
+/// 32-byte stripe waits in a small buffer for the next piece, so a
+/// writer can seal bytes as it streams them without holding an image.
+#[derive(Debug, Clone)]
+pub struct Xxh64 {
+    lanes: [u64; 4],
+    /// The bytes of the stripe in progress (`pending` of them).
+    stripe: [u8; 32],
+    pending: usize,
+    total: u64,
+}
+
+impl Default for Xxh64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Xxh64 {
+    /// The state before any byte.
+    #[must_use]
+    pub fn new() -> Self {
+        Self {
+            lanes: XXH_LANES,
+            stripe: [0; 32],
+            pending: 0,
+            total: 0,
+        }
+    }
+
+    /// Feeds the next `bytes`.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.total += bytes.len() as u64;
+        if self.pending > 0 {
+            let take = bytes.len().min(32 - self.pending);
+            self.stripe[self.pending..self.pending + take].copy_from_slice(&bytes[..take]);
+            self.pending += take;
+            bytes = &bytes[take..];
+            if self.pending < 32 {
+                return;
+            }
+            xxh_stripes(&mut self.lanes, &self.stripe);
+        }
+        let body = bytes.len() - bytes.len() % 32;
+        xxh_stripes(&mut self.lanes, &bytes[..body]);
+        self.stripe[..bytes.len() - body].copy_from_slice(&bytes[body..]);
+        self.pending = bytes.len() - body;
+    }
+
+    /// The hash of every byte fed so far.
+    #[must_use]
+    pub fn finish(&self) -> u64 {
+        xxh_digest(self.lanes, self.total, &self.stripe[..self.pending])
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -368,26 +447,12 @@ pub fn get_u64(buf: &[u8], off: usize) -> u64 {
 
 /// Copies `src` into `dst` as little-endian bytes. On little-endian
 /// targets this is one `memcpy`; big-endian targets byte-swap per element.
-fn copy_f64s_le(dst: &mut [u8], src: &[f64]) {
-    debug_assert_eq!(dst.len(), src.len() * 8);
-    if cfg!(target_endian = "little") {
-        // SAFETY: f64 has no padding; reinterpreting its memory as bytes
-        // is always valid, and on LE targets the bytes are already in
-        // file order.
-        let bytes = unsafe { std::slice::from_raw_parts(src.as_ptr().cast::<u8>(), src.len() * 8) };
-        dst.copy_from_slice(bytes);
-    } else {
-        for (chunk, v) in dst.chunks_exact_mut(8).zip(src) {
-            chunk.copy_from_slice(&v.to_bits().to_le_bytes());
-        }
-    }
-}
-
-/// [`copy_f64s_le`] for `u32` runs.
 fn copy_u32s_le(dst: &mut [u8], src: &[u32]) {
     debug_assert_eq!(dst.len(), src.len() * 4);
     if cfg!(target_endian = "little") {
-        // SAFETY: as in `copy_f64s_le`.
+        // SAFETY: u32 has no padding; reinterpreting its memory as bytes
+        // is always valid, and on LE targets the bytes are already in
+        // file order.
         let bytes = unsafe { std::slice::from_raw_parts(src.as_ptr().cast::<u8>(), src.len() * 4) };
         dst.copy_from_slice(bytes);
     } else {
@@ -397,11 +462,11 @@ fn copy_u32s_le(dst: &mut [u8], src: &[u32]) {
     }
 }
 
-/// [`copy_f64s_le`] for `u64` runs.
+/// [`copy_u32s_le`] for `u64` runs.
 fn copy_u64s_le(dst: &mut [u8], src: &[u64]) {
     debug_assert_eq!(dst.len(), src.len() * 8);
     if cfg!(target_endian = "little") {
-        // SAFETY: as in `copy_f64s_le`.
+        // SAFETY: as in `copy_u32s_le`.
         let bytes = unsafe { std::slice::from_raw_parts(src.as_ptr().cast::<u8>(), src.len() * 8) };
         dst.copy_from_slice(bytes);
     } else {
@@ -863,13 +928,121 @@ fn validate(bytes: &[u8]) -> Result<Layout, SnapshotError> {
 // Writing.
 // ---------------------------------------------------------------------
 
-/// Serializes the full byte image of a snapshot (header, padded sections,
-/// trailing checksum) — the single source of truth both file writers and
-/// the in-memory round-trip tests use.
-#[must_use]
-pub fn snapshot_bytes<S: AsColumns + ?Sized>(store: &S, kept: Option<&KeptBitmap>) -> Vec<u8> {
-    let m = store.len();
-    let n = store.total_points();
+/// The 128-byte header of a file laid out as `layout`: magic, version,
+/// flags (from the layout's optional sections), counts and section
+/// offsets; reserved bytes are zero.
+fn header(layout: &Layout) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    let flags = if layout.kept_off.is_some() {
+        FLAG_KEPT_BITMAP
+    } else {
+        0
+    } | if layout.quant.is_some() {
+        FLAG_QUANTIZED
+    } else {
+        0
+    };
+    h[0..8].copy_from_slice(&MAGIC);
+    put_u32(&mut h, 8, VERSION);
+    put_u32(&mut h, 12, flags);
+    put_u64(&mut h, 16, layout.traj_count as u64);
+    put_u64(&mut h, 24, layout.point_count as u64);
+    put_u64(&mut h, 32, layout.xs_off as u64);
+    put_u64(&mut h, 40, layout.ys_off as u64);
+    put_u64(&mut h, 48, layout.ts_off as u64);
+    put_u64(&mut h, 56, layout.offsets_off as u64);
+    put_u64(&mut h, 64, layout.kept_off.unwrap_or(0) as u64);
+    put_u64(&mut h, 72, layout.checksum_off as u64);
+    if layout.quant.is_some() {
+        put_u64(&mut h, 80, HEADER_LEN as u64); // qmeta_off
+    }
+    h
+}
+
+/// A snapshot on its way to `out`: every byte is hashed as it passes,
+/// and `pos` is its file offset, which the section padding aims at.
+struct SealingWriter<W: Write> {
+    out: W,
+    hash: Xxh64,
+    pos: usize,
+}
+
+impl<W: Write> SealingWriter<W> {
+    /// Bytes hashed and handed on per step: small enough to stay in
+    /// cache between the two passes, large enough that a column costs a
+    /// few dozen `write` calls.
+    const CHUNK: usize = 256 << 10;
+
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        for chunk in bytes.chunks(Self::CHUNK) {
+            self.hash.update(chunk);
+            self.out.write_all(chunk)?;
+        }
+        self.pos += bytes.len();
+        Ok(())
+    }
+
+    /// Zero bytes up to file offset `off`.
+    fn pad_to(&mut self, off: usize) -> io::Result<()> {
+        debug_assert!(self.pos <= off);
+        self.put(&[0u8; SECTION_ALIGN][..off - self.pos])
+    }
+
+    /// A run of `f64`/`u32`/`u64` words, little-endian: the words' own
+    /// memory on little-endian targets, converted through a stack buffer
+    /// (`to_le`) elsewhere. `T` must be one of those three: plain words
+    /// with no padding.
+    fn put_words<T: Copy, const N: usize>(
+        &mut self,
+        src: &[T],
+        to_le: fn(T) -> [u8; N],
+    ) -> io::Result<()> {
+        debug_assert_eq!(std::mem::size_of::<T>(), N);
+        if cfg!(target_endian = "little") {
+            // SAFETY: `T` is a padding-free word type (see above), so
+            // every byte of `src` is initialized, and on little-endian
+            // targets its bytes already are in file order.
+            let bytes = unsafe {
+                std::slice::from_raw_parts(src.as_ptr().cast::<u8>(), std::mem::size_of_val(src))
+            };
+            return self.put(bytes);
+        }
+        let mut buf = [0u8; 4096];
+        for words in src.chunks(buf.len() / N) {
+            for (dst, &w) in buf.chunks_exact_mut(N).zip(words) {
+                dst.copy_from_slice(&to_le(w));
+            }
+            self.put(&buf[..words.len() * N])?;
+        }
+        Ok(())
+    }
+
+    /// Appends the checksum of everything written and returns the sink.
+    fn seal(mut self) -> io::Result<W> {
+        let sum = self.hash.finish();
+        self.out.write_all(&sum.to_le_bytes())?;
+        Ok(self.out)
+    }
+}
+
+/// Streams the snapshot of `parts`, concatenated in order, into `out`:
+/// header, padded sections, then the checksum, written and hashed as
+/// they go — the output never exists as a whole in memory. Trajectory
+/// ids run through the parts in order (the concatenated store's ids),
+/// and `kept`, when given, covers the points of all parts. The bytes
+/// equal those of a snapshot of the concatenated store; this is the one
+/// writer behind [`snapshot_bytes`], [`write_snapshot_with`] and a live
+/// database's compaction fold. Returns `out`, unflushed.
+///
+/// # Panics
+/// When `kept` covers a different number of points than the parts hold.
+pub fn write_snapshot_to<S, W>(parts: &[&S], kept: Option<&KeptBitmap>, out: W) -> io::Result<W>
+where
+    S: AsColumns + ?Sized,
+    W: Write,
+{
+    let m: usize = parts.iter().map(|p| p.len()).sum();
+    let n: usize = parts.iter().map(|p| p.total_points()).sum();
     if let Some(k) = kept {
         assert_eq!(
             k.len(),
@@ -879,39 +1052,60 @@ pub fn snapshot_bytes<S: AsColumns + ?Sized>(store: &S, kept: Option<&KeptBitmap
         );
     }
     let layout = Layout::plan(m, n, kept.is_some());
-    let mut buf = vec![0u8; layout.file_len()];
-
-    buf[0..8].copy_from_slice(&MAGIC);
-    put_u32(&mut buf, 8, VERSION);
-    put_u32(
-        &mut buf,
-        12,
-        if kept.is_some() { FLAG_KEPT_BITMAP } else { 0 },
-    );
-    put_u64(&mut buf, 16, m as u64);
-    put_u64(&mut buf, 24, n as u64);
-    put_u64(&mut buf, 32, layout.xs_off as u64);
-    put_u64(&mut buf, 40, layout.ys_off as u64);
-    put_u64(&mut buf, 48, layout.ts_off as u64);
-    put_u64(&mut buf, 56, layout.offsets_off as u64);
-    put_u64(&mut buf, 64, layout.kept_off.unwrap_or(0) as u64);
-    put_u64(&mut buf, 72, layout.checksum_off as u64);
-    // Bytes 80..128 stay reserved (zero).
-
-    copy_f64s_le(&mut buf[layout.xs_off..layout.xs_off + n * 8], store.xs());
-    copy_f64s_le(&mut buf[layout.ys_off..layout.ys_off + n * 8], store.ys());
-    copy_f64s_le(&mut buf[layout.ts_off..layout.ts_off + n * 8], store.ts());
-    copy_u32s_le(
-        &mut buf[layout.offsets_off..layout.offsets_off + (m + 1) * 4],
-        store.offsets(),
-    );
-    if let (Some(off), Some(k)) = (layout.kept_off, kept) {
-        copy_u64s_le(&mut buf[off..off + layout.kept_words * 8], k.words());
+    let mut w = SealingWriter {
+        out,
+        hash: Xxh64::new(),
+        pos: 0,
+    };
+    w.put(&header(&layout))?;
+    for (off, column) in [
+        (layout.xs_off, AsColumns::xs as fn(&S) -> &[f64]),
+        (layout.ys_off, AsColumns::ys),
+        (layout.ts_off, AsColumns::ts),
+    ] {
+        w.pad_to(off)?;
+        for part in parts {
+            w.put_words(column(part), f64::to_le_bytes)?;
+        }
     }
+    // One leading zero, then each part's ends shifted by the points
+    // before it.
+    w.pad_to(layout.offsets_off)?;
+    w.put_words(&[0u32], u32::to_le_bytes)?;
+    let mut before = 0u32;
+    for part in parts {
+        let ends = &part.offsets()[1..];
+        if before == 0 {
+            w.put_words(ends, u32::to_le_bytes)?;
+        } else {
+            let mut buf = [0u32; 1024];
+            for chunk in ends.chunks(buf.len()) {
+                for (dst, &end) in buf.iter_mut().zip(chunk) {
+                    *dst = end + before;
+                }
+                w.put_words(&buf[..chunk.len()], u32::to_le_bytes)?;
+            }
+        }
+        before += part.total_points() as u32;
+    }
+    if let (Some(off), Some(k)) = (layout.kept_off, kept) {
+        w.pad_to(off)?;
+        w.put_words(k.words(), u64::to_le_bytes)?;
+    }
+    w.pad_to(layout.checksum_off)?;
+    w.seal()
+}
 
-    let sum = xxh64(&buf[..layout.checksum_off]);
-    put_u64(&mut buf, layout.checksum_off, sum);
-    buf
+/// The full byte image of a snapshot (header, padded sections, trailing
+/// checksum): [`write_snapshot_to`] over a `Vec<u8>`, for in-memory
+/// round trips and tests.
+///
+/// # Panics
+/// When `kept` covers a different number of points than `store` holds.
+#[must_use]
+pub fn snapshot_bytes<S: AsColumns + ?Sized>(store: &S, kept: Option<&KeptBitmap>) -> Vec<u8> {
+    let len = Layout::plan(store.len(), store.total_points(), kept.is_some()).file_len();
+    write_snapshot_to(&[store], kept, Vec::with_capacity(len)).expect("writing to a Vec")
 }
 
 /// Writes `store` as a snapshot file at `path` (no kept bitmap).
@@ -926,7 +1120,8 @@ where
 /// Writes `store` plus an optional kept-point bitmap — the persisted form
 /// of a simplified database: the full columns stay addressable (so error
 /// measures and re-simplification still see `D`), while query serving
-/// reads `D'` straight off the bitmap.
+/// reads `D'` straight off the bitmap. The file is streamed through one
+/// buffered writer ([`write_snapshot_to`]).
 ///
 /// # Panics
 /// When `kept` covers a different number of points than `store` holds.
@@ -939,8 +1134,10 @@ where
     S: AsColumns + ?Sized,
     P: AsRef<Path>,
 {
-    let bytes = snapshot_bytes(store, kept);
-    std::fs::write(path, bytes)?;
+    let file = BufWriter::new(File::create(path)?);
+    write_snapshot_to(&[store], kept, file)?
+        .into_inner()
+        .map_err(io::IntoInnerError::into_error)?;
     Ok(())
 }
 
@@ -988,21 +1185,7 @@ pub fn quantized_snapshot_bytes<S: AsColumns + ?Sized>(
     };
     let layout = Layout::plan_quantized(m, n, kept.is_some(), quant);
     let mut buf = vec![0u8; layout.file_len()];
-
-    buf[0..8].copy_from_slice(&MAGIC);
-    put_u32(&mut buf, 8, VERSION);
-    let flags = FLAG_QUANTIZED | if kept.is_some() { FLAG_KEPT_BITMAP } else { 0 };
-    put_u32(&mut buf, 12, flags);
-    put_u64(&mut buf, 16, m as u64);
-    put_u64(&mut buf, 24, n as u64);
-    put_u64(&mut buf, 32, layout.xs_off as u64);
-    put_u64(&mut buf, 40, layout.ys_off as u64);
-    put_u64(&mut buf, 48, layout.ts_off as u64);
-    put_u64(&mut buf, 56, layout.offsets_off as u64);
-    put_u64(&mut buf, 64, layout.kept_off.unwrap_or(0) as u64);
-    put_u64(&mut buf, 72, layout.checksum_off as u64);
-    put_u64(&mut buf, 80, HEADER_LEN as u64); // qmeta_off
-                                              // Bytes 88..128 stay reserved (zero).
+    buf[..HEADER_LEN].copy_from_slice(&header(&layout));
 
     put_f64(&mut buf, HEADER_LEN, max_error);
     for (i, col) in quant.cols.iter().enumerate() {

@@ -2,13 +2,16 @@
 //! round-trips byte-identically through both load paths (owned read and
 //! zero-copy mapping), kept bitmaps survive alongside, and *any*
 //! single-byte corruption is rejected with a typed error — never a panic,
-//! never silently wrong data.
+//! never silently wrong data. The streaming writer produces the bytes of
+//! a file-sized reference image, whole or from parts, and its incremental
+//! XXH64 is the one-shot hash under any split.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use trajectory::snapshot::{
-    read_snapshot_bytes, snapshot_bytes, MappedStore, SnapshotError, HEADER_LEN,
+    put_f64, put_u32, put_u64, read_snapshot_bytes, snapshot_bytes, write_snapshot_to,
+    write_snapshot_with, xxh64, MappedStore, SnapshotError, Xxh64, HEADER_LEN,
 };
 use trajectory::{AsColumns, KeptBitmap, Point, PointStore, Trajectory};
 
@@ -186,5 +189,147 @@ proptest! {
         }
         prop_assert!(bytes[80..128].iter().all(|&b| b == 0));
         prop_assert_eq!(bytes.len(), u64_at(72) as usize + 8);
+    }
+}
+
+/// The image the writer built before it streamed: a file-sized zeroed
+/// buffer, every section put at its canonical offset (format spec), and
+/// the checksum over everything before it. The reference the streamed
+/// bytes must equal.
+fn reference_image(store: &PointStore, kept: Option<&KeptBitmap>) -> Vec<u8> {
+    let align = |n: usize| n.div_ceil(64) * 64;
+    let (m, n) = (store.len(), store.total_points());
+    let xs_off = HEADER_LEN;
+    let ys_off = align(xs_off + 8 * n);
+    let ts_off = align(ys_off + 8 * n);
+    let offsets_off = align(ts_off + 8 * n);
+    let offsets_end = offsets_off + 4 * (m + 1);
+    let kept_off = kept.map(|_| align(offsets_end));
+    let checksum_off = align(kept_off.map_or(offsets_end, |off| off + 8 * n.div_ceil(64)));
+    let mut buf = vec![0u8; checksum_off + 8];
+    buf[..8].copy_from_slice(b"QDTSNAP\0");
+    put_u32(&mut buf, 8, 2);
+    put_u32(&mut buf, 12, u32::from(kept.is_some()));
+    for (at, v) in [
+        (16, m),
+        (24, n),
+        (32, xs_off),
+        (40, ys_off),
+        (48, ts_off),
+        (56, offsets_off),
+        (64, kept_off.unwrap_or(0)),
+        (72, checksum_off),
+    ] {
+        put_u64(&mut buf, at, v as u64);
+    }
+    for (off, column) in [
+        (xs_off, store.xs()),
+        (ys_off, store.ys()),
+        (ts_off, store.ts()),
+    ] {
+        for (i, &v) in column.iter().enumerate() {
+            put_f64(&mut buf, off + 8 * i, v);
+        }
+    }
+    for (i, &o) in store.offsets().iter().enumerate() {
+        put_u32(&mut buf, offsets_off + 4 * i, o);
+    }
+    if let (Some(off), Some(k)) = (kept_off, kept) {
+        for (i, &w) in k.words().iter().enumerate() {
+            put_u64(&mut buf, off + 8 * i, w);
+        }
+    }
+    let sum = xxh64(&buf[..checksum_off]);
+    put_u64(&mut buf, checksum_off, sum);
+    buf
+}
+
+/// What [`write_snapshot_with`] leaves on disk.
+fn streamed_file(store: &PointStore, kept: Option<&KeptBitmap>) -> Vec<u8> {
+    let path = unique_temp("streamed");
+    write_snapshot_with(store, kept, &path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    bytes
+}
+
+#[test]
+fn the_empty_store_streams_the_reference_image() {
+    let empty = PointStore::new();
+    for kept in [None, Some(KeptBitmap::zeros(0))] {
+        let expected = reference_image(&empty, kept.as_ref());
+        assert_eq!(streamed_file(&empty, kept.as_ref()), expected);
+        assert_eq!(snapshot_bytes(&empty, kept.as_ref()), expected);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn the_streamed_file_is_the_reference_image(
+        (store, bitmap, with_kept) in arb_store().prop_flat_map(|s| {
+            let n = s.total_points();
+            (Just(s), arb_bitmap(n), any::<bool>())
+        })
+    ) {
+        let kept = with_kept.then_some(&bitmap);
+        let expected = reference_image(&store, kept);
+        prop_assert_eq!(streamed_file(&store, kept), expected.clone());
+        prop_assert_eq!(snapshot_bytes(&store, kept), expected);
+    }
+
+    #[test]
+    fn a_k_part_write_is_the_write_of_the_concatenation(
+        (store, bitmap, with_kept, cuts) in arb_store().prop_flat_map(|s| {
+            let (n, m) = (s.total_points(), s.len());
+            (
+                Just(s),
+                arb_bitmap(n),
+                any::<bool>(),
+                prop::collection::vec(0..=m, 0..5),
+            )
+        })
+    ) {
+        // Cut the trajectory list at `cuts` (sorted, repeats give empty
+        // parts) into consecutive parts.
+        let mut cuts = cuts;
+        cuts.sort_unstable();
+        let mut parts = Vec::new();
+        let mut from = 0;
+        for end in cuts.into_iter().chain([store.len()]) {
+            let mut part = PointStore::new();
+            for id in from..end {
+                part.push_view(store.view(id));
+            }
+            parts.push(part);
+            from = end;
+        }
+        let refs: Vec<&PointStore> = parts.iter().collect();
+        let kept = with_kept.then_some(&bitmap);
+        let written = write_snapshot_to(&refs, kept, Vec::new()).unwrap();
+        prop_assert_eq!(written, snapshot_bytes(&store, kept), "{} parts", parts.len());
+    }
+
+    #[test]
+    fn incremental_xxh64_equals_the_one_shot_hash_for_every_split(
+        bytes in prop::collection::vec(any::<u8>(), 0..130)
+    ) {
+        // Every two-piece split, and every three-piece split — cuts
+        // inside a 32-byte stripe and on its edges alike.
+        let whole = xxh64(&bytes);
+        for i in 0..=bytes.len() {
+            let mut h = Xxh64::new();
+            h.update(&bytes[..i]);
+            h.update(&bytes[i..]);
+            prop_assert_eq!(h.finish(), whole, "split at {}", i);
+            for j in i..=bytes.len() {
+                let mut h = Xxh64::new();
+                h.update(&bytes[..i]);
+                h.update(&bytes[i..j]);
+                h.update(&bytes[j..]);
+                prop_assert_eq!(h.finish(), whole, "split at {} and {}", i, j);
+            }
+        }
     }
 }
