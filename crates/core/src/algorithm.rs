@@ -147,9 +147,8 @@ impl Rl4Qdts {
             }
             let inserted = point_state(store, &simp, tree, node, &self.config, &mut point) && {
                 let action = if variant.use_point_agent {
-                    self.point_agent.whiten(&mut point.state);
                     self.point_agent
-                        .greedy_action_with(&point.state, &point.mask, &mut rows)
+                        .greedy_action_raw(&mut point.state, &point.mask, &mut rows)
                 } else {
                     0 // maximum-v_s candidate
                 };
@@ -186,9 +185,8 @@ impl Rl4Qdts {
             let Some(mut state) = cube_state(tree, node) else {
                 return node;
             };
-            self.cube_agent.whiten(&mut state);
             let mask = cube_mask(tree, node);
-            let action = self.cube_agent.greedy_action_with(&state, &mask, rows);
+            let action = self.cube_agent.greedy_action_raw(&mut state, &mask, rows);
             if action == STOP_ACTION {
                 return node;
             }
@@ -198,9 +196,12 @@ impl Rl4Qdts {
     }
 }
 
-/// Deterministically inserts not-yet-kept points (highest-SED first per
-/// trajectory, round-robin) until `budget` is reached. Only used as the
-/// exhaustion fallback; normal operation inserts via the agents.
+/// Deterministically inserts not-yet-kept points until `budget` is
+/// reached: every remaining interior point of the database ranked by its
+/// `v_s` against the simplification as it stands, highest first (a stable
+/// sort, so equal values keep store order), not round-robin over
+/// trajectories. Only used as the exhaustion fallback; normal operation
+/// inserts via the agents.
 fn fill_remaining<S: AsColumns + ?Sized>(store: &S, simp: &mut Simplification, budget: usize) {
     use crate::point_agent::point_value;
     use traj_index::PointRef;
@@ -316,6 +317,41 @@ mod tests {
         let budget = simp.total_points() + 17;
         fill_remaining(&store, &mut simp, budget);
         assert_eq!(simp.total_points(), budget);
+    }
+
+    /// Trajectory 0 has two points farther off its anchor segment than
+    /// any point of trajectory 1: the global ranking inserts both before
+    /// trajectory 1's best, where a per-trajectory round-robin would take
+    /// one from each.
+    #[test]
+    fn fill_remaining_ranks_points_across_trajectories() {
+        use trajectory::{Point, Trajectory};
+        let traj = |ys: [f64; 4]| {
+            let pts = ys.iter().enumerate();
+            Trajectory::new(
+                pts.map(|(i, &y)| Point::new(i as f64, y, i as f64))
+                    .collect(),
+            )
+            .unwrap()
+        };
+        let db = TrajectoryDb::new(vec![
+            traj([0.0, 100.0, 90.0, 0.0]),
+            traj([0.0, 2.0, 1.0, 0.0]),
+        ]);
+        let store = db.to_store();
+        let order = [(0, 1), (0, 2), (1, 1), (1, 2)];
+        for n in 1..=order.len() {
+            let mut simp = Simplification::most_simplified_store(&store);
+            let budget = simp.total_points() + n;
+            fill_remaining(&store, &mut simp, budget);
+            for (i, &(traj, idx)) in order.iter().enumerate() {
+                assert_eq!(
+                    simp.contains(traj, idx),
+                    i < n,
+                    "budget +{n}: ({traj}, {idx})"
+                );
+            }
+        }
     }
 
     #[test]

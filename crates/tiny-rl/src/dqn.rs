@@ -159,12 +159,16 @@ impl Dqn {
     /// Falls back to action 0 when the mask is all-false.
     pub fn select_action(&mut self, state: &[f64], mask: &[bool]) -> usize {
         debug_assert_eq!(mask.len(), self.action_dim());
-        let valid: Vec<usize> = (0..mask.len()).filter(|&a| mask[a]).collect();
-        if valid.is_empty() {
+        let valid = mask.iter().filter(|&&ok| ok).count();
+        if valid == 0 {
             return 0;
         }
         if self.rng.gen_range(0.0..1.0) < self.epsilon {
-            return valid[self.rng.gen_range(0..valid.len())];
+            let n = self.rng.gen_range(0..valid);
+            return (0..mask.len())
+                .filter(|&a| mask[a])
+                .nth(n)
+                .expect("n < valid");
         }
         self.greedy_action(state, mask)
     }
@@ -175,13 +179,46 @@ impl Dqn {
     }
 
     /// [`Dqn::greedy_action`] with the forward pass run over the caller's
-    /// rows (an inference loop's per-decision allocations go).
+    /// rows (an inference loop's per-decision allocations go). A mask that
+    /// admits at most one action decides without a forward pass: the one
+    /// valid action whatever its Q-value, or 0 when none is valid.
     pub fn greedy_action_with(
         &self,
         state: &[f64],
         mask: &[bool],
         rows: &mut ForwardRows,
     ) -> usize {
+        self.forced_action(mask)
+            .unwrap_or_else(|| self.argmax(state, mask, rows))
+    }
+
+    /// [`Dqn::greedy_action_with`] on a raw state: whitens it in place with
+    /// the statistics as they stand, then decides — unless the mask forces
+    /// the action, when nothing reads the state and it is left raw.
+    pub fn greedy_action_raw(
+        &self,
+        state: &mut [f64],
+        mask: &[bool],
+        rows: &mut ForwardRows,
+    ) -> usize {
+        self.forced_action(mask).unwrap_or_else(|| {
+            self.whiten(state);
+            self.argmax(state, mask, rows)
+        })
+    }
+
+    /// The action a mask admitting at most one leaves no choice about.
+    fn forced_action(&self, mask: &[bool]) -> Option<usize> {
+        let mut valid = (0..self.action_dim().min(mask.len())).filter(|&a| mask[a]);
+        match (valid.next(), valid.next()) {
+            (first, None) => Some(first.unwrap_or(0)),
+            _ => None,
+        }
+    }
+
+    /// The valid action of highest Q, the first of equals (0 when none is
+    /// valid).
+    fn argmax(&self, state: &[f64], mask: &[bool], rows: &mut ForwardRows) -> usize {
         let q = self.online.forward_rows(state, rows);
         let mut best = None::<(usize, f64)>;
         for (a, (&qa, &ok)) in q.iter().zip(mask).enumerate() {
@@ -403,6 +440,44 @@ mod tests {
             assert_eq!(a, 1);
         }
         assert_eq!(agent.greedy_action(&[0.0, 1.0], &mask), 1);
+    }
+
+    /// The ε-greedy draw as it was written with the valid actions
+    /// collected into a `Vec` per call.
+    fn collected_select_action(agent: &mut Dqn, state: &[f64], mask: &[bool]) -> usize {
+        let valid: Vec<usize> = (0..mask.len()).filter(|&a| mask[a]).collect();
+        if valid.is_empty() {
+            return 0;
+        }
+        if agent.rng.gen_range(0.0..1.0) < agent.epsilon {
+            return valid[agent.rng.gen_range(0..valid.len())];
+        }
+        agent.greedy_action(state, mask)
+    }
+
+    #[test]
+    fn select_action_draws_what_the_collected_form_drew() {
+        use rand::RngCore;
+        let mut masks = StdRng::seed_from_u64(14);
+        for epsilon in [1.0, 0.5, 0.0] {
+            let mut agent = Dqn::new(&[3, 8, 6], DqnConfig::default(), 13);
+            agent.epsilon = epsilon;
+            let mut reference = agent.clone();
+            for step in 0..500 {
+                let mask: Vec<bool> = (0..6).map(|_| masks.gen_range(0..3) == 0).collect();
+                let state = [step as f64 * 0.01, -1.0, 0.5];
+                assert_eq!(
+                    agent.select_action(&state, &mask),
+                    collected_select_action(&mut reference, &state, &mask),
+                    "ε {epsilon}, step {step}, mask {mask:?}"
+                );
+            }
+            assert_eq!(
+                agent.rng.next_u64(),
+                reference.rng.next_u64(),
+                "ε {epsilon}"
+            );
+        }
     }
 
     #[test]

@@ -4,14 +4,62 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tiny_rl::nn::serialize::{mlp_from_str, mlp_to_string, whitener_from_str, whitener_to_string};
-use tiny_rl::{Dqn, DqnConfig, Mlp, ReplayMemory, Transition, Whitener};
+use tiny_rl::{Dqn, DqnConfig, ForwardRows, Mlp, ReplayMemory, Transition, Whitener};
 
 fn arb_input(dim: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-10.0..10.0f64, dim)
 }
 
+/// The greedy decision with a forward pass whatever the mask: the first
+/// valid action of highest Q, 0 when none is valid.
+fn full_forward_greedy(agent: &Dqn, state: &[f64], mask: &[bool]) -> usize {
+    let q = agent.q_values(state);
+    let mut best = None::<(usize, f64)>;
+    for (a, (&qa, &ok)) in q.iter().zip(mask).enumerate() {
+        if ok && best.is_none_or(|(_, bq)| qa > bq) {
+            best = Some((a, qa));
+        }
+    }
+    best.map_or(0, |(a, _)| a)
+}
+
+/// Masks over 5 actions: one-hot, all-false, or anything.
+fn arb_mask() -> impl Strategy<Value = Vec<bool>> {
+    prop_oneof![
+        (0usize..5).prop_map(|hot| (0..5).map(|a| a == hot).collect()),
+        Just(vec![false; 5]),
+        prop::collection::vec(any::<bool>(), 5),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn forced_actions_decide_as_the_full_forward_pass(
+        (seed, x, mask, seen) in (
+            0u64..500,
+            arb_input(4),
+            arb_mask(),
+            prop::collection::vec(arb_input(4), 0..8),
+        )
+    ) {
+        let mut agent = Dqn::new(&[4, 8, 5], DqnConfig::default(), seed);
+        for s in &seen {
+            agent.observe_whiten(&mut s.clone());
+        }
+        let mut whitened = x.clone();
+        agent.whiten(&mut whitened);
+        let expected = full_forward_greedy(&agent, &whitened, &mask);
+        let mut rows = ForwardRows::default();
+        prop_assert_eq!(agent.greedy_action(&whitened, &mask), expected);
+        prop_assert_eq!(agent.greedy_action_with(&whitened, &mask, &mut rows), expected);
+        let mut raw = x.clone();
+        prop_assert_eq!(agent.greedy_action_raw(&mut raw, &mask, &mut rows), expected);
+        // The raw form whitens exactly when a forward pass reads the state.
+        let forced = mask.iter().filter(|&&ok| ok).count() <= 1;
+        prop_assert_eq!(raw, if forced { x } else { whitened });
+    }
 
     #[test]
     fn mlp_forward_is_deterministic_and_finite(

@@ -201,37 +201,49 @@ pub trait CubeIndex {
     /// [`assign_queries`](Self::assign_queries).
     fn start_sampler(&self, s: u32, by_data: bool) -> StartSampler {
         let candidates = self.nodes_at_level(s);
-        let weigh = |by_data: bool| -> (Vec<f64>, f64) {
-            let count = |id| match by_data {
+        let cumulate = |by_data: bool| {
+            running_sums(candidates.iter().map(|&id| match by_data {
                 true => self.traj_count(id),
                 false => self.query_count(id),
-            };
-            let weights: Vec<f64> = candidates.iter().map(|&id| count(id) as f64).collect();
-            let total = weights.iter().sum();
-            (weights, total)
+            }))
         };
-        let (mut weights, mut total) = weigh(by_data);
-        if !by_data && total <= 0.0 {
-            (weights, total) = weigh(true);
+        let mut cumulative = cumulate(by_data);
+        if !by_data && cumulative.last().is_some_and(|&total| total <= 0.0) {
+            cumulative = cumulate(true);
         }
         StartSampler {
             root: self.root(),
             candidates,
-            weights,
-            total,
+            cumulative,
         }
     }
 }
 
+/// The running sums of a start level's weights, in f64.
+fn running_sums(weights: impl Iterator<Item = u32>) -> Vec<f64> {
+    let mut sum = 0.0;
+    let sums: Vec<f64> = weights
+        .map(|w| {
+            sum += w as f64;
+            sum
+        })
+        .collect();
+    // What makes them the sequential scan's boundaries exactly (see
+    // `StartSampler::sample`): integer weights whose sum f64 holds without
+    // rounding.
+    debug_assert!(sums.iter().all(|c| c.fract() == 0.0));
+    debug_assert!(sum <= (1u64 << 53) as f64);
+    sums
+}
+
 /// A start-cube distribution ([`CubeIndex::start_sampler`]): the candidate
-/// nodes of one level, their weights and the weights' sum, computed once
-/// and drawn from once per insertion.
+/// nodes of one level and the running sums of their weights (the last is
+/// the total), computed once and drawn from once per insertion.
 #[derive(Debug, Clone)]
 pub struct StartSampler {
     root: NodeId,
     candidates: Vec<NodeId>,
-    weights: Vec<f64>,
-    total: f64,
+    cumulative: Vec<f64>,
 }
 
 impl StartSampler {
@@ -240,24 +252,31 @@ impl StartSampler {
     ///
     /// The draw is part of what a seed means, so its rng consumption is
     /// fixed: one `gen_range(0.0..total)` (one `gen_range(0..len)` when
-    /// every weight vanishes), then a sequential subtraction scan. A
-    /// prefix-sum table with a binary search would round differently at a
-    /// boundary between two candidates and pick the other one.
+    /// every weight vanishes), then the first candidate whose running sum
+    /// reaches the pick — a binary search. That is the node the scan it
+    /// replaced chose, bit for bit (subtract each weight from the pick in
+    /// turn, stop at the first result ≤ 0): the weights are `u32` counts,
+    /// so the running sums are exact integers no larger than 2^53; while
+    /// the pick stays positive each subtraction is exact (both operands
+    /// are multiples of the pick's ulp, and the result is no larger than
+    /// the pick), and the one that first reaches zero or below keeps its
+    /// sign, because rounding is monotone.
     pub fn sample(&self, rng: &mut StdRng) -> NodeId {
-        let Some(&last) = self.candidates.last() else {
+        let Some(&total) = self.cumulative.last() else {
             return self.root;
         };
-        if self.total <= 0.0 {
+        if total <= 0.0 {
             return self.candidates[rng.gen_range(0..self.candidates.len())];
         }
-        let mut pick = rng.gen_range(0.0..self.total);
-        for (id, w) in self.candidates.iter().zip(&self.weights) {
-            pick -= w;
-            if pick <= 0.0 {
-                return *id;
-            }
-        }
-        last
+        self.candidates[self.position(rng.gen_range(0.0..total))]
+    }
+
+    /// Index of the first candidate whose running sum is at least `pick`;
+    /// the last candidate when none is (a pick drawn below the total
+    /// always finds one).
+    fn position(&self, pick: f64) -> usize {
+        let k = self.cumulative.partition_point(|&c| c < pick);
+        k.min(self.candidates.len() - 1)
     }
 }
 
@@ -358,12 +377,21 @@ mod tests {
         }
 
         /// Weighted pick over candidates; uniform when all weights vanish.
-        fn pick_weighted_kd(candidates: &[NodeId], weights: &[f64], rng: &mut StdRng) -> NodeId {
+        pub fn pick_weighted_kd(
+            candidates: &[NodeId],
+            weights: &[f64],
+            rng: &mut StdRng,
+        ) -> NodeId {
             let total: f64 = weights.iter().sum();
             if total <= 0.0 {
                 return candidates[rng.gen_range(0..candidates.len())];
             }
-            let mut pick = rng.gen_range(0.0..total);
+            scan(candidates, weights, rng.gen_range(0.0..total))
+        }
+
+        /// The sequential subtraction scan [`StartSampler::sample`]'s
+        /// binary search replaced.
+        pub fn scan(candidates: &[NodeId], weights: &[f64], mut pick: f64) -> NodeId {
             for (id, w) in candidates.iter().zip(weights) {
                 pick -= w;
                 if pick <= 0.0 {
@@ -402,6 +430,41 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The binary search against the sequential scan over `weights`
+    /// (candidates named 100, 101, …): at every running sum and one ulp
+    /// either side of it, at 0 and the smallest subnormal, then over 32
+    /// seeded draws, after which both generators' next words agree.
+    fn assert_search_is_the_scan(weights: &[u32], seed: u64) {
+        let sampler = StartSampler {
+            root: 0,
+            candidates: (100..).take(weights.len()).collect(),
+            cumulative: running_sums(weights.iter().copied()),
+        };
+        let candidates = &sampler.candidates;
+        let as_f64: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
+        let mut picks = vec![0.0, f64::from_bits(1)];
+        for &c in &sampler.cumulative {
+            picks.extend([c.next_down(), c, c.next_up()]);
+        }
+        for pick in picks {
+            assert_eq!(
+                candidates[sampler.position(pick)],
+                per_draw::scan(candidates, &as_f64, pick),
+                "pick {pick:e} over {weights:?}"
+            );
+        }
+        let mut new_rng = StdRng::seed_from_u64(seed);
+        let mut old_rng = StdRng::seed_from_u64(seed);
+        for draw in 0..32 {
+            assert_eq!(
+                sampler.sample(&mut new_rng),
+                per_draw::pick_weighted_kd(candidates, &as_f64, &mut old_rng),
+                "draw {draw} over {weights:?}"
+            );
+        }
+        assert_eq!(new_rng.next_u64(), old_rng.next_u64(), "{weights:?}");
     }
 
     fn both_backends(store: &PointStore, queries: &[Cube], seed: u64) {
@@ -451,7 +514,12 @@ mod tests {
             store in arb_store(),
             centers in prop::collection::vec((-1e3..1e3f64, -1e3..1e3f64, 0.0..200.0f64), 0..6),
             seed in 0u64..1_000,
+            weights in prop::collection::vec(
+                prop_oneof![Just(0u32), 1u32..16, any::<u32>()],
+                1..64,
+            ),
         ) {
+            assert_search_is_the_scan(&weights, seed);
             let queries: Vec<Cube> = centers
                 .iter()
                 .map(|&(x, y, t)| Cube::centered(x, y, t, 300.0, 300.0, 40.0))
@@ -460,6 +528,14 @@ mod tests {
             // A workload that hits nothing: the data-distribution fallback.
             both_backends(&store, &[Cube::centered(1e9, 1e9, 1e9, 1.0, 1.0, 1.0)], seed);
         }
+    }
+
+    #[test]
+    fn binary_search_on_one_candidate_and_on_all_zero_weights() {
+        for weights in [&[0][..], &[1], &[u32::MAX], &[0, 0, 0, 0, 0]] {
+            assert_search_is_the_scan(weights, 3);
+        }
+        assert_search_is_the_scan(&[u32::MAX; 64], 4);
     }
 
     #[test]
