@@ -8,7 +8,7 @@
 use crate::experiments::{query_count, ratio_sweep, split_train_test};
 use crate::suite::{state_workload, train_rl4qdts, Rl4QdtsSimplifier};
 use crate::table::{mean, std_dev, Table};
-use crate::tasks::{build_tasks, eval_range, TaskParams};
+use crate::tasks::{build_tasks, TaskParams, Truth};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl4qdts::PolicyVariant;
@@ -26,7 +26,10 @@ pub fn run(scale: Scale, seed: u64, runs: usize) -> Table {
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0xab1a);
     let params = TaskParams::for_scale(scale, query_count(scale));
-    let tasks = build_tasks(&test_db, dist, params, &mut rng);
+    let truth = Truth::new(
+        &test_db,
+        build_tasks(&test_db, dist, params, &mut rng).ranges_only(),
+    );
     let ratio = ratio_sweep(scale)[0];
     let budget = ((test_db.total_points() as f64 * ratio) as usize)
         .max(traj_simp::min_points_store(&test_db.to_store()));
@@ -54,7 +57,7 @@ pub fn run(scale: Scale, seed: u64, runs: usize) -> Table {
                 variant,
             };
             let simp = simplifier.simplify(&test_db, budget);
-            f1s.push(eval_range(&test_db, &simp.materialize(&test_db), &tasks));
+            f1s.push(truth.score(&simp.materialize(&test_db)).range);
         }
         let elapsed = started.elapsed().as_secs_f64() / runs as f64;
         table.row(vec![

@@ -7,7 +7,7 @@ use crate::suite::{
     Rl4QdtsSimplifier,
 };
 use crate::table::{mean, std_dev, Table};
-use crate::tasks::{build_tasks, TaskParams, TaskScores};
+use crate::tasks::{build_tasks, TaskParams, TaskScores, Truth};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl4qdts::PolicyVariant;
@@ -61,7 +61,7 @@ fn run_one(
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
     let params = TaskParams::for_scale(scale, query_count(scale));
-    let tasks = build_tasks(test_db, dist, params, &mut rng);
+    let truth = Truth::new(test_db, build_tasks(test_db, dist, params, &mut rng));
     let floor = traj_simp::min_points_store(&test_db.to_store());
 
     // scores[task][method_row][ratio] = formatted cell
@@ -73,7 +73,7 @@ fn run_one(
     for &ratio in ratios {
         let budget = ((test_db.total_points() as f64 * ratio) as usize).max(floor);
         for (mi, b) in baselines.iter().enumerate() {
-            let s = score_method(*b, test_db, budget, &tasks).as_vec();
+            let s = score_method(*b, test_db, budget, &truth).as_vec();
             for (ti, v) in s.iter().enumerate() {
                 cells[ti][mi].push(format!("{v:.3}"));
             }
@@ -92,7 +92,7 @@ fn run_one(
                 seed: seed.wrapping_add(run_idx as u64 * 31),
                 variant: PolicyVariant::FULL,
             };
-            let s = score_method(&simplifier, test_db, budget, &tasks).as_vec();
+            let s = score_method(&simplifier, test_db, budget, &truth).as_vec();
             for (ti, v) in s.iter().enumerate() {
                 per_task_runs[ti].push(*v);
             }

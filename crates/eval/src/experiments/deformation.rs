@@ -1,7 +1,7 @@
 //! Figure 7: deformation study.
 //!
-//! For each method and budget, run the range-query workload on the
-//! *original* database, take the returned trajectories, and measure their
+//! Run the range-query workload on the *original* database once, take the
+//! returned trajectories, and, for each method and budget, measure their
 //! mean SED deformation between original and simplified form. A
 //! query-aware method should deform the trajectories that queries actually
 //! return less than error-driven methods do.
@@ -12,30 +12,23 @@ use crate::suite::{
     Rl4QdtsSimplifier,
 };
 use crate::table::Table;
-use crate::tasks::{build_tasks, TaskParams};
+use crate::tasks::{build_tasks, TaskParams, Truth};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl4qdts::PolicyVariant;
 use traj_query::QueryDistribution;
 use traj_simp::Simplifier;
 use trajectory::gen::{generate, DatasetSpec, Scale};
-use trajectory::{ErrorMeasure, Simplification, TrajectoryDb};
+use trajectory::{ErrorMeasure, Simplification, TrajId, TrajectoryDb};
 
-/// Mean SED of the trajectories returned by the workload's range queries
-/// on the original database, measured between their original and
-/// simplified forms.
+/// Mean SED of the `returned` trajectories (those the workload's range
+/// queries return on the original, [`Truth::returned_by_ranges`]),
+/// measured between their original and simplified forms.
 pub fn returned_trajectory_sed(
     db: &TrajectoryDb,
     simp: &Simplification,
-    queries: &[trajectory::Cube],
+    returned: &[TrajId],
 ) -> f64 {
-    let store = db.to_store();
-    let mut returned: Vec<usize> = queries
-        .iter()
-        .flat_map(|q| traj_query::range_query_store(&store, q))
-        .collect();
-    returned.sort_unstable();
-    returned.dedup();
     if returned.is_empty() {
         return 0.0;
     }
@@ -58,6 +51,7 @@ pub fn run_one(scale: Scale, seed: u64, dist: QueryDistribution) -> Table {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xdef0);
     let params = TaskParams::for_scale(scale, query_count(scale));
     let tasks = build_tasks(&test_db, dist, params, &mut rng);
+    let returned = Truth::new(&test_db, tasks.ranges_only()).returned_by_ranges();
     let ratios = ratio_sweep(scale);
     let floor = traj_simp::min_points_store(&test_db.to_store());
 
@@ -80,7 +74,7 @@ pub fn run_one(scale: Scale, seed: u64, dist: QueryDistribution) -> Table {
         for &ratio in &ratios {
             let budget = ((test_db.total_points() as f64 * ratio) as usize).max(floor);
             let simp = method.simplify(&test_db, budget);
-            let sed = returned_trajectory_sed(&test_db, &simp, &tasks.range_queries);
+            let sed = returned_trajectory_sed(&test_db, &simp, &returned);
             row.push(format!("{sed:.1}"));
         }
         table.row(row);
@@ -113,11 +107,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let params = TaskParams::paper_scaled(8);
         let tasks = build_tasks(&db, QueryDistribution::Data, params, &mut rng);
+        let returned = Truth::new(&db, tasks.ranges_only()).returned_by_ranges();
         let store = db.to_store();
         let endpoints = Simplification::most_simplified_store(&store);
         let full = Simplification::full_store(&store);
-        let harsh = returned_trajectory_sed(&db, &endpoints, &tasks.range_queries);
-        let none = returned_trajectory_sed(&db, &full, &tasks.range_queries);
+        let harsh = returned_trajectory_sed(&db, &endpoints, &returned);
+        let none = returned_trajectory_sed(&db, &full, &returned);
         assert!(none < 1e-9);
         assert!(harsh > none);
     }

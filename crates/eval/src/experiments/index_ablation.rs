@@ -7,7 +7,7 @@
 use crate::experiments::{query_count, ratio_sweep, split_train_test};
 use crate::suite::{state_workload, Rl4QdtsSimplifier};
 use crate::table::Table;
-use crate::tasks::{build_tasks, eval_range, TaskParams};
+use crate::tasks::{build_tasks, TaskParams, Truth};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl4qdts::{train, IndexKind, PolicyVariant, Rl4QdtsConfig, TrainerConfig};
@@ -39,7 +39,10 @@ pub fn run(scale: Scale, seed: u64) -> Table {
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x1d);
     let params = TaskParams::for_scale(scale, query_count(scale));
-    let tasks = build_tasks(&test_db, DIST, params, &mut rng);
+    let truth = Truth::new(
+        &test_db,
+        build_tasks(&test_db, DIST, params, &mut rng).ranges_only(),
+    );
     let ratios = ratio_sweep(scale);
     let floor = traj_simp::min_points_store(&test_db.to_store());
 
@@ -60,7 +63,7 @@ pub fn run(scale: Scale, seed: u64) -> Table {
             let started = std::time::Instant::now();
             let simp = rl.simplify(&test_db, budget);
             let elapsed = started.elapsed().as_secs_f64();
-            let f1 = eval_range(&test_db, &simp.materialize(&test_db), &tasks);
+            let f1 = truth.score(&simp.materialize(&test_db)).range;
             table.row(vec![
                 kind.label().to_string(),
                 crate::experiments::fmt_ratio(ratio),

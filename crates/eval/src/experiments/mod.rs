@@ -13,7 +13,7 @@ pub mod skyline_sel;
 pub mod training;
 pub mod transferability;
 
-use crate::tasks::{evaluate, QueryTasks, TaskScores};
+use crate::tasks::{TaskScores, Truth};
 use traj_simp::Simplifier;
 use trajectory::gen::Scale;
 use trajectory::TrajectoryDb;
@@ -56,16 +56,15 @@ pub fn query_count(scale: Scale) -> usize {
     }
 }
 
-/// Runs one method at one budget and scores it on the full task suite.
+/// Runs one method at one budget over `db` and scores it against `truth`,
+/// the workload's answers on `db`.
 pub fn score_method(
     method: &dyn Simplifier,
     db: &TrajectoryDb,
     budget: usize,
-    tasks: &QueryTasks,
+    truth: &Truth,
 ) -> TaskScores {
-    let simp = method.simplify(db, budget);
-    let materialized = simp.materialize(db);
-    evaluate(db, &materialized, tasks)
+    truth.score(&method.simplify(db, budget).materialize(db))
 }
 
 /// Formats a ratio like the paper's x-axes ("0.25%").

@@ -5,13 +5,13 @@
 use crate::experiments::{query_count, ratio_sweep, split_train_test};
 use crate::suite::{state_workload, Rl4QdtsSimplifier};
 use crate::table::Table;
-use crate::tasks::{build_tasks, eval_range_with_engines, TaskParams};
+use crate::tasks::{build_tasks, TaskParams, Truth};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl4qdts::{train, PolicyVariant, Rl4QdtsConfig, TrainerConfig};
 use traj_query::knn::{Dissimilarity, KnnQuery};
 use traj_query::workload::RangeWorkloadSpec;
-use traj_query::{f1_sets, mean_f1, EngineConfig, QueryDistribution, QueryEngine};
+use traj_query::{f1_sets, mean_f1, QueryDistribution};
 use traj_simp::Simplifier;
 use trajectory::gen::{generate, DatasetSpec, Scale};
 use trajectory::TrajectoryDb;
@@ -35,13 +35,13 @@ fn trainer_for(scale: Scale) -> TrainerConfig {
 }
 
 /// Trains with `config`, then reports held-out range F1 and the combined
-/// train+simplify wall time. `truth` is the sweep-wide engine over the
-/// test database, built once by the caller.
+/// train+simplify wall time. `truth` is the sweep-wide range truth over
+/// the test database, built once by the caller.
 fn score_config(
     config: Rl4QdtsConfig,
     train_db: &TrajectoryDb,
     test_db: &TrajectoryDb,
-    truth: &QueryEngine<'_>,
+    truth: &Truth,
     scale: Scale,
     seed: u64,
 ) -> (f64, f64) {
@@ -58,18 +58,7 @@ fn score_config(
     };
     let simp = rl.simplify(test_db, budget).materialize(test_db);
     let elapsed = started.elapsed().as_secs_f64();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9a);
-    let tasks = build_tasks(
-        test_db,
-        DIST,
-        TaskParams::for_scale(scale, query_count(scale)),
-        &mut rng,
-    );
-    let simp_engine = QueryEngine::over(&simp, EngineConfig::octree());
-    (
-        eval_range_with_engines(truth, &simp_engine, &tasks),
-        elapsed,
-    )
+    (truth.score(&simp).range, elapsed)
 }
 
 /// One row of held-out range F1 and train+simplify time per `(value,
@@ -81,7 +70,10 @@ fn sweep<V: ToString>(
     configs: impl FnOnce(Rl4QdtsConfig) -> Vec<(V, Rl4QdtsConfig)>,
 ) -> Table {
     let (train_db, test_db) = split_train_test(generate(&DatasetSpec::geolife(scale), seed));
-    let truth = QueryEngine::over(&test_db, EngineConfig::octree());
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9a);
+    let params = TaskParams::for_scale(scale, query_count(scale));
+    let tasks = build_tasks(&test_db, DIST, params, &mut rng);
+    let truth = Truth::new(&test_db, tasks.ranges_only());
     let base = Rl4QdtsConfig::scaled_to(&train_db).with_delta(25);
     let mut table = Table::new(&[name, "Range F1", "Time (s)"]);
     for (value, config) in configs(base) {

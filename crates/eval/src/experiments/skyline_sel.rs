@@ -11,7 +11,7 @@ use crate::experiments::{
 use crate::skyline::{skyline, ScoredMethod};
 use crate::suite::baseline_suite;
 use crate::table::Table;
-use crate::tasks::{build_tasks, TaskParams, TaskScores};
+use crate::tasks::{build_tasks, TaskParams, TaskScores, Truth};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use traj_query::QueryDistribution;
@@ -61,14 +61,14 @@ pub fn run_one(scale: Scale, seed: u64, dist: QueryDistribution) -> SkylineOutco
     let suite = baseline_suite(&train_db, seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xf00d);
     let params = TaskParams::for_scale(scale, query_count(scale));
-    let tasks = build_tasks(&test_db, dist, params, &mut rng);
+    let truth = Truth::new(&test_db, build_tasks(&test_db, dist, params, &mut rng));
     let budget = ((test_db.total_points() as f64 * anchor_ratio) as usize)
         .max(traj_simp::min_points_store(&test_db.to_store()));
 
     // The 25 baselines are independent: score them in parallel (the same
     // work-stealing helper the query engine's batch paths use).
     let scored: Vec<ScoredMethod> = traj_query::parallel::par_map(&suite, |method| {
-        let s = score_method(method.as_ref(), &test_db, budget, &tasks);
+        let s = score_method(method.as_ref(), &test_db, budget, &truth);
         ScoredMethod {
             name: method.name(),
             scores: s.as_vec(),

@@ -6,7 +6,7 @@
 use crate::experiments::{query_count, ratio_sweep};
 use crate::suite::{state_workload, Rl4QdtsSimplifier};
 use crate::table::Table;
-use crate::tasks::{build_tasks, eval_range, TaskParams};
+use crate::tasks::{build_tasks, TaskParams, Truth};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl4qdts::{train, PolicyVariant, Rl4QdtsConfig, TrainerConfig};
@@ -14,6 +14,7 @@ use traj_query::workload::RangeWorkloadSpec;
 use traj_query::QueryDistribution;
 use traj_simp::Simplifier;
 use trajectory::gen::{generate, DatasetSpec, Scale};
+use trajectory::TrajectoryDb;
 
 const DIST: QueryDistribution = QueryDistribution::Data;
 
@@ -31,6 +32,7 @@ pub fn run_pool_size(scale: Scale, seed: u64) -> Table {
     let db = generate(&DatasetSpec::geolife(scale), seed);
     let n = db.len() * 3 / 4;
     let (train_pool, test_db) = db.split_at(n);
+    let truth = held_out_truth(&test_db, scale, seed);
     let sizes: Vec<usize> = match scale {
         Scale::Paper => vec![10, 50, 100, 200],
         Scale::Small => vec![8, 16, 32, 64],
@@ -47,7 +49,7 @@ pub fn run_pool_size(scale: Scale, seed: u64) -> Table {
             workload: workload(scale),
         };
         let (model, stats) = train(&train_pool, config, &trainer, seed);
-        let f1 = held_out_f1(&model, &test_db, scale, seed);
+        let f1 = held_out_f1(&model, &test_db, &truth, scale, seed);
         table.row(vec![
             n.to_string(),
             format!("{:.2}", stats.wall_seconds),
@@ -63,6 +65,7 @@ pub fn run_delta(scale: Scale, seed: u64) -> Table {
     let db = generate(&DatasetSpec::geolife(scale), seed);
     let n = db.len() * 3 / 4;
     let (train_pool, test_db) = db.split_at(n);
+    let truth = held_out_truth(&test_db, scale, seed);
     let mut table = Table::new(&["Δ", "Train time (s)", "Windows/episode", "Range F1"]);
     for delta in [10usize, 25, 50, 100] {
         let config = Rl4QdtsConfig::scaled_to(&train_pool).with_delta(delta);
@@ -74,7 +77,7 @@ pub fn run_delta(scale: Scale, seed: u64) -> Table {
             workload: workload(scale),
         };
         let (model, stats) = train(&train_pool, config, &trainer, seed);
-        let f1 = held_out_f1(&model, &test_db, scale, seed);
+        let f1 = held_out_f1(&model, &test_db, &truth, scale, seed);
         let windows_per_ep = if stats.episodes > 0 {
             stats.insertions as f64 / delta as f64 / stats.episodes as f64
         } else {
@@ -90,9 +93,20 @@ pub fn run_delta(scale: Scale, seed: u64) -> Table {
     table
 }
 
+/// The range truth every row of a training table is scored against.
+fn held_out_truth(test_db: &TrajectoryDb, scale: Scale, seed: u64) -> Truth {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x77);
+    let params = TaskParams::for_scale(scale, query_count(scale));
+    Truth::new(
+        test_db,
+        build_tasks(test_db, DIST, params, &mut rng).ranges_only(),
+    )
+}
+
 fn held_out_f1(
     model: &rl4qdts::Rl4Qdts,
-    test_db: &trajectory::TrajectoryDb,
+    test_db: &TrajectoryDb,
+    truth: &Truth,
     scale: Scale,
     seed: u64,
 ) -> f64 {
@@ -105,15 +119,9 @@ fn held_out_f1(
         seed,
         variant: PolicyVariant::FULL,
     };
-    let simp = rl.simplify(test_db, budget).materialize(test_db);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x77);
-    let tasks = build_tasks(
-        test_db,
-        DIST,
-        TaskParams::for_scale(scale, query_count(scale)),
-        &mut rng,
-    );
-    eval_range(test_db, &simp, &tasks)
+    truth
+        .score(&rl.simplify(test_db, budget).materialize(test_db))
+        .range
 }
 
 #[cfg(test)]

@@ -8,11 +8,11 @@
 use crate::experiments::{query_count, ratio_sweep, split_train_test};
 use crate::suite::{state_workload, train_rl4qdts, Rl4QdtsSimplifier};
 use crate::table::{mean, std_dev, Table};
-use crate::tasks::{build_tasks, eval_range_with_engines, TaskParams};
+use crate::tasks::{build_tasks, TaskParams, Truth};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl4qdts::{PolicyVariant, Rl4Qdts};
-use traj_query::{EngineConfig, QueryDistribution, QueryEngine};
+use traj_query::QueryDistribution;
 use traj_simp::{Adaptation, BottomUp, Simplifier};
 use trajectory::gen::{generate, DatasetSpec, Scale};
 use trajectory::{ErrorMeasure, TrajectoryDb};
@@ -98,10 +98,6 @@ fn series(
         .max(traj_simp::min_points_store(&test_db.to_store()));
     let baseline = BottomUp::new(ErrorMeasure::Sed, Adaptation::Each);
     let baseline_simp = baseline.simplify(test_db, budget).materialize(test_db);
-    // One ground-truth engine (and one over the fixed baseline) for the
-    // whole distribution sweep; only per-run simplifications re-index.
-    let truth_engine = QueryEngine::over(test_db, EngineConfig::octree());
-    let baseline_engine = QueryEngine::over(&baseline_simp, EngineConfig::octree());
 
     let mut header: Vec<String> = vec!["method".into()];
     header.extend(dists.iter().map(|(l, _)| l.clone()));
@@ -115,10 +111,8 @@ fn series(
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7a);
         let params = TaskParams::for_scale(scale, query_count(scale));
         let tasks = build_tasks(test_db, *dist, params, &mut rng);
-        baseline_row.push(format!(
-            "{:.3}",
-            eval_range_with_engines(&truth_engine, &baseline_engine, &tasks)
-        ));
+        let truth = Truth::new(test_db, tasks.ranges_only());
+        baseline_row.push(format!("{:.3}", truth.score(&baseline_simp).range));
 
         // …while RL4QDTS's state workload stays the *training* distribution
         // (at deployment the drift is unknown — that is the point).
@@ -136,8 +130,7 @@ fn series(
                 variant: PolicyVariant::FULL,
             };
             let simp = rl.simplify(test_db, budget).materialize(test_db);
-            let simp_engine = QueryEngine::over(&simp, EngineConfig::octree());
-            f1s.push(eval_range_with_engines(&truth_engine, &simp_engine, &tasks));
+            f1s.push(truth.score(&simp).range);
         }
         ours_row.push(format!("{:.3}±{:.3}", mean(&f1s), std_dev(&f1s)));
     }

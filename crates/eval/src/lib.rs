@@ -2,7 +2,8 @@
 //! paper's evaluation (§V).
 //!
 //! Structure:
-//! - [`tasks`]: the five query tasks and the F1 scoring pipeline;
+//! - [`tasks`]: the five query tasks and the one `Truth` per workload
+//!   that every F1 is scored against;
 //! - [`suite`]: the 25 EDTS baselines plus RL4QDTS behind one interface;
 //! - [`skyline`]: Pareto skyline selection (Fig. 3's methodology);
 //! - [`experiments`]: one module per table/figure;

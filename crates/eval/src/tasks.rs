@@ -1,12 +1,15 @@
-//! The five query tasks of the evaluation (§V-A) and the F1 pipeline that
-//! scores a simplified database against the original.
+//! The five query tasks of the evaluation (§V-A) and the F1 scoring that
+//! compares a simplified database against the original.
 //!
-//! Scoring is written against the [`QueryExecutor`] façade, so the same
-//! pipeline evaluates a single-store engine, a sharded fan-out engine, or
-//! an opened [`traj_query::TrajDb`] — and the whole mixed workload
-//! (range + kNN(EDR) + kNN(t2vec) + similarity, the shape of the paper's
-//! Eq. 10 evaluation) executes as **one** heterogeneous [`QueryBatch`]
-//! pass per database instead of four serial per-kind batches.
+//! The original's side of every score depends only on the original and
+//! the workload, so it is computed once: a [`Truth`] holds the original's
+//! answers to the whole mixed workload (range + kNN(EDR) + kNN(t2vec) +
+//! similarity, the shape of the paper's Eq. 10 evaluation, run as **one**
+//! heterogeneous [`QueryBatch`]) and the co-clustered pairs of its capped
+//! head. [`Truth::score`] then runs the same batch and clustering over the
+//! simplified database alone. An experiment that reports range F1 only
+//! scores [`QueryTasks::ranges_only`], which pays for the range queries
+//! alone and gives the same `.range`.
 
 use rand::rngs::StdRng;
 use traj_query::knn::{Dissimilarity, KnnQuery};
@@ -16,10 +19,10 @@ use traj_query::workload::{
     range_workload_store, traj_query_workload, QueryDistribution, RangeWorkloadSpec,
 };
 use traj_query::{
-    f1_pairs, f1_sets, mean_f1, EngineConfig, F1Score, QueryBatch, QueryEngine, QueryExecutor,
-    QueryResult,
+    f1_pairs, f1_sets, mean_f1, EngineConfig, F1Score, Query, QueryBatch, QueryEngine,
+    QueryExecutor, QueryResult,
 };
-use trajectory::{Cube, PointStore, Trajectory, TrajectoryDb};
+use trajectory::{Cube, PointStore, TrajId, Trajectory, TrajectoryDb};
 
 /// Parameters of the evaluation workloads, defaulting to the paper's
 /// setup: range 2 km × 2 km × 7 days, kNN k = 3 over 7-day windows with
@@ -161,49 +164,55 @@ pub fn build_tasks(
 }
 
 impl QueryTasks {
-    /// The kNN queries instantiated with `measure`.
-    fn knn_with(&self, measure: Dissimilarity) -> impl Iterator<Item = KnnQuery> + '_ {
-        self.knn_queries.iter().map(move |(q, ts, te)| KnnQuery {
-            query: q.clone(),
-            ts: *ts,
-            te: *te,
-            k: self.params.knn_k,
-            measure,
-        })
-    }
-
-    /// The similarity queries as typed [`SimilarityQuery`]s.
-    fn sim_typed(&self) -> impl Iterator<Item = SimilarityQuery> + '_ {
-        self.sim_queries.iter().map(|(q, ts, te)| SimilarityQuery {
-            query: q.clone(),
-            ts: *ts,
-            te: *te,
-            delta: self.params.sim_delta,
-            step: self.params.sim_step,
-        })
+    /// The range-only projection of this workload: the same range
+    /// queries, no kNN or similarity queries, and no clustered head. Its
+    /// [`Truth`] scores `.range` exactly as the full workload's does, at
+    /// the cost of the range queries alone.
+    #[must_use]
+    pub fn ranges_only(&self) -> QueryTasks {
+        QueryTasks {
+            range_queries: self.range_queries.clone(),
+            knn_queries: Vec::new(),
+            sim_queries: Vec::new(),
+            params: TaskParams {
+                cluster_cap: 0,
+                ..self.params
+            },
+        }
     }
 
     /// Plans the whole workload as one heterogeneous [`QueryBatch`], in
     /// task order: ranges, kNN(EDR), kNN(t2vec), similarities. The
     /// per-task sections are recovered positionally after execution.
-    #[must_use]
-    pub fn to_batch(&self) -> QueryBatch {
-        let mut batch = QueryBatch::new();
-        for q in &self.range_queries {
-            batch.push_range(*q);
-        }
-        for q in self.knn_with(Dissimilarity::Edr {
-            eps: self.params.edr_eps,
-        }) {
-            batch.push_knn(q);
-        }
-        for q in self.knn_with(Dissimilarity::t2vec_default()) {
-            batch.push_knn(q);
-        }
-        for q in self.sim_typed() {
-            batch.push_similarity(q);
-        }
-        batch
+    fn to_batch(&self) -> QueryBatch {
+        let p = &self.params;
+        let knn = |measure| {
+            self.knn_queries.iter().map(move |(q, ts, te)| {
+                Query::Knn(KnnQuery {
+                    query: q.clone(),
+                    ts: *ts,
+                    te: *te,
+                    k: p.knn_k,
+                    measure,
+                })
+            })
+        };
+        let sims = self.sim_queries.iter().map(|(q, ts, te)| {
+            Query::Similarity(SimilarityQuery {
+                query: q.clone(),
+                ts: *ts,
+                te: *te,
+                delta: p.sim_delta,
+                step: p.sim_step,
+            })
+        });
+        self.range_queries
+            .iter()
+            .map(|q| Query::Range(*q))
+            .chain(knn(Dissimilarity::Edr { eps: p.edr_eps }))
+            .chain(knn(Dissimilarity::t2vec_default()))
+            .chain(sims)
+            .collect()
     }
 
     /// Splits a [`QueryTasks::to_batch`] result vector back into the four
@@ -259,73 +268,64 @@ impl TaskScores {
     }
 }
 
-/// Scores `simplified` against `original` on the full workload. Builds one
-/// octree-backed [`QueryEngine`] per database and executes every task
-/// through it (index pruning + data parallelism); see
-/// [`evaluate_with_engines`] when executors are already at hand.
-pub fn evaluate(
-    original: &TrajectoryDb,
-    simplified: &TrajectoryDb,
-    tasks: &QueryTasks,
-) -> TaskScores {
-    let orig = QueryEngine::over(original, EngineConfig::octree());
-    let simp = QueryEngine::over(simplified, EngineConfig::octree());
-    evaluate_with_engines(&orig, &simp, tasks)
+/// The original database's side of every score: its answers to the
+/// whole workload and the co-clustered pairs of its capped head. Both
+/// depend only on the original and the [`QueryTasks`], so they are
+/// computed once, and [`Truth::score`] computes only the simplified side.
+pub struct Truth {
+    tasks: QueryTasks,
+    batch: QueryBatch,
+    answers: Vec<QueryResult>,
+    pairs: Vec<(TrajId, TrajId)>,
 }
 
-/// [`evaluate`] against pre-built [`QueryExecutor`]s (a [`QueryEngine`],
-/// a sharded engine, or an opened [`traj_query::TrajDb`] — any layout),
-/// amortizing index construction across repeated scorings of the same
-/// databases.
-///
-/// The four query tasks run as one heterogeneous [`QueryBatch`] per
-/// database: a single data-parallel pass whose work-stealing scheduler
-/// overlaps cheap range queries with expensive kNN dynamic programs,
-/// instead of four serial per-kind batches.
-pub fn evaluate_with_engines<O, S>(original: &O, simplified: &S, tasks: &QueryTasks) -> TaskScores
-where
-    O: QueryExecutor + ?Sized,
-    S: QueryExecutor + ?Sized,
-{
-    let batch = tasks.to_batch();
-    let truth = original.execute_batch(&batch);
-    let results = simplified.execute_batch(&batch);
-    let truth = tasks.split_results(&truth);
-    let results = tasks.split_results(&results);
-    TaskScores {
-        range: mean_f1_section(truth[0], results[0]),
-        knn_edr: mean_f1_section(truth[1], results[1]),
-        knn_t2vec: mean_f1_section(truth[2], results[2]),
-        similarity: mean_f1_section(truth[3], results[3]),
-        clustering: eval_clustering(original, simplified, tasks),
+impl Truth {
+    /// Answers `tasks` on `original` through an octree-backed
+    /// [`QueryEngine`] and clusters its capped head.
+    pub fn new(original: &TrajectoryDb, tasks: QueryTasks) -> Self {
+        let engine = QueryEngine::over(original, EngineConfig::octree());
+        let batch = tasks.to_batch();
+        let answers = engine.execute_batch(&batch);
+        let pairs = co_clustered_head(&engine, &tasks.params);
+        Self {
+            tasks,
+            batch,
+            answers,
+            pairs,
+        }
+    }
+
+    /// Scores `simplified` against the truth: the workload runs as one
+    /// heterogeneous [`QueryBatch`] pass over an octree of `simplified`.
+    pub fn score(&self, simplified: &TrajectoryDb) -> TaskScores {
+        let engine = QueryEngine::over(simplified, EngineConfig::octree());
+        let results = engine.execute_batch(&self.batch);
+        let truth = self.tasks.split_results(&self.answers);
+        let results = self.tasks.split_results(&results);
+        let pairs = co_clustered_head(&engine, &self.tasks.params);
+        TaskScores {
+            range: mean_f1_section(truth[0], results[0]),
+            knn_edr: mean_f1_section(truth[1], results[1]),
+            knn_t2vec: mean_f1_section(truth[2], results[2]),
+            similarity: mean_f1_section(truth[3], results[3]),
+            clustering: f1_pairs(&self.pairs, &pairs).f1,
+        }
+    }
+
+    /// Every trajectory some range query returns on the original,
+    /// ascending.
+    pub fn returned_by_ranges(&self) -> Vec<TrajId> {
+        let ranges = self.tasks.split_results(&self.answers)[0];
+        let mut returned: Vec<TrajId> = ranges.iter().flat_map(ids).copied().collect();
+        returned.sort_unstable();
+        returned.dedup();
+        returned
     }
 }
 
-/// Range-query-only score (used by training-adjacent experiments where the
-/// full pipeline would dominate runtime).
-pub fn eval_range(original: &TrajectoryDb, simplified: &TrajectoryDb, tasks: &QueryTasks) -> f64 {
-    let orig = QueryEngine::over(original, EngineConfig::octree());
-    let simp = QueryEngine::over(simplified, EngineConfig::octree());
-    eval_range_with_engines(&orig, &simp, tasks)
-}
-
-/// [`eval_range`] against pre-built executors. Sweep loops that score many
-/// simplifications of one original database should build the ground-truth
-/// executor once and call this, instead of paying the index build per
-/// call.
-pub fn eval_range_with_engines<O, S>(original: &O, simplified: &S, tasks: &QueryTasks) -> f64
-where
-    O: QueryExecutor + ?Sized,
-    S: QueryExecutor + ?Sized,
-{
-    let truth = original.range_batch(&tasks.range_queries);
-    let results = simplified.range_batch(&tasks.range_queries);
-    let scores: Vec<F1Score> = truth
-        .iter()
-        .zip(&results)
-        .map(|(t, r)| f1_sets(t, r))
-        .collect();
-    mean_f1(&scores)
+/// The ids of an evaluation answer (the workload holds no `RangeKept`).
+fn ids(result: &QueryResult) -> &[TrajId] {
+    result.ids().expect("evaluation batches carry no RangeKept")
 }
 
 /// Mean F1 of one batch section against its ground-truth section.
@@ -333,32 +333,18 @@ fn mean_f1_section(truth: &[QueryResult], results: &[QueryResult]) -> f64 {
     let scores: Vec<F1Score> = truth
         .iter()
         .zip(results)
-        .map(|(t, r)| {
-            f1_sets(
-                t.ids().expect("evaluation batches carry no RangeKept"),
-                r.ids().expect("evaluation batches carry no RangeKept"),
-            )
-        })
+        .map(|(t, r)| f1_sets(ids(t), ids(r)))
         .collect();
     mean_f1(&scores)
 }
 
-fn eval_clustering<O, S>(original: &O, simplified: &S, tasks: &QueryTasks) -> f64
-where
-    O: QueryExecutor + ?Sized,
-    S: QueryExecutor + ?Sized,
-{
-    let cap = tasks.params.cluster_cap;
-    // TRACLUS is quadratic in segments; cluster only the capped head.
-    let truth_head: PointStore = (0..original.len().min(cap))
-        .map(|id| original.trajectory(id))
+/// TRACLUS co-clustered pairs of the first `cluster_cap` trajectories
+/// (TRACLUS is quadratic in segments; only the capped head is clustered).
+fn co_clustered_head(engine: &QueryEngine<'_>, params: &TaskParams) -> Vec<(TrajId, TrajId)> {
+    let head: PointStore = (0..engine.len().min(params.cluster_cap))
+        .map(|id| engine.trajectory(id))
         .collect();
-    let result_head: PointStore = (0..simplified.len().min(cap))
-        .map(|id| simplified.trajectory(id))
-        .collect();
-    let truth = traclus(&truth_head, &tasks.params.traclus).co_clustered_pairs();
-    let result = traclus(&result_head, &tasks.params.traclus).co_clustered_pairs();
-    f1_pairs(&truth, &result).f1
+    traclus(&head, &params.traclus).co_clustered_pairs()
 }
 
 #[cfg(test)]
@@ -376,10 +362,27 @@ mod tests {
         (db, tasks)
     }
 
+    /// The identity, every-4th-point and endpoints-only simplifications of
+    /// `db`, mildest first.
+    fn simplifications(db: &TrajectoryDb) -> [TrajectoryDb; 3] {
+        let store = db.to_store();
+        let mut every_4th = Simplification::most_simplified_store(&store);
+        for (id, t) in db.iter() {
+            for idx in (0..t.len() as u32).step_by(4) {
+                every_4th.insert(id, idx);
+            }
+        }
+        [
+            db.clone(),
+            every_4th.materialize(db),
+            Simplification::most_simplified_store(&store).materialize(db),
+        ]
+    }
+
     #[test]
     fn identity_simplification_scores_one_everywhere() {
         let (db, tasks) = setup();
-        let s = evaluate(&db, &db, &tasks);
+        let s = Truth::new(&db, tasks).score(&db);
         for (name, v) in TaskScores::NAMES.iter().zip(s.as_vec()) {
             assert!((v - 1.0).abs() < 1e-9, "{name} = {v}");
         }
@@ -388,25 +391,30 @@ mod tests {
     #[test]
     fn harsher_simplification_scores_lower_on_range() {
         let (db, tasks) = setup();
-        let store = db.to_store();
-        let endpoints = Simplification::most_simplified_store(&store).materialize(&db);
-        let mild = {
-            let mut s = Simplification::most_simplified_store(&store);
-            // Keep every 4th point.
-            for (id, t) in db.iter() {
-                for idx in (0..t.len() as u32).step_by(4) {
-                    s.insert(id, idx);
-                }
-            }
-            s.materialize(&db)
-        };
-        let harsh = eval_range(&db, &endpoints, &tasks);
-        let soft = eval_range(&db, &mild, &tasks);
+        let truth = Truth::new(&db, tasks.ranges_only());
+        let [_, mild, endpoints] = simplifications(&db);
+        let harsh = truth.score(&endpoints).range;
+        let soft = truth.score(&mild).range;
         assert!(soft >= harsh, "mild {soft} >= harsh {harsh}");
         assert!(
             harsh < 1.0,
             "endpoint-only cannot be perfect on data-centered queries"
         );
+    }
+
+    #[test]
+    fn range_only_projection_scores_the_same_range_f1() {
+        let (db, tasks) = setup();
+        let projected = tasks.ranges_only();
+        assert_eq!(projected.range_queries, tasks.range_queries);
+        let full = Truth::new(&db, tasks);
+        let ranges = Truth::new(&db, projected);
+        for simplified in simplifications(&db) {
+            assert_eq!(
+                ranges.score(&simplified).range,
+                full.score(&simplified).range
+            );
+        }
     }
 
     #[test]
