@@ -16,7 +16,7 @@ use traj_query::{
     QueryEngine, QueryExecutor, RangeWorkloadSpec, TrajDb,
 };
 use trajectory::gen::{generate, DatasetSpec, Scale};
-use trajectory::shard::PartitionStrategy;
+use trajectory::shard::{partition, PartitionStrategy};
 
 fn bench_queries(c: &mut Criterion) {
     let db = generate(&DatasetSpec::geolife(Scale::Smoke).with_trajectories(16), 1);
@@ -37,7 +37,7 @@ fn bench_queries(c: &mut Criterion) {
 
     let embedder = T2vecEmbedder::default();
     c.bench_function("t2vec_embed", |b| {
-        b.iter(|| embedder.embed(std::hint::black_box(a)))
+        b.iter(|| embedder.embed_points(std::hint::black_box(a).points()))
     });
 
     let (t0, t1) = db.time_span();
@@ -93,7 +93,7 @@ fn bench_batch_workload_indexed_vs_scan(c: &mut Criterion) {
         BackendKind::Octree,
         BackendKind::MedianKd,
     ] {
-        let engine = QueryEngine::over_store(&db, EngineConfig::default().with_backend(backend));
+        let engine = QueryEngine::over_store(&db, EngineConfig::default().backend(backend));
         group.bench_function(BenchmarkId::new(backend.label(), db.total_points()), |b| {
             b.iter(|| std::hint::black_box(&engine).range_batch(&queries))
         });
@@ -151,9 +151,10 @@ fn bench_heterogeneous_batch(c: &mut Criterion) {
     }
 
     let single = TrajDb::from_store(store.clone(), DbOptions::new());
-    let sharded = TrajDb::from_store(
-        store,
-        DbOptions::new().partition(PartitionStrategy::Hash { parts: 4 }),
+    let shards = partition(&store, &PartitionStrategy::Time { parts: 4 });
+    let sharded = TrajDb::from_shards(
+        shards.into_iter().map(Into::into).collect(),
+        DbOptions::new(),
     );
     let mut group = c.benchmark_group("mixed_workload");
     group.sample_size(10);

@@ -12,9 +12,9 @@ use traj_query::{
 };
 use trajectory::gen::{generate, DatasetSpec, Scale};
 use trajectory::io::{read_csv_store, write_csv};
-use trajectory::shard::PartitionStrategy;
+use trajectory::shard::{partition, PartitionStrategy};
 use trajectory::snapshot::{read_snapshot, write_snapshot, MappedStore};
-use trajectory::Cube;
+use trajectory::{Cube, PointStore};
 
 // ---------------------------------------------------------------------
 // Cold load: CSV re-parse vs owned snapshot read vs zero-copy mmap.
@@ -106,7 +106,7 @@ fn bench_cold_load(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------
-// Sharded: a `TrajDb` cut into 8 hash shards — one segment each, their
+// Sharded: a `TrajDb` cut into 8 time shards — one segment each, their
 // index builds run in parallel — vs the same database as one segment,
 // at the same T-Drive scale as the groups above.
 //
@@ -115,10 +115,8 @@ fn bench_cold_load(c: &mut Criterion) {
 // while the sharded build runs one (smaller) build per shard across
 // cores via par_map. The query side fans each range query out to the
 // shards whose bounds intersect it and merges — equality with the
-// single store is asserted below before any timing claim. Hash shards
-// overlap spatially, so every query visits all eight indexes: the batch
-// measures the fan-out's overhead ceiling, which bound-pruned grid/time
-// partitions and multicore fan-out claw back.
+// single store is asserted below before any timing claim. A query's
+// time window prunes the shards whose time range it misses.
 // ---------------------------------------------------------------------
 
 fn bench_sharded(c: &mut Criterion) {
@@ -131,23 +129,26 @@ fn bench_sharded(c: &mut Criterion) {
     let spec = RangeWorkloadSpec::paper_default(100, QueryDistribution::Data);
     let queries = range_workload(&db, &spec, &mut StdRng::seed_from_u64(11));
 
-    let single_opts = DbOptions::new();
-    let sharded_opts = single_opts.partition(PartitionStrategy::Hash { parts: 8 });
+    let opts = DbOptions::new();
+    let time8 = |store: &PointStore| {
+        let shards = partition(store, &PartitionStrategy::Time { parts: 8 });
+        TrajDb::from_shards(shards.into_iter().map(Into::into).collect(), opts)
+    };
 
     let mut group = c.benchmark_group("sharded");
     group.sample_size(10);
 
     // Index construction: one serial build vs 8 parallel shard builds.
     group.bench_function(BenchmarkId::new("single_store_build", n), |b| {
-        b.iter(|| TrajDb::from_store(std::hint::black_box(&store).clone(), single_opts))
+        b.iter(|| TrajDb::from_store(std::hint::black_box(&store).clone(), opts))
     });
-    group.bench_function(BenchmarkId::new("sharded_build_hash8", n), |b| {
-        b.iter(|| TrajDb::from_store(std::hint::black_box(&store).clone(), sharded_opts))
+    group.bench_function(BenchmarkId::new("sharded_build_time8", n), |b| {
+        b.iter(|| time8(std::hint::black_box(&store)))
     });
 
     // 100-query batch over pre-built databases.
-    let single = TrajDb::from_store(store.clone(), single_opts);
-    let sharded = TrajDb::from_store(store, sharded_opts);
+    let single = TrajDb::from_store(store.clone(), opts);
+    let sharded = time8(&store);
     group.bench_function(BenchmarkId::new("single_store_batch_100", n), |b| {
         b.iter(|| std::hint::black_box(&single).range_batch(&queries))
     });

@@ -25,11 +25,10 @@
 //!   inner loops, so the pass uses `cores` threads, not `cores²`.
 //! - [`TrajDb`] is the façade over storage: [`TrajDb::open`] auto-detects
 //!   the three on-disk formats (CSV file, snapshot file, shard-set
-//!   directory), honours a builder-style [`DbOptions`] (index backend and
-//!   tree shape, owned vs. mmap opening, optional re-partitioning into
-//!   one segment per shard), builds every segment's index once and in
-//!   parallel, and serves the whole [`QueryExecutor`] surface — including
-//!   `D'` through a persisted kept bitmap.
+//!   directory), maps snapshot columns in place, builds every segment's
+//!   index once and in parallel with the [`DbOptions`] (index backend and
+//!   tree shape), and serves the whole [`QueryExecutor`] surface —
+//!   including `D'` through a persisted kept bitmap.
 //!
 //! A [`Query`] is plain data, no lifetimes, so the plan that fans out
 //! across local segments crosses the wire to a shard process unchanged
@@ -46,13 +45,11 @@ use std::path::Path;
 
 use rand::rngs::StdRng;
 use trajectory::io::ReadError;
-use trajectory::shard::{partition, OpenShard, PartitionStrategy, Shard, ShardSet, ShardSetError};
-use trajectory::snapshot::{is_snapshot_file, read_snapshot, MappedStore, SnapshotError};
-use trajectory::{
-    AsColumns, Cube, KeptBitmap, PointStore, Simplification, StoreRef, TrajId, TrajectoryDb,
-};
+use trajectory::shard::{OpenShard, ShardSet, ShardSetError};
+use trajectory::snapshot::{is_snapshot_file, MappedStore, SnapshotError};
+use trajectory::{AsColumns, Cube, PointStore, Simplification, StoreRef, TrajId, TrajectoryDb};
 
-use crate::engine::{BackendKind, EngineConfig, MaintainedWorkload, QueryEngine};
+use crate::engine::{EngineConfig, MaintainedWorkload, QueryEngine};
 use crate::knn::KnnQuery;
 use crate::segment::{Ids, Part, Segment, Segmented, ShardResult, StoredSegment};
 use crate::similarity::SimilarityQuery;
@@ -424,111 +421,18 @@ pub trait QueryExecutor: Sync {
 // Open options.
 // ---------------------------------------------------------------------
 
-/// How [`TrajDb::open`] materializes the columns of a snapshot source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OpenMode {
-    /// Snapshot sources are mmap-ed (zero-copy serving); CSV sources —
-    /// which have no zero-copy representation — parse into owned columns.
-    #[default]
-    Mapped,
-    /// Force heap-owned columns for every source.
-    Owned,
-}
-
-/// Builder-style options for [`TrajDb::open`] and the in-memory
-/// constructors: the index configuration (subsuming [`EngineConfig`]),
-/// the open mode, and an optional partitioning choice.
+/// The options of [`TrajDb::open`] and the in-memory constructors: the
+/// index configuration every segment is built with. Snapshot and
+/// shard-set sources are always served mapped; CSV sources parse into
+/// owned columns.
 ///
 /// ```
 /// use traj_query::{BackendKind, DbOptions};
-/// use trajectory::PartitionStrategy;
 ///
-/// let opts = DbOptions::new()
-///     .backend(BackendKind::Octree)
-///     .tree_shape(10, 32)
-///     .partition(PartitionStrategy::Hash { parts: 4 })
-///     .owned();
-/// assert_eq!(opts.engine_config().max_depth, 10);
+/// let opts = DbOptions::new().backend(BackendKind::MedianKd).tree_shape(10, 32);
+/// assert_eq!((opts.backend, opts.max_depth), (BackendKind::MedianKd, 10));
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DbOptions {
-    engine: EngineConfig,
-    mode: OpenMode,
-    partition: Option<PartitionStrategy>,
-}
-
-impl DbOptions {
-    /// Default options: octree backend, [`OpenMode::Mapped`], no
-    /// re-partitioning.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Replaces the whole engine configuration.
-    #[must_use]
-    pub fn engine(mut self, config: EngineConfig) -> Self {
-        self.engine = config;
-        self
-    }
-
-    /// Overrides the index backend.
-    #[must_use]
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.engine = self.engine.with_backend(backend);
-        self
-    }
-
-    /// Overrides the index tree shape.
-    #[must_use]
-    pub fn tree_shape(mut self, max_depth: u32, leaf_capacity: usize) -> Self {
-        self.engine = self.engine.with_tree_shape(max_depth, leaf_capacity);
-        self
-    }
-
-    /// Re-partitions a *single-store* source (CSV or snapshot) with
-    /// `strategy` and serves it as one segment per shard. Ignored for
-    /// shard-set directories and [`TrajDb::from_shards`], whose partition
-    /// is authoritative.
-    #[must_use]
-    pub fn partition(mut self, strategy: PartitionStrategy) -> Self {
-        self.partition = Some(strategy);
-        self
-    }
-
-    /// Forces heap-owned columns ([`OpenMode::Owned`]).
-    #[must_use]
-    pub fn owned(mut self) -> Self {
-        self.mode = OpenMode::Owned;
-        self
-    }
-
-    /// Requests mmap-backed columns where the format allows
-    /// ([`OpenMode::Mapped`], the default).
-    #[must_use]
-    pub fn mapped(mut self) -> Self {
-        self.mode = OpenMode::Mapped;
-        self
-    }
-
-    /// The engine configuration these options resolve to.
-    #[must_use]
-    pub fn engine_config(&self) -> EngineConfig {
-        self.engine
-    }
-
-    /// The open mode.
-    #[must_use]
-    pub fn open_mode(&self) -> OpenMode {
-        self.mode
-    }
-
-    /// The re-partitioning choice, if any.
-    #[must_use]
-    pub fn partition_strategy(&self) -> Option<PartitionStrategy> {
-        self.partition
-    }
-}
+pub type DbOptions = EngineConfig;
 
 /// What [`TrajDb::open`] can fail with: one typed wrapper per source
 /// format, plus raw I/O from the format sniff.
@@ -607,14 +511,12 @@ impl From<ReadError> for TrajDbError {
 /// | on disk | detection | segments |
 /// |---|---|---|
 /// | shard-set directory | `path.is_dir()` | one per shard, kept bitmaps retained |
-/// | snapshot file | leading [`trajectory::snapshot::MAGIC`] | one, over mmap (or owned), kept bitmap retained |
+/// | snapshot file | leading [`trajectory::snapshot::MAGIC`] | one, over mmap, kept bitmap retained |
 /// | CSV file | fallback | one, over parsed owned columns |
 ///
-/// A [`DbOptions::partition`] choice cuts a single-store source into one
-/// segment per shard (splitting a snapshot's kept bitmap across the
-/// shards); shard-set directories keep their persisted partition. Every
-/// segment's index, and every kept bitmap's, is built in parallel with
-/// the others.
+/// An in-memory sharded database is [`trajectory::partition`] followed
+/// by [`TrajDb::from_shards`]. Every segment's index, and every kept
+/// bitmap's, is built in parallel with the others.
 pub struct TrajDb {
     segments: Vec<StoredSegment>,
 }
@@ -627,32 +529,19 @@ impl TrajDb {
         let path = path.as_ref();
         if path.is_dir() {
             let set = ShardSet::load(path)?;
-            return Ok(match opts.mode {
-                OpenMode::Mapped => Self::from_shards(set.open_mapped()?, opts),
-                OpenMode::Owned => Self::from_shards(set.open_owned()?, opts),
-            });
+            return Ok(Self::from_shards(set.open_mapped()?, opts));
         }
         if is_snapshot_file(path)? {
-            if opts.partition.is_none() {
-                return Ok(Self::build(
-                    vec![snapshot_part(path, opts.mode)?],
-                    opts.engine,
-                ));
-            }
-            // Partitioning rearranges the columns, so the mapping cannot
-            // be served in place: decode into owned shards.
-            let snap = read_snapshot(path)?;
-            return Ok(Self::from_store_with_kept(snap.store, snap.kept, opts));
+            return Ok(Self::build(vec![snapshot_part(path)?], opts));
         }
         let store = trajectory::io::read_csv_store(std::fs::File::open(path)?)?;
         Ok(Self::from_store(store, opts))
     }
 
-    /// Adopts an in-memory columnar store (honouring
-    /// [`DbOptions::partition`]; the open mode is irrelevant in memory).
+    /// Adopts an in-memory columnar store as one segment.
     #[must_use]
     pub fn from_store(store: PointStore, opts: DbOptions) -> TrajDb {
-        Self::from_store_with_kept(store, None, opts)
+        Self::build(vec![(store.into(), Ids::From(0), None)], opts)
     }
 
     /// Row-form forward of [`TrajDb::from_store`] for callers that hold a
@@ -666,7 +555,6 @@ impl TrajDb {
     /// mmap-backed ([`MappedStore`]), one segment each, as
     /// [`TrajDb::open`] serves a shard-set directory. Their global ids
     /// must partition `0..total`; their kept bitmaps are retained.
-    /// [`DbOptions::partition`] and the open mode do not apply.
     #[must_use]
     pub fn from_shards<S: Into<StoreRef<'static>>>(
         shards: Vec<OpenShard<S>>,
@@ -685,28 +573,7 @@ impl TrajDb {
             .into_iter()
             .map(|sh| (sh.store.into(), Ids::Table(sh.global_ids), sh.kept))
             .collect();
-        Self::build(parts, opts.engine)
-    }
-
-    /// The in-memory constructor: partitions when requested, carrying an
-    /// optional kept bitmap through (split per shard when partitioning).
-    fn from_store_with_kept(
-        store: PointStore,
-        kept: Option<KeptBitmap>,
-        opts: DbOptions,
-    ) -> TrajDb {
-        let Some(strategy) = opts.partition else {
-            return Self::build(vec![(store.into(), Ids::From(0), kept)], opts.engine);
-        };
-        let shards = partition(&store, &strategy)
-            .into_iter()
-            .map(|sh| OpenShard {
-                kept: kept.as_ref().map(|b| shard_bitmap(b, store.offsets(), &sh)),
-                store: sh.store,
-                global_ids: sh.global_ids,
-            })
-            .collect();
-        Self::from_shards(shards, opts)
+        Self::build(parts, opts)
     }
 
     /// Every constructor ends here: the segments' indexes are built in
@@ -787,40 +654,12 @@ impl Segmented for TrajDb {
     }
 }
 
-/// A snapshot file as the one part of a database from id 0, owned or
-/// mapped per `mode`; a persisted kept bitmap comes along.
-pub(crate) fn snapshot_part(path: &Path, mode: OpenMode) -> Result<Part, SnapshotError> {
-    Ok(match mode {
-        OpenMode::Mapped => {
-            let mapped = MappedStore::open(path)?;
-            let kept = mapped.kept_bitmap();
-            (mapped.into(), Ids::From(0), kept)
-        }
-        OpenMode::Owned => {
-            let snap = read_snapshot(path)?;
-            (snap.store.into(), Ids::From(0), snap.kept)
-        }
-    })
-}
-
-/// The shard's part of a whole-database kept bitmap (indexed by the
-/// original store's global point ids), renumbered to the shard's own
-/// points. `orig_offsets` is the original store's offset table; the
-/// shard references it through its `global_ids`.
-fn shard_bitmap(bitmap: &KeptBitmap, orig_offsets: &[u32], shard: &Shard) -> KeptBitmap {
-    let mut local = KeptBitmap::zeros(shard.store.total_points());
-    let shard_offsets = shard.store.offsets();
-    for (local_id, &global_id) in shard.global_ids.iter().enumerate() {
-        let src = orig_offsets[global_id];
-        let dst = shard_offsets[local_id];
-        let len = orig_offsets[global_id + 1] - src;
-        for i in 0..len {
-            if bitmap.contains(src + i) {
-                local.insert(dst + i);
-            }
-        }
-    }
-    local
+/// A mapped snapshot file as the one part of a database from id 0; a
+/// persisted kept bitmap comes along.
+pub(crate) fn snapshot_part(path: &Path) -> Result<Part, SnapshotError> {
+    let mapped = MappedStore::open(path)?;
+    let kept = mapped.kept_bitmap();
+    Ok((mapped.into(), Ids::From(0), kept))
 }
 
 #[cfg(test)]
@@ -830,6 +669,7 @@ mod tests {
     use crate::workload::QueryDistribution;
     use rand::SeedableRng;
     use trajectory::gen::{generate, DatasetSpec, Scale};
+    use trajectory::{partition, PartitionStrategy};
 
     fn sample_store() -> PointStore {
         generate(&DatasetSpec::geolife(Scale::Smoke), 4242).to_store()
@@ -875,10 +715,7 @@ mod tests {
         let store = sample_store();
         let batch = mixed_batch(&store, 10);
         let single = TrajDb::from_store(store.clone(), DbOptions::new());
-        let sharded = TrajDb::from_store(
-            store,
-            DbOptions::new().partition(PartitionStrategy::Hash { parts: 3 }),
-        );
+        let sharded = sharded(&store, 3);
         assert!(!single.is_sharded());
         assert!(sharded.is_sharded());
         for db in [&single, &sharded] {
@@ -909,11 +746,10 @@ mod tests {
     fn range_kept_is_none_without_a_bitmap_on_every_layout() {
         let store = sample_store();
         let q = Cube::new(0.0, 1.0, 0.0, 1.0, 0.0, 1.0);
-        for opts in [
-            DbOptions::new(),
-            DbOptions::new().partition(PartitionStrategy::Time { parts: 2 }),
+        for db in [
+            TrajDb::from_store(store.clone(), DbOptions::new()),
+            sharded(&store, 2),
         ] {
-            let db = TrajDb::from_store(store.clone(), opts);
             assert!(!db.has_kept_bitmap());
             assert!(db.range_kept(&q).is_none());
             assert_eq!(
@@ -943,10 +779,7 @@ mod tests {
             dist: QueryDistribution::Data,
         };
         let single = TrajDb::from_store(store.clone(), DbOptions::new());
-        let sharded = TrajDb::from_store(
-            store,
-            DbOptions::new().partition(PartitionStrategy::Hash { parts: 4 }),
-        );
+        let sharded = sharded(&store, 4);
         for db in [&single, &sharded] {
             let w = db.range_workload(&spec, &mut StdRng::seed_from_u64(3));
             assert_eq!(w.len(), 12);
@@ -955,8 +788,13 @@ mod tests {
         }
     }
 
-    fn sharded(store: &PointStore, strategy: PartitionStrategy) -> TrajDb {
-        TrajDb::from_store(store.clone(), DbOptions::new().partition(strategy))
+    /// `store` cut into `parts` time ranges, one segment each.
+    fn sharded(store: &PointStore, parts: usize) -> TrajDb {
+        let shards = partition(store, &PartitionStrategy::Time { parts });
+        TrajDb::from_shards(
+            shards.into_iter().map(Into::into).collect(),
+            DbOptions::new(),
+        )
     }
 
     fn workload(store: &PointStore, n: usize, seed: u64) -> Vec<Cube> {
@@ -974,17 +812,13 @@ mod tests {
         let store = sample_store();
         let queries = workload(&store, 25, 1);
         let single = QueryEngine::over_store(&store, EngineConfig::octree());
-        for strategy in [
-            PartitionStrategy::Grid { nx: 2, ny: 2 },
-            PartitionStrategy::Time { parts: 3 },
-            PartitionStrategy::Hash { parts: 4 },
-        ] {
-            let sharded = sharded(&store, strategy);
+        for parts in [2, 3, 4] {
+            let sharded = sharded(&store, parts);
             assert!(sharded.shard_count() >= 1);
             assert_eq!(sharded.len(), store.len());
             assert_eq!(sharded.total_points(), store.total_points());
             for q in &queries {
-                assert_eq!(sharded.range(q), single.range(q), "{strategy:?}");
+                assert_eq!(sharded.range(q), single.range(q), "{parts} parts");
             }
             assert_eq!(sharded.range_batch(&queries), single.range_batch(&queries));
         }
@@ -995,7 +829,7 @@ mod tests {
         let store = sample_store();
         let (t0, t1) = store.time_span();
         let single = QueryEngine::over_store(&store, EngineConfig::octree());
-        let sharded = sharded(&store, PartitionStrategy::Hash { parts: 3 });
+        let sharded = sharded(&store, 3);
         for (k, ts, te) in [
             (3, t0, t1),
             (1, t0, (t0 + t1) / 2.0),
@@ -1024,7 +858,7 @@ mod tests {
             step: 300.0,
         };
         let single = QueryEngine::over_store(&store, EngineConfig::octree());
-        let sharded = sharded(&store, PartitionStrategy::Time { parts: 4 });
+        let sharded = sharded(&store, 4);
         assert_eq!(sharded.similarity(&q), single.similarity(&q));
         assert_eq!(
             sharded.similarity_batch(std::slice::from_ref(&q)),
@@ -1043,7 +877,7 @@ mod tests {
         }
         let queries = workload(&store, 15, 9);
         let single = QueryEngine::over_store(&store, EngineConfig::octree());
-        let sharded = sharded(&store, PartitionStrategy::Grid { nx: 2, ny: 2 });
+        let sharded = sharded(&store, 4);
         for q in &queries {
             assert_eq!(
                 sharded.range_simplified(&simp, q),
@@ -1075,7 +909,7 @@ mod tests {
 
     #[test]
     fn empty_database_serves_empty_results() {
-        let sharded = sharded(&PointStore::new(), PartitionStrategy::Hash { parts: 4 });
+        let sharded = sharded(&PointStore::new(), 4);
         assert_eq!(sharded.shard_count(), 0);
         assert!(sharded.is_empty());
         assert!(sharded

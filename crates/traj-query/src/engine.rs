@@ -130,6 +130,12 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
+    /// The default configuration: octree backend, default tree shape.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// An octree-backed configuration with default tree shape.
     #[must_use]
     pub fn octree() -> Self {
@@ -156,14 +162,14 @@ impl EngineConfig {
 
     /// Overrides the backend.
     #[must_use]
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
+    pub fn backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
         self
     }
 
     /// Overrides the tree shape.
     #[must_use]
-    pub fn with_tree_shape(mut self, max_depth: u32, leaf_capacity: usize) -> Self {
+    pub fn tree_shape(mut self, max_depth: u32, leaf_capacity: usize) -> Self {
         self.max_depth = max_depth;
         self.leaf_capacity = leaf_capacity;
         self

@@ -6,8 +6,8 @@
 //! [`GenerationalDb`] adds writes without giving that up, LSM-style:
 //!
 //! - the **base** is an immutable snapshot generation (`gen-N.snap`),
-//!   one stored segment with the configured index (owned or mmap-backed
-//!   per [`DbOptions`]), built when the generation is opened;
+//!   one stored segment over the mapped file with the index its
+//!   [`DbOptions`] configure, built when the generation is opened;
 //! - the **active delta** is a WAL-guarded
 //!   [`DeltaStore`]: appends are simplified
 //!   online at admission, logged, and acknowledged only after an
@@ -439,7 +439,7 @@ impl GenerationalDb {
     }
 
     /// Opens a live database directory: reads the manifest, serves the
-    /// committed base generation (owned or mmap-backed per `opts`),
+    /// committed base generation (mapped, indexed per `opts`),
     /// replays every WAL the manifest still depends on — all but the
     /// highest sequence become sealed segments, the highest is
     /// reopened for appends (its torn tail, if any, truncated).
@@ -450,8 +450,8 @@ impl GenerationalDb {
     ) -> Result<Self, GenError> {
         let dir = dir.as_ref().to_path_buf();
         let manifest = load_manifest(&dir.join(GENS_MANIFEST))?;
-        let base_part = snapshot_part(&dir.join(&manifest.snapshot), opts.open_mode())?;
-        let base = StoredSegment::build(base_part, opts.engine_config());
+        let base_part = snapshot_part(&dir.join(&manifest.snapshot))?;
+        let base = StoredSegment::build(base_part, opts);
         let mut seqs: Vec<u64> = Vec::new();
         for entry in fs::read_dir(&dir)? {
             if let Some(seq) = parse_wal_name(&entry?.file_name().to_string_lossy()) {
@@ -607,8 +607,8 @@ impl GenerationalDb {
 
         // Phase 3 (no lock): open the committed generation and build its
         // index, ahead of the swap.
-        let part = snapshot_part(&snap_path, self.opts.open_mode())?;
-        let next_base = StoredSegment::build(part, self.opts.engine_config());
+        let part = snapshot_part(&snap_path)?;
+        let next_base = StoredSegment::build(part, self.opts);
 
         // Phase 4 (write lock): swap serving onto the new generation.
         {

@@ -49,8 +49,8 @@
 //! - [`TrajDb`] — the façade in [`db`], and the one type that stores a
 //!   segment list: [`TrajDb::open`] auto-detects CSV vs snapshot vs shard
 //!   directory and builds one segment per snapshot or shard, every index
-//!   once and in parallel ([`DbOptions::partition`] cuts a single store
-//!   into shards the same way);
+//!   once and in parallel ([`TrajDb::from_shards`] serves an in-memory
+//!   partition the same way);
 //! - a live [`GenerationalDb`] — `[base, sealed deltas…, active delta]`,
 //!   the base and the sealed deltas stored as `TrajDb`'s segments are,
 //!   the active delta's view assembled per call (see [`generational`]);
@@ -97,8 +97,7 @@ pub mod traclus;
 pub mod workload;
 
 pub use db::{
-    DbOptions, OpenMode, Query, QueryBatch, QueryExecutor, QueryKind, QueryResult, TrajDb,
-    TrajDbError,
+    DbOptions, Query, QueryBatch, QueryExecutor, QueryKind, QueryResult, TrajDb, TrajDbError,
 };
 pub use engine::{BackendKind, EngineConfig, MaintainedWorkload, QueryEngine, QueryScratch};
 pub use generational::{

@@ -18,7 +18,7 @@
 //! points removes cells/transitions and moves the vector — exactly the
 //! degradation signal kNN accuracy measurement needs.
 
-use trajectory::{Point, PointSeq, Trajectory};
+use trajectory::{Point, PointSeq};
 
 /// The embedder configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,11 +70,6 @@ impl T2vecEmbedder {
         }
         l2_normalize(&mut v);
         v
-    }
-
-    /// Embeds a whole trajectory.
-    pub fn embed(&self, t: &Trajectory) -> Vec<f64> {
-        self.embed_points(t.points())
     }
 
     /// Euclidean distance between two embeddings — the lane-wide
@@ -129,6 +124,7 @@ fn l2_normalize(v: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trajectory::Trajectory;
 
     fn traj(coords: &[(f64, f64)]) -> Trajectory {
         Trajectory::new(
@@ -144,7 +140,7 @@ mod tests {
     #[test]
     fn embedding_is_unit_norm() {
         let e = T2vecEmbedder::default();
-        let v = e.embed(&traj(&[(0.0, 0.0), (300.0, 0.0), (600.0, 300.0)]));
+        let v = e.embed_points(traj(&[(0.0, 0.0), (300.0, 0.0), (600.0, 300.0)]).points());
         let norm: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt();
         assert!((norm - 1.0).abs() < 1e-9);
     }
@@ -153,7 +149,10 @@ mod tests {
     fn identical_trajectories_embed_identically() {
         let e = T2vecEmbedder::default();
         let t = traj(&[(0.0, 0.0), (300.0, 100.0), (700.0, 300.0)]);
-        assert_eq!(T2vecEmbedder::distance(&e.embed(&t), &e.embed(&t)), 0.0);
+        assert_eq!(
+            T2vecEmbedder::distance(&e.embed_points(t.points()), &e.embed_points(t.points())),
+            0.0
+        );
     }
 
     #[test]
@@ -168,9 +167,9 @@ mod tests {
             (10_300.0, 10_300.0),
             (10_600.0, 10_600.0),
         ]);
-        let vb = e.embed(&base);
-        let dn = T2vecEmbedder::distance(&vb, &e.embed(&near));
-        let df = T2vecEmbedder::distance(&vb, &e.embed(&far));
+        let vb = e.embed_points(base.points());
+        let dn = T2vecEmbedder::distance(&vb, &e.embed_points(near.points()));
+        let df = T2vecEmbedder::distance(&vb, &e.embed_points(far.points()));
         assert!(dn < df, "near {dn} should beat far {df}");
     }
 
@@ -187,7 +186,10 @@ mod tests {
             (300.0, 0.0),
             (600.0, 0.0),
         ]);
-        let d = T2vecEmbedder::distance(&e.embed(&moving), &e.embed(&parked));
+        let d = T2vecEmbedder::distance(
+            &e.embed_points(moving.points()),
+            &e.embed_points(parked.points()),
+        );
         assert!(
             d < 0.5,
             "parking noise should barely move the embedding: {d}"
@@ -207,8 +209,8 @@ mod tests {
             cell_size: 250.0,
             dim: 0,
         };
-        let a = e.embed(&traj(&[(0.0, 0.0), (300.0, 0.0), (600.0, 300.0)]));
-        let b = e.embed(&traj(&[(9_000.0, 0.0), (9_300.0, 0.0)]));
+        let a = e.embed_points(traj(&[(0.0, 0.0), (300.0, 0.0), (600.0, 300.0)]).points());
+        let b = e.embed_points(traj(&[(9_000.0, 0.0), (9_300.0, 0.0)]).points());
         assert!(a.is_empty() && b.is_empty());
         assert_eq!(T2vecEmbedder::distance(&a, &b), 0.0);
     }
@@ -231,10 +233,10 @@ mod tests {
             (-5_300.0, 2_300.0),
             (-5_600.0, 2_600.0),
         ]);
-        let vo = e.embed(&orig);
+        let vo = e.embed_points(orig.points());
         assert!(
-            T2vecEmbedder::distance(&vo, &e.embed(&simp))
-                < T2vecEmbedder::distance(&vo, &e.embed(&other))
+            T2vecEmbedder::distance(&vo, &e.embed_points(simp.points()))
+                < T2vecEmbedder::distance(&vo, &e.embed_points(other.points()))
         );
     }
 }

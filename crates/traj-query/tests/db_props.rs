@@ -17,9 +17,9 @@ use traj_query::{
     SimilarityQuery, TrajDb,
 };
 use traj_simp::{Simplifier, Uniform};
-use trajectory::shard::{partition, PartitionStrategy, Shard, ShardSet};
+use trajectory::shard::{partition, OpenShard, PartitionStrategy, Shard, ShardSet};
 use trajectory::snapshot::{read_snapshot, write_snapshot_with};
-use trajectory::{Cube, KeptBitmap, Point, Simplification, Trajectory, TrajectoryDb};
+use trajectory::{Cube, KeptBitmap, Point, PointStore, Simplification, Trajectory, TrajectoryDb};
 
 /// Strategy: a Geolife/T-Drive-shaped database of 1..8 trajectories with
 /// 2..40 points each (bounded coordinates, strictly increasing times).
@@ -70,8 +70,8 @@ fn arb_query(db: &TrajectoryDb) -> impl Strategy<Value = Cube> {
 fn engine_configs() -> [EngineConfig; 3] {
     [
         EngineConfig::scan(),
-        EngineConfig::octree().with_tree_shape(6, 8),
-        EngineConfig::median_kd().with_tree_shape(6, 8),
+        EngineConfig::octree().tree_shape(6, 8),
+        EngineConfig::median_kd().tree_shape(6, 8),
     ]
 }
 
@@ -124,6 +124,18 @@ fn mixed_batch(db: &TrajectoryDb, cubes: &[Cube]) -> QueryBatch {
     batch
 }
 
+/// The kept bitmap of endpoints plus every third point of every
+/// trajectory.
+fn every_third(store: &PointStore) -> KeptBitmap {
+    let mut simp = Simplification::most_simplified_store(store);
+    for (id, v) in store.iter() {
+        for idx in (0..v.len() as u32).step_by(3) {
+            simp.insert(id, idx);
+        }
+    }
+    simp.to_bitmap(store)
+}
+
 /// Asserts that `execute_batch` over `batch` equals one-at-a-time
 /// `execute` on the same executor, and returns the batch results.
 fn batch_equals_sequential<E: QueryExecutor + ?Sized>(
@@ -173,7 +185,7 @@ proptest! {
         let snap = unique_path("batch").with_extension("snap");
         write_snapshot_with(&store, Some(&bitmap), &snap).unwrap();
         let shard_dir = unique_path("batch_shards");
-        let shards = partition(&store, &PartitionStrategy::Hash { parts: 3 });
+        let shards = partition(&store, &PartitionStrategy::Time { parts: 3 });
         // Persist the *same* global simplification, split per shard, so
         // every storage format serves the identical D'.
         let kept_local: Vec<KeptBitmap> = shards
@@ -190,16 +202,26 @@ proptest! {
         ShardSet::write_with(&shard_dir, &shards, &kept_local).unwrap();
 
         for cfg in engine_configs() {
-            let opts = DbOptions::new().engine(cfg);
             // Single-store executor, owned columns, bitmap attached.
             let owned_single =
                 QueryEngine::over_store(&store, cfg).with_kept_bitmap(bitmap.clone());
             // Single-store executor over the mapped snapshot (bitmap
-            // auto-attached), sharded executors over owned and mapped
-            // shard sets — all through the façade.
-            let mapped_single = TrajDb::open(&snap, opts).unwrap();
-            let owned_sharded = TrajDb::open(&shard_dir, opts.owned()).unwrap();
-            let mapped_sharded = TrajDb::open(&shard_dir, opts.mapped()).unwrap();
+            // auto-attached), a sharded one over the mapped shard set —
+            // both through the façade — and one over the owned shards.
+            let mapped_single = TrajDb::open(&snap, cfg).unwrap();
+            let mapped_sharded = TrajDb::open(&shard_dir, cfg).unwrap();
+            let owned_sharded = TrajDb::from_shards(
+                shards
+                    .iter()
+                    .zip(&kept_local)
+                    .map(|(sh, kept)| OpenShard {
+                        store: sh.store.clone(),
+                        global_ids: sh.global_ids.clone(),
+                        kept: Some(kept.clone()),
+                    })
+                    .collect(),
+                cfg,
+            );
             prop_assert!(!mapped_single.is_sharded());
             prop_assert!(owned_sharded.is_sharded() && mapped_sharded.is_sharded());
 
@@ -237,31 +259,18 @@ proptest! {
         let snap = unique_path("open").with_extension("snap");
         trajectory::write_snapshot(&store, &snap).unwrap();
         let dir = unique_path("open_shards");
-        let shards = partition(&store, &PartitionStrategy::Grid { nx: 2, ny: 2 });
+        let shards = partition(&store, &PartitionStrategy::Time { parts: 4 });
         trajectory::ShardSet::write(&dir, &shards).unwrap();
 
         let from_csv = TrajDb::open(&csv, DbOptions::new()).unwrap();
         let from_snap = TrajDb::open(&snap, DbOptions::new()).unwrap();
-        let from_snap_owned = TrajDb::open(&snap, DbOptions::new().owned()).unwrap();
         let from_dir = TrajDb::open(&dir, DbOptions::new()).unwrap();
         prop_assert!(!from_csv.is_sharded());
         prop_assert!(!from_snap.is_sharded());
         prop_assert!(from_dir.is_sharded());
-        // A partition option re-shards single-store sources in memory.
-        let resharded = TrajDb::open(
-            &snap,
-            DbOptions::new().partition(PartitionStrategy::Time { parts: 2 }),
-        )
-        .unwrap();
-        prop_assert!(resharded.is_sharded());
 
         let expected = from_csv.range(&qf);
-        for (label, db) in [
-            ("snapshot", &from_snap),
-            ("snapshot owned", &from_snap_owned),
-            ("shard dir", &from_dir),
-            ("resharded", &resharded),
-        ] {
+        for (label, db) in [("snapshot", &from_snap), ("shard dir", &from_dir)] {
             prop_assert_eq!(db.len(), store.len(), "{}", label);
             prop_assert_eq!(db.total_points(), store.total_points(), "{}", label);
             prop_assert_eq!(db.range(&qf), expected.clone(), "{}", label);
@@ -271,37 +280,39 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Re-partitioning a simplified snapshot in memory splits its kept
-    /// bitmap correctly: `range_kept` matches the unsharded serving for
-    /// every partitioner.
+    /// A sharded `D'` is each shard's own simplification: endpoints plus
+    /// every third point keeps the same points of a trajectory whatever
+    /// store holds it, so the shards' bitmaps serve `range_kept` exactly
+    /// as the unsharded snapshot's bitmap does, at every part count.
     #[test]
-    fn partitioned_open_splits_kept_bitmaps(
+    fn per_shard_kept_bitmaps_serve_the_same_d_prime(
         (db, qf) in arb_db().prop_flat_map(|db| {
             let q = arb_query(&db);
             (Just(db), q)
         })
     ) {
         let store = db.to_store();
-        let simp = Uniform.simplify_store(&store, store.total_points() / 3);
-        let bitmap = simp.to_bitmap(&store);
         let snap = unique_path("split").with_extension("snap");
-        write_snapshot_with(&store, Some(&bitmap), &snap).unwrap();
+        write_snapshot_with(&store, Some(&every_third(&store)), &snap).unwrap();
 
         let single = TrajDb::open(&snap, DbOptions::new()).unwrap();
         let expected = single.range_kept(&qf).unwrap();
-        for strategy in [
-            PartitionStrategy::Grid { nx: 2, ny: 2 },
-            PartitionStrategy::Time { parts: 3 },
-            PartitionStrategy::Hash { parts: 3 },
-        ] {
-            let sharded =
-                TrajDb::open(&snap, DbOptions::new().partition(strategy)).unwrap();
-            prop_assert!(sharded.has_kept_bitmap(), "{:?}", strategy);
+        for parts in [2, 3, 4] {
+            let shards = partition(&store, &PartitionStrategy::Time { parts })
+                .into_iter()
+                .map(|sh| OpenShard {
+                    kept: Some(every_third(&sh.store)),
+                    store: sh.store,
+                    global_ids: sh.global_ids,
+                })
+                .collect();
+            let sharded = TrajDb::from_shards(shards, DbOptions::new());
+            prop_assert!(sharded.has_kept_bitmap(), "{} parts", parts);
             prop_assert_eq!(
                 sharded.range_kept(&qf).unwrap(),
                 expected.clone(),
-                "{:?}",
-                strategy
+                "{} parts",
+                parts
             );
         }
         std::fs::remove_file(&snap).ok();
@@ -318,8 +329,8 @@ fn open_rejects_missing_paths_with_io_errors() {
     assert!(matches!(err, traj_query::TrajDbError::Io(_)), "{err}");
 }
 
-/// A snapshot written before the version-2 bump opens through the façade,
-/// mapped and owned, and answers a mixed batch exactly as its version-2
+/// A snapshot written before the version-2 bump opens through the façade
+/// and answers a mixed batch exactly as its version-2
 /// rewrite does: the raw fixture with its kept bitmap, and the quantized
 /// one, whose decoded columns are what both serve.
 #[test]
@@ -360,13 +371,15 @@ fn version_1_snapshots_answer_as_their_version_2_rewrites() {
             delta: 2_500.0,
             step: 30.0,
         });
-        for opts in [DbOptions::new(), DbOptions::new().owned()] {
-            let old = TrajDb::open(&v1, opts).unwrap().execute_batch(&batch);
-            let new = TrajDb::open(&v2, opts).unwrap().execute_batch(&batch);
-            assert_eq!(old, new, "{name}, {:?}", opts.open_mode());
-            assert_eq!(old[0].ids().unwrap().len(), snap.store.len(), "{name}");
-            assert_eq!(matches!(old[2], QueryResult::RangeKept(Some(_))), has_kept);
-        }
+        let old = TrajDb::open(&v1, DbOptions::new())
+            .unwrap()
+            .execute_batch(&batch);
+        let new = TrajDb::open(&v2, DbOptions::new())
+            .unwrap()
+            .execute_batch(&batch);
+        assert_eq!(old, new, "{name}");
+        assert_eq!(old[0].ids().unwrap().len(), snap.store.len(), "{name}");
+        assert_eq!(matches!(old[2], QueryResult::RangeKept(Some(_))), has_kept);
         std::fs::remove_file(&v2).ok();
     }
 }

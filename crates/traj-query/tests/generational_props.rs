@@ -4,8 +4,8 @@
 //! from-scratch `QueryEngine` rebuilt over the same trajectories — for
 //! range, kNN, similarity, simplified-database execution, and
 //! heterogeneous batches, across every index backend (scan / octree /
-//! median kd-tree), both open modes (owned / mmap-backed base), and on
-//! both sides of a compaction — plus crash-recovery: a torn WAL tail
+//! median kd-tree) over the mapped base, and on both sides of a
+//! compaction — plus crash-recovery: a torn WAL tail
 //! and a crash on either side of a compaction's manifest commit
 //! recover exactly the acknowledged writes.
 
@@ -74,15 +74,8 @@ fn arb_query(db: &TrajectoryDb) -> impl Strategy<Value = Cube> {
 fn engine_configs() -> [EngineConfig; 3] {
     [
         EngineConfig::scan(),
-        EngineConfig::octree().with_tree_shape(6, 8),
-        EngineConfig::median_kd().with_tree_shape(6, 8),
-    ]
-}
-
-fn open_modes(cfg: EngineConfig) -> [DbOptions; 2] {
-    [
-        DbOptions::new().engine(cfg).owned(),
-        DbOptions::new().engine(cfg).mapped(),
+        EngineConfig::octree().tree_shape(6, 8),
+        EngineConfig::median_kd().tree_shape(6, 8),
     ]
 }
 
@@ -227,7 +220,7 @@ proptest! {
 
     /// The tentpole property: base-prefix + ingested-suffix serving,
     /// before and after compaction and across a reopen, equals a
-    /// from-scratch rebuild — for every backend and both open modes.
+    /// from-scratch rebuild — for every backend.
     #[test]
     fn merged_serving_equals_from_scratch_rebuild(
         (db, queries, split, k) in arb_db().prop_flat_map(|db| {
@@ -242,40 +235,38 @@ proptest! {
         let delta = &trajs[split..];
 
         for cfg in engine_configs() {
-            for opts in open_modes(cfg) {
-                let dir = unique_dir();
-                let live = GenerationalDb::create(&dir, &base, opts, keep_all()).unwrap();
-                // Ingest the suffix in two batches to exercise batch seams.
-                let mid = delta.len() / 2;
-                for chunk in [&delta[..mid], &delta[mid..]] {
-                    if !chunk.is_empty() {
-                        let ack = live.ingest(chunk).unwrap();
-                        prop_assert_eq!(ack.accepted as usize, chunk.len());
-                        prop_assert_eq!(ack.rejected, 0);
-                    }
+            let dir = unique_dir();
+            let live = GenerationalDb::create(&dir, &base, cfg, keep_all()).unwrap();
+            // Ingest the suffix in two batches to exercise batch seams.
+            let mid = delta.len() / 2;
+            for chunk in [&delta[..mid], &delta[mid..]] {
+                if !chunk.is_empty() {
+                    let ack = live.ingest(chunk).unwrap();
+                    prop_assert_eq!(ack.accepted as usize, chunk.len());
+                    prop_assert_eq!(ack.rejected, 0);
                 }
-                assert_equals_rebuild(&live, &full, &db, cfg, &queries, k, "pre-compaction")?;
-
-                let report = live.compact().unwrap();
-                if split < trajs.len() {
-                    prop_assert_eq!(report.folded_trajs, trajs.len() - split);
-                    prop_assert_eq!(live.generation(), 1);
-                }
-                prop_assert_eq!(live.delta_points(), 0);
-                assert_equals_rebuild(&live, &full, &db, cfg, &queries, k, "post-compaction")?;
-                drop(live);
-
-                let reopened = GenerationalDb::open(&dir, opts, keep_all()).unwrap();
-                assert_equals_rebuild(&reopened, &full, &db, cfg, &queries, k, "reopened")?;
-                std::fs::remove_dir_all(&dir).ok();
             }
+            assert_equals_rebuild(&live, &full, &db, cfg, &queries, k, "pre-compaction")?;
+
+            let report = live.compact().unwrap();
+            if split < trajs.len() {
+                prop_assert_eq!(report.folded_trajs, trajs.len() - split);
+                prop_assert_eq!(live.generation(), 1);
+            }
+            prop_assert_eq!(live.delta_points(), 0);
+            assert_equals_rebuild(&live, &full, &db, cfg, &queries, k, "post-compaction")?;
+            drop(live);
+
+            let reopened = GenerationalDb::open(&dir, cfg, keep_all()).unwrap();
+            assert_equals_rebuild(&reopened, &full, &db, cfg, &queries, k, "reopened")?;
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 
     /// The live × quantized crossing: generation 0 swapped for a
     /// *quantized* write of the same store. Opening decodes it, so the
     /// oracle is a rebuild over the decoded base plus the raw delta —
-    /// in the delta, after a fold, for both open modes.
+    /// in the delta and after a fold.
     #[test]
     fn quantized_base_serves_like_its_decoded_store(
         (db, queries, split, k) in arb_db().prop_flat_map(|db| {
@@ -286,27 +277,25 @@ proptest! {
     ) {
         let trajs: Vec<Trajectory> = db.iter().map(|(_, t)| t.clone()).collect();
         let base = store_of(&trajs[..split]);
-        let cfg = EngineConfig::octree().with_tree_shape(6, 8);
-        for opts in open_modes(cfg) {
-            let dir = unique_dir();
-            drop(GenerationalDb::create(&dir, &base, opts, keep_all()).unwrap());
-            let gen0 = dir.join("gen-000000.snap");
-            write_snapshot_quantized(&base, None, 0.5, &gen0).unwrap();
-            let mut full = read_snapshot(&gen0).unwrap().store;
-            prop_assert_ne!(&full, &base, "the codec must actually have rounded something");
-            for t in &trajs[split..] {
-                full.push_points(t.points()).unwrap();
-            }
-
-            let live = GenerationalDb::open(&dir, opts, keep_all()).unwrap();
-            if split < trajs.len() {
-                live.ingest(&trajs[split..]).unwrap();
-            }
-            assert_equals_rebuild(&live, &full, &db, cfg, &queries, k, "quantized base + delta")?;
-            live.compact().unwrap();
-            assert_equals_rebuild(&live, &full, &db, cfg, &queries, k, "quantized base, folded")?;
-            std::fs::remove_dir_all(&dir).ok();
+        let cfg = EngineConfig::octree().tree_shape(6, 8);
+        let dir = unique_dir();
+        drop(GenerationalDb::create(&dir, &base, cfg, keep_all()).unwrap());
+        let gen0 = dir.join("gen-000000.snap");
+        write_snapshot_quantized(&base, None, 0.5, &gen0).unwrap();
+        let mut full = read_snapshot(&gen0).unwrap().store;
+        prop_assert_ne!(&full, &base, "the codec must actually have rounded something");
+        for t in &trajs[split..] {
+            full.push_points(t.points()).unwrap();
         }
+
+        let live = GenerationalDb::open(&dir, cfg, keep_all()).unwrap();
+        if split < trajs.len() {
+            live.ingest(&trajs[split..]).unwrap();
+        }
+        assert_equals_rebuild(&live, &full, &db, cfg, &queries, k, "quantized base + delta")?;
+        live.compact().unwrap();
+        assert_equals_rebuild(&live, &full, &db, cfg, &queries, k, "quantized base, folded")?;
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Writes keep landing while generations roll: ingest → compact →
@@ -323,11 +312,11 @@ proptest! {
         let (a, b) = if s0 <= s1 { (s0, s1) } else { (s1, s0) };
         let trajs: Vec<Trajectory> = db.iter().map(|(_, t)| t.clone()).collect();
         let full = store_of(&trajs);
-        let cfg = EngineConfig::octree().with_tree_shape(6, 8);
+        let cfg = EngineConfig::octree().tree_shape(6, 8);
         let dir = unique_dir();
 
         let live =
-            GenerationalDb::create(&dir, &store_of(&trajs[..a]), DbOptions::new().engine(cfg), keep_all())
+            GenerationalDb::create(&dir, &store_of(&trajs[..a]), cfg, keep_all())
                 .unwrap();
         if a < b {
             live.ingest(&trajs[a..b]).unwrap();

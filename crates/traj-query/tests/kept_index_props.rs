@@ -3,13 +3,13 @@
 //! bits name lies inside the cube — on every backend (octree and median
 //! kd-tree walk a tree built over the kept points alone; the scan
 //! backend sweeps the masked kernel), at leaf capacities on both sides of
-//! the 64-point chunk, over owned, mapped and quantized snapshots, served
-//! whole and partitioned. The oracle reads the bitmap and the columns and
-//! nothing else.
+//! the 64-point chunk, over owned columns and mapped and quantized
+//! snapshots, served whole and as time shards. The oracle reads the
+//! bitmap and the columns and nothing else.
 
 use proptest::prelude::*;
-use traj_query::{BackendKind, DbOptions, EngineConfig, QueryEngine, QueryExecutor, TrajDb};
-use trajectory::shard::PartitionStrategy;
+use traj_query::{BackendKind, EngineConfig, QueryEngine, QueryExecutor, TrajDb};
+use trajectory::shard::{partition, OpenShard, PartitionStrategy, Shard};
 use trajectory::snapshot::{read_snapshot, write_snapshot_quantized, write_snapshot_with};
 use trajectory::{
     Cube, KeptBitmap, MappedStore, Point, PointId, PointStore, Trajectory, TrajectoryDb,
@@ -123,6 +123,23 @@ fn queries(store: &PointStore, fractions: &[(f64, f64, f64, f64)]) -> Vec<Cube> 
     out
 }
 
+/// The shard's part of `kept`, a bitmap over `store`, renumbered to the
+/// shard's own points: the bitmap a shard of the same `D'` persists.
+fn shard_kept(store: &PointStore, kept: &KeptBitmap, shard: &Shard) -> KeptBitmap {
+    let mut local = KeptBitmap::zeros(shard.store.total_points());
+    let mut dst = 0;
+    for &g in &shard.global_ids {
+        let (src, len) = (store.offsets()[g], store.view(g).len() as PointId);
+        for i in 0..len {
+            if kept.contains(src + i) {
+                local.insert(dst + i);
+            }
+        }
+        dst += len;
+    }
+    local
+}
+
 fn configs() -> Vec<EngineConfig> {
     let mut out = Vec::new();
     for backend in [
@@ -211,26 +228,29 @@ proptest! {
             let over_mapped = QueryEngine::over_mapped(&mapped, cfg);
             assert_oracle(&over_mapped, &store, &kept, &queries, &format!("over_mapped, {label}"))?;
 
-            for partition in [
-                None,
-                Some(PartitionStrategy::Time { parts: 3 }),
-                Some(PartitionStrategy::Hash { parts: 3 }),
+            for (source, path, columns) in [
+                ("mapped", &plain, &store),
+                ("quantized", &quantized, &decoded.store),
             ] {
-                let mut opts = DbOptions::new().engine(cfg);
-                if let Some(strategy) = partition {
-                    opts = opts.partition(strategy);
-                }
-                for (source, path, columns) in [
-                    ("mapped", &plain, &store),
-                    ("quantized", &quantized, &decoded.store),
-                ] {
-                    for opts in [opts.mapped(), opts.owned()] {
-                        let db = TrajDb::open(path, opts).unwrap();
-                        prop_assert_eq!(db.is_sharded(), partition.is_some());
-                        let what = format!("{source} {opts:?}, {label}");
-                        assert_oracle(&db, columns, &kept, &queries, &what)?;
-                    }
-                }
+                let db = TrajDb::open(path, cfg).unwrap();
+                prop_assert!(!db.is_sharded());
+                assert_oracle(&db, columns, &kept, &queries, &format!("{source}, {label}"))?;
+            }
+            // The raw and the decoded columns cut into time shards, each
+            // shard carrying its part of the bitmap.
+            for (source, columns) in [("raw", &store), ("quantized", &decoded.store)] {
+                let shards = partition(columns, &PartitionStrategy::Time { parts: 3 })
+                    .into_iter()
+                    .map(|sh| OpenShard {
+                        kept: Some(shard_kept(columns, &kept, &sh)),
+                        store: sh.store,
+                        global_ids: sh.global_ids,
+                    })
+                    .collect();
+                let db = TrajDb::from_shards(shards, cfg);
+                prop_assert!(db.is_sharded());
+                let what = format!("{source} time shards, {label}");
+                assert_oracle(&db, columns, &kept, &queries, &what)?;
             }
 
             // Clearing the bitmap drops D′: no answer, not an empty one;

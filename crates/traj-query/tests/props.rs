@@ -66,8 +66,8 @@ fn arb_query(db: &TrajectoryDb) -> impl Strategy<Value = Cube> {
 fn engine_configs() -> [EngineConfig; 3] {
     [
         EngineConfig::scan(),
-        EngineConfig::octree().with_tree_shape(6, 8),
-        EngineConfig::median_kd().with_tree_shape(6, 8),
+        EngineConfig::octree().tree_shape(6, 8),
+        EngineConfig::median_kd().tree_shape(6, 8),
     ]
 }
 
@@ -226,7 +226,7 @@ proptest! {
             })
             .collect();
         let store = db.to_store();
-        let engine = QueryEngine::over_store(&store, EngineConfig::octree().with_tree_shape(6, 8));
+        let engine = QueryEngine::over_store(&store, EngineConfig::octree().tree_shape(6, 8));
         let batch = engine.range_batch(&queries);
         for (i, q) in queries.iter().enumerate() {
             prop_assert_eq!(&batch[i], &range_query_store(&store, q));
@@ -334,7 +334,7 @@ proptest! {
                 Cube::centered(cx, cy, ct, f * ex / 2.0 + 1e-6, f * ey / 2.0 + 1e-6, f * et / 2.0 + 1e-6)
             })
             .collect();
-        let engine = QueryEngine::over(&db, EngineConfig::octree().with_tree_shape(6, 8));
+        let engine = QueryEngine::over(&db, EngineConfig::octree().tree_shape(6, 8));
         let mut simp = Simplification::most_simplified_store(engine.store());
         let mut maintained = engine.maintained_workload(queries, &simp);
         for (traj, frac) in inserts {

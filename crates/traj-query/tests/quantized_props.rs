@@ -2,13 +2,13 @@
 //! query layer: a quantized snapshot decodes every coordinate within
 //! the stored error bound, shrinks the file, and — because both load
 //! paths rehydrate to plain `f64` columns — answers queries identically
-//! across all three index backends, owned and mapped storage, and the
+//! across all three index backends, owned and mapped columns, and the
 //! single-store and sharded engines. The codec's query-accuracy
 //! contract is pinned too: expanding a range cube by the error bound on
 //! the quantized database recovers every raw-database hit.
 
 use proptest::prelude::*;
-use traj_query::{range_query_store, DbOptions, EngineConfig, QueryExecutor, TrajDb};
+use traj_query::{range_query_store, EngineConfig, QueryExecutor, TrajDb};
 use trajectory::shard::{partition, PartitionStrategy, ShardSet};
 use trajectory::snapshot::{read_snapshot, write_snapshot_quantized, write_snapshot_with};
 use trajectory::{Cube, Point, PointStore, Trajectory, TrajectoryDb};
@@ -63,8 +63,8 @@ fn arb_query(db: &TrajectoryDb) -> impl Strategy<Value = Cube> {
 fn engine_configs() -> [EngineConfig; 3] {
     [
         EngineConfig::scan(),
-        EngineConfig::octree().with_tree_shape(6, 8),
-        EngineConfig::median_kd().with_tree_shape(6, 8),
+        EngineConfig::octree().tree_shape(6, 8),
+        EngineConfig::median_kd().tree_shape(6, 8),
     ]
 }
 
@@ -142,7 +142,8 @@ proptest! {
     }
 
     /// Once decoded, quantized data is just data: every index backend,
-    /// both load paths, and the sharded engine answer identically on it,
+    /// the decoded columns in memory, the mapped snapshot and the sharded
+    /// engine answer identically on it,
     /// and all of them match the scalar reference scan over the decoded
     /// store.
     #[test]
@@ -158,14 +159,13 @@ proptest! {
         let decoded = read_snapshot(&q_path).unwrap().store;
 
         let shard_dir = unique_path("agree_shards");
-        let shards = partition(&decoded, &PartitionStrategy::Hash { parts: 3 });
+        let shards = partition(&decoded, &PartitionStrategy::Time { parts: 3 });
         ShardSet::write_quantized(&shard_dir, &shards, None, max_error).unwrap();
 
         for cfg in engine_configs() {
-            let opts = DbOptions::new().engine(cfg);
-            let owned = TrajDb::open(&q_path, opts.owned()).unwrap();
-            let mapped = TrajDb::open(&q_path, opts.mapped()).unwrap();
-            let sharded = TrajDb::open(&shard_dir, opts).unwrap();
+            let owned = TrajDb::from_store(decoded.clone(), cfg);
+            let mapped = TrajDb::open(&q_path, cfg).unwrap();
+            let sharded = TrajDb::open(&shard_dir, cfg).unwrap();
             prop_assert!(sharded.is_sharded());
             for q in &cubes {
                 let expected = range_query_store(&decoded, q);

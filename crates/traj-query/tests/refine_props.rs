@@ -106,8 +106,8 @@ fn store_of(trajs: &[Trajectory]) -> PointStore {
 fn backends() -> [EngineConfig; 3] {
     [
         EngineConfig::scan(),
-        EngineConfig::octree().with_tree_shape(6, 4),
-        EngineConfig::median_kd().with_tree_shape(6, 4),
+        EngineConfig::octree().tree_shape(6, 4),
+        EngineConfig::median_kd().tree_shape(6, 4),
     ]
 }
 

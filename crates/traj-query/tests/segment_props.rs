@@ -88,8 +88,8 @@ fn arb_cut(trajs: usize) -> impl Strategy<Value = Cut> {
 fn backends() -> [EngineConfig; 3] {
     [
         EngineConfig::scan(),
-        EngineConfig::octree().with_tree_shape(6, 8),
-        EngineConfig::median_kd().with_tree_shape(6, 8),
+        EngineConfig::octree().tree_shape(6, 8),
+        EngineConfig::median_kd().tree_shape(6, 8),
     ]
 }
 
@@ -359,7 +359,7 @@ proptest! {
             check(&engine, cfg.backend.label())?;
         }
 
-        let strategy = PartitionStrategy::Hash { parts };
+        let strategy = PartitionStrategy::Time { parts };
         let shards = partition(&store, &strategy)
             .into_iter()
             .map(|sh| OpenShard {
@@ -368,8 +368,7 @@ proptest! {
                 global_ids: sh.global_ids,
             })
             .collect();
-        let opts = DbOptions::new().engine(backends()[1]);
-        check(&TrajDb::from_shards(shards, opts), "sharded")?;
+        check(&TrajDb::from_shards(shards, backends()[1]), "sharded")?;
         // Indexed segments of unequal length, `[..a)`, `[a..b)`, `[b..)`:
         // the worker's hit buffer is re-sized and re-cleared per segment.
         let cut = (s0.min(s1), s0.max(s1));
@@ -385,16 +384,16 @@ proptest! {
                 .collect()
         };
         for cfg in &backends()[1..] {
-            let opts = DbOptions::new().engine(*cfg);
-            check(&TrajDb::from_shards(uneven(), opts), "uneven shards")?;
+            check(&TrajDb::from_shards(uneven(), *cfg), "uneven shards")?;
         }
-        // And from a store: one segment, then one per shard.
+        // And from a store: one segment, then one per shard without a
+        // kept bitmap.
         check(&TrajDb::from_store(store.clone(), DbOptions::new()), "TrajDb, single")?;
-        let opts = DbOptions::new().partition(strategy);
-        check(&TrajDb::from_store(store, opts), "TrajDb, sharded")?;
+        let shards = partition(&store, &strategy).into_iter().map(Into::into).collect();
+        check(&TrajDb::from_shards(shards, DbOptions::new()), "TrajDb, sharded")?;
 
         let trajs: Vec<Trajectory> = db.iter().map(|(_, t)| t.clone()).collect();
-        let opts = DbOptions::new().engine(backends()[1]);
+        let opts = backends()[1];
         for quantize in [false, true] {
             let (dir, live) = live_with_every_segment(&trajs, cut, quantize, opts);
             prop_assert_eq!(live.len(), trajs.len());

@@ -1,8 +1,8 @@
 //! Property tests of the sharding layer's core promise: a `TrajDb` served
 //! as one segment per shard returns **byte-identical results** to a
 //! single-store `QueryEngine` over the unsharded database — for range,
-//! kNN, similarity, and simplified-database execution, across every
-//! partitioner (grid / time / hash) and every index backend (scan /
+//! kNN, similarity, and simplified-database execution, across time
+//! partitions of several part counts and every index backend (scan /
 //! octree / median kd-tree), including shards served off read-only
 //! mappings — plus the shard-set persistence round-trip.
 
@@ -63,25 +63,19 @@ fn arb_query(db: &TrajectoryDb) -> impl Strategy<Value = Cube> {
 fn engine_configs() -> [EngineConfig; 3] {
     [
         EngineConfig::scan(),
-        EngineConfig::octree().with_tree_shape(6, 8),
-        EngineConfig::median_kd().with_tree_shape(6, 8),
+        EngineConfig::octree().tree_shape(6, 8),
+        EngineConfig::median_kd().tree_shape(6, 8),
     ]
 }
 
 fn partition_strategies() -> [PartitionStrategy; 3] {
-    [
-        PartitionStrategy::Grid { nx: 2, ny: 2 },
-        PartitionStrategy::Time { parts: 3 },
-        PartitionStrategy::Hash { parts: 3 },
-    ]
+    [2, 3, 4].map(|parts| PartitionStrategy::Time { parts })
 }
 
 /// `store` cut by `strategy`, one segment per shard, each indexed by `cfg`.
 fn sharded(store: &PointStore, strategy: PartitionStrategy, cfg: EngineConfig) -> TrajDb {
-    TrajDb::from_store(
-        store.clone(),
-        DbOptions::new().engine(cfg).partition(strategy),
-    )
+    let shards = partition(store, &strategy);
+    TrajDb::from_shards(shards.into_iter().map(Into::into).collect(), cfg)
 }
 
 /// A unique temp dir per case so parallel test binaries never collide.
@@ -303,7 +297,7 @@ proptest! {
             for cfg in engine_configs() {
                 let single = QueryEngine::over_store(&store, cfg);
                 let mapped = set.open_mapped().unwrap();
-                let served = TrajDb::from_shards(mapped, DbOptions::new().engine(cfg));
+                let served = TrajDb::from_shards(mapped, cfg);
                 prop_assert_eq!(
                     served.range(&qf),
                     single.range(&qf),

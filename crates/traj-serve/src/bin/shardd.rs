@@ -19,7 +19,6 @@
 //!
 //! ```text
 //! shardd --snap shard-000.qdts [--addr 127.0.0.1:0] [--backend octree|kd|scan]
-//!        [--mode auto|owned|mapped]
 //! shardd --live state-dir [--sed-eps 25.0] [--compact-points 500000] [...]
 //! ```
 
@@ -44,7 +43,7 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
 fn usage() -> ! {
     eprintln!(
         "usage: shardd --snap <store> | --live <dir> [--addr host:port] \
-         [--backend octree|kd|scan] [--mode auto|owned|mapped] \
+         [--backend octree|kd|scan] \
          [--sed-eps <eps>] [--compact-points <n>]"
     );
     exit(2);
@@ -60,25 +59,15 @@ fn main() {
     }
     let addr = flag_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:0".to_string());
 
-    let mut db_opts = DbOptions::new();
-    match flag_value(&args, "--backend").as_deref() {
-        None | Some("octree") => db_opts = db_opts.backend(BackendKind::Octree),
-        Some("kd") => db_opts = db_opts.backend(BackendKind::MedianKd),
-        Some("scan") => db_opts = db_opts.backend(BackendKind::Scan),
+    let db_opts = DbOptions::new().backend(match flag_value(&args, "--backend").as_deref() {
+        None | Some("octree") => BackendKind::Octree,
+        Some("kd") => BackendKind::MedianKd,
+        Some("scan") => BackendKind::Scan,
         Some(other) => {
             eprintln!("shardd: unknown --backend {other} (octree|kd|scan)");
             exit(2);
         }
-    }
-    match flag_value(&args, "--mode").as_deref() {
-        None | Some("auto") => {}
-        Some("owned") => db_opts = db_opts.owned(),
-        Some("mapped") => db_opts = db_opts.mapped(),
-        Some(other) => {
-            eprintln!("shardd: unknown --mode {other} (auto|owned|mapped)");
-            exit(2);
-        }
-    }
+    });
     let serve_opts = ServeOptions::batched();
 
     // Kept alive for the whole serving run; dropping it (at exit)

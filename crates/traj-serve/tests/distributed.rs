@@ -1,7 +1,8 @@
 //! Multi-process distributed serving tests: a fleet of `shardd` child
 //! processes (one per shard snapshot) behind a [`Coordinator`] answers
 //! byte-identically to opening the same shard directory in-process —
-//! across every partitioner, index backend, and storage layout — and
+//! across time partitions of several part counts, every index backend,
+//! and plain as well as quantized shard files — and
 //! injected failures (killed shards, stalled responses, in-flight
 //! corruption) surface as typed errors or correct degraded answers,
 //! never silently wrong ones.
@@ -183,8 +184,9 @@ fn cleanup(dir: &Path) {
     std::fs::remove_dir_all(dir).ok();
 }
 
-/// The headline equivalence matrix: every partitioner × every index
-/// backend × every storage layout, the coordinator's merged answer is
+/// The headline equivalence matrix: time partitions of 2, 3 and 4 parts
+/// × every index backend × plain and quantized shard files, the
+/// coordinator's merged answer is
 /// byte-identical (re-encoded frame equality) to opening the same
 /// shard directory in one process. The shard manifest round-trips the
 /// `addr=` placement assignments through disk along the way.
@@ -192,46 +194,30 @@ fn cleanup(dir: &Path) {
 fn distributed_matches_in_process_across_the_matrix() {
     let db = dataset();
     let batch = mixed_batch(&db);
-    let partitioners: [(&str, PartitionStrategy); 3] = [
-        ("grid 2x2", PartitionStrategy::Grid { nx: 2, ny: 2 }),
-        ("time 3", PartitionStrategy::Time { parts: 3 }),
-        ("hash 3", PartitionStrategy::Hash { parts: 3 }),
-    ];
     let backends: [(&str, &str); 3] = [("octree", "octree"), ("kd", "kd"), ("scan", "scan")];
-    // (label, quantized shard files?, shardd --mode, in-process DbOptions mutator)
-    let layouts: [(&str, bool, &str); 3] = [
-        ("owned", false, "owned"),
-        ("mapped", false, "mapped"),
-        ("quantized", true, "auto"),
-    ];
 
-    for (part_label, strategy) in &partitioners {
-        let plain_dir = write_shard_dir(&db, strategy, false);
-        let quant_dir = write_shard_dir(&db, strategy, true);
+    for parts in [2, 3, 4] {
+        let strategy = PartitionStrategy::Time { parts };
+        let plain_dir = write_shard_dir(&db, &strategy, false);
+        let quant_dir = write_shard_dir(&db, &strategy, true);
         for (backend_label, backend_flag) in backends {
-            for (layout_label, quantized, mode_flag) in layouts {
+            for quantized in [false, true] {
                 let dir = if quantized { &quant_dir } else { &plain_dir };
                 let label = format!(
-                    "partition `{part_label}`, backend `{backend_label}`, layout `{layout_label}`"
+                    "time partition of {parts}, backend `{backend_label}`, quantized {quantized}"
                 );
 
-                let mut opts = DbOptions::new().backend(match backend_flag {
+                let opts = DbOptions::new().backend(match backend_flag {
                     "kd" => traj_query::BackendKind::MedianKd,
                     "scan" => traj_query::BackendKind::Scan,
                     _ => traj_query::BackendKind::Octree,
                 });
-                if mode_flag == "owned" {
-                    opts = opts.owned();
-                } else if mode_flag == "mapped" {
-                    opts = opts.mapped();
-                }
                 let expected = TrajDb::open(dir, opts)
                     .expect("open shard dir in-process")
                     .execute_batch(&batch);
 
                 let mut set = ShardSet::load(dir).expect("load manifest");
-                let cluster =
-                    Cluster::spawn(dir, &set, &["--backend", backend_flag, "--mode", mode_flag]);
+                let cluster = Cluster::spawn(dir, &set, &["--backend", backend_flag]);
                 // Persist the placement through the manifest and read
                 // it back: the round-trip is part of what's under test.
                 set.set_addrs(&cluster.addrs).expect("assign addrs");
@@ -345,7 +331,7 @@ fn expected_degraded(
 fn killed_shard_degrades_or_fails_fast_but_never_lies() {
     let db = dataset();
     let batch = mixed_batch(&db);
-    let dir = write_shard_dir(&db, &PartitionStrategy::Hash { parts: 3 }, false);
+    let dir = write_shard_dir(&db, &PartitionStrategy::Time { parts: 3 }, false);
     let mut set = ShardSet::load(&dir).expect("load manifest");
     let mut cluster = Cluster::spawn(&dir, &set, &[]);
     set.set_addrs(&cluster.addrs).expect("assign addrs");
@@ -409,7 +395,7 @@ fn killed_shard_degrades_or_fails_fast_but_never_lies() {
 fn stalled_and_corrupted_shards_surface_typed_errors() {
     let db = dataset();
     let batch = mixed_batch(&db);
-    let dir = write_shard_dir(&db, &PartitionStrategy::Hash { parts: 1 }, false);
+    let dir = write_shard_dir(&db, &PartitionStrategy::Time { parts: 1 }, false);
     let set = ShardSet::load(&dir).expect("load manifest");
     let cluster = Cluster::spawn(&dir, &set, &[]);
     let upstream: std::net::SocketAddr = cluster.addrs[0].parse().expect("shardd addr");
@@ -498,7 +484,7 @@ fn stalled_and_corrupted_shards_surface_typed_errors() {
 #[test]
 fn bad_placements_and_mismatched_handshakes_are_rejected() {
     let db = dataset();
-    let dir = write_shard_dir(&db, &PartitionStrategy::Hash { parts: 2 }, false);
+    let dir = write_shard_dir(&db, &PartitionStrategy::Time { parts: 2 }, false);
     let set = ShardSet::load(&dir).expect("load manifest");
 
     // No addresses assigned yet: not a placement map.
@@ -709,7 +695,7 @@ fn a_pruned_away_dead_shard_stays_complete() {
 #[test]
 fn shared_coordinator_coalesces_concurrent_submissions() {
     let db = dataset();
-    let dir = write_shard_dir(&db, &PartitionStrategy::Hash { parts: 2 }, false);
+    let dir = write_shard_dir(&db, &PartitionStrategy::Time { parts: 2 }, false);
     let set = ShardSet::load(&dir).expect("load manifest");
 
     // In-process servers instead of shardd children: the placement is

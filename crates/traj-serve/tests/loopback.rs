@@ -1,7 +1,7 @@
 //! Integration tests: a server over loopback answers byte-identically
 //! to in-process `TrajDb` execution — for a mixed heterogeneous batch,
-//! across every storage layout the façade auto-detects (owned
-//! snapshot, mmap snapshot, shard directory, quantized snapshot) — and
+//! across every storage layout the façade auto-detects (snapshot,
+//! shard directory, quantized snapshot) — and
 //! the admission layer routes coalesced results back to the right
 //! connection.
 
@@ -77,10 +77,9 @@ fn mixed_batch(db: &TrajectoryDb) -> QueryBatch {
     ])
 }
 
-/// Writes the four on-disk layouts and returns (label, path, options)
-/// triples whose `TrajDb::open` covers owned / mmap / sharded /
-/// quantized openings.
-fn layouts(db: &TrajectoryDb) -> Vec<(&'static str, PathBuf, DbOptions)> {
+/// Writes the three on-disk layouts and returns (label, path) pairs
+/// whose `TrajDb::open` covers single, sharded and quantized openings.
+fn layouts(db: &TrajectoryDb) -> Vec<(&'static str, PathBuf)> {
     let store = db.to_store();
     let n = store.total_points();
     // Keep every other point: a valid simplified database D' so
@@ -97,15 +96,23 @@ fn layouts(db: &TrajectoryDb) -> Vec<(&'static str, PathBuf, DbOptions)> {
     write_snapshot_quantized(&store, Some(&bitmap), 1e-3, &qsnap).expect("write quantized");
 
     let shard_dir = unique_path("loopback_shards");
-    let shards = partition(&store, &PartitionStrategy::Hash { parts: 3 });
+    let shards = partition(&store, &PartitionStrategy::Time { parts: 3 });
     ShardSet::write(&shard_dir, &shards).expect("write shards");
 
     vec![
-        ("owned snapshot", snap.clone(), DbOptions::new().owned()),
-        ("mmap snapshot", snap, DbOptions::new().mapped()),
-        ("shard directory", shard_dir, DbOptions::new()),
-        ("quantized snapshot", qsnap, DbOptions::new()),
+        ("snapshot", snap),
+        ("shard directory", shard_dir),
+        ("quantized snapshot", qsnap),
     ]
+}
+
+/// `db` cut into `parts` time ranges and served from memory.
+fn time_sharded(db: &TrajectoryDb, parts: usize) -> TrajDb {
+    let shards = partition(&db.to_store(), &PartitionStrategy::Time { parts });
+    TrajDb::from_shards(
+        shards.into_iter().map(Into::into).collect(),
+        DbOptions::new(),
+    )
 }
 
 #[test]
@@ -113,13 +120,17 @@ fn loopback_matches_in_process_on_every_layout() {
     let db = dataset();
     let batch = mixed_batch(&db);
     let layouts = layouts(&db);
-    for (label, path, opts) in &layouts {
-        let (path, opts) = (path.clone(), *opts);
-        let expected = TrajDb::open(&path, opts)
+    for (label, path) in &layouts {
+        let expected = TrajDb::open(path, DbOptions::new())
             .expect("open for in-process baseline")
             .execute_batch(&batch);
-        let server = Server::open(&path, opts, "127.0.0.1:0", ServeOptions::batched())
-            .expect("open + serve");
+        let server = Server::open(
+            path,
+            DbOptions::new(),
+            "127.0.0.1:0",
+            ServeOptions::batched(),
+        )
+        .expect("open + serve");
         let mut client = Client::connect(server.local_addr()).expect("connect");
         let got = client.execute_batch(&batch).expect("remote batch");
         assert_eq!(got, expected, "layout `{label}`: wire results diverge");
@@ -132,9 +143,7 @@ fn loopback_matches_in_process_on_every_layout() {
         );
         server.shutdown();
     }
-    // The owned- and mmap-snapshot layouts share one file, so clean up
-    // only after every layout has been exercised.
-    for (_, path, _) in layouts {
+    for (_, path) in layouts {
         if path.is_dir() {
             std::fs::remove_dir_all(&path).ok();
         } else {
@@ -284,11 +293,8 @@ fn corrupt_request_is_answered_with_an_error_frame() {
 #[test]
 fn an_unbounded_knn_k_is_answered_and_the_server_keeps_serving() {
     let db = dataset();
-    let sharded = TrajDb::from_store(
-        db.to_store(),
-        DbOptions::new().partition(PartitionStrategy::Hash { parts: 2 }),
-    );
-    let server = Server::start(sharded, "127.0.0.1:0", ServeOptions::batched()).expect("start");
+    let server =
+        Server::start(time_sharded(&db, 2), "127.0.0.1:0", ServeOptions::batched()).expect("start");
     let bounds = db.bounding_cube();
     let knn = |k: usize| {
         Query::Knn(KnnQuery {
@@ -625,12 +631,9 @@ fn whole_trajectory_requests_are_answered_like_trimmed_ones() {
     let server = Server::start(owned(), "127.0.0.1:0", ServeOptions::batched()).expect("start");
     answers_alike("owned", server, expected);
 
-    let sharded = || {
-        let opts = DbOptions::new().partition(PartitionStrategy::Hash { parts: 3 });
-        TrajDb::from_store(db.to_store(), opts)
-    };
-    let expected = sharded().execute_batch(&batch);
-    let server = Server::start(sharded(), "127.0.0.1:0", ServeOptions::batched()).expect("start");
+    let expected = time_sharded(&db, 3).execute_batch(&batch);
+    let server =
+        Server::start(time_sharded(&db, 3), "127.0.0.1:0", ServeOptions::batched()).expect("start");
     answers_alike("sharded", server, expected);
 
     // Live: two thirds of the trajectories in the base, the rest ingested

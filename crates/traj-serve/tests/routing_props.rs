@@ -2,7 +2,8 @@
 //! time windows — inside, straddling, and fully outside the data's
 //! bounding cube — a coordinator fanning out over in-process shard
 //! servers answers byte-identically to the full single-process
-//! database, across every partitioner × index backend combination.
+//! database, across time partitions of 2, 3 and 4 parts × every index
+//! backend.
 //! Pruning is an invisible optimization: whichever shards it routes
 //! away from, the merged answer (and its wire encoding) never changes.
 //! Beside it, the rounds the calling thread runs alone: routing that
@@ -51,7 +52,7 @@ fn write_shard_dir(db: &TrajectoryDb, strategy: &PartitionStrategy) -> std::path
     dir
 }
 
-/// One partitioner × backend combination: a coordinator over leaked
+/// One partition × backend combination: a coordinator over leaked
 /// in-process shard servers, plus the full-directory ground truth.
 struct Combo {
     label: String,
@@ -65,9 +66,9 @@ fn fixture() -> &'static (TrajectoryDb, Vec<Combo>) {
     FIXTURE.get_or_init(|| {
         let db = generate(&DatasetSpec::tdrive(Scale::Smoke).with_trajectories(24), 3);
         let partitioners: [(&str, PartitionStrategy); 3] = [
-            ("grid 2x2", PartitionStrategy::Grid { nx: 2, ny: 2 }),
+            ("time 2", PartitionStrategy::Time { parts: 2 }),
             ("time 3", PartitionStrategy::Time { parts: 3 }),
-            ("hash 3", PartitionStrategy::Hash { parts: 3 }),
+            ("time 4", PartitionStrategy::Time { parts: 4 }),
         ];
         let backends: [(&str, BackendKind); 3] = [
             ("octree", BackendKind::Octree),
@@ -301,7 +302,7 @@ fn rounds_that_reach_one_shard_answer_like_the_full_database() {
     std::fs::remove_dir_all(&dir).ok();
 
     // A placement of one shard: every round is the caller's own.
-    let dir = write_shard_dir(&db, &PartitionStrategy::Hash { parts: 1 });
+    let dir = write_shard_dir(&db, &PartitionStrategy::Time { parts: 1 });
     let truth = TrajDb::open(&dir, DbOptions::new()).expect("open shard dir in-process");
     let (servers, coordinator) = cluster_over(&dir);
     assert_eq!(coordinator.shard_count(), 1);
@@ -337,7 +338,7 @@ fn rounds_that_reach_one_shard_answer_like_the_full_database() {
 #[test]
 fn an_unbounded_knn_k_is_answered_by_the_coordinator_which_keeps_serving() {
     let db = generate(&DatasetSpec::tdrive(Scale::Smoke).with_trajectories(24), 3);
-    let dir = write_shard_dir(&db, &PartitionStrategy::Hash { parts: 2 });
+    let dir = write_shard_dir(&db, &PartitionStrategy::Time { parts: 2 });
     let (servers, coordinator) = cluster_over(&dir);
     let bounds = db.bounding_cube();
     let knn = |k: usize| {

@@ -37,7 +37,6 @@ pub mod onepass;
 pub mod persist;
 pub mod rlts;
 pub mod spansearch;
-pub mod streaming;
 pub mod topdown;
 pub mod uniform;
 
@@ -51,7 +50,6 @@ pub use persist::{
 };
 pub use rlts::RltsPlus;
 pub use spansearch::SpanSearch;
-pub use streaming::{streaming_simplify, StreamingSimplifier};
 pub use topdown::TopDown;
 pub use uniform::Uniform;
 

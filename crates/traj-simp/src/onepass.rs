@@ -1,12 +1,11 @@
 //! One-pass error-bounded online simplification (opening-window SED).
 //!
-//! Where [`streaming`](crate::streaming) bounds the *buffer size* and
-//! lets the error float, this module bounds the **error** and lets the
-//! size float — the "One-Pass Error Bounded Trajectory Simplification"
-//! family (PAPERS.md): each raw point is examined exactly once as it
-//! arrives, and every dropped point is guaranteed a synchronized
-//! Euclidean distance (SED) of at most ε from the kept segment that
-//! replaces it.
+//! The crate's one online simplifier. It bounds the **error** and lets
+//! the size float — the "One-Pass Error Bounded Trajectory
+//! Simplification" family (PAPERS.md): each raw point is examined
+//! exactly once as it arrives, and every dropped point is guaranteed a
+//! synchronized Euclidean distance (SED) of at most ε from the kept
+//! segment that replaces it.
 //!
 //! The implementation is the classic *opening-window* variant: keep an
 //! anchor (the last emitted point) and a window of raw points since.
@@ -134,6 +133,8 @@ impl OnlineSimplifier for OnePassSed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trajectory::gen::{generate, DatasetSpec, Scale};
+    use trajectory::ErrorMeasure;
 
     fn run(eps: f64, pts: &[Point]) -> Vec<Point> {
         OnePassSed::new(eps).simplify(pts)
@@ -228,5 +229,103 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn negative_eps_rejected() {
         let _ = OnePassSed::new(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn infinite_eps_rejected() {
+        let _ = OnePassSed::new(f64::INFINITY);
+    }
+
+    #[test]
+    fn a_breaking_point_emits_the_window_end() {
+        // p1 sits 0.5 off the chord p0→p2 and is dropped; the spike p3
+        // breaks the window, so p2 (its last end) becomes the anchor, and
+        // p3 breaks the next window in turn.
+        let pts = [
+            Point::new(0.0, 0.0, 0.0),
+            Point::new(1.0, 0.5, 1.0),
+            Point::new(2.0, 0.0, 2.0),
+            Point::new(3.0, 5.0, 3.0),
+            Point::new(4.0, 0.0, 4.0),
+        ];
+        assert_eq!(run(1.0, &pts), vec![pts[0], pts[2], pts[3], pts[4]]);
+    }
+
+    #[test]
+    fn prefers_keeping_spikes() {
+        // A flat run with one spike far above ε: no segment that skips the
+        // spike can stay within the bound, so it survives.
+        let mut pts: Vec<Point> = (0..50)
+            .map(|i| Point::new(i as f64 * 10.0, 0.0, i as f64))
+            .collect();
+        pts[25] = Point::new(250.0, 300.0, 25.0);
+        let out = run(20.0, &pts);
+        assert!(out.contains(&pts[25]), "spike dropped: {out:?}");
+        assert!(out.len() < pts.len() / 4, "kept {} points", out.len());
+    }
+
+    #[test]
+    fn emitted_points_are_never_retracted() {
+        // Online: what `push` has emitted is final — later points only
+        // append, and the stream ends where the one-shot call does.
+        let pts = zigzag(120, 9.0);
+        let mut s = OnePassSed::new(3.0);
+        let mut out = Vec::new();
+        s.begin();
+        let mut previous: Vec<Point> = Vec::new();
+        for &p in &pts {
+            s.push(p, &mut out);
+            assert_eq!(&out[..previous.len()], &previous[..]);
+            assert!(out.len() <= previous.len() + 1, "one point per push");
+            previous.clone_from(&out);
+        }
+        s.finish(&mut out);
+        assert_eq!(out, run(3.0, &pts));
+    }
+
+    #[test]
+    fn finish_without_points_emits_nothing() {
+        let mut s = OnePassSed::new(1.0);
+        let mut out = Vec::new();
+        s.begin();
+        s.finish(&mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn begin_resets_between_trajectories() {
+        // One simplifier reused across a whole database gives each
+        // trajectory what a fresh simplifier would.
+        let db = generate(&DatasetSpec::geolife(Scale::Smoke), 5);
+        let mut s = OnePassSed::new(10.0);
+        for t in db.trajectories() {
+            let mut out = Vec::new();
+            s.begin();
+            for &p in t.points() {
+                s.push(p, &mut out);
+            }
+            s.finish(&mut out);
+            assert_eq!(out, run(10.0, t.points()));
+        }
+    }
+
+    #[test]
+    fn error_measure_agrees_with_the_bound() {
+        // The crate's SED error measure, over the kept indices, never
+        // exceeds ε on generated trajectories.
+        let db = generate(&DatasetSpec::geolife(Scale::Smoke), 9);
+        for eps in [2.0, 25.0] {
+            for t in db.trajectories() {
+                let out = run(eps, t.points());
+                let kept: Vec<u32> = out
+                    .iter()
+                    .map(|p| t.points().iter().position(|q| q == p).unwrap() as u32)
+                    .collect();
+                assert!(kept.windows(2).all(|w| w[0] < w[1]), "time order");
+                let e = ErrorMeasure::Sed.trajectory_error(t, &kept);
+                assert!(e <= eps + 1e-9, "eps={eps}: error {e}");
+            }
+        }
     }
 }

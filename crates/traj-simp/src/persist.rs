@@ -188,7 +188,7 @@ mod tests {
         use trajectory::shard::{partition, PartitionStrategy, ShardSet};
 
         let store = generate(&DatasetSpec::geolife(Scale::Smoke), 31).to_store();
-        let shards = partition(&store, &PartitionStrategy::Hash { parts: 3 });
+        let shards = partition(&store, &PartitionStrategy::Time { parts: 3 });
         let budget = store.total_points() / 2;
 
         let budgets = per_shard_budgets(&shards, budget);
@@ -230,7 +230,7 @@ mod tests {
         use trajectory::shard::{partition, PartitionStrategy, ShardSet};
 
         let store = generate(&DatasetSpec::geolife(Scale::Smoke), 13).to_store();
-        let shards = partition(&store, &PartitionStrategy::Hash { parts: 2 });
+        let shards = partition(&store, &PartitionStrategy::Time { parts: 2 });
         let budget = store.total_points() / 2;
         let simps = simplify_shards(&Uniform, &shards, budget);
         let kept: Vec<KeptBitmap> = shards

@@ -26,10 +26,10 @@
 //!   file format whose sections *are* the columns, with an owned loader
 //!   and an mmap-backed [`MappedStore`] served through the same
 //!   [`AsColumns`] abstraction as the in-memory store;
-//! - sharding ([`shard`]): grid / time / hash partitioners that split a
-//!   store into whole-trajectory shards, and the [`ShardSet`] manifest
-//!   that persists a sharded database as a directory of snapshot files
-//!   and reopens it owned or mmap-backed;
+//! - sharding ([`shard`]): the time partitioner that splits a store
+//!   into whole-trajectory shards, and the [`ShardSet`] manifest that
+//!   persists a sharded database as a directory of snapshot files and
+//!   reopens it owned or mmap-backed;
 //! - live ingestion ([`delta`]): the WAL-guarded mutable [`DeltaStore`]
 //!   accepting streaming `begin_traj`/`push_point` appends through a
 //!   deterministic [`OnlineSimplifier`], crash-replayable via the same

@@ -9,16 +9,10 @@
 //! manifest that ties a directory of snapshot files back into one
 //! database, and the id translation.
 //!
-//! Three [`PartitionStrategy`] families cover the classic axes:
-//!
-//! - **Grid**: an `nx × ny` spatial grid over the database's bounding
-//!   box; a trajectory goes to the cell containing its bounding-box
-//!   center. Spatially selective queries then touch few shards.
-//! - **Time**: equal-width ranges over the database's time span; a
-//!   trajectory goes to the range containing its start time. Recent-data
-//!   queries prune old shards.
-//! - **Hash**: FNV-1a of the trajectory id. No pruning, but perfectly
-//!   balanced — the right default for parallel index builds.
+//! The one [`PartitionStrategy`] is **time**: equal-width ranges over
+//! the database's time span, a trajectory going to the range containing
+//! its start time. Each shard then covers one stretch of time, so a
+//! query's time window prunes the shards it cannot touch.
 //!
 //! Persistence ([`ShardSet`]) writes one snapshot file per shard
 //! (spec-compatible with `docs/SNAPSHOT_FORMAT.md`, including optional
@@ -34,8 +28,7 @@ use std::path::{Path, PathBuf};
 use crate::bbox::Cube;
 use crate::db::TrajId;
 use crate::snapshot::{
-    fnv1a64, read_snapshot, write_snapshot_quantized, write_snapshot_with, MappedStore,
-    SnapshotError,
+    read_snapshot, write_snapshot_quantized, write_snapshot_with, MappedStore, SnapshotError,
 };
 use crate::store::{AsColumns, KeptBitmap, PointStore};
 
@@ -49,29 +42,16 @@ pub const MANIFEST_FILE: &str = "shardset.manifest";
 // Partitioning.
 // ---------------------------------------------------------------------
 
-/// How a database is split into shards. Every strategy assigns each
+/// How a database is split into shards. The strategy assigns each
 /// trajectory to exactly one shard (trajectories are never split across
 /// shards — a split trajectory would break kNN windowing and kept-bitmap
 /// anchoring).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionStrategy {
-    /// Spatial `nx × ny` grid over the store's bounding box; assignment
-    /// by the trajectory's bounding-box center.
-    Grid {
-        /// Grid columns (x axis).
-        nx: usize,
-        /// Grid rows (y axis).
-        ny: usize,
-    },
     /// `parts` equal-width temporal ranges over the store's time span;
     /// assignment by the trajectory's start time.
     Time {
         /// Number of temporal ranges.
-        parts: usize,
-    },
-    /// FNV-1a hash of the trajectory id modulo `parts`.
-    Hash {
-        /// Number of hash buckets.
         parts: usize,
     },
 }
@@ -98,6 +78,18 @@ impl Shard {
     }
 }
 
+/// A shard of [`partition`] as an open shard served from memory: its
+/// store and ids, and no kept bitmap.
+impl From<Shard> for OpenShard<PointStore> {
+    fn from(shard: Shard) -> Self {
+        OpenShard {
+            store: shard.store,
+            global_ids: shard.global_ids,
+            kept: None,
+        }
+    }
+}
+
 /// Splits `store` into shards according to `strategy`. Whole trajectories
 /// stay intact; every trajectory lands in exactly one shard; shards that
 /// would be empty are dropped, so every returned shard is non-empty and
@@ -107,31 +99,12 @@ pub fn partition(store: &PointStore, strategy: &PartitionStrategy) -> Vec<Shard>
     if store.is_empty() {
         return Vec::new();
     }
-    let parts = match *strategy {
-        PartitionStrategy::Grid { nx, ny } => nx.max(1) * ny.max(1),
-        PartitionStrategy::Time { parts } | PartitionStrategy::Hash { parts } => parts.max(1),
-    };
-    let bc = store.bounding_cube();
+    let PartitionStrategy::Time { parts } = *strategy;
+    let parts = parts.max(1);
+    let (t_min, t_max) = store.time_span();
     let mut buckets: Vec<Vec<TrajId>> = vec![Vec::new(); parts];
     for (id, view) in store.iter() {
-        let bucket = match *strategy {
-            PartitionStrategy::Grid { nx, ny } => {
-                let (nx, ny) = (nx.max(1), ny.max(1));
-                let vb = view.bounding_cube();
-                let cx = 0.5 * (vb.x_min + vb.x_max);
-                let cy = 0.5 * (vb.y_min + vb.y_max);
-                let ix = cell_of(cx, bc.x_min, bc.x_max, nx);
-                let iy = cell_of(cy, bc.y_min, bc.y_max, ny);
-                iy * nx + ix
-            }
-            PartitionStrategy::Time { parts } => {
-                cell_of(view.ts[0], bc.t_min, bc.t_max, parts.max(1))
-            }
-            PartitionStrategy::Hash { parts } => {
-                (fnv1a64(&(id as u64).to_le_bytes()) % parts.max(1) as u64) as usize
-            }
-        };
-        buckets[bucket].push(id);
+        buckets[cell_of(view.ts[0], t_min, t_max, parts)].push(id);
     }
     buckets
         .into_iter()
@@ -881,8 +854,8 @@ impl ShardSet {
     }
 
     /// Reassembles the unsharded database: one store with every
-    /// trajectory back at its global id. The inverse of [`partition`]
-    /// (for any strategy), used by audits and re-partitioning.
+    /// trajectory back at its global id. The inverse of [`partition`],
+    /// used by audits.
     pub fn unify(&self) -> Result<PointStore, ShardSetError> {
         let shards = self.open_owned()?;
         let parts: Vec<(&PointStore, &[TrajId])> = shards
@@ -1034,11 +1007,7 @@ mod tests {
     }
 
     fn all_strategies() -> [PartitionStrategy; 3] {
-        [
-            PartitionStrategy::Grid { nx: 2, ny: 2 },
-            PartitionStrategy::Time { parts: 3 },
-            PartitionStrategy::Hash { parts: 4 },
-        ]
+        [1, 3, 4].map(|parts| PartitionStrategy::Time { parts })
     }
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -1086,19 +1055,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hash_partition_balances_trajectories() {
-        let store = sample_store();
-        let shards = partition(&store, &PartitionStrategy::Hash { parts: 4 });
-        assert_eq!(shards.len(), 4);
-        let max = shards.iter().map(|s| s.store.len()).max().unwrap();
-        let min = shards.iter().map(|s| s.store.len()).min().unwrap();
-        assert!(
-            max <= min * 3 + 2,
-            "hash shards badly unbalanced: {min}..{max}"
-        );
-    }
-
     /// Every trajectory of a shard falls in that shard's cell, and shards
     /// come in ascending cell order, one per non-empty cell.
     fn assert_one_cell_per_shard(shards: &[Shard], cells: usize, cell: impl Fn(usize) -> usize) {
@@ -1111,23 +1067,6 @@ mod tests {
             assert!(previous < Some(c), "cells out of order");
             previous = Some(c);
         }
-    }
-
-    #[test]
-    fn grid_partition_places_trajectories_by_their_center() {
-        let store = sample_store();
-        let (nx, ny) = (3, 2);
-        let shards = partition(&store, &PartitionStrategy::Grid { nx, ny });
-        let bc = store.bounding_cube();
-        let index = |v: f64, lo: f64, hi: f64, n: usize| {
-            ((((v - lo) / (hi - lo)) * n as f64).floor() as usize).min(n - 1)
-        };
-        assert_one_cell_per_shard(&shards, nx * ny, |id| {
-            let vb = store.view(id).bounding_cube();
-            let ix = index(0.5 * (vb.x_min + vb.x_max), bc.x_min, bc.x_max, nx);
-            let iy = index(0.5 * (vb.y_min + vb.y_max), bc.y_min, bc.y_max, ny);
-            iy * nx + ix
-        });
     }
 
     #[test]
@@ -1153,6 +1092,64 @@ mod tests {
     }
 
     #[test]
+    fn one_part_is_the_whole_store() {
+        // Zero parts is read as one: a partition never drops the store.
+        let store = sample_store();
+        for parts in [0, 1] {
+            let shards = partition(&store, &PartitionStrategy::Time { parts });
+            assert_eq!(shards.len(), 1, "parts={parts}");
+            assert_eq!(shards[0].store, store);
+            assert_eq!(shards[0].global_ids, (0..store.len()).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn time_shards_come_in_start_time_order() {
+        let store = sample_store();
+        let start = |id: usize| store.view(id).ts[0];
+        for parts in 2..=8 {
+            let shards = partition(&store, &PartitionStrategy::Time { parts });
+            assert!(shards.len() > 1 && shards.len() <= parts, "parts={parts}");
+            for pair in shards.windows(2) {
+                let last = pair[0].global_ids.iter().map(|&id| start(id));
+                let first = pair[1].global_ids.iter().map(|&id| start(id));
+                assert!(
+                    last.fold(f64::MIN, f64::max) <= first.fold(f64::MAX, f64::min),
+                    "parts={parts}: shards overlap in start time"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_start_at_the_span_end_lands_in_the_last_range() {
+        // The latest start equals the span's end; it clamps into the last
+        // of the ranges rather than opening one past it.
+        let mut store = PointStore::new();
+        for (t0, t1) in [(0.0, 10.0), (5.0, 20.0), (40.0, 40.0)] {
+            store
+                .push_points(&[Point::new(0.0, 0.0, t0), Point::new(1.0, 1.0, t1)])
+                .unwrap();
+        }
+        let shards = partition(&store, &PartitionStrategy::Time { parts: 4 });
+        let ids: Vec<Vec<usize>> = shards.iter().map(|s| s.global_ids.clone()).collect();
+        assert_eq!(ids, vec![vec![0, 1], vec![2]]);
+    }
+
+    #[test]
+    fn degenerate_time_span_collapses_to_one_shard() {
+        let mut store = PointStore::new();
+        for i in 0..5 {
+            store
+                .push_points(&[Point::new(f64::from(i), 0.0, 7.0)])
+                .unwrap();
+        }
+        let shards = partition(&store, &PartitionStrategy::Time { parts: 3 });
+        assert_eq!(shards.len(), 1);
+        assert_eq!(shards[0].store, store);
+    }
+
+    #[test]
     fn empty_store_partitions_to_no_shards() {
         let store = PointStore::new();
         for strategy in all_strategies() {
@@ -1163,7 +1160,7 @@ mod tests {
     #[test]
     fn shard_set_round_trips_owned_and_mapped() {
         let store = sample_store();
-        let shards = partition(&store, &PartitionStrategy::Hash { parts: 3 });
+        let shards = partition(&store, &PartitionStrategy::Time { parts: 3 });
         let dir = temp_dir("round_trip");
         let written = ShardSet::write(&dir, &shards).unwrap();
         assert_eq!(written.len(), shards.len());
@@ -1190,7 +1187,7 @@ mod tests {
     #[test]
     fn quantized_shard_set_reopens_within_bound() {
         let store = sample_store();
-        let shards = partition(&store, &PartitionStrategy::Hash { parts: 3 });
+        let shards = partition(&store, &PartitionStrategy::Time { parts: 3 });
         let max_error = 1e-3;
         let dir = temp_dir("quantized_set");
         let raw_dir = temp_dir("quantized_set_raw");
@@ -1234,7 +1231,7 @@ mod tests {
     #[test]
     fn missing_shard_file_is_a_typed_error() {
         let store = sample_store();
-        let shards = partition(&store, &PartitionStrategy::Hash { parts: 2 });
+        let shards = partition(&store, &PartitionStrategy::Time { parts: 2 });
         let dir = temp_dir("missing_file");
         ShardSet::write(&dir, &shards).unwrap();
         std::fs::remove_file(dir.join("shard-0001.snap")).unwrap();
@@ -1248,7 +1245,7 @@ mod tests {
     #[test]
     fn duplicate_and_overlapping_manifests_are_typed_errors() {
         let store = sample_store();
-        let shards = partition(&store, &PartitionStrategy::Hash { parts: 2 });
+        let shards = partition(&store, &PartitionStrategy::Time { parts: 2 });
         let dir = temp_dir("dup_overlap");
         ShardSet::write(&dir, &shards).unwrap();
         let manifest_path = dir.join(MANIFEST_FILE);
@@ -1289,7 +1286,7 @@ mod tests {
     #[test]
     fn shard_addrs_round_trip_through_the_manifest() {
         let store = sample_store();
-        let shards = partition(&store, &PartitionStrategy::Hash { parts: 2 });
+        let shards = partition(&store, &PartitionStrategy::Time { parts: 2 });
         let dir = temp_dir("addrs");
         let mut set = ShardSet::write(&dir, &shards).unwrap();
         // A freshly written (or pre-addr) manifest loads with no addrs.
@@ -1350,7 +1347,7 @@ mod tests {
     #[test]
     fn generation_round_trips_through_the_manifest() {
         let store = sample_store();
-        let shards = partition(&store, &PartitionStrategy::Hash { parts: 2 });
+        let shards = partition(&store, &PartitionStrategy::Time { parts: 2 });
         let dir = temp_dir("generation");
         let mut set = ShardSet::write(&dir, &shards).unwrap();
 
@@ -1396,7 +1393,7 @@ mod tests {
     #[test]
     fn shard_bounds_round_trip_through_the_manifest() {
         let store = sample_store();
-        let shards = partition(&store, &PartitionStrategy::Grid { nx: 2, ny: 2 });
+        let shards = partition(&store, &PartitionStrategy::Time { parts: 4 });
         let dir = temp_dir("bounds");
         let written = ShardSet::write(&dir, &shards).unwrap();
 
@@ -1515,7 +1512,7 @@ mod tests {
     #[test]
     fn incomplete_cover_and_bad_headers_are_typed_errors() {
         let store = sample_store();
-        let shards = partition(&store, &PartitionStrategy::Hash { parts: 2 });
+        let shards = partition(&store, &PartitionStrategy::Time { parts: 2 });
         let dir = temp_dir("cover");
         ShardSet::write(&dir, &shards).unwrap();
         let manifest_path = dir.join(MANIFEST_FILE);
@@ -1576,7 +1573,7 @@ mod tests {
     #[test]
     fn traj_count_mismatch_is_detected_on_open() {
         let store = sample_store();
-        let shards = partition(&store, &PartitionStrategy::Hash { parts: 2 });
+        let shards = partition(&store, &PartitionStrategy::Time { parts: 2 });
         let dir = temp_dir("count_mismatch");
         ShardSet::write(&dir, &shards).unwrap();
         // Overwrite shard 0's snapshot with a smaller, valid snapshot:
@@ -1617,7 +1614,7 @@ mod tests {
     #[test]
     fn kept_bitmaps_round_trip_per_shard() {
         let store = sample_store();
-        let shards = partition(&store, &PartitionStrategy::Hash { parts: 2 });
+        let shards = partition(&store, &PartitionStrategy::Time { parts: 2 });
         let kept: Vec<KeptBitmap> = shards
             .iter()
             .map(|s| {

@@ -259,8 +259,8 @@ impl From<io::Error> for SnapshotError {
 /// independent, but a byte at a time through a serial multiply chain
 /// (~1.3 ns/B), so it no longer guards frames or snapshots — [`xxh64`]
 /// does. It remains the verifier of version-1 snapshots, the WAL's
-/// per-record checksum (records of 9–33 bytes), the `Hash` partitioner's
-/// hash of a trajectory id, and the fingerprint the fixture tests print.
+/// per-record checksum (records of 9–33 bytes), and the fingerprint the
+/// fixture tests print.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -31,13 +31,9 @@ fn arb_store() -> impl Strategy<Value = PointStore> {
     })
 }
 
-/// Strategy: an arbitrary partitioner with shard counts 1..6.
+/// Strategy: the time partitioner with 1..9 parts.
 fn arb_strategy() -> impl Strategy<Value = PartitionStrategy> {
-    (0usize..3, 1usize..4, 1usize..4).prop_map(|(kind, a, b)| match kind {
-        0 => PartitionStrategy::Grid { nx: a, ny: b },
-        1 => PartitionStrategy::Time { parts: a * b },
-        _ => PartitionStrategy::Hash { parts: a * b },
-    })
+    (1usize..10).prop_map(|parts| PartitionStrategy::Time { parts })
 }
 
 fn unique_dir() -> std::path::PathBuf {

@@ -1,18 +1,20 @@
 //! Scenario: an online ingestion pipeline with a downstream join.
 //!
 //! GPS fixes arrive as streams; each vehicle's trace is simplified on the
-//! fly with a bounded buffer (no revisiting dropped points — the paper's
-//! online mode), and the archived result still supports the ridesharing
-//! use case from the paper's introduction: finding trajectory pairs that
-//! travelled together, via the similarity join — plus hotspot (range)
-//! lookups served from a [`qdts::query::QueryEngine`] built over the
-//! archive.
+//! fly by the one-pass SED simplifier (each fix is seen once and a dropped
+//! fix is never revisited — the paper's online mode — and every dropped
+//! fix stays within ε of the kept path), and the archived result still
+//! supports the ridesharing use case from the paper's introduction:
+//! finding trajectory pairs that travelled together, via the similarity
+//! join — plus hotspot (range) lookups served from a
+//! [`qdts::query::QueryEngine`] built over the archive.
 //!
 //! Run with: `cargo run --release --example online_pipeline`
 
 use qdts::query::join::{similarity_join, JoinParams};
 use qdts::query::{EngineConfig, QueryEngine, QueryExecutor};
-use qdts::simp::StreamingSimplifier;
+use qdts::simp::OnePassSed;
+use qdts::trajectory::delta::OnlineSimplifier;
 use qdts::trajectory::gen::{generate, DatasetSpec, Scale};
 use qdts::trajectory::{Cube, Point, PointStore, Trajectory, TrajectoryDb};
 
@@ -40,19 +42,24 @@ fn main() {
     fleet.push(Trajectory::new(wing).unwrap());
     let original = TrajectoryDb::new(fleet).to_store();
 
-    // Online ingestion: every vehicle streams through a 16-point buffer.
+    // Online ingestion: every vehicle streams through a one-pass
+    // simplifier that keeps each dropped fix within EPS metres (SED).
+    const EPS: f64 = 25.0;
     let archived: PointStore = original
         .views()
         .map(|t| {
-            let mut s = StreamingSimplifier::new(16);
+            let mut s = OnePassSed::new(EPS);
+            let mut kept = Vec::new();
+            s.begin();
             for p in t.points() {
-                s.push(p); // one fix at a time — dropped fixes are gone
+                s.push(p, &mut kept); // one fix at a time — dropped fixes are gone
             }
-            s.finish().expect("non-empty stream")
+            s.finish(&mut kept);
+            Trajectory::new(kept).expect("non-empty stream")
         })
         .collect();
     println!(
-        "streamed {} vehicles: {} -> {} points ({:.1}x reduction, fixed 16-point buffers)",
+        "streamed {} vehicles: {} -> {} points ({:.1}x reduction, SED <= {EPS} m)",
         original.len(),
         original.total_points(),
         archived.total_points(),

@@ -20,7 +20,8 @@ use qdts::query::{
 use qdts::trajectory::gen::{generate, DatasetSpec, Scale};
 use qdts::trajectory::snapshot::{fnv1a64, write_snapshot_with};
 use qdts::trajectory::{
-    Cube, KeepAll, KeptBitmap, PartitionStrategy, PointStore, Simplification, Trajectory,
+    partition, Cube, KeepAll, KeptBitmap, OpenShard, PartitionStrategy, PointStore, Simplification,
+    Trajectory,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -274,13 +275,29 @@ fn query_engine_matches_the_parent_on_every_backend() {
     }
 }
 
-/// The store written as a snapshot carrying `kept`, opened with `opts`.
-fn open_with_kept(r: &Recorded, store: &PointStore, kept: &KeptBitmap, opts: DbOptions) -> TrajDb {
+/// The store written as a snapshot carrying `kept`, opened mapped.
+fn open_with_kept(r: &Recorded, store: &PointStore, kept: &KeptBitmap) -> TrajDb {
     let path = tmp_path(r, "kept.snap");
     write_snapshot_with(store, Some(kept), &path).unwrap();
-    let db = TrajDb::open(&path, opts).unwrap();
+    let db = TrajDb::open(&path, DbOptions::new()).unwrap();
     std::fs::remove_file(&path).ok();
     db
+}
+
+/// The store cut into `parts` time ranges, one segment each; with
+/// `kept`, each shard carries the every-25th-point bitmap of its own
+/// store, which keeps the same points of a trajectory as the unsharded
+/// one.
+fn time_sharded(store: &PointStore, parts: usize, kept: bool) -> TrajDb {
+    let shards = partition(store, &PartitionStrategy::Time { parts })
+        .into_iter()
+        .map(|sh| OpenShard {
+            kept: kept.then(|| every_nth(&sh.store, 25).to_bitmap(&sh.store)),
+            store: sh.store,
+            global_ids: sh.global_ids,
+        })
+        .collect();
+    TrajDb::from_shards(shards, DbOptions::new())
 }
 
 #[test]
@@ -288,20 +305,17 @@ fn single_and_sharded_traj_db_match_the_parent() {
     for r in &RECORDED {
         let store = (r.store)();
         let kept = every_nth(&store, 25).to_bitmap(&store);
-        let layouts = [
-            ("single", DbOptions::new()),
-            (
-                "hash-3",
-                DbOptions::new().partition(PartitionStrategy::Hash { parts: 3 }),
-            ),
-            (
-                "time-4",
-                DbOptions::new().partition(PartitionStrategy::Time { parts: 4 }),
-            ),
-        ];
-        for (name, opts) in layouts {
-            check(r, &TrajDb::from_store(store.clone(), opts), false, name);
-            check(r, &open_with_kept(r, &store, &kept, opts), true, name);
+        check(
+            r,
+            &TrajDb::from_store(store.clone(), DbOptions::new()),
+            false,
+            "single",
+        );
+        check(r, &open_with_kept(r, &store, &kept), true, "single");
+        for parts in [3, 4] {
+            let name = &format!("time-{parts}");
+            check(r, &time_sharded(&store, parts, false), false, name);
+            check(r, &time_sharded(&store, parts, true), true, name);
         }
     }
 }

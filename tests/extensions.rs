@@ -1,11 +1,11 @@
 //! Integration tests for the extension surfaces: error-bounded mode,
-//! streaming simplification, trajectory joins, the kd-tree index, and the
+//! one-pass online simplification, trajectory joins, the kd-tree index, and the
 //! resampling utilities — exercised together the way a downstream user
 //! would combine them.
 
 use qdts::query::join::{similarity_join, JoinParams};
 use qdts::simp::Adaptation;
-use qdts::simp::{bounded_db, min_eps_for_budget, streaming_simplify, BottomUp, Simplifier};
+use qdts::simp::{bounded_db, min_eps_for_budget, BottomUp, OnePassSed, Simplifier};
 use qdts::trajectory::gen::{generate, DatasetSpec, Scale};
 use qdts::trajectory::resample::{mean_sync_distance, resample_uniform};
 use qdts::trajectory::{ErrorMeasure, Trajectory, TrajectoryDb};
@@ -26,7 +26,7 @@ fn bounded_and_budgeted_formulations_are_consistent() {
     assert_eq!(simp.total_points(), again.total_points());
 }
 
-/// A streamed trajectory (online, bounded buffer) must be a valid
+/// A streamed trajectory (online, one pass, SED-bounded) must be a valid
 /// time-ordered subset usable by every downstream query operator.
 #[test]
 fn streamed_trajectories_feed_the_query_engine() {
@@ -34,7 +34,7 @@ fn streamed_trajectories_feed_the_query_engine() {
     let streamed: TrajectoryDb = db
         .trajectories()
         .iter()
-        .map(|t| streaming_simplify(t, (t.len() / 5).max(2)))
+        .map(|t| Trajectory::new(OnePassSed::new(50.0).simplify(t.points())).unwrap())
         .collect();
     assert_eq!(streamed.len(), db.len());
     assert!(streamed.total_points() < db.total_points());
