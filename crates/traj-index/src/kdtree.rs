@@ -14,10 +14,10 @@
 
 use crate::octree::{subset_cube, LeafSlab, NodeId, PackedPoints};
 use crate::traits::CubeIndex;
-use trajectory::{AsColumns, Cube, Point, PointId};
+use trajectory::{AsColumns, Cube, PageBuf, Point, PointId};
 
 /// One node of the median tree.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Node {
     cube: Cube,
     depth: u32,
@@ -53,7 +53,8 @@ impl Default for MedianTreeConfig {
 /// The kd-tree-style median-split index.
 #[derive(Debug, Clone)]
 pub struct MedianTree {
-    nodes: Vec<Node>,
+    /// The node arena, in DFS order.
+    nodes: PageBuf<Node>,
     /// Leaf-major packed coordinates/owners/ids (see [`LeafSlab`]).
     packed: PackedPoints,
 }
@@ -75,12 +76,13 @@ impl MedianTree {
     /// ids and owners, and the root cube is the subset's bounding cube.
     pub fn build_subset<S: AsColumns + ?Sized>(
         store: &S,
-        gids: Vec<PointId>,
+        gids: impl Into<PageBuf<PointId>>,
         config: MedianTreeConfig,
     ) -> Self {
+        let gids = gids.into();
         debug_assert!(gids.windows(2).all(|w| w[0] < w[1]), "gids must ascend");
         let cube = subset_cube(store, &gids);
-        Self::build_over(store, gids, cube, config)
+        Self::build_over(store, gids.iter().copied(), cube, config)
     }
 
     /// The build over `gids` (ascending) inside the root cube `cube`.
@@ -94,13 +96,13 @@ impl MedianTree {
             cube = Cube::new(0.0, 1.0, 0.0, 1.0, 0.0, 1.0);
         }
         // Collect (gid, coords) once; recursion partitions index ranges.
-        let mut entries: Vec<(PointId, Point)> = gids
+        let mut entries: PageBuf<(PointId, Point)> = gids
             .into_iter()
             .map(|gid| (gid, store.point(gid)))
             .collect();
         let owners = store.owner_column();
         let mut tree = Self {
-            nodes: Vec::new(),
+            nodes: PageBuf::new(),
             packed: PackedPoints::with_capacity(entries.len()),
         };
         tree.build_node(&mut entries[..], &owners, cube, 1, &config);
@@ -299,7 +301,7 @@ impl CubeIndex for MedianTree {
     }
 
     fn assign_queries(&mut self, queries: &[Cube]) {
-        for n in &mut self.nodes {
+        for n in self.nodes.iter_mut() {
             n.query_count = 0;
         }
         for q in queries {

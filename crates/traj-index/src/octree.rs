@@ -18,7 +18,7 @@
 use std::sync::Mutex;
 
 use trajectory::parallel::par_map_indexed;
-use trajectory::{AsColumns, Cube, PointId, TrajId};
+use trajectory::{AsColumns, Cube, PageBuf, PointId, TrajId};
 
 /// Index of a node in the octree arena.
 pub type NodeId = u32;
@@ -67,35 +67,37 @@ impl LeafSlab<'_> {
     }
 }
 
-/// Leaf-major packed point storage shared by both index backends.
+/// Leaf-major packed point storage shared by both index backends. Each
+/// column is a [`PageBuf`]: from 1 MiB on it is an anonymous mapping of
+/// its own, so a dropped index hands its pages straight back.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PackedPoints {
-    pub xs: Vec<f64>,
-    pub ys: Vec<f64>,
-    pub ts: Vec<f64>,
-    pub owners: Vec<u32>,
-    pub gids: Vec<PointId>,
+    pub xs: PageBuf<f64>,
+    pub ys: PageBuf<f64>,
+    pub ts: PageBuf<f64>,
+    pub owners: PageBuf<u32>,
+    pub gids: PageBuf<PointId>,
 }
 
 impl PackedPoints {
     pub(crate) fn with_capacity(n: usize) -> Self {
         Self {
-            xs: Vec::with_capacity(n),
-            ys: Vec::with_capacity(n),
-            ts: Vec::with_capacity(n),
-            owners: Vec::with_capacity(n),
-            gids: Vec::with_capacity(n),
+            xs: PageBuf::with_capacity(n),
+            ys: PageBuf::with_capacity(n),
+            ts: PageBuf::with_capacity(n),
+            owners: PageBuf::with_capacity(n),
+            gids: PageBuf::with_capacity(n),
         }
     }
 
     /// `n` zeroed entries, for a build that fills them in place.
     fn zeroed(n: usize) -> Self {
         Self {
-            xs: vec![0.0; n],
-            ys: vec![0.0; n],
-            ts: vec![0.0; n],
-            owners: vec![0; n],
-            gids: vec![0; n],
+            xs: PageBuf::zeroed(n),
+            ys: PageBuf::zeroed(n),
+            ts: PageBuf::zeroed(n),
+            owners: PageBuf::zeroed(n),
+            gids: PageBuf::zeroed(n),
         }
     }
 
@@ -134,7 +136,7 @@ impl PackedPoints {
 }
 
 /// One octree node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Node {
     /// The node's spatio-temporal cube.
     pub cube: Cube,
@@ -206,7 +208,8 @@ impl Default for OctreeConfig {
 /// The octree over a trajectory database.
 #[derive(Debug, Clone)]
 pub struct Octree {
-    nodes: Vec<Node>,
+    /// The node arena, in DFS order.
+    nodes: PageBuf<Node>,
     config: OctreeConfig,
     /// Leaf-major packed coordinates/owners/ids (see [`LeafSlab`]).
     packed: PackedPoints,
@@ -234,7 +237,7 @@ impl Octree {
     /// [`trajectory::MappedStore`] — the index never holds the store, only
     /// a copy of its offset table.
     pub fn build<S: AsColumns + ?Sized>(store: &S, config: OctreeConfig) -> Self {
-        let all = 0..store.total_points() as PointId;
+        let all = (0..store.total_points() as PointId).collect();
         Self::build_over(store, all, store.bounding_cube(), config, SPLIT_MIN_POINTS)
     }
 
@@ -245,28 +248,30 @@ impl Octree {
     /// listed has no entries. The root cube is the subset's bounding cube.
     pub fn build_subset<S: AsColumns + ?Sized>(
         store: &S,
-        gids: Vec<PointId>,
+        gids: impl Into<PageBuf<PointId>>,
         config: OctreeConfig,
     ) -> Self {
+        let gids = gids.into();
         debug_assert!(gids.windows(2).all(|w| w[0] < w[1]), "gids must ascend");
         let cube = subset_cube(store, &gids);
-        Self::build_over(store, gids.into_iter(), cube, config, SPLIT_MIN_POINTS)
+        Self::build_over(store, gids, cube, config, SPLIT_MIN_POINTS)
     }
 
     /// [`Octree::build`] with every octant on the calling thread — the
     /// reference the split build is tested against node for node.
     #[doc(hidden)]
     pub fn build_unsplit<S: AsColumns + ?Sized>(store: &S, config: OctreeConfig) -> Self {
-        let all = 0..store.total_points() as PointId;
+        let all = (0..store.total_points() as PointId).collect();
         Self::build_over(store, all, store.bounding_cube(), config, usize::MAX)
     }
 
     /// The build over `gids` (ascending) inside the root cube `cube`,
     /// splitting the root's octants across workers when at least
-    /// `split_min` points are indexed.
+    /// `split_min` points are indexed. `gids` becomes the ids' second
+    /// ping-pong buffer.
     fn build_over<S: AsColumns + ?Sized>(
         store: &S,
-        gids: impl ExactSizeIterator<Item = PointId>,
+        mut gids: PageBuf<PointId>,
         mut cube: Cube,
         config: OctreeConfig,
         split_min: usize,
@@ -275,14 +280,12 @@ impl Octree {
             cube = Cube::new(0.0, 1.0, 0.0, 1.0, 0.0, 1.0);
         }
         let n = gids.len();
-        // Allocation order is part of the heap's layout, and so of peak
-        // RSS: packed arrays, offset copy, owners, ids. The packed arrays
-        // double as scratch: the id array is the ids' ping-pong buffer,
-        // and the owner array holds octant codes until leaves fill it.
+        // The packed arrays double as scratch: the id array is the ids'
+        // other ping-pong buffer, and the owner array holds octant codes
+        // until leaves fill it.
         let mut packed = PackedPoints::zeroed(n);
         let starts = store.offsets().to_vec();
         let owners = store.owner_column();
-        let mut gids: Vec<PointId> = gids.collect();
         let cols = Columns {
             xs: store.xs(),
             ys: store.ys(),
@@ -299,10 +302,12 @@ impl Octree {
             traj_count: count_runs(gids.iter().map(|&g| owners[g as usize])),
         };
         let mut run = packed.run(&mut gids);
-        let mut nodes = Vec::with_capacity(node_estimate(n, config));
+        let mut nodes;
         if n >= split_min {
+            nodes = PageBuf::with_capacity(node_bound(n, 1, config));
             build_octants(run, &cols, root, &mut nodes);
         } else {
+            nodes = PageBuf::with_capacity(node_estimate(n, config));
             build_node(&mut nodes, &mut run, &cols, root);
         }
         Self {
@@ -371,7 +376,7 @@ impl Octree {
     /// Registers a query workload: `Q_B` of every node becomes the number of
     /// query cubes intersecting it. Resets previous counts.
     pub fn assign_queries(&mut self, queries: &[Cube]) {
-        for n in &mut self.nodes {
+        for n in self.nodes.iter_mut() {
             n.query_count = 0;
         }
         for q in queries {
@@ -552,7 +557,12 @@ struct Pending {
 
 /// Builds `p`'s subtree into `nodes` in DFS order, returning the
 /// subtree root's index in `nodes`.
-fn build_node(nodes: &mut Vec<Node>, run: &mut Run<'_>, cols: &Columns<'_>, p: Pending) -> NodeId {
+fn build_node(
+    nodes: &mut PageBuf<Node>,
+    run: &mut Run<'_>,
+    cols: &Columns<'_>,
+    p: Pending,
+) -> NodeId {
     let (node, children) = open_node(run, cols, p);
     let id = nodes.len() as NodeId;
     nodes.push(node);
@@ -569,7 +579,7 @@ fn build_node(nodes: &mut Vec<Node>, run: &mut Run<'_>, cols: &Columns<'_>, p: P
 /// Each subtree is built as its own DFS node list and appended to
 /// `nodes` in octant order with its ids offset by its position — the
 /// sequential layout, node for node.
-fn build_octants(mut run: Run<'_>, cols: &Columns<'_>, root: Pending, nodes: &mut Vec<Node>) {
+fn build_octants(mut run: Run<'_>, cols: &Columns<'_>, root: Pending, nodes: &mut PageBuf<Node>) {
     let (root, children) = open_node(&mut run, cols, root);
     nodes.push(root);
     let Some(children) = children else {
@@ -593,7 +603,7 @@ fn build_octants(mut run: Run<'_>, cols: &Columns<'_>, root: Pending, nodes: &mu
             .unwrap()
             .take()
             .expect("each octant is built once");
-        let mut subtree = Vec::with_capacity(node_estimate(p.len, cols.config));
+        let mut subtree = PageBuf::with_capacity(node_bound(p.len, p.depth, cols.config));
         build_node(&mut subtree, &mut run, cols, p);
         stitch.lock().unwrap().add(k, subtree);
     });
@@ -611,10 +621,10 @@ fn build_octants(mut run: Run<'_>, cols: &Columns<'_>, root: Pending, nodes: &mu
 /// finishes early waits in `parked`, so few subtree lists exist beside
 /// the final one at any time.
 struct Stitch {
-    nodes: Vec<Node>,
+    nodes: PageBuf<Node>,
     /// Each appended octant's root id.
     ids: [NodeId; 8],
-    parked: [Option<Vec<Node>>; 8],
+    parked: [Option<PageBuf<Node>>; 8],
     /// The next octant to append.
     next: usize,
 }
@@ -622,12 +632,12 @@ struct Stitch {
 impl Stitch {
     /// Takes octant `k`'s subtree, then appends every subtree that is
     /// next in octant order.
-    fn add(&mut self, k: usize, subtree: Vec<Node>) {
+    fn add(&mut self, k: usize, subtree: PageBuf<Node>) {
         self.parked[k] = Some(subtree);
         while let Some(subtree) = self.parked.get_mut(self.next).and_then(Option::take) {
             let offset = self.nodes.len() as NodeId;
             self.ids[self.next] = offset;
-            self.nodes.extend(subtree.into_iter().map(|mut node| {
+            self.nodes.extend(subtree.iter().map(|&(mut node)| {
                 if let Some(children) = &mut node.children {
                     children.iter_mut().for_each(|c| *c += offset);
                 }
@@ -638,12 +648,27 @@ impl Stitch {
     }
 }
 
-/// Starting capacity of a node list over `n` points: 8 nodes per
-/// `leaf_capacity` points, at most one per point (trees over
+/// Starting capacity of a sequential build's node list over `n` points:
+/// 8 nodes per `leaf_capacity` points, at most one per point (trees over
 /// trajectory data have ~5), so the list seldom grows by copying.
 /// Capacity past the nodes built is never written.
 fn node_estimate(n: usize, config: OctreeConfig) -> usize {
     (8 * n / config.leaf_capacity.max(1)).min(n) + 1
+}
+
+/// Node-list capacity of a split build's subtree over `n` points rooted
+/// at `depth`: the most nodes it can have — the interior nodes of one
+/// level hold disjoint sets of more than `leaf_capacity` points each,
+/// there are interior nodes on at most `max_depth - depth` levels, and
+/// each has eight children — clamped to 8 × [`node_estimate`], so a
+/// deep tree reserves no more than ~1.3 KB of address space a point.
+/// At serving sizes the list is a mapping whose pages past the nodes
+/// built are never touched: they cost address space, not memory, and
+/// the list does not grow.
+fn node_bound(n: usize, depth: u32, config: OctreeConfig) -> usize {
+    let levels = config.max_depth.saturating_sub(depth) as usize;
+    let per_level = n / config.leaf_capacity.saturating_add(1);
+    (1 + 8 * levels * per_level).min(8 * node_estimate(n, config))
 }
 
 /// Creates `p`'s node. A leaf packs its points into its stretch of the

@@ -29,8 +29,8 @@ use traj_index::{
     SpatioTemporalIndex,
 };
 use trajectory::{
-    AsColumns, Cube, KeptBitmap, MappedStore, Point, PointStore, Simplification, StoreRef, TrajId,
-    TrajectoryDb,
+    AsColumns, Cube, KeptBitmap, MappedStore, PageBuf, Point, PointId, PointStore, Simplification,
+    StoreRef, TrajId, TrajectoryDb,
 };
 
 use crate::db::{Query, QueryExecutor};
@@ -708,7 +708,7 @@ pub(crate) fn build_backend<S: AsColumns + ?Sized>(
             };
             IndexBackend::Octree(match kept {
                 None => Octree::build(store, config),
-                Some(kept) => Octree::build_subset(store, kept.ones().collect(), config),
+                Some(kept) => Octree::build_subset(store, kept_ids(kept), config),
             })
         }
         BackendKind::MedianKd => {
@@ -718,10 +718,17 @@ pub(crate) fn build_backend<S: AsColumns + ?Sized>(
             };
             IndexBackend::MedianKd(match kept {
                 None => MedianTree::build(store, config),
-                Some(kept) => MedianTree::build_subset(store, kept.ones().collect(), config),
+                Some(kept) => MedianTree::build_subset(store, kept_ids(kept), config),
             })
         }
     }
+}
+
+/// The kept points' global ids, ascending, in a buffer sized once.
+fn kept_ids(kept: &KeptBitmap) -> PageBuf<PointId> {
+    let mut ids = PageBuf::with_capacity(kept.count());
+    ids.extend(kept.ones());
+    ids
 }
 
 /// Ascending ids of the set `hit` flags.

@@ -33,7 +33,10 @@
 //! - live ingestion ([`delta`]): the WAL-guarded mutable [`DeltaStore`]
 //!   accepting streaming `begin_traj`/`push_point` appends through a
 //!   deterministic [`OnlineSimplifier`], crash-replayable via the same
-//!   checksummed little-endian conventions as the snapshot format.
+//!   checksummed little-endian conventions as the snapshot format;
+//! - index memory ([`pagebuf`]): [`PageBuf`], the growable array whose
+//!   buffers of a megabyte or more are anonymous mappings of their own,
+//!   so an index dropped at a compaction hands its pages straight back.
 //!
 //! The architecture across crates is documented in
 //! `docs/ARCHITECTURE.md`; the snapshot format is specified byte-by-byte
@@ -69,6 +72,7 @@ pub mod error;
 pub mod gen;
 pub mod geom;
 pub mod io;
+pub mod pagebuf;
 pub mod parallel;
 pub mod point;
 pub mod resample;
@@ -85,6 +89,7 @@ pub use db::{Simplification, TrajId, TrajectoryDb};
 pub use delta::{replay_wal, BoxedSimplifier, DeltaError, DeltaStore, KeepAll, OnlineSimplifier};
 pub use error::ErrorMeasure;
 pub use io::PointSink;
+pub use pagebuf::PageBuf;
 pub use point::Point;
 pub use seq::PointSeq;
 pub use shard::{partition, OpenShard, PartitionStrategy, Shard, ShardSet, ShardSetError};

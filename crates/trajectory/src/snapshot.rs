@@ -1377,8 +1377,8 @@ impl Backing {
 }
 
 /// A read-only `mmap` of a whole file, unmapped on drop. Declared against
-/// raw libc symbols — this workspace builds offline, so no `libc`/
-/// `memmap2` crates.
+/// the raw libc symbols of [`crate::pagebuf`]'s `sys` block — this
+/// workspace builds offline, so no `libc`/`memmap2` crates.
 #[cfg(unix)]
 #[derive(Debug)]
 struct Mmap {
@@ -1387,27 +1387,7 @@ struct Mmap {
 }
 
 #[cfg(unix)]
-mod sys {
-    use std::ffi::c_void;
-    use std::os::raw::c_int;
-
-    pub const PROT_READ: c_int = 1;
-    pub const MAP_PRIVATE: c_int = 2;
-
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-    }
-
-    pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
-}
+use crate::pagebuf::sys;
 
 #[cfg(unix)]
 impl Mmap {

@@ -35,6 +35,7 @@
 
 use crate::bbox::Cube;
 use crate::db::{Simplification, TrajId, TrajectoryDb};
+use crate::pagebuf::PageBuf;
 use crate::point::Point;
 use crate::snapshot::MappedStore;
 use crate::traj::Trajectory;
@@ -319,7 +320,7 @@ impl PointStore {
 
     /// The trajectory owning global point `gid` (binary search over the
     /// offset table). For O(1) lookups in hot loops, materialize
-    /// [`PointStore::owner_column`] once instead.
+    /// [`AsColumns::owner_column`] once instead.
     #[must_use]
     pub fn traj_of(&self, gid: PointId) -> TrajId {
         debug_assert!((gid as usize) < self.total_points());
@@ -331,18 +332,6 @@ impl PointStore {
     pub fn locate(&self, gid: PointId) -> (TrajId, u32) {
         let id = self.traj_of(gid);
         (id, gid - self.offsets[id])
-    }
-
-    /// Materializes the owner column: `owners[gid]` = owning trajectory.
-    /// O(N) once, then O(1) per lookup — what the query engine uses to mark
-    /// result trajectories while scanning index leaves.
-    #[must_use]
-    pub fn owner_column(&self) -> Vec<u32> {
-        let mut owners = Vec::with_capacity(self.total_points());
-        for id in 0..self.len() {
-            owners.resize(self.offsets[id + 1] as usize, id as u32);
-        }
-        owners
     }
 
     /// Smallest cube covering every committed point: three straight-line
@@ -753,11 +742,12 @@ pub trait AsColumns {
     }
 
     /// Materializes the owner column: `owners[gid]` = owning trajectory.
-    fn owner_column(&self) -> Vec<u32> {
-        let offsets = self.offsets();
-        let mut owners = Vec::with_capacity(self.total_points());
-        for id in 0..self.len() {
-            owners.resize(offsets[id + 1] as usize, id as u32);
+    /// Index builds hold it while they run; it is a [`PageBuf`], so a
+    /// large one is its own mapping and gone once the build is.
+    fn owner_column(&self) -> PageBuf<u32> {
+        let mut owners = PageBuf::zeroed(self.total_points());
+        for (id, run) in self.offsets().windows(2).enumerate() {
+            owners[run[0] as usize..run[1] as usize].fill(id as u32);
         }
         owners
     }
