@@ -192,7 +192,7 @@ pub(crate) enum IndexBackend {
 /// test is three contiguous column loads. Because every access goes
 /// through [`AsColumns`], a snapshot file opened with
 /// [`MappedStore::open`] serves queries with zero deserialization
-/// ([`QueryEngine::from_mapped`] / [`QueryEngine::over_mapped`]).
+/// ([`QueryEngine::over_mapped`]).
 ///
 /// What the engine itself holds is construction, the store / index /
 /// kept-bitmap accessors, and the per-query unit
@@ -235,21 +235,6 @@ impl QueryEngine<'static> {
     pub fn from_store(store: PointStore, config: EngineConfig) -> Self {
         let backend = build_backend(&store, config, None);
         Self::from_backend(StoreRef::Owned(store), config, backend, None)
-    }
-
-    /// Builds an engine owning an mmap-backed store: queries execute
-    /// straight off the file mapping, so cold start is the index build
-    /// alone — no CSV parse, no column deserialization. When the snapshot
-    /// carries a kept bitmap (a persisted simplified database), it is
-    /// retained, with an index of its own, so [`Query::RangeKept`] serves
-    /// `D'` immediately.
-    #[must_use]
-    pub fn from_mapped(store: MappedStore, config: EngineConfig) -> Self {
-        let backend = build_backend(&store, config, None);
-        let kept = store.kept_bitmap();
-        let mut engine = Self::from_backend(StoreRef::Mapped(store), config, backend, None);
-        engine.set_kept_bitmap(kept);
-        engine
     }
 }
 

@@ -223,3 +223,30 @@ proptest! {
         std::fs::remove_file(&q_path).ok();
     }
 }
+
+/// The codec's size claim on a realistic database, not just a few random
+/// walks: at a 0.5-unit bound a quantized snapshot of 1 000 T-Drive-shaped
+/// trajectories (~349 k points) is less than half the raw file. The ratio
+/// reads ~3× at this seed, so the bound is not tight.
+#[test]
+fn a_quantized_tdrive_snapshot_is_under_half_the_raw_size() {
+    use trajectory::gen::{generate, DatasetSpec, Scale};
+    let store = generate(
+        &DatasetSpec::tdrive(Scale::Small).with_trajectories(1000),
+        7,
+    )
+    .to_store();
+    let raw_path = unique_path("tdrive_raw").with_extension("snap");
+    let q_path = unique_path("tdrive_quant").with_extension("snap");
+    write_snapshot_with(&store, None, &raw_path).unwrap();
+    write_snapshot_quantized(&store, None, 0.5, &q_path).unwrap();
+    let raw_len = std::fs::metadata(&raw_path).unwrap().len();
+    let q_len = std::fs::metadata(&q_path).unwrap().len();
+    assert!(
+        q_len * 2 < raw_len,
+        "quantized {q_len} vs raw {raw_len} bytes over {} points",
+        store.total_points()
+    );
+    std::fs::remove_file(&raw_path).ok();
+    std::fs::remove_file(&q_path).ok();
+}

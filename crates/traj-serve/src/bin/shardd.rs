@@ -22,7 +22,7 @@
 //! shardd --live state-dir [--sed-eps 25.0] [--compact-points 500000] [...]
 //! ```
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 use std::process::exit;
 use std::sync::Arc;
@@ -33,6 +33,33 @@ use traj_query::{spawn_compactor, BackendKind, DbOptions, GenerationalDb, SimpFa
 use traj_serve::{ServeOptions, Server};
 use traj_simp::OnePassSed;
 use trajectory::{KeepAll, PointStore};
+
+/// Every flag `shardd` takes; each is followed by its value.
+const FLAGS: [&str; 6] = [
+    "--snap",
+    "--live",
+    "--addr",
+    "--backend",
+    "--sed-eps",
+    "--compact-points",
+];
+
+/// Exits with the usage message unless `args` is a run of `FLAG value`
+/// pairs: an unknown or misspelt flag, a stray word or a flag without
+/// its value is an error, never silently ignored.
+fn check_args(args: &[String]) {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !FLAGS.contains(&arg.as_str()) {
+            eprintln!("shardd: unknown argument {arg}");
+            usage();
+        }
+        if rest.next().is_none_or(|value| value.starts_with("--")) {
+            eprintln!("shardd: {arg} wants a value");
+            usage();
+        }
+    }
+}
 
 fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -51,6 +78,7 @@ fn usage() -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_args(&args);
     let snap = flag_value(&args, "--snap");
     let live = flag_value(&args, "--live");
     if snap.is_some() == live.is_some() {
@@ -136,9 +164,9 @@ fn main() {
     let _ = std::io::stdout().flush();
 
     // Serve until the parent closes our stdin (or we were launched
-    // interactively and the terminal sends EOF).
-    let mut sink = Vec::new();
-    let _ = std::io::stdin().read_to_end(&mut sink);
+    // interactively and the terminal sends EOF). What the parent writes
+    // meanwhile is discarded, never held.
+    let _ = std::io::copy(&mut std::io::stdin(), &mut std::io::sink());
     server.shutdown();
     if let Some(handle) = compactor.take() {
         handle.shutdown();

@@ -31,9 +31,7 @@
 //!   riders get a typed [`ERR_PASS_FAILED`] frame, the lead is handed
 //!   on and the queue keeps serving;
 //! - [`client`] — a blocking client speaking the same frames (with
-//!   optional connect/read/write deadlines), plus the
-//!   `traj_bench_client` load generator that measures throughput and
-//!   p50/p95/p99 latency;
+//!   optional connect/read/write deadlines);
 //! - [`coordinator`] — the distributed layer: a fleet of `shardd`
 //!   processes each serving one shard's snapshot, a [`Placement`] map
 //!   read from the shard manifest's `addr=`/`bounds=` assignments, and

@@ -169,6 +169,34 @@ fn wait_ready(stdout: std::process::ChildStdout) -> String {
         .to_string()
 }
 
+/// `shardd` takes only its six flags, each with a value: a misspelt
+/// flag, a stray word or a flag without its value is a usage error
+/// (exit 2) before anything is served, never silently ignored.
+#[test]
+fn shardd_rejects_unknown_flags_and_missing_values() {
+    let snap = unique_path("args").with_extension("snap");
+    trajectory::snapshot::write_snapshot(&dataset().to_store(), &snap).expect("write snapshot");
+    let cases: [&[&str]; 4] = [
+        &["--bakend", "kd"],
+        &["--addr"],
+        &["--addr", "--backend", "kd"],
+        &["serve"],
+    ];
+    for extra in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_shardd"))
+            .arg("--snap")
+            .arg(&snap)
+            .args(extra)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run shardd");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {out:?}");
+        assert!(!stdout.contains("READY"), "{extra:?} served: {stdout}");
+    }
+    std::fs::remove_file(&snap).ok();
+}
+
 /// Fast-failure coordinator tuning for tests.
 fn test_opts() -> CoordinatorOptions {
     CoordinatorOptions {

@@ -223,7 +223,7 @@ proptest! {
 
 /// Forcing scalar dispatch at runtime must flip `simd_active()` off and
 /// make every kernel bit-identical to the scalar reference — this is the
-/// switch CI's scalar-only job and the benchmarks rely on. Kept outside
+/// switch CI's scalar-only job relies on. Kept outside
 /// `proptest!` and run on fixed vectors because it mutates global
 /// dispatch state (concurrent equality properties stay valid under
 /// either dispatch, since both sides of their assertions are
