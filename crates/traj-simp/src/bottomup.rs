@@ -283,7 +283,8 @@ mod tests {
         // benign input (sanity guard against gross implementation bugs).
         let t = zigzag(60, 5.0);
         let bu = bottomup_one_seq(&t, 12, ErrorMeasure::Sed);
-        let td = crate::topdown::topdown_one_seq(&t, 12, ErrorMeasure::Sed);
+        let store = TrajectoryDb::new(vec![t.clone()]).to_store();
+        let td = crate::topdown::topdown_one(store.view(0), 12, ErrorMeasure::Sed);
         let e_bu = ErrorMeasure::Sed.trajectory_error(&t, &bu);
         let e_td = ErrorMeasure::Sed.trajectory_error(&t, &td);
         assert!(

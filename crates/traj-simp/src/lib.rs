@@ -21,11 +21,14 @@
 //! (3 algorithms × 4 measures × 2 adaptations + Span-Search).
 //!
 //! Every algorithm is written once, over columns: a database is a
-//! [`PointStore`], one trajectory a [`trajectory::PointSeq`] (the
-//! per-trajectory kernels — `topdown_one_seq`, `bottomup_one_seq`,
-//! `spansearch_one`, `bounded_one` — accept a zero-copy column view, an
-//! owned [`trajectory::Trajectory`] or a point slice alike). The "E"
-//! adaptation all of them share lives in [`adapt::simplify_each`].
+//! [`PointStore`], one trajectory a zero-copy [`trajectory::TrajView`].
+//! Top-Down's kernel, `topdown_one`, takes the view itself, because its
+//! worst-point scan is a batched pass over the view's columns
+//! ([`trajectory::ErrorMeasure::worst_point`]). The other per-trajectory
+//! kernels — `bottomup_one_seq`, `spansearch_one`, `bounded_one` — are
+//! generic over [`trajectory::PointSeq`] and accept a view, an owned
+//! [`trajectory::Trajectory`] or a point slice alike. The "E" adaptation
+//! all of them share lives in [`adapt::simplify_each`].
 
 #![warn(missing_docs)]
 

@@ -87,16 +87,6 @@ impl RltsPlus {
         }
     }
 
-    /// Wraps an already-trained agent (deserialization).
-    pub fn from_agent(measure: ErrorMeasure, adaptation: Adaptation, k: usize, agent: Dqn) -> Self {
-        Self {
-            measure,
-            adaptation,
-            k,
-            agent,
-        }
-    }
-
     /// Re-targets the trained policy at the other adaptation without
     /// retraining (the policy itself is trajectory-level).
     pub fn with_adaptation(&self, adaptation: Adaptation) -> Self {

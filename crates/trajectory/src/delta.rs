@@ -520,18 +520,6 @@ impl DeltaStore {
         self.raw_points
     }
 
-    /// True while a trajectory is open.
-    #[must_use]
-    pub fn is_open(&self) -> bool {
-        self.open
-    }
-
-    /// Path of the WAL file backing this store.
-    #[must_use]
-    pub fn wal_path(&self) -> &Path {
-        &self.path
-    }
-
     /// Consumes the delta store, returning the committed columns.
     #[must_use]
     pub fn into_store(self) -> PointStore {

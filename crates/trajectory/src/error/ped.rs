@@ -6,6 +6,10 @@ use crate::point::Point;
 /// `ϵ_PED(p_s p_e | p)`: spatial distance from `p` to the closest point of
 /// the anchor segment `(s, e)` (time is ignored). The projection is clamped
 /// to the segment, the convention used by the Douglas–Peucker family.
+///
+/// [`ErrorMeasure::worst_point`](super::ErrorMeasure::worst_point) repeats
+/// these operations over a segment's columns; its tests hold the two equal
+/// bit for bit.
 #[inline]
 pub fn ped(s: &Point, e: &Point, p: &Point) -> f64 {
     geom::point_segment_distance(s, e, p)

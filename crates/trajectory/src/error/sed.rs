@@ -6,6 +6,10 @@ use crate::point::Point;
 /// `ϵ_SED(p_s p_e | p)`: spatial distance between the original point `p` and
 /// its synchronized position on the anchor segment `(s, e)` — the location
 /// the simplified trajectory would report at time `p.t`.
+///
+/// [`ErrorMeasure::worst_point`](super::ErrorMeasure::worst_point) repeats
+/// these operations over a segment's columns; its tests hold the two equal
+/// bit for bit.
 #[inline]
 pub fn sed(s: &Point, e: &Point, p: &Point) -> f64 {
     p.spatial_distance(&geom::sync_point(s, e, p))

@@ -189,12 +189,6 @@ impl DatasetSpec {
         self.num_trajectories = m;
         self
     }
-
-    /// Overrides the mean trajectory length.
-    pub fn with_mean_len(mut self, n: usize) -> Self {
-        self.mean_len = n;
-        self
-    }
 }
 
 /// Generates the dataset described by `spec`, deterministically for a seed.
